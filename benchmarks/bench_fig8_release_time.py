@@ -8,10 +8,10 @@ Expected shape: the prior-work baselines blow past the chart from moderate
 arrival rates while both block strategies keep releasing within a day at
 0.7 models/hour.
 
-The block strategies drive the platform's propose/settle protocol
-(``batched_advance=True``): each simulated hour's charges commit through
-one batched ``request_many`` -- trajectories are float-identical to the
-sequential per-proposal path (see ``tests/core/test_protocol.py``).
+The block strategies drive the platform's propose/settle protocol: each
+simulated hour's charges commit through one batched ``request_many`` --
+trajectories are float-identical to the sequential per-proposal path (see
+``tests/core/test_protocol.py``).
 """
 
 from conftest import FULL_SCALE, write_result
@@ -36,7 +36,6 @@ def _sweep(points_per_hour, complexity):
                 horizon_hours=_HORIZON,
                 points_per_hour=points_per_hour,
                 complexity=complexity,
-                batched_advance=True,
             )
             reports[strategy][rate] = WorkloadSimulator(cfg, seed=3 + i).run()
     return reports

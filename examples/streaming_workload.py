@@ -8,9 +8,7 @@ sub-queries, and streaming DP.
 
 The block strategies run the real platform under the two-phase protocol:
 every simulated hour, waiting sessions *propose* charges, the platform
-stages them, and the hour settles through one batched ``request_many``
-(``batched_advance=True`` below; flipping it to False drives the identical
-per-proposal sequential path).
+stages them, and the hour settles through one batched ``request_many``.
 
 Run:  python examples/streaming_workload.py   (~1 minute)
 """
@@ -31,8 +29,6 @@ def main():
                 arrival_rate=rate,
                 horizon_hours=250.0,
                 points_per_hour=16_000,
-                # Settle each simulated hour in one propose/settle batch.
-                batched_advance=True,
             )
             report = WorkloadSimulator(config, seed=17 + i).run()
             reports[strategy][rate] = report

@@ -40,10 +40,7 @@ from repro.analysis.astutil import call_name, walk_calls
 __all__ = ["PairedCallsRule"]
 
 PAIRS = (
-    (
-        "begin_staging",
-        ("commit_staged", "abort_staged", "pop_staged", "commit_staged_trusted"),
-    ),
+    ("begin_staging", ("commit_staged", "abort_staged", "pop_staged")),
     ("begin_scan_memo", ("end_scan_memo",)),
     ("begin_hour", ("commit_hour", "abort_hour")),
 )

@@ -1,16 +1,19 @@
-"""Rollback-completeness rule: the durable hour must restore what it touched.
+"""Rollback-completeness rule: the hour must restore what it touched.
 
-``Sage._advance_durable`` brackets one hour between ``wal.begin_hour()``
-and the commit point; its exception handler promises to return the
-platform to the captured pre-hour state (``txn = self._capture_hour()``
-... ``self._rollback_hour(txn)``).  PR 7's crash matrix spot-checks this
-dynamically at registered fault points, but a *new* mutation added to the
-drive path -- a log, a cache, a counter -- silently widens the gap
-between what the hour touches and what the rollback restores, and no
-fault point fails until a crash lands exactly there.
+``Sage.advance`` opens every hour by capturing the pre-hour state
+(``txn = self._capture_hour()``) and runs it up to the commit point; its
+exception handler promises to return the platform to that state
+(``self._rollback_hour(txn)``), with or without a write-ahead log.  The
+crash matrix spot-checks this dynamically at registered fault points, but
+a *new* mutation added to the drive path -- a log, a cache, a counter --
+silently widens the gap between what the hour touches and what the
+rollback restores, and no fault point fails until a crash lands exactly
+there.
 
 This rule proves the containment statically.  For every function that
-calls ``begin_hour`` after binding ``<txn> = self._capture*()``:
+binds ``<txn> = self._capture*()``, the protected region is every
+statement after that capture from which the rollback call is reachable
+(everything after it, when there is no rollback call):
 
 * the exception path out of the protected region must call a rollback
   helper -- a ``self`` method taking ``<txn>`` as its sole argument;
@@ -121,14 +124,12 @@ class RollbackCompletenessRule(Rule):
         if txn_info is None:
             return
         txn_name, capture_name = txn_info
-        if not any(call_name(c) == "begin_hour" for c in walk_calls(func)):
-            return
         rollback_name = self._find_rollback(func, txn_name)
         capture_fn = methods.get(capture_name)
         rollback_fn = methods.get(rollback_name) if rollback_name else None
 
         cfg = build_cfg(func)
-        openers = cfg.nodes_calling({"begin_hour"})
+        openers = cfg.nodes_calling({capture_name})
         if not openers:
             return
         region = self._protected_region(cfg, openers, rollback_name)
@@ -141,8 +142,9 @@ class RollbackCompletenessRule(Rule):
             yield self.finding(
                 module,
                 anchor,
-                f"{class_name}.{func.name} mutates state after begin_hour() "
-                "but its exception path never calls a rollback helper "
+                f"{class_name}.{func.name} mutates state after "
+                f"{capture_name}() but its exception path never calls a "
+                "rollback helper "
                 f"taking {txn_name!r}",
             )
             return

@@ -21,18 +21,13 @@ whole hour in one batch: ``begin_staging()`` opens the stream accountant's
 staged-batch overlay, ``stage_request(keys, budget, label)`` validates and
 stages one proposal (raising exactly what ``request`` would, staging
 nothing on refusal), and ``commit_staged()`` settles everything staged
-through a single :meth:`request_many` call.  Staging is stream-wide only:
+through a single :meth:`request_many` call, whose validation re-checks the
+batch end to end.  ``abort_staged()`` drops the batch instead -- the
+platform's rollback of an hour that raised.  Staging is stream-wide only:
 ``supports_staged_requests`` is False when per-context accountants exist
 (their charges must validate per-request) or when the filter class forces
-the scalar accounting path.
-
-``trusted_staged_commit=True`` opts the hourly commit into the
-accountant's trusted bulk-write path: staging already performed the exact
-float accumulation ``charge_many``'s validation would replay, so the
-commit provably cannot be refused and the re-validation pass is pure
-overhead (about half the hourly accounting cost).  The resulting state is
-byte-identical either way; the flag only exists so deployments that want
-the redundant end-to-end check keep it by default.
+the scalar accounting path; the platform then charges each proposal
+immediately through :meth:`request`.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ class SageAccessControl:
         delta_global: float,
         filter_factory: Optional[Callable[[float, float], PrivacyFilter]] = None,
         authorized_principals: Optional[Sequence[str]] = None,
-        trusted_staged_commit: bool = False,
         accountant_factory: Optional[Callable[..., BlockAccountant]] = None,
     ) -> None:
         # ``accountant_factory`` swaps the stream accountant implementation
@@ -74,7 +68,6 @@ class SageAccessControl:
         # Stream-level ACLs (the pre-existing, non-DP layer of Fig. 1): when
         # set, only these principals may request data at all.
         self._principals = set(authorized_principals) if authorized_principals else None
-        self.trusted_staged_commit = trusted_staged_commit
 
     # ------------------------------------------------------------------
     @property
@@ -267,16 +260,8 @@ class SageAccessControl:
         already passed its own principal check at stage time.  The check
         runs *before* the batch closes, so a refused principal leaves the
         overlay open instead of silently dropping the staged charges.
-
-        With ``trusted_staged_commit`` set, the commit skips
-        ``charge_many``'s redundant re-validation and bulk-writes the
-        staged effective rows instead (byte-identical state, about half
-        the accounting cost).  Staging is stream-wide only, so there is
-        never a context charge for the trusted path to skip.
         """
         self._check_principal(principal)
-        if self.trusted_staged_commit:
-            return self._accountant.commit_staged_trusted()
         requests = self._accountant.pop_staged()
         if not requests:
             return []

@@ -109,13 +109,9 @@ accountant supports this with a :class:`StagedBatch` overlay opened by
 * ``pop_staged()`` closes the overlay and hands back the request list for a
   single ``charge_many`` commit.  Because staging replayed the exact
   accumulation ``charge_many`` validates with, a staged batch can never be
-  refused at commit time.
-* ``commit_staged_trusted()`` exploits exactly that guarantee: instead of
-  handing the requests back through ``charge_many``'s full re-validation, it
-  bulk-writes the staged effective rows (which *are* the post-batch totals,
-  byte for byte) straight into the store.  Same commit, roughly half the
-  accounting cost; the access layer gates it behind an explicit
-  ``trusted_staged_commit`` flag.
+  refused at commit time; the commit's full re-validation is kept anyway
+  as an end-to-end check of that claim.  Discarding the returned list
+  aborts the batch (the platform's hour rollback).
 
 Staging requires the vectorized filter path (``staging_supported``);
 mutating the accountant through ``charge``/``charge_many`` while a batch is
@@ -139,7 +135,6 @@ whole-stream admit scans may be computed once and shared across sessions.
 from __future__ import annotations
 
 import inspect
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -161,6 +156,7 @@ from repro.errors import (
     RecoveryError,
     SnapshotMismatchError,
 )
+from repro.obs.trace import NULL_PROBE
 
 __all__ = [
     "BlockLedger",
@@ -355,8 +351,8 @@ class StagedBatch:
     -- the exact float accumulation ``charge_many``'s validation replays --
     so staging decisions and the final commit can never disagree, and reads
     through the overlay are as cheap as reads of the store itself.  The
-    per-request store rows are retained alongside the requests so a trusted
-    commit can bulk-write the effective rows without re-resolving keys.
+    per-request store rows are retained alongside the requests so shard
+    diagnostics can derive the batch's footprint without re-resolving keys.
     """
 
     def __init__(self, accountant: "BlockAccountant") -> None:
@@ -537,10 +533,11 @@ class BlockAccountant:
         # usable_blocks() linear in the number of *live* blocks even when a
         # stream has run for thousands of hours.
         self._dead: set = set()
-        # Telemetry tracer attached by a traced platform (None = tracing
-        # off).  Consulted only on the mutating charge path, never by the
-        # pure read surface, and never fed back into accounting decisions.
-        self._tracer = None
+        # Telemetry probe attached by a traced platform (the no-op probe
+        # otherwise).  Consulted only on the mutating charge path, never by
+        # the pure read surface, and never fed back into accounting
+        # decisions.
+        self._tracer = NULL_PROBE
 
     # ------------------------------------------------------------------
     # Block lifecycle
@@ -595,10 +592,10 @@ class BlockAccountant:
         return self._batch_filter
 
     def attach_tracer(self, tracer) -> None:
-        """Attach a telemetry tracer (``None`` detaches).  The tracer only
-        ever *records* -- batch spans on ``charge_many`` and, for sharded
-        accountants, per-shard commit spans -- so attaching one cannot
-        change any admission decision."""
+        """Attach a telemetry probe (``NULL_PROBE`` detaches).  The probe
+        only ever *records* -- batch spans on ``charge_many`` and, for
+        sharded accountants, per-shard commit spans -- so attaching one
+        cannot change any admission decision."""
         self._tracer = tracer
 
     @property
@@ -673,7 +670,7 @@ class BlockAccountant:
         (empty when no batch is open).
 
         This is what the durability layer writes ahead: the exact batch the
-        closing ``charge_many``/trusted commit will land, captured *before*
+        closing ``charge_many`` commit will land, captured *before*
         the commit so a crash between WAL append and commit replays the
         identical requests.
         """
@@ -984,11 +981,7 @@ class BlockAccountant:
             return []
         if not self._vectorized:
             return self._apply_many_scalar(norm, commit=True)
-        with (
-            self._tracer.span("charge.batch", requests=len(norm))
-            if self._tracer is not None
-            else nullcontext()
-        ):
+        with self._tracer.span("charge.batch", requests=len(norm)):
             touched, work, counts_delta = self._validate_for_commit(norm)
             # Crash point between phase-one validation and the phase-two
             # commit (for the sharded accountant this sits exactly between
@@ -1005,9 +998,7 @@ class BlockAccountant:
     ) -> List[ChargeRecord]:
         """Land a validated batch: bulk store-row write, history append,
         ledger-totals sync, charge log.  ``work`` must hold the touched
-        rows' exact post-batch totals (``charge_many``'s scratch or a
-        staged batch's effective rows -- the two are byte-identical by
-        construction)."""
+        rows' exact post-batch totals (``charge_many``'s scratch)."""
         ledgers = self._ledgers
         records = []
         for keys, budget, label in norm:
@@ -1024,29 +1015,6 @@ class BlockAccountant:
             ledgers[block_keys[row]]._totals = totals
         self._charges.extend(records)
         return records
-
-    def commit_staged_trusted(self) -> List[ChargeRecord]:
-        """Close the staged batch and commit it *without* re-validation.
-
-        Staging already performed the exact accumulation ``charge_many``'s
-        validation would replay (same starting rows, same contribution
-        vectors, same order), so the overlay's effective rows for the
-        touched blocks *are* the post-batch totals byte for byte and the
-        batch provably cannot be refused -- this path just bulk-writes them.
-        The access layer keeps it behind an explicit opt-in flag; the
-        byte-parity against the validating path is pinned by tests.
-        """
-        self._scan_memo = None  # the frozen snapshot ends with the overlay
-        staged, self._staged = self._staged, None
-        if staged is None or not staged.requests:
-            return []
-        rows_concat = np.concatenate(staged.request_rows)
-        counts = np.bincount(rows_concat, minlength=len(self._store))
-        touched = np.flatnonzero(counts)
-        work = staged.effective_totals(len(self._store))[touched]
-        return self._commit_validated(
-            staged.requests, touched, work, counts[touched]
-        )
 
     def can_charge_many(self, requests) -> bool:
         """True iff :meth:`charge_many` would commit the whole batch.

@@ -113,7 +113,6 @@ import os
 import pickle
 import struct
 import zlib
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -121,6 +120,7 @@ from typing import List, Optional, Tuple
 from repro.core import faults
 from repro.core.adaptive import AttemptRecord
 from repro.errors import RecoveryError, SnapshotMismatchError, WalCorruptionError
+from repro.obs.trace import NULL_PROBE
 
 __all__ = [
     "RecoveryReport",
@@ -270,7 +270,7 @@ class WalWriter:
     """
 
     def __init__(self, path, telemetry=None) -> None:
-        self._tracer = telemetry.probe if telemetry is not None else None
+        self._tracer = telemetry.probe if telemetry is not None else NULL_PROBE
         self._metrics = telemetry.metrics if telemetry is not None else None
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
@@ -294,15 +294,12 @@ class WalWriter:
         return self._hour_start is not None
 
     def _sync(self) -> None:
-        if self._tracer is None:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            return
         with self._tracer.span("wal.fsync") as span:
             self._fh.flush()
             os.fsync(self._fh.fileno())
-        self._metrics.inc("sage_wal_fsyncs_total")
-        self._metrics.observe("sage_wal_fsync_ticks", span.duration)
+        if self._metrics is not None:
+            self._metrics.inc("sage_wal_fsyncs_total")
+            self._metrics.observe("sage_wal_fsync_ticks", span.duration)
 
     def begin_hour(self) -> None:
         """Open an hour: remember the offset ``abort_hour`` truncates to."""
@@ -322,11 +319,7 @@ class WalWriter:
         record = dict(payload)
         record["kind"] = "hour"
         encoded = _encode_record(record)
-        with (
-            self._tracer.span("wal.append", bytes=len(encoded))
-            if self._tracer is not None
-            else nullcontext()
-        ):
+        with self._tracer.span("wal.append", bytes=len(encoded)):
             self._fh.write(encoded)
             self._sync()
         if self._metrics is not None:
@@ -341,11 +334,7 @@ class WalWriter:
         encoded = _encode_record(
             {"kind": "commit", "hour_index": int(hour_index), "digest": int(digest)}
         )
-        with (
-            self._tracer.span("wal.commit", hour_index=int(hour_index))
-            if self._tracer is not None
-            else nullcontext()
-        ):
+        with self._tracer.span("wal.commit", hour_index=int(hour_index)):
             self._fh.write(encoded)
             self._sync()
         if self._metrics is not None:
@@ -403,12 +392,8 @@ class WalWriter:
                 kept.append(record)
         if not dropped:
             return 0
-        with (
-            self._tracer.span(
-                "wal.compact", upto_hour=upto_hour, dropped=dropped
-            )
-            if self._tracer is not None
-            else nullcontext()
+        with self._tracer.span(
+            "wal.compact", upto_hour=upto_hour, dropped=dropped
         ):
             tmp = self._path.with_name(self._path.name + ".compact")
             with open(tmp, "wb") as fh:
@@ -452,7 +437,7 @@ class SnapshotStore:
     """
 
     def __init__(self, directory, keep: int = 3, telemetry=None) -> None:
-        self._tracer = telemetry.probe if telemetry is not None else None
+        self._tracer = telemetry.probe if telemetry is not None else NULL_PROBE
         self._metrics = telemetry.metrics if telemetry is not None else None
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
@@ -467,12 +452,8 @@ class SnapshotStore:
     def write(self, hour_index: int, payload: dict) -> Path:
         final = self.path_for(hour_index)
         blob = SNAP_MAGIC + _encode_record(payload)
-        with (
-            self._tracer.span(
-                "snapshot.write", hour_index=int(hour_index), bytes=len(blob)
-            )
-            if self._tracer is not None
-            else nullcontext()
+        with self._tracer.span(
+            "snapshot.write", hour_index=int(hour_index), bytes=len(blob)
         ):
             tmp = final.with_name(final.name + ".tmp")
             with open(tmp, "wb") as fh:

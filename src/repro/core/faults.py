@@ -13,11 +13,12 @@ unless a test armed something), and tests arm a point to raise either
   the process lives.  This is how the rollback property ("an exception
   anywhere in ``advance`` leaves accountant, staged batch, and
   reservation table byte-identical to pre-hour state") is exercised.
-* :class:`InjectedCrash` -- a ``BaseException``.  Nothing in the library
-  catches it, *by design*: it propagates out of ``advance`` with **no**
-  rollback, simulating the process dying at that instant.  Whatever the
+* :class:`InjectedCrash` -- a ``BaseException``.  On a durable platform
+  it propagates out of ``advance`` with **no** rollback, *by design*,
+  simulating the process dying at that instant.  Whatever the
   WAL/snapshot files held at that moment is exactly what a restarted
-  platform recovers from.
+  platform recovers from.  A volatile platform has no log to recover
+  from, so it rolls the hour back as for any other interruption.
 
 Registered points (see :data:`CRASH_POINTS`):
 
@@ -95,8 +96,8 @@ class InjectedCrash(BaseException):
     """An injected process death.
 
     Deliberately a ``BaseException`` so no ``except Exception`` handler in
-    the library can observe it: state at the moment of the crash is frozen
-    as-is, exactly like a SIGKILL would leave it.
+    the library can observe it: on a durable platform, state at the moment
+    of the crash is frozen as-is, exactly like a SIGKILL would leave it.
     """
 
     def __init__(self, point: str) -> None:

@@ -35,13 +35,32 @@ finished or blocked, the entire hour commits through **one**
 ``SageAccessControl.request_many`` call -- ``charge_many``'s intra-batch
 accumulation makes the batch observationally identical to the per-session
 sequential charges, and staged validation replays the exact same float
-accumulation, so the commit can never be refused.  Sessions' reservation
-deductions settle in one fused vectorized pass per session.
+accumulation, so the commit can never be refused (its validation stays on
+as an end-to-end check).  Sessions' reservation deductions settle in one
+fused vectorized pass per session.
 
-Streams whose accountant cannot vectorize (custom scalar-only filters, or
-``batched_advance=False``) fall back to the same propose/complete drive
-with immediate per-proposal ``request`` execution -- trajectories are
-float-identical either way; only the commit granularity changes.
+Streams that cannot stage (per-context policies or custom scalar-only
+filters: ``SageAccessControl.supports_staged_requests`` is False) run the
+same propose/complete drive with immediate per-proposal ``request``
+execution -- trajectories are float-identical either way; only the commit
+granularity changes.
+
+One transactional hour
+----------------------
+Every staged hour has one shape: capture the pre-hour state, open the hour
+(ingest, register, allocate), begin staging, drive, commit.  An exception
+anywhere before the commit -- ``KeyboardInterrupt`` and ``SystemExit``
+included -- restores the captured state and aborts the staged batch, so a
+failed hour leaves no trace -- no charges, reservations, session progress,
+releases, ingest, clock or RNG movement -- and a retried hour re-runs the
+very same stream slice.  The one exception is a simulated process death
+(:class:`~repro.core.faults.InjectedCrash`) on a durable platform, which
+freezes the state as-is for recovery to rebuild from disk.  A durable
+platform (``wal_dir``) runs the same hour and additionally writes it ahead
+into the charge log before the commit, then marks it committed with a
+state digest; a volatile platform is the durable one without the log.
+Per-request hours (streams that cannot stage) commit each charge as it is
+granted and are not rolled back; durable mode refuses them.
 
 Parallel propose drive (sharding-ready)
 ---------------------------------------
@@ -84,7 +103,6 @@ accountant's tail scan as a vectorized ``row_filter``.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -112,6 +130,7 @@ from repro.errors import (
     RecoveryError,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_PROBE
 
 __all__ = ["Sage", "SubmittedPipeline", "ReservationTable", "SpeculativeProposal"]
 
@@ -274,7 +293,7 @@ class ReservationTable:
 
     def restore(self, matrix: np.ndarray, free: np.ndarray) -> None:
         """Overwrite the table with a captured ``(matrix, free)`` state --
-        the durability layer's hour rollback and snapshot recovery.
+        the hour rollback and snapshot recovery.
 
         Every buffer cell outside the restored region is re-zeroed:
         :meth:`add_block` / :meth:`add_pipeline` hand out buffer regions
@@ -347,14 +366,12 @@ class SubmittedPipeline:
 class Sage:
     """A Sage deployment over one sensitive stream.
 
-    ``batched_advance`` selects the hourly commit granularity: True (the
-    default) stages every session proposal and settles the hour through one
-    ``request_many`` batch; False executes each proposal immediately (the
-    sequential reference path -- same trajectories, per-proposal commits).
-    Streams whose accountant cannot vectorize fall back to sequential
-    regardless.  ``trusted_staged_commit`` additionally opts the batched
-    hour into the accountant's no-revalidation bulk commit (byte-identical
-    state, roughly half the hourly accounting cost).
+    Every :meth:`advance` is one transactional hour (see the module
+    docstring): sessions stage their charges and the hour settles through
+    one ``request_many`` batch, or -- when it raises before that commit --
+    rolls back to the exact pre-hour state.  Streams that cannot stage
+    (per-context policies, scalar-only filters) charge each proposal as
+    it is granted instead.
 
     ``accountant_factory`` swaps the stream accountant implementation
     (e.g. :func:`repro.core.sharding.sharded_accountant_factory` for a
@@ -362,27 +379,25 @@ class Sage:
     propose phase of each staged hour (see the module docstring) -- both
     preserve trajectories byte for byte.
 
-    ``wal_dir`` turns on the durable drive (see
+    ``wal_dir`` makes the platform durable (see
     :mod:`repro.core.durability`): each hour is recorded in a write-ahead
-    charge log *before* it commits in memory, every ``snapshot_every``
-    committed hours a full-state snapshot lands next to it (the newest
-    ``snapshot_keep`` are retained), and any mid-hour exception rolls the
-    in-memory platform back to its exact pre-hour accounting state.  A
-    platform constructed over a WAL directory holding prior state must
-    call :meth:`recover` before advancing.  Durable mode requires the
-    staged hourly drive (``batched_advance`` with a staging-capable
-    accountant and no per-context policies): the WAL records each hour as
-    one request batch, which only the staged path produces.
+    charge log *before* it commits in memory and marked committed with a
+    state digest after, and every ``snapshot_every`` committed hours a
+    full-state snapshot lands next to it (the newest ``snapshot_keep`` are
+    retained).  A platform constructed over a WAL directory holding prior
+    state must call :meth:`recover` before advancing.  Durable mode
+    requires the staged drive: the WAL records each hour as one request
+    batch.
 
     ``telemetry`` attaches a :class:`repro.obs.Telemetry` (tracer +
     metrics registry) to the whole deployment: every phase of the hourly
     drive emits spans/events and the drive counters land in the registry
     (see the :mod:`repro.obs` taxonomy).  Telemetry never feeds back into
     any decision, so trajectories stay byte-identical with it on or off;
-    ``None`` (the default) reduces every instrumentation site to one
-    ``is not None`` check.  The platform always owns a metrics registry
-    -- the ``last_hour_*`` diagnostics read from it -- and ``telemetry``
-    merely supplies a shared one plus the tracer.
+    ``None`` (the default) hands every instrumented component the shared
+    no-op probe (:data:`repro.obs.trace.NULL_PROBE`).  The platform always
+    owns a metrics registry -- the ``last_hour_*`` diagnostics read from
+    it -- and ``telemetry`` merely supplies a shared one plus the tracer.
     """
 
     def __init__(
@@ -393,8 +408,6 @@ class Sage:
         block_hours: float = 1.0,
         filter_factory=None,
         seed: Optional[int] = None,
-        batched_advance: bool = True,
-        trusted_staged_commit: bool = False,
         accountant_factory=None,
         propose_workers: int = 0,
         wal_dir=None,
@@ -403,15 +416,14 @@ class Sage:
         telemetry=None,
     ) -> None:
         # Telemetry first: the accountant, WAL writer, and snapshot store
-        # constructed below all thread it through.  Disabled mode keeps
-        # the tracer None (faults.trip-style no-op probes); the metrics
-        # registry always exists -- the last_hour_* compatibility
-        # properties read the drive counters from it.  The handle is the
-        # telemetry probe: the tracer itself normally, or the tracer +
-        # wall-profiler tee when profiling is on -- same span/event/hour
-        # surface either way.
+        # constructed below all thread it through.  Disabled mode hands
+        # them the no-op probe; the metrics registry always exists -- the
+        # last_hour_* compatibility properties read the drive counters
+        # from it.  The probe is the tracer itself normally, or the
+        # tracer + wall-profiler tee when profiling is on -- same
+        # span/event/hour surface either way.
         self._telemetry = telemetry
-        self._tracer = telemetry.probe if telemetry is not None else None
+        self._tracer = telemetry.probe if telemetry is not None else NULL_PROBE
         self._metrics = (
             telemetry.metrics if telemetry is not None else MetricsRegistry()
         )
@@ -430,7 +442,6 @@ class Sage:
             epsilon_global,
             delta_global,
             filter_factory=filter_factory,
-            trusted_staged_commit=trusted_staged_commit,
             accountant_factory=accountant_factory,
         )
         self.store = ModelFeatureStore()
@@ -440,7 +451,6 @@ class Sage:
         # All pipelines' epsilon reservations plus the unreserved free pool,
         # columns aligned to the stream accountant's ledger-store rows.
         self._table = ReservationTable()
-        self.batched_advance = batched_advance
         # Parallel propose drive: peek every waiting session's first
         # proposal of the hour in this many worker threads (0 = off).
         # Requires the staged path (speculation is validated against the
@@ -450,8 +460,8 @@ class Sage:
         self._propose_pool: Optional[ThreadPoolExecutor] = None
         # The drive emits its spans from the accountant's serial commit
         # points (charge batches, per-shard validation footprints).
-        if self._tracer is not None:
-            self.access.accountant.attach_tracer(self._tracer)
+        self.access.accountant.attach_tracer(self._tracer)
+        if telemetry is not None:
             # Armed crash points report their firings as trace events
             # (the registry is process-global; close() detaches).
             faults.add_observer(self._observe_fault)
@@ -466,12 +476,7 @@ class Sage:
         self._hours_committed = 0
         self._needs_recovery = False
         if self._wal_dir is not None:
-            if not (batched_advance and self.access.supports_staged_requests):
-                raise DurabilityError(
-                    "durable mode (wal_dir) requires the staged hourly drive: "
-                    "batched_advance with a staging-capable accountant and no "
-                    "per-context policies"
-                )
+            self._require_staging()
             self._snapshots = durability.SnapshotStore(
                 self._wal_dir, keep=snapshot_keep, telemetry=telemetry
             )
@@ -509,8 +514,9 @@ class Sage:
     @property
     def last_hour_charges(self) -> int:
         """Charges granted by the most recent ``advance()`` -- a
-        compatibility view over ``sage_charges_granted_total`` since the
-        drive counters folded into the metrics registry (PR 9)."""
+        compatibility view over ``sage_charges_granted_total``.  After a
+        rolled-back hour it reports that hour's grants until the next
+        ``advance``: counters are monotonic and keep its increments."""
         granted, _, _ = self._hour_mark
         return int(
             self._metrics.counter_value("sage_charges_granted_total") - granted
@@ -558,9 +564,7 @@ class Sage:
 
     def _observe_fault(self, point: str) -> None:
         """Fault-registry observer: an *armed* crash point fired."""
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.event("fault.trip", point=point)
+        self._tracer.event("fault.trip", point=point)
         self._metrics.inc("sage_fault_trips_total", point=point)
 
     @property
@@ -715,7 +719,7 @@ class Sage:
         if self._wal is not None:
             self._wal.close()
             self._wal = None
-        if self._tracer is not None:
+        if self._telemetry is not None:
             # Detach from the process-global fault registry (idempotent);
             # a platform advanced after close() simply stops reporting
             # armed-fault firings.
@@ -826,15 +830,13 @@ class Sage:
         ):
             spec = None
             metrics.inc("sage_speculations_invalidated_total")
-            if tracer is not None:
-                tracer.event("speculation.invalidated", session=entry.name)
+            tracer.event("speculation.invalidated", session=entry.name)
         while session.status == SessionStatus.RUNNING:
             if spec is not None:
                 proposal, status_after = spec.proposal, spec.status_after
                 spec = None
                 metrics.inc("sage_speculations_adopted_total")
-                if tracer is not None:
-                    tracer.event("speculation.adopted", session=entry.name)
+                tracer.event("speculation.adopted", session=entry.name)
                 if proposal is None:
                     # Exactly the transition propose() would have made.
                     session.status = status_after
@@ -859,13 +861,12 @@ class Sage:
                 if granted
                 else "sage_charges_denied_total"
             )
-            if tracer is not None:
-                tracer.event(
-                    "charge.granted" if granted else "charge.denied",
-                    session=entry.name,
-                    epsilon=proposal.budget.epsilon,
-                    blocks=len(window),
-                )
+            tracer.event(
+                "charge.granted" if granted else "charge.denied",
+                session=entry.name,
+                epsilon=proposal.budget.epsilon,
+                blocks=len(window),
+            )
             session.complete(
                 ChargeDecision(
                     proposal=proposal,
@@ -875,38 +876,100 @@ class Sage:
             )
 
     def advance(self, hours: float = 1.0) -> List[ReleasedBundle]:
-        """Move the clock: ingest, allocate, drive sessions, settle, release.
+        """Move the clock one transactional hour: ingest, allocate, drive
+        sessions, settle, release, commit.
 
-        Returns the bundles released during this step.  On the batched path
-        the whole hour's charges commit through exactly one
+        Returns the bundles released during this step.  A staged hour
+        commits all its charges through exactly one
         ``SageAccessControl.request_many`` call after every session has
-        finished or blocked (see the module docstring).  With ``wal_dir``
-        set the hour additionally lands in the write-ahead charge log
-        before it commits, and any mid-hour exception rolls the in-memory
-        state back to the last committed hour (see
-        :mod:`repro.core.durability`).
+        finished or blocked; any exception before that commit, interrupts
+        included, rolls the platform back to its pre-hour state (see the
+        module docstring).
+
+        With ``wal_dir`` set, ordering is the whole durability argument:
+        the hour record (the exact request batch plus session deltas) is
+        appended and fsynced *before* the in-memory commit, so a crash on
+        either side of the commit point leaves the WAL describing a state
+        recovery can rebuild exactly; a rolled-back hour also truncates
+        its partial WAL record.
         """
         if self._needs_recovery:
             raise RecoveryError(
                 f"WAL directory {self._wal_dir} holds prior platform state; "
                 "call recover() before advancing"
             )
-        staged = self.batched_advance and self.access.supports_staged_requests
+        staged = self.access.supports_staged_requests
+        wal = None
         if self._wal_dir is not None:
-            return self._advance_durable(hours)
-        return self._advance_volatile(hours, staged)
+            self._require_staging()
+            wal = self._ensure_wal()
+        txn = self._capture_hour()
+        tracer = self._tracer
+        tracer.hour = self._hours_committed
+        self._mark_hour_metrics()
+        with tracer.span(
+            "advance.hour", mode="volatile" if wal is None else "durable"
+        ):
+            if wal is not None:
+                wal.begin_hour()
+            try:
+                new_blocks = self._open_hour(hours)
+                faults.trip("hour.opened")
+                if staged:
+                    self.access.begin_staging()
+                released = self._drive_hour(staged)
+                if wal is not None:
+                    # Build the record while the staged batch is still open
+                    # (it carries the batch verbatim), write ahead, then
+                    # commit.
+                    wal.append_hour(
+                        self._build_hour_record(txn, hours, new_blocks)
+                    )
+                if staged:
+                    self._metrics.observe(
+                        "sage_staged_batch_requests",
+                        self.access.accountant.staged_request_count,
+                    )
+                    with tracer.span("staging.commit"):
+                        self.access.commit_staged()
+            except BaseException as exc:
+                # KeyboardInterrupt/SystemExit roll back too: a volatile
+                # platform has no log to rebuild from.  Only a simulated
+                # process death on a durable platform skips the rollback
+                # -- recovery rebuilds that state from disk.  Per-request
+                # hours charged as they went, so there is no consistent
+                # pre-hour state to return them to.
+                crashed = wal is not None and isinstance(
+                    exc, faults.InjectedCrash
+                )
+                if staged and not crashed:
+                    try:
+                        self._rollback_hour(txn)
+                    finally:
+                        if self.access.staging_active:
+                            self.access.abort_staged()
+                        if wal is not None:
+                            wal.abort_hour()
+                raise
+            self._hours_committed += 1
+            if wal is not None:
+                wal.commit_hour(
+                    self._hours_committed - 1, durability.state_digest(self)
+                )
+                faults.trip("hour.after_commit")
+                if self._snapshot_every > 0 and (
+                    self._hours_committed % self._snapshot_every == 0
+                ):
+                    self._write_snapshot()
+        self._finish_hour_metrics()
+        return released
 
     def _open_hour(self, hours: float) -> List:
         """Ingest the hour's stream slice and fund its blocks: register in
         every ledger set, allocate evenly to waiting pipelines, grant the
         free pool.  Returns the new blocks (also the WAL replay re-entry
         point -- identical given identical clock/RNG state)."""
-        tracer = self._tracer
-        with (
-            tracer.span("advance.open")
-            if tracer is not None
-            else nullcontext()
-        ) as opening:
+        with self._tracer.span("advance.open") as opening:
             new_blocks = self.ingestor.advance(hours)
             # Register the hour's blocks in every ledger set (stream-wide
             # and per-context); the access layer interleaves sets per key
@@ -915,28 +978,24 @@ class Sage:
             for block in new_blocks:
                 self._allocate_block(block.key)
             self._grant_free_pool()
-            if opening is not None:
-                opening.set(new_blocks=len(new_blocks))
+            opening.set(new_blocks=len(new_blocks))
         return new_blocks
 
     def _drive_hour(self, staged: bool) -> List[ReleasedBundle]:
         """Drive every waiting session through the hour's propose/settle
         loop (after :meth:`_open_hour`; inside the staging window on the
-        batched path).  Returns the hour's released bundles."""
+        staged path).  Returns the hour's released bundles."""
         # Parallel propose phase: peek every waiting session's first
         # proposal against the freshly opened (empty) overlay.  Needs
         # the staged path -- speculation tokens are defined against it.
         speculations: Dict[int, SpeculativeProposal] = {}
         tracer = self._tracer
         if staged and self.propose_workers > 0:
-            if tracer is not None:
-                with tracer.span(
-                    "advance.propose_fanout", workers=self.propose_workers
-                ) as fanout:
-                    speculations = self._speculate_proposals()
-                    fanout.set(peeked=len(speculations))
-            else:
+            with tracer.span(
+                "advance.propose_fanout", workers=self.propose_workers
+            ) as fanout:
                 speculations = self._speculate_proposals()
+                fanout.set(peeked=len(speculations))
         released: List[ReleasedBundle] = []
         # Maintained O(1) through the loop: sessions only leave the
         # waiting set by terminating during their own drive below.
@@ -951,11 +1010,7 @@ class Sage:
             # terminating session) to the session that caused it.  The
             # settle/release helpers emit no telemetry, so the widened
             # body leaves the deterministic tick sequence untouched.
-            with (
-                tracer.span("session.drive", session=entry.name)
-                if tracer is not None
-                else nullcontext()
-            ):
+            with tracer.span("session.drive", session=entry.name):
                 self._drive_session(
                     entry, staged, speculations.get(id(entry)), waiting_count
                 )
@@ -979,131 +1034,26 @@ class Sage:
                     entry.bundle = bundle
                     entry.release_time_hours = self.clock_hours
                     released.append(bundle)
-                    self._redistribute(entry)
-                elif entry.session.is_terminal:
+                if entry.session.is_terminal:
                     self._redistribute(entry)
         # One settle marker per hour (not per session: settle instants
         # ride the per-session hot path, and the session.drive spans
         # already carry the per-session timeline).
-        if tracer is not None and driven:
+        if driven:
             tracer.event("reservations.settle", sessions=driven)
-        return released
-
-    def _advance_volatile(
-        self, hours: float, staged: bool
-    ) -> List[ReleasedBundle]:
-        """The in-memory-only hourly drive (no ``wal_dir``) -- the seed
-        semantics: a mid-hour exception still commits whatever was staged,
-        exactly as the sequential path would already have charged it."""
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.hour = self._hours_committed
-        self._mark_hour_metrics()
-        with (
-            tracer.span("advance.hour", mode="volatile")
-            if tracer is not None
-            else nullcontext()
-        ):
-            self._open_hour(hours)
-            if staged:
-                self.access.begin_staging()
-            try:
-                # Inside the try so a failed peek/drive still closes the
-                # overlay.
-                released = self._drive_hour(staged)
-            finally:
-                # Commit whatever was staged even if a pipeline raised
-                # mid-hour: completed attempts' charges must land, exactly
-                # as they already would have on the sequential path.
-                if staged:
-                    self._metrics.observe(
-                        "sage_staged_batch_requests",
-                        self.access.accountant.staged_request_count,
-                    )
-                    with (
-                        tracer.span("staging.commit")
-                        if tracer is not None
-                        else nullcontext()
-                    ):
-                        self.access.commit_staged()
-        self._hours_committed += 1
-        self._finish_hour_metrics()
-        return released
-
-    def _advance_durable(self, hours: float) -> List[ReleasedBundle]:
-        """One write-ahead-logged hour (see :mod:`repro.core.durability`).
-
-        Ordering is the whole durability argument: the hour record (the
-        exact request batch plus session deltas) is appended and fsynced
-        *before* the in-memory commit, so a crash on either side of the
-        commit point leaves the WAL describing a state recovery can rebuild
-        exactly.  Any exception during the open/drive/append window rolls
-        the platform back to its pre-hour accounting state and truncates
-        the partial WAL hour -- the volatile path's commit-what-was-staged
-        semantics would leave charges the log never recorded.
-        """
-        if not (self.batched_advance and self.access.supports_staged_requests):
-            raise DurabilityError(
-                "durable advance requires the staged hourly drive (no "
-                "per-context policies, staging-capable accountant)"
-            )
-        wal = self._ensure_wal()
-        txn = self._capture_hour()
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.hour = self._hours_committed
-        self._mark_hour_metrics()
-        with (
-            tracer.span("advance.hour", mode="durable")
-            if tracer is not None
-            else nullcontext()
-        ):
-            wal.begin_hour()
-            try:
-                new_blocks = self._open_hour(hours)
-                faults.trip("hour.opened")
-                self.access.begin_staging()
-                released = self._drive_hour(staged=True)
-                # Build the record while the staged batch is still open (it
-                # carries the batch verbatim), write ahead, then commit.
-                record = self._build_hour_record(txn, hours, new_blocks)
-                self._metrics.observe(
-                    "sage_staged_batch_requests",
-                    self.access.accountant.staged_request_count,
-                )
-                wal.append_hour(record)
-                with (
-                    tracer.span("staging.commit")
-                    if tracer is not None
-                    else nullcontext()
-                ):
-                    self.access.commit_staged()
-            except Exception:
-                # InjectedCrash (BaseException) deliberately bypasses this:
-                # a crash gets no rollback -- recovery must rebuild from
-                # disk.
-                try:
-                    self._rollback_hour(txn)
-                finally:
-                    if self.access.staging_active:
-                        self.access.abort_staged()
-                    wal.abort_hour()
-                raise
-            self._hours_committed += 1
-            wal.commit_hour(
-                self._hours_committed - 1, durability.state_digest(self)
-            )
-            faults.trip("hour.after_commit")
-            if self._snapshot_every > 0 and (
-                self._hours_committed % self._snapshot_every == 0
-            ):
-                self._write_snapshot()
-        self._finish_hour_metrics()
         return released
 
     # ------------------------------------------------------------------
     # Durability: pre-hour capture, rollback, WAL records, recovery
     # ------------------------------------------------------------------
+    def _require_staging(self) -> None:
+        """Durable mode records each hour as one staged request batch."""
+        if not self.access.supports_staged_requests:
+            raise DurabilityError(
+                "durable mode (wal_dir) requires the staged hourly drive: a "
+                "staging-capable accountant and no per-context policies"
+            )
+
     def _ensure_wal(self) -> durability.WalWriter:
         if self._wal_dir is None:
             raise DurabilityError("platform was constructed without a wal_dir")
@@ -1118,25 +1068,31 @@ class Sage:
         the accounting plane (ledger registrations, reservations, session
         state, released bundles) and the data plane (database tail, stream
         clock, RNG state) -- a rolled-back hour leaves no trace at all, so
-        the retried hour re-ingests the very same stream slice."""
+        the retried hour re-ingests the very same stream slice.  Only
+        waiting pipelines are captured: the hour never touches finished
+        ones."""
         entries = []
-        for entry in self._pipelines:
+        for index, entry in enumerate(self._pipelines):
+            if not entry.waiting:
+                continue
             session = entry.session
             entries.append(
-                {
-                    "was_terminal": session.is_terminal,
-                    "status": session.status,
-                    "epsilon": session.epsilon,
-                    "epsilon_floor": session.epsilon_floor,
-                    "delta": session.delta,
-                    "window_blocks": session.window_blocks,
-                    "n_attempts": len(session.attempts),
-                    "total_spent": session.total_spent,
-                    "final_run": session.final_run,
-                    "settled_attempts": entry.settled_attempts,
-                    "release_time_hours": entry.release_time_hours,
-                    "bundle": entry.bundle,
-                }
+                (
+                    index,
+                    {
+                        "status": session.status,
+                        "epsilon": session.epsilon,
+                        "epsilon_floor": session.epsilon_floor,
+                        "delta": session.delta,
+                        "window_blocks": session.window_blocks,
+                        "n_attempts": len(session.attempts),
+                        "total_spent": session.total_spent,
+                        "final_run": session.final_run,
+                        "settled_attempts": entry.settled_attempts,
+                        "release_time_hours": entry.release_time_hours,
+                        "bundle": entry.bundle,
+                    },
+                )
             )
         return {
             "n_blocks": len(self.access.accountant.store),
@@ -1159,7 +1115,8 @@ class Sage:
         self.ingestor.clock_hours = txn["clock"]
         self.rng.bit_generator.state = txn["rng_state"]
         self._table.restore(txn["matrix"], txn["free"])
-        for entry, pre in zip(self._pipelines, txn["entries"]):
+        for index, pre in txn["entries"]:
+            entry = self._pipelines[index]
             session = entry.session
             session.status = pre["status"]
             session.epsilon = pre["epsilon"]
@@ -1181,9 +1138,8 @@ class Sage:
         pair after, so it never depends on the recovering process's own
         clock or RNG position)."""
         deltas = []
-        for index, (entry, pre) in enumerate(zip(self._pipelines, txn["entries"])):
-            if pre["was_terminal"]:
-                continue
+        for index, pre in txn["entries"]:
+            entry = self._pipelines[index]
             session = entry.session
             deltas.append(
                 {
@@ -1273,11 +1229,7 @@ class Sage:
             submitted += 1
 
         tracer = self._tracer
-        with (
-            tracer.span("recover.run")
-            if tracer is not None
-            else nullcontext()
-        ):
+        with tracer.span("recover.run"):
             scan = durability.read_wal(durability.wal_path(self._wal_dir))
             hour_pairs = durability.pair_hour_records(scan.records)
             latest = self._snapshots.latest()
@@ -1290,12 +1242,11 @@ class Sage:
                     submit_next()
                 durability.restore_snapshot_payload(self, payload)
                 self._hours_committed = snapshot_hour
-                if tracer is not None:
-                    tracer.event(
-                        "recover.snapshot",
-                        hour=snapshot_hour,
-                        skipped=snapshots_skipped,
-                    )
+                tracer.event(
+                    "recover.snapshot",
+                    hour=snapshot_hour,
+                    skipped=snapshots_skipped,
+                )
             replayed = 0
             digests_verified = 0
             for record, digest in hour_pairs:
@@ -1309,16 +1260,11 @@ class Sage:
                     )
                 while submitted < record["n_entries"]:
                     submit_next()
-                if tracer is not None:
-                    tracer.hour = hour_index
-                with (
-                    tracer.span(
-                        "recover.hour",
-                        hour_index=hour_index,
-                        digest_checked=digest is not None,
-                    )
-                    if tracer is not None
-                    else nullcontext()
+                tracer.hour = hour_index
+                with tracer.span(
+                    "recover.hour",
+                    hour_index=hour_index,
+                    digest_checked=digest is not None,
                 ):
                     self._replay_hour(record, digest)
                 self._hours_committed += 1
@@ -1406,9 +1352,7 @@ class Sage:
             session.total_spent = delta["total_spent"]
             entry.settled_attempts = delta["settled_attempts"]
             entry.release_time_hours = delta["release_time_hours"]
-            if session.status == SessionStatus.ACCEPTED:
-                self._redistribute(entry)
-            elif session.is_terminal:
+            if session.is_terminal:
                 self._redistribute(entry)
         if record["requests"]:
             self.access.request_many(record["requests"])

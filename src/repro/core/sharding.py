@@ -66,9 +66,8 @@ scheduling because shards share no rows.
 Staged batches ride the same machinery: :class:`ShardedStagedBatch` keeps
 the overlay's effective totals in the global row space (bit-identical
 accumulation) while tracking staged spend per shard
-(``staged_spend_by_shard``), and both the validating commit
-(``charge_many``) and the trusted bulk-write commit land through the
-sharded store's per-shard writes.
+(``staged_spend_by_shard``), and the hour's commit (``charge_many``)
+lands through the sharded store's per-shard writes.
 """
 
 from __future__ import annotations
@@ -88,6 +87,7 @@ from repro.core.accountant import (
 from repro.core.filters import TOTALS_BASE
 from repro.dp.budget import PrivacyBudget
 from repro.errors import InvalidBudgetError, RecoveryError
+from repro.obs.trace import NULL_PROBE
 
 __all__ = [
     "HashPartitioner",
@@ -556,7 +556,7 @@ class ShardedBlockAccountant(BlockAccountant):
         return result
 
     def _commit_validated(self, norm, touched, work, counts_delta):
-        """Phase two, with per-shard telemetry when a tracer is attached.
+        """Phase two, with per-shard telemetry when a probe is attached.
 
         Spans are emitted here -- the serial commit point -- never from
         inside the validation pool, so a traced run's emission order (and
@@ -573,11 +573,12 @@ class ShardedBlockAccountant(BlockAccountant):
         wall time :meth:`_validate_for_commit` measured -- the per-shard
         decomposition of the batch's parallel phase.  ``shard.commit``
         rides the tee like every other site (phase two is serial, its
-        wall duration is real).
+        wall duration is real).  Untraced accountants skip the footprint
+        work entirely.
         """
         tracer = self._tracer
         walls, self._profile_walls = self._profile_walls, None
-        if tracer is None:
+        if tracer is NULL_PROBE:
             return super()._commit_validated(norm, touched, work, counts_delta)
         profiler = getattr(tracer, "profiler", None)
         base = getattr(tracer, "tracer", tracer)

@@ -26,8 +26,9 @@ counter, and every emission site sits on the serial drive path -- so a
 traced run's accounting trajectory is byte-identical to an untraced
 run's (property-tested across the batched, sharded, and durable drives),
 and two identical runs export byte-identical documents.  Disabled mode
-is a no-op probe in the ``faults.trip()`` style: platform attributes
-hold ``None`` and every site guards with one ``is not None`` check.
+is a no-op probe: platform attributes hold the shared
+:data:`~repro.obs.trace.NULL_PROBE`, whose ``span`` / ``event`` / ``set``
+do nothing, so every emission site is written once, unconditionally.
 Instrumentation lives only on driver/mutating paths; the pure read
 surface (``propose_peek`` / ``admits_keys`` / ``can_charge`` /
 ``max_epsilon`` and everything they reach) stays telemetry-free,
@@ -112,6 +113,12 @@ Throughput: ``sage_hours_advanced_total``, ``sage_sessions_driven_total``,
 ``Sage.last_hour_*`` compatibility source), ``sage_speculations_*_total``,
 ``sage_staged_batch_requests`` (histogram of staged batch sizes).
 
+Counters are monotonic and count work done, so a rolled-back hour keeps
+its increments: after a failed hour, ``sage_charges_granted_total``,
+``sage_sessions_driven_total`` and the speculation counters run ahead of
+the ledger by that hour's attempts.  The per-hour gauges (and
+``Sage.last_hour_*``) are set only when an hour completes.
+
 Durability: ``sage_wal_bytes_total``, ``sage_wal_fsyncs_total``,
 ``sage_wal_append_bytes`` / ``sage_wal_fsync_ticks`` (histograms; ticks
 are logical-clock durations unless a wall clock is injected),
@@ -139,12 +146,14 @@ from repro.obs.profile import (
     WallProfiler,
     render_profile,
 )
-from repro.obs.trace import Event, Span, TickClock, Tracer
+from repro.obs.trace import NULL_PROBE, Event, NullProbe, Span, TickClock, Tracer
 
 __all__ = [
     "BUCKET_BOUNDS",
     "Event",
     "MetricsRegistry",
+    "NULL_PROBE",
+    "NullProbe",
     "Probe",
     "Span",
     "SpanStats",

@@ -244,12 +244,13 @@ class Probe:
 
     The platform's telemetry handle (``Sage._tracer``, the WAL writer's
     ``_tracer``, the accountant's attached tracer) is this object when a
-    profiler is configured, and the plain tracer otherwise -- call sites
-    are written once against the common ``span`` / ``event`` / ``hour``
-    surface.  The tracer half always goes first (its tick sequence must
-    not depend on the profiler's presence); consumers that need one half
-    specifically (the sharded commit point's per-shard attribution)
-    reach it via ``.tracer`` / ``.profiler``.
+    profiler is configured, the plain tracer when only tracing is, and
+    :data:`~repro.obs.trace.NULL_PROBE` when telemetry is off -- call
+    sites are written once against the common ``span`` / ``event`` /
+    ``hour`` surface.  The tracer half always goes first (its tick
+    sequence must not depend on the profiler's presence); consumers that
+    need one half specifically (the sharded commit point's per-shard
+    attribution) reach it via ``.tracer`` / ``.profiler``.
     """
 
     __slots__ = ("tracer", "profiler")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-__all__ = ["Event", "Span", "TickClock", "Tracer"]
+__all__ = ["Event", "NULL_PROBE", "NullProbe", "Span", "TickClock", "Tracer"]
 
 
 class TickClock:
@@ -214,3 +214,44 @@ class Tracer:
 
     def find_events(self, name: str) -> List[Event]:
         return [event for event in self.events if event.name == name]
+
+
+class NullProbe:
+    """The disabled telemetry handle: the tracer's emission surface, inert.
+
+    An untraced platform hands this object to every instrumented component
+    where a traced one hands its :class:`Tracer` (or the profiler tee,
+    :class:`~repro.obs.profile.Probe`), so each emission site is written
+    once, unconditionally.  ``span`` returns the probe itself as the
+    ``with`` handle, ``event`` and ``set`` record nothing, and ``hour``
+    ignores writes.  Use the shared :data:`NULL_PROBE` instance.
+    """
+
+    __slots__ = ()
+
+    @property
+    def hour(self) -> int:
+        return -1
+
+    @hour.setter
+    def hour(self, value: int) -> None:
+        pass
+
+    def span(self, name: str, **args: object) -> "NullProbe":
+        return self
+
+    def event(self, name: str, **args: object) -> None:
+        return None
+
+    def set(self, **args: object) -> None:
+        pass
+
+    def __enter__(self) -> "NullProbe":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+#: The one no-op probe every untraced component shares.
+NULL_PROBE = NullProbe()

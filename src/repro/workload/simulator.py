@@ -59,18 +59,13 @@ class WorkloadConfig:
     # linear rate (gamma = 1) is the theoretical exchange of
     # [Kasiviswanathan et al. 2011] that §3.3 cites.
     exchange_exponent: float = 1.0
-    # Hourly commit granularity for the block strategies: True settles each
-    # simulated hour through one batched request_many (the propose/settle
-    # protocol); False drives the same protocol with immediate per-proposal
-    # charges.  Trajectories are identical either way (tested property).
-    batched_advance: bool = True
     # Sharded block accounting for the block strategies: 0 keeps the
     # single-store accountant; N >= 1 partitions the ledger store into N
     # shards under ``shard_policy`` ("hash" or "range").  Trajectories are
     # byte-identical at any shard count (tested property).
     n_shards: int = 0
     shard_policy: str = "hash"
-    # Worker threads for the parallel propose phase of each batched hour
+    # Worker threads for the parallel propose phase of each staged hour
     # (0 = sequential propose).  Identical trajectories either way.
     propose_workers: int = 0
     # Optional ``repro.obs.Telemetry`` threaded through to the platform for
@@ -161,7 +156,6 @@ class WorkloadSimulator:
             delta_global=cfg.delta_global,
             block_hours=1.0,
             seed=self.seed,
-            batched_advance=cfg.batched_advance,
             accountant_factory=accountant_factory,
             propose_workers=cfg.propose_workers,
             telemetry=cfg.telemetry,

@@ -37,13 +37,13 @@ def lint_seeded(relpath, anchor, replacement, rule):
 
 
 def test_seeded_unrestored_mutation_fails_rollback():
-    """A new mutation inside _advance_durable's protected region, with no
+    """A new mutation inside Sage.advance's protected region, with no
     matching restore in _rollback_hour, must be flagged."""
-    anchor = "wal.append_hour(record)"
+    anchor = "self.access.begin_staging()"
     findings = lint_seeded(
         PLATFORM,
         anchor,
-        anchor + "\n                self._hour_trace = record",
+        anchor + "\n                    self._hour_trace = new_blocks",
         RollbackCompletenessRule(),
     )
     assert any(
@@ -81,8 +81,8 @@ def test_seeded_stale_digest_fails_wal_ordering():
     must be flagged: recovery's parity check becomes a no-op."""
     anchor = (
         "wal.commit_hour(\n"
-        "                self._hours_committed - 1, durability.state_digest(self)\n"
-        "            )"
+        "                    self._hours_committed - 1, durability.state_digest(self)\n"
+        "                )"
     )
     findings = lint_seeded(
         PLATFORM,

@@ -419,13 +419,27 @@ class TestDurableDrive:
         sage.close()
 
     def test_durable_mode_requires_staged_drive(self, tmp_path):
+        from repro.core.filters import BasicCompositionFilter
+
+        class ScalarOnlyFilter(BasicCompositionFilter):
+            def admits(self, history, candidate, totals=None):
+                return super().admits(history, candidate, totals=totals)
+
         with pytest.raises(DurabilityError, match="staged"):
             Sage(
                 CountStreamSource(4000, scale=1000),
                 seed=5,
                 wal_dir=tmp_path,
-                batched_advance=False,
+                filter_factory=ScalarOnlyFilter,
             )
+        # A per-context policy added after construction disables staging
+        # too: the next durable hour refuses to run rather than log it.
+        sage = _build("single-basic", wal_dir=tmp_path / "ctx")
+        sage.access.add_context("dev", 0.5, 1e-7)
+        with pytest.raises(DurabilityError, match="staged"):
+            sage.advance(1.0)
+        assert sage.hours_committed == 0
+        sage.close()
 
     def test_corrupt_wal_record_is_never_replayed(self, tmp_path):
         sage = _build("single-basic", wal_dir=tmp_path)

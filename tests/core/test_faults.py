@@ -1,11 +1,12 @@
-"""The crash-point registry, and the durable drive's rollback property.
+"""The crash-point registry, and the transactional hour's rollback property.
 
-The rollback property (the exception half of the durability contract): an
-exception raised at *any* pre-commit crash point of a durable hour leaves
-the in-memory platform -- accountant store, staged batch, reservation
-table, sessions, model store -- byte-identical to its pre-hour state, and
-the WAL untouched; the hour simply never happened.  Post-commit points
-raise through to the caller but leave the already-committed hour intact.
+The rollback property (the exception half of the hour's contract): an
+exception raised at *any* pre-commit crash point of an hour leaves the
+in-memory platform -- accountant store, staged batch, reservation table,
+sessions, model store, clock, RNG -- byte-identical to its pre-hour state,
+durable or volatile, and a durable platform's WAL untouched; the hour
+simply never happened.  Post-commit points raise through to the caller
+but leave the already-committed hour intact.
 """
 
 import pytest
@@ -23,6 +24,14 @@ PRE_COMMIT_POINTS = (
     "charge.between_validate_and_commit",
 )
 POST_COMMIT_POINTS = ("hour.after_commit", "snapshot.mid_write")
+# Every pre-commit point on both kinds of platform; the WAL points exist
+# only where there is a log.
+ROLLBACK_CASES = [
+    pytest.param(durable, point, id=f"{'durable' if durable else 'volatile'}-{point}")
+    for durable in (True, False)
+    for point in PRE_COMMIT_POINTS
+    if durable or not point.startswith("wal.")
+]
 
 
 def _build(wal_dir=None, snapshot_every=0):
@@ -51,6 +60,27 @@ def _clean_digests(hours, snapshot_every=0):
         digests.append(durability.state_digest(sage))
     sage.close()
     return digests
+
+
+def _pre_hour_state(sage):
+    """Everything a failed hour must leave untouched, byte for byte: the
+    state digest (ledger totals, reservation matrix and free pool, charge
+    log, sessions, clock) plus the RNG, the model store, and the
+    database tail."""
+    return (
+        durability.state_digest(sage),
+        sage.access.accountant.store.totals.tobytes(),
+        sage.reservation_table.matrix.tobytes(),
+        sage.reservation_table.free_epsilon.tobytes(),
+        [
+            (e.status, len(e.session.attempts), e.session.epsilon, e.bundle)
+            for e in sage.pipelines
+        ],
+        sage.clock_hours,
+        sage.rng.bit_generator.state,
+        sage.store.version_marks(),
+        sage.database.mark(),
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -111,19 +141,27 @@ class TestRegistry:
 # The rollback property (satellite: exception-safety of Sage.advance)
 # ----------------------------------------------------------------------
 class TestDurableRollback:
-    @pytest.mark.parametrize("point", PRE_COMMIT_POINTS)
+    """Rollback on durable platforms, and on volatile ones -- the same
+    transactional hour without the log."""
+
+    @pytest.mark.parametrize("durable,point", ROLLBACK_CASES)
     @pytest.mark.parametrize("skip", [0, 1])
-    def test_pre_commit_fault_restores_pre_hour_state(self, point, skip, tmp_path):
+    def test_pre_commit_fault_restores_pre_hour_state(
+        self, durable, point, skip, tmp_path
+    ):
         digests = _clean_digests(hours=8)
-        sage = _build(wal_dir=tmp_path)
+        sage = _build(wal_dir=tmp_path if durable else None)
         for pipeline, config in _pipes():
             sage.submit(pipeline, config)
         wal_file = durability.wal_path(tmp_path)
         # Some points fire only on hours that commit charges: advance
-        # with the fault armed until it actually fires.
+        # with the fault armed until it actually fires.  With skip=1,
+        # settle.mid_session fires after an earlier session of the hour
+        # has already staged its charges.
         fail_hour = None
         with faults.armed_error(point, skip=skip):
             for hour in range(6):
+                pre_state = _pre_hour_state(sage)
                 pre_digest = durability.state_digest(sage)
                 pre_store_len = len(sage.access.accountant.store)
                 # Before any hour the log is at most its 8-byte magic
@@ -139,13 +177,17 @@ class TestDurableRollback:
                     fail_hour = hour
                     break
         assert fail_hour is not None, f"{point} never fired"
-        # The hour never happened: accountant, table, sessions, WAL.
-        assert durability.state_digest(sage) == pre_digest
+        # The hour never happened: accountant, table, sessions, model
+        # store, clock, RNG, database, WAL.
+        assert _pre_hour_state(sage) == pre_state
         assert pre_digest == digests[fail_hour]
         assert len(sage.access.accountant.store) == pre_store_len
         assert not sage.access.staging_active
         assert sage.hours_committed == fail_hour
-        assert wal_file.stat().st_size == pre_wal_size
+        if durable:
+            assert wal_file.stat().st_size == pre_wal_size
+        else:
+            assert not wal_file.exists()
         # The platform keeps working, in lockstep with the clean run:
         # the rollback rewound clock, RNG, and database tail, so the
         # retried hour re-ingests the very same stream slice.
@@ -199,16 +241,47 @@ class TestDurableRollback:
         recovered.close()
         sage.close()
 
-    def test_volatile_platform_keeps_commit_on_fault_semantics(self):
-        """Without a wal_dir the seed semantics stand: a mid-hour
-        exception still commits whatever was staged (no rollback)."""
-        sage = _build()
+    @pytest.mark.parametrize(
+        "durable,raised",
+        [
+            pytest.param(False, faults.InjectedFault, id="volatile-InjectedFault"),
+            pytest.param(False, KeyboardInterrupt, id="volatile-KeyboardInterrupt"),
+            pytest.param(False, SystemExit, id="volatile-SystemExit"),
+            pytest.param(False, faults.InjectedCrash, id="volatile-InjectedCrash"),
+            pytest.param(True, KeyboardInterrupt, id="durable-KeyboardInterrupt"),
+        ],
+    )
+    def test_retried_hour_matches_uninterrupted_run(self, durable, raised, tmp_path):
+        """A failed hour leaves no trace, interrupts included: the first
+        session's staged charges are dropped with the rest of the hour,
+        and retrying the hour lands exactly where a run that never failed
+        does.  Only a simulated process death on a durable platform is
+        left for recovery; a volatile platform has no log, so an open
+        staged batch would lose the hour's charges for good."""
+        digests = _clean_digests(hours=4)
+        sage = _build(wal_dir=tmp_path if durable else None)
         for pipeline, config in _pipes():
             sage.submit(pipeline, config)
-        with pytest.raises(faults.InjectedFault):
-            with faults.armed_error("settle.mid_session"):
-                sage.advance(1.0)
-        # The first session's charges landed before the fault.
-        assert len(sage.access.accountant.charges) > 0
+        sage.advance(1.0)
+        pre_state = _pre_hour_state(sage)
+        wal_file = durability.wal_path(tmp_path)
+        pre_wal_size = wal_file.stat().st_size if durable else None
+
+        def raise_mid_hour(point):
+            raise raised(point)
+
+        # skip=1: an earlier session of the hour has already staged its
+        # charges when the exception lands.
+        faults.arm("settle.mid_session", raise_mid_hour, skip=1)
+        with pytest.raises(raised):
+            sage.advance(1.0)
+        faults.disarm("settle.mid_session")
+        assert _pre_hour_state(sage) == pre_state
         assert not sage.access.staging_active
+        assert sage.hours_committed == 1
+        if durable:
+            assert wal_file.stat().st_size == pre_wal_size
+        for hour in (2, 3, 4):
+            sage.advance(1.0)
+            assert durability.state_digest(sage) == digests[hour]
         sage.close()

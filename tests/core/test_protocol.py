@@ -3,7 +3,10 @@
 The headline property: driving ``Sage.advance`` through the staged hourly
 batch (one ``request_many`` per hour) produces **byte-identical** attempt
 streams, reservations, ledger totals, charge logs, and release times to the
-legacy per-session sequential loop, across seeded simulator workloads.
+per-request sequential drive, across seeded simulator workloads.  The
+sequential drive runs wherever the access layer reports that it cannot
+stage; the tests force it by adding a per-context policy, or by patching
+``supports_staged_requests`` for platforms built inside the simulator.
 """
 
 import numpy as np
@@ -21,6 +24,15 @@ from repro.errors import (
 )
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 from repro.workload.simulator import WorkloadConfig, WorkloadSimulator
+
+
+def _per_request(sage: Sage) -> Sage:
+    """Force the unstaged per-request drive: a per-context policy disables
+    staging, and an uncharged context leaves every stream-wide decision
+    as it was."""
+    sage.access.add_context("oracle", sage.epsilon_global, sage.delta_global)
+    assert not sage.access.supports_staged_requests
+    return sage
 
 
 def _fingerprint(sage: Sage):
@@ -62,20 +74,26 @@ def _fingerprint(sage: Sage):
 class TestBatchedAdvanceEquivalence:
     @pytest.mark.parametrize("strategy", ["block-conserve", "block-aggressive"])
     @pytest.mark.parametrize("seed,rate", [(11, 0.3), (23, 0.6)])
-    def test_simulator_workloads_identical(self, strategy, seed, rate):
+    def test_simulator_workloads_identical(self, strategy, seed, rate, monkeypatch):
         """Seeded simulator workloads: batched vs sequential byte-parity."""
         platforms = []
         for batched in (True, False):
-            cfg = WorkloadConfig(
-                strategy=strategy,
-                arrival_rate=rate,
-                horizon_hours=60.0,
-                points_per_hour=4_000,
-                max_attempts=16,
-                batched_advance=batched,
-            )
-            sim = WorkloadSimulator(cfg, seed=seed)
-            report = sim.run()
+            with monkeypatch.context() as patch:
+                if not batched:
+                    patch.setattr(
+                        SageAccessControl,
+                        "supports_staged_requests",
+                        property(lambda self: False),
+                    )
+                cfg = WorkloadConfig(
+                    strategy=strategy,
+                    arrival_rate=rate,
+                    horizon_hours=60.0,
+                    points_per_hour=4_000,
+                    max_attempts=16,
+                )
+                sim = WorkloadSimulator(cfg, seed=seed)
+                report = sim.run()
             platforms.append((report, sim.last_platform))
         (rep_b, sage_b), (rep_s, sage_s) = platforms
         assert rep_b.release_times == rep_s.release_times
@@ -87,10 +105,9 @@ class TestBatchedAdvanceEquivalence:
     def test_run_until_quiet_identical(self):
         sages = []
         for batched in (True, False):
-            sage = Sage(
-                CountStreamSource(4000, scale=1000), seed=5,
-                batched_advance=batched,
-            )
+            sage = Sage(CountStreamSource(4000, scale=1000), seed=5)
+            if not batched:
+                _per_request(sage)
             for i, c in enumerate((3_000.0, 12_000.0, 50_000.0)):
                 sage.submit(
                     OraclePipeline(name=f"p{i}", n_at_eps1=c),
@@ -263,107 +280,15 @@ class TestStagedBatch:
         with pytest.raises(AccessDeniedError):
             access.begin_staging()
 
-    def test_trusted_commit_byte_parity_with_validating_commit(self):
-        """The trusted bulk-write commit must leave the accountant in the
-        byte-identical state charge_many's re-validating commit produces."""
-        trusted_acc, validating_acc = self._accountant(), self._accountant()
-        requests = [
-            ([0, 1, 2], PrivacyBudget(0.25, 1e-9), "a"),
-            ([1, 2, 3], PrivacyBudget(0.5, 1e-9), "b"),
-            ([4, 5], PrivacyBudget(0.75, 0.0), "c"),
-            ([0], PrivacyBudget(0.5, 0.0), "d"),
-        ]
-        for acc in (trusted_acc, validating_acc):
-            acc.begin_staging()
-            for keys, budget, label in requests:
-                acc.stage_charge(keys, budget, label)
-        trusted_records = trusted_acc.commit_staged_trusted()
-        validating_acc.charge_many(validating_acc.pop_staged())
-        assert not trusted_acc.staging_active
-        assert trusted_acc.store.totals.tobytes() == validating_acc.store.totals.tobytes()
-        assert trusted_acc.store.charge_counts.tobytes() == (
-            validating_acc.store.charge_counts.tobytes()
-        )
-        assert [r.block_keys for r in trusted_records] == [
-            r.block_keys for r in validating_acc.charges
-        ]
-        for key in trusted_acc.block_keys:
-            assert trusted_acc.ledger(key).history == validating_acc.ledger(key).history
-            assert trusted_acc.ledger(key).totals == validating_acc.ledger(key).totals
-
-    def test_trusted_commit_with_block_registered_mid_batch(self):
+    def test_staged_commit_with_block_registered_mid_batch(self):
         acc = self._accountant(n_blocks=2)
         acc.begin_staging()
         acc.stage_charge([0], PrivacyBudget(0.25, 0.0))
         acc.register_block(99)  # lands mid-hour, after the overlay opened
         acc.stage_charge([99, 1], PrivacyBudget(0.5, 0.0))
-        acc.commit_staged_trusted()
+        acc.charge_many(acc.pop_staged())
         assert acc.store.totals[acc.rows_for_keys([99])[0], TOT_EPS] == pytest.approx(0.5)
         assert len(acc.charges) == 2
-
-    def test_trusted_commit_empty_batch_is_noop(self):
-        acc = self._accountant()
-        unopened = acc.commit_staged_trusted()
-        assert unopened == []  # nothing open
-        acc.begin_staging()
-        empty = acc.commit_staged_trusted()
-        assert empty == []  # open but empty
-        assert not acc.staging_active
-
-    def test_access_flag_routes_commit_to_trusted_path(self):
-        access = SageAccessControl(1.0, 1e-6, trusted_staged_commit=True)
-        access.register_blocks(range(3))
-        calls = {"request_many": 0}
-        orig = access.request_many
-
-        def counting(*args, **kwargs):
-            calls["request_many"] += 1
-            return orig(*args, **kwargs)
-
-        access.request_many = counting
-        access.begin_staging()
-        access.stage_request([0, 1], PrivacyBudget(0.5, 0.0), label="x")
-        records = access.commit_staged()
-        assert [r.label for r in records] == ["x"]
-        assert calls["request_many"] == 0  # bulk write, no re-validation
-        assert access.accountant.store.totals[0, TOT_EPS] == pytest.approx(0.5)
-
-    def test_trusted_commit_still_checks_committer_principal(self):
-        access = SageAccessControl(
-            1.0,
-            1e-6,
-            authorized_principals=["alice"],
-            trusted_staged_commit=True,
-        )
-        access.register_blocks(range(2))
-        access.begin_staging()
-        access.stage_request([0], PrivacyBudget(0.25, 0.0), principal="alice")
-        with pytest.raises(AccessDeniedError):
-            access.commit_staged(principal="mallory")
-        assert access.staging_active
-        committed = access.commit_staged(principal="alice")
-        assert len(committed) == 1
-
-    def test_platform_trusted_hour_identical_to_validating_hour(self):
-        """End to end: a Sage deployment with the trusted commit produces
-        byte-identical trajectories to the validating one."""
-        fingerprints = []
-        for trusted in (False, True):
-            sage = Sage(
-                CountStreamSource(4000, scale=1000),
-                seed=7,
-                trusted_staged_commit=trusted,
-            )
-            for i, c in enumerate((3_000.0, 20_000.0)):
-                sage.submit(
-                    OraclePipeline(name=f"p{i}", n_at_eps1=c),
-                    AdaptiveConfig(max_attempts=12),
-                )
-            sage.run_until_quiet(max_hours=40)
-            fingerprints.append(_fingerprint(sage))
-        validating, trusted = fingerprints
-        for field in validating:
-            assert validating[field] == trusted[field], f"{field} diverged"
 
     def test_commit_staged_on_acl_stream(self):
         """Regression: the hourly commit must honor stream-level ACLs

@@ -367,14 +367,16 @@ class TestRenyiPlatformDrive:
     propose/settle protocol: staged hourly commits, no sequential fallback,
     byte-identical trajectories to the sequential reference drive."""
 
-    def _build(self, batched, trusted=False):
+    def _build(self, batched):
         sage = Sage(
             CountStreamSource(4000, scale=1000),
             seed=5,
             filter_factory=RenyiCompositionFilter,
-            batched_advance=batched,
-            trusted_staged_commit=trusted,
         )
+        if not batched:
+            # A per-context policy disables staging: the per-request
+            # sequential drive is the reference.
+            sage.access.add_context("oracle", 1.0, 1e-6)
         for i, c in enumerate((3_000.0, 12_000.0, 50_000.0)):
             sage.submit(
                 OraclePipeline(name=f"p{i}", n_at_eps1=c),
@@ -410,11 +412,6 @@ class TestRenyiPlatformDrive:
     def test_batched_equals_sequential(self):
         assert self._fingerprint(self._build(True)) == self._fingerprint(
             self._build(False)
-        )
-
-    def test_trusted_commit_equals_validating_commit(self):
-        assert self._fingerprint(self._build(True, trusted=True)) == (
-            self._fingerprint(self._build(True, trusted=False))
         )
 
     def test_one_batch_per_hour(self):

@@ -13,12 +13,14 @@ from repro.core import durability, faults
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
 from repro.core.sharding import sharded_accountant_factory
-from repro.obs import Probe, Telemetry, WallProfiler
+from repro.obs import NULL_PROBE, Probe, Telemetry, WallProfiler
 from repro.obs.analyze import hour_coverage
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
+# Constructor options per drive variant; "sequential" additionally gets a
+# per-context policy in _build, which disables staging.
 VARIANTS = {
-    "sequential": {"batched_advance": False},
+    "sequential": {},
     "batched": {},
     "speculative": {"propose_workers": 2},
     "sharded": {
@@ -39,13 +41,16 @@ def _pipes(n=4):
 
 
 def _build(variant, telemetry=None, **kwargs):
-    return Sage(
+    sage = Sage(
         CountStreamSource(4000, scale=1000),
         seed=5,
         telemetry=telemetry,
         **VARIANTS[variant],
         **kwargs,
     )
+    if variant == "sequential":
+        sage.access.add_context("oracle", 1.0, 1e-6)
+    return sage
 
 
 def _drive(sage, hours):
@@ -121,8 +126,8 @@ class TestNoOpContract:
     def test_without_telemetry_no_tracer_anywhere(self):
         sage = _build("batched")
         assert sage.telemetry is None
-        assert sage._tracer is None
-        assert sage.access.accountant._tracer is None
+        assert sage._tracer is NULL_PROBE
+        assert sage.access.accountant._tracer is NULL_PROBE
         sage.close()
 
     def test_without_telemetry_no_fault_observer(self):

@@ -1,8 +1,19 @@
 """The deterministic tracer: tick clock, span nesting, replayability."""
 
+import inspect
+
 import pytest
 
-from repro.obs import Event, Span, TickClock, Tracer
+from repro.obs import (
+    NULL_PROBE,
+    Event,
+    NullProbe,
+    Probe,
+    Span,
+    TickClock,
+    Tracer,
+    WallProfiler,
+)
 
 
 class TestTickClock:
@@ -126,3 +137,47 @@ class TestRecordBasics:
     def test_reprs_name_the_record(self):
         assert "advance.hour" in repr(Span(1, None, "advance.hour", 1.0, 2.0, 0))
         assert "fault.trip" in repr(Event(1, "fault.trip", 1.0, 0))
+
+
+def _params(fn):
+    return tuple(
+        (p.name, p.kind) for p in inspect.signature(fn).parameters.values()
+    )
+
+
+class TestNullProbe:
+    def test_null_probe_matches_tracer_and_probe_emission_surface(self):
+        """Emission sites call the same surface whether telemetry is off
+        (NULL_PROBE), on (Tracer), or profiled (Probe): same methods with
+        the same signatures, span handles with the same ``set`` and
+        ``with`` protocol, and a writable ambient ``hour``."""
+        tracer = Tracer()
+        probes = {
+            "tracer": tracer,
+            "probe": Probe(Tracer(), WallProfiler()),
+            "null": NULL_PROBE,
+        }
+        for method in ("span", "event"):
+            signatures = {
+                kind: _params(getattr(probe, method))
+                for kind, probe in probes.items()
+            }
+            assert len(set(signatures.values())) == 1, signatures
+        handles = {kind: probe.span("x", k=1) for kind, probe in probes.items()}
+        signatures = {kind: _params(handle.set) for kind, handle in handles.items()}
+        assert len(set(signatures.values())) == 1, signatures
+        for handle in handles.values():
+            with handle as entered:
+                entered.set(done=True)
+        for probe in probes.values():
+            probe.hour = 3
+        assert tracer.hour == 3 and tracer.find_spans("x")[0].args == {
+            "k": 1,
+            "done": True,
+        }
+        # The no-op probe offers nothing beyond that surface, and records
+        # nothing through it.
+        public = {name for name in dir(NullProbe) if not name.startswith("_")}
+        assert public == {"span", "event", "hour", "set"}
+        assert NULL_PROBE.hour == -1
+        assert NULL_PROBE.event("e", k=1) is None
