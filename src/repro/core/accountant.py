@@ -1365,3 +1365,11 @@ class BlockAccountant:
     @property
     def charges(self) -> List[ChargeRecord]:
         return list(self._charges)
+
+    @property
+    def charge_log(self) -> Sequence[ChargeRecord]:
+        """The committed charge log itself, not a copy: read it, never
+        mutate it.  The same list object for the accountant's whole life,
+        and append-only -- which lets the durability digest fold it
+        incrementally."""
+        return self._charges

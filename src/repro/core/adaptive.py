@@ -110,9 +110,13 @@ class AdaptiveConfig:
             raise PipelineError(f"unknown strategy {self.strategy!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttemptRecord:
-    """One training attempt inside a session."""
+    """One training attempt inside a session.
+
+    Frozen: a recorded attempt never changes in place (the durability
+    digest folds each record into a running CRC exactly once).
+    """
 
     attempt: int
     window: Tuple

@@ -46,12 +46,11 @@ Two record kinds (the ``"kind"`` key of the payload dict):
   ====================== ==================================================
 
 * ``"commit"`` -- the commit marker, appended after the in-memory commit:
-  ``hour_index`` plus a ``digest`` (CRC32 of the pickled
-  :func:`state_summary`) of the committed post-hour state.  Replay
-  verifies each replayed hour against it.  A trailing ``"hour"`` record
-  without its marker means the process died between WAL append and the
-  commit marker; the hour is durable and is replayed (the record was
-  fully determined before the commit began).
+  ``hour_index`` plus the :func:`state_digest` of the committed post-hour
+  state.  Replay verifies each replayed hour against it.  A trailing
+  ``"hour"`` record without its marker means the process died between
+  WAL append and the commit marker; the hour is durable and is replayed
+  (the record was fully determined before the commit began).
 
 The reader (:func:`read_wal`) is **truncated-tail tolerant**: a final
 record with fewer bytes than its frame promises (a crash mid-append) is
@@ -73,6 +72,28 @@ a temp file in the same directory and published with ``os.replace``, so a
 crash mid-write (crash point ``snapshot.mid_write``) can never leave a
 half-written snapshot where the loader finds it; ``latest()`` also skips
 corrupt snapshot files and falls back to the next older valid one.
+
+State digest
+------------
+:func:`state_digest` is one CRC32 chained, in this order, over:
+
+1. ``repr`` of the clock;
+2. for the ledger store's totals, live mask and charge counts, then the
+   reservation matrix and free pool: ``repr`` of the array's shape, then
+   its C-order bytes;
+3. ``repr((n, crc))`` of the charge log, where ``crc`` chains ``repr``
+   of each record's ``(epsilon, delta, block_keys, label)``;
+4. per pipeline, in submission order, ``repr`` of ``(name, status,
+   settled_attempts, release_time_hours, epsilon, window_blocks,
+   spent_epsilon, spent_delta, n, crc)``, where ``n``/``crc`` fold the
+   session's attempt records, each as ``repr`` of ``(attempt,
+   tuple(window), epsilon, delta, str(outcome), train_size)``.
+
+The charge log and the attempt lists are append-only, so their running
+CRCs are memoized on the platform and a digest costs O(new records +
+pipelines) per hour, not O(history).  Commit markers and snapshots
+written under an earlier digest definition fail verification with a
+typed error rather than replaying silently.
 
 Recovery procedure
 ------------------
@@ -117,6 +138,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core import faults
 from repro.core.adaptive import AttemptRecord
 from repro.errors import RecoveryError, SnapshotMismatchError, WalCorruptionError
@@ -132,7 +155,6 @@ __all__ = [
     "read_wal",
     "restore_snapshot_payload",
     "state_digest",
-    "state_summary",
     "wal_path",
 ]
 
@@ -551,85 +573,126 @@ class SnapshotStore:
 # ----------------------------------------------------------------------
 # State digest (the recovery-parity fingerprint, in CRC form)
 # ----------------------------------------------------------------------
-def state_summary(sage) -> tuple:
-    """Everything the accounting contract makes durable, in picklable form.
+class _SequenceFold:
+    """Running CRC over the first ``n`` records of one append-only list.
 
-    Mirrors the parity fingerprint the protocol tests compare: store
-    totals/live/counts bytes, reservation matrix and free pool bytes, the
-    charge log, and per-pipeline session state (status, schedule, spend,
-    attempt records, release times).  Pending lazy retirement is
-    refreshed first so both sides of any comparison normalize the live
-    mask the same way.
+    Holds the list object itself and its last folded record, so the memo
+    can check -- never trust -- that the list it folded is still the
+    same one, grown only by appends (see :func:`_fold_sequence`).
+    """
+
+    __slots__ = ("seq", "n", "last", "crc")
+
+    def __init__(self, seq) -> None:
+        self.seq = seq
+        self.n = 0
+        self.last = None
+        self.crc = 0
+
+
+def _fold_sequence(memo: dict, slot, seq, encode) -> Tuple[int, int]:
+    """``(len(seq), CRC of every encoded record)``, folded incrementally.
+
+    ``memo[slot]`` extends only when it still describes a prefix of
+    ``seq``: the same list object, not shorter, and ``seq[n-1]`` the very
+    record folded last.  Anything else -- a rollback's ``del
+    attempts[n:]``, a restored session's new list, a fresh platform --
+    refolds from zero.  Records are frozen, so a folded record cannot
+    change under the memo.
+    """
+    fold = memo.get(slot)
+    n = len(seq)
+    if (
+        fold is None
+        or fold.seq is not seq
+        or n < fold.n
+        or (fold.n and seq[fold.n - 1] is not fold.last)
+    ):
+        fold = memo[slot] = _SequenceFold(seq)
+    crc = fold.crc
+    for index in range(fold.n, n):
+        crc = zlib.crc32(encode(seq[index]), crc)
+    if n > fold.n:
+        fold.n, fold.last, fold.crc = n, seq[n - 1], crc
+    return n, crc
+
+
+def _charge_bytes(record) -> bytes:
+    budget = record.budget
+    return repr(
+        (budget.epsilon, budget.delta, record.block_keys, record.label)
+    ).encode("utf-8")
+
+
+def _attempt_bytes(record) -> bytes:
+    budget = record.budget
+    return repr(
+        (
+            record.attempt,
+            tuple(record.window),
+            budget.epsilon,
+            budget.delta,
+            str(record.outcome),
+            record.train_size,
+        )
+    ).encode("utf-8")
+
+
+def _fold_array(crc: int, array) -> int:
+    """Fold an array's shape and C-order bytes (its ``tobytes()``)."""
+    crc = zlib.crc32(repr(array.shape).encode("utf-8"), crc)
+    return zlib.crc32(np.ascontiguousarray(array), crc)
+
+
+def state_digest(sage) -> int:
+    """CRC32 of everything the accounting contract makes durable -- the
+    compact parity form the WAL commit markers and snapshots carry (the
+    module docstring lists what it covers, in order).
+
+    Pending lazy retirement is persisted first so both sides of any
+    comparison normalize the live mask the same way.  Scalars and records
+    hash via ``repr`` (exact round-trip text for floats), never
+    ``pickle``: pickle memoizes shared references, so two value-equal
+    states could pickle differently (recovery rebuilds values, not
+    identity graphs).  The charge log and each session's attempts enter
+    as ``(length, running CRC)`` memoized in ``sage._digest_memo``.
     """
     accountant = sage.access.accountant
     accountant.retired_blocks()  # persist pending lazy retirement
     store = accountant.store
     table = sage.reservation_table
-    return (
-        float(sage.clock_hours),
-        store.totals.tobytes(),
-        store.live.tobytes(),
-        store.charge_counts.tobytes(),
-        table.matrix.tobytes(),
-        table.free_epsilon.tobytes(),
-        tuple(
-            (record.budget.epsilon, record.budget.delta, record.block_keys, record.label)
-            for record in accountant.charges
-        ),
-        tuple(
-            (
-                entry.name,
-                entry.status,
-                entry.settled_attempts,
-                entry.release_time_hours,
-                entry.session.epsilon,
-                entry.session.window_blocks,
-                entry.session.total_spent.epsilon,
-                entry.session.total_spent.delta,
-                tuple(
-                    (
-                        a.attempt,
-                        tuple(a.window),
-                        a.budget.epsilon,
-                        a.budget.delta,
-                        str(a.outcome),
-                        a.train_size,
-                    )
-                    for a in entry.session.attempts
-                ),
-            )
-            for entry in sage.pipelines
-        ),
-    )
-
-
-def _digest_value(crc: int, obj) -> int:
-    """Fold one summary value into a CRC, canonically.
-
-    Deliberately *not* one ``pickle.dumps`` over the whole summary:
-    pickle memoizes shared object references, so two states that compare
-    equal value-by-value can pickle differently just because one run
-    shares a tuple object where the other holds equal copies (recovery
-    rebuilds values, not identity graphs).  Scalars hash via ``repr``
-    (exact round-trip text for floats), containers recurse with
-    delimiters.
-    """
-    if isinstance(obj, tuple):
-        crc = zlib.crc32(b"(", crc)
-        for item in obj:
-            crc = _digest_value(crc, item)
-        return zlib.crc32(b")", crc)
-    if isinstance(obj, bytes):
-        return zlib.crc32(obj, zlib.crc32(b"b", crc))
-    return zlib.crc32(repr(obj).encode("utf-8"), zlib.crc32(b"s", crc))
-
-
-def state_digest(sage) -> int:
-    """Canonical CRC32 of :func:`state_summary` -- the compact parity form
-    the WAL commit markers and snapshots carry.  Two platforms have equal
-    digests iff their summaries are value-equal (same floats bit-for-bit,
-    same bytes, same structure)."""
-    return _digest_value(0, state_summary(sage))
+    memo = sage._digest_memo
+    crc = zlib.crc32(repr(float(sage.clock_hours)).encode("utf-8"))
+    for array in (
+        store.totals,
+        store.live,
+        store.charge_counts,
+        table.matrix,
+        table.free_epsilon,
+    ):
+        crc = _fold_array(crc, array)
+    charges = _fold_sequence(memo, "charges", accountant.charge_log, _charge_bytes)
+    crc = zlib.crc32(repr(charges).encode("utf-8"), crc)
+    for index, entry in enumerate(sage.pipelines):
+        session = entry.session
+        spent = session.total_spent
+        n_attempts, attempts_crc = _fold_sequence(
+            memo, index, session.attempts, _attempt_bytes
+        )
+        scalars = (
+            entry.name,
+            entry.status,
+            entry.settled_attempts,
+            entry.release_time_hours,
+            session.epsilon,
+            session.window_blocks,
+            spent.epsilon,
+            spent.delta,
+            n_attempts,
+            attempts_crc,
+        )
+        crc = zlib.crc32(repr(scalars).encode("utf-8"), crc)
+    return crc
 
 
 # ----------------------------------------------------------------------

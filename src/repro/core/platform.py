@@ -475,6 +475,10 @@ class Sage:
         self._snapshots: Optional[durability.SnapshotStore] = None
         self._hours_committed = 0
         self._needs_recovery = False
+        # durability.state_digest's running CRCs of the append-only charge
+        # log and attempt lists; checked on every use, dies with the
+        # platform.
+        self._digest_memo: dict = {}
         if self._wal_dir is not None:
             self._require_staging()
             self._snapshots = durability.SnapshotStore(

@@ -15,7 +15,7 @@ gauge families using only documented pure reads (``store.totals``,
 ``stream_loss_bound``, ``shard_loss_bounds``); the single deliberate
 exception is ``retired_blocks()``, whose lazy retirement persistence is
 idempotent and value-identical -- the same normalization the durability
-layer's ``state_summary`` performs before digesting.
+layer's ``state_digest`` performs before digesting.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ path (one ``request_many`` per recorded hour); a corrupt WAL record is a
 typed error naming the file and offset, never a silent replay.
 """
 
+import dataclasses
 import os
 import struct
 import zlib
@@ -17,10 +18,12 @@ import zlib
 import pytest
 
 from repro.core import durability, faults
+from repro.core.accountant import ChargeRecord
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.filters import RenyiCompositionFilter
 from repro.core.platform import Sage
 from repro.core.sharding import sharded_accountant_factory
+from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     DurabilityError,
     RecoveryError,
@@ -531,4 +534,225 @@ class TestCrashMatrix:
         assert durability.state_digest(second) == digests[hours]
         second.close()
         first.close()
+        sage.close()
+
+
+# ----------------------------------------------------------------------
+# The incremental state digest: memo parity and coverage
+# ----------------------------------------------------------------------
+MEMO_VARIANTS = ["single-basic", "sharded-basic"]
+
+
+def _scratch_digest(sage):
+    """The digest folded from an empty memo; the platform keeps its own."""
+    memo = sage._digest_memo
+    sage._digest_memo = {}
+    try:
+        return durability.state_digest(sage)
+    finally:
+        sage._digest_memo = memo
+
+
+def _memo_digest(sage):
+    """The platform's memoized digest, checked against a scratch fold."""
+    digest = durability.state_digest(sage)
+    assert digest == _scratch_digest(sage)
+    return digest
+
+
+def _submitted(variant, **kwargs):
+    sage = _build(variant, **kwargs)
+    for pipeline, config in _pipes():
+        sage.submit(pipeline, config)
+    return sage
+
+
+class TestDigestMemo:
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_memo_extends_across_plain_hours(self, variant):
+        sage = _submitted(variant)
+        sage.advance(1.0)
+        durability.state_digest(sage)
+        fold = sage._digest_memo["charges"]
+        for _ in range(3):
+            sage.advance(1.0)
+            _memo_digest(sage)
+        # Appends only: the charge-log fold was extended, never rebuilt.
+        assert sage._digest_memo["charges"] is fold
+        assert fold.n == len(sage.access.accountant.charges) > 0
+        sage.close()
+
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_memo_matches_scratch_through_snapshots_and_recovery(
+        self, variant, tmp_path
+    ):
+        digests = _clean_digests(variant, hours=11)
+        sage = _submitted(variant, wal_dir=tmp_path, snapshot_every=3)
+        for hour in range(1, 8):
+            sage.advance(1.0)
+            assert _memo_digest(sage) == digests[hour]
+        assert len(sage._snapshots.snapshot_paths()) == 2  # hours 3 and 6
+        sage.close()
+        # A recovered platform starts from an empty memo, restores the
+        # hour-6 snapshot, replays hour 7, then keeps advancing.
+        recovered = _build(variant, wal_dir=tmp_path, snapshot_every=3)
+        report = recovered.recover(_pipes())
+        assert (report.snapshot_hour, report.replayed_hours) == (6, 1)
+        assert _memo_digest(recovered) == digests[7]
+        for hour in range(8, 12):
+            recovered.advance(1.0)
+            assert _memo_digest(recovered) == digests[hour]
+        recovered.close()
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_memo_matches_scratch_across_rolled_back_hour(
+        self, variant, durable, tmp_path
+    ):
+        digests = _clean_digests(variant, hours=6)
+        sage = _submitted(variant, wal_dir=tmp_path if durable else None)
+        staged_at_fault = []
+
+        def fail(point):
+            staged_at_fault.append(sage.access.accountant.staged_request_count)
+            raise faults.InjectedFault(point)
+
+        for hour in range(1, 7):
+            if hour == 2:
+                # Fail after the second session's settle: the first one
+                # has already staged charges and appended attempts.
+                faults.arm("settle.mid_session", fail, skip=1)
+                try:
+                    with pytest.raises(faults.InjectedFault):
+                        sage.advance(1.0)
+                finally:
+                    faults.disarm("settle.mid_session")
+                assert staged_at_fault and staged_at_fault[0] > 0
+                assert _memo_digest(sage) == digests[hour - 1]
+            sage.advance(1.0)
+            assert _memo_digest(sage) == digests[hour]
+        sage.close()
+
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_truncate_and_regrow_attempts_refolds(self, variant):
+        sage = _submitted(variant)
+        for _ in range(4):
+            sage.advance(1.0)
+        attempts = max(
+            (entry.session.attempts for entry in sage.pipelines), key=len
+        )
+        assert len(attempts) >= 2
+        base = _memo_digest(sage)
+        original = attempts[-2:]
+        # Same length, same list object, new records at the tail.
+        del attempts[-2:]
+        for record in original:
+            attempts.append(
+                dataclasses.replace(record, train_size=record.train_size + 1)
+            )
+        regrown = _memo_digest(sage)
+        assert regrown != base
+        # Shorter than the memo's fold, then back to the original records.
+        del attempts[-2:]
+        assert _memo_digest(sage) not in (base, regrown)
+        attempts.extend(original)
+        assert _memo_digest(sage) == base
+        sage.close()
+
+
+def _mutate(obj, attr, value):
+    old = getattr(obj, attr)
+    setattr(obj, attr, value)
+    return lambda: setattr(obj, attr, old)
+
+
+def _bump_cell(array, index, delta):
+    old = array[index]
+    array[index] = old + delta
+
+    def undo():
+        array[index] = old
+
+    return undo
+
+
+def _flip_live_bit(sage):
+    live = sage.access.accountant.store.live
+    row = int(live.nonzero()[0][0])
+    live[row] = False
+
+    def undo():
+        live[row] = True
+
+    return undo
+
+
+def _append_charge(sage):
+    log = sage.access.accountant.charge_log
+    log.append(ChargeRecord(budget=PrivacyBudget(0.01, 0.0), block_keys=(0,)))
+    return log.pop
+
+
+def _replace_attempt(sage):
+    attempts = _busiest(sage).session.attempts
+    old = attempts[-1]
+    attempts[-1] = dataclasses.replace(old, train_size=old.train_size + 1)
+
+    def undo():
+        attempts[-1] = old
+
+    return undo
+
+
+def _busiest(sage):
+    return max(sage.pipelines, key=lambda entry: len(entry.session.attempts))
+
+
+COMPONENTS = {
+    "clock": lambda s: _mutate(s.ingestor, "clock_hours", s.clock_hours + 1.0),
+    "totals-cell": lambda s: _bump_cell(
+        s.access.accountant.store.totals, (0, 0), 1e-9
+    ),
+    "live-bit": _flip_live_bit,
+    "charge-count": lambda s: _bump_cell(
+        s.access.accountant.store.charge_counts, 0, 1
+    ),
+    "reservation-cell": lambda s: _bump_cell(
+        s.reservation_table.matrix, (0, 0), 0.5
+    ),
+    "free-pool-cell": lambda s: _bump_cell(s.reservation_table.free_epsilon, 0, 0.5),
+    "appended-charge": _append_charge,
+    "replaced-attempt": _replace_attempt,
+    "status": lambda s: _mutate(_busiest(s).session, "status", "timeout"),
+    "settled-attempts": lambda s: _mutate(
+        _busiest(s), "settled_attempts", _busiest(s).settled_attempts + 1
+    ),
+    "release-time": lambda s: _mutate(_busiest(s), "release_time_hours", 123.0),
+    "epsilon": lambda s: _mutate(
+        _busiest(s).session, "epsilon", _busiest(s).session.epsilon * 2
+    ),
+    "window-blocks": lambda s: _mutate(
+        _busiest(s).session, "window_blocks", _busiest(s).session.window_blocks + 1
+    ),
+    "total-spent": lambda s: _mutate(
+        _busiest(s).session, "total_spent", PrivacyBudget(9.0, 0.0)
+    ),
+}
+
+
+class TestDigestCoverage:
+    @pytest.mark.parametrize("component", sorted(COMPONENTS))
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_each_component_moves_the_digest(self, variant, component):
+        """Changing any one covered part changes the memoized digest, and
+        undoing it restores the original -- incremental folding drops no
+        part of the state."""
+        sage = _submitted(variant)
+        for _ in range(4):
+            sage.advance(1.0)
+        base = _memo_digest(sage)
+        undo = COMPONENTS[component](sage)
+        assert _memo_digest(sage) != base
+        undo()
+        assert _memo_digest(sage) == base
         sage.close()
