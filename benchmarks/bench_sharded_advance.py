@@ -1,15 +1,18 @@
-"""Sharded accounting + parallel propose drive vs the sequential drive.
+"""Sharded accounting + shared staged scans vs the per-request drive.
 
 Two measurements on the heavy-contention shape of the Fig. 8 loop (many
 waiting pipelines scanning a long stream every hour):
 
-* ``advance``: the batched hourly drive with the **parallel propose
-  phase** (worker-pool session peeks against the hour's frozen snapshot,
-  whole-stream admit scans shared across sessions) versus the sequential
-  propose loop, over sharded accountants at shard counts 1 / 4 / 8.
-  Parity is always asserted first: hash- and range-partitioned sharded
-  platforms, with and without parallel propose, must reproduce the
-  single-store sequential drive's simulation byte for byte.
+* ``advance``: a starved hour (every session scans the whole stream and
+  blocks) driven through the **staged** hour -- whose open batch shares
+  each whole-stream admit scan across every session at one floor --
+  versus the **per-request** drive, which stages nothing and rescans per
+  session, over sharded accountants at shard counts 1 / 4 / 8.  The
+  per-request drive is forced from the bench side by patching
+  ``SageAccessControl.supports_staged_requests``; both drives must end in
+  the same state.  Parity is asserted first: hash- and range-partitioned
+  sharded platforms must reproduce the single-store drive byte for byte,
+  and the single-store staged drive must reproduce the per-request one.
 * ``stream_assembly``: window assembly through the growing database's
   packed-column store (preallocated columns filled once at ingest, windows
   read back as one slice/gather) versus the legacy per-block
@@ -17,16 +20,17 @@ waiting pipelines scanning a long stream every hour):
   assembly-dominated hot path.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_sharded_advance.py``);
-``--assert-speedup`` gates the parallel-vs-sequential advance ratio at
-every shard count (CI uses 1.0: parallel must never lose), and
+``--assert-speedup`` gates the per-request/staged advance ratio at every
+shard count (CI uses 1.0: the staged hour must never lose), and
 ``--assert-assembly-speedup`` gates the packed assembly win.
 """
 
 import argparse
-import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
@@ -35,6 +39,7 @@ if str(_SRC) not in sys.path:
 import numpy as np
 
 from benchjson import write_bench_json, write_bench_report
+from repro.core.access_control import SageAccessControl
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
 from repro.core.sharding import sharded_accountant_factory
@@ -44,12 +49,23 @@ from repro.workload.oracle import CountStreamSource, OraclePipeline
 DEFAULT_PIPELINES = 200
 DEFAULT_BLOCKS = 5_000
 SHARD_COUNTS = (1, 4, 8)
-DEFAULT_WORKERS = min(8, max(2, os.cpu_count() or 2))
+
+
+@contextmanager
+def per_request_drive():
+    """Force the unstaged per-request drive for every platform advanced
+    inside the block (the access layer reports it cannot stage)."""
+    with mock.patch.object(
+        SageAccessControl,
+        "supports_staged_requests",
+        property(lambda self: False),
+    ):
+        yield
 
 
 # ----------------------------------------------------------------------
-# Parity: sharded + parallel must reproduce the single-store sequential
-# drive byte for byte.
+# Parity: the staged drive (single store and sharded) must reproduce the
+# single-store per-request drive byte for byte.
 # ----------------------------------------------------------------------
 def _fingerprint(sage):
     sage.access.accountant.retired_blocks()  # persist pending retirement
@@ -74,12 +90,11 @@ def _fingerprint(sage):
 
 
 def check_sharded_parity():
-    def drive(factory, workers):
+    def drive(factory):
         sage = Sage(
             CountStreamSource(4000, scale=1000),
             seed=3,
             accountant_factory=factory,
-            propose_workers=workers,
         )
         for i, complexity in enumerate((2_000.0, 10_000.0, 40_000.0, 1e9)):
             sage.submit(
@@ -92,36 +107,35 @@ def check_sharded_parity():
         sage.close()
         return fingerprint
 
-    reference = drive(None, 0)
-    for policy, n_shards, workers in (
-        ("hash", 2, 0),
-        ("hash", 4, 4),
-        ("range", 4, 4),
-        ("hash", 8, 8),
-    ):
-        got = drive(sharded_accountant_factory(n_shards, policy=policy), workers)
+    with per_request_drive():
+        reference = drive(None)
+    if drive(None) != reference:
+        raise AssertionError(
+            "the single-store staged drive diverged from the per-request drive"
+        )
+    for policy, n_shards in (("hash", 2), ("hash", 4), ("range", 4), ("hash", 8)):
+        got = drive(sharded_accountant_factory(n_shards, policy=policy))
         if got != reference:
             raise AssertionError(
-                f"sharded {policy} N={n_shards} workers={workers} diverged "
-                "from the single-store sequential drive"
+                f"sharded {policy} N={n_shards} diverged from the "
+                "single-store drive"
             )
 
 
 # ----------------------------------------------------------------------
-# Part 1: parallel propose vs sequential drive across shard counts
+# Part 1: staged (shared scans) vs per-request drive across shard counts
 # ----------------------------------------------------------------------
-def build_starved_platform(n_pipelines, n_blocks, n_shards, workers):
+def build_starved_platform(n_pipelines, n_blocks, n_shards):
     """A stream ``n_blocks`` hours old with ``n_pipelines`` starved
-    sessions: every hour each session scans the whole stream for an
-    affordable window and blocks again -- the propose-dominated
-    steady-state of heavy traffic, where the parallel phase carries the
+    sessions at one floor: every hour each session scans the whole stream
+    for an affordable window and blocks again -- the propose-dominated
+    steady state of heavy traffic, where the shared scan carries the
     whole hour."""
     factory = sharded_accountant_factory(n_shards) if n_shards else None
     sage = Sage(
         CountStreamSource(1000, scale=1000),
         seed=0,
         accountant_factory=factory,
-        propose_workers=workers,
     )
     sage.advance(float(n_blocks))  # blocks land with nobody waiting
     config = AdaptiveConfig(epsilon_start=0.5, epsilon_floor=0.5, max_attempts=4)
@@ -140,20 +154,20 @@ def _best_of(fn, repeats):
     return best
 
 
-def bench_advance(n_pipelines, n_blocks, n_shards, workers, repeats=3):
-    sequential = build_starved_platform(n_pipelines, n_blocks, n_shards, 0)
-    parallel = build_starved_platform(n_pipelines, n_blocks, n_shards, workers)
-    t_seq = _best_of(lambda: sequential.advance(1.0), repeats)
-    t_par = _best_of(lambda: parallel.advance(1.0), repeats)
-    adopted, invalidated = parallel.last_hour_speculations
-    sequential.close()
-    parallel.close()
-    if invalidated or adopted != n_pipelines:
+def bench_advance(n_pipelines, n_blocks, n_shards, repeats=3):
+    per_request = build_starved_platform(n_pipelines, n_blocks, n_shards)
+    staged = build_starved_platform(n_pipelines, n_blocks, n_shards)
+    with per_request_drive():
+        t_req = _best_of(lambda: per_request.advance(1.0), repeats)
+    t_staged = _best_of(lambda: staged.advance(1.0), repeats)
+    if _fingerprint(staged) != _fingerprint(per_request):
         raise AssertionError(
-            f"expected every speculation adopted in the starved hour, got "
-            f"adopted={adopted} invalidated={invalidated}"
+            f"starved staged hour diverged from the per-request drive at "
+            f"{n_shards} shards"
         )
-    return t_seq, t_par, t_seq / t_par
+    per_request.close()
+    staged.close()
+    return t_req, t_staged, t_req / t_staged
 
 
 # ----------------------------------------------------------------------
@@ -194,49 +208,43 @@ def bench_assembly(n_blocks, repeats=5):
 
 
 # ----------------------------------------------------------------------
-def run(n_pipelines, n_blocks, workers, assert_speedup=0.0, assert_assembly=0.0):
+def run(n_pipelines, n_blocks, assert_speedup=0.0, assert_assembly=0.0):
     check_sharded_parity()
 
     cases = []
     per_shard = {}
     for n_shards in SHARD_COUNTS:
-        t_seq, t_par, speedup = bench_advance(n_pipelines, n_blocks, n_shards, workers)
-        per_shard[n_shards] = (t_seq, t_par, speedup)
+        t_req, t_staged, speedup = bench_advance(n_pipelines, n_blocks, n_shards)
+        per_shard[n_shards] = (t_req, t_staged, speedup)
         cases.append(
             write_bench_json(
                 f"sharded_advance_s{n_shards}",
-                {
-                    "pipelines": n_pipelines,
-                    "blocks": n_blocks,
-                    "shards": n_shards,
-                    "workers": workers,
-                },
-                t_seq * 1e3,
-                t_par * 1e3,
+                {"pipelines": n_pipelines, "blocks": n_blocks, "shards": n_shards},
+                t_req * 1e3,
+                t_staged * 1e3,
                 bench="sharded_advance",
             )
         )
         if assert_speedup and speedup < assert_speedup:
             raise AssertionError(
-                f"parallel propose speedup {speedup:.2f}x at {n_shards} shards "
+                f"staged-hour speedup {speedup:.2f}x at {n_shards} shards "
                 f"is below the required {assert_speedup}x"
             )
 
     # Headline artifact (the mid shard count), per-shard ratios in params.
-    head_seq, head_par, _ = per_shard[SHARD_COUNTS[len(SHARD_COUNTS) // 2]]
+    head_req, head_staged, _ = per_shard[SHARD_COUNTS[len(SHARD_COUNTS) // 2]]
     write_bench_json(
         "sharded_advance",
         {
             "pipelines": n_pipelines,
             "blocks": n_blocks,
-            "workers": workers,
             "shards": SHARD_COUNTS[len(SHARD_COUNTS) // 2],
             "speedup_by_shards": {
                 str(n): round(s, 3) for n, (_, _, s) in per_shard.items()
             },
         },
-        head_seq * 1e3,
-        head_par * 1e3,
+        head_req * 1e3,
+        head_staged * 1e3,
         bench="sharded_advance",
     )
 
@@ -255,24 +263,26 @@ def run(n_pipelines, n_blocks, workers, assert_speedup=0.0, assert_assembly=0.0)
         )
     return write_bench_report(
         "sharded_advance",
-        "sharded advance: parallel propose vs sequential drive "
-        f"({n_pipelines} pipelines x {n_blocks} blocks, {workers} workers)",
+        "sharded advance: staged hour (shared scans) vs per-request drive "
+        f"({n_pipelines} pipelines x {n_blocks} blocks)",
         cases,
-        columns=("sequential", "parallel"),
+        columns=("per-request", "staged"),
         notes=[
             f"assembly {n_blocks} blocks: concatenate {a_slow * 1e3:.2f}ms -> "
             f"packed {a_fast * 1e3:.2f}ms ({a_speedup:.1f}x)",
-            "parity: sharded + parallel drives reproduce the single-store "
-            "sequential drive byte for byte",
+            "parity: sharded and single-store staged drives reproduce the "
+            "single-store per-request drive byte for byte",
         ],
     )
 
 
 def test_sharded_advance_speedup():
-    """CI smoke: parity + parallel propose at least matching sequential."""
+    """CI smoke: parity + the staged hour at least matching per-request."""
     check_sharded_parity()
-    t_seq, t_par, speedup = bench_advance(60, 1500, 4, DEFAULT_WORKERS)
-    assert speedup >= 1.0, f"only {speedup:.2f}x (seq {t_seq:.4f}s par {t_par:.4f}s)"
+    t_req, t_staged, speedup = bench_advance(60, 1500, 4)
+    assert speedup >= 1.0, (
+        f"only {speedup:.2f}x (per-request {t_req:.4f}s staged {t_staged:.4f}s)"
+    )
     a_slow, a_fast, a_speedup = bench_assembly(1500)
     assert a_speedup >= 2.0, f"assembly only {a_speedup:.1f}x"
 
@@ -281,13 +291,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pipelines", type=int, default=DEFAULT_PIPELINES)
     parser.add_argument("--blocks", type=int, default=DEFAULT_BLOCKS)
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     parser.add_argument(
         "--assert-speedup",
         type=float,
         default=0.0,
-        help="fail unless the parallel-propose drive beats the sequential "
-        "drive by this factor at every shard count",
+        help="fail unless the staged hour beats the per-request drive by "
+        "this factor at every shard count",
     )
     parser.add_argument(
         "--assert-assembly-speedup",
@@ -301,7 +310,6 @@ def main():
         run(
             args.pipelines,
             args.blocks,
-            args.workers,
             assert_speedup=args.assert_speedup,
             assert_assembly=args.assert_assembly_speedup,
         )

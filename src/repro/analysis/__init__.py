@@ -3,11 +3,11 @@
 Sage's correctness story rests on invariants the code can only *state* --
 ``propose_peek()`` is a pure accountant read, every staged hour closes its
 overlay on every path, totals columns are only written through the
-filter-declared schema, thread-pool callables share nothing mutable, and
-parity-critical accumulation never iterates unordered containers.  The
-property-test suite checks these dynamically; this package is the cheap,
-always-on static complement that catches a contract violation at lint time,
-before a fast path silently diverges.
+filter-declared schema, WAL hours are written ahead and rolled back
+completely, and parity-critical accumulation never iterates unordered
+containers.  The property-test suite checks these dynamically; this
+package is the cheap, always-on static complement that catches a contract
+violation at lint time, before a fast path silently diverges.
 
 Usage
 -----

@@ -25,8 +25,8 @@ __all__ = [
 
 # Method names that unambiguously mutate accounting state wherever they are
 # called: ledger/store writes, charge execution, staging, settlement.  Used
-# by the purity and thread-shared-state rules regardless of the receiver,
-# since e.g. ``led.record(...)`` mutates no matter what local name the
+# by the mutation extraction (purity, rollback) and the telemetry-isolation
+# and api-hygiene rules regardless of the receiver, since e.g. ``led.record(...)`` mutates no matter what local name the
 # ledger is bound to.
 MUTATOR_METHODS = frozenset(
     {

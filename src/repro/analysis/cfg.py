@@ -28,8 +28,7 @@ Exception modeling is deliberately coarse but tuned for the pairing and
 ordering rules: a statement raises iff it contains a call, a ``raise``,
 an ``assert``, or a subscript -- *except* calls whose callee is a declared
 cleanup/closer name (``NON_RAISING``), which the contracts define as
-no-fail cleanup (``abort_staged``, ``abort_hour``, ``end_scan_memo``,
-``_rollback_hour``...).  Without that carve-out every ``finally`` that
+no-fail cleanup (``abort_staged``, ``abort_hour``, ``_rollback_hour``...).  Without that carve-out every ``finally`` that
 closes two resources would flag the second closer as skippable.
 """
 
@@ -47,7 +46,6 @@ NON_RAISING = frozenset(
     {
         "abort_staged",
         "abort_hour",
-        "end_scan_memo",
         "pop_staged",
         "_rollback_hour",
         "close",

@@ -91,7 +91,7 @@ def solve_forward(cfg: CFG, analysis) -> Tuple[Dict[int, object], Dict[int, obje
 
 
 # ----------------------------------------------------------------------
-# Mutation extraction (shared by purity / rollback / lock rules)
+# Mutation extraction (shared by the purity and rollback rules)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, order=True)
 class Mutation:

@@ -13,13 +13,11 @@ from typing import List
 from repro.analysis.engine import Rule
 from repro.analysis.rules.api_hygiene import ApiHygieneRule
 from repro.analysis.rules.float_determinism import FloatDeterminismRule
-from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.paired_calls import PairedCallsRule
 from repro.analysis.rules.purity import PurityRule
 from repro.analysis.rules.rollback import RollbackCompletenessRule
 from repro.analysis.rules.schema_width import SchemaWidthRule
 from repro.analysis.rules.telemetry import TelemetryIsolationRule
-from repro.analysis.rules.thread_shared import ThreadSharedStateRule
 from repro.analysis.rules.wal_ordering import WalOrderingRule
 
 __all__ = ["ALL_RULES", "default_rules"]
@@ -28,12 +26,10 @@ ALL_RULES = (
     PurityRule,
     PairedCallsRule,
     SchemaWidthRule,
-    ThreadSharedStateRule,
     FloatDeterminismRule,
     ApiHygieneRule,
     RollbackCompletenessRule,
     WalOrderingRule,
-    LockDisciplineRule,
     TelemetryIsolationRule,
 )
 

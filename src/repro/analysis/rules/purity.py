@@ -1,12 +1,12 @@
 """Purity rule: pure accountant read paths must not mutate anything.
 
-The propose/decide/settle protocol (PR 3) and the parallel propose drive
-(PR 5) both rest on one contract: ``AdaptiveSession.propose_peek`` and the
+The propose/decide/settle protocol (PR 3) and the staged hour's shared
+scans both rest on one contract: ``AdaptiveSession.propose_peek`` and the
 accountant's read surface (``admits_keys`` / ``can_charge`` /
-``max_epsilon``) are *pure reads*.  The platform peeks sessions from
-worker threads against a frozen snapshot precisely because nothing along
-those paths writes -- a single mutation silently breaks byte-parity (or
-worse, thread safety) without failing any direct unit test.
+``max_epsilon``) are *pure reads*.  Sessions share memoized scans within
+an hour precisely because nothing along those paths writes -- a single
+mutation silently breaks byte-parity without failing any direct unit
+test.
 
 Since PR 8 the rule runs on the typed interprocedural call graph
 (:mod:`repro.analysis.callgraph`): ``self.access.accountant.can_charge``

@@ -52,13 +52,11 @@ _SCOPE_PREFIX = "src/repro/core/"
 
 # Hour-scoped diagnostics and mechanisms the rollback contract documents
 # as not-rolled-back: the per-hour counters are reset at the top of every
-# advance, and the WAL/pool handles are the durability machinery itself.
+# advance, and the WAL handles are the durability machinery itself.
 EXEMPT_ROOTS = frozenset(
     {
         "last_hour_charges",
-        "last_hour_speculations",
         "_wal",
-        "_propose_pool",
         "_snapshots",
         "_hours_committed",
         # Telemetry (PR 9) is observational by contract: counters are

@@ -9,9 +9,8 @@ halves, and this rule enforces both statically:
   / ``max_epsilon``) must contain no telemetry emission.  The hazard is
   concrete: ``can_charge_many`` and ``charge_many`` share
   ``_validate_many_vectorized``, so a span emitted there would fire from
-  worker-thread peeks too -- nondeterministic emission order, a logical
-  clock that depends on pool scheduling, and a byte-different trace per
-  run.  Reachability reuses the purity rule's typed call graph (one build
+  every admissibility probe too -- a trace that depends on how often a
+  read was asked rather than on what was committed.  Reachability reuses the purity rule's typed call graph (one build
   per project, cached on it).
 * **Telemetry never mutates accounting.**  Modules under ``src/repro/obs/``
   observe through documented pure reads; a call to any known accounting
@@ -24,11 +23,10 @@ A telemetry *emission* is a ``span`` / ``event`` / ``inc`` / ``set_gauge``
 / ``observe`` / ``record_span`` call whose receiver chain is rooted in
 telemetry state (a name containing ``tracer`` / ``telemetry`` /
 ``metrics`` / ``profiler`` / ``probe`` -- the platform deliberately names
-its handles that way, and the thread-shared-state rule keeps those
-handles off pool threads).  PR 10's :class:`~repro.obs.WallProfiler`
-rides the same emission surface plus ``record_span``, and the same
-isolation applies: a wall-clock span on a pure read path would fire from
-worker threads with a pool-scheduled emission order.  Deliberate
+its handles that way).  PR 10's :class:`~repro.obs.WallProfiler` rides
+the same emission surface plus ``record_span``, and the same isolation
+applies: a wall-clock span on a pure read path would put read traffic
+into the profile of the committed hour.  Deliberate
 exceptions carry the standard ``# repro: allow(telemetry-isolation) --
 reason`` marker.
 """
@@ -50,7 +48,7 @@ _OBS_PREFIX = "src/repro/obs/"
 
 #: Emission surface of the tracer, the metrics registry, and the
 #: wall-clock profiler (``record_span`` synthesizes an already-closed
-#: span from a pool-measured duration -- still an emission).
+#: span from a separately measured duration -- still an emission).
 TELEMETRY_METHODS = frozenset(
     {"span", "event", "inc", "set_gauge", "observe", "record_span"}
 )

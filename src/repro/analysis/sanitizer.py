@@ -24,13 +24,6 @@ Usage: ``install()`` wraps the pure entry points in place (idempotent;
 ``uninstall()`` restores them), and ``REPRO_SANITIZER=1`` makes the test
 suite's conftest install it for the whole run.  ``write_barrier(store)``
 is the underlying context manager, usable directly in tests.
-
-Concurrency note: the propose pool may run several peeks at once.  Flag
-flips are not atomic across threads, so a worker finishing early can
-lift the barrier while a sibling still runs -- the sanitizer is a
-best-effort tripwire, not a lock; a shortened window only ever *misses*
-a fault, never raises a spurious one (each barrier restores exactly the
-arrays it flipped itself).
 """
 
 from __future__ import annotations

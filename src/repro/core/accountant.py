@@ -106,6 +106,12 @@ accountant supports this with a :class:`StagedBatch` overlay opened by
   and the charge log keep reporting *committed* state only, and retirement
   is not persisted until the batch closes (scans still filter staged-retired
   blocks out).
+* While a batch is open, whole-stream admit scans are memoized per floor
+  budget on the batch itself (``StagedBatch.scan_memo``): every reader
+  shares one scan until a charge is actually staged, a block registered,
+  or registrations rolled back.  A refused ``stage_charge`` moves nothing,
+  so it keeps the memo -- a queue of blocked proposers at one floor pays
+  for a single scan.  Decisions are identical to rescanning.
 * ``pop_staged()`` closes the overlay and hands back the request list for a
   single ``charge_many`` commit.  Because staging replayed the exact
   accumulation ``charge_many`` validates with, a staged batch can never be
@@ -126,10 +132,7 @@ same global row space (rows in registration order -- the
 ``rows_for_keys`` / ``ReservationTable`` alignment invariant), validates
 ``charge_many`` batches shard-locally with this module's float
 accumulation, and commits all shards or none.  The partitioner contract
-and the global-row-space invariant are documented there.  The
-snapshot-scoped scan memo (``begin_scan_memo``) serves the platform's
-parallel propose phase: while a staged batch is open and untouched,
-whole-stream admit scans may be computed once and shared across sessions.
+and the global-row-space invariant are documented there.
 """
 
 from __future__ import annotations
@@ -360,6 +363,10 @@ class StagedBatch:
         self._width = accountant.store.width
         self.requests: List[tuple] = []
         self.request_rows: List[np.ndarray] = []
+        # Whole-stream admit scans by floor budget (filled by
+        # BlockAccountant._live_admit_rows), cleared whenever the effective
+        # totals or the row set move; it dies with the batch.
+        self.scan_memo: Dict[PrivacyBudget, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -526,8 +533,6 @@ class BlockAccountant:
         self._row_cache: Dict[tuple, np.ndarray] = {}
         # Open staged batch (the propose/settle overlay), or None.
         self._staged: Optional[StagedBatch] = None
-        # Snapshot-scoped scan memo (see begin_scan_memo), or None.
-        self._scan_memo: Optional[Dict] = None
         # Retirement is permanent (privacy loss never decreases), so dead
         # blocks can be pruned from every scan once detected.  This keeps
         # usable_blocks() linear in the number of *live* blocks even when a
@@ -547,7 +552,7 @@ class BlockAccountant:
         if key in self._ledgers:
             raise InvalidBudgetError(f"block {key!r} already registered")
         # A new row changes every whole-stream scan: memoized scans are stale.
-        self._scan_memo = None
+        self._invalidate_scans()
         ledger = BlockLedger(
             key=key, filter=self._make_filter(self.epsilon_global, self.delta_global)
         )
@@ -682,9 +687,7 @@ class BlockAccountant:
     def staged_request_count(self) -> int:
         """Number of charges staged in the open batch (0 when none is open).
 
-        The platform's parallel propose drive uses this as (part of) its
-        speculation token: a first proposal computed against the empty
-        overlay is reusable only while nothing has been staged since.
+        The platform records it per hour (``sage_staged_batch_requests``).
         """
         return len(self._staged.requests) if self._staged is not None else 0
 
@@ -705,30 +708,11 @@ class BlockAccountant:
         self._staged = self._new_staged_batch()
         return self._staged
 
-    # ------------------------------------------------------------------
-    # Snapshot-scoped scan memo (the parallel propose phase)
-    # ------------------------------------------------------------------
-    def begin_scan_memo(self) -> None:
-        """Start memoizing whole-stream admit scans by floor budget.
-
-        Valid only while the effective totals are *frozen*: a staged batch
-        must be open and nothing may be staged, charged, or registered
-        until :meth:`end_scan_memo`.  The platform's parallel propose
-        phase brackets its session peeks with this -- every peek reads the
-        same snapshot by construction, so the live-admit scan for a given
-        floor budget is computed once and shared across all sessions
-        (decisions are identical to recomputing; only the redundant passes
-        disappear).  Reads are thread-safe: concurrent memo misses just
-        compute the same read-only row array twice.
-        """
-        if self._staged is None:
-            raise InvalidBudgetError(
-                "scan memoization requires an open (frozen) staged batch"
-            )
-        self._scan_memo = {}
-
-    def end_scan_memo(self) -> None:
-        self._scan_memo = None
+    def _invalidate_scans(self) -> None:
+        """Forget the open batch's memoized scans (the totals or the row
+        set just moved); a no-op when no batch is open."""
+        if self._staged is not None:
+            self._staged.scan_memo.clear()
 
     def stage_charge(
         self, keys: Sequence[object], budget: PrivacyBudget, label: str = ""
@@ -738,12 +722,11 @@ class BlockAccountant:
         Raises exactly what :meth:`charge` would (``BlockRetiredError`` /
         ``BudgetExceededError``) and stages nothing on refusal; on success
         the request joins the batch and becomes visible to every subsequent
-        read and stage decision (intra-batch accumulation).
+        read and stage decision (intra-batch accumulation).  Only that
+        success drops the batch's scan memo: a refusal moves no totals.
         """
         if self._staged is None:
             raise InvalidBudgetError("no staged batch is open")
-        # Staging moves the effective totals: any memoized scans are stale.
-        self._scan_memo = None
         keys = list(keys)
         if not keys:
             raise InvalidBudgetError("a charge must name at least one block")
@@ -763,14 +746,13 @@ class BlockAccountant:
         self._staged.add(rows, self._contribution(budget))
         self._staged.requests.append((keys, budget, label))
         self._staged.request_rows.append(rows)
+        self._invalidate_scans()
 
     def pop_staged(self) -> List[tuple]:
         """Close the staged batch, returning its ``(keys, budget, label)``
         requests for a single :meth:`charge_many` commit (nothing has been
-        committed yet; discarding the return value aborts the batch)."""
-        # Closing the overlay ends the frozen snapshot any scan memo was
-        # defined against (commits may follow immediately).
-        self._scan_memo = None
+        committed yet; discarding the return value aborts the batch).  The
+        batch's scan memo goes with it."""
         staged, self._staged = self._staged, None
         return staged.requests if staged is not None else []
 
@@ -1062,7 +1044,7 @@ class BlockAccountant:
         del self._keys[n_blocks:]
         # Cached row arrays / memoized scans may name the removed rows.
         self._row_cache.clear()
-        self._scan_memo = None
+        self._invalidate_scans()
         self._store.truncate_to(n_blocks)
 
     def export_state(self) -> dict:
@@ -1164,12 +1146,12 @@ class BlockAccountant:
         """Rows of live blocks admitting ``floor``, marking newly retired
         blocks dead along the way -- the shared body of every block scan.
 
-        While a scan memo is active (totals frozen, see
-        :meth:`begin_scan_memo`) the result is cached per floor budget and
-        shared read-only across callers.
+        While a staged batch is open the result is cached per floor budget
+        in the batch's scan memo and shared read-only across callers.
         """
-        memo = self._scan_memo
-        if memo is not None:
+        memo = None
+        if self._staged is not None:
+            memo = self._staged.scan_memo
             cached = memo.get(floor)
             if cached is not None:
                 return cached
@@ -1216,9 +1198,10 @@ class BlockAccountant:
             live_rows = live_rows[admitted]
         if memo is not None:
             live_rows.setflags(write=False)  # shared across memo readers
-            # repro: allow(purity) -- scan-memo cache fill: the memo only
-            # exists while totals are frozen, and the cached rows are the
-            # value an uncached scan would recompute identically.
+            # repro: allow(purity) -- scan-memo cache fill: the memo is
+            # cleared whenever the totals or the row set move, and the
+            # cached rows are the value an uncached scan would recompute
+            # identically.
             memo[floor] = live_rows
         return live_rows
 

@@ -62,21 +62,17 @@ state digest; a volatile platform is the durable one without the log.
 Per-request hours (streams that cannot stage) commit each charge as it is
 granted and are not rolled back; durable mode refuses them.
 
-Parallel propose drive (sharding-ready)
----------------------------------------
-With ``propose_workers > 0`` the staged hour opens with a *parallel
-propose phase*: every waiting session's first proposal is peeked
-concurrently in a thread pool (:meth:`AdaptiveSession.propose_peek` is a
-pure read -- PR 3's contract) against the freshly opened, empty overlay,
-and whole-stream admit scans are shared across the sessions for the
-duration of the phase (the accountant's snapshot-scoped scan memo).  The
-serial settle loop then adopts each speculation only while its snapshot
-token provably still holds -- zero charges staged so far and an unchanged
-waiting-pipeline count (allocation shares, redistribution, and the
-escalation rate all key off it); otherwise the session proposes for real.
-Either way the trajectory is byte-identical to the sequential drive.
-Pipeline execution itself stays serial in submission order (sessions
-share one RNG stream).
+Shared scans
+------------
+Block composition makes every admit decision per-block arithmetic on
+running totals, so inside one staged hour the only thing that can change a
+session's proposal is a charge staged earlier in that hour.  The
+accountant memoizes whole-stream admit scans per floor budget for as long
+as the hour's staged batch is open and drops the memo only when a charge
+is actually staged (or a block is registered or rolled back): a queue of
+blocked sessions at one floor shares a single scan, and every decision is
+identical to rescanning.  Sessions are driven serially in submission
+order (they share one RNG stream).
 
 The accountant side composes: ``accountant_factory`` (e.g.
 :func:`repro.core.sharding.sharded_accountant_factory`) swaps in a
@@ -102,10 +98,9 @@ accountant's tail scan as a vectorized ``row_filter``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -116,7 +111,6 @@ from repro.core.adaptive import (
     AdaptiveSession,
     AttemptRecord,
     ChargeDecision,
-    ChargeProposal,
     SessionStatus,
 )
 from repro.core.model_store import ModelFeatureStore, ReleasedBundle
@@ -132,34 +126,7 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_PROBE
 
-__all__ = ["Sage", "SubmittedPipeline", "ReservationTable", "SpeculativeProposal"]
-
-
-@dataclass(frozen=True)
-class SpeculativeProposal:
-    """A session's first proposal of the hour, computed ahead of its turn.
-
-    Produced by the parallel propose phase (``propose_workers > 0``):
-    every waiting session is peeked concurrently against the hour's empty
-    staged overlay -- a pure read by the propose/settle contract.  The
-    serial settle loop adopts the result only while the snapshot it was
-    computed against provably still holds; the *token* is
-
-    * ``n_waiting`` -- the waiting-pipeline count at peek time (allocation
-      shares, redistribution targets, and the escalation rate all key off
-      it), and
-    * zero charges staged so far this hour (staged spend changes the
-      effective totals every proposal reads).
-
-    If either moved, the speculation is discarded and the session proposes
-    for real -- so trajectories are byte-identical to the sequential drive
-    whether or not any speculation survives.
-    """
-
-    proposal: Optional[ChargeProposal]
-    status_after: str
-    n_waiting: int
-    n_attempts: int
+__all__ = ["Sage", "SubmittedPipeline", "ReservationTable"]
 
 
 class ReservationTable:
@@ -375,9 +342,7 @@ class Sage:
 
     ``accountant_factory`` swaps the stream accountant implementation
     (e.g. :func:`repro.core.sharding.sharded_accountant_factory` for a
-    partitioned ledger store); ``propose_workers`` enables the parallel
-    propose phase of each staged hour (see the module docstring) -- both
-    preserve trajectories byte for byte.
+    partitioned ledger store) and preserves trajectories byte for byte.
 
     ``wal_dir`` makes the platform durable (see
     :mod:`repro.core.durability`): each hour is recorded in a write-ahead
@@ -409,7 +374,6 @@ class Sage:
         filter_factory=None,
         seed: Optional[int] = None,
         accountant_factory=None,
-        propose_workers: int = 0,
         wal_dir=None,
         snapshot_every: int = 0,
         snapshot_keep: int = 3,
@@ -427,9 +391,9 @@ class Sage:
         self._metrics = (
             telemetry.metrics if telemetry is not None else MetricsRegistry()
         )
-        # Counter readings at the top of the current advance(); the
-        # last-hour diagnostics are deltas against this mark.
-        self._hour_mark: Tuple[float, float, float] = (0, 0, 0)
+        # The granted-charges counter at the top of the current advance();
+        # last_hour_charges is the delta against this mark.
+        self._hour_mark: float = 0
         self.database = GrowingDatabase()
         self.rng = np.random.default_rng(seed)
         self.ingestor = StreamIngestor(
@@ -451,15 +415,7 @@ class Sage:
         # All pipelines' epsilon reservations plus the unreserved free pool,
         # columns aligned to the stream accountant's ledger-store rows.
         self._table = ReservationTable()
-        # Parallel propose drive: peek every waiting session's first
-        # proposal of the hour in this many worker threads (0 = off).
-        # Requires the staged path (speculation is validated against the
-        # staged overlay's emptiness); trajectories are byte-identical to
-        # the sequential drive either way.
-        self.propose_workers = max(0, int(propose_workers))
-        self._propose_pool: Optional[ThreadPoolExecutor] = None
-        # The drive emits its spans from the accountant's serial commit
-        # points (charge batches, per-shard validation footprints).
+        # The drive emits its spans from the accountant's commit points (charge batches, per-shard validation footprints).
         self.access.accountant.attach_tracer(self._tracer)
         if telemetry is not None:
             # Armed crash points report their firings as trace events
@@ -521,49 +477,21 @@ class Sage:
         compatibility view over ``sage_charges_granted_total``.  After a
         rolled-back hour it reports that hour's grants until the next
         ``advance``: counters are monotonic and keep its increments."""
-        granted, _, _ = self._hour_mark
         return int(
-            self._metrics.counter_value("sage_charges_granted_total") - granted
-        )
-
-    @property
-    def last_hour_speculations(self) -> Tuple[int, int]:
-        """Speculations (adopted, invalidated) in the most recent
-        ``advance()``: each speculation is counted exactly once, under the
-        outcome its snapshot token earned it (ordinary proposes appear in
-        neither counter).  Compatibility view over the registry's
-        ``sage_speculations_*_total`` counters."""
-        _, adopted, invalidated = self._hour_mark
-        metrics = self._metrics
-        return (
-            int(
-                metrics.counter_value("sage_speculations_adopted_total")
-                - adopted
-            ),
-            int(
-                metrics.counter_value("sage_speculations_invalidated_total")
-                - invalidated
-            ),
+            self._metrics.counter_value("sage_charges_granted_total")
+            - self._hour_mark
         )
 
     def _mark_hour_metrics(self) -> None:
-        """Open an hour for the last-hour deltas: remember the drive
-        counters' current readings."""
-        metrics = self._metrics
-        self._hour_mark = (
-            metrics.counter_value("sage_charges_granted_total"),
-            metrics.counter_value("sage_speculations_adopted_total"),
-            metrics.counter_value("sage_speculations_invalidated_total"),
-        )
+        """Open an hour for the last-hour delta: remember the granted
+        charges counter's current reading."""
+        self._hour_mark = self._metrics.counter_value("sage_charges_granted_total")
 
     def _finish_hour_metrics(self) -> None:
-        """Close the hour in the registry: per-hour gauges from the
-        counter deltas plus the advanced-hours counter."""
+        """Close the hour in the registry: the per-hour charges gauge plus
+        the advanced-hours counter."""
         metrics = self._metrics
-        adopted, invalidated = self.last_hour_speculations
         metrics.set_gauge("sage_hour_charges", self.last_hour_charges)
-        metrics.set_gauge("sage_hour_speculations_adopted", adopted)
-        metrics.set_gauge("sage_hour_speculations_invalidated", invalidated)
         metrics.inc("sage_hours_advanced_total")
 
     def _observe_fault(self, point: str) -> None:
@@ -700,26 +628,10 @@ class Sage:
         entry.settled_attempts = len(attempts)
 
     # ------------------------------------------------------------------
-    # Parallel propose phase (speculative first proposals)
-    # ------------------------------------------------------------------
-    def _ensure_propose_pool(self) -> ThreadPoolExecutor:
-        if self._propose_pool is None:
-            self._propose_pool = ThreadPoolExecutor(
-                max_workers=self.propose_workers,
-                thread_name_prefix="sage-propose",
-            )
-        return self._propose_pool
-
     def close(self) -> None:
-        """Release worker threads (the propose pool and, for sharded
-        accountants, the shard-validation pool).  Idempotent; the platform
-        keeps working afterwards -- pools are re-created on demand."""
-        if self._propose_pool is not None:
-            self._propose_pool.shutdown(wait=False)
-            self._propose_pool = None
-        accountant_close = getattr(self.access.accountant, "close", None)
-        if accountant_close is not None:
-            accountant_close()
+        """Close the WAL handle and detach the fault observer.  Idempotent;
+        the platform keeps working afterwards (the WAL reopens on the next
+        durable hour)."""
         if self._wal is not None:
             self._wal.close()
             self._wal = None
@@ -735,82 +647,8 @@ class Sage:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _speculate_proposals(self) -> Dict[int, SpeculativeProposal]:
-        """Peek every waiting session's first proposal in the worker pool.
-
-        Runs right after ``begin_staging()`` opened the hour's (empty)
-        overlay, so each peek reads exactly the state the sequential drive
-        would show the *first* session -- committed totals, this hour's
-        allocations, no staged spend.  Peeks are pure reads
-        (``propose_peek`` mutates nothing; window scans against an open
-        overlay defer retirement persistence), so any interleaving yields
-        the same per-session results.  Sessions are dealt round-robin into
-        one task per worker to amortize dispatch overhead.  Hours with
-        fewer than two waiting sessions skip speculation entirely (there
-        is nothing to share; both counters stay zero).
-        """
-        waiting = [e for e in self._pipelines if e.waiting]
-        if len(waiting) < 2:
-            return {}
-        n_waiting = len(waiting)
-        workers = min(self.propose_workers, n_waiting)
-
-        def peek_chunk(chunk):
-            out = []
-            for entry in chunk:
-                proposal, status_after = entry.session.propose_peek()
-                out.append(
-                    (
-                        id(entry),
-                        SpeculativeProposal(
-                            proposal=proposal,
-                            status_after=status_after,
-                            n_waiting=n_waiting,
-                            n_attempts=len(entry.session.attempts),
-                        ),
-                    )
-                )
-            return out
-
-        pool = self._ensure_propose_pool()
-        chunks = [waiting[w::workers] for w in range(workers)]
-        speculations: Dict[int, SpeculativeProposal] = {}
-        # All peeks read the same frozen snapshot (the empty overlay), so
-        # whole-stream admit scans are shared across sessions for the
-        # duration of the phase -- the second leg of the parallel win.
-        accountant = self.access.accountant
-        accountant.begin_scan_memo()
-        try:
-            for result in pool.map(peek_chunk, chunks):
-                speculations.update(result)
-        finally:
-            accountant.end_scan_memo()
-        return speculations
-
-    def _speculation_valid(
-        self,
-        entry: SubmittedPipeline,
-        spec: SpeculativeProposal,
-        waiting_count: int,
-    ) -> bool:
-        """Whether the peeked snapshot provably still holds (see
-        :class:`SpeculativeProposal`).  ``waiting_count`` is the current
-        waiting-pipeline count, maintained O(1) by the hour loop (sessions
-        only leave the waiting set by terminating during their own drive)."""
-        return (
-            spec.n_attempts == len(entry.session.attempts)
-            and self.access.accountant.staged_request_count == 0
-            and spec.n_waiting == waiting_count
-        )
-
     # ------------------------------------------------------------------
-    def _drive_session(
-        self,
-        entry: SubmittedPipeline,
-        staged: bool,
-        spec: Optional[SpeculativeProposal],
-        waiting_count: int,
-    ) -> None:
+    def _drive_session(self, entry: SubmittedPipeline, staged: bool) -> None:
         """Run one session's propose/decide/complete loop for this hour.
 
         Every proposal is validated against the hour's staged batch (or
@@ -818,37 +656,15 @@ class Sage:
         and the decision fed back; a refusal becomes a denied decision, so
         the session blocks on NEED_DATA with escalation state untouched
         instead of the refusal propagating.
-
-        ``spec`` is the session's speculative first proposal from the
-        parallel propose phase: adopted for the first iteration when its
-        snapshot token still holds (skipping the propose scan entirely),
-        discarded otherwise.  Only the first attempt can be speculative --
-        later attempts depend on this hour's own staged charges.
         """
         session = entry.session
         session.wake()
         metrics = self._metrics
         tracer = self._tracer
-        if spec is not None and not self._speculation_valid(
-            entry, spec, waiting_count
-        ):
-            spec = None
-            metrics.inc("sage_speculations_invalidated_total")
-            tracer.event("speculation.invalidated", session=entry.name)
         while session.status == SessionStatus.RUNNING:
-            if spec is not None:
-                proposal, status_after = spec.proposal, spec.status_after
-                spec = None
-                metrics.inc("sage_speculations_adopted_total")
-                tracer.event("speculation.adopted", session=entry.name)
-                if proposal is None:
-                    # Exactly the transition propose() would have made.
-                    session.status = status_after
-                    break
-            else:
-                proposal = session.propose()
-                if proposal is None:
-                    break
+            proposal = session.propose()
+            if proposal is None:
+                break
             window = list(proposal.window)
             granted = True
             try:
@@ -989,21 +805,8 @@ class Sage:
         """Drive every waiting session through the hour's propose/settle
         loop (after :meth:`_open_hour`; inside the staging window on the
         staged path).  Returns the hour's released bundles."""
-        # Parallel propose phase: peek every waiting session's first
-        # proposal against the freshly opened (empty) overlay.  Needs
-        # the staged path -- speculation tokens are defined against it.
-        speculations: Dict[int, SpeculativeProposal] = {}
         tracer = self._tracer
-        if staged and self.propose_workers > 0:
-            with tracer.span(
-                "advance.propose_fanout", workers=self.propose_workers
-            ) as fanout:
-                speculations = self._speculate_proposals()
-                fanout.set(peeked=len(speculations))
         released: List[ReleasedBundle] = []
-        # Maintained O(1) through the loop: sessions only leave the
-        # waiting set by terminating during their own drive below.
-        waiting_count = sum(1 for p in self._pipelines if p.waiting)
         driven = 0
         for entry in self._pipelines:
             if not entry.waiting:
@@ -1015,13 +818,9 @@ class Sage:
             # settle/release helpers emit no telemetry, so the widened
             # body leaves the deterministic tick sequence untouched.
             with tracer.span("session.drive", session=entry.name):
-                self._drive_session(
-                    entry, staged, speculations.get(id(entry)), waiting_count
-                )
+                self._drive_session(entry, staged)
                 self._metrics.inc("sage_sessions_driven_total")
                 driven += 1
-                if entry.session.is_terminal:
-                    waiting_count -= 1
                 self._settle_charges(entry)
                 faults.trip("settle.mid_session")
                 if entry.session.status == SessionStatus.ACCEPTED:

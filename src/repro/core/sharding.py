@@ -14,8 +14,8 @@ therefore partitions cleanly by block key.  This module exploits that:
   :class:`~repro.core.accountant.BlockAccountant` whose batched settlement
   (``charge_many`` / ``can_charge_many`` / staged commits) runs as a
   deterministic **two-phase shard commit**: every touched shard validates
-  its slice of the batch locally (optionally in a worker pool), then the
-  batch commits on all shards or aborts on all of them.
+  its slice of the batch locally, then the batch commits on all shards or
+  aborts on all of them.
 
 Partitioner contract
 --------------------
@@ -59,9 +59,9 @@ globally-first refusal -- the minimal ``(request, key position)`` over
 shards -- raises exactly the error the sequential path raises, and nothing
 commits anywhere.  When every shard validates, phase two bulk-writes each
 shard's post-batch rows (all shards or none; the write itself cannot be
-refused).  Validation is pure per shard, so it can fan out across a thread
-pool (``commit_workers``); results are deterministic regardless of
-scheduling because shards share no rows.
+refused).  Shards are validated one after another in shard order; each
+validation is pure and shards share no rows, so the order cannot change a
+decision.
 
 Staged batches ride the same machinery: :class:`ShardedStagedBatch` keeps
 the overlay's effective totals in the global row space (bit-identical
@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -157,7 +156,7 @@ class ShardedLedgerStore:
     accountant scan and overlay runs unmodified, while each shard's rows
     also live in their own contiguous store for shard-local validation.
     Writes are applied to both (same float64 values; the mirror is the
-    read view, the shard stores are the parallel-validation view).
+    read view, the shard stores are the shard-validation view).
     """
 
     def __init__(
@@ -362,8 +361,8 @@ class ShardedBlockAccountant(BlockAccountant):
     the global mirror holds the same float64 rows in the same order, and
     the sharded validation replays the same per-row accumulation.  What
     changes is the execution shape: batched settlement validates shard by
-    shard over small contiguous slabs (phase one, optionally in a worker
-    pool) and commits per shard (phase two, all shards or none).
+    shard over small contiguous slabs (phase one) and commits per shard
+    (phase two, all shards or none).
 
     Parameters
     ----------
@@ -372,9 +371,6 @@ class ShardedBlockAccountant(BlockAccountant):
     partitioner:
         Shard policy object (see the module docstring's contract);
         defaults to :class:`HashPartitioner`.
-    commit_workers:
-        Thread-pool width for phase-one shard validation; 0 (default)
-        validates shards serially.  Results are identical either way.
     """
 
     def __init__(
@@ -385,7 +381,6 @@ class ShardedBlockAccountant(BlockAccountant):
         retirement_budget: Optional[PrivacyBudget] = None,
         n_shards: int = 4,
         partitioner=None,
-        commit_workers: int = 0,
     ) -> None:
         super().__init__(
             epsilon_global,
@@ -401,8 +396,6 @@ class ShardedBlockAccountant(BlockAccountant):
         self._store = ShardedLedgerStore(
             partitioner.n_shards, width=self._store.width
         )
-        self._commit_workers = max(0, int(commit_workers))
-        self._commit_pool: Optional[ThreadPoolExecutor] = None
         # Per-shard phase-one wall times (microseconds), stopwatched by
         # _validate_for_commit when a profiler is attached and consumed
         # by _commit_validated -- commit-path-only scratch, always None
@@ -485,9 +478,7 @@ class ShardedBlockAccountant(BlockAccountant):
         refusing ``(request, key)`` -- so ``charge_many``,
         ``can_charge_many``, and the commit path run unmodified on top.
         ``walls`` (commit path only, profiler attached) is a caller-owned
-        dict filled with each shard's validation wall time in microseconds
-        -- stopwatched inside the worker callable but written back
-        serially, so the pool threads never touch shared state.
+        dict filled with each shard's validation wall time in microseconds.
         """
         store = self._store
         row_lists = [self._key_rows(keys) for keys, _, _ in norm]
@@ -502,24 +493,12 @@ class ShardedBlockAccountant(BlockAccountant):
                 )
 
         shards = sorted(per_shard)
-        timed = walls is not None
-
-        def validate(s):
-            if not timed:
-                return self._validate_shard(per_shard[s], norm, s), 0.0
+        results = []
+        for s in shards:
             t0 = time.perf_counter()
-            res = self._validate_shard(per_shard[s], norm, s)
-            return res, (time.perf_counter() - t0) * 1e6
-
-        if self._commit_workers and len(shards) > 1:
-            pool = self._ensure_commit_pool()
-            pairs = list(pool.map(validate, shards))
-        else:
-            pairs = [validate(s) for s in shards]
-        results = [res for res, _ in pairs]
-        if timed:
-            for s, (_, wall) in zip(shards, pairs):
-                walls[s] = wall
+            results.append(self._validate_shard(per_shard[s], norm, s))
+            if walls is not None:
+                walls[s] = (time.perf_counter() - t0) * 1e6
 
         refusals = [res[3] for res in results if res[3] is not None]
         if refusals:
@@ -541,9 +520,9 @@ class ShardedBlockAccountant(BlockAccountant):
         """Commit-path validation, stopwatching shards for the profiler.
 
         Without a profiler this is exactly the inherited delegation.  With
-        one, each shard's phase-one wall time is measured (inside the
-        worker callable, with plain ``perf_counter`` arithmetic -- no
-        telemetry calls off the serial path) and parked for
+        one, each shard's phase-one wall time is measured (plain
+        ``perf_counter`` arithmetic -- no telemetry calls inside
+        validation) and parked for
         :meth:`_commit_validated` to attribute at the serial commit point.
         The stash is dead scratch on every other path: ``can_charge_many``
         calls the validator directly and never reaches this seam.
@@ -558,10 +537,10 @@ class ShardedBlockAccountant(BlockAccountant):
     def _commit_validated(self, norm, touched, work, counts_delta):
         """Phase two, with per-shard telemetry when a probe is attached.
 
-        Spans are emitted here -- the serial commit point -- never from
-        inside the validation pool, so a traced run's emission order (and
-        therefore its logical clock) is deterministic regardless of how
-        phase one was scheduled.  Each touched shard gets one
+        Spans are emitted here -- the commit point -- never from inside
+        shard validation, so a traced run's emission order (and therefore
+        its logical clock) follows the committed footprint alone.  Each
+        touched shard gets one
         ``shard.validate`` span derived from the batch's committed
         footprint, then the inherited cross-shard bulk write runs under a
         ``shard.commit`` span.
@@ -571,9 +550,8 @@ class ShardedBlockAccountant(BlockAccountant):
         tick durations are emission-order artifacts either way), while the
         profiler half gets one synthesized span per shard carrying the
         wall time :meth:`_validate_for_commit` measured -- the per-shard
-        decomposition of the batch's parallel phase.  ``shard.commit``
-        rides the tee like every other site (phase two is serial, its
-        wall duration is real).  Untraced accountants skip the footprint
+        decomposition of the batch's validation phase.  ``shard.commit``
+        rides the tee like every other site.  Untraced accountants skip the footprint
         work entirely.
         """
         tracer = self._tracer
@@ -599,21 +577,6 @@ class ShardedBlockAccountant(BlockAccountant):
         ):
             return super()._commit_validated(norm, touched, work, counts_delta)
 
-    def _ensure_commit_pool(self) -> ThreadPoolExecutor:
-        if self._commit_pool is None:
-            self._commit_pool = ThreadPoolExecutor(
-                max_workers=self._commit_workers,
-                thread_name_prefix="shard-validate",
-            )
-        return self._commit_pool
-
-    def close(self) -> None:
-        """Release the shard-validation worker threads (idempotent; a
-        later ``charge_many`` re-creates the pool on demand)."""
-        if self._commit_pool is not None:
-            self._commit_pool.shutdown(wait=False)
-            self._commit_pool = None
-
     # ------------------------------------------------------------------
     # Cross-shard aggregates
     # ------------------------------------------------------------------
@@ -635,7 +598,6 @@ def sharded_accountant_factory(
     n_shards: int,
     policy: str = "hash",
     span: int = 64,
-    commit_workers: int = 0,
 ) -> Callable[..., ShardedBlockAccountant]:
     """An ``accountant_factory`` for :class:`~repro.core.access_control.
     SageAccessControl` / :class:`~repro.core.platform.Sage` that builds
@@ -655,7 +617,6 @@ def sharded_accountant_factory(
             delta_global,
             filter_factory=filter_factory,
             partitioner=partitioner,
-            commit_workers=commit_workers,
             **kwargs,
         )
 

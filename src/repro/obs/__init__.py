@@ -56,7 +56,6 @@ span                        covers
 =========================== ==============================================
 ``advance.hour``            one whole ``advance()`` (volatile or durable)
 ``advance.open``            ingest + block registration + allocation
-``advance.propose_fanout``  the parallel propose phase's pool fan-out
 ``session.drive``           one session's propose/decide loop for the hour
 ``staging.commit``          closing the hour's staged batch
 ``charge.batch``            one ``charge_many`` (validate + commit)
@@ -78,8 +77,6 @@ Event taxonomy
 =============================== ==========================================
 event                           fires
 =============================== ==========================================
-``speculation.adopted``         a peeked proposal's snapshot token held
-``speculation.invalidated``     a peeked proposal was discarded
 ``charge.granted``              a session proposal was granted (staged or
                                 sequential)
 ``charge.denied``               a proposal refused (budget/retirement)
@@ -108,16 +105,15 @@ Privacy: ``sage_privacy_epsilon_spent`` / ``sage_privacy_delta_spent``
 (admission/denial rates).
 
 Throughput: ``sage_hours_advanced_total``, ``sage_sessions_driven_total``,
-``sage_hour_charges`` / ``sage_hour_speculations_adopted`` /
-``sage_hour_speculations_invalidated`` (last completed hour, the
-``Sage.last_hour_*`` compatibility source), ``sage_speculations_*_total``,
-``sage_staged_batch_requests`` (histogram of staged batch sizes).
+``sage_hour_charges`` (last completed hour, the ``Sage.last_hour_charges``
+compatibility source), ``sage_staged_batch_requests`` (histogram of staged
+batch sizes).
 
 Counters are monotonic and count work done, so a rolled-back hour keeps
-its increments: after a failed hour, ``sage_charges_granted_total``,
-``sage_sessions_driven_total`` and the speculation counters run ahead of
-the ledger by that hour's attempts.  The per-hour gauges (and
-``Sage.last_hour_*``) are set only when an hour completes.
+its increments: after a failed hour, ``sage_charges_granted_total`` and
+``sage_sessions_driven_total`` run ahead of the ledger by that hour's
+attempts.  The per-hour gauge (and ``Sage.last_hour_charges``) is set
+only when an hour completes.
 
 Durability: ``sage_wal_bytes_total``, ``sage_wal_fsyncs_total``,
 ``sage_wal_append_bytes`` / ``sage_wal_fsync_ticks`` (histograms; ticks

@@ -8,9 +8,9 @@ parsed back from an exported artifact.  The queries are the ones the
 perf work actually needs:
 
 * :func:`span_forest` / :func:`self_times` -- the nesting tree and the
-  self-vs-child time rollup (self time clamps at zero: pool-parallel
-  children synthesized via ``record_span`` may out-sum their serial
-  parent);
+  self-vs-child time rollup (self time clamps at zero: children
+  synthesized via ``record_span`` are placed where they were recorded,
+  not where they ran);
 * :func:`critical_path` -- per hour-root, the max-duration child chain,
   i.e. where an hour's wall time concentrates;
 * :func:`phase_breakdown` / :func:`hour_coverage` -- the per-phase table
@@ -177,7 +177,7 @@ def phase_breakdown(source) -> List[PhaseRow]:
 
     ``share`` is self time over the summed duration of root spans --
     across all rows it sums to ~1.0 when every root's subtree nests
-    cleanly (clamping and pool-parallel children can push it either way,
+    cleanly (clamping and synthesized children can push it either way,
     which is exactly what :func:`hour_coverage` quantifies).
     """
     selfs = self_times(source)

@@ -4,7 +4,7 @@ PR 9's tracer answers *what happened in what order* -- its logical tick
 clock makes traces replayable and byte-identical across runs, which is
 exactly why it cannot answer *where the time went*.  This module is the
 other half of the split: a :class:`WallProfiler` that records the very
-same span taxonomy (``advance.propose_fanout``, ``shard.validate``,
+same span taxonomy (``session.drive``, ``shard.validate``,
 ``staging.commit``, ``wal.fsync``, ...) but stamps every span with real
 ``time.perf_counter`` durations, so a profiled contention hour decomposes
 into a per-phase wall-clock breakdown instead of a tick ordering.
@@ -29,15 +29,14 @@ from every byte-parity artifact, while the tracer remains the replayable
 record.
 
 **Serial emission still holds.**  Like the tracer, the profiler's span
-stack is only ever touched from the serial drive.  Work that happens in
-pool threads (per-shard phase-one validation) is measured *in* the worker
-with plain ``perf_counter`` arithmetic and recorded at the serial commit
-point via :meth:`WallProfiler.record_span`, which synthesizes an
-already-closed span carrying the measured duration -- per-shard wall
-attribution without a single cross-thread profiler call.  Because those
-shards validated concurrently, their wall times may legitimately sum to
-more than the enclosing phase's duration; the analyzer clamps self-times
-at zero for exactly this case.
+stack is only ever touched from the serial drive.  Per-shard phase-one
+validation is measured with plain ``perf_counter`` arithmetic while it
+runs and recorded at the commit point via
+:meth:`WallProfiler.record_span`, which synthesizes an already-closed
+span carrying the measured duration -- per-shard wall attribution
+without a profiler call inside validation.  A synthesized span's
+duration is real but its placement is not (it ends where it was
+recorded), so the analyzer clamps self-times at zero.
 
 Durations and timestamps are microseconds (so profiler spans export
 through the same Chrome-trace path as tracer spans with ``ts`` already in
@@ -75,8 +74,8 @@ class SpanStats:
     """Aggregated wall statistics for one span name (microseconds).
 
     ``self_time`` is duration minus child-span time, clamped at zero per
-    span (pool-parallel children recorded via
-    :meth:`WallProfiler.record_span` may exceed their serial parent).
+    span (children synthesized via :meth:`WallProfiler.record_span` are
+    placed where they were recorded, not where they ran).
     ``by_shard`` decomposes names whose spans carry a ``shard`` argument
     (``shard.validate`` / ``shard.commit``) into per-shard rows.
     """
@@ -114,12 +113,12 @@ class WallProfiler(Tracer):
         super().__init__(clock=clock if clock is not None else WallClock())
 
     def record_span(self, name: str, duration: float, **args: object) -> Span:
-        """Record a pre-measured span (e.g. pool-parallel shard work).
+        """Record a pre-measured span (e.g. one shard's validation).
 
         The span closes at the current clock reading and extends
         ``duration`` microseconds back from it, parented under whatever
         span is open on the serial stack -- measurement happened
-        elsewhere (a worker thread), emission happens here, serially.
+        earlier (inside shard validation), emission happens here.
         """
         self._next_id += 1
         end = self._clock()

@@ -12,11 +12,11 @@ choices:
   into real wall-clock profiles for production use -- nothing else
   changes.
 * **Serial emission.**  Instrumentation sites live only on the drive's
-  serial coordination points (the platform never emits from inside a
-  worker thread), so the emission order -- and therefore every tick -- is
-  deterministic.  Per-shard validation spans, for example, are emitted at
-  the serial commit point from the batch's per-shard footprint rather
-  than from the validation pool.
+  serial coordination points (the platform never emits from inside an
+  accounting read), so the emission order -- and therefore every tick --
+  is deterministic.  Per-shard validation spans, for example, are emitted
+  at the commit point from the batch's per-shard footprint rather than
+  from inside shard validation.
 
 Span identifiers are a plain counter (no UUIDs, no PIDs), the ``hour``
 field is the platform's committed-hour index at emission time, and the

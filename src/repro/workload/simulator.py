@@ -65,9 +65,6 @@ class WorkloadConfig:
     # byte-identical at any shard count (tested property).
     n_shards: int = 0
     shard_policy: str = "hash"
-    # Worker threads for the parallel propose phase of each staged hour
-    # (0 = sequential propose).  Identical trajectories either way.
-    propose_workers: int = 0
     # Optional ``repro.obs.Telemetry`` threaded through to the platform for
     # the block strategies (baselines have no platform to instrument).
     # Excluded from config equality: two runs with the same knobs are the
@@ -157,7 +154,6 @@ class WorkloadSimulator:
             block_hours=1.0,
             seed=self.seed,
             accountant_factory=accountant_factory,
-            propose_workers=cfg.propose_workers,
             telemetry=cfg.telemetry,
         )
         self.last_platform = sage
@@ -188,9 +184,8 @@ class WorkloadSimulator:
                     next_arrival += 1
                 sage.advance(1.0)
         finally:
-            # Release worker threads even on a failed run; the platform
-            # stays readable (and even drivable -- pools re-create on
-            # demand) via ``last_platform``.
+            # Detach the platform even on a failed run; it stays readable
+            # (and even drivable) via ``last_platform``.
             sage.close()
 
         release_times, censored = [], []

@@ -15,10 +15,10 @@ def drive_closer_outside_finally(acc, requests):
     acc.commit_staged()
 
 
-def peek_memo_leaks(acc, sessions):
-    acc.begin_scan_memo()
+def hour_commit_skipped_when_a_peek_raises(wal, sessions, digest):
+    wal.begin_hour()
     results = [s.propose_peek() for s in sessions]
-    acc.end_scan_memo()  # skipped whenever a peek raises
+    wal.commit_hour(len(results), digest)  # skipped whenever a peek raises
     return results
 
 

@@ -1,4 +1,4 @@
-"""Fixed paired-calls fixture: every opener closes from a finally."""
+"""Fixed paired-calls fixture: every opener closes on every path."""
 
 
 def drive(acc, requests):
@@ -10,12 +10,15 @@ def drive(acc, requests):
         acc.commit_staged()
 
 
-def peek_all(acc, sessions):
-    acc.begin_scan_memo()
+def peek_hour(wal, sessions, digest):
+    wal.begin_hour()
     try:
-        return [s.propose_peek() for s in sessions]
-    finally:
-        acc.end_scan_memo()
+        results = [s.propose_peek() for s in sessions]
+    except BaseException:
+        wal.abort_hour()
+        raise
+    wal.commit_hour(len(results), digest)
+    return results
 
 
 def durable_hour(wal, record, digest):

@@ -12,7 +12,6 @@ self-contained and never exercise the real tree's shapes).
 from pathlib import Path
 
 from repro.analysis.engine import Module, Project, collect_project, run_rules
-from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.rollback import RollbackCompletenessRule
 from repro.analysis.rules.wal_ordering import WalOrderingRule
 
@@ -20,7 +19,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 PLATFORM = "src/repro/core/platform.py"
 DURABILITY = "src/repro/core/durability.py"
-SHARDING = "src/repro/core/sharding.py"
 
 
 def lint_seeded(relpath, anchor, replacement, rule):
@@ -95,31 +93,12 @@ def test_seeded_stale_digest_fails_wal_ordering():
     ), "wal-ordering went blind: seeded constant digest not flagged"
 
 
-def test_seeded_shared_write_fails_lock_discipline():
-    """A shared-slab write added to _validate_shard -- one call away from
-    the commit pool's dispatch -- must be flagged through the typed call
-    graph."""
-    anchor = "counts_delta = np.zeros(touched.size, dtype=np.int64)"
-    findings = lint_seeded(
-        SHARDING,
-        anchor,
-        anchor + "\n        self._scan_memo[shard] = counts_delta",
-        LockDisciplineRule(),
-    )
-    assert any(
-        f.path == SHARDING
-        and "writes shared self._scan_memo[...]" in f.message
-        and "_validate_shard" in f.message
-        for f in findings
-    ), "lock-discipline went blind: seeded shard write not flagged"
-
-
 def test_unseeded_control_for_the_new_rules():
     """The exact project build the canaries use, minus the splices, is
-    clean under all three new rules."""
+    clean under both flow-sensitive rules."""
     project = collect_project(REPO_ROOT, ["src"])
     findings, _ = run_rules(
         project,
-        [RollbackCompletenessRule(), WalOrderingRule(), LockDisciplineRule()],
+        [RollbackCompletenessRule(), WalOrderingRule()],
     )
     assert findings == [], "\n".join(f.render() for f in findings)

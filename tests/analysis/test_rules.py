@@ -8,13 +8,11 @@ import pytest
 from repro.analysis.engine import Module, Project, run_rules
 from repro.analysis.rules.api_hygiene import ApiHygieneRule
 from repro.analysis.rules.float_determinism import FloatDeterminismRule
-from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.paired_calls import PairedCallsRule
 from repro.analysis.rules.purity import PurityRule
 from repro.analysis.rules.rollback import RollbackCompletenessRule
 from repro.analysis.rules.schema_width import SchemaWidthRule
 from repro.analysis.rules.telemetry import TelemetryIsolationRule
-from repro.analysis.rules.thread_shared import ThreadSharedStateRule
 from repro.analysis.rules.wal_ordering import WalOrderingRule
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -27,12 +25,10 @@ CASES = [
     (PurityRule, "purity", "src/repro/core/fixture_mod.py", 4),
     (PairedCallsRule, "paired_calls", "src/repro/core/fixture_mod.py", 5),
     (SchemaWidthRule, "schema_width", "tests/core/fixture_mod.py", 3),
-    (ThreadSharedStateRule, "thread_shared", "src/repro/core/fixture_mod.py", 3),
     (FloatDeterminismRule, "float_determinism", "src/repro/core/fixture_mod.py", 2),
     (ApiHygieneRule, "api_hygiene", "tests/core/fixture_mod.py", 4),
     (RollbackCompletenessRule, "rollback", "src/repro/core/fixture_mod.py", 3),
     (WalOrderingRule, "wal_ordering", "src/repro/core/fixture_mod.py", 5),
-    (LockDisciplineRule, "lock_discipline", "src/repro/core/fixture_mod.py", 3),
     (TelemetryIsolationRule, "telemetry", "src/repro/core/fixture_mod.py", 3),
     (TelemetryIsolationRule, "telemetry_obs", "src/repro/obs/fixture_mod.py", 2),
     (TelemetryIsolationRule, "telemetry_profiler", "src/repro/core/fixture_mod.py", 3),

@@ -16,6 +16,11 @@ from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_EPS, BlockAccountant
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
+from repro.core.sharding import (
+    HashPartitioner,
+    ShardedBlockAccountant,
+    sharded_accountant_factory,
+)
 from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     AccessDeniedError,
@@ -306,3 +311,120 @@ class TestStagedBatch:
         # ... and the authorized platform principal commits it intact.
         records = access.commit_staged(principal="alice")
         assert [r.label for r in records] == ["x"]
+
+
+def _sharded(epsilon, delta):
+    return ShardedBlockAccountant(epsilon, delta, partitioner=HashPartitioner(3))
+
+
+ACCOUNTANTS = {"single": BlockAccountant, "sharded": _sharded}
+
+
+@pytest.mark.parametrize("make", sorted(ACCOUNTANTS))
+class TestScanMemoLifetime:
+    """The open staged batch memoizes whole-stream admit scans: a memo hit
+    hands back the very array an earlier scan produced, a miss rescans."""
+
+    FLOOR = PrivacyBudget(0.1, 0.0)
+
+    def _accountant(self, make, keys=range(4)):
+        acc = ACCOUNTANTS[make](1.0, 1e-6)
+        acc.register_blocks(keys)
+        return acc
+
+    def test_no_memo_outside_a_batch(self, make):
+        acc = self._accountant(make)
+        assert acc._live_admit_rows(self.FLOOR) is not acc._live_admit_rows(
+            self.FLOOR
+        )
+        acc.begin_staging()
+        inside = acc._live_admit_rows(self.FLOOR)
+        assert acc._live_admit_rows(self.FLOOR) is inside
+        acc.pop_staged()
+        after = acc._live_admit_rows(self.FLOOR)
+        assert after is not inside
+        assert acc._live_admit_rows(self.FLOOR) is not after
+        # A new batch starts from an empty memo.
+        acc.begin_staging()
+        assert acc._live_admit_rows(self.FLOOR) is not inside
+        acc.pop_staged()
+
+    def test_refused_stage_keeps_the_memo(self, make):
+        acc = self._accountant(make)
+        acc.begin_staging()
+        acc.stage_charge([0], PrivacyBudget(0.8, 0.0))
+        scan = acc._live_admit_rows(self.FLOOR)
+        with pytest.raises(BudgetExceededError):
+            acc.stage_charge([0, 1], PrivacyBudget(0.5, 0.0))
+        assert acc._live_admit_rows(self.FLOOR) is scan
+        assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
+        acc.pop_staged()
+
+    def test_successful_stage_drops_the_memo(self, make):
+        acc = self._accountant(make)
+        acc.begin_staging()
+        scan = acc._live_admit_rows(self.FLOOR)
+        assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
+        acc.stage_charge([0], PrivacyBudget(1.0, 0.0))
+        assert acc._live_admit_rows(self.FLOOR) is not scan
+        assert acc.usable_blocks(self.FLOOR) == [1, 2, 3]
+        acc.pop_staged()
+
+    def test_mid_batch_registration_drops_the_memo(self, make):
+        acc = self._accountant(make, keys=["a"])
+        acc.begin_staging()
+        assert acc.usable_blocks() == ["a"]
+        acc.register_block("b")
+        assert acc.usable_blocks() == ["a", "b"]
+        acc.pop_staged()
+
+    def test_rollback_registrations_drops_the_memo(self, make):
+        acc = self._accountant(make)
+        acc.begin_staging()
+        assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
+        acc.rollback_registrations(2)
+        assert acc.usable_blocks(self.FLOOR) == [0, 1]
+        acc.pop_staged()
+
+
+class TestSharedScans:
+    """A staged starved hour: every session at one floor scans the whole
+    stream for an affordable window and blocks.  The open batch shares one
+    whole-stream admit scan across all of them."""
+
+    N_SESSIONS = 8
+
+    def _starved(self, factory=None):
+        sage = Sage(
+            CountStreamSource(1000, scale=1000), seed=0, accountant_factory=factory
+        )
+        sage.advance(60.0)  # blocks land with nobody waiting
+        config = AdaptiveConfig(
+            epsilon_start=0.5, epsilon_floor=0.5, max_attempts=4
+        )
+        for i in range(self.N_SESSIONS):
+            sage.submit(OraclePipeline(name=f"p{i}", n_at_eps1=1e12), config)
+        sage.advance(1.0)  # grant the free pool; sessions scan and starve
+        return sage
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_blocked_queue_shares_one_whole_stream_scan(self, sharded, monkeypatch):
+        sage = self._starved(sharded_accountant_factory(3) if sharded else None)
+        acc = sage.access.accountant
+        scans = []
+        original = type(acc)._live_admit_rows
+
+        def spy(self, floor):
+            rows = original(self, floor)
+            scans.append(rows)  # keeps each result alive: ids stay unique
+            return rows
+
+        monkeypatch.setattr(type(acc), "_live_admit_rows", spy)
+        sage.advance(1.0)
+        monkeypatch.undo()
+        assert sage.last_hour_charges == 0
+        assert all(e.status == "need_data" for e in sage.pipelines)
+        # Every session asked (at least once) ...
+        assert len(scans) >= self.N_SESSIONS
+        # ... and all of them were served by one scan.
+        assert len({id(rows) for rows in scans}) == 1

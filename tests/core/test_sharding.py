@@ -1,5 +1,4 @@
-"""Sharded block accounting: byte-parity with the single store + the
-parallel propose drive.
+"""Sharded block accounting: byte-parity with the single store.
 
 The headline properties:
 
@@ -8,8 +7,8 @@ The headline properties:
   seeded charge workloads -- committed totals, charge counts, live masks,
   scans, staged hours, cross-shard ``charge_many`` rollback, and
   Renyi-width stores;
-* a sharded ``Sage`` deployment with the parallel propose drive produces
-  byte-identical trajectories to the single-store sequential drive;
+* a sharded ``Sage`` deployment produces byte-identical trajectories to
+  the single-store per-request (sequential) drive;
 * cross-shard aggregate reads (``loss_dashboard``, ``stream_loss_bound``)
   agree with the single store.
 """
@@ -18,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import faults
 from repro.core.accountant import BlockAccountant
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.filters import RenyiCompositionFilter, StrongCompositionFilter
@@ -38,6 +38,7 @@ from repro.errors import (
     BudgetExceededError,
     InvalidBudgetError,
 )
+from repro.obs import Telemetry
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 from repro.workload.simulator import WorkloadConfig, WorkloadSimulator
 
@@ -289,18 +290,6 @@ class TestShardedAccountantParity:
                 errors.append((type(exc.value).__name__, str(exc.value)))
             assert errors[0] == errors[1]
 
-    def test_commit_workers_identical_results(self):
-        serial = ShardedBlockAccountant(1.0, 1e-6, partitioner=HashPartitioner(6))
-        pooled = ShardedBlockAccountant(
-            1.0, 1e-6, partitioner=HashPartitioner(6), commit_workers=3
-        )
-        rng = np.random.default_rng(11)
-        requests = _random_requests(rng, 30, 15)
-        for acc in (serial, pooled):
-            acc.register_blocks(range(30))
-            acc.charge_many(requests)
-        assert _accountant_fingerprint(pooled) == _accountant_fingerprint(serial)
-
     def test_scalar_filter_falls_back_to_exact_path(self):
         from repro.core.filters import BasicCompositionFilter
 
@@ -410,7 +399,11 @@ class TestCrossShardAggregates:
         assert sharded.retired_blocks() == single.retired_blocks()
 
 
-class _TrajectoryMixin:
+class TestShardedPlatformParity:
+    """The acceptance property: a sharded accountant (hash and range,
+    N >= 2) drives full batched Sage.advance hours byte-identically to the
+    single-store sequential drive."""
+
     @staticmethod
     def fingerprint(sage: Sage):
         sage.access.accountant.retired_blocks()
@@ -435,18 +428,11 @@ class _TrajectoryMixin:
             ],
         }
 
-
-class TestShardedPlatformParity(_TrajectoryMixin):
-    """The acceptance property: a sharded accountant (hash and range,
-    N >= 2) drives full batched Sage.advance hours byte-identically to the
-    single-store sequential drive, with and without parallel propose."""
-
-    def _drive(self, factory=None, workers=0, batched=True, strategy="conserve"):
+    def _drive(self, factory=None, batched=True, strategy="conserve"):
         sage = Sage(
             CountStreamSource(4000, scale=1000),
             seed=3,
             accountant_factory=factory,
-            propose_workers=workers,
         )
         if not batched:
             # A per-context policy disables staging: the per-request
@@ -464,27 +450,26 @@ class TestShardedPlatformParity(_TrajectoryMixin):
     @pytest.mark.parametrize("strategy", ["conserve", "aggressive"])
     def test_sharded_parallel_drive_matches_single_sequential(self, strategy):
         reference = self.fingerprint(
-            self._drive(factory=None, workers=0, batched=False, strategy=strategy)
+            self._drive(factory=None, batched=False, strategy=strategy)
         )
-        for policy, n_shards, workers in (
-            ("hash", 4, 0),
-            ("range", 2, 0),
-            ("hash", 7, 4),
-            ("range", 4, 3),
+        for policy, n_shards in (
+            ("hash", 4),
+            ("range", 2),
+            ("hash", 7),
+            ("range", 4),
         ):
             sage = self._drive(
                 factory=sharded_accountant_factory(n_shards, policy=policy, span=5),
-                workers=workers,
                 strategy=strategy,
             )
             assert self.fingerprint(sage) == reference, (
-                f"sharded {policy} N={n_shards} workers={workers} diverged"
+                f"sharded {policy} N={n_shards} diverged"
             )
 
     def test_simulator_workload_sharded_parallel_identical(self):
         """Seeded end-to-end simulator runs across shard counts/policies."""
         fingerprints = []
-        for n_shards, policy, workers in ((0, "hash", 0), (4, "hash", 4), (2, "range", 2)):
+        for n_shards, policy in ((0, "hash"), (4, "hash"), (2, "range")):
             cfg = WorkloadConfig(
                 strategy="block-conserve",
                 arrival_rate=0.4,
@@ -493,7 +478,6 @@ class TestShardedPlatformParity(_TrajectoryMixin):
                 max_attempts=16,
                 n_shards=n_shards,
                 shard_policy=policy,
-                propose_workers=workers,
             )
             sim = WorkloadSimulator(cfg, seed=17)
             report = sim.run()
@@ -516,13 +500,12 @@ class TestShardedPlatformParity(_TrajectoryMixin):
                 )
 
             fps = []
-            for factory, workers in ((None, 0), (sharded_accountant_factory(3), 2)):
+            for factory in (None, sharded_accountant_factory(3)):
                 sage = Sage(
                     CountStreamSource(4000, scale=1000),
                     seed=9,
                     filter_factory=filter_factory,
                     accountant_factory=factory,
-                    propose_workers=workers,
                 )
                 assert sage.access.supports_staged_requests
                 for i, c in enumerate((3_000.0, 20_000.0)):
@@ -536,106 +519,33 @@ class TestShardedPlatformParity(_TrajectoryMixin):
             assert fps[0] == fps[1], f"orders={orders} diverged"
 
 
-class TestParallelProposeDrive(_TrajectoryMixin):
-    def test_speculations_adopted_in_quiet_hours(self):
-        """Starved sessions (no staged charges) adopt every speculation."""
-        sage = Sage(CountStreamSource(1000, scale=1000), seed=0, propose_workers=4)
-        sage.advance(30.0)
-        config = AdaptiveConfig(epsilon_start=0.5, epsilon_floor=0.5, max_attempts=4)
-        for i in range(8):
-            sage.submit(OraclePipeline(name=f"p{i}", n_at_eps1=1e12), config)
-        sage.advance(1.0)  # allocation hour
-        sage.advance(1.0)
-        adopted, invalidated = sage.last_hour_speculations
-        assert adopted == 8 and invalidated == 0
-
-    def test_sequential_hours_report_no_speculations(self):
-        """With the parallel phase off there are no speculations, so both
-        counters stay zero -- ordinary proposes are counted in neither."""
-        sage = Sage(CountStreamSource(4000, scale=1000), seed=3, propose_workers=0)
-        for i in range(4):
-            sage.submit(
-                OraclePipeline(name=f"p{i}", n_at_eps1=2_000.0),
-                AdaptiveConfig(max_attempts=8),
-            )
-        for _ in range(6):
-            sage.advance(1.0)
-            assert sage.last_hour_speculations == (0, 0)
-        assert any(e.session.attempts for e in sage.pipelines)
-
-    def test_speculations_invalidated_after_staged_charges(self):
-        """Once an earlier session stages a charge, later sessions'
-        speculations are invalidated (the token catches the moved
-        snapshot) -- and only token misses count as invalidated, so every
-        speculation lands in exactly one counter."""
-        sage = Sage(CountStreamSource(4000, scale=1000), seed=3, propose_workers=4)
-        for i in range(4):
-            sage.submit(
-                OraclePipeline(name=f"p{i}", n_at_eps1=2_000.0),
-                AdaptiveConfig(max_attempts=8),
-            )
-        hours_with_invalidation = 0
-        for _ in range(12):
-            n_waiting = sum(1 for e in sage.pipelines if e.waiting)
-            sage.advance(1.0)
-            adopted, invalidated = sage.last_hour_speculations
-            # Every waiting session is speculated exactly once and lands
-            # in exactly one counter -- except single-session hours, where
-            # _speculate_proposals skips speculation (nothing to share).
-            assert adopted + invalidated == (n_waiting if n_waiting >= 2 else 0)
-            if invalidated:
-                # Something moved the snapshot: a staged charge or a
-                # session leaving the waiting set mid-hour.
-                terminated = n_waiting - sum(
-                    1 for e in sage.pipelines if e.waiting
-                )
-                assert sage.last_hour_charges or terminated
-            if sage.last_hour_charges and invalidated:
-                hours_with_invalidation += 1
-        assert hours_with_invalidation > 0
-
-    def test_scan_memo_requires_frozen_overlay(self):
-        acc = BlockAccountant(1.0, 1e-6)
-        acc.register_blocks(range(4))
-        with pytest.raises(InvalidBudgetError):
-            acc.begin_scan_memo()
-        acc.begin_staging()
-        acc.begin_scan_memo()
-        floor = PrivacyBudget(0.1, 0.0)
-        first = acc.usable_blocks(floor)
-        assert acc.usable_blocks(floor) == first  # memo hit, same answer
-        # Staging a charge drops the memo: the scan must see the new spend.
-        acc.stage_charge([0], PrivacyBudget(1.0, 0.0))
-        assert acc.usable_blocks(floor) == [1, 2, 3]
-        acc.pop_staged()
-
-    def test_scan_memo_dropped_on_mid_batch_registration(self):
-        """Registering a block while the memo is open (legal: the overlay
-        supports post-open rows) must invalidate memoized scans."""
-        acc = BlockAccountant(1.0, 1e-6)
-        acc.register_blocks(["a"])
-        acc.begin_staging()
-        acc.begin_scan_memo()
-        assert acc.usable_blocks() == ["a"]
-        acc.register_block("b")
-        assert acc.usable_blocks() == ["a", "b"]
-        acc.pop_staged()
-
-    def test_close_releases_pools_and_is_idempotent(self):
+class TestPlatformSurface:
+    def test_close_is_idempotent_on_a_durable_traced_platform(self, tmp_path):
+        """close() releases the WAL handle and the fault observer, may run
+        twice, and leaves a platform that keeps advancing durably."""
+        observers = len(faults._OBSERVERS)
         sage = Sage(
             CountStreamSource(1000, scale=1000),
             seed=0,
-            accountant_factory=sharded_accountant_factory(3, commit_workers=2),
-            propose_workers=2,
+            accountant_factory=sharded_accountant_factory(3),
+            wal_dir=tmp_path,
+            telemetry=Telemetry(),
         )
+        assert len(faults._OBSERVERS) == observers + 1
         sage.advance(5.0)
         for i in range(3):
             sage.submit(OraclePipeline(name=f"p{i}", n_at_eps1=2_000.0))
         sage.advance(1.0)
+        assert sage._wal is not None
         sage.close()
+        assert sage._wal is None
+        assert len(faults._OBSERVERS) == observers
         sage.close()  # idempotent
-        sage.advance(1.0)  # pools re-create on demand
+        assert len(faults._OBSERVERS) == observers
+        sage.advance(1.0)  # the WAL reopens on the next durable hour
+        assert sage.hours_committed == 3
         sage.close()
+        assert sage._wal is None
 
     def test_propose_peek_mutates_nothing(self):
         sage = Sage(CountStreamSource(4000, scale=1000), seed=5)
