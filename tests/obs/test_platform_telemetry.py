@@ -4,7 +4,7 @@ span taxonomy of the hourly drive, and traced crash recovery.
 The headline property is PR 9's acceptance gate: attaching a
 :class:`~repro.obs.Telemetry` must leave the simulation byte-identical
 (per-hour state digests and the full protocol fingerprint) on every
-drive variant -- sequential, batched, sharded, durable.
+drive variant -- sequential, batched, sharded, sharded-sequential, durable.
 """
 
 import pytest
@@ -17,12 +17,13 @@ from repro.obs import NULL_PROBE, Probe, Telemetry, WallProfiler
 from repro.obs.analyze import hour_coverage
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
-# Constructor options per drive variant; "sequential" additionally gets a
-# per-context policy in _build, which disables staging.
+# Constructor options per drive variant; the "*sequential" variants
+# additionally get a per-context policy in _build, which disables staging.
 VARIANTS = {
     "sequential": {},
     "batched": {},
     "sharded": {"accountant_factory": sharded_accountant_factory(4)},
+    "sharded-sequential": {"accountant_factory": sharded_accountant_factory(4)},
 }
 
 
@@ -44,7 +45,7 @@ def _build(variant, telemetry=None, **kwargs):
         **VARIANTS[variant],
         **kwargs,
     )
-    if variant == "sequential":
+    if variant.endswith("sequential"):
         sage.access.add_context("oracle", 1.0, 1e-6)
     return sage
 
