@@ -1,12 +1,12 @@
 """Profiled contention hour: where the wall clock of a heavy hour goes.
 
-PR 10's acceptance bench.  One contention-shaped hour (every pipeline
-scanning a long stream and charging out of the freshly granted free
-pool) is driven with a :class:`~repro.obs.WallProfiler` riding alongside
-the deterministic tracer, at shard counts 1 / 4 / 8, and three claims
-are checked:
+One contention-shaped hour (every pipeline scanning a long stream and
+charging out of the freshly granted free pool) is driven traced, at
+shard counts 1 / 4 / 8, and read back on the wall clock through
+:func:`~repro.obs.analyze.wall_view` (every span carries a wall reading
+beside its logical tick).  Three claims are checked:
 
-* **Parity**: the profiled drive reproduces the bare drive's state
+* **Parity**: the traced drive reproduces the bare drive's state
   digest byte for byte -- profiling observes, never participates.
 * **Coverage**: the per-phase wall-clock breakdown under the hour's
   root span accounts for at least ``--assert-coverage`` of the measured
@@ -34,8 +34,8 @@ from repro.core import durability
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
 from repro.core.sharding import sharded_accountant_factory
-from repro.obs import Telemetry, WallProfiler
-from repro.obs.analyze import hour_coverage, phase_breakdown
+from repro.obs import Telemetry
+from repro.obs.analyze import hour_coverage, phase_breakdown, wall_view
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
 DEFAULT_PIPELINES = 200
@@ -65,19 +65,19 @@ def build_contention_platform(n_pipelines, n_blocks, n_shards, telemetry=None):
 
 
 def profile_contention_hour(n_pipelines, n_blocks, n_shards):
-    """Drive the contention hour profiled and bare; return the measured
-    wall (s), the profiler, the hour coverage, and the per-shard
+    """Drive the contention hour traced and bare; return the measured
+    wall (s), the hour's wall view, the hour coverage, and the per-shard
     ``shard.validate`` walls (us)."""
-    telemetry = Telemetry(profiler=WallProfiler())
+    telemetry = Telemetry()
     profiled = build_contention_platform(
         n_pipelines, n_blocks, n_shards, telemetry=telemetry
     )
     bare = build_contention_platform(n_pipelines, n_blocks, n_shards)
-    profiler = telemetry.profiler
+    tracer = telemetry.tracer
     # Drop the ingest warmup so every remaining span belongs to the one
     # contention hour the coverage claim is about.
-    profiler.spans.clear()
-    profiler.events.clear()
+    tracer.spans.clear()
+    tracer.events.clear()
 
     start = time.perf_counter()
     profiled.advance(1.0)
@@ -92,10 +92,11 @@ def profile_contention_hour(n_pipelines, n_blocks, n_shards):
     profiled.close()
     bare.close()
 
-    coverage = hour_coverage(profiler)
+    profile = wall_view(tracer)
+    coverage = hour_coverage(profile)
     shard_walls = {
         span.args["shard"]: span.duration
-        for span in profiler.find_spans("shard.validate")
+        for span in profile.find_spans("shard.validate")
     }
     expected = set(range(n_shards)) if n_shards else set()
     if set(shard_walls) != expected:
@@ -108,7 +109,7 @@ def profile_contention_hour(n_pipelines, n_blocks, n_shards):
             f"non-positive shard.validate wall at {n_shards} shards: "
             f"{shard_walls}"
         )
-    return wall_s, profiler, coverage, shard_walls
+    return wall_s, profile, coverage, shard_walls
 
 
 def run(n_pipelines, n_blocks, assert_coverage=0.0):
@@ -116,10 +117,10 @@ def run(n_pipelines, n_blocks, assert_coverage=0.0):
     notes = []
     breakdown = None
     for n_shards in SHARD_COUNTS:
-        wall_s, profiler, coverage, shard_walls = profile_contention_hour(
+        wall_s, profile, coverage, shard_walls = profile_contention_hour(
             n_pipelines, n_blocks, n_shards
         )
-        hour = profiler.find_spans("advance.hour")[0]
+        hour = profile.find_spans("advance.hour")[0]
         instrumented_us = hour.duration * coverage
         cases.append(
             write_bench_json(
@@ -147,7 +148,7 @@ def run(n_pipelines, n_blocks, assert_coverage=0.0):
             )
         )
         if n_shards == SHARD_COUNTS[-1]:
-            breakdown = phase_breakdown(profiler)
+            breakdown = phase_breakdown(profile)
         if assert_coverage and coverage < assert_coverage:
             raise AssertionError(
                 f"instrumented phases cover only {coverage:.1%} of the "
@@ -177,12 +178,12 @@ def test_profile_breakdown_smoke():
     """CI smoke: parity, per-shard attribution, and a loose coverage
     floor at reduced scale (the 90% acceptance gate runs at full scale,
     where the instrumented phases dominate even harder)."""
-    wall_s, profiler, coverage, shard_walls = profile_contention_hour(
+    wall_s, profile, coverage, shard_walls = profile_contention_hour(
         60, 1_500, 4
     )
     assert sorted(shard_walls) == [0, 1, 2, 3]
     assert coverage >= 0.6, f"hour coverage only {coverage:.1%}"
-    hour = profiler.find_spans("advance.hour")[0]
+    hour = profile.find_spans("advance.hour")[0]
     assert hour.duration <= wall_s * 1e6 * 1.5
 
 

@@ -26,9 +26,12 @@ Three gates on ``Sage(telemetry=...)``:
   and the wall clock only has to catch pathologies (re-pickling state
   per hour, tracing from worker threads, and the like).
 
-The disabled side *is* the baseline: ``telemetry=None`` leaves every
-probe as a single ``is not None`` check, so there is no third case to
-time (the no-op contract is unit-tested in ``tests/obs/``).
+The disabled side *is* the baseline: ``telemetry=None`` hands every
+emission site the shared ``NULL_PROBE``, whose ``span`` / ``event`` /
+``set`` do nothing, so there is no third case to time (the no-op
+contract is unit-tested in ``tests/obs/``).  The instrumented side reads
+both clocks of every record (logical tick and wall), so this bench
+also prices the wall profile.
 
 Run (``PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py``).
 """

@@ -58,10 +58,9 @@ def main(argv=None):
 
     telemetry = None
     if args.trace_out or args.profile_out or args.flame_out:
-        from repro.obs import Telemetry, WallProfiler
+        from repro.obs import Telemetry
 
-        profiling = args.profile_out or args.flame_out
-        telemetry = Telemetry(profiler=WallProfiler() if profiling else None)
+        telemetry = Telemetry()
 
     source = TaxiGenerator(points_per_hour=8_000)
     sage = Sage(
@@ -90,17 +89,16 @@ def main(argv=None):
 
     if telemetry is not None:
         from repro.obs import write_chrome_trace
+        from repro.obs.analyze import wall_view, write_collapsed
 
         if args.trace_out:
             write_chrome_trace(telemetry.tracer, args.trace_out)
             print(f"trace written to {args.trace_out}")
         if args.profile_out:
-            write_chrome_trace(telemetry.profiler, args.profile_out)
+            write_chrome_trace(wall_view(telemetry.tracer), args.profile_out)
             print(f"profile written to {args.profile_out}")
         if args.flame_out:
-            from repro.obs.analyze import write_collapsed
-
-            write_collapsed(telemetry.profiler, args.flame_out)
+            write_collapsed(wall_view(telemetry.tracer), args.flame_out)
             print(f"collapsed stacks written to {args.flame_out}")
 
     print(f"\npipeline status : {entry.status}")

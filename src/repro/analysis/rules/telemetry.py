@@ -23,10 +23,13 @@ A telemetry *emission* is a ``span`` / ``event`` / ``inc`` / ``set_gauge``
 / ``observe`` / ``record_span`` call whose receiver chain is rooted in
 telemetry state (a name containing ``tracer`` / ``telemetry`` /
 ``metrics`` / ``profiler`` / ``probe`` -- the platform deliberately names
-its handles that way).  PR 10's :class:`~repro.obs.WallProfiler` rides
-the same emission surface plus ``record_span``, and the same isolation
-applies: a wall-clock span on a pure read path would put read traffic
-into the profile of the committed hour.  Deliberate
+its handles that way).  Every tracer record carries a wall-clock reading
+beside its logical tick, so the same isolation protects the wall
+profile too: a span on a pure read path would put read traffic into the
+profile of the committed hour.  ``record_span`` and the ``profiler``
+root match no handle in this tree; they stay in the sets so a handle
+by those names is still checked -- dropping them would only loosen the
+rule.  Deliberate
 exceptions carry the standard ``# repro: allow(telemetry-isolation) --
 reason`` marker.
 """
@@ -46,9 +49,9 @@ __all__ = ["TelemetryIsolationRule", "TELEMETRY_METHODS"]
 _CORE_PREFIX = "src/repro/core/"
 _OBS_PREFIX = "src/repro/obs/"
 
-#: Emission surface of the tracer, the metrics registry, and the
-#: wall-clock profiler (``record_span`` synthesizes an already-closed
-#: span from a separately measured duration -- still an emission).
+#: Emission surface of the tracer and the metrics registry, plus
+#: ``record_span`` (synthesizing an already-closed span from a separately
+#: measured duration is still an emission).
 TELEMETRY_METHODS = frozenset(
     {"span", "event", "inc", "set_gauge", "observe", "record_span"}
 )

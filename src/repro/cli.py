@@ -147,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser(
         "profile",
-        help="drive a sharded durable demo under the wall profiler and "
-        "print the per-phase breakdown and per-hour critical paths",
+        help="drive a sharded durable demo, traced, and print the wall-clock "
+        "per-phase breakdown and per-hour critical paths",
     )
     pp.add_argument("--hours", type=int, default=6, help="hours of stream time")
     pp.add_argument("--pipelines", type=int, default=3, help="oracle pipelines")
@@ -318,12 +318,12 @@ def _demo_pipelines(manifest):
 
 def _maybe_telemetry(trace_out, profile_out=None):
     """A fresh :class:`~repro.obs.Telemetry` when a trace or wall-clock
-    profile was requested (the profiler rides alongside the tracer)."""
+    profile was requested (both are read off the same tracer)."""
     if not trace_out and not profile_out:
         return None
-    from repro.obs import Telemetry, WallProfiler
+    from repro.obs import Telemetry
 
-    return Telemetry(profiler=WallProfiler() if profile_out else None)
+    return Telemetry()
 
 
 def _maybe_write_trace(telemetry, trace_out, lines) -> None:
@@ -336,11 +336,12 @@ def _maybe_write_trace(telemetry, trace_out, lines) -> None:
 
 
 def _maybe_write_profile(telemetry, profile_out, lines) -> None:
-    if telemetry is None or telemetry.profiler is None or not profile_out:
+    if telemetry is None or not profile_out:
         return
     from repro.obs import write_chrome_trace
+    from repro.obs.analyze import wall_view
 
-    path = write_chrome_trace(telemetry.profiler, profile_out)
+    path = write_chrome_trace(wall_view(telemetry.tracer), profile_out)
     lines.append(f"profile written to {path} (wall-clock microseconds)")
 
 
@@ -485,14 +486,15 @@ def _cmd_trace(args) -> str:
 def _cmd_profile(args) -> str:
     import tempfile
 
-    from repro.obs import Telemetry, WallProfiler, write_chrome_trace
+    from repro.obs import Telemetry, write_chrome_trace
     from repro.obs.analyze import (
         render_breakdown,
         render_critical_path,
+        wall_view,
         write_collapsed,
     )
 
-    telemetry = Telemetry(profiler=WallProfiler())
+    telemetry = Telemetry()
     manifest = {
         "seed": args.seed,
         "shards": args.shards,
@@ -509,19 +511,19 @@ def _cmd_profile(args) -> str:
         for _ in range(args.hours):
             sage.advance(1.0)
         sage.close()
-    profiler = telemetry.profiler
+    profile = wall_view(telemetry.tracer)
     lines = [
         f"profiled {args.hours} hour(s) over {args.shards} shard(s)",
         "",
-        render_breakdown(profiler),
+        render_breakdown(profile),
         "",
-        render_critical_path(profiler),
+        render_critical_path(profile),
     ]
     if args.out:
-        path = write_chrome_trace(profiler, args.out)
+        path = write_chrome_trace(profile, args.out)
         lines.append(f"profile written to {path} (wall-clock microseconds)")
     if args.flame_out:
-        path = write_collapsed(profiler, args.flame_out)
+        path = write_collapsed(profile, args.flame_out)
         lines.append(f"collapsed stacks written to {path}")
     return "\n".join(lines)
 

@@ -896,8 +896,8 @@ class BlockAccountant:
         :meth:`charge_many` (a mutator), never from the pure read surface
         (``can_charge_many`` calls the validator directly).  The sharded
         accountant overrides it to stopwatch per-shard validation for the
-        wall profiler, which the telemetry-isolation and purity rules
-        forbid on the shared pure-reachable validator itself.
+        ``shard.validate`` spans' wall fields, a stash the purity rule
+        forbids on the shared pure-reachable validator itself.
         """
         return self._validate_many_vectorized(norm)
 

@@ -292,7 +292,7 @@ class WalWriter:
     """
 
     def __init__(self, path, telemetry=None) -> None:
-        self._tracer = telemetry.probe if telemetry is not None else NULL_PROBE
+        self._tracer = telemetry.tracer if telemetry is not None else NULL_PROBE
         self._metrics = telemetry.metrics if telemetry is not None else None
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
@@ -459,7 +459,7 @@ class SnapshotStore:
     """
 
     def __init__(self, directory, keep: int = 3, telemetry=None) -> None:
-        self._tracer = telemetry.probe if telemetry is not None else NULL_PROBE
+        self._tracer = telemetry.tracer if telemetry is not None else NULL_PROBE
         self._metrics = telemetry.metrics if telemetry is not None else None
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
@@ -865,7 +865,7 @@ class RecoveryReport:
             parts.append(f"verified {self.digests_verified} commit digest(s)")
         text = "; ".join(parts)
         if telemetry is not None:
-            telemetry.probe.event(
+            telemetry.tracer.event(
                 "recover.report",
                 snapshot_hour=self.snapshot_hour,
                 replayed_hours=self.replayed_hours,

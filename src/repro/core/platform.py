@@ -383,11 +383,9 @@ class Sage:
         # constructed below all thread it through.  Disabled mode hands
         # them the no-op probe; the metrics registry always exists -- the
         # last_hour_* compatibility properties read the drive counters
-        # from it.  The probe is the tracer itself normally, or the
-        # tracer + wall-profiler tee when profiling is on -- same
-        # span/event/hour surface either way.
+        # from it.
         self._telemetry = telemetry
-        self._tracer = telemetry.probe if telemetry is not None else NULL_PROBE
+        self._tracer = telemetry.tracer if telemetry is not None else NULL_PROBE
         self._metrics = (
             telemetry.metrics if telemetry is not None else MetricsRegistry()
         )
@@ -812,7 +810,7 @@ class Sage:
             if not entry.waiting:
                 continue
             # The span covers the session's whole hour -- drive, settle,
-            # release, redistribute -- so the profiler attributes the
+            # release, redistribute -- so the wall view attributes the
             # settlement tail (a whole-table ReservationTable op per
             # terminating session) to the session that caused it.  The
             # settle/release helpers emit no telemetry, so the widened

@@ -68,6 +68,15 @@ the overlay's effective totals in the global row space (bit-identical
 accumulation) while tracking staged spend per shard
 (``staged_spend_by_shard``), and the hour's commit (``charge_many``)
 lands through the sharded store's per-shard writes.
+
+Per-shard telemetry
+-------------------
+A traced accountant emits one ``shard.validate`` span per touched shard
+and one ``shard.commit`` span, all at the serial commit point.  Each span
+is one record with two clocks (see :mod:`repro.obs.trace`): its ticks
+follow the committed footprint, so traces stay replayable, while its
+wall fields carry that shard's measured validation time, so a wall view
+of the hour attributes validation shard by shard.
 """
 
 from __future__ import annotations
@@ -397,10 +406,10 @@ class ShardedBlockAccountant(BlockAccountant):
             partitioner.n_shards, width=self._store.width
         )
         # Per-shard phase-one wall times (microseconds), stopwatched by
-        # _validate_for_commit when a profiler is attached and consumed
-        # by _commit_validated -- commit-path-only scratch, always None
+        # _validate_for_commit when a tracer is attached and consumed by
+        # _commit_validated -- commit-path-only scratch, always None
         # outside one charge_many call.
-        self._profile_walls: Optional[Dict[int, float]] = None
+        self._shard_walls: Optional[Dict[int, float]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -477,7 +486,7 @@ class ShardedBlockAccountant(BlockAccountant):
         or raises the sequential path's error for the globally first
         refusing ``(request, key)`` -- so ``charge_many``,
         ``can_charge_many``, and the commit path run unmodified on top.
-        ``walls`` (commit path only, profiler attached) is a caller-owned
+        ``walls`` (commit path only, tracer attached) is a caller-owned
         dict filled with each shard's validation wall time in microseconds.
         """
         store = self._store
@@ -517,61 +526,53 @@ class ShardedBlockAccountant(BlockAccountant):
         return touched[order], work[order], counts_delta[order]
 
     def _validate_for_commit(self, norm: List[tuple]):
-        """Commit-path validation, stopwatching shards for the profiler.
+        """Commit-path validation, stopwatching shards for the tracer.
 
-        Without a profiler this is exactly the inherited delegation.  With
-        one, each shard's phase-one wall time is measured (plain
-        ``perf_counter`` arithmetic -- no telemetry calls inside
-        validation) and parked for
-        :meth:`_commit_validated` to attribute at the serial commit point.
-        The stash is dead scratch on every other path: ``can_charge_many``
-        calls the validator directly and never reaches this seam.
+        Untraced, this is exactly the inherited delegation.  Traced, each
+        shard's phase-one wall time is measured (plain ``perf_counter``
+        arithmetic -- no telemetry calls inside validation) and parked
+        for :meth:`_commit_validated` to attribute at the serial commit
+        point.  The stash is dead scratch on every other path:
+        ``can_charge_many`` calls the validator directly and never
+        reaches this seam.
         """
-        if getattr(self._tracer, "profiler", None) is None:
+        if self._tracer is NULL_PROBE:
             return self._validate_many_vectorized(norm)
         walls: Dict[int, float] = {}
         result = self._validate_many_vectorized(norm, walls)
-        self._profile_walls = walls
+        self._shard_walls = walls
         return result
 
     def _commit_validated(self, norm, touched, work, counts_delta):
-        """Phase two, with per-shard telemetry when a probe is attached.
+        """Phase two, with per-shard telemetry when a tracer is attached.
 
         Spans are emitted here -- the commit point -- never from inside
         shard validation, so a traced run's emission order (and therefore
         its logical clock) follows the committed footprint alone.  Each
-        touched shard gets one
-        ``shard.validate`` span derived from the batch's committed
-        footprint, then the inherited cross-shard bulk write runs under a
-        ``shard.commit`` span.
+        touched shard gets one ``shard.validate`` span derived from the
+        batch's committed footprint, then the inherited cross-shard bulk
+        write runs under a ``shard.commit`` span.
 
-        With a profiler attached the tee splits here: the deterministic
-        ``shard.validate`` spans go straight to the tracer half (their
-        tick durations are emission-order artifacts either way), while the
-        profiler half gets one synthesized span per shard carrying the
-        wall time :meth:`_validate_for_commit` measured -- the per-shard
-        decomposition of the batch's validation phase.  ``shard.commit``
-        rides the tee like every other site.  Untraced accountants skip the footprint
-        work entirely.
+        A ``shard.validate`` span's ticks are emission-order artifacts;
+        its wall fields carry the measurement instead: the wall interval
+        ends at the span's own exit reading and reaches back the wall
+        time :meth:`_validate_for_commit` measured for that shard -- the
+        per-shard decomposition of the batch's validation phase.  The
+        interval is synthesized (the shards ran one after another
+        earlier in the batch, not stacked at the commit point), so
+        sibling intervals may overlap.  Untraced accountants skip the
+        footprint work entirely.
         """
         tracer = self._tracer
-        walls, self._profile_walls = self._profile_walls, None
+        walls, self._shard_walls = self._shard_walls, None
         if tracer is NULL_PROBE:
             return super()._commit_validated(norm, touched, work, counts_delta)
-        profiler = getattr(tracer, "profiler", None)
-        base = getattr(tracer, "tracer", tracer)
         sids = self._store.shard_of_rows(touched)
         shards, row_counts = np.unique(sids, return_counts=True)
         for shard, rows in zip(shards.tolist(), row_counts.tolist()):
-            with base.span("shard.validate", shard=shard, rows=rows):
+            with tracer.span("shard.validate", shard=shard, rows=rows) as span:
                 pass
-            if profiler is not None and walls is not None:
-                profiler.record_span(
-                    "shard.validate",
-                    walls.get(shard, 0.0),
-                    shard=shard,
-                    rows=rows,
-                )
+            span.wall_start = span.wall_end - walls[shard]
         with tracer.span(
             "shard.commit", shards=len(shards), requests=len(norm)
         ):

@@ -1,12 +1,12 @@
-"""Deterministic telemetry for the Sage platform (PR 9 + PR 10).
+"""Deterministic telemetry for the Sage platform.
 
 Sage is pitched as an always-on platform whose operators watch per-block
 privacy loss and retirement in real time (Lecuyer et al., SOSP 2019,
 section 6).  This package is that observability surface: a
 :class:`~repro.obs.trace.Tracer` of structured spans/events over every
-phase of the hourly drive, a :class:`~repro.obs.metrics.MetricsRegistry`
-of privacy/throughput/durability metrics, a wall-clock
-:class:`~repro.obs.profile.WallProfiler` (PR 10), span-tree analytics
+phase of the hourly drive, each record carrying a logical tick and a
+wall-clock reading, a :class:`~repro.obs.metrics.MetricsRegistry` of
+privacy/throughput/durability metrics, span-tree analytics
 (:mod:`repro.obs.analyze`), a perf-trajectory store
 (:mod:`repro.obs.perfdb`), and exporters (:mod:`repro.obs.export`) for
 deterministic JSON, the Prometheus text format, Chrome trace-event JSON
@@ -14,11 +14,13 @@ deterministic JSON, the Prometheus text format, Chrome trace-event JSON
 
 Enable it per platform::
 
-    from repro.obs import Telemetry, WallProfiler
-    telemetry = Telemetry(profiler=WallProfiler())  # profiler optional
+    from repro.obs import Telemetry
+    from repro.obs.analyze import render_breakdown, wall_view
+    telemetry = Telemetry()
     sage = Sage(source, telemetry=telemetry)
     ...
     print(render_json(telemetry.metrics))
+    print(render_breakdown(wall_view(telemetry.tracer)))  # the profile
 
 **The determinism contract.**  Telemetry never feeds back into the code
 it observes, timestamps come from a logical tick clock, span IDs are a
@@ -34,19 +36,21 @@ surface (``propose_peek`` / ``admits_keys`` / ``can_charge`` /
 ``max_epsilon`` and everything they reach) stays telemetry-free,
 enforced by the ``telemetry-isolation`` lint rule.
 
-**The wall-clock / logical-tick split (PR 10).**  Correctness
-observability and performance observability deliberately run on
-different clocks.  The tracer keeps logical ticks: its output is
-replayable and byte-identical across runs, and it participates in every
-byte-parity artifact.  The :class:`~repro.obs.profile.WallProfiler`
-records the *same span taxonomy* with real ``perf_counter`` durations;
-it attaches alongside -- never instead of -- the tracer (a
-:class:`~repro.obs.profile.Probe` tees each emission site to both), so
-"where did the hour go" never costs "can I replay the hour".  The
-profiler's output is excluded from byte-parity artifacts (wall time is
-not replayable); the profiled *run* remains byte-identical to a bare
-run, and the tracer's exports are byte-identical whether or not a
-profiler rides along.  Profiling observes, never participates.
+**One record, two clocks.**  Correctness observability and
+performance observability read different clocks off the same span.
+Every span and event carries a logical tick (``start`` / ``end``,
+``ts``) and a ``perf_counter`` reading in microseconds (``wall_start`` /
+``wall_end``, ``wall_ts``), both taken by the tracer in the same
+enter/exit.  The tick fields are the only ones exported to byte-parity
+artifacts (``chrome_trace(tracer)``, ``Span.__repr__``, the fsync-tick
+histogram), so they stay replayable and byte-identical across runs.
+The wall fields answer "where did the hour go":
+:func:`~repro.obs.analyze.wall_view` re-reads the same records with the
+wall readings in ``start`` / ``end`` / ``ts``, and every analytic and
+exporter then works on that profile unchanged.  Wall time is not
+replayable, so a wall view never enters a parity artifact; the traced
+*run* stays byte-identical to a bare run.  Profiling observes, never
+participates.
 
 Span taxonomy (category = dotted prefix)
 ----------------------------------------
@@ -116,8 +120,8 @@ attempts.  The per-hour gauge (and ``Sage.last_hour_charges``) is set
 only when an hour completes.
 
 Durability: ``sage_wal_bytes_total``, ``sage_wal_fsyncs_total``,
-``sage_wal_append_bytes`` / ``sage_wal_fsync_ticks`` (histograms; ticks
-are logical-clock durations unless a wall clock is injected),
+``sage_wal_append_bytes`` / ``sage_wal_fsync_ticks`` (histograms; fsync
+durations in logical ticks, never wall time),
 ``sage_wal_compact_dropped_total``, ``sage_snapshots_written_total``,
 ``sage_snapshot_bytes``, ``sage_fault_trips_total{point=...}``, and the
 ``sage_recovery_*`` gauges filled by ``observe_recovery``.
@@ -125,7 +129,7 @@ are logical-clock durations unless a wall clock is injected),
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.obs.export import (
     chrome_trace,
@@ -135,13 +139,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.metrics import BUCKET_BOUNDS, MetricsRegistry
-from repro.obs.profile import (
-    Probe,
-    SpanStats,
-    WallClock,
-    WallProfiler,
-    render_profile,
-)
 from repro.obs.trace import NULL_PROBE, Event, NullProbe, Span, TickClock, Tracer
 
 __all__ = [
@@ -150,46 +147,28 @@ __all__ = [
     "MetricsRegistry",
     "NULL_PROBE",
     "NullProbe",
-    "Probe",
     "Span",
-    "SpanStats",
     "Telemetry",
     "TickClock",
     "Tracer",
-    "WallClock",
-    "WallProfiler",
     "chrome_trace",
     "render_chrome_trace",
     "render_json",
-    "render_profile",
     "render_prometheus",
     "write_chrome_trace",
 ]
 
 
 class Telemetry:
-    """One platform's telemetry: tracer, metrics, optional profiler.
+    """One platform's telemetry: a tracer and a metrics registry.
 
-    Pass to ``Sage(telemetry=...)``; the platform threads it through the
-    accountant, the WAL writer, the snapshot store, and the fault
-    registry.  ``clock`` overrides the tracer's logical tick clock (e.g.
-    a scaled ``time.perf_counter`` for wall-clock traces -- at the cost
-    of run-to-run byte determinism of the exports).  ``profiler``
-    attaches a :class:`WallProfiler` *alongside* the tracer: ``probe``
-    is then a :class:`Probe` teeing every emission site to both; without
-    a profiler ``probe`` is the tracer itself, so the instrumented code
-    pays nothing for the capability.
+    Pass to ``Sage(telemetry=...)``; the platform threads ``tracer``
+    through the accountant, the WAL writer, the snapshot store, and the
+    fault registry.  The tracer reads both clocks on every record, so a
+    traced run is also a profiled one (see
+    :func:`~repro.obs.analyze.wall_view`).
     """
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[WallProfiler] = None,
-    ) -> None:
-        self.tracer = Tracer(clock=clock)
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+        self.tracer = Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.profiler = profiler
-        self.probe = (
-            self.tracer if profiler is None else Probe(self.tracer, profiler)
-        )

@@ -1,16 +1,21 @@
 """Span-tree analytics over any trace or profile.
 
 Everything here operates on a *span source* -- any object with ``spans``
-(closed :class:`~repro.obs.trace.Span` records) and ``events`` lists:
-the deterministic :class:`~repro.obs.trace.Tracer`, the wall-clock
-:class:`~repro.obs.profile.WallProfiler`, or a :class:`LoadedTrace`
-parsed back from an exported artifact.  The queries are the ones the
-perf work actually needs:
+(closed :class:`~repro.obs.trace.Span` records) and ``events`` lists --
+and reads each record's ``start`` / ``end`` / ``ts``: the logical ticks
+of a :class:`~repro.obs.trace.Tracer`, or a :class:`LoadedTrace` parsed
+back from an exported artifact.  A tracer's records also carry wall
+readings; :func:`wall_view` returns the same records with those readings
+in ``start`` / ``end`` / ``ts``, which is how every query and exporter
+below reads a wall-clock profile unchanged.  The queries are the ones
+the perf work actually needs:
 
+* :func:`wall_view` -- a tracer's records on the wall clock
+  (microseconds);
 * :func:`span_forest` / :func:`self_times` -- the nesting tree and the
-  self-vs-child time rollup (self time clamps at zero: children
-  synthesized via ``record_span`` are placed where they were recorded,
-  not where they ran);
+  self-vs-child time rollup (self time clamps at zero: the sharded
+  accountant's synthesized ``shard.validate`` wall intervals all end at
+  the commit point, so siblings can overlap);
 * :func:`critical_path` -- per hour-root, the max-duration child chain,
   i.e. where an hour's wall time concentrates;
 * :func:`phase_breakdown` / :func:`hour_coverage` -- the per-phase table
@@ -55,6 +60,7 @@ __all__ = [
     "self_times",
     "span_forest",
     "span_tree_shape",
+    "wall_view",
     "write_collapsed",
 ]
 
@@ -73,6 +79,38 @@ class LoadedTrace:
 
     def find_spans(self, name: str) -> List[Span]:
         return [span for span in self.spans if span.name == name]
+
+
+def wall_view(source) -> LoadedTrace:
+    """The source's records with their wall readings as the timeline.
+
+    Same ids, names, nesting, hours and args; each span's ``wall_start``
+    / ``wall_end`` become its ``start`` / ``end`` and each event's
+    ``wall_ts`` its ``ts`` (microseconds), so :func:`phase_breakdown`,
+    :func:`collapsed_stacks`, :func:`~repro.obs.export.chrome_trace` and
+    the rest read a profile exactly as they read a trace.  Spans keep
+    the source's close order.  The wall fields are carried over too, so
+    ``wall_view`` is idempotent.
+    """
+    spans = [
+        Span(
+            s.span_id,
+            s.parent_id,
+            s.name,
+            s.wall_start,
+            s.wall_end,
+            s.hour,
+            dict(s.args),
+            wall_start=s.wall_start,
+            wall_end=s.wall_end,
+        )
+        for s in source.spans
+    ]
+    events = [
+        Event(e.event_id, e.name, e.wall_ts, e.hour, dict(e.args), e.wall_ts)
+        for e in source.events
+    ]
+    return LoadedTrace(spans, events)
 
 
 @dataclass
@@ -208,8 +246,8 @@ def phase_breakdown(source) -> List[PhaseRow]:
 def hour_coverage(source, root_name: str = "advance.hour") -> float:
     """Fraction of ``root_name`` time explained by instrumented children.
 
-    ``1 - self(root) / total(root)``: the acceptance gate for the
-    profiler is that a contention hour's breakdown covers >= 90% of the
+    ``1 - self(root) / total(root)``: the acceptance gate for a wall
+    profile is that a contention hour's breakdown covers >= 90% of the
     measured hour, i.e. the hour span spends at most 10% of its wall
     time outside every child span.  Returns 0.0 when no root spans
     matched (nothing measured means nothing covered).
@@ -242,8 +280,10 @@ def diff_profiles(a, b) -> List[DiffRow]:
     """Per-name totals of two span sources side by side.
 
     Names missing from one side appear with zero count/total there
-    (ratio is ``inf`` for new phases, 0 for vanished ones); rows come
-    sorted by absolute delta, biggest movement first.
+    (ratio is ``inf`` for new phases, 0 for vanished ones).  New and
+    vanished are decided by span counts, not totals: a phase present on
+    side a with zero total time is neither.  Rows come sorted by absolute
+    delta, biggest movement first.
     """
 
     def totals(source) -> Dict[str, Tuple[int, float]]:
@@ -258,7 +298,14 @@ def diff_profiles(a, b) -> List[DiffRow]:
     for name in sorted(set(ta) | set(tb)):
         count_a, total_a = ta.get(name, (0, 0.0))
         count_b, total_b = tb.get(name, (0, 0.0))
-        ratio = (total_b / total_a) if total_a > 0 else float("inf")
+        if count_a == 0:
+            ratio = float("inf")
+        elif count_b == 0:
+            ratio = 0.0
+        elif total_a > 0:
+            ratio = total_b / total_a
+        else:
+            ratio = 1.0 if total_b == 0 else float("inf")
         rows.append(
             DiffRow(
                 name=name,
@@ -482,7 +529,7 @@ def render_diff(a, b, unit_divisor: float = 1e3, unit: str = "ms") -> str:
         f"{'phase':<28} {'a total':>12} {'b total':>12} {'delta':>12} {'ratio':>7}"
     ]
     for row in rows:
-        ratio = f"{row.ratio:>6.2f}x" if row.ratio != float("inf") else "   new "
+        ratio = "   new " if row.count_a == 0 else f"{row.ratio:>6.2f}x"
         lines.append(
             f"{row.name:<28} {row.total_a / unit_divisor:>10.2f}{unit} "
             f"{row.total_b / unit_divisor:>10.2f}{unit} "

@@ -76,7 +76,10 @@ def render_prometheus(metrics) -> str:
 def chrome_trace(tracer) -> dict:
     """The tracer's records as a Chrome trace-event document (dict form).
 
-    One process, one thread: the drive is serial by design, so ``pid`` /
+    Exports the logical ``start`` / ``end`` / ``ts`` fields only, so a
+    tracer's document is byte-identical across runs; pass
+    :func:`~repro.obs.analyze.wall_view` of it to export the wall-clock
+    profile instead.  One process, one thread: the drive is serial by design, so ``pid`` /
     ``tid`` are constant and nesting is carried by ``args.parent`` (and
     by the ts/dur containment Perfetto renders from).
     """

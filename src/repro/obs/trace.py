@@ -1,22 +1,29 @@
-"""Deterministic tracing: logical spans and instant events.
+"""Deterministic tracing: one span record, two clocks.
 
 The tracer exists to make the hourly drive *replayable*: two runs of the
 same workload must emit byte-identical traces, and a traced run must stay
-byte-identical to an untraced one.  Both properties fall out of two
-choices:
+byte-identical to an untraced one.  It also answers *where the time
+went*, without a second tracer: every record carries two readings.
 
-* **Logical time.**  Timestamps come from an injected clock; the default
+* **Logical time** (``start`` / ``end``, ``ts``).  The default
   :class:`TickClock` is a monotonic counter that advances by one on every
   read, so span ordering and durations are pure functions of the emission
-  order.  Injecting ``time.perf_counter`` (scaled) turns the same spans
-  into real wall-clock profiles for production use -- nothing else
-  changes.
+  order.  Only these fields reach the deterministic artifacts
+  (:func:`~repro.obs.export.chrome_trace`, ``Span.__repr__``, the WAL
+  fsync-tick histogram), which is what keeps them byte-identical.
+* **Wall time** (``wall_start`` / ``wall_end``, ``wall_ts``).  The
+  tracer reads its wall clock (``time.perf_counter`` in microseconds)
+  beside the tick on every enter, exit and event.  Wall readings differ
+  run to run, so they are never exported as they are; a profile is the
+  same records seen through :func:`repro.obs.analyze.wall_view`.
 * **Serial emission.**  Instrumentation sites live only on the drive's
   serial coordination points (the platform never emits from inside an
   accounting read), so the emission order -- and therefore every tick --
   is deterministic.  Per-shard validation spans, for example, are emitted
   at the commit point from the batch's per-shard footprint rather than
-  from inside shard validation.
+  from inside shard validation; the sharded accountant then writes each
+  shard's measured validation wall onto its span (a synthesized wall
+  interval that ends at the commit point).
 
 Span identifiers are a plain counter (no UUIDs, no PIDs), the ``hour``
 field is the platform's committed-hour index at emission time, and the
@@ -26,6 +33,7 @@ accounting trajectory cannot depend on whether tracing is on.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 __all__ = ["Event", "NULL_PROBE", "NullProbe", "Span", "TickClock", "Tracer"]
@@ -45,14 +53,22 @@ class TickClock:
         return now
 
 
+def _wall_us() -> float:
+    """``time.perf_counter`` in microseconds: the default wall clock."""
+    return perf_counter() * 1e6
+
+
 class Span:
     """One closed phase of the drive (``ph: "X"`` in Chrome trace terms).
 
     The record doubles as its own ``with`` handle: :meth:`Tracer.span`
     builds it (IDs assigned, start unread) and entering the block reads
-    the start tick, so no separate scope object is allocated.  Span
-    emission sits on the per-session hot path of the hourly drive --
-    slots and a fused handle keep a span to roughly a microsecond.
+    the start tick and the start wall reading, so no separate scope
+    object is allocated.  Span emission sits on the per-session hot path
+    of the hourly drive -- slots and a fused handle keep a span to
+    roughly a microsecond.  ``start`` / ``end`` are logical ticks;
+    ``wall_start`` / ``wall_end`` are the tracer's wall clock
+    (microseconds), read in the same enter/exit.
     """
 
     __slots__ = (
@@ -64,6 +80,8 @@ class Span:
         "hour",
         "args",
         "_tracer",
+        "wall_start",
+        "wall_end",
     )
 
     def __init__(
@@ -76,6 +94,8 @@ class Span:
         hour: int,
         args: Optional[Dict[str, object]] = None,
         tracer: Optional["Tracer"] = None,
+        wall_start: float = 0.0,
+        wall_end: float = 0.0,
     ) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
@@ -85,16 +105,20 @@ class Span:
         self.hour = hour
         self.args = {} if args is None else args
         self._tracer = tracer
+        self.wall_start = wall_start
+        self.wall_end = wall_end
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
         self.start = tracer._clock()
+        self.wall_start = tracer._wall_clock()
         tracer._open.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         tracer = self._tracer
         tracer._open.pop()
+        self.wall_end = tracer._wall_clock()
         self.end = tracer._clock()
         tracer.spans.append(self)
         return False
@@ -111,6 +135,10 @@ class Span:
         return self.end - self.start
 
     @property
+    def wall_duration(self) -> float:
+        return self.wall_end - self.wall_start
+
+    @property
     def category(self) -> str:
         """Dotted-name prefix, e.g. ``wal.fsync`` -> ``wal``."""
         return self.name.split(".", 1)[0]
@@ -121,9 +149,10 @@ class Span:
 
 
 class Event:
-    """One instant marker (``ph: "i"`` in Chrome trace terms)."""
+    """One instant marker (``ph: "i"`` in Chrome trace terms): ``ts`` is
+    the logical tick, ``wall_ts`` the wall reading beside it."""
 
-    __slots__ = ("event_id", "name", "ts", "hour", "args")
+    __slots__ = ("event_id", "name", "ts", "hour", "args", "wall_ts")
 
     def __init__(
         self,
@@ -132,12 +161,14 @@ class Event:
         ts: float,
         hour: int,
         args: Optional[Dict[str, object]] = None,
+        wall_ts: float = 0.0,
     ) -> None:
         self.event_id = event_id
         self.name = name
         self.ts = ts
         self.hour = hour
         self.args = {} if args is None else args
+        self.wall_ts = wall_ts
 
     def __repr__(self) -> str:
         return (
@@ -151,17 +182,25 @@ class Event:
 
 
 class Tracer:
-    """Collects spans and events with counter IDs and an injected clock.
+    """Collects spans and events with counter IDs and two clocks.
 
     ``spans`` holds closed spans in close order; ``events`` holds instants
     in emission order.  ``hour`` is ambient context -- the platform sets
     it to the committed-hour index at the top of every ``advance`` (and to
     the replayed hour during recovery), so every record carries the hour
     it belongs to without threading an argument through each call site.
+    ``clock`` replaces the logical :class:`TickClock`; ``wall_clock``
+    replaces the ``perf_counter`` microsecond reading (tests inject a
+    hand-stepped one to make wall durations exact).
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(
+        self,
+        clock: Optional[Callable[[], float]] = None,
+        wall_clock: Optional[Callable[[], float]] = None,
+    ) -> None:
         self._clock = clock if clock is not None else TickClock()
+        self._wall_clock = wall_clock if wall_clock is not None else _wall_us
         self._next_id = 0
         self._open: List[Span] = []
         self.spans: List[Span] = []
@@ -173,8 +212,8 @@ class Tracer:
         """Open a span around a ``with`` block; closes even on error.
 
         The ``with`` target is the :class:`Span`, so the block can attach
-        result arguments via :meth:`Span.set` before it closes.  The start
-        tick reads on block entry; the parent is whatever span is open at
+        result arguments via :meth:`Span.set` before it closes.  Both start
+        readings are taken on block entry; the parent is whatever span is open at
         build time (build and entry are always adjacent at the call sites).
         """
         self._next_id += 1
@@ -190,7 +229,7 @@ class Tracer:
         )
 
     def event(self, name: str, **args: object) -> Event:
-        """Record an instant event at the current clock reading."""
+        """Record an instant event at the current readings of both clocks."""
         self._next_id += 1
         record = Event(
             event_id=self._next_id,
@@ -198,6 +237,7 @@ class Tracer:
             ts=self._clock(),
             hour=self.hour,
             args=args,
+            wall_ts=self._wall_clock(),
         )
         self.events.append(record)
         return record
@@ -220,9 +260,8 @@ class NullProbe:
     """The disabled telemetry handle: the tracer's emission surface, inert.
 
     An untraced platform hands this object to every instrumented component
-    where a traced one hands its :class:`Tracer` (or the profiler tee,
-    :class:`~repro.obs.profile.Probe`), so each emission site is written
-    once, unconditionally.  ``span`` returns the probe itself as the
+    where a traced one hands its :class:`Tracer`, so each emission site is
+    written once, unconditionally.  ``span`` returns the probe itself as the
     ``with`` handle, ``event`` and ``set`` record nothing, and ``hour``
     ignores writes.  Use the shared :data:`NULL_PROBE` instance.
     """

@@ -89,7 +89,9 @@ class TestForestAndSelfTimes:
         selfs = self_times(src)
         assert selfs[1] == 70.0 and selfs[2] == 30.0
 
-    def test_self_times_clamp_at_zero_for_pool_parallel_children(self):
+    def test_self_times_clamp_at_zero_for_overlapping_children(self):
+        # Synthesized shard.validate wall intervals all end at the commit
+        # point, so siblings can overlap and out-sum their parent.
         src = _source(
             _span(1, None, "charge.batch", 0, 40),
             _span(2, 1, "shard.validate", 0, 30),
@@ -215,6 +217,29 @@ class TestDiff:
         assert hour.delta == 60.0 and hour.ratio == 1.6
         # Biggest absolute movement first.
         assert diff_profiles(a, b)[0].name == "advance.hour"
+
+    def test_zero_total_phase_on_side_a_is_not_new(self):
+        # Side a ran ``x`` for 0us and ``y`` for 5us; side b only ``y``.
+        # ``x`` vanished: ratio 0 and no "new" label, though its total
+        # on side a is zero.
+        a = _source(_span(1, None, "x", 0, 0), _span(2, None, "y", 0, 5))
+        b = _source(_span(1, None, "y", 0, 5))
+        rows = {r.name: r for r in diff_profiles(a, b)}
+        assert rows["x"].count_a == 1 and rows["x"].count_b == 0
+        assert rows["x"].ratio == 0.0
+        assert rows["y"].ratio == 1.0
+        (x_line,) = [
+            line for line in render_diff(a, b).splitlines()
+            if line.startswith("x ")
+        ]
+        assert "new" not in x_line and x_line.endswith("0.00x")
+
+    def test_zero_total_phase_on_both_sides_is_unchanged(self):
+        a = _source(_span(1, None, "x", 0, 0))
+        b = _source(_span(1, None, "x", 3, 3))
+        (row,) = diff_profiles(a, b)
+        assert row.ratio == 1.0 and row.delta == 0.0
+        assert "new" not in render_diff(a, b)
 
 
 class TestChromeRoundTrip:

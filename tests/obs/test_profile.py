@@ -1,20 +1,32 @@
-"""WallProfiler mechanics under a deterministic injected clock.
+"""Wall-clock profiling: one span record, two clocks.
 
-Wall time itself is not replayable, so every test here swaps the
-``perf_counter`` clock for a manually stepped one -- durations become
-exact and the profiler's span mechanics (nesting, back-dated
-``record_span`` emission, aggregation, the tee probe) are assertable to
-the microsecond.
+Every tracer record carries a logical tick and a wall reading; a profile
+is the same records read through :func:`repro.obs.analyze.wall_view`.
+Wall time itself is not replayable, so most tests here inject a manually
+stepped wall clock -- wall durations become exact and the span mechanics
+(nesting, synthesized shard intervals, the analytics over a wall view)
+are assertable to the microsecond.
 """
 
+import inspect
 import time
 
-from repro.obs import Probe, Telemetry, Tracer, WallClock, WallProfiler
-from repro.obs.profile import _percentile, render_profile
+from repro.core.platform import Sage
+from repro.obs import Telemetry, Tracer, chrome_trace, render_chrome_trace
+from repro.obs.analyze import (
+    collapsed_stacks,
+    load_chrome_trace,
+    phase_breakdown,
+    render_breakdown,
+    self_times,
+    span_tree_shape,
+    wall_view,
+)
+from repro.workload.oracle import CountStreamSource
 
 
 class ManualClock:
-    """A clock the test advances by hand (microseconds, like WallClock)."""
+    """A wall clock the test advances by hand (microseconds)."""
 
     def __init__(self):
         self.now = 0.0
@@ -23,228 +35,264 @@ class ManualClock:
         return self.now
 
 
-def _profiler():
+def _tracer():
     clock = ManualClock()
-    return WallProfiler(clock=clock), clock
+    return Tracer(wall_clock=clock), clock
+
+
+def _tick_key(tracer):
+    return (
+        [
+            (s.span_id, s.parent_id, s.name, s.start, s.end, s.hour)
+            for s in tracer.spans
+        ],
+        [(e.event_id, e.name, e.ts, e.hour) for e in tracer.events],
+    )
+
+
+def _emit(tracer, clock=None):
+    """One small hour; steps ``clock`` (when given) between readings."""
+
+    def step(now):
+        if clock is not None:
+            clock.now = now
+
+    tracer.hour = 0
+    with tracer.span("advance.hour"):
+        step(100.0)
+        with tracer.span("session.drive", session="p0"):
+            step(130.0)
+        tracer.event("charge.granted", session="p0")
+        step(150.0)
+        with tracer.span("session.drive", session="p1"):
+            step(160.0)
+        step(400.0)
 
 
 class TestWallClock:
     def test_reads_perf_counter_in_microseconds(self):
-        clock = WallClock()
+        tracer = Tracer()
         before = time.perf_counter() * 1e6
-        reading = clock()
+        with tracer.span("x") as span:
+            pass
         after = time.perf_counter() * 1e6
-        assert before <= reading <= after
+        assert before <= span.wall_start <= span.wall_end <= after
 
-    def test_is_the_default_profiler_clock(self):
-        assert isinstance(WallProfiler()._clock, WallClock)
+    def test_injected_wall_clock_replaces_perf_counter(self):
+        tracer, clock = _tracer()
+        clock.now = 42.0
+        with tracer.span("x") as span:
+            clock.now = 50.0
+        assert (span.wall_start, span.wall_end) == (42.0, 50.0)
+        assert tracer.event("e").wall_ts == 50.0
+
+    def test_wall_readings_never_touch_the_ticks(self):
+        # The same emission sequence under two different wall clocks:
+        # the logical records are identical, and so is the exported
+        # deterministic artifact.
+        bare = Tracer()
+        _emit(bare)
+        stepped, clock = _tracer()
+        _emit(stepped, clock)
+        assert _tick_key(bare) == _tick_key(stepped)
+        assert render_chrome_trace(bare) == render_chrome_trace(stepped)
 
 
 class TestSpanMechanics:
     def test_nested_spans_carry_exact_wall_durations(self):
-        prof, clock = _profiler()
-        prof.hour = 3
-        with prof.span("advance.hour", mode="volatile"):
+        tracer, clock = _tracer()
+        tracer.hour = 3
+        with tracer.span("advance.hour", mode="volatile"):
             clock.now = 100.0
-            with prof.span("advance.open"):
+            with tracer.span("advance.open"):
                 clock.now = 130.0
             clock.now = 150.0
-            with prof.span("session.drive", session="p0"):
+            with tracer.span("session.drive", session="p0"):
                 clock.now = 160.0
             clock.now = 400.0
-        hour = prof.find_spans("advance.hour")[0]
-        assert hour.duration == 400.0
+        hour = tracer.find_spans("advance.hour")[0]
+        assert hour.wall_duration == 400.0
         assert hour.hour == 3 and hour.args == {"mode": "volatile"}
-        assert prof.find_spans("advance.open")[0].duration == 30.0
-        assert prof.find_spans("session.drive")[0].duration == 10.0
+        assert tracer.find_spans("advance.open")[0].wall_duration == 30.0
+        assert tracer.find_spans("session.drive")[0].wall_duration == 10.0
         # Children parent under the hour span; close order holds.
         assert all(
-            s.parent_id == hour.span_id
-            for s in prof.spans
-            if s is not hour
+            s.parent_id == hour.span_id for s in tracer.spans if s is not hour
         )
-        assert [s.name for s in prof.spans] == [
+        assert tracer.span_names() == [
             "advance.open",
             "session.drive",
             "advance.hour",
         ]
 
-    def test_record_span_backdates_from_the_current_reading(self):
-        prof, clock = _profiler()
-        clock.now = 50.0
-        with prof.span("charge.batch"):
-            clock.now = 80.0
-            span = prof.record_span("shard.validate", 70.0, shard=1)
-            clock.now = 90.0
-        assert span.end == 80.0 and span.start == 10.0
-        assert span.duration == 70.0
-        assert span.args == {"shard": 1}
-        parent = prof.find_spans("charge.batch")[0]
-        assert span.parent_id == parent.span_id
-        # The synthesized span is appended at record time -- before the
-        # enclosing span closes, like a live child.
-        assert prof.spans[0] is span and prof.spans[1] is parent
+    def test_duration_and_args_stay_on_the_one_record(self):
+        tracer, clock = _tracer()
+        with tracer.span("wal.fsync", records=3) as span:
+            clock.now = 500.0
+            span.set(bytes=128)
+        assert tracer.spans == [span]
+        assert span.args == {"records": 3, "bytes": 128}
+        # ``duration`` (read by the fsync-tick histogram) is logical:
+        # the tick clock read twice gives exactly 1 tick.
+        assert span.duration == 1.0
+        assert span.wall_duration == 500.0
 
-    def test_record_span_without_an_open_span_is_a_root(self):
-        prof, clock = _profiler()
-        clock.now = 25.0
-        span = prof.record_span("orphan", 10.0)
-        assert span.parent_id is None
-        assert (span.start, span.end) == (15.0, 25.0)
+    def test_events_carry_both_readings(self):
+        tracer, clock = _tracer()
+        clock.now = 75.0
+        record = tracer.event("charge.granted", session="p0")
+        assert tracer.events == [record]
+        assert (record.ts, record.wall_ts) == (1.0, 75.0)
+        assert record.args == {"session": "p0"}
 
+    def test_reprs_show_ticks_only(self):
+        tracer, clock = _tracer()
+        clock.now = 12345.5
+        with tracer.span("x") as span:
+            pass
+        event = tracer.event("e")
+        assert "12345.5" not in repr(span) and "wall" not in repr(span)
+        assert "12345.5" not in repr(event) and "wall" not in repr(event)
 
-class TestPercentile:
-    def test_empty_is_zero(self):
-        assert _percentile([], 0.95) == 0.0
-
-    def test_single_value_is_every_percentile(self):
-        assert _percentile([7.0], 0.50) == 7.0
-        assert _percentile([7.0], 0.95) == 7.0
-
-    def test_nearest_rank(self):
-        values = [10.0, 20.0, 30.0, 40.0]
-        assert _percentile(values, 0.50) == 20.0  # rank ceil(2.0) = 2
-        assert _percentile(values, 0.95) == 40.0  # rank ceil(3.8) = 4
-        assert _percentile(values, 0.25) == 10.0  # rank ceil(1.0) = 1
+    def test_hour_stamps_every_record(self):
+        tracer, _ = _tracer()
+        tracer.hour = 7
+        with tracer.span("x"):
+            tracer.event("e")
+        assert tracer.spans[0].hour == 7 and tracer.events[0].hour == 7
 
 
-class TestAggregate:
-    def _drive(self, prof, clock):
-        prof.hour = 0
-        with prof.span("advance.hour"):
+class TestWallView:
+    def test_moves_wall_readings_into_the_timeline(self):
+        tracer, clock = _tracer()
+        _emit(tracer, clock)
+        view = wall_view(tracer)
+        assert [(s.start, s.end) for s in view.spans] == [
+            (100.0, 130.0),
+            (150.0, 160.0),
+            (0.0, 400.0),
+        ]
+        assert [e.ts for e in view.events] == [130.0]
+        assert [s.duration for s in view.spans] == [
+            s.wall_duration for s in tracer.spans
+        ]
+
+    def test_keeps_ids_nesting_hours_and_a_copy_of_the_args(self):
+        tracer, clock = _tracer()
+        _emit(tracer, clock)
+        view = wall_view(tracer)
+        key = lambda s: (s.span_id, s.parent_id, s.name, s.hour, s.args)
+        assert [key(s) for s in view.spans] == [key(s) for s in tracer.spans]
+        view.spans[0].args["extra"] = 1
+        assert "extra" not in tracer.spans[0].args
+
+    def test_is_idempotent(self):
+        tracer, clock = _tracer()
+        _emit(tracer, clock)
+        once = wall_view(tracer)
+        twice = wall_view(once)
+        assert span_tree_shape(twice) == span_tree_shape(once)
+        assert [(e.event_id, e.ts) for e in twice.events] == [
+            (e.event_id, e.ts) for e in once.events
+        ]
+
+    def test_round_trips_through_chrome_trace(self):
+        tracer, clock = _tracer()
+        _emit(tracer, clock)
+        view = wall_view(tracer)
+        loaded = load_chrome_trace(chrome_trace(view))
+        assert span_tree_shape(loaded) == span_tree_shape(view)
+        assert [(e.name, e.ts, e.args) for e in loaded.events] == [
+            (e.name, e.ts, e.args) for e in view.events
+        ]
+
+
+class TestWallAnalytics:
+    def _hour_with_shards(self):
+        """A charge batch whose two shard.validate spans get synthesized
+        wall intervals ending at their own exit reading, the way the
+        sharded accountant writes them."""
+        tracer, clock = _tracer()
+        with tracer.span("advance.hour"):
             clock.now = 100.0
-            with prof.span("session.drive"):
-                clock.now = 130.0
-            clock.now = 150.0
-            with prof.span("session.drive"):
-                clock.now = 160.0
-            clock.now = 200.0
-            prof.record_span("shard.validate", 25.0, shard=0)
-            prof.record_span("shard.validate", 35.0, shard=1)
+            with tracer.span("charge.batch"):
+                clock.now = 200.0
+                for shard, measured in ((0, 25.0), (1, 35.0)):
+                    with tracer.span("shard.validate", shard=shard) as span:
+                        pass
+                    span.wall_start = span.wall_end - measured
+                clock.now = 210.0
             clock.now = 400.0
+        return tracer
 
-    def test_per_name_stats(self):
-        prof, clock = self._setup()
-        stats = prof.aggregate()
-        drive = stats["session.drive"]
-        assert drive.count == 2
-        assert drive.total == 40.0
-        assert drive.self_time == 40.0
-        assert (drive.p50, drive.p95, drive.max) == (10.0, 30.0, 30.0)
-        hour = stats["advance.hour"]
-        assert hour.count == 1 and hour.total == 400.0
-        # self = 400 - (30 + 10 + 25 + 35) children.
-        assert hour.self_time == 300.0
+    def test_per_name_breakdown(self):
+        tracer, clock = _tracer()
+        _emit(tracer, clock)
+        rows = {r.name: r for r in phase_breakdown(wall_view(tracer))}
+        drive = rows["session.drive"]
+        assert (drive.count, drive.total, drive.self_time) == (2, 40.0, 40.0)
+        hour = rows["advance.hour"]
+        assert (hour.count, hour.total, hour.self_time) == (1, 400.0, 360.0)
+        assert drive.share == 0.1
 
-    def test_by_shard_decomposition(self):
-        prof, clock = self._setup()
-        shard_stats = prof.aggregate()["shard.validate"]
-        assert shard_stats.count == 2 and shard_stats.total == 60.0
-        assert sorted(shard_stats.by_shard) == [0, 1]
-        assert shard_stats.by_shard[0].total == 25.0
-        assert shard_stats.by_shard[1].total == 35.0
-        assert all(
-            sub.count == 1 for sub in shard_stats.by_shard.values()
-        )
-        # Unsharded names get no sub-rows.
-        assert prof.aggregate()["session.drive"].by_shard == {}
+    def test_shard_walls_decompose_per_shard(self):
+        view = wall_view(self._hour_with_shards())
+        walls = {
+            s.args["shard"]: s.duration for s in view.find_spans("shard.validate")
+        }
+        assert walls == {0: 25.0, 1: 35.0}
+        lines = collapsed_stacks(view).splitlines()
+        assert "advance.hour;charge.batch;shard.validate [shard 0] 25" in lines
+        assert "advance.hour;charge.batch;shard.validate [shard 1] 35" in lines
 
-    def test_pool_parallel_children_clamp_parent_self_time(self):
-        prof, clock = _profiler()
-        with prof.span("charge.batch"):
+    def test_overlapping_shard_walls_clamp_parent_self_time(self):
+        tracer, clock = _tracer()
+        with tracer.span("charge.batch"):
             clock.now = 40.0
-            # Shards validated concurrently: their walls out-sum the
-            # serial parent.  Self time clamps at zero, never negative.
-            prof.record_span("shard.validate", 30.0, shard=0)
-            prof.record_span("shard.validate", 30.0, shard=1)
-        stats = prof.aggregate()
-        assert stats["charge.batch"].self_time == 0.0
-        assert stats["shard.validate"].total == 60.0
+            # Both synthesized intervals end at the commit point, so
+            # together they out-sum the parent.  Self time clamps at
+            # zero, never negative.
+            for shard in (0, 1):
+                with tracer.span("shard.validate", shard=shard) as span:
+                    pass
+                span.wall_start = span.wall_end - 30.0
+        view = wall_view(tracer)
+        batch = view.find_spans("charge.batch")[0]
+        assert self_times(view)[batch.span_id] == 0.0
+        assert sum(s.duration for s in view.find_spans("shard.validate")) == 60.0
 
-    def test_render_profile_lists_shard_subrows_and_total(self):
-        prof, clock = self._setup()
-        text = render_profile(prof)
-        assert "advance.hour" in text
-        assert "  [shard 0]" in text and "  [shard 1]" in text
-        assert "(total self time)" in text
-        # Largest self time renders first (after the header).
+    def test_render_breakdown_of_a_wall_view(self):
+        text = render_breakdown(wall_view(self._hour_with_shards()))
+        assert "advance.hour" in text and "shard.validate" in text
+        assert "hour coverage" in text
+        # Largest self time renders first (after the header): the hour's
+        # 290us outside the batch.
         assert text.splitlines()[1].startswith("advance.hour")
 
-    def _setup(self):
-        prof, clock = _profiler()
-        self._drive(prof, clock)
-        return prof, clock
 
-
-class TestProbe:
-    def _probe(self):
-        tracer = Tracer()
-        prof, clock = _profiler()
-        return Probe(tracer, prof), tracer, prof, clock
-
-    def test_hour_fans_out_to_both_halves(self):
-        probe, tracer, prof, _ = self._probe()
-        probe.hour = 7
-        assert tracer.hour == 7 and prof.hour == 7
-        assert probe.hour == 7
-
-    def test_span_tees_to_both_with_the_tracer_primary(self):
-        probe, tracer, prof, clock = self._probe()
-        with probe.span("wal.fsync", records=3) as tee:
-            clock.now = 500.0
-            tee.set(bytes=128)
-        assert len(tracer.spans) == 1 and len(prof.spans) == 1
-        logical, wall = tracer.spans[0], prof.spans[0]
-        # set() forwards to both halves.
-        assert logical.args == {"records": 3, "bytes": 128}
-        assert wall.args == {"records": 3, "bytes": 128}
-        # duration/args delegate to the deterministic half: the tick
-        # clock read twice (enter + exit) gives exactly 1 tick.
-        assert tee.duration == logical.duration == 1.0
-        assert wall.duration == 500.0
-        assert tee.args is logical.args
-
-    def test_event_hits_both_and_returns_the_tracer_record(self):
-        probe, tracer, prof, _ = self._probe()
-        record = probe.event("charge.granted", session="p0")
-        assert record is tracer.events[0]
-        assert len(prof.events) == 1
-        assert prof.events[0].args == {"session": "p0"}
-
-    def test_tracer_ticks_do_not_depend_on_the_profiler(self):
-        # The same emission sequence against a bare tracer and a teed
-        # probe: the deterministic records must be identical.
-        def emit(handle):
-            handle.hour = 0
-            with handle.span("advance.hour"):
-                with handle.span("session.drive"):
-                    pass
-                handle.event("charge.granted")
-
-        bare = Tracer()
-        emit(bare)
-        teed_tracer = Tracer()
-        emit(Probe(teed_tracer, WallProfiler(clock=ManualClock())))
-        key = lambda t: [
-            (s.span_id, s.parent_id, s.name, s.start, s.end, s.hour)
-            for s in t.spans
-        ]
-        assert key(bare) == key(teed_tracer)
-        assert [(e.event_id, e.ts) for e in bare.events] == [
-            (e.event_id, e.ts) for e in teed_tracer.events
-        ]
+def _option_names(fn):
+    return [
+        p.name
+        for p in inspect.signature(fn).parameters.values()
+        if p.name != "self"
+    ]
 
 
 class TestTelemetryWiring:
-    def test_probe_is_the_tracer_without_a_profiler(self):
-        telemetry = Telemetry()
-        assert telemetry.profiler is None
-        assert telemetry.probe is telemetry.tracer
+    def test_three_options_across_the_stack(self):
+        assert _option_names(Telemetry) == ["metrics"]
+        assert _option_names(Tracer) == ["clock", "wall_clock"]
 
-    def test_probe_tees_when_a_profiler_attaches(self):
-        profiler = WallProfiler()
-        telemetry = Telemetry(profiler=profiler)
-        assert telemetry.profiler is profiler
-        assert isinstance(telemetry.probe, Probe)
-        assert telemetry.probe.tracer is telemetry.tracer
-        assert telemetry.probe.profiler is profiler
+    def test_platform_components_share_the_one_tracer(self, tmp_path):
+        telemetry = Telemetry()
+        sage = Sage(
+            CountStreamSource(4000, scale=1000),
+            seed=5,
+            telemetry=telemetry,
+            wal_dir=tmp_path,
+        )
+        sage.advance(1.0)
+        assert sage._tracer is telemetry.tracer
+        assert sage.access.accountant._tracer is telemetry.tracer
+        assert sage._wal._tracer is telemetry.tracer
+        sage.close()

@@ -4,16 +4,7 @@ import inspect
 
 import pytest
 
-from repro.obs import (
-    NULL_PROBE,
-    Event,
-    NullProbe,
-    Probe,
-    Span,
-    TickClock,
-    Tracer,
-    WallProfiler,
-)
+from repro.obs import NULL_PROBE, Event, NullProbe, Span, TickClock, Tracer
 
 
 class TestTickClock:
@@ -146,15 +137,14 @@ def _params(fn):
 
 
 class TestNullProbe:
-    def test_null_probe_matches_tracer_and_probe_emission_surface(self):
+    def test_null_probe_matches_the_tracer_emission_surface(self):
         """Emission sites call the same surface whether telemetry is off
-        (NULL_PROBE), on (Tracer), or profiled (Probe): same methods with
-        the same signatures, span handles with the same ``set`` and
-        ``with`` protocol, and a writable ambient ``hour``."""
+        (NULL_PROBE) or on (Tracer): same methods with the same
+        signatures, span handles with the same ``set`` and ``with``
+        protocol, and a writable ambient ``hour``."""
         tracer = Tracer()
         probes = {
             "tracer": tracer,
-            "probe": Probe(Tracer(), WallProfiler()),
             "null": NULL_PROBE,
         }
         for method in ("span", "event"):

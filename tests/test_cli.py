@@ -224,7 +224,7 @@ class TestPerfCommands:
         assert "profiled 2 hour(s) over 4 shard(s)" in out
         assert "hour coverage" in out
         assert "advance.hour" in out and "hour 0:" in out
-        # The Chrome export carries the profiler's wall-clock spans.
+        # The Chrome export carries the spans' wall-clock readings.
         events = load_trace(profile_path)
         assert {e["name"] for e in events} >= {"advance.hour", "wal.fsync"}
         # The collapsed stacks are flamegraph.pl input: "stack weight".
@@ -255,8 +255,8 @@ class TestPerfCommands:
         )
         out = capsys.readouterr().out
         assert "trace written to" in out and "profile written to" in out
-        # Same taxonomy, different clocks: the tracer's timestamps are
-        # logical ticks (integers); the profiler's are perf_counter reads.
+        # Same spans, different clocks: the trace's timestamps are
+        # logical ticks (integers); the profile's are perf_counter reads.
         trace_spans = [e for e in load_trace(trace_path) if e["ph"] == "X"]
         profile_spans = [e for e in load_trace(profile_path) if e["ph"] == "X"]
         assert {e["name"] for e in trace_spans} == {
