@@ -13,6 +13,12 @@ reimplementations of the seed's scalar code:
 * ``BlockAccountant.charge_many``: settling a whole batch of multi-block
   charges in one vectorized validate-and-commit pass, against the
   equivalent loop of per-request ``charge`` calls.
+* ``ReservationTable.release`` over a contention-shaped hour: a fully
+  granted table whose pipelines finish in submission order, each handing
+  its holding to the pipelines still waiting.  The baseline is the
+  sub-matrix ``eps[np.ix_(waiting_rows, cols)] += ...`` gather/add/scatter
+  (:func:`ix_release`); the table adds one dense share vector per run of
+  consecutive waiting rows as a contiguous slice.
 * ``advance_batched``: the propose/settle hourly batch.  Both sides run the
   modern ReservationTable allocator; the baseline
   (:class:`PerSessionSage`) drives the seed's per-session loop where every
@@ -25,10 +31,12 @@ Run as a script (``PYTHONPATH=src python benchmarks/bench_hourly_settlement.py``
 asserted: the legacy, per-session, and batched platforms must produce
 byte-identical simulations (attempt streams, ledger totals, reservations,
 charge logs), and batched charges must leave the same ledger totals as
-sequential ones.
+sequential ones, and the release hour must leave the table's backing
+buffers byte-equal to the ``np.ix_`` form.
 """
 
 import argparse
+import copy
 import sys
 import time
 from pathlib import Path
@@ -42,7 +50,7 @@ import numpy as np
 from benchjson import write_bench_json, write_bench_report
 from repro.core.accountant import BlockAccountant
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSession, SessionStatus
-from repro.core.platform import Sage, SubmittedPipeline
+from repro.core.platform import ReservationTable, Sage, SubmittedPipeline
 from repro.dp.budget import PrivacyBudget
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
@@ -319,6 +327,67 @@ def bench_advance_batched(n_pipelines, n_blocks, hours=BATCHED_HOURS, repeats=2)
 
 
 # ----------------------------------------------------------------------
+# Part 1c: ReservationTable.release vs the np.ix_ scatter
+# ----------------------------------------------------------------------
+def ix_release(table, row, waiting_rows):
+    """The sub-matrix gather/add/scatter form of ``release``."""
+    eps, free = table._eps, table._free
+    held = eps[row, : table.n_blocks]
+    cols = np.nonzero(held > 0.0)[0]
+    if cols.size:
+        if len(waiting_rows):
+            eps[np.ix_(waiting_rows, cols)] += held[cols] / len(waiting_rows)
+        else:
+            free[cols] += held[cols]
+        held[cols] = 0.0
+
+
+def build_release_table(n_pipelines, n_blocks):
+    """A fully granted table: every block's epsilon lands in the free pool
+    (nobody waits yet), then the pool goes evenly to every pipeline."""
+    table = ReservationTable()
+    for _ in range(n_pipelines):
+        table.add_pipeline()
+    for col in range(n_blocks):
+        table.add_block()
+        table.allocate(col, 1.0, np.array([], dtype=np.intp))
+    table.grant_free(np.arange(n_pipelines, dtype=np.intp))
+    return table
+
+
+def release_hour(table, release):
+    """Every pipeline finishes in submission order; each release goes to
+    the pipelines after it (one run of consecutive waiting rows)."""
+    n_pipelines = table.n_pipelines
+    for row in range(n_pipelines):
+        release(table, row, np.arange(row + 1, n_pipelines, dtype=np.intp))
+
+
+def bench_release(n_pipelines, n_blocks, repeats=7):
+    """Time the release hour both ways on copies of one table, alternating
+    the two forms repeat by repeat (a burst of machine noise then hits
+    both), and assert they leave byte-equal backing buffers."""
+    base = build_release_table(n_pipelines, n_blocks)
+    forms = {"ix": ix_release, "slices": ReservationTable.release}
+    best = dict.fromkeys(forms, float("inf"))
+    finished = {}
+    for _ in range(repeats):
+        for name, release in forms.items():
+            table = copy.deepcopy(base)
+            start = time.perf_counter()
+            release_hour(table, release)
+            best[name] = min(best[name], time.perf_counter() - start)
+            finished[name] = table
+    fast, slow = finished["slices"], finished["ix"]
+    if (fast._eps.tobytes(), fast._free.tobytes()) != (
+        slow._eps.tobytes(),
+        slow._free.tobytes(),
+    ):
+        raise AssertionError("ReservationTable.release diverged from the np.ix_ form")
+    return best["ix"], best["slices"], best["ix"] / best["slices"]
+
+
+# ----------------------------------------------------------------------
 # Part 2: charge_many vs sequential charge
 # ----------------------------------------------------------------------
 def build_accountant(n_blocks):
@@ -368,7 +437,13 @@ def bench_charge_many(n_requests, n_blocks, repeats=3):
 
 
 # ----------------------------------------------------------------------
-def run(n_pipelines, n_blocks, assert_speedup=0.0, assert_batched_speedup=0.0):
+def run(
+    n_pipelines,
+    n_blocks,
+    assert_speedup=0.0,
+    assert_batched_speedup=0.0,
+    assert_release_speedup=0.0,
+):
     check_platform_parity()
     check_batched_advance_parity()
     check_charge_parity(min(n_pipelines, 64), n_blocks)
@@ -407,6 +482,22 @@ def run(n_pipelines, n_blocks, assert_speedup=0.0, assert_batched_speedup=0.0):
             f"{assert_batched_speedup}x"
         )
 
+    r_slow, r_fast, r_speedup = bench_release(n_pipelines, n_blocks)
+    cases.append(
+        write_bench_json(
+            "hourly_settlement_release",
+            {"pipelines": n_pipelines, "blocks": n_blocks},
+            r_slow * 1e3,
+            r_fast * 1e3,
+            bench="hourly_settlement",
+        )
+    )
+    if assert_release_speedup and r_speedup < assert_release_speedup:
+        raise AssertionError(
+            f"release hour speedup {r_speedup:.1f}x at {n_pipelines} pipelines x "
+            f"{n_blocks} blocks is below the required {assert_release_speedup}x"
+        )
+
     c_slow, c_fast, c_speedup = bench_charge_many(n_pipelines, n_blocks)
     cases.append(
         write_bench_json(
@@ -428,7 +519,8 @@ def run(n_pipelines, n_blocks, assert_speedup=0.0, assert_batched_speedup=0.0):
     return write_bench_report(
         "hourly_settlement",
         "hourly settlement: vectorized vs seed scalar paths "
-        f"({n_pipelines} pipelines x {n_blocks} blocks, best of 3)",
+        f"({n_pipelines} pipelines x {n_blocks} blocks, best of 3; "
+        "release best of 7)",
         cases,
     )
 
@@ -440,6 +532,7 @@ def test_settlement_speedup():
     check_charge_parity(40, 800)
     t_slow, t_fast, speedup = bench_advance(40, 800)
     assert speedup >= 3.0, f"only {speedup:.1f}x (slow {t_slow:.4f}s fast {t_fast:.4f}s)"
+    bench_release(40, 800)  # asserts byte parity with the np.ix_ form
 
 
 def main():
@@ -459,6 +552,13 @@ def main():
         help="fail unless the batched propose/settle hour beats the seed "
         "per-session charge loop by this factor",
     )
+    parser.add_argument(
+        "--assert-release-speedup",
+        type=float,
+        default=0.0,
+        help="fail unless the release hour's row-slice adds beat the np.ix_ "
+        "scatter by this factor",
+    )
     args = parser.parse_args()
     print(
         run(
@@ -466,6 +566,7 @@ def main():
             args.blocks,
             assert_speedup=args.assert_speedup,
             assert_batched_speedup=args.assert_batched_speedup,
+            assert_release_speedup=args.assert_release_speedup,
         )
     )
 

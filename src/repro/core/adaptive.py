@@ -331,12 +331,16 @@ class AdaptiveSession:
         Returns ``(proposal, status_after)``: exactly the proposal a
         woken-then-``propose()``-ed session would produce and the status it
         would transition to -- but computed as a pure read (a blocked
-        NEED_DATA session is evaluated as if :meth:`wake` had run).  This
-        is the entry point of the platform's parallel propose drive:
-        because nothing is written, any number of sessions can be peeked
-        concurrently against a fixed accountant snapshot, and the driver
-        later either adopts the result (when the snapshot provably still
-        holds) or discards it and calls :meth:`propose` for real.
+        NEED_DATA session is evaluated as if :meth:`wake` had run).
+        :meth:`propose` is this peek plus the status write.  The
+        platform's serial hour drives the waiting sessions one after
+        another, each through :meth:`propose`, so this read always sees
+        the charges staged by the sessions before it.  Because it writes
+        nothing, the accountant scans behind it can be shared: while the
+        hour's staged batch is open, its scan memo lets a queue of
+        sessions blocked at the same floor reuse one whole-stream admit
+        scan until a successful stage, a block registration or a
+        registration rollback clears the memo.
         """
         status = self.status
         if status == SessionStatus.NEED_DATA:

@@ -91,7 +91,8 @@ stream accountant's :class:`~repro.core.accountant.LedgerStore` rows (i.e.
 block registration order -- ``BlockAccountant.rows_for_keys`` is the shared
 index space).  Hourly allocation, free-pool grants, redistribution of a
 finished pipeline's leftovers, and settlement of a session's charges are
-each a single NumPy row/column operation instead of O(pipelines x blocks)
+each a single NumPy row/column operation (a redistribution: one slice add
+per run of consecutive waiting rows) instead of O(pipelines x blocks)
 dict loops, and the allocation check during window selection reaches the
 accountant's tail scan as a vectorized ``row_filter``.
 """
@@ -138,6 +139,19 @@ class ReservationTable:
     not reserved by anybody.  All mutating operations are NumPy row/column
     arithmetic; amounts match the seed's dict-based allocator float-for-
     float (same divisions, same accumulation order).
+
+    Cost model of the two redistributions: :meth:`release` (a finished
+    pipeline's holding goes back to the waiting pipelines) and
+    :meth:`grant_free` (the free pool goes to them) build one dense share
+    vector over all block columns and add it to the waiting rows as one
+    contiguous slice add per run of consecutive row indices -- O(runs x
+    blocks) of streaming arithmetic instead of a gather/add/scatter of the
+    (waiting x held) sub-matrix.  Waiting rows are in submission order, so
+    an hour where early pipelines finish first leaves one run.  The share
+    vector is filled with ``-0.0``, not ``0.0``: ``x + -0.0`` is ``x``
+    bit for bit for every ``x`` (``-0.0 + 0.0`` would be ``+0.0``), so
+    columns a pipeline did not hold keep their exact bytes and the table
+    (and the state digest that hashes it) matches the sub-matrix form.
     """
 
     def __init__(self, pipeline_capacity: int = 8, block_capacity: int = 64) -> None:
@@ -207,7 +221,7 @@ class ReservationTable:
         cols = np.nonzero(free)[0]
         if cols.size == 0:
             return
-        self._eps[np.ix_(waiting_rows, cols)] += free[cols] / len(waiting_rows)
+        self._add_share(waiting_rows, cols, free[cols])
         free[cols] = 0.0
 
     def release(self, row: int, waiting_rows: np.ndarray) -> None:
@@ -217,12 +231,32 @@ class ReservationTable:
         cols = np.nonzero(held > 0.0)[0]
         if cols.size:
             if len(waiting_rows):
-                self._eps[np.ix_(waiting_rows, cols)] += held[cols] / len(
-                    waiting_rows
-                )
+                self._add_share(waiting_rows, cols, held[cols])
             else:
                 self._free[cols] += held[cols]
             held[cols] = 0.0
+
+    def _add_share(
+        self, waiting_rows: np.ndarray, cols: np.ndarray, amounts: np.ndarray
+    ) -> None:
+        """Add ``amounts / len(waiting_rows)`` to every waiting row on
+        ``cols``: one dense slice add per run of consecutive rows.
+
+        Cells off ``cols`` receive ``-0.0``, the additive identity, so they
+        keep their exact bytes.  A repeated row stays in its run, so it is
+        added to once, as in the ``np.ix_`` scatter.
+        """
+        n_blocks = self._n_blocks
+        share = np.full(n_blocks, -0.0)
+        share[cols] = amounts / len(waiting_rows)
+        rows = sorted(waiting_rows.tolist())
+        start = end = rows[0]
+        for row in rows[1:]:
+            if row > end + 1:  # a gap closes the run
+                self._eps[start : end + 1, :n_blocks] += share
+                start = row
+            end = row
+        self._eps[start : end + 1, :n_blocks] += share
 
     def settle(self, row: int, cols: np.ndarray, epsilon) -> None:
         """Deduct committed charges from one pipeline's reservations.

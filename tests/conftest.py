@@ -20,6 +20,12 @@ from repro.analysis import sanitizer as _sanitizer  # noqa: E402
 _sanitizer.install_from_env()
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running end-to-end test (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture
 def rng():
     """Deterministic generator; tests that need other seeds build their own."""

@@ -1,7 +1,11 @@
 """ReservationTable: the allocator's contiguous pipelines x blocks matrix."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.accountant import TOT_EPS, BlockAccountant
 from repro.core.adaptive import AdaptiveConfig
@@ -104,6 +108,159 @@ def test_matches_dict_reference_through_random_schedule():
     for b, v in ref.free.items():
         free_ref[b] = v
     assert np.array_equal(table.free_epsilon, free_ref)
+
+
+# ----------------------------------------------------------------------
+# Redistribution parity: contiguous row-slice adds vs the np.ix_ scatter
+# ----------------------------------------------------------------------
+def ix_release(table, row, waiting_rows):
+    """The sub-matrix gather/add/scatter form ``release`` replaced."""
+    eps, free = table._eps, table._free
+    held = eps[row, : table.n_blocks]
+    cols = np.nonzero(held > 0.0)[0]
+    if cols.size:
+        if len(waiting_rows):
+            eps[np.ix_(waiting_rows, cols)] += held[cols] / len(waiting_rows)
+        else:
+            free[cols] += held[cols]
+        held[cols] = 0.0
+
+
+def ix_grant_free(table, waiting_rows):
+    """The sub-matrix gather/add/scatter form ``grant_free`` replaced."""
+    if len(waiting_rows) == 0 or table.n_blocks == 0:
+        return
+    free = table._free[: table.n_blocks]
+    cols = np.nonzero(free)[0]
+    if cols.size == 0:
+        return
+    table._eps[np.ix_(waiting_rows, cols)] += free[cols] / len(waiting_rows)
+    free[cols] = 0.0
+
+
+def grown_table(matrix, free, pipeline_capacity=1, block_capacity=1):
+    """A table grown row by row and column by column past its initial
+    capacity, then loaded with ``(matrix, free)``."""
+    table = ReservationTable(pipeline_capacity, block_capacity)
+    n_pipelines, n_blocks = matrix.shape
+    for _ in range(n_pipelines):
+        table.add_pipeline()
+    for _ in range(n_blocks):
+        table.add_block()
+    table.restore(matrix, free)
+    return table
+
+
+def assert_redistribution_parity(table, op, *args):
+    """``op`` on the table leaves the backing buffers -- spare capacity
+    included -- byte-equal to the np.ix_ reference on a copy."""
+    reference = copy.deepcopy(table)
+    {"release": ix_release, "grant_free": ix_grant_free}[op](reference, *args)
+    getattr(table, op)(*args)
+    assert table._eps.shape == reference._eps.shape
+    assert table._eps.tobytes() == reference._eps.tobytes()
+    assert table._free.tobytes() == reference._free.tobytes()
+
+
+_CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 1.0 / 3.0, 5e-324, 2.0**-30]),
+    st.floats(min_value=0.0, max_value=10.0, allow_subnormal=True),
+)
+
+
+@st.composite
+def redistribution_cases(draw):
+    n_pipelines = draw(st.integers(1, 11))
+    n_blocks = draw(st.integers(0, 13))
+    size = n_pipelines * n_blocks
+    cells = draw(st.lists(_CELL, min_size=size, max_size=size))
+    matrix = np.array(cells, dtype=np.float64).reshape(n_pipelines, n_blocks)
+    free = np.array(
+        draw(st.lists(_CELL, min_size=n_blocks, max_size=n_blocks)), dtype=np.float64
+    )
+    row = draw(st.integers(0, n_pipelines - 1))
+    if draw(st.booleans()):
+        matrix[row] = draw(st.sampled_from([0.0, -0.0]))  # nothing held
+    if draw(st.booleans()):
+        free[:] = 0.0  # empty free pool
+    others = [r for r in range(n_pipelines) if r != row]
+    # Any order, scattered or contiguous, possibly empty.
+    waiting = draw(
+        st.lists(st.sampled_from(others), unique=True) if others else st.just([])
+    )
+    capacity = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    return matrix, free, row, np.array(waiting, dtype=np.intp), capacity
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=redistribution_cases())
+def test_release_matches_ix_reference_byte_for_byte(case):
+    matrix, free, row, waiting, capacity = case
+    table = grown_table(matrix, free, *capacity)
+    assert_redistribution_parity(table, "release", row, waiting)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=redistribution_cases())
+def test_grant_free_matches_ix_reference_byte_for_byte(case):
+    matrix, free, _, waiting, capacity = case
+    table = grown_table(matrix, free, *capacity)
+    assert_redistribution_parity(table, "grant_free", waiting)
+
+
+@pytest.mark.parametrize(
+    "waiting",
+    [
+        pytest.param([], id="empty-waiting-set"),
+        pytest.param([1, 2, 3, 4, 5, 6], id="one-run"),
+        pytest.param([6, 2, 5, 1], id="unsorted-scattered"),
+        pytest.param([1, 3, 5], id="one-row-runs"),
+        pytest.param([4, 5, 1, 2, 6], id="unsorted-runs"),
+        pytest.param([3, 3, 5], id="repeated-row"),
+    ],
+)
+@pytest.mark.parametrize("op", ["release", "grant_free"])
+def test_redistribution_parity_on_named_shapes(op, waiting):
+    """Every named shape, on a grown table whose waiting rows hold -0.0
+    cells both on and off the redistributed columns."""
+    rng = np.random.default_rng(5)
+    matrix = rng.uniform(0.0, 1.0, (7, 19))
+    matrix[rng.random(matrix.shape) < 0.3] = 0.0
+    matrix[rng.random(matrix.shape) < 0.3] = -0.0
+    free = np.where(rng.random(19) < 0.5, rng.uniform(0.0, 1.0, 19), -0.0)
+    table = grown_table(matrix, free, pipeline_capacity=2, block_capacity=3)
+    assert table._eps.shape == (8, 24)  # spare rows and columns
+    args = (0, np.array(waiting, dtype=np.intp))
+    assert_redistribution_parity(table, op, *(args if op == "release" else args[1:]))
+
+
+@pytest.mark.parametrize("held", [0.0, -0.0])
+def test_release_of_an_empty_holding_changes_nothing(held):
+    matrix = np.full((3, 5), -0.0)
+    matrix[0] = held
+    matrix[1, 2] = 0.25
+    table = grown_table(matrix, np.full(5, 0.5))
+    before = (table._eps.tobytes(), table._free.tobytes())
+    assert_redistribution_parity(table, "release", 0, np.array([1, 2], dtype=np.intp))
+    assert (table._eps.tobytes(), table._free.tobytes()) == before
+
+
+def test_grant_free_of_an_empty_pool_changes_nothing():
+    matrix = np.full((3, 5), -0.0)
+    table = grown_table(matrix, np.array([0.0, -0.0, 0.0, -0.0, 0.0]))
+    before = (table._eps.tobytes(), table._free.tobytes())
+    assert_redistribution_parity(table, "grant_free", np.array([0, 2], dtype=np.intp))
+    assert (table._eps.tobytes(), table._free.tobytes()) == before
+
+
+def test_negative_zero_survives_a_redistribution():
+    """A waiting row's -0.0 off the held columns stays -0.0 (a +0.0
+    share fill would flip it to +0.0)."""
+    matrix = np.array([[1.0, 0.0, 2.0], [-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0]])
+    table = grown_table(matrix, np.zeros(3))
+    table.release(0, np.array([1, 2], dtype=np.intp))
+    assert np.array_equal(table.matrix[1:], [[0.5, 0.0, 1.0], [0.5, 0.0, 1.0]])
+    assert np.signbit(table.matrix[1:, 1]).all()
 
 
 def test_unknown_columns_read_as_zero():
