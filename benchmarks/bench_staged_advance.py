@@ -1,4 +1,4 @@
-"""Sharded accounting + shared staged scans vs the per-request drive.
+"""Shared staged scans vs the per-request drive.
 
 Two measurements on the heavy-contention shape of the Fig. 8 loop (many
 waiting pipelines scanning a long stream every hour):
@@ -7,22 +7,25 @@ waiting pipelines scanning a long stream every hour):
   blocks) driven through the **staged** hour -- whose open batch shares
   each whole-stream admit scan across every session at one floor --
   versus the **per-request** drive, which stages nothing and rescans per
-  session, over sharded accountants at shard counts 1 / 4 / 8.  The
-  per-request drive is forced from the bench side by patching
-  ``SageAccessControl.supports_staged_requests``; both drives must end in
-  the same state.  Parity is asserted first: hash- and range-partitioned
-  sharded platforms must reproduce the single-store drive byte for byte,
-  and the single-store staged drive must reproduce the per-request one.
+  session.  The per-request drive is forced from the bench side by
+  patching ``SageAccessControl.supports_staged_requests``.  Parity is
+  asserted first: the staged drive must reproduce the per-request one
+  byte for byte, and the timed starved hour must end in the same state
+  on both drives.
 * ``stream_assembly``: window assembly through the growing database's
   packed-column store (preallocated columns filled once at ingest, windows
   read back as one slice/gather) versus the legacy per-block
   ``StreamBatch.concatenate`` walk -- the before/after of the
   assembly-dominated hot path.
 
-Run as a script (``PYTHONPATH=src python benchmarks/bench_sharded_advance.py``);
-``--assert-speedup`` gates the per-request/staged advance ratio at every
-shard count (CI uses 1.0: the staged hour must never lose), and
-``--assert-assembly-speedup`` gates the packed assembly win.
+Run as a script (``PYTHONPATH=src python benchmarks/bench_staged_advance.py``);
+``--assert-speedup`` gates the per-request/staged advance ratio (CI uses
+1.0: the staged hour must never lose), and ``--assert-assembly-speedup``
+gates the packed assembly win.
+
+The records keep the ``sharded_advance`` bench name and the
+``sharded_advance_s1`` case name they were first recorded under, so new
+runs extend the same ``results/perf_history.jsonl`` series.
 """
 
 import argparse
@@ -42,13 +45,14 @@ from benchjson import write_bench_json, write_bench_report
 from repro.core.access_control import SageAccessControl
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
-from repro.core.sharding import sharded_accountant_factory
 from repro.data.stream import StreamBatch
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
 DEFAULT_PIPELINES = 200
 DEFAULT_BLOCKS = 5_000
-SHARD_COUNTS = (1, 4, 8)
+# Perf-history keys (see the module docstring).
+HISTORY_BENCH = "sharded_advance"
+ADVANCE_CASE = "sharded_advance_s1"
 
 
 @contextmanager
@@ -64,8 +68,8 @@ def per_request_drive():
 
 
 # ----------------------------------------------------------------------
-# Parity: the staged drive (single store and sharded) must reproduce the
-# single-store per-request drive byte for byte.
+# Parity: the staged drive must reproduce the per-request drive byte for
+# byte.
 # ----------------------------------------------------------------------
 def _fingerprint(sage):
     sage.access.accountant.retired_blocks()  # persist pending retirement
@@ -89,13 +93,9 @@ def _fingerprint(sage):
     )
 
 
-def check_sharded_parity():
-    def drive(factory):
-        sage = Sage(
-            CountStreamSource(4000, scale=1000),
-            seed=3,
-            accountant_factory=factory,
-        )
+def check_staged_parity():
+    def drive():
+        sage = Sage(CountStreamSource(4000, scale=1000), seed=3)
         for i, complexity in enumerate((2_000.0, 10_000.0, 40_000.0, 1e9)):
             sage.submit(
                 OraclePipeline(name=f"p{i}", n_at_eps1=complexity),
@@ -108,35 +108,21 @@ def check_sharded_parity():
         return fingerprint
 
     with per_request_drive():
-        reference = drive(None)
-    if drive(None) != reference:
-        raise AssertionError(
-            "the single-store staged drive diverged from the per-request drive"
-        )
-    for policy, n_shards in (("hash", 2), ("hash", 4), ("range", 4), ("hash", 8)):
-        got = drive(sharded_accountant_factory(n_shards, policy=policy))
-        if got != reference:
-            raise AssertionError(
-                f"sharded {policy} N={n_shards} diverged from the "
-                "single-store drive"
-            )
+        reference = drive()
+    if drive() != reference:
+        raise AssertionError("the staged drive diverged from the per-request drive")
 
 
 # ----------------------------------------------------------------------
-# Part 1: staged (shared scans) vs per-request drive across shard counts
+# Part 1: staged (shared scans) vs per-request drive
 # ----------------------------------------------------------------------
-def build_starved_platform(n_pipelines, n_blocks, n_shards):
+def build_starved_platform(n_pipelines, n_blocks):
     """A stream ``n_blocks`` hours old with ``n_pipelines`` starved
     sessions at one floor: every hour each session scans the whole stream
     for an affordable window and blocks again -- the propose-dominated
     steady state of heavy traffic, where the shared scan carries the
     whole hour."""
-    factory = sharded_accountant_factory(n_shards) if n_shards else None
-    sage = Sage(
-        CountStreamSource(1000, scale=1000),
-        seed=0,
-        accountant_factory=factory,
-    )
+    sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
     sage.advance(float(n_blocks))  # blocks land with nobody waiting
     config = AdaptiveConfig(epsilon_start=0.5, epsilon_floor=0.5, max_attempts=4)
     for i in range(n_pipelines):
@@ -154,17 +140,14 @@ def _best_of(fn, repeats):
     return best
 
 
-def bench_advance(n_pipelines, n_blocks, n_shards, repeats=3):
-    per_request = build_starved_platform(n_pipelines, n_blocks, n_shards)
-    staged = build_starved_platform(n_pipelines, n_blocks, n_shards)
+def bench_advance(n_pipelines, n_blocks, repeats=3):
+    per_request = build_starved_platform(n_pipelines, n_blocks)
+    staged = build_starved_platform(n_pipelines, n_blocks)
     with per_request_drive():
         t_req = _best_of(lambda: per_request.advance(1.0), repeats)
     t_staged = _best_of(lambda: staged.advance(1.0), repeats)
     if _fingerprint(staged) != _fingerprint(per_request):
-        raise AssertionError(
-            f"starved staged hour diverged from the per-request drive at "
-            f"{n_shards} shards"
-        )
+        raise AssertionError("starved staged hour diverged from the per-request drive")
     per_request.close()
     staged.close()
     return t_req, t_staged, t_req / t_staged
@@ -209,44 +192,23 @@ def bench_assembly(n_blocks, repeats=5):
 
 # ----------------------------------------------------------------------
 def run(n_pipelines, n_blocks, assert_speedup=0.0, assert_assembly=0.0):
-    check_sharded_parity()
+    check_staged_parity()
 
-    cases = []
-    per_shard = {}
-    for n_shards in SHARD_COUNTS:
-        t_req, t_staged, speedup = bench_advance(n_pipelines, n_blocks, n_shards)
-        per_shard[n_shards] = (t_req, t_staged, speedup)
-        cases.append(
-            write_bench_json(
-                f"sharded_advance_s{n_shards}",
-                {"pipelines": n_pipelines, "blocks": n_blocks, "shards": n_shards},
-                t_req * 1e3,
-                t_staged * 1e3,
-                bench="sharded_advance",
-            )
+    t_req, t_staged, speedup = bench_advance(n_pipelines, n_blocks)
+    cases = [
+        write_bench_json(
+            ADVANCE_CASE,
+            {"pipelines": n_pipelines, "blocks": n_blocks},
+            t_req * 1e3,
+            t_staged * 1e3,
+            bench=HISTORY_BENCH,
         )
-        if assert_speedup and speedup < assert_speedup:
-            raise AssertionError(
-                f"staged-hour speedup {speedup:.2f}x at {n_shards} shards "
-                f"is below the required {assert_speedup}x"
-            )
-
-    # Headline artifact (the mid shard count), per-shard ratios in params.
-    head_req, head_staged, _ = per_shard[SHARD_COUNTS[len(SHARD_COUNTS) // 2]]
-    write_bench_json(
-        "sharded_advance",
-        {
-            "pipelines": n_pipelines,
-            "blocks": n_blocks,
-            "shards": SHARD_COUNTS[len(SHARD_COUNTS) // 2],
-            "speedup_by_shards": {
-                str(n): round(s, 3) for n, (_, _, s) in per_shard.items()
-            },
-        },
-        head_req * 1e3,
-        head_staged * 1e3,
-        bench="sharded_advance",
-    )
+    ]
+    if assert_speedup and speedup < assert_speedup:
+        raise AssertionError(
+            f"staged-hour speedup {speedup:.2f}x is below the required "
+            f"{assert_speedup}x"
+        )
 
     a_slow, a_fast, a_speedup = bench_assembly(n_blocks)
     write_bench_json(
@@ -254,7 +216,7 @@ def run(n_pipelines, n_blocks, assert_speedup=0.0, assert_assembly=0.0):
         {"blocks": n_blocks, "rows_per_block": 1},
         a_slow * 1e3,
         a_fast * 1e3,
-        bench="sharded_advance",
+        bench=HISTORY_BENCH,
     )
     if assert_assembly and a_speedup < assert_assembly:
         raise AssertionError(
@@ -262,24 +224,24 @@ def run(n_pipelines, n_blocks, assert_speedup=0.0, assert_assembly=0.0):
             f"{assert_assembly}x"
         )
     return write_bench_report(
-        "sharded_advance",
-        "sharded advance: staged hour (shared scans) vs per-request drive "
+        "staged_advance",
+        "staged hour (shared scans) vs per-request drive "
         f"({n_pipelines} pipelines x {n_blocks} blocks)",
         cases,
         columns=("per-request", "staged"),
         notes=[
             f"assembly {n_blocks} blocks: concatenate {a_slow * 1e3:.2f}ms -> "
             f"packed {a_fast * 1e3:.2f}ms ({a_speedup:.1f}x)",
-            "parity: sharded and single-store staged drives reproduce the "
-            "single-store per-request drive byte for byte",
+            "parity: the staged drive reproduces the per-request drive "
+            "byte for byte",
         ],
     )
 
 
-def test_sharded_advance_speedup():
+def test_staged_advance_speedup():
     """CI smoke: parity + the staged hour at least matching per-request."""
-    check_sharded_parity()
-    t_req, t_staged, speedup = bench_advance(60, 1500, 4)
+    check_staged_parity()
+    t_req, t_staged, speedup = bench_advance(60, 1500)
     assert speedup >= 1.0, (
         f"only {speedup:.2f}x (per-request {t_req:.4f}s staged {t_staged:.4f}s)"
     )
@@ -296,7 +258,7 @@ def main():
         type=float,
         default=0.0,
         help="fail unless the staged hour beats the per-request drive by "
-        "this factor at every shard count",
+        "this factor",
     )
     parser.add_argument(
         "--assert-assembly-speedup",

@@ -260,8 +260,8 @@ class CallGraph:
     def attr_types_all(self, class_name: str, attr: str) -> Set[str]:
         """Every type ``<class>.<attr>`` may hold at runtime: the MRO
         answer plus any override a *subclass* installs (``self`` inside a
-        base-class method can be a subclass instance -- e.g. the sharded
-        accountant replaces ``_store`` with a ``ShardedLedgerStore``)."""
+        base-class method can be a subclass instance whose constructor
+        assigns a different type to the same attribute)."""
         out: Set[str] = set()
         for candidate in {class_name} | self._subclasses(class_name):
             resolved = self.attr_type(candidate, attr)

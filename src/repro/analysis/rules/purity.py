@@ -51,9 +51,11 @@ from repro.analysis.astutil import SELF_MUTATOR_METHODS
 
 __all__ = ["PurityRule", "PURE_SEEDS"]
 
-# Entry points of the pure-read contract.  ``propose_peek`` is the
-# parallel propose drive's whole foundation; the accountant reads are what
-# every window scan and admissibility decision flows through.
+# Entry points of the pure-read contract.  ``propose_peek`` is how the
+# serial drive asks a waiting session for its next proposal, and a pure
+# peek is what lets a blocked queue share the open batch's scan memo; the
+# accountant reads are what every window scan and admissibility decision
+# flows through.
 PURE_SEEDS = (
     "propose_peek",
     "admits_keys",

@@ -9,8 +9,8 @@ filter reorders or extends its schema, and a direct ``_totals[...]``
 write bypasses the ledger-mirror sync entirely (the vectorized scans
 would diverge from the per-ledger histories without any error).
 
-Flags, everywhere except ``accountant.py`` / ``sharding.py`` /
-``filters.py`` (the schema's owners):
+Flags, everywhere except ``accountant.py`` / ``filters.py`` (the
+schema's owners):
 
 * any access to a ``_totals`` attribute (the private store/ledger array);
 * hard-coded integer *column* indices into totals rows: tuple subscripts
@@ -37,7 +37,6 @@ __all__ = ["SchemaWidthRule"]
 _ALLOWED = frozenset(
     {
         "src/repro/core/accountant.py",
-        "src/repro/core/sharding.py",
         "src/repro/core/filters.py",
     }
 )
@@ -51,7 +50,7 @@ class SchemaWidthRule(Rule):
     name = "schema-width"
     description = (
         "no hard-coded totals column indices or _totals[...] access outside "
-        "accountant.py/sharding.py/filters.py"
+        "accountant.py/filters.py"
     )
 
     def applies(self, module: Module) -> bool:

@@ -6,10 +6,9 @@ the pure seeds (``propose_peek``, ``admits_keys``, ``can_charge``,
 the parts the static layer cannot see -- C-level NumPy writes, monkeypatched
 callables, reflection -- still fault loudly instead of silently skewing
 the ledger.  While a declared-pure call is on the stack, the accounting
-slabs (``LedgerStore._totals``/``_counts``, and for sharded stores the
-mirror's and every shard's slabs) are flipped to ``writeable=False``; any
-in-place write raises ``ValueError: assignment destination is read-only``
-at the exact offending line.
+slabs (``LedgerStore._totals``/``_counts``) are flipped to
+``writeable=False``; any in-place write raises ``ValueError: assignment
+destination is read-only`` at the exact offending line.
 
 Deliberately **not** frozen:
 
@@ -42,16 +41,9 @@ _installed: Dict[Tuple[type, str], object] = {}
 
 
 def frozen_arrays(store) -> List[object]:
-    """The slabs the barrier freezes for one store (duck-typed so the
-    sharded store's mirror and per-shard sub-stores all contribute)."""
+    """The slabs the barrier freezes for one store (none for ``None``)."""
     out: List[object] = []
     if store is None:
-        return out
-    mirror = getattr(store, "_mirror", None)
-    if mirror is not None:
-        out.extend(frozen_arrays(mirror))
-        for shard in getattr(store, "_shards", ()):
-            out.extend(frozen_arrays(shard))
         return out
     for name in ("_totals", "_counts"):
         array = getattr(store, name, None)

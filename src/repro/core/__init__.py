@@ -28,13 +28,7 @@ from repro.core.pipeline import (
     TrainingPipeline,
 )
 from repro.core.platform import ReservationTable, Sage, SubmittedPipeline
-from repro.core.sharding import (
-    HashPartitioner,
-    RangePartitioner,
-    ShardedBlockAccountant,
-    ShardedLedgerStore,
-    sharded_accountant_factory,
-)
+from repro.core.sharding import sharded_accountant_factory
 from repro.core.validation import (
     DPAccuracyValidator,
     DPLossValidator,
@@ -80,9 +74,5 @@ __all__ = [
     "Sage",
     "SubmittedPipeline",
     "ReservationTable",
-    "HashPartitioner",
-    "RangePartitioner",
-    "ShardedBlockAccountant",
-    "ShardedLedgerStore",
     "sharded_accountant_factory",
 ]

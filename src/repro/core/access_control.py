@@ -51,16 +51,8 @@ class SageAccessControl:
         delta_global: float,
         filter_factory: Optional[Callable[[float, float], PrivacyFilter]] = None,
         authorized_principals: Optional[Sequence[str]] = None,
-        accountant_factory: Optional[Callable[..., BlockAccountant]] = None,
     ) -> None:
-        # ``accountant_factory`` swaps the stream accountant implementation
-        # (e.g. :func:`repro.core.sharding.sharded_accountant_factory`); it
-        # must accept the same ``(epsilon, delta, filter_factory=...)``
-        # signature and honor the full BlockAccountant surface.  Contexts
-        # keep plain accountants: their charges validate per request, so
-        # sharded batching buys them nothing.
-        make_accountant = accountant_factory or BlockAccountant
-        self._accountant = make_accountant(
+        self._accountant = BlockAccountant(
             epsilon_global, delta_global, filter_factory=filter_factory
         )
         self._filter_factory = filter_factory

@@ -122,17 +122,6 @@ accountant supports this with a :class:`StagedBatch` overlay opened by
 Staging requires the vectorized filter path (``staging_supported``);
 mutating the accountant through ``charge``/``charge_many`` while a batch is
 open is an error, since the overlay could not see those writes.
-
-Sharding
---------
-:mod:`repro.core.sharding` builds on exactly these contracts: a
-:class:`~repro.core.sharding.ShardedBlockAccountant` keeps each shard's
-totals in its own contiguous :class:`LedgerStore` while presenting the
-same global row space (rows in registration order -- the
-``rows_for_keys`` / ``ReservationTable`` alignment invariant), validates
-``charge_many`` batches shard-locally with this module's float
-accumulation, and commits all shards or none.  The partitioner contract
-and the global-row-space invariant are documented there.
 """
 
 from __future__ import annotations
@@ -353,16 +342,13 @@ class StagedBatch:
     totals that absorbs each staged request's contribution in request order
     -- the exact float accumulation ``charge_many``'s validation replays --
     so staging decisions and the final commit can never disagree, and reads
-    through the overlay are as cheap as reads of the store itself.  The
-    per-request store rows are retained alongside the requests so shard
-    diagnostics can derive the batch's footprint without re-resolving keys.
+    through the overlay are as cheap as reads of the store itself.
     """
 
     def __init__(self, accountant: "BlockAccountant") -> None:
         self._eff = accountant.store.totals.copy()
         self._width = accountant.store.width
         self.requests: List[tuple] = []
-        self.request_rows: List[np.ndarray] = []
         # Whole-stream admit scans by floor budget (filled by
         # BlockAccountant._live_admit_rows), cleared whenever the effective
         # totals or the row set move; it dies with the batch.
@@ -556,17 +542,12 @@ class BlockAccountant:
         ledger = BlockLedger(
             key=key, filter=self._make_filter(self.epsilon_global, self.delta_global)
         )
-        row = self._append_store_row(key)
+        row = self._store.append()
         ledger._attach(self._store, row)
         self._ledgers[key] = ledger
         self._keys.append(key)
         self._rows[key] = row
         return ledger
-
-    def _append_store_row(self, key: object) -> int:
-        """Store-row allocation hook for :meth:`register_block`; sharded
-        accountants route the row to the partitioner's shard."""
-        return self._store.append()
 
     def register_blocks(self, keys: Sequence[object]) -> None:
         for key in keys:
@@ -598,9 +579,8 @@ class BlockAccountant:
 
     def attach_tracer(self, tracer) -> None:
         """Attach a telemetry probe (``NULL_PROBE`` detaches).  The probe
-        only ever *records* -- batch spans on ``charge_many`` and, for
-        sharded accountants, per-shard commit spans -- so attaching one
-        cannot change any admission decision."""
+        only ever *records* -- the batch span on ``charge_many`` -- so
+        attaching one cannot change any admission decision."""
         self._tracer = tracer
 
     @property
@@ -691,11 +671,6 @@ class BlockAccountant:
         """
         return len(self._staged.requests) if self._staged is not None else 0
 
-    def _new_staged_batch(self) -> StagedBatch:
-        """Overlay factory hook; sharded accountants return an overlay that
-        also tracks staged spend per shard."""
-        return StagedBatch(self)
-
     def begin_staging(self) -> StagedBatch:
         """Open a staged batch; subsequent reads see staged charges."""
         if self._staged is not None:
@@ -705,7 +680,7 @@ class BlockAccountant:
                 "staging requires a homogeneous totals-deciding filter; "
                 "this accountant's filter routes through the scalar path"
             )
-        self._staged = self._new_staged_batch()
+        self._staged = StagedBatch(self)
         return self._staged
 
     def _invalidate_scans(self) -> None:
@@ -745,7 +720,6 @@ class BlockAccountant:
             self._raise_refusal(keys[pos], budget, retired)
         self._staged.add(rows, self._contribution(budget))
         self._staged.requests.append((keys, budget, label))
-        self._staged.request_rows.append(rows)
         self._invalidate_scans()
 
     def pop_staged(self) -> List[tuple]:
@@ -888,19 +862,6 @@ class BlockAccountant:
             counts_delta[lrows] += 1
         return touched, work, counts_delta
 
-    def _validate_for_commit(self, norm: List[tuple]):
-        """Phase-one validation as invoked from the commit path.
-
-        Same contract as :meth:`_validate_many_vectorized`, which it
-        delegates to -- but this seam is reachable only from
-        :meth:`charge_many` (a mutator), never from the pure read surface
-        (``can_charge_many`` calls the validator directly).  The sharded
-        accountant overrides it to stopwatch per-shard validation for the
-        ``shard.validate`` spans' wall fields, a stash the purity rule
-        forbids on the shared pure-reachable validator itself.
-        """
-        return self._validate_many_vectorized(norm)
-
     def _apply_many_scalar(self, norm: List[tuple], commit: bool) -> List[ChargeRecord]:
         """Per-ledger sequential apply with full rollback -- the exact path
         for filters whose decisions batched scans cannot reproduce."""
@@ -964,10 +925,9 @@ class BlockAccountant:
         if not self._vectorized:
             return self._apply_many_scalar(norm, commit=True)
         with self._tracer.span("charge.batch", requests=len(norm)):
-            touched, work, counts_delta = self._validate_for_commit(norm)
-            # Crash point between phase-one validation and the phase-two
-            # commit (for the sharded accountant this sits exactly between
-            # the 2PC phases: every shard has validated, none has written).
+            touched, work, counts_delta = self._validate_many_vectorized(norm)
+            # Crash point between validation and the commit: the whole
+            # batch has been checked, nothing has been written.
             faults.trip("charge.between_validate_and_commit")
             return self._commit_validated(norm, touched, work, counts_delta)
 
@@ -1071,8 +1031,7 @@ class BlockAccountant:
     def restore_state(self, state: dict) -> None:
         """Restore an :meth:`export_state` snapshot into a *fresh* accountant.
 
-        Blocks re-register through the normal registration path (so a
-        sharded accountant rebuilds the identical row-to-shard routing),
+        Blocks re-register through the normal registration path,
         ledger histories are rebuilt from the exported charge log, and the
         exported totals are written back verbatim -- the restored store is
         byte-identical to the exported one.
@@ -1284,28 +1243,14 @@ class BlockAccountant:
 
         (A lexicographic max would under-report delta whenever the
         highest-epsilon block is not also the highest-delta one.)
+
+        One vectorized pass for the known filter families; blocks with no
+        charges contribute zero, not the filter's slack.
         """
         if not self._keys:
             return ZERO_BUDGET
-        return self._loss_bound_over_rows(None)
-
-    def _loss_bound_over_rows(self, rows: Optional[np.ndarray]) -> PrivacyBudget:
-        """Component-wise max of the per-block bounds of the named store
-        rows -- ``stream_loss_bound`` over all rows (``rows=None``, which
-        reduces over the store view without copying it), a shard's bound
-        over its rows (``ShardedBlockAccountant.shard_loss_bounds``).  One
-        vectorized pass for the known filter families; blocks with no
-        charges contribute zero, not the filter's slack."""
-        if rows is None:
-            if len(self._store) == 0:
-                return ZERO_BUDGET
-            totals_rows = self._store.totals
-            counts = self._store.charge_counts
-        else:
-            if rows.size == 0:
-                return ZERO_BUDGET
-            totals_rows = self._store.totals[rows]
-            counts = self._store.charge_counts[rows]
+        totals_rows = self._store.totals
+        counts = self._store.charge_counts
         if type(self._batch_filter) is BasicCompositionFilter:
             # Basic composition's per-block bound is exactly the totals row.
             eps = float(totals_rows[:, TOT_EPS].max())
@@ -1338,9 +1283,8 @@ class BlockAccountant:
             )
         worst_eps = 0.0
         worst_delta = 0.0
-        row_iter = range(len(self._store)) if rows is None else rows
-        for i in row_iter:
-            bound = self._ledgers[self._keys[i]].loss_bound()
+        for ledger in self._ledgers.values():
+            bound = ledger.loss_bound()
             worst_eps = max(worst_eps, bound.epsilon)
             worst_delta = max(worst_delta, bound.delta)
         return PrivacyBudget(worst_eps, worst_delta)

@@ -34,9 +34,8 @@ point                                   fires
 ``wal.after_append``                    after the hour record is fsynced,
                                         before the in-memory commit
 ``charge.between_validate_and_commit``  inside ``charge_many``, between
-                                        phase-one validation and the
-                                        phase-two commit (single-store and
-                                        sharded 2PC alike)
+                                        the whole batch's validation and
+                                        its commit
 ``snapshot.mid_write``                  mid-way through writing a snapshot
                                         temp file, before ``os.replace``
 ``hour.after_commit``                   after the hour committed in memory

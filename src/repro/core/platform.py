@@ -74,14 +74,6 @@ blocked sessions at one floor shares a single scan, and every decision is
 identical to rescanning.  Sessions are driven serially in submission
 order (they share one RNG stream).
 
-The accountant side composes: ``accountant_factory`` (e.g.
-:func:`repro.core.sharding.sharded_accountant_factory`) swaps in a
-:class:`~repro.core.sharding.ShardedBlockAccountant`, whose per-shard
-contiguous stores validate the hour's one ``request_many`` batch shard by
-shard and commit all-or-nothing -- the hourly batch is the shard-commit
-unit.  The reservation table needs no changes: sharded accountants keep
-``rows_for_keys`` in the same global row space.
-
 Reservation table
 -----------------
 Per-pipeline epsilon reservations live in one contiguous
@@ -374,10 +366,6 @@ class Sage:
     (per-context policies, scalar-only filters) charge each proposal as
     it is granted instead.
 
-    ``accountant_factory`` swaps the stream accountant implementation
-    (e.g. :func:`repro.core.sharding.sharded_accountant_factory` for a
-    partitioned ledger store) and preserves trajectories byte for byte.
-
     ``wal_dir`` makes the platform durable (see
     :mod:`repro.core.durability`): each hour is recorded in a write-ahead
     charge log *before* it commits in memory and marked committed with a
@@ -407,7 +395,6 @@ class Sage:
         block_hours: float = 1.0,
         filter_factory=None,
         seed: Optional[int] = None,
-        accountant_factory=None,
         wal_dir=None,
         snapshot_every: int = 0,
         snapshot_keep: int = 3,
@@ -435,10 +422,7 @@ class Sage:
             rng=self.rng,
         )
         self.access = SageAccessControl(
-            epsilon_global,
-            delta_global,
-            filter_factory=filter_factory,
-            accountant_factory=accountant_factory,
+            epsilon_global, delta_global, filter_factory=filter_factory
         )
         self.store = ModelFeatureStore()
         self.epsilon_global = epsilon_global
@@ -447,7 +431,9 @@ class Sage:
         # All pipelines' epsilon reservations plus the unreserved free pool,
         # columns aligned to the stream accountant's ledger-store rows.
         self._table = ReservationTable()
-        # The drive emits its spans from the accountant's commit points (charge batches, per-shard validation footprints).
+        # The accountant traces only its commit point (the hour's one
+        # charge batch); the serial drive's shared admit scans are memo
+        # reads on the open staged batch and emit nothing.
         self.access.accountant.attach_tracer(self._tracer)
         if telemetry is not None:
             # Armed crash points report their firings as trace events

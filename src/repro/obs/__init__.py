@@ -26,7 +26,7 @@ Enable it per platform::
 it observes, timestamps come from a logical tick clock, span IDs are a
 counter, and every emission site sits on the serial drive path -- so a
 traced run's accounting trajectory is byte-identical to an untraced
-run's (property-tested across the batched, sharded, and durable drives),
+run's (property-tested across the staged, per-request, and durable drives),
 and two identical runs export byte-identical documents.  Disabled mode
 is a no-op probe: platform attributes hold the shared
 :data:`~repro.obs.trace.NULL_PROBE`, whose ``span`` / ``event`` / ``set``
@@ -63,9 +63,6 @@ span                        covers
 ``session.drive``           one session's propose/decide loop for the hour
 ``staging.commit``          closing the hour's staged batch
 ``charge.batch``            one ``charge_many`` (validate + commit)
-``shard.validate``          one shard's phase-1 footprint (emitted at the
-                            serial commit point, one span per shard)
-``shard.commit``            the cross-shard phase-2 bulk write
 ``wal.append``              framing + writing one hour record
 ``wal.fsync``               each write-ahead-log fsync
 ``wal.commit``              appending the commit marker
@@ -104,7 +101,7 @@ Privacy: ``sage_privacy_epsilon_spent`` / ``sage_privacy_delta_spent``
 ``sage_privacy_renyi_orders`` / ``sage_privacy_renyi_order_saturation``
 (fraction of spending blocks optimal at a grid boundary),
 ``sage_block_epsilon{block=...}`` / ``sage_block_delta{block=...}``
-(per-block dashboard gauges), ``sage_shard_epsilon_bound{shard=...}``,
+(per-block dashboard gauges),
 ``sage_charges_granted_total`` / ``sage_charges_denied_total``
 (admission/denial rates).
 

@@ -13,9 +13,8 @@ the perf work actually needs:
 * :func:`wall_view` -- a tracer's records on the wall clock
   (microseconds);
 * :func:`span_forest` / :func:`self_times` -- the nesting tree and the
-  self-vs-child time rollup (self time clamps at zero: the sharded
-  accountant's synthesized ``shard.validate`` wall intervals all end at
-  the commit point, so siblings can overlap);
+  self-vs-child time rollup (self time clamps at zero, so a loaded
+  trace whose sibling spans overlap never yields a negative weight);
 * :func:`critical_path` -- per hour-root, the max-duration child chain,
   i.e. where an hour's wall time concentrates;
 * :func:`phase_breakdown` / :func:`hour_coverage` -- the per-phase table
@@ -36,7 +35,6 @@ exact).
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -325,18 +323,6 @@ def diff_profiles(a, b) -> List[DiffRow]:
 # Collapsed-stack flamegraphs
 # ----------------------------------------------------------------------
 
-_FRAME_SHARD = re.compile(r"^(?P<name>.+) \[shard (?P<shard>\d+)\]$")
-
-
-def _frame_label(span: Span) -> str:
-    """A span's flamegraph frame: the name, plus the shard when tagged --
-    so per-shard attribution survives into the flamegraph."""
-    shard = span.args.get("shard")
-    if shard is None:
-        return span.name
-    return f"{span.name} [shard {int(shard)}]"
-
-
 def collapsed_stacks(source) -> str:
     """The source as collapsed stacks: ``root;child;leaf <self-weight>``.
 
@@ -349,11 +335,7 @@ def collapsed_stacks(source) -> str:
     weights: Dict[str, int] = {}
 
     def walk(node: SpanNode, prefix: str) -> None:
-        stack = (
-            f"{prefix};{_frame_label(node.span)}"
-            if prefix
-            else _frame_label(node.span)
-        )
+        stack = f"{prefix};{node.span.name}" if prefix else node.span.name
         weight = int(round(selfs.get(node.span.span_id, 0.0)))
         weights[stack] = weights.get(stack, 0) + weight
         for child in node.children:
@@ -414,12 +396,6 @@ def load_collapsed(text: Union[str, Path]) -> LoadedTrace:
     def emit(frame: str, node: _StackNode, start: float, parent: Optional[int]) -> float:
         counter[0] += 1
         span_id = counter[0]
-        match = _FRAME_SHARD.match(frame)
-        if match is not None:
-            name = match.group("name")
-            args: Dict[str, object] = {"shard": int(match.group("shard"))}
-        else:
-            name, args = frame, {}
         cursor = start
         children_of = node.children
         for child_frame in sorted(children_of):
@@ -427,7 +403,7 @@ def load_collapsed(text: Union[str, Path]) -> LoadedTrace:
         end = cursor + node.self_weight
         # Recursion appended the children first, so the list lands in
         # close order like a live tracer's.
-        spans.append(Span(span_id, parent, name, start, end, -1, args))
+        spans.append(Span(span_id, parent, frame, start, end, -1, {}))
         return end
 
     cursor = 0.0

@@ -12,7 +12,7 @@ text exposition without per-sample storage.
 
 The higher-level ``observe_*`` helpers translate platform state into
 gauge families using only documented pure reads (``store.totals``,
-``stream_loss_bound``, ``shard_loss_bounds``); the single deliberate
+``stream_loss_bound``); the single deliberate
 exception is ``retired_blocks()``, whose lazy retirement persistence is
 idempotent and value-identical -- the same normalization the durability
 layer's ``state_digest`` performs before digesting.
@@ -105,9 +105,7 @@ class MetricsRegistry:
         for every registered block with the same vectorized single pass
         over the struct-of-arrays totals the dashboard helper uses, so
         per-block loss lands in the JSON/Prometheus snapshots without a
-        second scan.  Sharded accountants are covered transparently:
-        ``store.totals`` is the global-row-space mirror spanning every
-        shard.  ``strong=True`` routes through the per-block strong
+        second scan.  ``strong=True`` routes through the per-block strong
         odometer instead (one odometer load per block).  Returns the
         number of blocks observed.
         """
@@ -154,12 +152,6 @@ class MetricsRegistry:
         self.set_gauge("sage_privacy_blocks_retired", n_retired)
         self.set_gauge("sage_privacy_blocks_live", n_blocks - n_retired)
         self._observe_order_saturation(accountant)
-        shard_bounds = getattr(accountant, "shard_loss_bounds", None)
-        if shard_bounds is not None:
-            for shard, bound in enumerate(shard_bounds()):
-                self.set_gauge(
-                    "sage_shard_epsilon_bound", bound.epsilon, shard=shard
-                )
 
     def _observe_order_saturation(self, accountant) -> None:
         """Fraction of spending blocks whose optimal Renyi order sits on

@@ -13,7 +13,7 @@ job.
 
 The gate compares **speedup ratios, not milliseconds**: absolute times
 vary wildly across hosts (the history deliberately mixes machines), but
-a vectorization or sharding speedup is a within-run ratio of two
+a vectorization or shared-scan speedup is a within-run ratio of two
 measurements on the same box, so "the speedup collapsed" is meaningful
 everywhere.  The band is multiplicative and deliberately generous
 (default: fail below 35% of the baseline median) -- this is a tripwire

@@ -19,11 +19,9 @@ went*, without a second tracer: every record carries two readings.
 * **Serial emission.**  Instrumentation sites live only on the drive's
   serial coordination points (the platform never emits from inside an
   accounting read), so the emission order -- and therefore every tick --
-  is deterministic.  Per-shard validation spans, for example, are emitted
-  at the commit point from the batch's per-shard footprint rather than
-  from inside shard validation; the sharded accountant then writes each
-  shard's measured validation wall onto its span (a synthesized wall
-  interval that ends at the commit point).
+  is deterministic.  The accountant, for example, emits one
+  ``charge.batch`` span around its commit and nothing from inside its
+  validation or scans.
 
 Span identifiers are a plain counter (no UUIDs, no PIDs), the ``hour``
 field is the platform's committed-hour index at emission time, and the

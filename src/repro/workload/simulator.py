@@ -59,12 +59,6 @@ class WorkloadConfig:
     # linear rate (gamma = 1) is the theoretical exchange of
     # [Kasiviswanathan et al. 2011] that §3.3 cites.
     exchange_exponent: float = 1.0
-    # Sharded block accounting for the block strategies: 0 keeps the
-    # single-store accountant; N >= 1 partitions the ledger store into N
-    # shards under ``shard_policy`` ("hash" or "range").  Trajectories are
-    # byte-identical at any shard count (tested property).
-    n_shards: int = 0
-    shard_policy: str = "hash"
     # Optional ``repro.obs.Telemetry`` threaded through to the platform for
     # the block strategies (baselines have no platform to instrument).
     # Excluded from config equality: two runs with the same knobs are the
@@ -78,12 +72,6 @@ class WorkloadConfig:
             )
         if self.horizon_hours <= 0:
             raise SimulationError("horizon_hours must be > 0")
-        if self.n_shards < 0:
-            raise SimulationError("n_shards must be >= 0")
-        if self.shard_policy not in ("hash", "range"):
-            raise SimulationError(
-                f"unknown shard_policy {self.shard_policy!r}; 'hash' or 'range'"
-            )
 
 
 @dataclass
@@ -140,20 +128,12 @@ class WorkloadSimulator:
     def _run_block(self, arrival_times, complexities, rng) -> WorkloadReport:
         cfg = self.config
         source = CountStreamSource(cfg.points_per_hour, scale=cfg.count_scale)
-        accountant_factory = None
-        if cfg.n_shards:
-            from repro.core.sharding import sharded_accountant_factory
-
-            accountant_factory = sharded_accountant_factory(
-                cfg.n_shards, policy=cfg.shard_policy
-            )
         sage = Sage(
             source,
             epsilon_global=cfg.epsilon_global,
             delta_global=cfg.delta_global,
             block_hours=1.0,
             seed=self.seed,
-            accountant_factory=accountant_factory,
             telemetry=cfg.telemetry,
         )
         self.last_platform = sage

@@ -33,10 +33,7 @@ def test_every_suppression_is_purity_reviewed():
     allows in the accounting modules.  A new allow anywhere else must be a
     conscious, reviewed decision that updates this list."""
     project = collect_project(REPO_ROOT, LINT_PATHS)
-    allowed_files = {
-        "src/repro/core/accountant.py",
-        "src/repro/core/sharding.py",
-    }
+    allowed_files = {"src/repro/core/accountant.py"}
     for module in project:
         for line, rules in sorted(module.allow.items()):
             assert module.relpath in allowed_files, (

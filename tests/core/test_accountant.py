@@ -605,3 +605,20 @@ class TestKeyRowCache:
         finally:
             accountant_mod._ROW_CACHE_LIMIT = old_limit
         assert accountant.rows_for_keys([0, 1]).tolist() == [0, 1]
+
+
+class TestFrozenBenchNames:
+    """The names the frozen benchmark harness imports resolve to the one
+    accountant."""
+
+    def test_factory_returns_the_single_accountant(self):
+        from repro.core import sharded_accountant_factory
+
+        assert sharded_accountant_factory(4) is BlockAccountant
+        with pytest.raises(InvalidBudgetError):
+            sharded_accountant_factory(0)
+
+    def test_layer_target_is_the_single_charge_many(self):
+        from repro.core.sharding import ShardedBlockAccountant
+
+        assert ShardedBlockAccountant.charge_many is BlockAccountant.charge_many

@@ -3,8 +3,8 @@
 The headline property is the crash matrix: a process killed at *every*
 named crash point of the hourly drive -- before, inside, and after the
 commit point -- recovers to a state whose digest is byte-identical to an
-uninterrupted run at the recovered hour, for single-store and sharded
-accountants and for basic and pruned-Renyi composition, and then stays in
+uninterrupted run at the recovered hour, for basic and pruned-Renyi
+composition, and then stays in
 lockstep with the clean run.  Replay goes through the live ``charge_many``
 path (one ``request_many`` per recorded hour); a corrupt WAL record is a
 typed error naming the file and offset, never a silent replay.
@@ -22,7 +22,6 @@ from repro.core.accountant import ChargeRecord
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.filters import RenyiCompositionFilter
 from repro.core.platform import Sage
-from repro.core.sharding import sharded_accountant_factory
 from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     DurabilityError,
@@ -36,12 +35,7 @@ PRUNED_RENYI = lambda e, d: RenyiCompositionFilter(e, d, orders="pruned")  # noq
 
 VARIANTS = {
     "single-basic": {},
-    "sharded-basic": {"accountant_factory": sharded_accountant_factory(4)},
     "single-pruned-renyi": {"filter_factory": PRUNED_RENYI},
-    "sharded-pruned-renyi": {
-        "accountant_factory": sharded_accountant_factory(4),
-        "filter_factory": PRUNED_RENYI,
-    },
 }
 
 # Committed hours recovered relative to the crashed hour's index: points
@@ -293,8 +287,8 @@ class TestWalCompaction:
         assert hours == list(range(oldest, 8))
         sage.close()
 
-    @pytest.mark.parametrize("variant", ["single-basic", "sharded-basic"])
-    def test_recovery_from_compacted_wal_is_byte_identical(self, variant, tmp_path):
+    def test_recovery_from_compacted_wal_is_byte_identical(self, tmp_path):
+        variant = "single-basic"
         digests = _clean_digests(variant, hours=10)
         sage = _build(variant, wal_dir=tmp_path, snapshot_every=2)
         for pipeline, config in _pipes():
@@ -540,9 +534,6 @@ class TestCrashMatrix:
 # ----------------------------------------------------------------------
 # The incremental state digest: memo parity and coverage
 # ----------------------------------------------------------------------
-MEMO_VARIANTS = ["single-basic", "sharded-basic"]
-
-
 def _scratch_digest(sage):
     """The digest folded from an empty memo; the platform keeps its own."""
     memo = sage._digest_memo
@@ -560,17 +551,16 @@ def _memo_digest(sage):
     return digest
 
 
-def _submitted(variant, **kwargs):
-    sage = _build(variant, **kwargs)
+def _submitted(**kwargs):
+    sage = _build("single-basic", **kwargs)
     for pipeline, config in _pipes():
         sage.submit(pipeline, config)
     return sage
 
 
 class TestDigestMemo:
-    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
-    def test_memo_extends_across_plain_hours(self, variant):
-        sage = _submitted(variant)
+    def test_memo_extends_across_plain_hours(self):
+        sage = _submitted()
         sage.advance(1.0)
         durability.state_digest(sage)
         fold = sage._digest_memo["charges"]
@@ -582,12 +572,11 @@ class TestDigestMemo:
         assert fold.n == len(sage.access.accountant.charges) > 0
         sage.close()
 
-    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
     def test_memo_matches_scratch_through_snapshots_and_recovery(
-        self, variant, tmp_path
+        self, tmp_path
     ):
-        digests = _clean_digests(variant, hours=11)
-        sage = _submitted(variant, wal_dir=tmp_path, snapshot_every=3)
+        digests = _clean_digests("single-basic", hours=11)
+        sage = _submitted(wal_dir=tmp_path, snapshot_every=3)
         for hour in range(1, 8):
             sage.advance(1.0)
             assert _memo_digest(sage) == digests[hour]
@@ -595,7 +584,7 @@ class TestDigestMemo:
         sage.close()
         # A recovered platform starts from an empty memo, restores the
         # hour-6 snapshot, replays hour 7, then keeps advancing.
-        recovered = _build(variant, wal_dir=tmp_path, snapshot_every=3)
+        recovered = _build("single-basic", wal_dir=tmp_path, snapshot_every=3)
         report = recovered.recover(_pipes())
         assert (report.snapshot_hour, report.replayed_hours) == (6, 1)
         assert _memo_digest(recovered) == digests[7]
@@ -605,12 +594,11 @@ class TestDigestMemo:
         recovered.close()
 
     @pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
-    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
     def test_memo_matches_scratch_across_rolled_back_hour(
-        self, variant, durable, tmp_path
+        self, durable, tmp_path
     ):
-        digests = _clean_digests(variant, hours=6)
-        sage = _submitted(variant, wal_dir=tmp_path if durable else None)
+        digests = _clean_digests("single-basic", hours=6)
+        sage = _submitted(wal_dir=tmp_path if durable else None)
         staged_at_fault = []
 
         def fail(point):
@@ -633,9 +621,8 @@ class TestDigestMemo:
             assert _memo_digest(sage) == digests[hour]
         sage.close()
 
-    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
-    def test_truncate_and_regrow_attempts_refolds(self, variant):
-        sage = _submitted(variant)
+    def test_truncate_and_regrow_attempts_refolds(self):
+        sage = _submitted()
         for _ in range(4):
             sage.advance(1.0)
         attempts = max(
@@ -742,12 +729,11 @@ COMPONENTS = {
 
 class TestDigestCoverage:
     @pytest.mark.parametrize("component", sorted(COMPONENTS))
-    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
-    def test_each_component_moves_the_digest(self, variant, component):
+    def test_each_component_moves_the_digest(self, component):
         """Changing any one covered part changes the memoized digest, and
         undoing it restores the original -- incremental folding drops no
         part of the state."""
-        sage = _submitted(variant)
+        sage = _submitted()
         for _ in range(4):
             sage.advance(1.0)
         base = _memo_digest(sage)

@@ -16,11 +16,6 @@ from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_EPS, BlockAccountant
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
-from repro.core.sharding import (
-    HashPartitioner,
-    ShardedBlockAccountant,
-    sharded_accountant_factory,
-)
 from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     AccessDeniedError,
@@ -313,27 +308,19 @@ class TestStagedBatch:
         assert [r.label for r in records] == ["x"]
 
 
-def _sharded(epsilon, delta):
-    return ShardedBlockAccountant(epsilon, delta, partitioner=HashPartitioner(3))
-
-
-ACCOUNTANTS = {"single": BlockAccountant, "sharded": _sharded}
-
-
-@pytest.mark.parametrize("make", sorted(ACCOUNTANTS))
 class TestScanMemoLifetime:
     """The open staged batch memoizes whole-stream admit scans: a memo hit
     hands back the very array an earlier scan produced, a miss rescans."""
 
     FLOOR = PrivacyBudget(0.1, 0.0)
 
-    def _accountant(self, make, keys=range(4)):
-        acc = ACCOUNTANTS[make](1.0, 1e-6)
+    def _accountant(self, keys=range(4)):
+        acc = BlockAccountant(1.0, 1e-6)
         acc.register_blocks(keys)
         return acc
 
-    def test_no_memo_outside_a_batch(self, make):
-        acc = self._accountant(make)
+    def test_no_memo_outside_a_batch(self):
+        acc = self._accountant()
         assert acc._live_admit_rows(self.FLOOR) is not acc._live_admit_rows(
             self.FLOOR
         )
@@ -349,8 +336,8 @@ class TestScanMemoLifetime:
         assert acc._live_admit_rows(self.FLOOR) is not inside
         acc.pop_staged()
 
-    def test_refused_stage_keeps_the_memo(self, make):
-        acc = self._accountant(make)
+    def test_refused_stage_keeps_the_memo(self):
+        acc = self._accountant()
         acc.begin_staging()
         acc.stage_charge([0], PrivacyBudget(0.8, 0.0))
         scan = acc._live_admit_rows(self.FLOOR)
@@ -360,8 +347,8 @@ class TestScanMemoLifetime:
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
         acc.pop_staged()
 
-    def test_successful_stage_drops_the_memo(self, make):
-        acc = self._accountant(make)
+    def test_successful_stage_drops_the_memo(self):
+        acc = self._accountant()
         acc.begin_staging()
         scan = acc._live_admit_rows(self.FLOOR)
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
@@ -370,16 +357,16 @@ class TestScanMemoLifetime:
         assert acc.usable_blocks(self.FLOOR) == [1, 2, 3]
         acc.pop_staged()
 
-    def test_mid_batch_registration_drops_the_memo(self, make):
-        acc = self._accountant(make, keys=["a"])
+    def test_mid_batch_registration_drops_the_memo(self):
+        acc = self._accountant(keys=["a"])
         acc.begin_staging()
         assert acc.usable_blocks() == ["a"]
         acc.register_block("b")
         assert acc.usable_blocks() == ["a", "b"]
         acc.pop_staged()
 
-    def test_rollback_registrations_drops_the_memo(self, make):
-        acc = self._accountant(make)
+    def test_rollback_registrations_drops_the_memo(self):
+        acc = self._accountant()
         acc.begin_staging()
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
         acc.rollback_registrations(2)
@@ -394,10 +381,8 @@ class TestSharedScans:
 
     N_SESSIONS = 8
 
-    def _starved(self, factory=None):
-        sage = Sage(
-            CountStreamSource(1000, scale=1000), seed=0, accountant_factory=factory
-        )
+    def _starved(self):
+        sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
         sage.advance(60.0)  # blocks land with nobody waiting
         config = AdaptiveConfig(
             epsilon_start=0.5, epsilon_floor=0.5, max_attempts=4
@@ -407,9 +392,8 @@ class TestSharedScans:
         sage.advance(1.0)  # grant the free pool; sessions scan and starve
         return sage
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_blocked_queue_shares_one_whole_stream_scan(self, sharded, monkeypatch):
-        sage = self._starved(sharded_accountant_factory(3) if sharded else None)
+    def test_blocked_queue_shares_one_whole_stream_scan(self, monkeypatch):
+        sage = self._starved()
         acc = sage.access.accountant
         scans = []
         original = type(acc)._live_admit_rows

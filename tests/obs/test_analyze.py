@@ -90,12 +90,12 @@ class TestForestAndSelfTimes:
         assert selfs[1] == 70.0 and selfs[2] == 30.0
 
     def test_self_times_clamp_at_zero_for_overlapping_children(self):
-        # Synthesized shard.validate wall intervals all end at the commit
-        # point, so siblings can overlap and out-sum their parent.
+        # A loaded trace may hold overlapping siblings that out-sum
+        # their parent; the parent's self time is zero, not negative.
         src = _source(
-            _span(1, None, "charge.batch", 0, 40),
-            _span(2, 1, "shard.validate", 0, 30),
-            _span(3, 1, "shard.validate", 0, 30),
+            _span(1, None, "staging.commit", 0, 40),
+            _span(2, 1, "charge.batch", 0, 30),
+            _span(3, 1, "wal.append", 0, 30),
         )
         assert self_times(src)[1] == 0.0
 
@@ -286,12 +286,12 @@ def span_sources(draw):
         duration = draw(st.integers(min_value=0, max_value=300))
         name = draw(
             st.sampled_from(
-                ["advance.hour", "session.drive", "shard.validate", "leaf"]
+                ["advance.hour", "session.drive", "charge.batch", "leaf"]
             )
         )
         args = {}
         if draw(st.booleans()):
-            args["shard"] = draw(st.integers(min_value=0, max_value=3))
+            args["tag"] = draw(st.integers(min_value=0, max_value=3))
         spans.append(
             Span(
                 span_id,
@@ -332,17 +332,17 @@ class TestCollapsedStacks:
     def _src(self):
         return _source(
             _span(1, None, "advance.hour", 0, 100),
-            _span(2, 1, "charge.batch", 0, 60),
-            _span(3, 2, "shard.validate", 0, 20, shard=0),
-            _span(4, 2, "shard.validate", 20, 45, shard=1),
+            _span(2, 1, "staging.commit", 0, 60),
+            _span(3, 2, "charge.batch", 0, 20),
+            _span(4, 2, "wal.append", 20, 45),
         )
 
     def test_one_line_per_node_with_self_weights(self):
         lines = collapsed_stacks(self._src()).splitlines()
         assert "advance.hour 40" in lines
-        assert "advance.hour;charge.batch 15" in lines
-        assert "advance.hour;charge.batch;shard.validate [shard 0] 20" in lines
-        assert "advance.hour;charge.batch;shard.validate [shard 1] 25" in lines
+        assert "advance.hour;staging.commit 15" in lines
+        assert "advance.hour;staging.commit;charge.batch 20" in lines
+        assert "advance.hour;staging.commit;wal.append 25" in lines
         assert lines == sorted(lines)
 
     def test_zero_weight_frames_keep_the_tree_shape(self):
@@ -352,13 +352,10 @@ class TestCollapsedStacks:
         )
         assert "root 0\n" in collapsed_stacks(src)
 
-    def test_load_restores_shard_args_from_frame_labels(self):
+    def test_load_restores_per_frame_weights(self):
         loaded = load_collapsed(collapsed_stacks(self._src()))
-        shards = {
-            s.args["shard"]: s.duration
-            for s in loaded.find_spans("shard.validate")
-        }
-        assert shards == {0: 20.0, 1: 25.0}
+        assert [s.duration for s in loaded.find_spans("charge.batch")] == [20.0]
+        assert [s.duration for s in loaded.find_spans("wal.append")] == [25.0]
         # Aggregate weights survive even though individual spans merge.
         assert sum(s.duration for s in loaded.find_spans("advance.hour")) == 100.0
 

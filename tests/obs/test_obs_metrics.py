@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
-from repro.core.sharding import sharded_accountant_factory
 from repro.obs import BUCKET_BOUNDS, MetricsRegistry, Telemetry
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
@@ -156,17 +155,6 @@ class TestObservers:
         assert 0.0 <= saturation <= 1.0
         sage.close()
 
-    def test_observe_privacy_shard_bounds(self):
-        sage = drive_demo(hours=3, accountant_factory=sharded_accountant_factory(4))
-        registry = sage.metrics
-        registry.observe_privacy(sage.access.accountant)
-        bounds = [
-            registry.gauge_value("sage_shard_epsilon_bound", default=-1.0, shard=s)
-            for s in range(4)
-        ]
-        assert all(bound >= 0.0 for bound in bounds)
-        sage.close()
-
     def test_observe_dashboard_matches_loss_dashboard(self):
         from repro.core.odometer import loss_dashboard
 
@@ -182,18 +170,6 @@ class TestObservers:
             assert registry.gauge_value(
                 "sage_block_delta", block=key
             ) == pytest.approx(loss.delta)
-        sage.close()
-
-    def test_observe_dashboard_sharded_single_pass(self):
-        from repro.core.odometer import loss_dashboard
-
-        sage = drive_demo(hours=4, accountant_factory=sharded_accountant_factory(4))
-        registry = sage.metrics
-        registry.observe_dashboard(sage.access.accountant)
-        for key, loss in loss_dashboard(sage.access.accountant).items():
-            assert registry.gauge_value(
-                "sage_block_epsilon", block=key
-            ) == pytest.approx(loss.epsilon)
         sage.close()
 
     def test_observe_recovery_gauges(self):

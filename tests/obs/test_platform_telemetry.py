@@ -4,7 +4,7 @@ span taxonomy of the hourly drive, and traced crash recovery.
 The headline property is PR 9's acceptance gate: attaching a
 :class:`~repro.obs.Telemetry` must leave the simulation byte-identical
 (per-hour state digests and the full protocol fingerprint) on every
-drive variant -- sequential, batched, sharded, sharded-sequential, durable.
+drive variant -- sequential, batched, durable.
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.core import durability, faults
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
-from repro.core.sharding import sharded_accountant_factory
 from repro.obs import NULL_PROBE, Telemetry, render_chrome_trace
 from repro.obs.analyze import (
     hour_coverage,
@@ -22,16 +21,9 @@ from repro.obs.analyze import (
 )
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
-# Constructor options per drive variant; the "*sequential" variants
-# additionally get a per-context policy in _build, which disables staging.
-VARIANTS = {
-    "sequential": {},
-    "batched": {},
-    "sharded": {"accountant_factory": sharded_accountant_factory(4)},
-    "sharded-sequential": {"accountant_factory": sharded_accountant_factory(4)},
-}
-
-STAGED_VARIANTS = [v for v in VARIANTS if not v.endswith("sequential")]
+# Drive variants; "sequential" gets a per-context policy in _build, which
+# disables staging.
+VARIANTS = ["batched", "sequential"]
 
 
 def _pipes(n=4):
@@ -49,10 +41,9 @@ def _build(variant, telemetry=None, **kwargs):
         CountStreamSource(4000, scale=1000),
         seed=5,
         telemetry=telemetry,
-        **VARIANTS[variant],
         **kwargs,
     )
-    if variant.endswith("sequential"):
+    if variant == "sequential":
         sage.access.add_context("oracle", 1.0, 1e-6)
     return sage
 
@@ -86,7 +77,7 @@ class TestByteParity:
     profiled run -- stays byte-identical to a bare run, and its tick
     exports do not depend on the wall clock."""
 
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_traced_drive_is_byte_identical(self, variant):
         bare = _build(variant)
         bare_digests = _drive(bare, 6)
@@ -104,16 +95,15 @@ class TestByteParity:
         traced.close()
         bare.close()
 
-    # Durable mode needs the staged drive, so the per-request variants
-    # have no log to compare.
-    @pytest.mark.parametrize("variant", sorted(STAGED_VARIANTS))
-    def test_durable_traced_drive_is_byte_identical(self, variant, tmp_path):
-        bare = _build(variant, wal_dir=tmp_path / "bare", snapshot_every=2)
+    # Durable mode needs the staged drive, so the per-request variant has
+    # no log to compare.
+    def test_durable_traced_drive_is_byte_identical(self, tmp_path):
+        bare = _build("batched", wal_dir=tmp_path / "bare", snapshot_every=2)
         bare_digests = _drive(bare, 6)
         bare.close()
         telemetry = Telemetry()
         traced = _build(
-            variant,
+            "batched",
             telemetry=telemetry,
             wal_dir=tmp_path / "traced",
             snapshot_every=2,
@@ -130,7 +120,7 @@ class TestByteParity:
         tracers = []
         for _ in range(2):
             telemetry = Telemetry()
-            sage = _build("sharded", telemetry=telemetry)
+            sage = _build("batched", telemetry=telemetry)
             _drive(sage, 4)
             sage.close()
             tracers.append(telemetry.tracer)
@@ -173,10 +163,10 @@ class TestNoOpContract:
 
 
 class TestSpanTaxonomy:
-    def test_sharded_durable_drive_emits_the_full_phase_set(self, tmp_path):
+    def test_durable_drive_emits_the_full_phase_set(self, tmp_path):
         telemetry = Telemetry()
         sage = _build(
-            "sharded", telemetry=telemetry, wal_dir=tmp_path, snapshot_every=2
+            "batched", telemetry=telemetry, wal_dir=tmp_path, snapshot_every=2
         )
         _drive(sage, 4)
         sage.close()
@@ -186,8 +176,6 @@ class TestSpanTaxonomy:
             "advance.open",
             "session.drive",
             "charge.batch",
-            "shard.validate",
-            "shard.commit",
             "staging.commit",
             "wal.append",
             "wal.fsync",
@@ -196,11 +184,9 @@ class TestSpanTaxonomy:
         } <= names
         events = set(telemetry.tracer.event_names())
         assert {"charge.granted", "reservations.settle"} <= events
-        # Hour spans carry the mode; shard spans the shard index.
+        # Hour spans carry the mode.
         hour_spans = telemetry.tracer.find_spans("advance.hour")
         assert all(s.args["mode"] == "durable" for s in hour_spans)
-        shards = {s.args["shard"] for s in telemetry.tracer.find_spans("shard.validate")}
-        assert shards <= set(range(4)) and shards
         # WAL metrics filled alongside the spans.
         metrics = telemetry.metrics
         assert metrics.counter_value("sage_wal_bytes_total") > 0
@@ -209,7 +195,7 @@ class TestSpanTaxonomy:
 
     def test_spans_are_emitted_serially_and_nest_under_the_hour(self):
         telemetry = Telemetry()
-        sage = _build("sharded", telemetry=telemetry)
+        sage = _build("batched", telemetry=telemetry)
         _drive(sage, 3)
         sage.close()
         tracer = telemetry.tracer
@@ -240,37 +226,23 @@ class TestProfilerParity:
 
     def test_wall_fields_nest(self):
         telemetry = Telemetry()
-        sage = _build("sharded", telemetry=telemetry)
+        sage = _build("batched", telemetry=telemetry)
         _drive(sage, 4)
         sage.close()
         by_id = {s.span_id: s for s in telemetry.tracer.spans}
         checked = 0
         for child in telemetry.tracer.spans:
             parent = by_id.get(child.parent_id)
-            # shard.validate wall intervals are synthesized at the
-            # commit point from a measurement taken earlier.
-            if parent is None or child.name == "shard.validate":
+            if parent is None:
                 continue
             assert parent.wall_start <= child.wall_start, child.name
             assert child.wall_end <= parent.wall_end, child.name
             checked += 1
         assert checked > 0
 
-    def test_every_shard_validates_with_a_positive_wall(self):
-        telemetry = Telemetry()
-        sage = _build("sharded", telemetry=telemetry)
-        # Eight hours put charged blocks on every hash shard.
-        _drive(sage, 8)
-        sage.close()
-        spans = telemetry.tracer.find_spans("shard.validate")
-        assert {s.args["shard"] for s in spans} == set(range(4))
-        assert all(s.wall_duration > 0.0 for s in spans)
-        view = wall_view(telemetry.tracer)
-        assert all(s.duration > 0.0 for s in view.find_spans("shard.validate"))
-
     def test_wall_view_round_trips_through_chrome_trace(self):
         telemetry = Telemetry()
-        sage = _build("sharded", telemetry=telemetry)
+        sage = _build("batched", telemetry=telemetry)
         _drive(sage, 3)
         sage.close()
         view = wall_view(telemetry.tracer)
@@ -282,7 +254,7 @@ class TestProfilerParity:
 
     def test_wall_view_mirrors_the_taxonomy(self):
         telemetry = Telemetry()
-        sage = _build("sharded", telemetry=telemetry)
+        sage = _build("batched", telemetry=telemetry)
         _drive(sage, 4)
         sage.close()
         view = wall_view(telemetry.tracer)

@@ -4,7 +4,7 @@ Every tracer record carries a logical tick and a wall reading; a profile
 is the same records read through :func:`repro.obs.analyze.wall_view`.
 Wall time itself is not replayable, so most tests here inject a manually
 stepped wall clock -- wall durations become exact and the span mechanics
-(nesting, synthesized shard intervals, the analytics over a wall view)
+(nesting, the analytics over a wall view)
 are assertable to the microsecond.
 """
 
@@ -14,11 +14,9 @@ import time
 from repro.core.platform import Sage
 from repro.obs import Telemetry, Tracer, chrome_trace, render_chrome_trace
 from repro.obs.analyze import (
-    collapsed_stacks,
     load_chrome_trace,
     phase_breakdown,
     render_breakdown,
-    self_times,
     span_tree_shape,
     wall_view,
 )
@@ -208,19 +206,12 @@ class TestWallView:
 
 
 class TestWallAnalytics:
-    def _hour_with_shards(self):
-        """A charge batch whose two shard.validate spans get synthesized
-        wall intervals ending at their own exit reading, the way the
-        sharded accountant writes them."""
+    def _hour(self):
+        """An hour whose charge batch takes 110us of its 400us wall."""
         tracer, clock = _tracer()
         with tracer.span("advance.hour"):
             clock.now = 100.0
             with tracer.span("charge.batch"):
-                clock.now = 200.0
-                for shard, measured in ((0, 25.0), (1, 35.0)):
-                    with tracer.span("shard.validate", shard=shard) as span:
-                        pass
-                    span.wall_start = span.wall_end - measured
                 clock.now = 210.0
             clock.now = 400.0
         return tracer
@@ -235,35 +226,9 @@ class TestWallAnalytics:
         assert (hour.count, hour.total, hour.self_time) == (1, 400.0, 360.0)
         assert drive.share == 0.1
 
-    def test_shard_walls_decompose_per_shard(self):
-        view = wall_view(self._hour_with_shards())
-        walls = {
-            s.args["shard"]: s.duration for s in view.find_spans("shard.validate")
-        }
-        assert walls == {0: 25.0, 1: 35.0}
-        lines = collapsed_stacks(view).splitlines()
-        assert "advance.hour;charge.batch;shard.validate [shard 0] 25" in lines
-        assert "advance.hour;charge.batch;shard.validate [shard 1] 35" in lines
-
-    def test_overlapping_shard_walls_clamp_parent_self_time(self):
-        tracer, clock = _tracer()
-        with tracer.span("charge.batch"):
-            clock.now = 40.0
-            # Both synthesized intervals end at the commit point, so
-            # together they out-sum the parent.  Self time clamps at
-            # zero, never negative.
-            for shard in (0, 1):
-                with tracer.span("shard.validate", shard=shard) as span:
-                    pass
-                span.wall_start = span.wall_end - 30.0
-        view = wall_view(tracer)
-        batch = view.find_spans("charge.batch")[0]
-        assert self_times(view)[batch.span_id] == 0.0
-        assert sum(s.duration for s in view.find_spans("shard.validate")) == 60.0
-
     def test_render_breakdown_of_a_wall_view(self):
-        text = render_breakdown(wall_view(self._hour_with_shards()))
-        assert "advance.hour" in text and "shard.validate" in text
+        text = render_breakdown(wall_view(self._hour()))
+        assert "advance.hour" in text and "charge.batch" in text
         assert "hour coverage" in text
         # Largest self time renders first (after the header): the hour's
         # 290us outside the batch.

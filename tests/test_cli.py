@@ -54,6 +54,27 @@ class TestDurabilityCommands:
         digest = next(l for l in ran.splitlines() if l.startswith("state digest"))
         assert digest in recovered
 
+    def test_manifest_with_a_shards_key_recovers_on_the_one_accountant(
+        self, tmp_path, capsys
+    ):
+        # Older wal-demo manifests record an accountant shard count.  The
+        # log and snapshots never depended on it (sharding was
+        # byte-identical), so recovery ignores the key and lands on the
+        # live digest: snapshot hour 8 plus two replayed hours.
+        args = ["--wal-dir", str(tmp_path), "--hours", "10", "--snapshot-every", "4"]
+        assert main(["wal-demo", *args]) == 0
+        ran = capsys.readouterr().out
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert "shards" not in manifest
+        manifest["shards"] = 4
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["recover", "--wal-dir", str(tmp_path)]) == 0
+        recovered = capsys.readouterr().out
+        assert "recovered from snapshot hour 8; replayed 2 WAL hour(s)" in recovered
+        assert "state digest: 0xfd7f62b7" in ran
+        assert "state digest: 0xfd7f62b7" in recovered
+
     def test_crash_then_recover_matches_shorter_clean_run(self, tmp_path, capsys):
         # hour.after_commit dies right after hour 0 lands in the WAL, so
         # recovery must rebuild exactly the one-hour state.
@@ -112,12 +133,12 @@ class TestObservabilityCommands:
 
     def test_obs_report_prometheus(self, capsys):
         code = main(
-            ["obs-report", "--hours", "2", "--shards", "2", "--format", "prometheus"]
+            ["obs-report", "--hours", "2", "--format", "prometheus"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "# TYPE sage_charges_granted_total counter" in out
-        assert 'sage_shard_epsilon_bound{shard="0"}' in out
+        assert 'sage_block_epsilon{block="0"}' in out
         assert 'sage_staged_batch_requests_bucket{le="+Inf"}' in out
 
     def test_obs_report_is_deterministic(self, capsys):
@@ -133,13 +154,11 @@ class TestObservabilityCommands:
         assert "3 hour(s)" in summary and str(out_path) in summary
         events = load_trace(out_path)
         names = {event["name"] for event in events}
-        # The traced demo is sharded + durable, so the full taxonomy shows up.
+        # The traced demo is durable, so the full taxonomy shows up.
         assert {
             "advance.hour",
             "session.drive",
             "charge.batch",
-            "shard.validate",
-            "shard.commit",
             "staging.commit",
             "wal.append",
             "wal.fsync",
@@ -193,7 +212,7 @@ class TestPerfCommands:
     def test_profile_parser_defaults(self):
         args = build_parser().parse_args(["profile"])
         assert args.command == "profile"
-        assert args.shards == 4 and args.out is None and args.flame_out is None
+        assert args.out is None and args.flame_out is None
 
     def test_perf_diff_requires_both_traces(self):
         with pytest.raises(SystemExit):
@@ -221,7 +240,7 @@ class TestPerfCommands:
             == 0
         )
         out = capsys.readouterr().out
-        assert "profiled 2 hour(s) over 4 shard(s)" in out
+        assert "profiled 2 hour(s)" in out
         assert "hour coverage" in out
         assert "advance.hour" in out and "hour 0:" in out
         # The Chrome export carries the spans' wall-clock readings.
