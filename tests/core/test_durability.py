@@ -3,9 +3,9 @@
 The headline property is the crash matrix: a process killed at *every*
 named crash point of the hourly drive -- before, inside, and after the
 commit point -- recovers to a state whose digest is byte-identical to an
-uninterrupted run at the recovered hour, for basic and pruned-Renyi
-composition, and then stays in
-lockstep with the clean run.  Replay goes through the live ``charge_many``
+uninterrupted run at the recovered hour, for basic, strong, dense-Renyi
+and pruned-Renyi composition, and then stays in lockstep with the clean
+run.  Replay goes through the live ``charge_many``
 path (one ``request_many`` per recorded hour); a corrupt WAL record is a
 typed error naming the file and offset, never a silent replay.
 """
@@ -20,7 +20,7 @@ import pytest
 from repro.core import durability, faults
 from repro.core.accountant import ChargeRecord
 from repro.core.adaptive import AdaptiveConfig
-from repro.core.filters import RenyiCompositionFilter
+from repro.core.filters import RenyiCompositionFilter, StrongCompositionFilter
 from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget
 from repro.errors import (
@@ -35,8 +35,14 @@ PRUNED_RENYI = lambda e, d: RenyiCompositionFilter(e, d, orders="pruned")  # noq
 
 VARIANTS = {
     "single-basic": {},
+    "single-strong": {"filter_factory": StrongCompositionFilter},
+    "single-renyi": {"filter_factory": RenyiCompositionFilter},
     "single-pruned-renyi": {"filter_factory": PRUNED_RENYI},
 }
+
+# A basic-width and a Renyi-width store, for the digest memo and WAL
+# compaction tests.
+MEMO_VARIANTS = ["single-basic", "single-pruned-renyi"]
 
 # Committed hours recovered relative to the crashed hour's index: points
 # before the WAL append lose the hour (it was never durable), points at or
@@ -287,8 +293,8 @@ class TestWalCompaction:
         assert hours == list(range(oldest, 8))
         sage.close()
 
-    def test_recovery_from_compacted_wal_is_byte_identical(self, tmp_path):
-        variant = "single-basic"
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_recovery_from_compacted_wal_is_byte_identical(self, variant, tmp_path):
         digests = _clean_digests(variant, hours=10)
         sage = _build(variant, wal_dir=tmp_path, snapshot_every=2)
         for pipeline, config in _pipes():
@@ -551,16 +557,17 @@ def _memo_digest(sage):
     return digest
 
 
-def _submitted(**kwargs):
-    sage = _build("single-basic", **kwargs)
+def _submitted(variant, **kwargs):
+    sage = _build(variant, **kwargs)
     for pipeline, config in _pipes():
         sage.submit(pipeline, config)
     return sage
 
 
 class TestDigestMemo:
-    def test_memo_extends_across_plain_hours(self):
-        sage = _submitted()
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_memo_extends_across_plain_hours(self, variant):
+        sage = _submitted(variant)
         sage.advance(1.0)
         durability.state_digest(sage)
         fold = sage._digest_memo["charges"]
@@ -572,11 +579,12 @@ class TestDigestMemo:
         assert fold.n == len(sage.access.accountant.charges) > 0
         sage.close()
 
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
     def test_memo_matches_scratch_through_snapshots_and_recovery(
-        self, tmp_path
+        self, variant, tmp_path
     ):
-        digests = _clean_digests("single-basic", hours=11)
-        sage = _submitted(wal_dir=tmp_path, snapshot_every=3)
+        digests = _clean_digests(variant, hours=11)
+        sage = _submitted(variant, wal_dir=tmp_path, snapshot_every=3)
         for hour in range(1, 8):
             sage.advance(1.0)
             assert _memo_digest(sage) == digests[hour]
@@ -584,7 +592,7 @@ class TestDigestMemo:
         sage.close()
         # A recovered platform starts from an empty memo, restores the
         # hour-6 snapshot, replays hour 7, then keeps advancing.
-        recovered = _build("single-basic", wal_dir=tmp_path, snapshot_every=3)
+        recovered = _build(variant, wal_dir=tmp_path, snapshot_every=3)
         report = recovered.recover(_pipes())
         assert (report.snapshot_hour, report.replayed_hours) == (6, 1)
         assert _memo_digest(recovered) == digests[7]
@@ -594,11 +602,12 @@ class TestDigestMemo:
         recovered.close()
 
     @pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
     def test_memo_matches_scratch_across_rolled_back_hour(
-        self, durable, tmp_path
+        self, variant, durable, tmp_path
     ):
-        digests = _clean_digests("single-basic", hours=6)
-        sage = _submitted(wal_dir=tmp_path if durable else None)
+        digests = _clean_digests(variant, hours=6)
+        sage = _submitted(variant, wal_dir=tmp_path if durable else None)
         staged_at_fault = []
 
         def fail(point):
@@ -621,8 +630,9 @@ class TestDigestMemo:
             assert _memo_digest(sage) == digests[hour]
         sage.close()
 
-    def test_truncate_and_regrow_attempts_refolds(self):
-        sage = _submitted()
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_truncate_and_regrow_attempts_refolds(self, variant):
+        sage = _submitted(variant)
         for _ in range(4):
             sage.advance(1.0)
         attempts = max(
@@ -700,6 +710,10 @@ COMPONENTS = {
     "totals-cell": lambda s: _bump_cell(
         s.access.accountant.store.totals, (0, 0), 1e-9
     ),
+    # The last column: a Renyi-width row's highest order.
+    "totals-last-cell": lambda s: _bump_cell(
+        s.access.accountant.store.totals, (0, -1), 1e-9
+    ),
     "live-bit": _flip_live_bit,
     "charge-count": lambda s: _bump_cell(
         s.access.accountant.store.charge_counts, 0, 1
@@ -729,11 +743,12 @@ COMPONENTS = {
 
 class TestDigestCoverage:
     @pytest.mark.parametrize("component", sorted(COMPONENTS))
-    def test_each_component_moves_the_digest(self, component):
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_each_component_moves_the_digest(self, variant, component):
         """Changing any one covered part changes the memoized digest, and
         undoing it restores the original -- incremental folding drops no
         part of the state."""
-        sage = _submitted()
+        sage = _submitted(variant)
         for _ in range(4):
             sage.advance(1.0)
         base = _memo_digest(sage)

@@ -12,9 +12,11 @@ stage; the tests force it by adding a per-context policy, or by patching
 import numpy as np
 import pytest
 
+from repro.core import faults
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_EPS, BlockAccountant
 from repro.core.adaptive import AdaptiveConfig
+from repro.core.filters import RenyiCompositionFilter, StrongCompositionFilter
 from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget
 from repro.errors import (
@@ -22,6 +24,7 @@ from repro.errors import (
     BudgetExceededError,
     InvalidBudgetError,
 )
+from repro.obs import Telemetry
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 from repro.workload.simulator import WorkloadConfig, WorkloadSimulator
 
@@ -116,6 +119,51 @@ class TestBatchedAdvanceEquivalence:
             sage.run_until_quiet(max_hours=60)
             sages.append(sage)
         fp_b, fp_s = _fingerprint(sages[0]), _fingerprint(sages[1])
+        for field in fp_b:
+            assert fp_b[field] == fp_s[field], f"{field} diverged"
+
+    @staticmethod
+    def _oracle_drive(batched, strategy="conserve", filter_factory=None, hours=40):
+        sage = Sage(
+            CountStreamSource(4000, scale=1000),
+            seed=3,
+            filter_factory=filter_factory,
+        )
+        if not batched:
+            _per_request(sage)
+        # The last pipeline never accepts: it keeps retrying to the end.
+        for i, c in enumerate((2_000.0, 10_000.0, 40_000.0, 1e9)):
+            sage.submit(
+                OraclePipeline(name=f"p{i}", n_at_eps1=c),
+                AdaptiveConfig(max_attempts=16, strategy=strategy),
+            )
+        for _ in range(hours):
+            sage.advance(1.0)
+        return sage
+
+    @pytest.mark.parametrize("strategy", ["conserve", "aggressive"])
+    def test_oracle_drive_identical(self, strategy):
+        fp_b = _fingerprint(self._oracle_drive(True, strategy=strategy))
+        fp_s = _fingerprint(self._oracle_drive(False, strategy=strategy))
+        for field in fp_b:
+            assert fp_b[field] == fp_s[field], f"{field} diverged"
+
+    @pytest.mark.parametrize("orders", ["dense", "pruned"])
+    def test_renyi_drive_identical(self, orders):
+        """Renyi-width stores stage the hour identically, with the dense
+        and the pruned order grid."""
+
+        def filter_factory(epsilon, delta):
+            if orders == "dense":
+                return RenyiCompositionFilter(epsilon, delta)
+            return RenyiCompositionFilter(epsilon, delta, orders="pruned")
+
+        batched = self._oracle_drive(True, filter_factory=filter_factory, hours=25)
+        assert batched.access.supports_staged_requests
+        fp_b = _fingerprint(batched)
+        fp_s = _fingerprint(
+            self._oracle_drive(False, filter_factory=filter_factory, hours=25)
+        )
         for field in fp_b:
             assert fp_b[field] == fp_s[field], f"{field} diverged"
 
@@ -308,19 +356,28 @@ class TestStagedBatch:
         assert [r.label for r in records] == ["x"]
 
 
+# Every vectorized composition filter scans through the same memo.
+FILTERS = {
+    "basic": None,
+    "strong": StrongCompositionFilter,
+    "renyi": RenyiCompositionFilter,
+}
+
+
+@pytest.mark.parametrize("filter_name", sorted(FILTERS))
 class TestScanMemoLifetime:
     """The open staged batch memoizes whole-stream admit scans: a memo hit
     hands back the very array an earlier scan produced, a miss rescans."""
 
     FLOOR = PrivacyBudget(0.1, 0.0)
 
-    def _accountant(self, keys=range(4)):
-        acc = BlockAccountant(1.0, 1e-6)
+    def _accountant(self, filter_name, keys=range(4)):
+        acc = BlockAccountant(1.0, 1e-6, filter_factory=FILTERS[filter_name])
         acc.register_blocks(keys)
         return acc
 
-    def test_no_memo_outside_a_batch(self):
-        acc = self._accountant()
+    def test_no_memo_outside_a_batch(self, filter_name):
+        acc = self._accountant(filter_name)
         assert acc._live_admit_rows(self.FLOOR) is not acc._live_admit_rows(
             self.FLOOR
         )
@@ -336,8 +393,8 @@ class TestScanMemoLifetime:
         assert acc._live_admit_rows(self.FLOOR) is not inside
         acc.pop_staged()
 
-    def test_refused_stage_keeps_the_memo(self):
-        acc = self._accountant()
+    def test_refused_stage_keeps_the_memo(self, filter_name):
+        acc = self._accountant(filter_name)
         acc.begin_staging()
         acc.stage_charge([0], PrivacyBudget(0.8, 0.0))
         scan = acc._live_admit_rows(self.FLOOR)
@@ -347,8 +404,8 @@ class TestScanMemoLifetime:
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
         acc.pop_staged()
 
-    def test_successful_stage_drops_the_memo(self):
-        acc = self._accountant()
+    def test_successful_stage_drops_the_memo(self, filter_name):
+        acc = self._accountant(filter_name)
         acc.begin_staging()
         scan = acc._live_admit_rows(self.FLOOR)
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
@@ -357,16 +414,16 @@ class TestScanMemoLifetime:
         assert acc.usable_blocks(self.FLOOR) == [1, 2, 3]
         acc.pop_staged()
 
-    def test_mid_batch_registration_drops_the_memo(self):
-        acc = self._accountant(keys=["a"])
+    def test_mid_batch_registration_drops_the_memo(self, filter_name):
+        acc = self._accountant(filter_name, keys=["a"])
         acc.begin_staging()
         assert acc.usable_blocks() == ["a"]
         acc.register_block("b")
         assert acc.usable_blocks() == ["a", "b"]
         acc.pop_staged()
 
-    def test_rollback_registrations_drops_the_memo(self):
-        acc = self._accountant()
+    def test_rollback_registrations_drops_the_memo(self, filter_name):
+        acc = self._accountant(filter_name)
         acc.begin_staging()
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
         acc.rollback_registrations(2)
@@ -381,8 +438,12 @@ class TestSharedScans:
 
     N_SESSIONS = 8
 
-    def _starved(self):
-        sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
+    def _starved(self, filter_factory):
+        sage = Sage(
+            CountStreamSource(1000, scale=1000),
+            seed=0,
+            filter_factory=filter_factory,
+        )
         sage.advance(60.0)  # blocks land with nobody waiting
         config = AdaptiveConfig(
             epsilon_start=0.5, epsilon_floor=0.5, max_attempts=4
@@ -392,8 +453,11 @@ class TestSharedScans:
         sage.advance(1.0)  # grant the free pool; sessions scan and starve
         return sage
 
-    def test_blocked_queue_shares_one_whole_stream_scan(self, monkeypatch):
-        sage = self._starved()
+    @pytest.mark.parametrize("filter_name", sorted(FILTERS))
+    def test_blocked_queue_shares_one_whole_stream_scan(
+        self, filter_name, monkeypatch
+    ):
+        sage = self._starved(FILTERS[filter_name])
         acc = sage.access.accountant
         scans = []
         original = type(acc)._live_admit_rows
@@ -412,3 +476,59 @@ class TestSharedScans:
         assert len(scans) >= self.N_SESSIONS
         # ... and all of them were served by one scan.
         assert len({id(rows) for rows in scans}) == 1
+
+
+class TestPlatformSurface:
+    def test_close_is_idempotent_on_a_durable_traced_platform(self, tmp_path):
+        """close() releases the WAL handle and the fault observer, may run
+        twice, and leaves a platform that keeps advancing durably."""
+        observers = len(faults._OBSERVERS)
+        sage = Sage(
+            CountStreamSource(1000, scale=1000),
+            seed=0,
+            wal_dir=tmp_path,
+            telemetry=Telemetry(),
+        )
+        assert len(faults._OBSERVERS) == observers + 1
+        sage.advance(5.0)
+        for i in range(3):
+            sage.submit(OraclePipeline(name=f"p{i}", n_at_eps1=2_000.0))
+        sage.advance(1.0)
+        assert sage._wal is not None
+        sage.close()
+        assert sage._wal is None
+        assert len(faults._OBSERVERS) == observers
+        sage.close()  # idempotent
+        assert len(faults._OBSERVERS) == observers
+        sage.advance(1.0)  # the WAL reopens on the next durable hour
+        assert sage.hours_committed == 3
+        sage.close()
+        assert sage._wal is None
+
+    def test_propose_peek_mutates_nothing(self):
+        sage = Sage(CountStreamSource(4000, scale=1000), seed=5)
+        entry = sage.submit(
+            OraclePipeline(name="p", n_at_eps1=3_000.0),
+            AdaptiveConfig(max_attempts=8),
+        )
+        sage.advance(1.0)
+        session = entry.session
+        state = (
+            session.status, session.epsilon, session.window_blocks,
+            len(session.attempts), session.total_spent,
+        )
+        proposal, status_after = session.propose_peek()
+        assert (
+            session.status, session.epsilon, session.window_blocks,
+            len(session.attempts), session.total_spent,
+        ) == state
+        # Peeking agrees with a real wake+propose.
+        session.wake()
+        real = session.propose()
+        if proposal is None:
+            assert real is None and session.status == status_after
+        else:
+            assert real is not None
+            assert (real.window, real.budget, real.epsilon_after) == (
+                proposal.window, proposal.budget, proposal.epsilon_after
+            )

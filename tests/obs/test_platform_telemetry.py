@@ -4,13 +4,15 @@ span taxonomy of the hourly drive, and traced crash recovery.
 The headline property is PR 9's acceptance gate: attaching a
 :class:`~repro.obs.Telemetry` must leave the simulation byte-identical
 (per-hour state digests and the full protocol fingerprint) on every
-drive variant -- sequential, batched, durable.
+drive variant -- sequential, batched, durable -- on basic and Renyi-width
+stores.
 """
 
 import pytest
 
 from repro.core import durability, faults
 from repro.core.adaptive import AdaptiveConfig
+from repro.core.filters import RenyiCompositionFilter
 from repro.core.platform import Sage
 from repro.obs import NULL_PROBE, Telemetry, render_chrome_trace
 from repro.obs.analyze import (
@@ -21,9 +23,11 @@ from repro.obs.analyze import (
 )
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
-# Drive variants; "sequential" gets a per-context policy in _build, which
-# disables staging.
-VARIANTS = ["batched", "sequential"]
+# Drive variants; the "sequential" ones get a per-context policy in
+# _build, which disables staging, and the "-renyi" ones a Renyi-width store.
+VARIANTS = ["batched", "sequential", "batched-renyi", "sequential-renyi"]
+
+STAGED_VARIANTS = [v for v in VARIANTS if v.startswith("batched")]
 
 
 def _pipes(n=4):
@@ -37,13 +41,15 @@ def _pipes(n=4):
 
 
 def _build(variant, telemetry=None, **kwargs):
+    if variant.endswith("-renyi"):
+        kwargs["filter_factory"] = RenyiCompositionFilter
     sage = Sage(
         CountStreamSource(4000, scale=1000),
         seed=5,
         telemetry=telemetry,
         **kwargs,
     )
-    if variant == "sequential":
+    if variant.startswith("sequential"):
         sage.access.add_context("oracle", 1.0, 1e-6)
     return sage
 
@@ -95,15 +101,16 @@ class TestByteParity:
         traced.close()
         bare.close()
 
-    # Durable mode needs the staged drive, so the per-request variant has
-    # no log to compare.
-    def test_durable_traced_drive_is_byte_identical(self, tmp_path):
-        bare = _build("batched", wal_dir=tmp_path / "bare", snapshot_every=2)
+    # Durable mode needs the staged drive, so the per-request variants
+    # have no log to compare.
+    @pytest.mark.parametrize("variant", STAGED_VARIANTS)
+    def test_durable_traced_drive_is_byte_identical(self, variant, tmp_path):
+        bare = _build(variant, wal_dir=tmp_path / "bare", snapshot_every=2)
         bare_digests = _drive(bare, 6)
         bare.close()
         telemetry = Telemetry()
         traced = _build(
-            "batched",
+            variant,
             telemetry=telemetry,
             wal_dir=tmp_path / "traced",
             snapshot_every=2,

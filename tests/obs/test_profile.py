@@ -14,9 +14,11 @@ import time
 from repro.core.platform import Sage
 from repro.obs import Telemetry, Tracer, chrome_trace, render_chrome_trace
 from repro.obs.analyze import (
+    collapsed_stacks,
     load_chrome_trace,
     phase_breakdown,
     render_breakdown,
+    self_times,
     span_tree_shape,
     wall_view,
 )
@@ -225,6 +227,27 @@ class TestWallAnalytics:
         hour = rows["advance.hour"]
         assert (hour.count, hour.total, hour.self_time) == (1, 400.0, 360.0)
         assert drive.share == 0.1
+
+    def test_collapsed_stacks_weigh_frames_by_wall_self_time(self):
+        lines = collapsed_stacks(wall_view(self._hour())).splitlines()
+        assert lines == ["advance.hour 290", "advance.hour;charge.batch 110"]
+
+    def test_overlapping_child_walls_clamp_parent_self_time(self):
+        tracer, clock = _tracer()
+        with tracer.span("staging.commit"):
+            clock.now = 40.0
+            # Two children whose wall intervals are moved back to overlap:
+            # together they out-sum the parent.  Self time clamps at
+            # zero, never negative.
+            for name in ("charge.batch", "wal.append"):
+                with tracer.span(name) as span:
+                    pass
+                span.wall_start = span.wall_end - 30.0
+        view = wall_view(tracer)
+        commit = view.find_spans("staging.commit")[0]
+        assert self_times(view)[commit.span_id] == 0.0
+        children = view.find_spans("charge.batch") + view.find_spans("wal.append")
+        assert sum(s.duration for s in children) == 60.0
 
     def test_render_breakdown_of_a_wall_view(self):
         text = render_breakdown(wall_view(self._hour()))
