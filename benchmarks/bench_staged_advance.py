@@ -7,8 +7,9 @@ waiting pipelines scanning a long stream every hour):
   blocks) driven through the **staged** hour -- whose open batch shares
   each whole-stream admit scan across every session at one floor --
   versus the **per-request** drive, which stages nothing and rescans per
-  session.  The per-request drive is forced from the bench side by
-  patching ``SageAccessControl.supports_staged_requests``.  Parity is
+  session.  The per-request drive is the test suite's parity oracle
+  (``tests/per_request_oracle.py``), whose guard proves no batch opened
+  while it ran.  Parity is
   asserted first: the staged drive must reproduce the per-request one
   byte for byte, and the timed starved hour must end in the same state
   on both drives.
@@ -31,18 +32,17 @@ runs extend the same ``results/perf_history.jsonl`` series.
 import argparse
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from unittest import mock
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
 
 from benchjson import write_bench_json, write_bench_report
-from repro.core.access_control import SageAccessControl
+from per_request_oracle import per_request_drive
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
 from repro.data.stream import StreamBatch
@@ -53,18 +53,6 @@ DEFAULT_BLOCKS = 5_000
 # Perf-history keys (see the module docstring).
 HISTORY_BENCH = "sharded_advance"
 ADVANCE_CASE = "sharded_advance_s1"
-
-
-@contextmanager
-def per_request_drive():
-    """Force the unstaged per-request drive for every platform advanced
-    inside the block (the access layer reports it cannot stage)."""
-    with mock.patch.object(
-        SageAccessControl,
-        "supports_staged_requests",
-        property(lambda self: False),
-    ):
-        yield
 
 
 # ----------------------------------------------------------------------

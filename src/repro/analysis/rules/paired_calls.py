@@ -15,8 +15,8 @@ Since PR 8 the check is *path-sensitive* on the function's CFG instead of
 the old "one closer somewhere inside a finally" heuristic: the rule asks
 whether any feasible path runs from a completed opener call to a function
 exit (normal or raising) without passing a closer.  Branch correlation
-prunes the ``if staged: begin_staging()`` ... ``finally: if staged:
-commit_staged()`` pseudo-leak, and a closer guarded by a state test
+prunes pseudo-leaks such as ``if x: begin_staging()`` ... ``finally: if x:
+commit_staged()``, and a closer guarded by a state test
 (``if wal.hour_open: abort_hour()``) counts as closing at the guard --
 the guard is trusted to detect openness, which is exactly what such
 guards are for.  Functions *named* like the opener or a closer (the

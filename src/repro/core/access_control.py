@@ -22,12 +22,13 @@ staged-batch overlay, ``stage_request(keys, budget, label)`` validates and
 stages one proposal (raising exactly what ``request`` would, staging
 nothing on refusal), and ``commit_staged()`` settles everything staged
 through a single :meth:`request_many` call, whose validation re-checks the
-batch end to end.  ``abort_staged()`` drops the batch instead -- the
-platform's rollback of an hour that raised.  Staging is stream-wide only:
-``supports_staged_requests`` is False when per-context accountants exist
-(their charges must validate per-request) or when the filter class forces
-the scalar accounting path; the platform then charges each proposal
-immediately through :meth:`request`.
+batch end to end.  ``abort_staged()`` drops the batch instead and
+``rollback_registrations()`` drops the hour's blocks from every ledger set:
+together, the platform's rollback of an hour that raised.  Every stream can stage: the accountant only accepts filters that
+decide from their totals.  Staging is stream-wide: the platform never
+names a context, so per-context ledgers gain the hour's blocks but no
+charges, and contexts remain this class's own API (``request`` /
+``request_many`` with ``context=``).
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ class SageAccessControl:
     def accountant(self) -> BlockAccountant:
         return self._accountant
 
+    @property
+    def contexts(self) -> Dict[str, BlockAccountant]:
+        """The per-context accountants by name, in the order they were
+        added (a new dict; the accountants themselves are live)."""
+        return dict(self._contexts)
+
     def add_context(self, name: str, epsilon: float, delta: float) -> None:
         """Add a per-context guarantee (e.g. one per developer or geography)."""
         if name in self._contexts:
@@ -90,6 +97,14 @@ class SageAccessControl:
         """
         for key in keys:
             self.register_block(key)
+
+    def rollback_registrations(self, n_blocks: int) -> None:
+        """Unregister every block past the first ``n_blocks`` in every
+        ledger set -- the platform's hour rollback.  Every set registers
+        the same keys in the same order, so one count truncates them all."""
+        self._accountant.rollback_registrations(n_blocks)
+        for ctx in self._contexts.values():
+            ctx.rollback_registrations(n_blocks)
 
     # ------------------------------------------------------------------
     def _check_principal(self, principal: Optional[str]) -> None:
@@ -210,23 +225,11 @@ class SageAccessControl:
     # Two-phase (propose/settle) staging for the platform's hourly batch
     # ------------------------------------------------------------------
     @property
-    def supports_staged_requests(self) -> bool:
-        """Whether the two-phase stage/commit path is exact here: it needs
-        the accountant's vectorized filter path and no per-context
-        accountants (context charges validate per-request, not per-hour)."""
-        return self._accountant.staging_supported and not self._contexts
-
-    @property
     def staging_active(self) -> bool:
         return self._accountant.staging_active
 
     def begin_staging(self) -> None:
         """Open an hourly staged batch on the stream accountant."""
-        if not self.supports_staged_requests:
-            raise AccessDeniedError(
-                "staged requests are unsupported here (custom scalar-only "
-                "filter or per-context accountants); use request() instead"
-            )
         self._accountant.begin_staging()
 
     def stage_request(

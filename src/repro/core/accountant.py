@@ -47,23 +47,23 @@ charge history and mirrors its totals into its store row on every commit, so
 the matrix is always in sync no matter whether a charge lands through the
 accountant or directly on a ledger.
 
-Batched-API contract: the accountant evaluates whole-stream scans
+Batched-API contract: the accountant evaluates every decision -- charges,
+``charge_many`` batches, staged charges and the whole-stream scans
 (``usable_blocks``, ``usable_blocks_tail``, ``can_charge``, ``max_epsilon``,
-``retired_blocks``, ``stream_loss_bound``) through a single prototype
-filter's ``admits_batch`` / ``max_epsilon_batch`` over store rows.  This
-assumes the ``filter_factory`` is *homogeneous*: every per-block filter
-built by it must make decisions that depend only on the block's totals (as
-:class:`~repro.core.filters.BasicCompositionFilter` and
-:class:`~repro.core.filters.StrongCompositionFilter` do), not on per-filter
-mutable state.  Custom filter classes that keep the base-class
-``admits_batch`` are assumed to decide from the charge *history* instead;
-the accountant detects them and routes every scan through per-ledger
-scalar ``admits`` so enforcement stays exact (at per-ledger loop speed).
-The detection inspects overrides of ``admits`` / ``admits_batch`` /
-``max_epsilon`` / ``max_epsilon_batch`` only: a subclass that changes
-decisions through a helper those methods call (e.g. ``remaining``) must
-override the decision method (or its batch form) as well, or batched scans
-will not see the change.
+``retired_blocks``, ``stream_loss_bound``) -- through a single prototype
+filter's ``admits_batch`` / ``max_epsilon_batch`` over store rows.  Every
+filter must therefore decide from its block's totals row alone, and the
+``filter_factory`` must be *homogeneous*: every per-block filter it builds
+makes the decisions the prototype makes on the same row (as the built-in
+basic, strong and Renyi filters do).  There is one accounting path and no
+fallback: a filter class whose decisions might come from elsewhere -- one
+that keeps the base-class ``admits_batch`` (which decides from an empty
+history), or whose batch methods sit above an overridden scalar
+``admits`` / ``max_epsilon`` -- is rejected with ``InvalidBudgetError``
+when the accountant is constructed.  The check inspects overrides of
+those four decision methods only: a subclass that changes decisions
+through a helper they call (e.g. ``remaining``) must override the
+decision method (or its batch form) as well, or it will not be caught.
 
 Batched atomic multi-charge (``charge_many``)
 ---------------------------------------------
@@ -81,11 +81,9 @@ one pass.  Its contract:
   nothing is committed anywhere and the error ``charge`` would have raised
   for that request (``BlockRetiredError`` / ``BudgetExceededError``)
   propagates.
-* **Filter routing.**  Homogeneous totals-deciding filters are validated
-  with one vectorized filter pass per request over a scratch copy of the
-  touched store rows and committed with a single bulk row write; custom
-  scalar-only filter classes route through the exact per-ledger path
-  (sequential apply with snapshot rollback), at per-ledger loop speed.
+* **One vectorized pass.**  Each request is validated with one filter
+  pass over a scratch copy of the touched store rows, and the batch is
+  committed with a single bulk row write.
 
 Staged batches (the propose/settle commit path)
 -----------------------------------------------
@@ -119,9 +117,10 @@ accountant supports this with a :class:`StagedBatch` overlay opened by
   as an end-to-end check of that claim.  Discarding the returned list
   aborts the batch (the platform's hour rollback).
 
-Staging requires the vectorized filter path (``staging_supported``);
-mutating the accountant through ``charge``/``charge_many`` while a batch is
-open is an error, since the overlay could not see those writes.
+Every accountant can stage, since every accepted filter decides from the
+totals the overlay carries.  Mutating the accountant through
+``charge``/``charge_many`` while a batch is open is an error, since the
+overlay could not see those writes.
 """
 
 from __future__ import annotations
@@ -201,13 +200,15 @@ def _defining_class(cls: type, name: str) -> type:
 
 
 def _scans_can_vectorize(filter_obj: PrivacyFilter) -> bool:
-    """Whether batched scans are exact for this filter class.
+    """Whether this filter class's batch methods decide exactly what its
+    scalar rules decide, i.e. from the totals row alone.
 
     The base-class ``admits_batch`` sees an empty history, so it is only
     valid for totals-deciding filters; and an *inherited* concrete
     ``admits_batch`` must not shadow a subclass's overridden scalar rule
     (the batch method has to be defined at or below wherever ``admits`` /
-    ``max_epsilon`` were last overridden).
+    ``max_epsilon`` were last overridden).  The accountant rejects every
+    filter for which this is False.
 
     Only these four decision methods are inspected: a subclass that changes
     behavior through a *helper* they call (e.g. ``remaining``) without
@@ -475,8 +476,9 @@ class BlockAccountant:
     filter_factory:
         Builds the per-block filter; defaults to basic composition
         (Theorem 4.3).  Pass ``StrongCompositionFilter`` for Theorem A.2
-        accounting.  Must be homogeneous (see module docstring) for the
-        vectorized scans to be exact.
+        accounting.  Must be homogeneous and decide from the totals row
+        (see module docstring); any other filter class is rejected with
+        ``InvalidBudgetError``.
     retirement_budget:
         Blocks that cannot absorb this charge any more count as retired;
         defaults to (epsilon_global/1000, 0).
@@ -508,10 +510,15 @@ class BlockAccountant:
         )
         # A filter whose batch methods are missing or shadowed by scalar
         # overrides (e.g. it decides from the charge history, or a subclass
-        # tightened admits without re-deriving admits_batch) must scan
-        # through per-ledger scalar admits, or batched scans would silently
-        # admit what the scalar rule refuses.
-        self._vectorized = _scans_can_vectorize(self._batch_filter)
+        # tightened admits without re-deriving admits_batch) would have its
+        # batched decisions silently admit what its scalar rule refuses.
+        if not _scans_can_vectorize(self._batch_filter):
+            raise InvalidBudgetError(
+                f"filter {type(self._batch_filter).__name__} does not decide "
+                "from its totals row: override admits_batch (and "
+                "max_epsilon_batch) at or below every overridden admits / "
+                "max_epsilon"
+            )
         self._keys: List[object] = []
         self._rows: Dict[object, int] = {}
         # Memoized key-tuple -> row-array translations (rows never move, so
@@ -639,13 +646,6 @@ class BlockAccountant:
     # Staged batches (validate now, commit the hour in one charge_many)
     # ------------------------------------------------------------------
     @property
-    def staging_supported(self) -> bool:
-        """Staging needs the vectorized filter path: the overlay replays
-        batched filter decisions over effective totals, which a custom
-        scalar-only (history-deciding) filter cannot reproduce."""
-        return self._vectorized
-
-    @property
     def staging_active(self) -> bool:
         return self._staged is not None
 
@@ -675,11 +675,6 @@ class BlockAccountant:
         """Open a staged batch; subsequent reads see staged charges."""
         if self._staged is not None:
             raise InvalidBudgetError("a staged batch is already open")
-        if not self._vectorized:
-            raise InvalidBudgetError(
-                "staging requires a homogeneous totals-deciding filter; "
-                "this accountant's filter routes through the scalar path"
-            )
         self._staged = StagedBatch(self)
         return self._staged
 
@@ -744,12 +739,6 @@ class BlockAccountant:
         """Per-key admit decisions in one batched filter pass."""
         if not keys:
             return np.zeros(0, dtype=bool)
-        if not self._vectorized:
-            return np.fromiter(
-                (self.ledger(k).admits(budget) for k in keys),
-                dtype=bool,
-                count=len(keys),
-            )
         rows = self._key_rows(keys)
         return self._batch_filter.admits_batch(self._totals_view()[rows], budget)
 
@@ -781,11 +770,9 @@ class BlockAccountant:
             raise BudgetExceededError(
                 f"block {key!r} cannot absorb {budget}", block_id=key
             )
-        # Homogeneous filters share one contribution vector across the
-        # charge's blocks; custom (scalar-path) filters compute per ledger,
-        # since only homogeneity guarantees the prototype's increment is
-        # every ledger's increment.
-        contribution = self._contribution(budget) if self._vectorized else None
+        # The filter is homogeneous, so the charge's blocks share one
+        # contribution vector.
+        contribution = self._contribution(budget)
         for key in keys:
             self._ledgers[key].record(budget, contribution)
         record = ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
@@ -862,46 +849,6 @@ class BlockAccountant:
             counts_delta[lrows] += 1
         return touched, work, counts_delta
 
-    def _apply_many_scalar(self, norm: List[tuple], commit: bool) -> List[ChargeRecord]:
-        """Per-ledger sequential apply with full rollback -- the exact path
-        for filters whose decisions batched scans cannot reproduce."""
-        # dict.fromkeys, not a set: ledger creation and snapshot/rollback
-        # order must be first-touch deterministic run to run.
-        touched_keys = dict.fromkeys(key for keys, _, _ in norm for key in keys)
-        ledgers = {key: self.ledger(key) for key in touched_keys}
-        snapshot = {
-            key: (len(led.history), list(led._totals))
-            for key, led in ledgers.items()
-        }
-
-        def rollback() -> None:
-            for key, (n_history, totals) in snapshot.items():
-                led = ledgers[key]
-                del led.history[n_history:]
-                led._totals = totals
-                self._store.write_row(led._row, totals, n_history)
-
-        records = []
-        try:
-            for keys, budget, label in norm:
-                for key in keys:
-                    if not ledgers[key].admits(budget):
-                        retired = ledgers[key].is_retired(self.retirement_budget)
-                        self._raise_refusal(key, budget, retired)
-                for key in keys:
-                    ledgers[key].record(budget)
-                records.append(
-                    ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
-                )
-        except Exception:
-            rollback()
-            raise
-        if not commit:
-            rollback()
-            return records
-        self._charges.extend(records)
-        return records
-
     def charge_many(self, requests) -> List[ChargeRecord]:
         """Atomically commit a whole batch of ``(keys, budget[, label])`` charges.
 
@@ -913,17 +860,13 @@ class BlockAccountant:
         ledger, the totals store, and the charge log untouched, and raises
         the error :meth:`charge` would have raised for that request.
 
-        For homogeneous totals-deciding filters the whole batch is validated
-        in one vectorized pass over the ledger store and committed with a
-        single bulk row write; custom scalar-only filter classes route
-        through the exact per-ledger path (apply + rollback).
+        The whole batch is validated in one vectorized pass over the ledger
+        store and committed with a single bulk row write.
         """
         self._forbid_staging("charge_many")
         norm = self._normalize_requests(requests)
         if not norm:
             return []
-        if not self._vectorized:
-            return self._apply_many_scalar(norm, commit=True)
         with self._tracer.span("charge.batch", requests=len(norm)):
             touched, work, counts_delta = self._validate_many_vectorized(norm)
             # Crash point between validation and the commit: the whole
@@ -969,10 +912,7 @@ class BlockAccountant:
         if not norm:
             return True
         try:
-            if not self._vectorized:
-                self._apply_many_scalar(norm, commit=False)
-            else:
-                self._validate_many_vectorized(norm)
+            self._validate_many_vectorized(norm)
         except (BudgetExceededError, BlockRetiredError):
             return False
         return True
@@ -1094,8 +1034,6 @@ class BlockAccountant:
         """Largest epsilon chargeable to *all* named blocks at once."""
         if not keys:
             return 0.0
-        if not self._vectorized:
-            return min(self.ledger(k).max_epsilon(delta) for k in keys)
         rows = self._key_rows(keys)
         return float(
             self._batch_filter.max_epsilon_batch(self._totals_view()[rows], delta)
@@ -1117,19 +1055,9 @@ class BlockAccountant:
         live_rows = np.nonzero(self._store.live)[0]
         if live_rows.size == 0:
             return live_rows
-        if not self._vectorized:
-            alive = np.fromiter(
-                (
-                    not self._ledgers[self._keys[i]].is_retired(self.retirement_budget)
-                    for i in live_rows
-                ),
-                dtype=bool,
-                count=live_rows.size,
-            )
-        else:
-            alive = self._batch_filter.admits_batch(
-                self._totals_view()[live_rows], self.retirement_budget
-            )
+        alive = self._batch_filter.admits_batch(
+            self._totals_view()[live_rows], self.retirement_budget
+        )
         if not alive.all():
             retired_rows = live_rows[~alive]
             # Retirement is persisted only from *committed* totals: while a
@@ -1144,16 +1072,9 @@ class BlockAccountant:
                 self._dead.update(self._keys[i] for i in retired_rows)
             live_rows = live_rows[alive]
         if floor != self.retirement_budget:
-            if not self._vectorized:
-                admitted = np.fromiter(
-                    (self._ledgers[self._keys[i]].admits(floor) for i in live_rows),
-                    dtype=bool,
-                    count=live_rows.size,
-                )
-            else:
-                admitted = self._batch_filter.admits_batch(
-                    self._totals_view()[live_rows], floor
-                )
+            admitted = self._batch_filter.admits_batch(
+                self._totals_view()[live_rows], floor
+            )
             live_rows = live_rows[admitted]
         if memo is not None:
             live_rows.setflags(write=False)  # shared across memo readers
@@ -1186,37 +1107,6 @@ class BlockAccountant:
         if count <= 0:
             return []
         floor = min_budget or self.retirement_budget
-        if not self._vectorized:
-            # Scalar-filter fallback keeps the seed's early-stopping tail
-            # walk: O(count) ledger evaluations, not O(n_live).
-            out = []
-            live = self._store.live
-            for i in range(len(self._store) - 1, -1, -1):
-                if not live[i]:
-                    continue
-                key = self._keys[i]
-                led = self._ledgers[key]
-                if led.is_retired(self.retirement_budget):
-                    # repro: allow(purity) -- deferred retirement (scalar
-                    # tail walk); same idempotent persistence as the
-                    # vectorized scan above.
-                    self._store.retire(i)
-                    # repro: allow(purity) -- see above
-                    self._dead.add(key)
-                    continue
-                if not led.admits(floor):
-                    continue
-                if row_filter is not None and not bool(
-                    np.asarray(row_filter(np.array([i], dtype=np.intp)))[0]
-                ):
-                    continue
-                if key_filter is not None and not key_filter(key):
-                    continue
-                out.append(key)
-                if len(out) == count:
-                    break
-            out.reverse()
-            return out
         rows = self._live_admit_rows(floor)
         if row_filter is not None and rows.size:
             rows = rows[np.asarray(row_filter(rows), dtype=bool)]
@@ -1271,7 +1161,7 @@ class BlockAccountant:
             delta = float(np.minimum(1.0, f.delta_slack + totals[:, TOT_DELTA]).max())
             return PrivacyBudget(eps, delta)
         loss_bound_batch = getattr(self._batch_filter, "loss_bound_batch", None)
-        if self._vectorized and loss_bound_batch is not None:
+        if loss_bound_batch is not None:
             # Filters with a vectorized per-row bound (e.g. the Renyi
             # filter's converted-RDP curve): one pass over charged rows.
             charged = counts > 0

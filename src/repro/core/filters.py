@@ -49,10 +49,12 @@ vectorized arithmetic mirrors the scalar operation order exactly).
 ``max_epsilon`` restricted to the conjunction over rows: the largest epsilon
 every row still admits at the given delta.
 
-The batch contract only holds for filters whose decisions are a pure
-function of the totals row; the accountant detects filters that keep the
-base-class ``admits_batch`` and routes their scans through per-ledger
-scalar ``admits`` (with the real history) instead.
+Deciding from the totals row alone is part of the filter contract: the
+accountant makes every decision through the batch methods, and it rejects
+at construction a filter class that keeps the base-class ``admits_batch``
+or whose batch methods sit above an overridden scalar ``admits`` /
+``max_epsilon`` (see ``repro.core.accountant``).  There is no per-ledger
+fallback for history-deciding filters.
 
 Tolerances: every admissibility comparison carries slack so that charging
 eps_g/k exactly k times is never rejected on the final charge by float
@@ -191,11 +193,11 @@ class PrivacyFilter(abc.ABC):
     def admits_batch(self, totals, candidate: PrivacyBudget) -> np.ndarray:
         """Vectorized :meth:`admits` over an (n, 4) array of totals rows.
 
-        Subclasses override with a true NumPy pass.  This fallback loops the
-        scalar rule with an *empty history*, so it is only valid for filters
-        that decide from ``totals`` alone; the accountant detects filters
-        that keep this base implementation and uses per-ledger scalar
-        ``admits`` (with the real history) for them instead.
+        Concrete filters must override it with a true NumPy pass.  This
+        base form loops the scalar rule with an *empty history*, which is
+        only right for a filter that decides from ``totals`` alone; the
+        accountant cannot tell, so it rejects any filter class that keeps
+        this implementation.
         """
         matrix = _as_totals_matrix(totals, self.totals_width)
         return np.fromiter(

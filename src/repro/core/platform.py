@@ -39,15 +39,17 @@ accumulation, so the commit can never be refused (its validation stays on
 as an end-to-end check).  Sessions' reservation deductions settle in one
 fused vectorized pass per session.
 
-Streams that cannot stage (per-context policies or custom scalar-only
-filters: ``SageAccessControl.supports_staged_requests`` is False) run the
-same propose/complete drive with immediate per-proposal ``request``
-execution -- trajectories are float-identical either way; only the commit
-granularity changes.
+There is no other drive.  Every stream can stage, because the accountant
+rejects at construction any filter that does not decide from its totals,
+and per-context policies do not change the drive: the platform never
+names a context, so context ledgers gain each hour's blocks and no
+charges.  Charging each proposal immediately through ``request`` would
+produce float-identical trajectories; the test suite keeps that drive as
+its parity oracle.
 
 One transactional hour
 ----------------------
-Every staged hour has one shape: capture the pre-hour state, open the hour
+Every hour has one shape: capture the pre-hour state, open the hour
 (ingest, register, allocate), begin staging, drive, commit.  An exception
 anywhere before the commit -- ``KeyboardInterrupt`` and ``SystemExit``
 included -- restores the captured state and aborts the staged batch, so a
@@ -59,8 +61,9 @@ freezes the state as-is for recovery to rebuild from disk.  A durable
 platform (``wal_dir``) runs the same hour and additionally writes it ahead
 into the charge log before the commit, then marks it committed with a
 state digest; a volatile platform is the durable one without the log.
-Per-request hours (streams that cannot stage) commit each charge as it is
-granted and are not rolled back; durable mode refuses them.
+Durable mode refuses platforms with per-context policies: context ledgers
+are in neither the WAL nor the snapshots, so recovery could not rebuild
+them.
 
 Shared scans
 ------------
@@ -362,9 +365,7 @@ class Sage:
     Every :meth:`advance` is one transactional hour (see the module
     docstring): sessions stage their charges and the hour settles through
     one ``request_many`` batch, or -- when it raises before that commit --
-    rolls back to the exact pre-hour state.  Streams that cannot stage
-    (per-context policies, scalar-only filters) charge each proposal as
-    it is granted instead.
+    rolls back to the exact pre-hour state.
 
     ``wal_dir`` makes the platform durable (see
     :mod:`repro.core.durability`): each hour is recorded in a write-ahead
@@ -373,8 +374,7 @@ class Sage:
     full-state snapshot lands next to it (the newest ``snapshot_keep`` are
     retained).  A platform constructed over a WAL directory holding prior
     state must call :meth:`recover` before advancing.  Durable mode
-    requires the staged drive: the WAL records each hour as one request
-    batch.
+    refuses per-context policies, whose ledgers the WAL does not record.
 
     ``telemetry`` attaches a :class:`repro.obs.Telemetry` (tracer +
     metrics registry) to the whole deployment: every phase of the hourly
@@ -454,7 +454,6 @@ class Sage:
         # platform.
         self._digest_memo: dict = {}
         if self._wal_dir is not None:
-            self._require_staging()
             self._snapshots = durability.SnapshotStore(
                 self._wal_dir, keep=snapshot_keep, telemetry=telemetry
             )
@@ -666,14 +665,13 @@ class Sage:
         self.close()
 
     # ------------------------------------------------------------------
-    def _drive_session(self, entry: SubmittedPipeline, staged: bool) -> None:
+    def _drive_session(self, entry: SubmittedPipeline) -> None:
         """Run one session's propose/decide/complete loop for this hour.
 
-        Every proposal is validated against the hour's staged batch (or
-        executed immediately on the sequential path), its window assembled,
-        and the decision fed back; a refusal becomes a denied decision, so
-        the session blocks on NEED_DATA with escalation state untouched
-        instead of the refusal propagating.
+        Every proposal is validated against the hour's staged batch, its
+        window assembled, and the decision fed back; a refusal becomes a
+        denied decision, so the session blocks on NEED_DATA with escalation
+        state untouched instead of the refusal propagating.
         """
         session = entry.session
         session.wake()
@@ -686,12 +684,7 @@ class Sage:
             window = list(proposal.window)
             granted = True
             try:
-                if staged:
-                    self.access.stage_request(
-                        window, proposal.budget, label=entry.name
-                    )
-                else:
-                    self.access.request(window, proposal.budget, label=entry.name)
+                self.access.stage_request(window, proposal.budget, label=entry.name)
             except (BlockRetiredError, BudgetExceededError):
                 granted = False
             metrics.inc(
@@ -717,7 +710,7 @@ class Sage:
         """Move the clock one transactional hour: ingest, allocate, drive
         sessions, settle, release, commit.
 
-        Returns the bundles released during this step.  A staged hour
+        Returns the bundles released during this step.  The hour
         commits all its charges through exactly one
         ``SageAccessControl.request_many`` call after every session has
         finished or blocked; any exception before that commit, interrupts
@@ -736,10 +729,14 @@ class Sage:
                 f"WAL directory {self._wal_dir} holds prior platform state; "
                 "call recover() before advancing"
             )
-        staged = self.access.supports_staged_requests
         wal = None
         if self._wal_dir is not None:
-            self._require_staging()
+            if self.access.contexts:
+                raise DurabilityError(
+                    "durable mode (wal_dir) refuses per-context policies: "
+                    "context ledgers are not in the WAL or the snapshots, "
+                    "so recovery could not rebuild them"
+                )
             wal = self._ensure_wal()
         txn = self._capture_hour()
         tracer = self._tracer
@@ -753,9 +750,8 @@ class Sage:
             try:
                 new_blocks = self._open_hour(hours)
                 faults.trip("hour.opened")
-                if staged:
-                    self.access.begin_staging()
-                released = self._drive_hour(staged)
+                self.access.begin_staging()
+                released = self._drive_hour()
                 if wal is not None:
                     # Build the record while the staged batch is still open
                     # (it carries the batch verbatim), write ahead, then
@@ -763,24 +759,21 @@ class Sage:
                     wal.append_hour(
                         self._build_hour_record(txn, hours, new_blocks)
                     )
-                if staged:
-                    self._metrics.observe(
-                        "sage_staged_batch_requests",
-                        self.access.accountant.staged_request_count,
-                    )
-                    with tracer.span("staging.commit"):
-                        self.access.commit_staged()
+                self._metrics.observe(
+                    "sage_staged_batch_requests",
+                    self.access.accountant.staged_request_count,
+                )
+                with tracer.span("staging.commit"):
+                    self.access.commit_staged()
             except BaseException as exc:
                 # KeyboardInterrupt/SystemExit roll back too: a volatile
                 # platform has no log to rebuild from.  Only a simulated
                 # process death on a durable platform skips the rollback
-                # -- recovery rebuilds that state from disk.  Per-request
-                # hours charged as they went, so there is no consistent
-                # pre-hour state to return them to.
+                # -- recovery rebuilds that state from disk.
                 crashed = wal is not None and isinstance(
                     exc, faults.InjectedCrash
                 )
-                if staged and not crashed:
+                if not crashed:
                     try:
                         self._rollback_hour(txn)
                     finally:
@@ -819,10 +812,10 @@ class Sage:
             opening.set(new_blocks=len(new_blocks))
         return new_blocks
 
-    def _drive_hour(self, staged: bool) -> List[ReleasedBundle]:
+    def _drive_hour(self) -> List[ReleasedBundle]:
         """Drive every waiting session through the hour's propose/settle
-        loop (after :meth:`_open_hour`; inside the staging window on the
-        staged path).  Returns the hour's released bundles."""
+        loop (after :meth:`_open_hour`, inside the staging window).
+        Returns the hour's released bundles."""
         tracer = self._tracer
         released: List[ReleasedBundle] = []
         driven = 0
@@ -836,7 +829,7 @@ class Sage:
             # settle/release helpers emit no telemetry, so the widened
             # body leaves the deterministic tick sequence untouched.
             with tracer.span("session.drive", session=entry.name):
-                self._drive_session(entry, staged)
+                self._drive_session(entry)
                 self._metrics.inc("sage_sessions_driven_total")
                 driven += 1
                 self._settle_charges(entry)
@@ -867,14 +860,6 @@ class Sage:
     # ------------------------------------------------------------------
     # Durability: pre-hour capture, rollback, WAL records, recovery
     # ------------------------------------------------------------------
-    def _require_staging(self) -> None:
-        """Durable mode records each hour as one staged request batch."""
-        if not self.access.supports_staged_requests:
-            raise DurabilityError(
-                "durable mode (wal_dir) requires the staged hourly drive: a "
-                "staging-capable accountant and no per-context policies"
-            )
-
     def _ensure_wal(self) -> durability.WalWriter:
         if self._wal_dir is None:
             raise DurabilityError("platform was constructed without a wal_dir")
@@ -931,7 +916,7 @@ class Sage:
         deregister the hour's blocks (truncating the ledger store),
         restore reservations, rewind every session, withdraw the hour's
         released bundles, unwind the ingest, rewind clock and RNG."""
-        self.access.accountant.rollback_registrations(txn["n_blocks"])
+        self.access.rollback_registrations(txn["n_blocks"])
         self.database.truncate_to_mark(txn["db_mark"])
         self.ingestor.clock_hours = txn["clock"]
         self.rng.bit_generator.state = txn["rng_state"]

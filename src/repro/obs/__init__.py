@@ -26,8 +26,9 @@ Enable it per platform::
 it observes, timestamps come from a logical tick clock, span IDs are a
 counter, and every emission site sits on the serial drive path -- so a
 traced run's accounting trajectory is byte-identical to an untraced
-run's (property-tested across the staged, per-request, and durable drives),
-and two identical runs export byte-identical documents.  Disabled mode
+run's (property-tested on the staged and durable drives and on the test
+suite's per-request oracle), and two identical runs export byte-identical
+documents.  Disabled mode
 is a no-op probe: platform attributes hold the shared
 :data:`~repro.obs.trace.NULL_PROBE`, whose ``span`` / ``event`` / ``set``
 do nothing, so every emission site is written once, unconditionally.

@@ -41,7 +41,7 @@ def test_seeded_unrestored_mutation_fails_rollback():
     findings = lint_seeded(
         PLATFORM,
         anchor,
-        anchor + "\n                    self._hour_trace = new_blocks",
+        anchor + "\n                self._hour_trace = new_blocks",
         RollbackCompletenessRule(),
     )
     assert any(

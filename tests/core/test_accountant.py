@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_DELTA, TOT_EPS, BlockAccountant, BlockLedger
 from repro.core.filters import (
     BasicCompositionFilter,
@@ -12,6 +13,46 @@ from repro.core.filters import (
 )
 from repro.dp.budget import PrivacyBudget
 from repro.errors import BlockRetiredError, BudgetExceededError, InvalidBudgetError
+
+
+class AtMostThreeCharges(PrivacyFilter):
+    """Decides from the charge history and keeps the base-class
+    admits_batch, which would see an empty history and admit everything."""
+
+    def admits(self, history, candidate, totals=None):
+        return len(history) < 3
+
+    def max_epsilon(self, history, delta):
+        return self.epsilon_global if len(history) < 3 else 0.0
+
+
+class AtMostOne(PrivacyFilter):
+    """The same shape with a one-charge cap."""
+
+    def admits(self, history, candidate, totals=None):
+        return len(history) < 1
+
+    def max_epsilon(self, history, delta):
+        return self.epsilon_global if not history else 0.0
+
+
+class AtMostTwoCharges(BasicCompositionFilter):
+    """Tightens only the scalar admits: the inherited concrete admits_batch
+    would admit what the override refuses."""
+
+    def admits(self, history, candidate, totals=None):
+        return len(history) < 2 and super().admits(history, candidate, totals=totals)
+
+
+class CappedMax(StrongCompositionFilter):
+    """Tightens only the scalar max_epsilon: the inherited batch form would
+    ignore the cap."""
+
+    def max_epsilon(self, history, delta):
+        return min(0.05, super().max_epsilon(history, delta))
+
+
+HISTORY_DECIDING_FILTERS = [AtMostThreeCharges, AtMostOne, AtMostTwoCharges, CappedMax]
 
 
 @pytest.fixture
@@ -282,62 +323,51 @@ class TestBatchedScansMatchScalar:
         ]
         assert acc.usable_blocks(floor) == expected
 
-    def test_history_based_custom_filter_still_enforced(self):
-        """A custom filter that keeps the base-class admits_batch decides
-        from the real charge history: batched scans must not hand it an
-        empty history (which would silently admit everything)."""
+    @pytest.mark.parametrize(
+        "filter_cls", HISTORY_DECIDING_FILTERS, ids=lambda cls: cls.__name__
+    )
+    def test_history_deciding_filter_rejected_at_construction(self, filter_cls):
+        """No history-deciding filter is silently under-enforced: every
+        decision goes through the batch methods, so a filter whose batch
+        rule could disagree with its scalar rule is refused outright --
+        by the accountant and by the access layer that builds one --
+        instead of being scanned through an inherited batch method."""
+        with pytest.raises(InvalidBudgetError, match=filter_cls.__name__):
+            BlockAccountant(1.0, 1e-6, filter_factory=filter_cls)
+        with pytest.raises(InvalidBudgetError, match=filter_cls.__name__):
+            SageAccessControl(1.0, 1e-6, filter_factory=filter_cls)
 
-        class AtMostThreeCharges(PrivacyFilter):
+    def test_custom_totals_deciding_filter_accepted_and_enforced(self):
+        """The contract is satisfiable: a subclass that tightens both the
+        scalar and the batch rule, from the totals alone, is accepted,
+        stages, and is enforced by every decision."""
+
+        class CappedBasic(BasicCompositionFilter):
             def admits(self, history, candidate, totals=None):
-                return len(history) < 3
-
-            def max_epsilon(self, history, delta):
-                return self.epsilon_global if len(history) < 3 else 0.0
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=AtMostThreeCharges)
-        acc.register_blocks([0, 1])
-        for _ in range(3):
-            acc.charge([0], PrivacyBudget(0.01, 0.0))
-        assert not acc.can_charge([0], PrivacyBudget(0.01, 0.0))
-        assert acc.can_charge([1], PrivacyBudget(0.01, 0.0))
-        assert acc.usable_blocks() == [1]
-        assert acc.retired_blocks() == [0]
-        assert acc.max_epsilon([0]) == 0.0
-        with pytest.raises(BlockRetiredError):
-            acc.charge([0], PrivacyBudget(0.01, 0.0))
-
-    def test_subclass_overriding_admits_only_still_enforced(self):
-        """A subclass that tightens the scalar admits rule but inherits a
-        concrete admits_batch must not be scanned through the inherited
-        batch path (it would silently admit what the override refuses)."""
-
-        class AtMostTwoCharges(BasicCompositionFilter):
-            def admits(self, history, candidate, totals=None):
-                return len(history) < 2 and super().admits(
+                return candidate.epsilon <= 0.25 and super().admits(
                     history, candidate, totals=totals
                 )
 
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=AtMostTwoCharges)
-        acc.register_blocks([0, 1])
-        acc.charge([0], PrivacyBudget(0.1, 0.0))
-        acc.charge([0], PrivacyBudget(0.1, 0.0))
-        assert not acc.can_charge([0], PrivacyBudget(0.1, 0.0))
-        with pytest.raises(BlockRetiredError):
-            acc.charge([0], PrivacyBudget(0.1, 0.0))
-        assert acc.usable_blocks() == [1]
+            def admits_batch(self, totals, candidate):
+                admitted = super().admits_batch(totals, candidate)
+                return admitted & (candidate.epsilon <= 0.25)
 
-    def test_subclass_overriding_max_epsilon_only_still_enforced(self):
-        """Tightening only the scalar max_epsilon must force the scalar
-        scan path too -- the base batch bisection would ignore the cap."""
-
-        class CappedMax(StrongCompositionFilter):
             def max_epsilon(self, history, delta):
-                return min(0.05, super().max_epsilon(history, delta))
+                return min(0.25, super().max_epsilon(history, delta))
 
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=CappedMax)
-        acc.register_blocks([0])
-        assert acc.max_epsilon([0]) == pytest.approx(0.05)
-        assert acc.max_epsilon([0]) == acc.ledger(0).max_epsilon(0.0)
+            def max_epsilon_batch(self, totals, delta):
+                return min(0.25, super().max_epsilon_batch(totals, delta))
+
+        acc = BlockAccountant(1.0, 1e-6, filter_factory=CappedBasic)
+        acc.register_blocks([0, 1])
+        assert acc.max_epsilon([0, 1]) == pytest.approx(0.25)
+        assert not acc.can_charge([0], PrivacyBudget(0.3, 0.0))
+        with pytest.raises(BudgetExceededError):
+            acc.charge([0], PrivacyBudget(0.3, 0.0))
+        acc.begin_staging()
+        acc.stage_charge([0], PrivacyBudget(0.25, 0.0))
+        acc.charge_many(acc.pop_staged())
+        assert acc.ledger(0).totals[TOT_EPS] == pytest.approx(0.25)
 
     def test_legacy_loss_bound_signature_supported(self):
         """Custom filters overriding loss_bound with the pre-refactor
@@ -352,23 +382,6 @@ class TestBatchedScansMatchScalar:
         acc.charge([0], PrivacyBudget(0.2, 0.0))
         assert acc.ledger(0).loss_bound().epsilon == pytest.approx(0.4)
         assert acc.stream_loss_bound().epsilon == pytest.approx(0.4)
-
-    def test_custom_filter_tail_scan(self):
-        class AtMostOne(PrivacyFilter):
-            def admits(self, history, candidate, totals=None):
-                return len(history) < 1
-
-            def max_epsilon(self, history, delta):
-                return self.epsilon_global if not history else 0.0
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=AtMostOne)
-        acc.register_blocks(range(6))
-        acc.charge([4, 5], PrivacyBudget(0.1, 0.0))
-        tail = acc.usable_blocks_tail(PrivacyBudget(0.1, 0.0), 3)
-        assert tail == [1, 2, 3]
-        assert acc.usable_blocks_tail(
-            PrivacyBudget(0.1, 0.0), 2, key_filter=lambda k: k % 2 == 0
-        ) == [0, 2]
 
     def test_max_epsilon_matches_scalar_min(self):
         for factory in (BasicCompositionFilter, StrongCompositionFilter):
@@ -466,32 +479,6 @@ class TestChargeMany:
         empty = accountant.charge_many([])
         assert empty == []
         assert accountant.can_charge_many([])
-
-    def test_scalar_filter_routes_through_per_ledger_path(self):
-        """Custom history-deciding filters must get exact sequential
-        semantics (apply + rollback), not the vectorized pass."""
-
-        class AtMostThreeCharges(PrivacyFilter):
-            def admits(self, history, candidate, totals=None):
-                return len(history) < 3
-
-            def max_epsilon(self, history, delta):
-                return self.epsilon_global if len(history) < 3 else 0.0
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=AtMostThreeCharges)
-        acc.register_blocks([0, 1])
-        budget = PrivacyBudget(0.01, 0.0)
-        acc.charge_many([([0], budget), ([0, 1], budget)])
-        assert len(acc.ledger(0).history) == 2
-        before = _store_state(acc)
-        # Third request pushes block 0 to its 4th charge mid-batch: refused,
-        # and the first two requests of the batch roll back too.
-        with pytest.raises(BlockRetiredError):
-            acc.charge_many([([0], budget), ([1], budget), ([0, 1], budget)])
-        _assert_store_equal(_store_state(acc), before)
-        assert not acc.can_charge_many([([0], budget), ([0], budget)])
-        assert acc.can_charge_many([([0], budget), ([1], budget)])
-        _assert_store_equal(_store_state(acc), before)  # can-check is pure
 
     @given(
         st.lists(

@@ -3,15 +3,18 @@
 :class:`BlockAccountant` decides charges and scans from its dense totals
 store.  Two references decide the same questions without that store:
 
-* a filter subclass that overrides the scalar ``admits`` routes every
-  decision through the per-ledger exact path (apply, then roll back on a
-  refusal);
+* :class:`_PerLedgerReference`, a small accountant written here, keeps
+  one filter, history and totals row per block, decides per block with
+  the filter's scalar ``admits`` / ``max_epsilon`` / ``loss_bound``, and
+  applies a batch sequentially, rolling it back on a refusal.  (The
+  accountant itself has no such path: it rejects any filter whose scalar
+  rule could disagree with its batch rule.)
 * per-request ``charge`` calls, one at a time, stand in for a
   ``charge_many`` batch and for a staged hour.
 
-For every vectorized composition filter, on seeded workloads that include
-refused batches, the store, histories, charge log, scans and aggregate
-bounds match the references byte for byte.
+For every composition filter, on seeded workloads that include refused
+batches, the store, histories, charge log, scans and aggregate bounds
+match the references byte for byte.
 """
 
 import numpy as np
@@ -27,33 +30,112 @@ from repro.dp.budget import PrivacyBudget
 from repro.dp.rdp import gaussian_mechanism_budget
 from repro.errors import BlockRetiredError, BudgetExceededError
 
-
-class _ScalarBasic(BasicCompositionFilter):
-    def admits(self, history, candidate, totals=None):
-        return super().admits(history, candidate, totals=totals)
-
-
-class _ScalarStrong(StrongCompositionFilter):
-    def admits(self, history, candidate, totals=None):
-        return super().admits(history, candidate, totals=totals)
-
-
-class _ScalarRenyi(RenyiCompositionFilter):
-    def admits(self, history, candidate, totals=None):
-        return super().admits(history, candidate, totals=totals)
-
-
-# name -> (vectorized factory, scalar-path factory, Renyi-width store?)
+# name -> (filter factory, Renyi-width store?)
 FILTERS = {
-    "basic": (BasicCompositionFilter, _ScalarBasic, False),
-    "strong": (StrongCompositionFilter, _ScalarStrong, False),
-    "renyi": (RenyiCompositionFilter, _ScalarRenyi, True),
+    "basic": (BasicCompositionFilter, False),
+    "strong": (StrongCompositionFilter, False),
+    "renyi": (RenyiCompositionFilter, True),
     "pruned-renyi": (
         lambda e, d: RenyiCompositionFilter(e, d, orders="pruned"),
-        lambda e, d: _ScalarRenyi(e, d, orders="pruned"),
         True,
     ),
 }
+
+
+class _PerLedgerReference:
+    """Block composition straight from the per-block filters: blocks
+    ``0 .. n_blocks - 1``, each with its own filter, charge history and
+    running totals row, decided one block at a time."""
+
+    def __init__(self, factory, n_blocks, epsilon=1.0, delta=1e-6):
+        self.filters = [factory(epsilon, delta) for _ in range(n_blocks)]
+        self.histories = [[] for _ in range(n_blocks)]
+        self.totals = [[0.0] * f.totals_width for f in self.filters]
+        self.live = [True] * n_blocks
+        self.charges = []
+        self.retirement_budget = PrivacyBudget(epsilon / 1000.0, 0.0)
+
+    @property
+    def block_keys(self):
+        return list(range(len(self.filters)))
+
+    def _admits(self, key, budget):
+        return self.filters[key].admits(
+            self.histories[key], budget, totals=tuple(self.totals[key])
+        )
+
+    def _retired(self, key):
+        return not self._admits(key, self.retirement_budget)
+
+    def _record(self, key, budget):
+        # The same scalar float64 adds a ledger applies.
+        self.histories[key].append(budget)
+        for column, value in enumerate(self.filters[key].contribution(budget).tolist()):
+            self.totals[key][column] += value
+
+    def charge_many(self, requests):
+        """Apply the batch one request at a time; on the first refusal,
+        undo every earlier request of the batch and raise."""
+        snapshot = [(len(h), list(t)) for h, t in zip(self.histories, self.totals)]
+        try:
+            for keys, budget, _ in requests:
+                for key in keys:
+                    if not self._admits(key, budget):
+                        if self._retired(key):
+                            raise BlockRetiredError(
+                                f"block {key!r} is retired", block_id=key
+                            )
+                        raise BudgetExceededError(
+                            f"block {key!r} cannot absorb {budget}", block_id=key
+                        )
+                for key in keys:
+                    self._record(key, budget)
+        except (BlockRetiredError, BudgetExceededError):
+            for key, (n_history, totals) in enumerate(snapshot):
+                del self.histories[key][n_history:]
+                self.totals[key] = totals
+            raise
+        self.charges.extend(
+            (budget.epsilon, budget.delta, tuple(keys), label)
+            for keys, budget, label in requests
+        )
+
+    def usable_blocks(self, floor):
+        """Blocks admitting ``floor``; like the accountant's scans, this
+        persists every retirement it finds."""
+        for key in self.block_keys:
+            if self.live[key] and self._retired(key):
+                self.live[key] = False
+        return [k for k in self.block_keys if self.live[k] and self._admits(k, floor)]
+
+    def usable_blocks_tail(self, floor, count):
+        return self.usable_blocks(floor)[-count:]
+
+    def admits_keys(self, keys, budget):
+        return np.array([self._admits(k, budget) for k in keys], dtype=bool)
+
+    def max_epsilon(self, keys, delta):
+        return min(self.filters[k].max_epsilon(self.histories[k], delta) for k in keys)
+
+    def stream_loss_bound(self):
+        worst_eps = worst_delta = 0.0
+        for key in self.block_keys:
+            bound = self.filters[key].loss_bound(
+                self.histories[key], totals=tuple(self.totals[key])
+            )
+            worst_eps = max(worst_eps, bound.epsilon)
+            worst_delta = max(worst_delta, bound.delta)
+        return PrivacyBudget(worst_eps, worst_delta)
+
+    def fingerprint(self):
+        return (
+            np.array(self.totals, dtype=np.float64).tobytes(),
+            np.array(self.live, dtype=bool).tobytes(),
+            np.array([len(h) for h in self.histories], dtype=np.int64).tobytes(),
+            list(self.charges),
+            [tuple(t) for t in self.totals],
+            [len(h) for h in self.histories],
+        )
 
 
 def _accountant(factory, n_blocks):
@@ -99,21 +181,20 @@ def _outcome(charge):
 
 
 def _charged_pair(filter_name, seed, n_blocks=16, rounds=4):
-    """A vectorized and a scalar-path accountant after the same seeded
+    """The accountant and the per-ledger reference after the same seeded
     rounds of ``charge_many``; each round's outcome must agree."""
-    vector_factory, scalar_factory, wide = FILTERS[filter_name]
-    vector = _accountant(vector_factory, n_blocks)
-    scalar = _accountant(scalar_factory, n_blocks)
-    assert vector.staging_supported and not scalar.staging_supported
+    factory, wide = FILTERS[filter_name]
+    vector = _accountant(factory, n_blocks)
+    scalar = _PerLedgerReference(factory, n_blocks)
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
         requests = _random_requests(rng, n_blocks, int(rng.integers(1, 9)), wide)
         outcomes = [
-            _outcome(lambda acc=acc: acc.charge_many(list(requests)))
-            for acc in (vector, scalar)
+            _outcome(lambda: vector.charge_many(list(requests))),
+            _outcome(lambda: scalar.charge_many(list(requests))),
         ]
         assert outcomes[0] == outcomes[1]
-        assert _fingerprint(vector) == _fingerprint(scalar)
+        assert _fingerprint(vector) == scalar.fingerprint()
     return vector, scalar
 
 
@@ -134,7 +215,7 @@ class TestVectorizedMatchesExactPath:
         for keys in ([0], list(range(8)), list(range(16))):
             assert vector.max_epsilon(keys, 1e-9) == scalar.max_epsilon(keys, 1e-9)
         # The scans above persist retirements on both sides alike.
-        assert _fingerprint(vector) == _fingerprint(scalar)
+        assert _fingerprint(vector) == scalar.fingerprint()
 
     def test_retired_blocks_follow_the_per_ledger_rule(self, filter_name):
         vector, _ = _charged_pair(filter_name, seed=3)
@@ -162,7 +243,7 @@ class TestVectorizedMatchesExactPath:
     def test_staged_hour_matches_sequential_charges(self, filter_name):
         """Stage, read through the overlay, commit: the same state as the
         per-request charges; a refused stage stages nothing."""
-        factory = FILTERS[filter_name][0]
+        factory, _ = FILTERS[filter_name]
         staged, sequential = _accountant(factory, 10), _accountant(factory, 10)
         requests = [
             ([0, 1, 2, 3], PrivacyBudget(0.3, 1e-9), "a"),
@@ -186,7 +267,7 @@ class TestVectorizedMatchesExactPath:
     def test_batch_refusal_matches_the_sequential_refusal(self, filter_name):
         """A refused batch raises the error the first refusing request
         raises when charged alone, and leaves everything untouched."""
-        factory = FILTERS[filter_name][0]
+        factory, _ = FILTERS[filter_name]
         batched, sequential = _accountant(factory, 9), _accountant(factory, 9)
         for acc in (batched, sequential):
             acc.charge([4], PrivacyBudget(0.9, 0.0))

@@ -25,6 +25,7 @@ from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     DurabilityError,
+    InvalidBudgetError,
     RecoveryError,
     SnapshotMismatchError,
     WalCorruptionError,
@@ -421,27 +422,36 @@ class TestDurableDrive:
             sage.recover(_pipes())
         sage.close()
 
-    def test_durable_mode_requires_staged_drive(self, tmp_path):
+    def test_history_deciding_filter_rejected_at_construction(self, tmp_path):
+        """A filter whose decisions might not come from its totals is
+        refused when the platform is built, durable or not: there is no
+        unstaged drive to fall back to."""
         from repro.core.filters import BasicCompositionFilter
 
         class ScalarOnlyFilter(BasicCompositionFilter):
             def admits(self, history, candidate, totals=None):
                 return super().admits(history, candidate, totals=totals)
 
-        with pytest.raises(DurabilityError, match="staged"):
-            Sage(
-                CountStreamSource(4000, scale=1000),
-                seed=5,
-                wal_dir=tmp_path,
-                filter_factory=ScalarOnlyFilter,
-            )
-        # A per-context policy added after construction disables staging
-        # too: the next durable hour refuses to run rather than log it.
-        sage = _build("single-basic", wal_dir=tmp_path / "ctx")
+        for wal_dir in (tmp_path, None):
+            with pytest.raises(InvalidBudgetError, match="ScalarOnlyFilter"):
+                Sage(
+                    CountStreamSource(4000, scale=1000),
+                    seed=5,
+                    wal_dir=wal_dir,
+                    filter_factory=ScalarOnlyFilter,
+                )
+        assert not durability.wal_path(tmp_path).exists()
+
+    def test_durable_mode_refuses_per_context_policies(self, tmp_path):
+        """Context ledgers are in neither the WAL nor the snapshots, so a
+        durable platform with a per-context policy refuses to run an hour
+        it could not recover."""
+        sage = _build("single-basic", wal_dir=tmp_path)
         sage.access.add_context("dev", 0.5, 1e-7)
-        with pytest.raises(DurabilityError, match="staged"):
+        with pytest.raises(DurabilityError, match="context ledgers"):
             sage.advance(1.0)
         assert sage.hours_committed == 0
+        assert len(sage.access.accountant.store) == 0
         sage.close()
 
     def test_corrupt_wal_record_is_never_replayed(self, tmp_path):

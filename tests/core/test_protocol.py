@@ -4,13 +4,17 @@ The headline property: driving ``Sage.advance`` through the staged hourly
 batch (one ``request_many`` per hour) produces **byte-identical** attempt
 streams, reservations, ledger totals, charge logs, and release times to the
 per-request sequential drive, across seeded simulator workloads.  The
-sequential drive runs wherever the access layer reports that it cannot
-stage; the tests force it by adding a per-context policy, or by patching
-``supports_staged_requests`` for platforms built inside the simulator.
+platform always stages; the sequential drive is the test-side oracle
+``per_request_oracle.per_request_drive``, whose guard proves no batch
+opened while it ran.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+
+from per_request_oracle import per_request_drive
 
 from repro.core import faults
 from repro.core.access_control import SageAccessControl
@@ -27,15 +31,6 @@ from repro.errors import (
 from repro.obs import Telemetry
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 from repro.workload.simulator import WorkloadConfig, WorkloadSimulator
-
-
-def _per_request(sage: Sage) -> Sage:
-    """Force the unstaged per-request drive: a per-context policy disables
-    staging, and an uncharged context leaves every stream-wide decision
-    as it was."""
-    sage.access.add_context("oracle", sage.epsilon_global, sage.delta_global)
-    assert not sage.access.supports_staged_requests
-    return sage
 
 
 def _fingerprint(sage: Sage):
@@ -77,17 +72,11 @@ def _fingerprint(sage: Sage):
 class TestBatchedAdvanceEquivalence:
     @pytest.mark.parametrize("strategy", ["block-conserve", "block-aggressive"])
     @pytest.mark.parametrize("seed,rate", [(11, 0.3), (23, 0.6)])
-    def test_simulator_workloads_identical(self, strategy, seed, rate, monkeypatch):
+    def test_simulator_workloads_identical(self, strategy, seed, rate):
         """Seeded simulator workloads: batched vs sequential byte-parity."""
         platforms = []
         for batched in (True, False):
-            with monkeypatch.context() as patch:
-                if not batched:
-                    patch.setattr(
-                        SageAccessControl,
-                        "supports_staged_requests",
-                        property(lambda self: False),
-                    )
+            with nullcontext() if batched else per_request_drive():
                 cfg = WorkloadConfig(
                     strategy=strategy,
                     arrival_rate=rate,
@@ -109,14 +98,13 @@ class TestBatchedAdvanceEquivalence:
         sages = []
         for batched in (True, False):
             sage = Sage(CountStreamSource(4000, scale=1000), seed=5)
-            if not batched:
-                _per_request(sage)
             for i, c in enumerate((3_000.0, 12_000.0, 50_000.0)):
                 sage.submit(
                     OraclePipeline(name=f"p{i}", n_at_eps1=c),
                     AdaptiveConfig(max_attempts=16),
                 )
-            sage.run_until_quiet(max_hours=60)
+            with nullcontext() if batched else per_request_drive():
+                sage.run_until_quiet(max_hours=60)
             sages.append(sage)
         fp_b, fp_s = _fingerprint(sages[0]), _fingerprint(sages[1])
         for field in fp_b:
@@ -129,16 +117,15 @@ class TestBatchedAdvanceEquivalence:
             seed=3,
             filter_factory=filter_factory,
         )
-        if not batched:
-            _per_request(sage)
         # The last pipeline never accepts: it keeps retrying to the end.
         for i, c in enumerate((2_000.0, 10_000.0, 40_000.0, 1e9)):
             sage.submit(
                 OraclePipeline(name=f"p{i}", n_at_eps1=c),
                 AdaptiveConfig(max_attempts=16, strategy=strategy),
             )
-        for _ in range(hours):
-            sage.advance(1.0)
+        with nullcontext() if batched else per_request_drive():
+            for _ in range(hours):
+                sage.advance(1.0)
         return sage
 
     @pytest.mark.parametrize("strategy", ["conserve", "aggressive"])
@@ -159,7 +146,6 @@ class TestBatchedAdvanceEquivalence:
             return RenyiCompositionFilter(epsilon, delta, orders="pruned")
 
         batched = self._oracle_drive(True, filter_factory=filter_factory, hours=25)
-        assert batched.access.supports_staged_requests
         fp_b = _fingerprint(batched)
         fp_s = _fingerprint(
             self._oracle_drive(False, filter_factory=filter_factory, hours=25)
@@ -203,26 +189,21 @@ class TestOneBatchPerHour:
             assert many_calls == (1 if committed else 0)
             assert sage.last_hour_charges == committed
 
-    def test_sequential_fallback_for_scalar_filters(self):
-        """A custom scalar-only filter forces the exact per-proposal path;
-        trajectories still come out of the same propose/complete drive."""
+    def test_scalar_only_filter_is_rejected_not_routed(self):
+        """There is no per-proposal fallback drive: a filter whose scalar
+        rule overrides the inherited batch rule is refused when the
+        platform is built, before any hour could run."""
         from repro.core.filters import BasicCompositionFilter
 
         class ScalarOnlyFilter(BasicCompositionFilter):
             def admits(self, history, candidate, totals=None):
                 return super().admits(history, candidate, totals=totals)
 
-        sage = Sage(
-            CountStreamSource(4000, scale=1000), seed=3,
-            filter_factory=ScalarOnlyFilter,
-        )
-        assert not sage.access.supports_staged_requests
-        entry = sage.submit(
-            OraclePipeline(name="p", n_at_eps1=2_000.0),
-            AdaptiveConfig(max_attempts=8),
-        )
-        sage.run_until_quiet(max_hours=30)
-        assert entry.status == "accepted"
+        with pytest.raises(InvalidBudgetError, match="ScalarOnlyFilter"):
+            Sage(
+                CountStreamSource(4000, scale=1000), seed=3,
+                filter_factory=ScalarOnlyFilter,
+            )
 
 
 class TestStagedBatch:
@@ -289,18 +270,6 @@ class TestStagedBatch:
         acc.pop_staged()
         acc.charge([0], PrivacyBudget(0.1, 0.0))
 
-    def test_staging_requires_vectorized_filter(self):
-        from repro.core.filters import BasicCompositionFilter
-
-        class ScalarOnlyFilter(BasicCompositionFilter):
-            def admits(self, history, candidate, totals=None):
-                return super().admits(history, candidate, totals=totals)
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=ScalarOnlyFilter)
-        assert not acc.staging_supported
-        with pytest.raises(InvalidBudgetError):
-            acc.begin_staging()
-
     def test_staged_retirement_not_persisted_until_commit(self):
         acc = self._accountant(n_blocks=2)
         acc.begin_staging()
@@ -315,18 +284,23 @@ class TestStagedBatch:
     def test_access_control_staging_surface(self):
         access = SageAccessControl(1.0, 1e-6)
         access.register_blocks(range(4))
-        assert access.supports_staged_requests
         access.begin_staging()
         access.stage_request([0, 1], PrivacyBudget(0.5, 0.0), label="x")
         records = access.commit_staged()
         assert len(records) == 1 and records[0].label == "x"
         reclosed = access.commit_staged()
         assert reclosed == []  # nothing open: no-op
-        # Contexts disable staging (their charges validate per-request).
+        # A context does not change the staging surface: the batch is
+        # stream-wide, and the context's ledgers see no charge.
         access.add_context("dev", 0.5, 1e-7)
-        assert not access.supports_staged_requests
-        with pytest.raises(AccessDeniedError):
-            access.begin_staging()
+        access.begin_staging()
+        access.stage_request([2], PrivacyBudget(0.75, 0.0), label="y")
+        records = access.commit_staged()
+        assert [r.label for r in records] == ["y"]
+        context = access.contexts["dev"]
+        assert context.block_keys == [0, 1, 2, 3]
+        assert context.charges == []
+        assert access.can_request([2], PrivacyBudget(0.25, 0.0), context="dev")
 
     def test_staged_commit_with_block_registered_mid_batch(self):
         acc = self._accountant(n_blocks=2)

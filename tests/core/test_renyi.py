@@ -8,9 +8,12 @@ Gaussian-style workloads), the order-extended ledger store under
 (an RDP-filtered stream runs the full batched propose/settle protocol).
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from per_request_oracle import per_request_drive
 
 from repro.core.accountant import BlockAccountant
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSession
@@ -268,8 +271,11 @@ class TestRenyiAccountant:
         assert tuple(acc.ledger(0).totals) == tuple(row)
 
     def test_vectorized_scans_enabled(self, renyi_accountant):
-        assert renyi_accountant.staging_supported
+        # Accepted at construction: it decides from its totals, so it stages.
+        renyi_accountant.begin_staging()
         assert renyi_accountant.usable_blocks() == list(range(6))
+        staged = renyi_accountant.pop_staged()
+        assert staged == []
 
     def test_charge_many_matches_sequential(self):
         make = lambda: BlockAccountant(
@@ -373,16 +379,14 @@ class TestRenyiPlatformDrive:
             seed=5,
             filter_factory=RenyiCompositionFilter,
         )
-        if not batched:
-            # A per-context policy disables staging: the per-request
-            # sequential drive is the reference.
-            sage.access.add_context("oracle", 1.0, 1e-6)
         for i, c in enumerate((3_000.0, 12_000.0, 50_000.0)):
             sage.submit(
                 OraclePipeline(name=f"p{i}", n_at_eps1=c),
                 AdaptiveConfig(max_attempts=16),
             )
-        sage.run_until_quiet(max_hours=40)
+        # The per-request sequential drive is the reference.
+        with nullcontext() if batched else per_request_drive():
+            sage.run_until_quiet(max_hours=40)
         return sage
 
     def _fingerprint(self, sage):
@@ -407,7 +411,13 @@ class TestRenyiPlatformDrive:
             seed=0,
             filter_factory=RenyiCompositionFilter,
         )
-        assert sage.access.supports_staged_requests
+        accountant = sage.access.accountant
+        opened = []
+        begin = accountant.begin_staging
+        accountant.begin_staging = lambda: opened.append(begin())
+        sage.advance(1.0)
+        assert len(opened) == 1
+        assert not sage.access.staging_active
 
     def test_batched_equals_sequential(self):
         assert self._fingerprint(self._build(True)) == self._fingerprint(

@@ -8,7 +8,10 @@ drive variant -- sequential, batched, durable -- on basic and Renyi-width
 stores.
 """
 
+from contextlib import nullcontext
+
 import pytest
+from per_request_oracle import per_request_drive
 
 from repro.core import durability, faults
 from repro.core.adaptive import AdaptiveConfig
@@ -23,8 +26,9 @@ from repro.obs.analyze import (
 )
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
-# Drive variants; the "sequential" ones get a per-context policy in
-# _build, which disables staging, and the "-renyi" ones a Renyi-width store.
+# Drive variants; the "sequential" ones run under the test-side
+# per-request oracle (_drive_mode), and the "-renyi" ones get a
+# Renyi-width store.
 VARIANTS = ["batched", "sequential", "batched-renyi", "sequential-renyi"]
 
 STAGED_VARIANTS = [v for v in VARIANTS if v.startswith("batched")]
@@ -43,15 +47,20 @@ def _pipes(n=4):
 def _build(variant, telemetry=None, **kwargs):
     if variant.endswith("-renyi"):
         kwargs["filter_factory"] = RenyiCompositionFilter
-    sage = Sage(
+    return Sage(
         CountStreamSource(4000, scale=1000),
         seed=5,
         telemetry=telemetry,
         **kwargs,
     )
+
+
+def _drive_mode(variant):
+    """The context a variant's hours run in: the per-request oracle for
+    the "sequential" variants, the platform's own staged hour otherwise."""
     if variant.startswith("sequential"):
-        sage.access.add_context("oracle", 1.0, 1e-6)
-    return sage
+        return per_request_drive()
+    return nullcontext()
 
 
 def _drive(sage, hours):
@@ -86,10 +95,12 @@ class TestByteParity:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_traced_drive_is_byte_identical(self, variant):
         bare = _build(variant)
-        bare_digests = _drive(bare, 6)
+        with _drive_mode(variant):
+            bare_digests = _drive(bare, 6)
         telemetry = Telemetry()
         traced = _build(variant, telemetry=telemetry)
-        traced_digests = _drive(traced, 6)
+        with _drive_mode(variant):
+            traced_digests = _drive(traced, 6)
         assert traced_digests == bare_digests
         spans = telemetry.tracer.spans
         assert spans, "the traced drive must emit spans"
@@ -101,8 +112,8 @@ class TestByteParity:
         traced.close()
         bare.close()
 
-    # Durable mode needs the staged drive, so the per-request variants
-    # have no log to compare.
+    # The per-request oracle writes no request batch ahead, so only the
+    # staged variants have a log to compare.
     @pytest.mark.parametrize("variant", STAGED_VARIANTS)
     def test_durable_traced_drive_is_byte_identical(self, variant, tmp_path):
         bare = _build(variant, wal_dir=tmp_path / "bare", snapshot_every=2)
