@@ -6,7 +6,9 @@ reimplementations of the seed's scalar code:
 * ``Sage.advance`` under heavy contention (many waiting pipelines over a
   long stream).  The baseline is the seed's allocator -- per-pipeline
   reservation *dicts* plus a per-key Python allocation filter inside window
-  selection -- preserved below as :class:`LegacySage`.  The new platform
+  selection -- preserved below as :class:`LegacySage`, whose sessions are
+  :class:`LegacyWindowSession`: the seed's per-key window walk and scalar
+  allocation hook, which the library no longer carries.  The new platform
   keeps reservations in one pipelines x blocks ``ReservationTable`` aligned
   to the ledger store, so allocation, redistribution, settlement, and the
   window-selection filter are single NumPy passes.
@@ -23,7 +25,8 @@ reimplementations of the seed's scalar code:
   modern ReservationTable allocator; the baseline
   (:class:`PerSessionSage`) drives the seed's per-session loop where every
   attempt executes its own ``access.request`` (per-key ledger commits
-  mid-hour), while the batched platform stages every proposal and settles
+  mid-hour) and reads its allocation through the seed's settle-then-read
+  hook, while the batched platform stages every proposal and settles
   the whole hour through one ``request_many`` bulk commit.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_hourly_settlement.py``);
@@ -64,7 +67,24 @@ class SeedAdvanceLoop:
     """The seed's per-session advance: every waiting session resumes and
     executes its own ``access.request`` charges mid-loop -- no staging, no
     hourly bulk commit.  Mixed into the legacy baselines so they keep
-    measuring the pre-propose/settle platform."""
+    measuring the pre-propose/settle platform.
+
+    A session here charges several attempts in one ``step()``, so the
+    seed's allocation hook settled the pending attempts inside every read;
+    each baseline builds its sessions with such a settle-then-read hook
+    through :meth:`_session`."""
+
+    def submit(self, pipeline, config=None):
+        entry = SubmittedPipeline(
+            pipeline=pipeline,
+            session=None,
+            submit_time_hours=self.clock_hours,
+            table_row=self._table.add_pipeline(),
+            platform=self,
+        )
+        entry.session = self._session(entry, config or AdaptiveConfig())
+        self._pipelines.append(entry)
+        return entry
 
     def advance(self, hours=1.0):
         new_blocks = self.ingestor.advance(hours)
@@ -102,10 +122,57 @@ class PerSessionSage(SeedAdvanceLoop, Sage):
     """Modern ReservationTable allocator driven by the seed's per-session
     charge loop -- the baseline that isolates the hourly-batch win."""
 
+    def _session(self, entry, config):
+        return AdaptiveSession(
+            entry.pipeline,
+            self.access,
+            self.database,
+            config,
+            self.rng,
+            row_budget_fn=lambda rows: self._settled_values(entry, rows),
+            new_block_epsilon_fn=self._new_block_share,
+        )
+
+    def _settled_values(self, entry, rows):
+        self._settle_charges(entry)
+        return self._table.values(entry.table_row, rows)
+
 
 # ----------------------------------------------------------------------
 # The seed's dict-based allocator, preserved as the baseline under test.
 # ----------------------------------------------------------------------
+class LegacyWindowSession(AdaptiveSession):
+    """The seed's window selection: a scalar allocation hook ``(window
+    keys) -> epsilon``, asked key by key while walking the admitted blocks
+    newest first until the window fills."""
+
+    def __init__(self, *args, epsilon_limit_fn, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._epsilon_limit_fn = epsilon_limit_fn
+
+    def _candidate_window(self, budget):
+        admitted = self.access.offer_recent_blocks(
+            budget, len(self.access.accountant.store)  # every admitted block
+        )
+        window = []
+        for key in reversed(admitted):
+            if self._epsilon_limit_fn([key]) + 1e-12 >= budget.epsilon:
+                window.append(key)
+                if len(window) == self.window_blocks:
+                    break
+        if len(window) < self.window_blocks:
+            return None
+        window.reverse()
+        return window
+
+    def _epsilon_limit(self, window):
+        limit = min(
+            self.access.max_epsilon(window, self.delta),
+            self._epsilon_limit_fn(window),
+        )
+        return min(limit, self.config.epsilon_cap)
+
+
 class LegacySage(SeedAdvanceLoop, Sage):
     """Seed allocator: per-pipeline reservation dicts + scalar key filter."""
 
@@ -113,28 +180,17 @@ class LegacySage(SeedAdvanceLoop, Sage):
         super().__init__(*args, **kwargs)
         self._legacy_free = {}
 
-    def submit(self, pipeline, config=None):
-        config = config or AdaptiveConfig()
-        entry = SubmittedPipeline(
-            pipeline=pipeline,
-            session=None,
-            submit_time_hours=self.clock_hours,
-            table_row=self._table.add_pipeline(),  # row kept aligned, unused
-            platform=self,
-        )
-        entry.legacy_reservations = {}
-        session = AdaptiveSession(
-            pipeline,
+    def _session(self, entry, config):
+        entry.legacy_reservations = {}  # the table row stays aligned, unused
+        return LegacyWindowSession(
+            entry.pipeline,
             self.access,
             self.database,
             config,
             self.rng,
-            epsilon_limit_fn=lambda window, e=entry: self._reservation_limit(e, window),
+            epsilon_limit_fn=lambda window: self._reservation_limit(entry, window),
             new_block_epsilon_fn=self._new_block_share,
         )
-        entry.session = session
-        self._pipelines.append(entry)
-        return entry
 
     def _allocate_block(self, key):
         waiting = self._waiting_pipelines()

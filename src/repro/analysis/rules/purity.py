@@ -28,9 +28,11 @@ with the alias-aware mutation extractor
 Findings name the exact mutated attribute path and the resolved call
 chain back to the seed.  Known limitations (by design -- this is a
 linter, not an interpreter): calls routed through stored callables
-(``self._row_budget_fn(...)``) still escape the graph; the runtime
-sanitizer (:mod:`repro.analysis.sanitizer`) and the full-state snapshot
-test in ``tests/analysis/test_propose_peek_purity.py`` cover those.
+(``self._row_budget_fn(...)``) still escape the graph.  The platform's
+hook is a bare ``ReservationTable.values`` read (settling happens in the
+drive, after ``complete``); the runtime sanitizer
+(:mod:`repro.analysis.sanitizer`) and the snapshot tests in
+``tests/analysis/test_propose_peek_purity.py`` check it at runtime.
 
 Benign-by-design writes on read paths (memo caches with value-identical
 reads, deferred retirement persistence) must carry an explicit

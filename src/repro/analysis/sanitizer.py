@@ -15,9 +15,9 @@ Deliberately **not** frozen:
 * ``LedgerStore._live`` -- deferred retirement marks exhausted blocks
   from read paths (a reviewed ``allow(purity)`` site); freezing it would
   fault on sanctioned behavior.
-* the reservation table and scan memo -- Python-object state already
-  covered by the static rule, and the memo cache-fill on read paths is a
-  reviewed allow site.
+* the reservation table and scan memo -- the peek path only reads the
+  table (its stored ``row_budget_fn`` hook is checked by the purity
+  tests), and the memo cache-fill on read paths is a reviewed allow site.
 
 Usage: ``install()`` wraps the pure entry points in place (idempotent;
 ``uninstall()`` restores them), and ``REPRO_SANITIZER=1`` makes the test

@@ -134,17 +134,15 @@ class SageAccessControl:
         self,
         min_budget: Optional[PrivacyBudget],
         count: int,
-        key_filter=None,
         principal: Optional[str] = None,
         row_filter=None,
     ) -> List[object]:
         """The newest ``count`` blocks that can absorb ``min_budget`` and pass
-        the caller's filter (chronological order).  ``row_filter`` is the
-        vectorized form (store-row array -> boolean mask, one pass);
-        ``key_filter`` the scalar per-key form (early-stopping tail walk)."""
+        the caller's ``row_filter`` (store-row array -> boolean mask, one
+        pass), in chronological order."""
         self._check_principal(principal)
         return self._accountant.usable_blocks_tail(
-            min_budget, count, key_filter, row_filter=row_filter
+            min_budget, count, row_filter=row_filter
         )
 
     def can_request(

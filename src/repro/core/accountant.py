@@ -1095,33 +1095,20 @@ class BlockAccountant:
         self,
         min_budget: Optional[PrivacyBudget],
         count: int,
-        key_filter=None,
         row_filter=None,
     ) -> List[object]:
         """The newest ``count`` usable blocks (chronological order) -- the
         hot path of window selection.  One vectorized admit pass over live
-        blocks.  ``row_filter`` is the vectorized per-caller filter (an
-        ndarray of store rows -> boolean mask, e.g. the platform's
-        reservation check); ``key_filter`` is the scalar per-key form.
-        Either only ever sees blocks whose ledgers admitted the floor."""
+        blocks; ``row_filter`` is the caller's own filter (an ndarray of
+        store rows -> boolean mask, e.g. the platform's reservation check),
+        called once and only on rows whose ledgers admitted the floor."""
         if count <= 0:
             return []
         floor = min_budget or self.retirement_budget
         rows = self._live_admit_rows(floor)
         if row_filter is not None and rows.size:
             rows = rows[np.asarray(row_filter(rows), dtype=bool)]
-        if key_filter is None:
-            return [self._keys[i] for i in rows[-count:]]
-        out: List[object] = []
-        for i in rows[::-1]:
-            key = self._keys[i]
-            if not key_filter(key):
-                continue
-            out.append(key)
-            if len(out) == count:
-                break
-        out.reverse()
-        return out
+        return [self._keys[i] for i in rows[-count:]]
 
     def retired_blocks(self) -> List[object]:
         self._live_admit_rows(self.retirement_budget)  # refresh the dead set

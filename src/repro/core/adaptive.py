@@ -32,12 +32,12 @@ whoever drives it (the platform, a trainer, a test) is two-phase:
    ``propose()`` asks for more; a denial leaves every piece of session
    state untouched and blocks the session on ``NEED_DATA``.
 
-:meth:`AdaptiveSession.step` and :meth:`AdaptiveSession.resume` remain as
-thin compatibility shims: they drive exactly this propose -> request ->
-complete loop with immediate charges, reproducing the historical one-call
-behavior float-for-float.  :class:`PrivacyAdaptiveTrainer` is the one-shot
-convenience wrapper used on static databases (Fig. 6 experiments), driving
-the same protocol explicitly.
+:meth:`AdaptiveSession.step` and :meth:`AdaptiveSession.resume` are the
+one immediate driver: they run exactly this propose -> request -> complete
+loop with immediate charges, reproducing the historical one-call behavior
+float-for-float.  :class:`PrivacyAdaptiveTrainer` is the one-shot
+convenience wrapper used on static databases (Fig. 6 experiments); it
+drives its session through :meth:`AdaptiveSession.step`.
 """
 
 from __future__ import annotations
@@ -176,17 +176,14 @@ class AdaptiveSession:
 
     Parameters
     ----------
-    epsilon_limit_fn:
-        Optional hook ``(window_keys) -> float`` giving the largest epsilon
-        this pipeline may spend on that window right now -- the platform
-        passes its per-pipeline allocation here; standalone use defaults to
-        whatever the blocks themselves can absorb.
     row_budget_fn:
-        Vectorized form of the same allocation hook: ``(store_rows) ->
-        per-row epsilon`` available to this pipeline, aligned to the
-        accountant's ledger-store rows.  When given it supersedes
-        ``epsilon_limit_fn`` and lets window selection filter candidate
-        blocks in one NumPy pass instead of a per-key Python callback.
+        Optional allocation hook ``(store_rows) -> per-row epsilon``: the
+        epsilon this pipeline may still spend on each block, aligned to
+        the accountant's ledger-store rows.  The platform passes its
+        per-pipeline reservations here; window selection filters candidate
+        blocks through it in one NumPy pass.  It must be a pure read, since
+        :meth:`propose_peek` calls it.  Standalone use (no hook) spends
+        whatever the blocks themselves can absorb.
     """
 
     def __init__(
@@ -196,7 +193,6 @@ class AdaptiveSession:
         database: GrowingDatabase,
         config: AdaptiveConfig,
         rng: np.random.Generator,
-        epsilon_limit_fn: Optional[Callable[[List[object]], float]] = None,
         new_block_epsilon_fn: Optional[Callable[[], float]] = None,
         row_budget_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
@@ -205,7 +201,6 @@ class AdaptiveSession:
         self.database = database
         self.config = config
         self.rng = rng
-        self._epsilon_limit_fn = epsilon_limit_fn
         self._row_budget_fn = row_budget_fn
         # Epsilon this pipeline can expect to hold on a brand-new block
         # (the platform's allocation rate); drives the §3.3 escalation
@@ -245,23 +240,17 @@ class AdaptiveSession:
         for other pipelines are skipped rather than vetoing the window.
 
         Ledger admissibility is decided by the accountant's single batched
-        filter pass over the whole live-block store; the allocation filter
-        below only ever runs on blocks that already passed it -- as one
-        vectorized row pass when the platform supplied ``row_budget_fn``,
-        falling back to the scalar per-key callback otherwise.
+        filter pass over the whole live-block store; ``row_budget_fn``, when
+        given, then filters only the rows that passed it, in one vectorized
+        pass.
         """
-        key_filter = None
         row_filter = None
         if self._row_budget_fn is not None:
             row_filter = (
                 lambda rows: self._row_budget_fn(rows) + 1e-12 >= budget.epsilon
             )
-        elif self._epsilon_limit_fn is not None:
-            key_filter = (
-                lambda key: self._epsilon_limit_fn([key]) + 1e-12 >= budget.epsilon
-            )
         window = self.access.offer_recent_blocks(
-            budget, self.window_blocks, key_filter=key_filter, row_filter=row_filter
+            budget, self.window_blocks, row_filter=row_filter
         )
         if len(window) < self.window_blocks:
             return None
@@ -318,8 +307,6 @@ class AdaptiveSession:
             rows = self.access.accountant.rows_for_keys(window)
             held = self._row_budget_fn(rows)
             limit = min(limit, float(held.min()) if held.size else 0.0)
-        elif self._epsilon_limit_fn is not None:
-            limit = min(limit, self._epsilon_limit_fn(window))
         return min(limit, self.config.epsilon_cap)
 
     # ------------------------------------------------------------------
@@ -528,22 +515,9 @@ class PrivacyAdaptiveTrainer:
         session = AdaptiveSession(
             pipeline, self.access, self.database, self.config, rng
         )
-        # Drive the two-phase protocol directly: propose, execute the charge,
-        # assemble the window, complete.  (On a static database a denial
-        # cannot un-block, so every proposal is executed immediately.)
-        while session.status == SessionStatus.RUNNING:
-            proposal = session.propose()
-            if proposal is None:
-                break
-            window = list(proposal.window)
-            self.access.request(window, proposal.budget, label=pipeline.name)
-            session.complete(
-                ChargeDecision(
-                    proposal=proposal,
-                    granted=True,
-                    batch=self.database.assemble(window),
-                )
-            )
+        # On a static database a denial cannot un-block, so the session's
+        # own immediate driver (every proposal charged at once) runs it.
+        session.step()
         return AdaptiveResult(
             status=session.status,
             run=session.final_run,

@@ -288,7 +288,8 @@ class WalWriter:
 
     Opening an existing file validates it with :func:`read_wal` (real
     corruption raises) and truncates any torn tail so appends resume at
-    the last complete record.
+    the last complete record; a file torn inside its header gets the
+    magic rewritten.
     """
 
     def __init__(self, path, telemetry=None) -> None:
@@ -303,6 +304,8 @@ class WalWriter:
             self._fh.truncate()
         else:
             self._fh = open(self._path, "wb")
+        if self._fh.tell() == 0:
+            # A new file, or one torn inside its header: write the magic.
             self._fh.write(WAL_MAGIC)
             self._sync()
         self._hour_start: Optional[int] = None

@@ -36,8 +36,9 @@ finished or blocked, the entire hour commits through **one**
 accumulation makes the batch observationally identical to the per-session
 sequential charges, and staged validation replays the exact same float
 accumulation, so the commit can never be refused (its validation stays on
-as an end-to-end check).  Sessions' reservation deductions settle in one
-fused vectorized pass per session.
+as an end-to-end check).  Each granted attempt's reservation deduction
+settles right after its ``complete()``, so a session reads its allocation
+through ``row_budget_fn`` as a pure read of the reservation table.
 
 There is no other drive.  Every stream can stage, because the accountant
 rejects at construction any filter that does not decide from its totals,
@@ -256,10 +257,8 @@ class ReservationTable:
     def settle(self, row: int, cols: np.ndarray, epsilon) -> None:
         """Deduct committed charges from one pipeline's reservations.
 
-        ``epsilon`` may be a scalar (one charge across all columns) or a
-        per-column array (several attempts' charges fused into one pass --
-        clamped sequential deduction equals clamped deduction of the sum,
-        since reservations and charges are nonnegative).
+        ``epsilon`` is one attempt's charge, deducted on every column and
+        clamped at zero.
         """
         self._eps[row, cols] = np.maximum(0.0, self._eps[row, cols] - epsilon)
 
@@ -276,12 +275,6 @@ class ReservationTable:
             out[known] = self._eps[row, cols[known]]
             return out
         return self._eps[row, cols]
-
-    def limit(self, row: int, cols: np.ndarray) -> float:
-        """The smallest reservation the pipeline holds across the columns."""
-        if len(cols) == 0:
-            return 0.0
-        return float(self.values(row, cols).min())
 
     def row_values(self, row: int) -> np.ndarray:
         """Copy of one pipeline's full reservation row (diagnostics)."""
@@ -546,7 +539,7 @@ class Sage:
             self.database,
             config,
             self.rng,
-            row_budget_fn=lambda rows, e=entry: self._reservation_values(e, rows),
+            row_budget_fn=lambda rows, e=entry: self._table.values(e.table_row, rows),
             new_block_epsilon_fn=self._new_block_share,
         )
         entry.session = session
@@ -568,24 +561,6 @@ class Sage:
         """Per-pipeline epsilon a freshly created block would grant now."""
         waiting = max(1, len(self._waiting_pipelines()))
         return self.epsilon_global / waiting
-
-    def _reservation_values(
-        self, entry: SubmittedPipeline, rows: np.ndarray
-    ) -> np.ndarray:
-        """Per-store-row epsilon this pipeline may still spend.  Charges made
-        earlier in the same session step are settled first so mid-step
-        attempts cannot overdraw the reservation."""
-        self._settle_charges(entry)
-        return self._table.values(entry.table_row, rows)
-
-    def _reservation_limit(self, entry: SubmittedPipeline, window) -> float:
-        """The epsilon this pipeline may spend on that window: the smallest
-        reservation it holds across the window's blocks."""
-        self._settle_charges(entry)
-        if not window:
-            return 0.0
-        rows = self.access.accountant.rows_for_keys(window)
-        return self._table.limit(entry.table_row, rows)
 
     def _allocate_block(self, key: object) -> None:
         """Divide a new block's budget evenly among waiting pipelines."""
@@ -611,37 +586,17 @@ class Sage:
         self._table.grant_free(self._waiting_rows())
 
     def _settle_charges(self, entry: SubmittedPipeline) -> None:
-        """Decrement reservations by what the session actually charged.
-
-        All unsettled attempts settle in one pass: one ``rows_for_keys``
-        call over every window, a ``bincount`` fusing per-block deductions,
-        and a single clamped ``ReservationTable.settle`` update.  Clamped
-        sequential deduction equals the clamped deduction of the sum in
-        exact arithmetic; with more than one pending attempt the fused sum
-        can differ from the sequential loop by float rounding (~1 ulp).
-        The platform drive never produces that case -- window selection
-        settles after every attempt via ``row_budget_fn``, so at most one
-        attempt is pending here -- and the single-attempt path below is
-        bit-identical to the seed loop.
-        """
+        """Deduct the session's unsettled attempts from its reservations:
+        one clamped ``ReservationTable.settle`` per attempt, in attempt
+        order (the seed's loop).  The drive and the WAL replay both call it
+        right after every attempt, so ``row_budget_fn`` reads a settled row
+        and never settles itself."""
         attempts = entry.session.attempts
-        pending = attempts[entry.settled_attempts:]
-        if not pending:
-            return
-        accountant = self.access.accountant
-        rows = accountant.rows_for_keys(
-            [key for record in pending for key in record.window]
-        )
-        if len(pending) == 1:
-            self._table.settle(entry.table_row, rows, pending[0].budget.epsilon)
-        else:
-            epsilons = np.repeat(
-                np.array([record.budget.epsilon for record in pending]),
-                [len(record.window) for record in pending],
+        rows_for_keys = self.access.accountant.rows_for_keys
+        for record in attempts[entry.settled_attempts:]:
+            self._table.settle(
+                entry.table_row, rows_for_keys(record.window), record.budget.epsilon
             )
-            fused = np.bincount(rows, weights=epsilons)
-            cols = np.nonzero(fused)[0]
-            self._table.settle(entry.table_row, cols, fused[cols])
         entry.settled_attempts = len(attempts)
 
     # ------------------------------------------------------------------
@@ -671,7 +626,9 @@ class Sage:
         Every proposal is validated against the hour's staged batch, its
         window assembled, and the decision fed back; a refusal becomes a
         denied decision, so the session blocks on NEED_DATA with escalation
-        state untouched instead of the refusal propagating.
+        state untouched instead of the refusal propagating.  A granted
+        attempt settles into the reservation table right after its
+        ``complete()``, before the session proposes again.
         """
         session = entry.session
         session.wake()
@@ -705,6 +662,7 @@ class Sage:
                     batch=self.database.assemble(window) if granted else None,
                 )
             )
+            self._settle_charges(entry)
 
     def advance(self, hours: float = 1.0) -> List[ReleasedBundle]:
         """Move the clock one transactional hour: ingest, allocate, drive
@@ -832,7 +790,6 @@ class Sage:
                 self._drive_session(entry)
                 self._metrics.inc("sage_sessions_driven_total")
                 driven += 1
-                self._settle_charges(entry)
                 faults.trip("settle.mid_session")
                 if entry.session.status == SessionStatus.ACCEPTED:
                     run = entry.session.final_run
@@ -1107,7 +1064,7 @@ class Sage:
         Re-ingests the hour's stream slice under the recorded pre-hour
         clock/RNG (regenerating the same blocks), re-applies each
         session's recorded attempts with a settle after every one (the
-        drive's own cadence -- single-pending settles are bit-identical),
+        drive's own cadence, so the settle calls are the same),
         redistributes exactly where the drive would have, and lands the
         hour's charges through the **same** ``request_many`` call the
         live hour committed through.  No parallel apply path exists.
@@ -1146,9 +1103,8 @@ class Sage:
                         train_size=train_size,
                     )
                 )
-                # Settle after every attempt -- the drive's own cadence
-                # (row_budget_fn settles mid-step), so each settle sees at
-                # most one pending attempt and stays bit-identical.
+                # Settle after every attempt, as the drive does after
+                # every complete(): the same settle calls in the same order.
                 self._settle_charges(entry)
             session.status = delta["status"]
             session.epsilon = delta["epsilon"]

@@ -7,11 +7,13 @@ complete object graph of a live session -- accountant, ledgers, store
 arrays, reservation state, RNG state, everything reachable -- calls
 ``propose_peek``, and requires the fingerprint to be byte-identical.
 
-The first peek is a warm-up: the documented benign caches (row-key memo,
-staged effective-totals growth) may fill once, and the linter's allow
-comments cover exactly that.  Purity means *idempotence from the second
-call on* -- which is also what the parallel propose drive needs, since it
-peeks against an already-warmed accountant.
+Reservation state is pure from the first call: on a platform session the
+peek reads its allocation through ``row_budget_fn`` and never settles, so
+the reservation table and the settled-attempt count stay put even right
+after a granted ``complete()``.  Only the documented memo caches (row-key
+memo, staged effective-totals growth) may fill on the first call, and the
+linter's allow comments cover exactly those; so the whole-graph fingerprint
+is compared from the second call on.
 """
 
 import enum
@@ -24,11 +26,13 @@ import pytest
 from repro.core.access_control import SageAccessControl
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSession, SessionStatus
 from repro.core.pipeline import PipelineRun
+from repro.core.platform import Sage
 from repro.core.validation.outcomes import Outcome, ValidationResult
 from repro.data.database import GrowingDatabase, StreamIngestor
 from repro.data.stream import TimePartitioner
 from repro.data.taxi import TaxiGenerator
 from repro.dp.budget import PrivacyBudget
+from repro.workload.oracle import CountStreamSource, OraclePipeline
 
 
 class _Threshold:
@@ -185,3 +189,34 @@ class TestProposePeekIsPure:
         session.propose_peek()
         session.propose_peek()
         assert pipeline.calls == []
+
+
+class TestPlatformAllocationReadIsPure:
+    def test_peek_after_granted_complete_settles_nothing(self):
+        """Mid-hour, right after a granted ``complete()`` and before the
+        session's next proposal, the first ``propose_peek`` leaves the
+        reservation table and the settled-attempt count untouched."""
+        sage = Sage(CountStreamSource(4000, scale=1000), seed=5)
+        entry = sage.submit(
+            OraclePipeline(name="p0", n_at_eps1=1e9), AdaptiveConfig(max_attempts=16)
+        )
+        session = entry.session
+        propose = session.propose
+        seen_attempts = checks = 0
+
+        def propose_after_peek():
+            nonlocal seen_attempts, checks
+            if len(session.attempts) > seen_attempts:  # a granted complete() ran
+                seen_attempts = len(session.attempts)
+                matrix = sage.reservation_table.matrix.tobytes()
+                settled = entry.settled_attempts
+                session.propose_peek()
+                assert sage.reservation_table.matrix.tobytes() == matrix
+                assert entry.settled_attempts == settled
+                checks += 1
+            return propose()
+
+        session.propose = propose_after_peek
+        for _ in range(4):
+            sage.advance(1.0)
+        assert checks, "no proposal followed a granted complete()"

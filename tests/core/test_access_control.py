@@ -54,6 +54,16 @@ class TestACLs:
         ac.register_block(0)
         assert ac.offer_blocks(principal="fraud-team") == [0]
 
+    def test_recent_block_offer_enforces_acl(self):
+        ac = SageAccessControl(1.0, 1e-6, authorized_principals=["fraud-team"])
+        ac.register_blocks([0, 1])
+        floor = PrivacyBudget(0.1, 0.0)
+        with pytest.raises(AccessDeniedError):
+            ac.offer_recent_blocks(floor, 1, principal="ads-team")
+        with pytest.raises(AccessDeniedError):
+            ac.offer_recent_blocks(floor, 1)  # an ACL needs a named principal
+        assert ac.offer_recent_blocks(floor, 1, principal="fraud-team") == [1]
+
     def test_no_acl_means_open(self, access):
         assert access.offer_blocks(principal=None) == [0, 1, 2]
 

@@ -219,11 +219,42 @@ class TestTailScan:
         tail = accountant.usable_blocks_tail(PrivacyBudget(0.5, 0.0), 2)
         assert tail == [1, 2]
 
-    def test_tail_respects_key_filter(self, accountant):
+    def test_tail_respects_row_filter(self, accountant):
         tail = accountant.usable_blocks_tail(
-            PrivacyBudget(0.1, 0.0), 3, key_filter=lambda k: k % 2 == 0
+            PrivacyBudget(0.1, 0.0), 3, row_filter=lambda rows: rows % 2 == 0
         )
         assert tail == [0, 2]
+
+    def test_row_filter_sees_only_rows_that_admit_the_floor(self, accountant):
+        accountant.charge([1], PrivacyBudget(1.0, 1e-6))
+        seen = []
+
+        def row_filter(rows):
+            seen.append(rows.tolist())
+            return np.ones(rows.shape, dtype=bool)
+
+        tail = accountant.usable_blocks_tail(
+            PrivacyBudget(0.5, 0.0), 4, row_filter=row_filter
+        )
+        assert seen == [[0, 2, 3]]
+        assert tail == [0, 2, 3]
+
+    def test_row_filter_not_called_when_no_row_admits(self, accountant):
+        def row_filter(rows):
+            raise AssertionError(f"row filter called on {rows!r}")
+
+        tail = accountant.usable_blocks_tail(
+            PrivacyBudget(2.0, 0.0), 2, row_filter=row_filter
+        )
+        assert tail == []
+
+    def test_row_filter_tail_keeps_newest_in_chrono_order(self):
+        acc = BlockAccountant(1.0, 1e-6)
+        acc.register_blocks([f"b{i}" for i in range(8)])
+        tail = acc.usable_blocks_tail(
+            PrivacyBudget(0.1, 0.0), 2, row_filter=lambda rows: rows % 2 == 0
+        )
+        assert tail == ["b4", "b6"]
 
     def test_tail_short_when_not_enough(self, accountant):
         tail = accountant.usable_blocks_tail(PrivacyBudget(0.1, 0.0), 99)

@@ -177,6 +177,21 @@ class TestWalFormat:
         scan = durability.read_wal(path)
         assert [r.get("hour_index") for r in scan.records] == [0, 0, 1, 1]
 
+    def test_writer_rewrites_torn_header_on_reopen(self, tmp_path):
+        path = tmp_path / "charge.wal"
+        path.write_bytes(durability.WAL_MAGIC[:4])  # crash inside the header
+        writer = durability.WalWriter(path)
+        writer.begin_hour()
+        writer.append_hour({"hour_index": 0})
+        writer.commit_hour(0, 7)
+        writer.close()
+        scan = durability.read_wal(path)
+        assert not scan.truncated_tail
+        assert [(r["kind"], r["hour_index"]) for r in scan.records] == [
+            ("hour", 0),
+            ("commit", 0),
+        ]
+
     def test_abort_hour_truncates_partial_hour(self, tmp_path):
         path = tmp_path / "charge.wal"
         writer = durability.WalWriter(path)
@@ -376,6 +391,24 @@ class TestDurableDrive:
         for hour in (9, 10):
             recovered.advance(1.0)
             assert durability.state_digest(recovered) == digests[hour]
+        recovered.close()
+
+    def test_recover_after_torn_header(self, tmp_path):
+        """A log torn inside its header holds no hour: the platform advances
+        over it and a fresh platform recovers the advanced state."""
+        durability.wal_path(tmp_path).write_bytes(durability.WAL_MAGIC[:3])
+        sage = _build("single-basic", wal_dir=tmp_path)
+        for pipeline, config in _pipes():
+            sage.submit(pipeline, config)
+        for _ in range(3):
+            sage.advance(1.0)
+        sage.close()
+        recovered = _build("single-basic", wal_dir=tmp_path)
+        report = recovered.recover(_pipes())
+        assert report.hours_committed == 3
+        assert durability.state_digest(recovered) == _clean_digests(
+            "single-basic", hours=3
+        )[3]
         recovered.close()
 
     def test_fresh_pipelines_resubmitted_when_log_is_empty(self, tmp_path):

@@ -103,7 +103,8 @@ def test_matches_dict_reference_through_random_schedule():
         for b in range(n_blocks):
             assert table.values(p, np.array([b]))[0] == ref.reservations[p].get(b, 0.0)
         probe = list(range(0, n_blocks, 7))
-        assert table.limit(p, np.array(probe, dtype=np.intp)) == ref.limit(p, probe)
+        held = table.values(p, np.array(probe, dtype=np.intp))
+        assert held.min() == ref.limit(p, probe)
     free_ref = np.zeros(n_blocks)
     for b, v in ref.free.items():
         free_ref[b] = v
@@ -271,8 +272,6 @@ def test_unknown_columns_read_as_zero():
     values = table.values(row, np.array([0, 5], dtype=np.intp))
     assert values[0] == pytest.approx(1.0)
     assert values[1] == 0.0
-    assert table.limit(row, np.array([0, 5], dtype=np.intp)) == 0.0
-    assert table.limit(row, np.array([], dtype=np.intp)) == 0.0
 
 
 def test_epsilon_conservation_on_platform():
