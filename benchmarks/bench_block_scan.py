@@ -4,8 +4,9 @@ The ROADMAP's north star is streams with thousands of hours of blocks, so
 ``usable_blocks`` / ``can_charge`` scans -- executed by every session of
 every pipeline, every simulated hour -- must not be Python-object loops.
 This bench times the accountant's vectorized struct-of-arrays scans against
-a faithful reimplementation of the seed's per-ledger loop at 1k / 10k /
-100k registered blocks.
+the seed's per-ledger loop -- a Python loop over the store rows asking the
+filter's scalar ``admits`` one block at a time -- at 1k / 10k / 100k
+registered blocks.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_block_scan.py``)
 or through pytest (the 10k case asserts the >= 5x acceptance threshold and
@@ -37,8 +38,10 @@ def build_accountant(n_blocks: int, seed: int = 0) -> BlockAccountant:
     acc.register_blocks(range(n_blocks))
     rng = np.random.default_rng(seed)
     charged = rng.choice(n_blocks, size=int(CHARGE_FRACTION * n_blocks), replace=False)
-    for key in charged:
-        acc.ledger(int(key)).record(PrivacyBudget(float(rng.uniform(0.1, 0.99)), 0.0))
+    acc.charge_many(
+        ([int(key)], PrivacyBudget(float(rng.uniform(0.1, 0.99)), 0.0))
+        for key in charged
+    )
     return acc
 
 
@@ -46,12 +49,12 @@ def build_accountant(n_blocks: int, seed: int = 0) -> BlockAccountant:
 # The seed's per-ledger loops, preserved as the baseline under test.
 # ----------------------------------------------------------------------
 def legacy_usable_blocks(acc: BlockAccountant, floor: PrivacyBudget):
+    admits = acc.batch_filter.admits
     out = []
-    for key in acc.block_keys:
-        led = acc.ledger(key)
-        if led.is_retired(acc.retirement_budget):
-            continue
-        if led.admits(floor):
+    for key, row in zip(acc.block_keys, acc.store.totals.tolist()):
+        if not admits((), acc.retirement_budget, totals=tuple(row)):
+            continue  # retired
+        if admits((), floor, totals=tuple(row)):
             out.append(key)
     return out
 
@@ -59,7 +62,12 @@ def legacy_usable_blocks(acc: BlockAccountant, floor: PrivacyBudget):
 def legacy_can_charge(acc: BlockAccountant, keys, budget: PrivacyBudget) -> bool:
     if not keys:
         return False
-    return all(acc.ledger(k).admits(budget) for k in keys)
+    admits = acc.batch_filter.admits
+    totals = acc.store.totals
+    return all(
+        admits((), budget, totals=tuple(totals[row].tolist()))
+        for row in acc.rows_for_keys(keys)
+    )
 
 
 def _best_of(fn, repeats: int) -> float:

@@ -11,9 +11,9 @@ Two claims, both gated in CI:
   (``--assert-admission-gain``).
 * **Scan parity.**  The order-extended ``(n, 4 + len(orders))`` store keeps
   whole-stream scans a single vectorized pass: the Renyi accountant's
-  ``usable_blocks`` + ``can_charge`` hot path must beat a per-ledger scalar
-  loop by the usual factor (``--assert-speedup``) and stay within a small
-  constant of the 4-column strong filter's scans
+  ``usable_blocks`` + ``can_charge`` hot path must beat a per-block scalar
+  loop over the store rows by the usual factor (``--assert-speedup``) and
+  stay within a small constant of the 4-column strong filter's scans
   (``--assert-scan-ratio``).
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_renyi_filter.py``)
@@ -98,23 +98,28 @@ def build_accountant(factory, n_blocks: int, seed: int = 0) -> BlockAccountant:
     charged = rng.choice(
         n_blocks, size=int(CHARGE_FRACTION * n_blocks), replace=False
     )
-    for key in charged:
-        acc.ledger(int(key)).record(
-            PrivacyBudget(float(rng.uniform(0.05, 0.5)), 0.0)
-        )
+    acc.charge_many(
+        ([int(key)], PrivacyBudget(float(rng.uniform(0.05, 0.5)), 0.0))
+        for key in charged
+    )
     return acc
 
 
 def scalar_scan(acc: BlockAccountant, floor, window, charge):
-    """The seed's per-ledger loop, as a baseline on the same ledgers."""
+    """The seed's per-ledger loop, as a baseline on the same store rows:
+    the filter's scalar ``admits`` asked one block at a time."""
+    admits = acc.batch_filter.admits
+    rows = acc.store.totals.tolist()
     usable = []
-    for key in acc.block_keys:
-        ledger = acc.ledger(key)
-        if ledger.is_retired(acc.retirement_budget):
-            continue
-        if ledger.admits(floor):
+    for key, row in zip(acc.block_keys, rows):
+        if not admits((), acc.retirement_budget, totals=tuple(row)):
+            continue  # retired
+        if admits((), floor, totals=tuple(row)):
             usable.append(key)
-    ok = all(acc.ledger(k).admits(charge) for k in window)
+    ok = all(
+        admits((), charge, totals=tuple(rows[row]))
+        for row in acc.rows_for_keys(window)
+    )
     return usable, ok
 
 

@@ -16,7 +16,7 @@ Run:  python examples/user_level_privacy.py   (~15 seconds)
 
 import numpy as np
 
-from repro.core import BlockAccountant
+from repro.core import BlockAccountant, loss_dashboard
 from repro.data import TaxiGenerator, UserPartitioner
 from repro.data.stream import StreamBatch
 from repro.dp import PrivacyBudget
@@ -63,10 +63,12 @@ def main():
     # Users in buckets 4..7 were used by both models: their blocks are
     # exhausted (0.6 + 0.4 = eps_g) and now refuse further training.
     print("\nper-bucket privacy loss:")
+    spent = loss_dashboard(accountant)
+    retired = set(accountant.retired_blocks())
     for block in blocks:
-        spent = sum(b.epsilon for b in accountant.ledger(block.key).history)
-        marker = " <- retired" if block.key in accountant.retired_blocks() else ""
-        print(f"  bucket {block.key[1]:>2}: eps spent {spent:.2f}{marker}")
+        marker = " <- retired" if block.key in retired else ""
+        print(f"  bucket {block.key[1]:>2}: eps spent "
+              f"{spent[block.key].epsilon:.2f}{marker}")
 
     try:
         accountant.charge([blocks[5].key], PrivacyBudget(0.05, 0.0))

@@ -24,10 +24,11 @@ __all__ = [
 ]
 
 # Method names that unambiguously mutate accounting state wherever they are
-# called: ledger/store writes, charge execution, staging, settlement.  Used
-# by the mutation extraction (purity, rollback) and the telemetry-isolation
-# and api-hygiene rules regardless of the receiver, since e.g. ``led.record(...)`` mutates no matter what local name the
-# ledger is bound to.
+# called: store writes, charge execution, staging, settlement.  Used by the
+# mutation extraction (purity, rollback) and the telemetry-isolation and
+# api-hygiene rules regardless of the receiver, since e.g.
+# ``store.write_rows(...)`` mutates no matter what local name the store is
+# bound to.
 MUTATOR_METHODS = frozenset(
     {
         "record",
@@ -41,7 +42,6 @@ MUTATOR_METHODS = frozenset(
         "abort_staged",
         "settle",
         "retire",
-        "write_row",
         "write_rows",
         "request",
         "request_many",
@@ -49,8 +49,6 @@ MUTATOR_METHODS = frozenset(
         "wake",
         "_escalate",
         "_settle_charges",
-        "_accumulate",
-        "_attach",
         "register_block",
         "register_blocks",
         "allocate",
@@ -62,7 +60,7 @@ MUTATOR_METHODS = frozenset(
 )
 
 # Container mutators that only count when the receiver chain is rooted at
-# ``self`` (``self._dead.update(...)`` mutates session state; a local
+# ``self`` (``self._charges.extend(...)`` mutates accountant state; a local
 # list's ``out.append(...)`` does not).
 SELF_MUTATOR_METHODS = frozenset(
     {"append", "add", "update", "clear", "extend", "insert", "pop", "popitem",

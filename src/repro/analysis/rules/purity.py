@@ -21,7 +21,7 @@ with the alias-aware mutation extractor
   writes through a local that aliases ``self`` storage
   (``store = self._store; store[k] = v``);
 * calls to known accounting mutators (``record``, ``stage_charge``,
-  ``settle``, ``retire``, ``write_row``/``write_rows``, ...) on any
+  ``settle``, ``retire``, ``write_rows``, ...) on any
   receiver, and container mutators (``.add``/``.update``/``.clear``...)
   on receivers rooted at ``self`` -- again through aliases.
 

@@ -6,17 +6,17 @@ applies exactly that vector.  The contract only holds if nobody outside
 the accounting modules reaches into the row layout directly -- a
 hard-coded ``totals[:, 0]`` silently reads the wrong column the moment a
 filter reorders or extends its schema, and a direct ``_totals[...]``
-write bypasses the ledger-mirror sync entirely (the vectorized scans
-would diverge from the per-ledger histories without any error).
+write bypasses the accountant's checks and its charge log entirely (the
+store rows would diverge from the logged charges without any error).
 
 Flags, everywhere except ``accountant.py`` / ``filters.py`` (the
 schema's owners):
 
-* any access to a ``_totals`` attribute (the private store/ledger array);
+* any access to a ``_totals`` attribute (the private store array);
 * hard-coded integer *column* indices into totals rows: tuple subscripts
   with a constant column (``store.totals[:, 0]``,
   ``totals[rows, 2]``) and plain integer subscripts on per-block totals
-  tuples (``ledger(key).totals[0]``, a bare ``totals[1]``).  Row indexing
+  tuples (``row_of(key).totals[0]``, a bare ``totals[1]``).  Row indexing
   (``store.totals[3]``) is layout-independent and stays legal.
 
 The fix is almost always importing the named base-column constants
@@ -62,7 +62,7 @@ class SchemaWidthRule(Rule):
                 yield self.finding(
                     module,
                     node,
-                    "direct LedgerStore/BlockLedger `_totals` access outside "
+                    "direct LedgerStore `_totals` access outside "
                     "the accounting modules bypasses the filter-declared schema",
                 )
             elif isinstance(node, ast.Subscript):
@@ -88,7 +88,7 @@ class SchemaWidthRule(Rule):
         elif _is_int_constant(slice_node):
             # A single integer subscript is a *column* only on 1-D per-block
             # rows: a bare `totals` name or a `.totals` on a call result
-            # (`ledger(key).totals[0]`).  `store.totals[3]` is row indexing.
+            # (`row_of(key).totals[0]`).  `store.totals[3]` is row indexing.
             if is_totals_name or (
                 is_totals_attr and isinstance(base.value, ast.Call)
             ):

@@ -2,7 +2,7 @@
 privacy-adaptive training, and the platform itself."""
 
 from repro.core.access_control import SageAccessControl
-from repro.core.accountant import BlockAccountant, BlockLedger, ChargeRecord, LedgerStore
+from repro.core.accountant import BlockAccountant, ChargeRecord, LedgerStore
 from repro.core.adaptive import (
     AdaptiveConfig,
     AdaptiveSession,
@@ -39,7 +39,6 @@ from repro.core.validation import (
 
 __all__ = [
     "BlockAccountant",
-    "BlockLedger",
     "ChargeRecord",
     "LedgerStore",
     "SageAccessControl",

@@ -1,12 +1,13 @@
 """Block-level privacy accounting (the paper's central mechanism).
 
-The :class:`BlockAccountant` keeps one :class:`BlockLedger` per data block
-and implements Alg. 4(c)'s ``AccessControl`` check: a query naming a set of
-blocks and an (epsilon, delta) is admitted iff *every* named block's filter
-admits the charge; the charge is then committed atomically (all blocks or
-none).  By Theorem 4.2/4.3 this enforces the global (eps_g, delta_g)-DP
-guarantee for the whole stream while new blocks keep arriving with zero
-privacy loss -- the property that lets Sage run forever.
+The :class:`BlockAccountant` keeps every data block's running loss sums in
+one :class:`LedgerStore` row and implements Alg. 4(c)'s ``AccessControl``
+check: a query naming a set of blocks and an (epsilon, delta) is admitted
+iff the filter admits the charge on *every* named block's row; the charge
+is then committed atomically (all blocks or none).  By Theorem 4.2/4.3
+this enforces the global (eps_g, delta_g)-DP guarantee for the whole
+stream while new blocks keep arriving with zero privacy loss -- the
+property that lets Sage run forever.
 
 A block whose filter no longer admits the configured minimum charge is
 *retired* (the DP-informed retention policy of §3.2): it stays retired for
@@ -35,35 +36,34 @@ column per Renyi order (columns ``4 .. 4 + len(orders)``, in the filter's
 ``orders`` sequence order), so an RDP stream's whole ledger is one
 ``(n_blocks, 4 + len(orders))`` matrix and every scan below stays a single
 vectorized pass.  The increment a charge adds to a row is defined solely by
-``filter.contribution(budget)`` -- ledgers, ``charge_many``'s scratch
-validation, and the staged overlay all apply that exact vector, which is
-what keeps scalar and batched accounting float-identical whatever the
-schema width.
+``filter.contribution(budget)`` -- ``charge``, ``charge_many``'s scratch
+validation and the staged overlay all apply that exact vector, which is
+what keeps single, batched and staged accounting float-identical whatever
+the schema width.
 
-The store also keeps a parallel boolean *live* mask (False once a block is retired).  Rows
-are in registration order and are never reclaimed; the matrix grows by
-doubling.  Every :class:`BlockLedger` stays the per-block API -- it owns the
-charge history and mirrors its totals into its store row on every commit, so
-the matrix is always in sync no matter whether a charge lands through the
-accountant or directly on a ledger.
+The store also keeps a per-row charge count and a boolean *live* mask
+(False once a block is retired).  Rows are in registration order and are
+never reclaimed; the arrays grow by doubling.  The store rows plus the
+append-only charge log are the accountant's whole per-block state: a
+block's charge history, when a caller wants one, is the charge log
+filtered by key.
 
-Batched-API contract: the accountant evaluates every decision -- charges,
-``charge_many`` batches, staged charges and the whole-stream scans
-(``usable_blocks``, ``usable_blocks_tail``, ``can_charge``, ``max_epsilon``,
-``retired_blocks``, ``stream_loss_bound``) -- through a single prototype
-filter's ``admits_batch`` / ``max_epsilon_batch`` over store rows.  Every
-filter must therefore decide from its block's totals row alone, and the
-``filter_factory`` must be *homogeneous*: every per-block filter it builds
-makes the decisions the prototype makes on the same row (as the built-in
-basic, strong and Renyi filters do).  There is one accounting path and no
-fallback: a filter class whose decisions might come from elsewhere -- one
-that keeps the base-class ``admits_batch`` (which decides from an empty
-history), or whose batch methods sit above an overridden scalar
-``admits`` / ``max_epsilon`` -- is rejected with ``InvalidBudgetError``
-when the accountant is constructed.  The check inspects overrides of
-those four decision methods only: a subclass that changes decisions
-through a helper they call (e.g. ``remaining``) must override the
-decision method (or its batch form) as well, or it will not be caught.
+Batched-API contract: the ``filter_factory`` runs once per accountant, and
+the one filter it builds makes every decision -- charges, ``charge_many``
+batches, staged charges and the whole-stream scans (``usable_blocks``,
+``usable_blocks_tail``, ``can_charge``, ``max_epsilon``,
+``retired_blocks``) and the ``stream_loss_bound`` report -- through its
+``admits_batch`` / ``max_epsilon_batch`` / ``loss_bound_batch`` over store
+rows.  Every filter must therefore decide from a block's totals row alone.
+There is one accounting path and no fallback: a filter class whose
+decisions might come from elsewhere -- one that keeps the base-class
+``admits_batch`` (which decides from an empty history), or whose batch
+methods sit above an overridden scalar ``admits`` / ``max_epsilon`` /
+``loss_bound`` -- is rejected with ``InvalidBudgetError`` when the
+accountant is constructed.  The check inspects overrides of those six
+methods only: a subclass that changes decisions through a helper they
+call (e.g. ``remaining``) must override the decision method (or its batch
+form) as well, or it will not be caught.
 
 Batched atomic multi-charge (``charge_many``)
 ---------------------------------------------
@@ -75,8 +75,8 @@ one pass.  Its contract:
   running totals that already include every earlier request in the batch
   (intra-batch accumulation), so two charges naming the same block in one
   batch are checked against their combined total.  A committed batch leaves
-  ledger histories, running totals, store rows, and the charge log exactly
-  as the same charges applied one at a time through ``charge`` would have.
+  the store rows and the charge log exactly as the same charges applied
+  one at a time through ``charge`` would have.
 * **Atomicity.**  The commit is all-or-nothing: if any request is refused,
   nothing is committed anywhere and the error ``charge`` would have raised
   for that request (``BlockRetiredError`` / ``BudgetExceededError``)
@@ -95,7 +95,7 @@ accountant supports this with a :class:`StagedBatch` overlay opened by
 * ``stage_charge(keys, budget, label)`` validates a request against the
   *effective* totals (committed store rows plus every earlier staged
   charge, accumulated in request order with exactly ``charge_many``'s
-  float operations) and records it without touching any ledger.  A refusal
+  float operations) and records it without touching the store.  A refusal
   raises the same error ``charge`` would and stages nothing.
 * While a batch is open, every admissibility read (``admits_keys``,
   ``can_charge``, ``max_epsilon``, ``usable_blocks``/``usable_blocks_tail``)
@@ -125,21 +125,14 @@ overlay could not see those writes.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core import faults
-from repro.core.filters import (
-    TOTALS_BASE,
-    BasicCompositionFilter,
-    PrivacyFilter,
-    StrongCompositionFilter,
-)
+from repro.core.filters import TOTALS_BASE, BasicCompositionFilter, PrivacyFilter
 from repro.dp.budget import PrivacyBudget, ZERO_BUDGET
-from repro.dp.composition import rogers_filter_epsilon_from_sums_batch
 from repro.errors import (
     BlockRetiredError,
     BudgetExceededError,
@@ -150,7 +143,6 @@ from repro.errors import (
 from repro.obs.trace import NULL_PROBE
 
 __all__ = [
-    "BlockLedger",
     "BlockAccountant",
     "ChargeRecord",
     "LedgerStore",
@@ -175,26 +167,6 @@ class ChargeRecord:
     label: str = ""
 
 
-# Per-class cache: does this filter's loss_bound accept the O(1) ``totals``
-# keyword, or is it a legacy override with the plain (history) signature?
-_LOSS_BOUND_ACCEPTS_TOTALS: Dict[type, bool] = {}
-
-
-def _loss_bound_accepts_totals(filter_obj: PrivacyFilter) -> bool:
-    cls = type(filter_obj)
-    cached = _LOSS_BOUND_ACCEPTS_TOTALS.get(cls)
-    if cached is None:
-        try:
-            params = inspect.signature(cls.loss_bound).parameters
-            cached = "totals" in params or any(
-                p.kind is p.VAR_KEYWORD for p in params.values()
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            cached = False
-        _LOSS_BOUND_ACCEPTS_TOTALS[cls] = cached
-    return cached
-
-
 def _defining_class(cls: type, name: str) -> type:
     return next(c for c in cls.__mro__ if name in c.__dict__)
 
@@ -204,13 +176,14 @@ def _scans_can_vectorize(filter_obj: PrivacyFilter) -> bool:
     scalar rules decide, i.e. from the totals row alone.
 
     The base-class ``admits_batch`` sees an empty history, so it is only
-    valid for totals-deciding filters; and an *inherited* concrete
-    ``admits_batch`` must not shadow a subclass's overridden scalar rule
-    (the batch method has to be defined at or below wherever ``admits`` /
-    ``max_epsilon`` were last overridden).  The accountant rejects every
+    valid for totals-deciding filters; and an *inherited* concrete batch
+    method must not shadow a subclass's overridden scalar rule (each of
+    ``admits_batch`` / ``max_epsilon_batch`` / ``loss_bound_batch`` has to
+    be defined at or below wherever its scalar ``admits`` / ``max_epsilon``
+    / ``loss_bound`` was last overridden).  The accountant rejects every
     filter for which this is False.
 
-    Only these four decision methods are inspected: a subclass that changes
+    Only these six methods are inspected: a subclass that changes
     behavior through a *helper* they call (e.g. ``remaining``) without
     overriding the decision method itself is undetectable here and must
     override the corresponding batch method too -- see the batched-API
@@ -221,6 +194,10 @@ def _scans_can_vectorize(filter_obj: PrivacyFilter) -> bool:
     if batch_owner is PrivacyFilter:
         return False
     if not issubclass(batch_owner, _defining_class(cls, "admits")):
+        return False
+    if not issubclass(
+        _defining_class(cls, "loss_bound_batch"), _defining_class(cls, "loss_bound")
+    ):
         return False
     max_batch_owner = _defining_class(cls, "max_epsilon_batch")
     max_owner = _defining_class(cls, "max_epsilon")
@@ -302,12 +279,8 @@ class LedgerStore:
         self._size += 1
         return index
 
-    def write_row(self, index: int, totals: Sequence[float], count: int) -> None:
-        self._totals[index, :] = totals
-        self._counts[index] = count
-
     def write_rows(self, indices, totals: np.ndarray, counts: np.ndarray) -> None:
-        """Bulk row update (the batched ``charge_many`` commit path)."""
+        """Bulk row update (every charge commit lands through here)."""
         self._totals[indices] = totals
         self._counts[indices] = counts
 
@@ -376,108 +349,20 @@ class StagedBatch:
         self._eff[rows] += contribution
 
 
-@dataclass
-class BlockLedger:
-    """Charge history + filter for a single block.
-
-    Running totals (epsilon, delta, epsilon^2, and the strong-composition
-    linear term) are maintained on every charge so admissibility checks are
-    O(1) instead of O(|history|).  A ledger registered with a
-    :class:`BlockAccountant` additionally mirrors its totals into the
-    accountant's :class:`LedgerStore` row on every commit, which is what
-    keeps the vectorized block scans exact.
-    """
-
-    key: object
-    filter: PrivacyFilter
-    history: List[PrivacyBudget] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._store: Optional[LedgerStore] = None
-        self._row = -1
-        # Base columns (eps, delta, eps^2, linear) plus whatever the filter's
-        # schema appends (e.g. one running-RDP sum per order).
-        width = getattr(self.filter, "totals_width", TOTALS_BASE)
-        self._totals = [0.0] * width
-        for budget in self.history:
-            self._accumulate(budget)
-
-    def _attach(self, store: LedgerStore, row: int) -> None:
-        """Bind this ledger to its struct-of-arrays row (accountant use)."""
-        self._store = store
-        self._row = row
-        store.write_row(row, self._totals, len(self.history))
-
-    def _accumulate(
-        self, budget: PrivacyBudget, contribution: Optional[np.ndarray] = None
-    ) -> None:
-        # The filter defines the charge's row increment; scalar adds over
-        # its entries are the same float64 ops the batched paths apply, so
-        # per-ledger and vectorized accounting stay bit-identical.
-        if contribution is None:
-            contribution = self.filter.contribution(budget)
-        totals = self._totals
-        for index, value in enumerate(contribution.tolist()):
-            totals[index] += value
-        if self._store is not None:
-            self._store.write_row(self._row, totals, len(self.history))
-
-    @property
-    def totals(self) -> tuple:
-        """The running totals row (base sums first, schema extension after)."""
-        return tuple(self._totals)
-
-    def record(
-        self, budget: PrivacyBudget, contribution: Optional[np.ndarray] = None
-    ) -> None:
-        """Append a committed charge, keeping the running totals in sync.
-
-        ``contribution`` is an optional precomputed ``filter.contribution``
-        vector for the budget (a multi-block charge shares one across its
-        ledgers -- the increment is a pure function of the budget, so the
-        accumulated floats are identical either way).
-        """
-        self.history.append(budget)
-        self._accumulate(budget, contribution)
-
-    def admits(self, candidate: PrivacyBudget) -> bool:
-        return self.filter.admits(self.history, candidate, totals=tuple(self._totals))
-
-    def charge(self, budget: PrivacyBudget) -> None:
-        if not self.admits(budget):
-            raise BudgetExceededError(
-                f"charge {budget} exceeds block {self.key!r}'s remaining budget",
-                block_id=self.key,
-            )
-        self.record(budget)
-
-    def max_epsilon(self, delta: float = 0.0) -> float:
-        """Largest epsilon still chargeable at the given delta."""
-        return self.filter.max_epsilon(self.history, delta)
-
-    def loss_bound(self) -> PrivacyBudget:
-        """DP guarantee covering everything charged to this block so far."""
-        if _loss_bound_accepts_totals(self.filter):
-            return self.filter.loss_bound(self.history, totals=tuple(self._totals))
-        return self.filter.loss_bound(self.history)
-
-    def is_retired(self, min_budget: PrivacyBudget) -> bool:
-        """True when the block can no longer absorb even ``min_budget``."""
-        return not self.admits(min_budget)
-
-
 class BlockAccountant:
-    """All block ledgers of one sensitive stream, with atomic multi-block charges.
+    """The privacy accounting of one sensitive stream's blocks, with atomic
+    multi-block charges.
 
     Parameters
     ----------
     epsilon_global / delta_global:
         The stream's global DP policy (the company-configured ceiling).
     filter_factory:
-        Builds the per-block filter; defaults to basic composition
+        Called once, with ``(epsilon_global, delta_global)``, to build the
+        filter that decides for every block; defaults to basic composition
         (Theorem 4.3).  Pass ``StrongCompositionFilter`` for Theorem A.2
-        accounting.  Must be homogeneous and decide from the totals row
-        (see module docstring); any other filter class is rejected with
+        accounting.  The filter must decide from the totals row (see module
+        docstring); any other filter class is rejected with
         ``InvalidBudgetError``.
     retirement_budget:
         Blocks that cannot absorb this charge any more count as retired;
@@ -493,17 +378,14 @@ class BlockAccountant:
     ) -> None:
         if filter_factory is None:
             filter_factory = BasicCompositionFilter
-        self._make_filter = filter_factory
         self.epsilon_global = epsilon_global
         self.delta_global = delta_global
         self.retirement_budget = retirement_budget or PrivacyBudget(
             epsilon_global / 1000.0, 0.0
         )
-        self._ledgers: Dict[object, BlockLedger] = {}
         self._charges: List[ChargeRecord] = []
-        # The prototype filter that evaluates the whole matrix in one pass
-        # (all per-block filters share its params) + the struct-of-arrays
-        # totals store sized to the filter's declared schema width.
+        # The one filter that evaluates the whole matrix in one pass + the
+        # struct-of-arrays totals store sized to its declared schema width.
         self._batch_filter = filter_factory(epsilon_global, delta_global)
         self._store = LedgerStore(
             width=getattr(self._batch_filter, "totals_width", TOTALS_BASE)
@@ -516,8 +398,8 @@ class BlockAccountant:
             raise InvalidBudgetError(
                 f"filter {type(self._batch_filter).__name__} does not decide "
                 "from its totals row: override admits_batch (and "
-                "max_epsilon_batch) at or below every overridden admits / "
-                "max_epsilon"
+                "max_epsilon_batch, loss_bound_batch) at or below every "
+                "overridden admits / max_epsilon / loss_bound"
             )
         self._keys: List[object] = []
         self._rows: Dict[object, int] = {}
@@ -526,11 +408,6 @@ class BlockAccountant:
         self._row_cache: Dict[tuple, np.ndarray] = {}
         # Open staged batch (the propose/settle overlay), or None.
         self._staged: Optional[StagedBatch] = None
-        # Retirement is permanent (privacy loss never decreases), so dead
-        # blocks can be pruned from every scan once detected.  This keeps
-        # usable_blocks() linear in the number of *live* blocks even when a
-        # stream has run for thousands of hours.
-        self._dead: set = set()
         # Telemetry probe attached by a traced platform (the no-op probe
         # otherwise).  Consulted only on the mutating charge path, never by
         # the pure read surface, and never fed back into accounting
@@ -540,33 +417,21 @@ class BlockAccountant:
     # ------------------------------------------------------------------
     # Block lifecycle
     # ------------------------------------------------------------------
-    def register_block(self, key: object) -> BlockLedger:
-        """Create a ledger for a freshly ingested block (zero loss so far)."""
-        if key in self._ledgers:
+    def register_block(self, key: object) -> None:
+        """Add a store row for a freshly ingested block (zero loss so far)."""
+        if key in self._rows:
             raise InvalidBudgetError(f"block {key!r} already registered")
         # A new row changes every whole-stream scan: memoized scans are stale.
         self._invalidate_scans()
-        ledger = BlockLedger(
-            key=key, filter=self._make_filter(self.epsilon_global, self.delta_global)
-        )
-        row = self._store.append()
-        ledger._attach(self._store, row)
-        self._ledgers[key] = ledger
+        self._rows[key] = self._store.append()
         self._keys.append(key)
-        self._rows[key] = row
-        return ledger
 
     def register_blocks(self, keys: Sequence[object]) -> None:
         for key in keys:
             self.register_block(key)
 
     def __contains__(self, key: object) -> bool:
-        return key in self._ledgers
-
-    def ledger(self, key: object) -> BlockLedger:
-        if key not in self._ledgers:
-            raise InvalidBudgetError(f"block {key!r} was never registered")
-        return self._ledgers[key]
+        return key in self._rows
 
     @property
     def block_keys(self) -> List[object]:
@@ -579,7 +444,7 @@ class BlockAccountant:
 
     @property
     def batch_filter(self) -> PrivacyFilter:
-        """The prototype batch filter (telemetry reads its order grid to
+        """The accountant's one filter (telemetry reads its order grid to
         gauge Renyi order saturation; accounting goes through the batch
         scan methods, not this handle)."""
         return self._batch_filter
@@ -704,15 +569,7 @@ class BlockAccountant:
             raise InvalidBudgetError("duplicate block keys in one charge")
         rows = self._key_rows(keys)
         eff = self._staged.effective_totals(len(self._store))
-        admitted = self._batch_filter.admits_batch(eff[rows], budget)
-        if not admitted.all():
-            pos = int(np.argmin(admitted))
-            retired = not bool(
-                self._batch_filter.admits_batch(
-                    eff[rows[pos]], self.retirement_budget
-                )[0]
-            )
-            self._raise_refusal(keys[pos], budget, retired)
+        self._refuse_unless_admitted(keys, eff[rows], budget)
         self._staged.add(rows, self._contribution(budget))
         self._staged.requests.append((keys, budget, label))
         self._invalidate_scans()
@@ -753,8 +610,8 @@ class BlockAccountant:
     ) -> ChargeRecord:
         """Atomically charge ``budget`` to every named block.
 
-        Either all ledgers absorb the charge or none do (a failed check on
-        any block leaves every other block untouched).
+        Either every named row absorbs the charge or none does (a failed
+        check on any block leaves every other block untouched).
         """
         self._forbid_staging("charge")
         keys = list(keys)
@@ -762,21 +619,15 @@ class BlockAccountant:
             raise InvalidBudgetError("a charge must name at least one block")
         if len(set(keys)) != len(keys):
             raise InvalidBudgetError("duplicate block keys in one charge")
-        admitted = self.admits_keys(keys, budget)
-        if not admitted.all():
-            key = keys[int(np.argmin(admitted))]  # first refusing block
-            if self._ledgers[key].is_retired(self.retirement_budget):
-                raise BlockRetiredError(f"block {key!r} is retired", block_id=key)
-            raise BudgetExceededError(
-                f"block {key!r} cannot absorb {budget}", block_id=key
-            )
-        # The filter is homogeneous, so the charge's blocks share one
-        # contribution vector.
-        contribution = self._contribution(budget)
-        for key in keys:
-            self._ledgers[key].record(budget, contribution)
-        record = ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
-        self._charges.append(record)
+        rows = self._key_rows(keys)
+        totals = self._store.totals[rows]
+        self._refuse_unless_admitted(keys, totals, budget)
+        (record,) = self._commit_validated(
+            [(keys, budget, label)],
+            rows,
+            totals + self._contribution(budget),
+            np.ones(rows.size, dtype=np.int64),
+        )
         return record
 
     # ------------------------------------------------------------------
@@ -802,13 +653,22 @@ class BlockAccountant:
         return norm
 
     def _contribution(self, budget: PrivacyBudget) -> np.ndarray:
-        """One charge's totals-row increment (same ops as ``_accumulate``)."""
+        """One charge's totals-row increment (every write path adds it)."""
         return self._batch_filter.contribution(budget)
 
-    def _raise_refusal(
-        self, key: object, budget: PrivacyBudget, retired: bool
+    def _refuse_unless_admitted(
+        self, keys: List[object], totals: np.ndarray, budget: PrivacyBudget
     ) -> None:
-        if retired:
+        """Raise for the first of ``keys`` whose totals row (``totals`` is
+        aligned with ``keys``) refuses ``budget``: ``BlockRetiredError`` if
+        that row no longer admits the retirement budget either, else
+        ``BudgetExceededError``."""
+        admitted = self._batch_filter.admits_batch(totals, budget)
+        if admitted.all():
+            return
+        pos = int(np.argmin(admitted))
+        key = keys[pos]
+        if not self._batch_filter.admits_batch(totals[pos], self.retirement_budget)[0]:
             raise BlockRetiredError(f"block {key!r} is retired", block_id=key)
         raise BudgetExceededError(
             f"block {key!r} cannot absorb {budget}", block_id=key
@@ -836,15 +696,7 @@ class BlockAccountant:
             # touched is sorted-unique and rows is a subset, so searchsorted
             # is an exact row -> scratch-index translation.
             lrows = np.searchsorted(touched, rows)
-            admitted = self._batch_filter.admits_batch(work[lrows], budget)
-            if not admitted.all():
-                pos = int(np.argmin(admitted))
-                retired = not bool(
-                    self._batch_filter.admits_batch(
-                        work[lrows[pos]], self.retirement_budget
-                    )[0]
-                )
-                self._raise_refusal(keys[pos], budget, retired)
+            self._refuse_unless_admitted(keys, work[lrows], budget)
             work[lrows] += self._contribution(budget)
             counts_delta[lrows] += 1
         return touched, work, counts_delta
@@ -856,9 +708,9 @@ class BlockAccountant:
         totals that include every earlier request in the batch (intra-batch
         accumulation), so a committed batch is observationally identical to
         the same charges applied sequentially via :meth:`charge` -- but the
-        commit is all-or-nothing: one refusing request anywhere leaves every
-        ledger, the totals store, and the charge log untouched, and raises
-        the error :meth:`charge` would have raised for that request.
+        commit is all-or-nothing: one refusing request anywhere leaves the
+        totals store and the charge log untouched, and raises the error
+        :meth:`charge` would have raised for that request.
 
         The whole batch is validated in one vectorized pass over the ledger
         store and committed with a single bulk row write.
@@ -881,23 +733,16 @@ class BlockAccountant:
         work: np.ndarray,
         counts_delta: np.ndarray,
     ) -> List[ChargeRecord]:
-        """Land a validated batch: bulk store-row write, history append,
-        ledger-totals sync, charge log.  ``work`` must hold the touched
-        rows' exact post-batch totals (``charge_many``'s scratch)."""
-        ledgers = self._ledgers
-        records = []
-        for keys, budget, label in norm:
-            for key in keys:
-                ledgers[key].history.append(budget)
-            records.append(
-                ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
-            )
+        """Land a validated batch: one bulk store-row write, then the charge
+        log.  ``work`` must hold the touched rows' exact post-batch totals
+        (``charge_many``'s scratch)."""
+        records = [
+            ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
+            for keys, budget, label in norm
+        ]
         self._store.write_rows(
             touched, work, self._store.charge_counts[touched] + counts_delta
         )
-        block_keys = self._keys
-        for row, totals in zip(touched.tolist(), work.tolist()):
-            ledgers[block_keys[row]]._totals = totals
         self._charges.extend(records)
         return records
 
@@ -938,9 +783,7 @@ class BlockAccountant:
         if not removed:
             return
         for key in removed:
-            del self._ledgers[key]
             del self._rows[key]
-            self._dead.discard(key)
         del self._keys[n_blocks:]
         # Cached row arrays / memoized scans may name the removed rows.
         self._row_cache.clear()
@@ -971,10 +814,13 @@ class BlockAccountant:
     def restore_state(self, state: dict) -> None:
         """Restore an :meth:`export_state` snapshot into a *fresh* accountant.
 
-        Blocks re-register through the normal registration path,
-        ledger histories are rebuilt from the exported charge log, and the
-        exported totals are written back verbatim -- the restored store is
-        byte-identical to the exported one.
+        Blocks re-register through the normal registration path, the
+        exported charge log is appended as is, and the exported totals,
+        counts and live mask are written back verbatim -- the restored
+        store is byte-identical to the exported one.  Arrays whose shape
+        does not match the exported key set raise ``SnapshotMismatchError``,
+        and a charge naming a block outside it raises ``RecoveryError``,
+        before anything is restored.
         """
         if self._keys or self._charges:
             raise RecoveryError(
@@ -996,36 +842,36 @@ class BlockAccountant:
                 f"{state['delta_global']}) does not match this accountant's "
                 f"({self.epsilon_global}, {self.delta_global})"
             )
-        for key in state["keys"]:
-            self.register_block(key)
+        n_blocks = len(state["keys"])
         totals = np.asarray(state["totals"], dtype=np.float64)
         counts = np.asarray(state["counts"], dtype=np.int64)
         live = np.asarray(state["live"], dtype=bool)
-        expected = (len(self._keys), self._store.width)
-        if totals.shape != expected:
-            raise SnapshotMismatchError(
-                f"snapshot totals shape {totals.shape} does not match "
-                f"the restored key set {expected}"
-            )
-        for budget, block_keys, label in state["charges"]:
+        for name, array, expected in (
+            ("totals", totals, (n_blocks, self._store.width)),
+            ("counts", counts, (n_blocks,)),
+            ("live", live, (n_blocks,)),
+        ):
+            if array.shape != expected:
+                raise SnapshotMismatchError(
+                    f"snapshot {name} shape {array.shape} does not match "
+                    f"the exported key set {expected}"
+                )
+        known = set(state["keys"])
+        for _, block_keys, _ in state["charges"]:
             for key in block_keys:
-                if key not in self._ledgers:
+                if key not in known:
                     raise RecoveryError(
                         f"snapshot charge names unknown block {key!r}"
                     )
-                self._ledgers[key].history.append(budget)
-            self._charges.append(
-                ChargeRecord(budget=budget, block_keys=tuple(block_keys), label=label)
-            )
-        if self._keys:
-            rows = np.arange(len(self._keys), dtype=np.intp)
-            self._store.write_rows(rows, totals, counts)
-            for key, row_totals in zip(self._keys, totals.tolist()):
-                self._ledgers[key]._totals = row_totals
-            dead_rows = np.flatnonzero(~live)
-            if dead_rows.size:
-                self._store.retire(dead_rows)
-                self._dead.update(self._keys[i] for i in dead_rows)
+        for key in state["keys"]:
+            self.register_block(key)
+        self._charges.extend(
+            ChargeRecord(budget=budget, block_keys=tuple(block_keys), label=label)
+            for budget, block_keys, label in state["charges"]
+        )
+        rows = np.arange(n_blocks, dtype=np.intp)
+        self._store.write_rows(rows, totals, counts)
+        self._store.retire(np.flatnonzero(~live))
 
     # ------------------------------------------------------------------
     # Queries used by the platform / iterators (vectorized scans)
@@ -1065,11 +911,8 @@ class BlockAccountant:
             # of this scan but stay live until the batch commits.
             if self._staged is None:
                 # repro: allow(purity) -- deferred retirement: idempotent
-                # persistence of a fact the scan already proved; _dead is
-                # only ever read for membership, never iterated.
+                # persistence of a fact the scan already proved.
                 self._store.retire(retired_rows)
-                # repro: allow(purity) -- see above
-                self._dead.update(self._keys[i] for i in retired_rows)
             live_rows = live_rows[alive]
         if floor != self.retirement_budget:
             admitted = self._batch_filter.admits_batch(
@@ -1101,7 +944,7 @@ class BlockAccountant:
         hot path of window selection.  One vectorized admit pass over live
         blocks; ``row_filter`` is the caller's own filter (an ndarray of
         store rows -> boolean mask, e.g. the platform's reservation check),
-        called once and only on rows whose ledgers admitted the floor."""
+        called once and only on rows that admitted the floor."""
         if count <= 0:
             return []
         floor = min_budget or self.retirement_budget
@@ -1111,8 +954,9 @@ class BlockAccountant:
         return [self._keys[i] for i in rows[-count:]]
 
     def retired_blocks(self) -> List[object]:
-        self._live_admit_rows(self.retirement_budget)  # refresh the dead set
-        return [k for k in self._keys if k in self._dead]
+        """Keys of retired blocks, in registration order."""
+        self._live_admit_rows(self.retirement_budget)  # persist new retirements
+        return [self._keys[i] for i in np.flatnonzero(~self._store.live)]
 
     def stream_loss_bound(self) -> PrivacyBudget:
         """The stream-wide guarantee: a bound dominating *every* block
@@ -1121,50 +965,14 @@ class BlockAccountant:
         (A lexicographic max would under-report delta whenever the
         highest-epsilon block is not also the highest-delta one.)
 
-        One vectorized pass for the known filter families; blocks with no
-        charges contribute zero, not the filter's slack.
+        One ``loss_bound_batch`` pass of the filter over the charged rows;
+        blocks with no charges contribute zero, not the filter's slack.
         """
-        if not self._keys:
+        charged = self._store.charge_counts > 0
+        if not charged.any():
             return ZERO_BUDGET
-        totals_rows = self._store.totals
-        counts = self._store.charge_counts
-        if type(self._batch_filter) is BasicCompositionFilter:
-            # Basic composition's per-block bound is exactly the totals row.
-            eps = float(totals_rows[:, TOT_EPS].max())
-            delta = float(np.minimum(1.0, totals_rows[:, TOT_DELTA]).max())
-            return PrivacyBudget(eps, delta)
-        if type(self._batch_filter) is StrongCompositionFilter:
-            # One vectorized Theorem A.2 pass over the charged rows.
-            charged = counts > 0
-            if not charged.any():
-                return ZERO_BUDGET
-            totals = totals_rows[charged]
-            f = self._batch_filter
-            strong = rogers_filter_epsilon_from_sums_batch(
-                totals[:, TOT_SQ], totals[:, TOT_LINEAR],
-                f.epsilon_global, f.delta_slack,
-            )
-            eps = float(np.minimum(strong, totals[:, TOT_EPS]).max())
-            delta = float(np.minimum(1.0, f.delta_slack + totals[:, TOT_DELTA]).max())
-            return PrivacyBudget(eps, delta)
-        loss_bound_batch = getattr(self._batch_filter, "loss_bound_batch", None)
-        if loss_bound_batch is not None:
-            # Filters with a vectorized per-row bound (e.g. the Renyi
-            # filter's converted-RDP curve): one pass over charged rows.
-            charged = counts > 0
-            if not charged.any():
-                return ZERO_BUDGET
-            eps_rows, delta_rows = loss_bound_batch(totals_rows[charged])
-            return PrivacyBudget(
-                float(eps_rows.max()), float(min(1.0, delta_rows.max()))
-            )
-        worst_eps = 0.0
-        worst_delta = 0.0
-        for ledger in self._ledgers.values():
-            bound = ledger.loss_bound()
-            worst_eps = max(worst_eps, bound.epsilon)
-            worst_delta = max(worst_delta, bound.delta)
-        return PrivacyBudget(worst_eps, worst_delta)
+        eps, delta = self._batch_filter.loss_bound_batch(self._store.totals[charged])
+        return PrivacyBudget(float(eps.max()), float(delta.max()))
 
     @property
     def charges(self) -> List[ChargeRecord]:

@@ -21,8 +21,9 @@ matching the paper's two composition analyses:
   Canonne-Kamath-Steinke bound.  Tightest of the three for the
   many-small-charges workloads DP-SGD produces.
 
-Filters are pure decision logic over a charge history; the ledger/accountant
-layer owns the history itself.
+Filters are pure decision logic over a block's running totals row (the
+scalar methods also accept the charge history the row sums up); the
+accountant owns the rows and the charge log.
 
 Batched evaluation and the pluggable totals schema
 --------------------------------------------------
@@ -36,9 +37,9 @@ stream's blocks in one NumPy pass.  A filter class declares its row layout:
   may extend the row (``RenyiCompositionFilter`` appends one running-RDP
   column per Renyi order).
 * :meth:`PrivacyFilter.contribution` -- one charge's additive increment to
-  the row.  Ledgers, ``charge_many``'s scratch accumulation, and the staged
-  overlay all apply exactly this vector, which is what keeps the scalar and
-  batched paths float-identical.
+  the row.  ``charge``, ``charge_many``'s scratch accumulation, and the
+  staged overlay all apply exactly this vector, which is what keeps single,
+  batched and staged accounting float-identical.
 
 :meth:`PrivacyFilter.admits_batch` takes an ``(n, totals_width)`` float64
 array of such totals rows and returns a boolean admit vector; the contract
@@ -47,14 +48,17 @@ is that ``admits_batch(totals, c)[i]`` equals
 vectorized arithmetic mirrors the scalar operation order exactly).
 :meth:`PrivacyFilter.max_epsilon_batch` is the batched analogue of
 ``max_epsilon`` restricted to the conjunction over rows: the largest epsilon
-every row still admits at the given delta.
+every row still admits at the given delta.  :meth:`PrivacyFilter.loss_bound_batch`
+returns per-row ``(epsilon, delta)`` arrays, row ``i`` equal to
+``loss_bound(history_i, totals=tuple(totals[i]))`` for the charged block
+whose history sums to that row.
 
 Deciding from the totals row alone is part of the filter contract: the
 accountant makes every decision through the batch methods, and it rejects
 at construction a filter class that keeps the base-class ``admits_batch``
 or whose batch methods sit above an overridden scalar ``admits`` /
-``max_epsilon`` (see ``repro.core.accountant``).  There is no per-ledger
-fallback for history-deciding filters.
+``max_epsilon`` / ``loss_bound`` (see ``repro.core.accountant``).  There is
+no per-block fallback for history-deciding filters.
 
 Tolerances: every admissibility comparison carries slack so that charging
 eps_g/k exactly k times is never rejected on the final charge by float
@@ -167,9 +171,9 @@ class PrivacyFilter(abc.ABC):
     def contribution(self, budget: PrivacyBudget) -> np.ndarray:
         """One charge's additive increment to a block's totals row.
 
-        Every accumulation path -- per-ledger ``record``, ``charge_many``'s
-        scratch validation, the staged-batch overlay -- applies exactly this
-        vector, so scalar and batched accounting stay float-identical.
+        Every accumulation path -- ``charge``, ``charge_many``'s scratch
+        validation, the staged-batch overlay -- applies exactly this vector,
+        so single, batched and staged accounting stay float-identical.
         """
         eps = budget.epsilon
         return np.array(
@@ -185,9 +189,9 @@ class PrivacyFilter(abc.ABC):
     ) -> bool:
         """True iff ``history + [candidate]`` keeps the block within policy.
 
-        ``totals``, when provided by the ledger, is the precomputed
-        ``(sum eps, sum delta, sum eps^2, sum (e^eps - 1) eps / 2)`` of the
-        history, making the check O(1).
+        ``totals``, when provided, is the history's precomputed totals row
+        (``(sum eps, sum delta, sum eps^2, sum (e^eps - 1) eps / 2)`` plus
+        any schema extension), making the check O(1).
         """
 
     def admits_batch(self, totals, candidate: PrivacyBudget) -> np.ndarray:
@@ -240,13 +244,22 @@ class PrivacyFilter(abc.ABC):
     ) -> PrivacyBudget:
         """A DP guarantee covering everything charged so far (diagnostics).
 
-        ``totals``, when provided by the ledger, is the precomputed
-        running-sums tuple, making the bound O(1) instead of O(|history|).
-        Overrides must accept (and may ignore) the ``totals`` keyword.
+        ``totals``, when provided, is the precomputed running-sums tuple,
+        making the bound O(1) instead of O(|history|).  A subclass that
+        overrides this must override :meth:`loss_bound_batch` as well.
         """
         if totals is not None:
             return PrivacyBudget(totals[0], min(1.0, totals[1]))
         return sum_budgets(history)
+
+    def loss_bound_batch(self, totals):
+        """Per-row ``(epsilon, delta)`` bound arrays over an
+        ``(n, totals_width)`` matrix of charged blocks' totals rows -- the
+        accountant's ``stream_loss_bound`` pass (rows with no charges are
+        the caller's to exclude).  The base form is the basic-composition
+        bound, the row's own sums."""
+        matrix = _as_totals_matrix(totals, self.totals_width)
+        return matrix[:, 0], np.minimum(1.0, matrix[:, 1])
 
 
 class BasicCompositionFilter(PrivacyFilter):
@@ -427,6 +440,17 @@ class StrongCompositionFilter(PrivacyFilter):
         delta = min(1.0, self.delta_slack + sum(b.delta for b in history))
         return PrivacyBudget(min(strong, basic), delta)
 
+    def loss_bound_batch(self, totals):
+        """Theorem A.2 per row, unioned with basic composition as in
+        :meth:`loss_bound`."""
+        matrix = _as_totals_matrix(totals)
+        strong = _rogers_from_sums_batch(
+            matrix[:, 2], matrix[:, 3], self.epsilon_global, self.delta_slack
+        )
+        eps = np.minimum(strong, matrix[:, 0])
+        delta = np.minimum(1.0, self.delta_slack + matrix[:, 1])
+        return eps, delta
+
 
 class RenyiCompositionFilter(PrivacyFilter):
     """Per-order Renyi-DP block filter (the moments-accountant analysis).
@@ -545,8 +569,8 @@ class RenyiCompositionFilter(PrivacyFilter):
         )
 
     def _totals_of(self, history: Sequence[PrivacyBudget]) -> np.ndarray:
-        """Replay a history into one totals row (the ledger's accumulation
-        order, so standalone and ledger-backed decisions agree)."""
+        """Replay a history into one totals row (the accountant's
+        accumulation order, so history and totals decisions agree)."""
         totals = np.zeros(self.totals_width)
         for budget in history:
             totals += self.contribution(budget)
@@ -637,9 +661,8 @@ class RenyiCompositionFilter(PrivacyFilter):
         return PrivacyBudget(eps, delta)
 
     def loss_bound_batch(self, totals):
-        """Per-row ``(epsilon, delta)`` bound arrays -- the accountant's
-        vectorized ``stream_loss_bound`` pass (rows with no charges are the
-        caller's to exclude, as with the other filters)."""
+        """The converted RDP curve per row, unioned with basic composition
+        as in :meth:`loss_bound`."""
         matrix = _as_totals_matrix(totals, self.totals_width)
         eps_rdp = np.maximum(
             0.0, np.min(matrix[:, TOTALS_BASE:] + self._penalty, axis=1)

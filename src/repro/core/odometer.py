@@ -15,9 +15,10 @@ Two variants, mirroring the filter pair:
   envelope that contains the spend so far.  Pays a doubling penalty over
   the fixed-budget filter but needs no budget declared in advance.
 
-Both attach to live :class:`~repro.core.accountant.BlockLedger` histories,
-so ``repro.core.platform`` deployments can expose loss dashboards without
-touching the enforcement path.
+Both load a block's running sums straight from the accountant's
+:class:`~repro.core.accountant.LedgerStore` row, so ``repro.core.platform``
+deployments can expose loss dashboards without touching the enforcement
+path.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class StrongOdometer:
     def load_totals(
         self, sum_eps: float, sum_delta: float, sum_sq: float, linear: float
     ) -> "StrongOdometer":
-        """Absorb a ledger's precomputed running sums in O(1) (equivalent to
+        """Absorb a block's precomputed running sums in O(1) (equivalent to
         replaying its whole history through :meth:`record`)."""
         self._sum_eps += sum_eps
         self._sum_delta = min(1.0, self._sum_delta + sum_delta)
@@ -163,7 +164,7 @@ def loss_dashboard(
 ) -> Dict[object, PrivacyBudget]:
     """Per-block current loss bounds for an operator dashboard.
 
-    Reads the ledgers' precomputed running totals (O(1) per block rather
+    Reads the store's precomputed running totals (O(1) per block rather
     than replaying every charge); does not interfere with enforcement.  The
     basic variant is a single vectorized pass over the accountant's
     struct-of-arrays store.
@@ -182,12 +183,10 @@ def loss_dashboard(
             key: PrivacyBudget(float(e), float(d))
             for key, e, d in zip(keys, eps, delta)
         }
-    dashboard: Dict[object, PrivacyBudget] = {}
-    for key in keys:
-        # Only the shared base columns feed the odometer; order-extended
-        # schemas (the Renyi filter's per-order RDP columns) ride behind them.
-        odometer = StrongOdometer().load_totals(
-            *accountant.ledger(key).totals[:TOTALS_BASE]
-        )
-        dashboard[key] = odometer.loss
-    return dashboard
+    # Only the shared base columns feed the odometer; order-extended
+    # schemas (the Renyi filter's per-order RDP columns) ride behind them.
+    base_rows = accountant.store.totals[:, :TOTALS_BASE].tolist()
+    return {
+        key: StrongOdometer().load_totals(*row).loss
+        for key, row in zip(keys, base_rows)
+    }

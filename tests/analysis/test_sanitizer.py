@@ -53,8 +53,8 @@ class TestWriteBarrier:
         row = store.append()
         with sanitizer.write_barrier(store):
             with pytest.raises(ValueError):
-                store.write_row(row, np.zeros(store.width), 1)
-        store.write_row(row, np.zeros(store.width), 1)  # thawed again
+                store.write_rows([row], np.zeros((1, store.width)), [1])
+        store.write_rows([row], np.zeros((1, store.width)), [1])  # thawed again
 
     def test_live_mask_stays_writable(self):
         # Deferred retirement marks blocks from read paths: sanctioned.
@@ -72,8 +72,8 @@ class TestWriteBarrier:
                 pass
             # The inner exit must not thaw the outer window.
             with pytest.raises(ValueError):
-                store.write_row(row, np.zeros(store.width), 1)
-        store.write_row(row, np.zeros(store.width), 1)
+                store.write_rows([row], np.zeros((1, store.width)), [1])
+        store.write_rows([row], np.zeros((1, store.width)), [1])
 
 
 class TestInstall:

@@ -1,6 +1,7 @@
 """SageAccessControl: ACLs, contexts, the offer/request protocol."""
 
 import pytest
+from per_request_oracle import block_histories
 
 from repro.core.access_control import SageAccessControl
 from repro.dp.budget import PrivacyBudget
@@ -125,14 +126,15 @@ class TestContexts:
 
     def test_context_offer_uses_batched_filter(self, access):
         """The context filter in offer_blocks is one batched admit pass and
-        must agree with per-ledger scalar decisions."""
+        must agree with the scalar filter over each block's logged history."""
         access.add_context("dev-a", 0.5, 1e-6)
         access.request([0], PrivacyBudget(0.45, 0.0), context="dev-a")
         floor = PrivacyBudget(0.1, 0.0)
         offered = access.offer_blocks(min_budget=floor, context="dev-a")
         ctx = access._require_context("dev-a")
+        histories = block_histories(ctx)
         expected = [
             k for k in access.offer_blocks(min_budget=floor)
-            if ctx.ledger(k).admits(floor)
+            if ctx.batch_filter.admits(histories[k], floor)
         ]
         assert offered == expected == [1, 2]

@@ -3,16 +3,23 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from per_request_oracle import PerLedgerReference, block_histories
 
 from repro.core.access_control import SageAccessControl
-from repro.core.accountant import TOT_DELTA, TOT_EPS, BlockAccountant, BlockLedger
+from repro.core.accountant import TOT_DELTA, TOT_EPS, BlockAccountant
 from repro.core.filters import (
     BasicCompositionFilter,
     PrivacyFilter,
     StrongCompositionFilter,
 )
 from repro.dp.budget import PrivacyBudget
-from repro.errors import BlockRetiredError, BudgetExceededError, InvalidBudgetError
+from repro.errors import (
+    BlockRetiredError,
+    BudgetExceededError,
+    InvalidBudgetError,
+    RecoveryError,
+    SnapshotMismatchError,
+)
 
 
 class AtMostThreeCharges(PrivacyFilter):
@@ -52,7 +59,22 @@ class CappedMax(StrongCompositionFilter):
         return min(0.05, super().max_epsilon(history, delta))
 
 
-HISTORY_DECIDING_FILTERS = [AtMostThreeCharges, AtMostOne, AtMostTwoCharges, CappedMax]
+class LegacyFilter(BasicCompositionFilter):
+    """Overrides only the scalar loss_bound, with the history-only
+    signature: the inherited loss_bound_batch would report the basic bound
+    instead of this one."""
+
+    def loss_bound(self, history):
+        return PrivacyBudget(2.0 * sum(b.epsilon for b in history), 0.0)
+
+
+HISTORY_DECIDING_FILTERS = [
+    AtMostThreeCharges,
+    AtMostOne,
+    AtMostTwoCharges,
+    CappedMax,
+    LegacyFilter,
+]
 
 
 @pytest.fixture
@@ -77,6 +99,21 @@ class TestRegistration:
     def test_contains(self, accountant):
         assert 0 in accountant
         assert 99 not in accountant
+
+    def test_filter_factory_runs_once_per_accountant(self):
+        """One filter decides for every block: registering blocks builds
+        no further filters."""
+        built = []
+
+        def factory(epsilon, delta):
+            built.append((epsilon, delta))
+            return StrongCompositionFilter(epsilon, delta)
+
+        acc = BlockAccountant(1.0, 1e-6, filter_factory=factory)
+        acc.register_blocks(range(50))
+        acc.register_block("late")
+        acc.charge([0, "late"], PrivacyBudget(0.1, 0.0))
+        assert built == [(1.0, 1e-6)]
 
 
 class TestCharging:
@@ -181,10 +218,12 @@ class TestStreamBound:
     def test_componentwise_bound_under_strong_filter(self):
         acc = BlockAccountant(1.0, 1e-6, filter_factory=StrongCompositionFilter)
         acc.register_blocks([0, 1])
-        acc.charge([0], PrivacyBudget(0.3, 0.0))
-        acc.charge([1], PrivacyBudget(0.1, 4e-7))
+        ref = PerLedgerReference(StrongCompositionFilter, 2)
+        for side in (acc, ref):
+            side.charge([0], PrivacyBudget(0.3, 0.0))
+            side.charge([1], PrivacyBudget(0.1, 4e-7))
         bound = acc.stream_loss_bound()
-        per_block = [acc.ledger(k).loss_bound() for k in (0, 1)]
+        per_block = [ref.loss_bound(k) for k in (0, 1)]
         assert bound.epsilon >= max(b.epsilon for b in per_block) - 1e-12
         assert bound.delta >= max(b.delta for b in per_block) - 1e-18
 
@@ -195,13 +234,15 @@ class TestStreamBound:
         rng = np.random.default_rng(5)
         acc = BlockAccountant(1.0, 1e-6, filter_factory=StrongCompositionFilter)
         acc.register_blocks(range(20))  # blocks 15-19 never charged
+        ref = PerLedgerReference(StrongCompositionFilter, 20)
         for _ in range(60):
             keys = [int(k) for k in rng.choice(15, size=2, replace=False)]
             budget = PrivacyBudget(float(rng.uniform(0.005, 0.05)), 1e-9)
             if acc.can_charge(keys, budget):
                 acc.charge(keys, budget)
+                ref.charge(keys, budget)
         bound = acc.stream_loss_bound()
-        bounds = [acc.ledger(k).loss_bound() for k in range(20)]
+        bounds = [ref.loss_bound(k) for k in range(20)]
         assert bound.epsilon == pytest.approx(max(b.epsilon for b in bounds), abs=1e-15)
         assert bound.delta == pytest.approx(max(b.delta for b in bounds), abs=1e-18)
         empty = BlockAccountant(1.0, 1e-6, filter_factory=StrongCompositionFilter)
@@ -264,20 +305,9 @@ class TestTailScan:
         assert accountant.usable_blocks_tail(PrivacyBudget(0.1, 0.0), 0) == []
         assert accountant.usable_blocks_tail(None, -1) == []
 
-    def test_ledger_totals_cache_matches_slow_path(self, accountant):
-        """The O(1) admits path must agree with a fresh recomputation."""
-        from repro.core.filters import BasicCompositionFilter
-
-        ledger = accountant.ledger(0)
-        for eps in (0.1, 0.2, 0.3):
-            ledger.charge(PrivacyBudget(eps, 1e-8))
-        fresh = BasicCompositionFilter(1.0, 1e-6)
-        for candidate in (PrivacyBudget(0.39, 0.0), PrivacyBudget(0.41, 0.0)):
-            assert ledger.admits(candidate) == fresh.admits(ledger.history, candidate)
-
 
 class TestLedgerStore:
-    """The struct-of-arrays store must mirror every ledger mutation."""
+    """The struct-of-arrays store tracks every committed charge."""
 
     def test_rows_track_charges(self, accountant):
         accountant.charge([1, 3], PrivacyBudget(0.2, 1e-8))
@@ -286,13 +316,6 @@ class TestLedgerStore:
         assert totals[1, TOT_EPS] == pytest.approx(0.2)
         assert totals[3, TOT_DELTA] == pytest.approx(1e-8)
         assert totals[0, TOT_EPS] == 0.0
-
-    def test_direct_ledger_charge_stays_in_sync(self, accountant):
-        """Charges landing on a ledger (not through the accountant) must
-        still be visible to the vectorized scans."""
-        accountant.ledger(2).charge(PrivacyBudget(0.97, 0.0))
-        assert 2 not in accountant.usable_blocks(PrivacyBudget(0.1, 0.0))
-        assert accountant.store.totals[2, TOT_EPS] == pytest.approx(0.97)
 
     def test_store_grows_past_initial_capacity(self):
         acc = BlockAccountant(1.0, 1e-6)
@@ -308,10 +331,46 @@ class TestLedgerStore:
         assert not accountant.store.live[0]
         assert accountant.store.live[1:].all()
 
-    def test_accumulate_does_not_import_per_charge(self):
-        """Regression: `import math` used to run inside _accumulate on every
-        committed charge of every block (a per-charge local import)."""
-        assert "math" not in BlockLedger._accumulate.__code__.co_varnames
+
+class TestRestoreState:
+    @pytest.mark.parametrize(
+        "name, misshape",
+        [
+            ("live", lambda live: live[:-1]),
+            ("live", lambda live: np.zeros(200, dtype=bool)),
+            ("counts", lambda counts: np.append(counts, 0)),
+        ],
+        ids=["live-one-row-short", "live-past-capacity", "counts-too-long"],
+    )
+    def test_misshapen_snapshot_array_rejected(self, name, misshape):
+        """Every exported array must match the exported key set; a
+        mismatch is a typed error raised before anything is restored."""
+        acc = BlockAccountant(1.0, 1e-6)
+        acc.register_blocks(range(3))
+        acc.charge([0, 1], PrivacyBudget(0.2, 1e-8))
+        acc.charge([2], PrivacyBudget(1.0, 0.0))
+        state = acc.export_state()
+        state[name] = misshape(state[name])
+        fresh = BlockAccountant(1.0, 1e-6)
+        with pytest.raises(SnapshotMismatchError, match=f"snapshot {name} shape"):
+            fresh.restore_state(state)
+        assert fresh.block_keys == [] and fresh.charges == []
+
+    def test_charge_on_unknown_block_restores_nothing(self):
+        """A logged charge naming a block outside the key set is refused
+        before any block registers, so the accountant stays fresh and a
+        good snapshot can still be restored into it."""
+        acc = BlockAccountant(1.0, 1e-6)
+        acc.register_blocks([0, 1])
+        acc.charge([0], PrivacyBudget(0.2, 0.0))
+        state = acc.export_state()
+        state["charges"] = state["charges"] + [(PrivacyBudget(0.1, 0.0), (7,), "")]
+        fresh = BlockAccountant(1.0, 1e-6)
+        with pytest.raises(RecoveryError, match="unknown block 7"):
+            fresh.restore_state(state)
+        assert fresh.block_keys == [] and fresh.charges == []
+        fresh.restore_state(acc.export_state())
+        assert fresh.store.totals.tobytes() == acc.store.totals.tobytes()
 
 
 class TestBatchedScansMatchScalar:
@@ -324,35 +383,32 @@ class TestBatchedScansMatchScalar:
         rng = np.random.default_rng(7)
         acc = BlockAccountant(1.0, 1e-6, filter_factory=factory)
         acc.register_blocks(range(30))
+        ref = PerLedgerReference(factory, 30)
         for _ in range(400):
             keys = [int(k) for k in rng.choice(30, size=rng.integers(1, 5), replace=False)]
             budget = PrivacyBudget(float(rng.uniform(0.005, 0.3)), 0.0)
             batched = acc.can_charge(keys, budget)
-            scalar = all(acc.ledger(k).admits(budget) for k in keys)
+            scalar = bool(ref.admits_keys(keys, budget).all())
             assert batched == scalar
             if batched:
                 acc.charge(keys, budget)
+                ref.charge(keys, budget)
         probe = PrivacyBudget(0.05, 0.0)
         batched_mask = list(acc.admits_keys(acc.block_keys, probe))
-        scalar_mask = [acc.ledger(k).admits(probe) for k in acc.block_keys]
+        scalar_mask = list(ref.admits_keys(ref.block_keys, probe))
         assert batched_mask == scalar_mask
 
     def test_usable_blocks_matches_per_ledger_loop(self):
         rng = np.random.default_rng(11)
         acc = BlockAccountant(1.0, 1e-6)
         acc.register_blocks(range(50))
-        for key in range(50):
-            spend = float(rng.uniform(0.0, 1.0))
-            if spend > 0.0:
-                acc.ledger(key).record(PrivacyBudget(spend, 0.0))
+        ref = PerLedgerReference(BasicCompositionFilter, 50)
+        spends = [([key], PrivacyBudget(float(rng.uniform(0.0, 1.0)), 0.0), "")
+                  for key in range(50)]
+        acc.charge_many(spends)
+        ref.charge_many(spends)
         floor = PrivacyBudget(0.25, 0.0)
-        expected = [
-            k
-            for k in range(50)
-            if not acc.ledger(k).is_retired(acc.retirement_budget)
-            and acc.ledger(k).admits(floor)
-        ]
-        assert acc.usable_blocks(floor) == expected
+        assert acc.usable_blocks(floor) == ref.usable_blocks(floor)
 
     @pytest.mark.parametrize(
         "filter_cls", HISTORY_DECIDING_FILTERS, ids=lambda cls: cls.__name__
@@ -398,30 +454,18 @@ class TestBatchedScansMatchScalar:
         acc.begin_staging()
         acc.stage_charge([0], PrivacyBudget(0.25, 0.0))
         acc.charge_many(acc.pop_staged())
-        assert acc.ledger(0).totals[TOT_EPS] == pytest.approx(0.25)
-
-    def test_legacy_loss_bound_signature_supported(self):
-        """Custom filters overriding loss_bound with the pre-refactor
-        (self, history) signature must keep working (no totals kwarg)."""
-
-        class LegacyFilter(BasicCompositionFilter):
-            def loss_bound(self, history):
-                return PrivacyBudget(2.0 * sum(b.epsilon for b in history), 0.0)
-
-        acc = BlockAccountant(1.0, 1e-6, filter_factory=LegacyFilter)
-        acc.register_blocks([0])
-        acc.charge([0], PrivacyBudget(0.2, 0.0))
-        assert acc.ledger(0).loss_bound().epsilon == pytest.approx(0.4)
-        assert acc.stream_loss_bound().epsilon == pytest.approx(0.4)
+        assert acc.store.totals[0, TOT_EPS] == pytest.approx(0.25)
 
     def test_max_epsilon_matches_scalar_min(self):
         for factory in (BasicCompositionFilter, StrongCompositionFilter):
             acc = BlockAccountant(1.0, 1e-6, filter_factory=factory)
             acc.register_blocks(range(5))
-            acc.charge([0, 2], PrivacyBudget(0.3, 0.0))
-            acc.charge([2, 4], PrivacyBudget(0.2, 0.0))
+            ref = PerLedgerReference(factory, 5)
+            for side in (acc, ref):
+                side.charge([0, 2], PrivacyBudget(0.3, 0.0))
+                side.charge([2, 4], PrivacyBudget(0.2, 0.0))
             keys = [0, 2, 4]
-            scalar = min(acc.ledger(k).max_epsilon(0.0) for k in keys)
+            scalar = ref.max_epsilon(keys, 0.0)
             assert acc.max_epsilon(keys, 0.0) == pytest.approx(scalar, abs=1e-9)
 
 
@@ -430,7 +474,7 @@ def _store_state(acc):
         acc.store.totals.copy(),
         acc.store.live.copy(),
         acc.store.charge_counts.copy(),
-        {k: list(acc.ledger(k).history) for k in acc.block_keys},
+        block_histories(acc),
         len(acc.charges),
     )
 
@@ -576,8 +620,8 @@ def test_property_no_block_ever_exceeds_global(charges):
         budget = PrivacyBudget(eps, 0.0)
         if acc.can_charge([key], budget):
             acc.charge([key], budget)
-    for key in range(5):
-        spent = sum(b.epsilon for b in acc.ledger(key).history)
+    for history in block_histories(acc).values():
+        spent = sum(b.epsilon for b in history)
         assert spent <= 1.0 + 1e-9
 
 

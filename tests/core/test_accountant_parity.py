@@ -3,12 +3,12 @@
 :class:`BlockAccountant` decides charges and scans from its dense totals
 store.  Two references decide the same questions without that store:
 
-* :class:`_PerLedgerReference`, a small accountant written here, keeps
-  one filter, history and totals row per block, decides per block with
-  the filter's scalar ``admits`` / ``max_epsilon`` / ``loss_bound``, and
-  applies a batch sequentially, rolling it back on a refusal.  (The
-  accountant itself has no such path: it rejects any filter whose scalar
-  rule could disagree with its batch rule.)
+* :class:`~per_request_oracle.PerLedgerReference`, a small accountant
+  that keeps one filter, history and totals row per block, decides per
+  block with the filter's scalar ``admits`` / ``max_epsilon`` /
+  ``loss_bound``, and applies a batch sequentially, rolling it back on a
+  refusal.  (The accountant itself has no such path: it rejects any
+  filter whose scalar rule could disagree with its batch rule.)
 * per-request ``charge`` calls, one at a time, stand in for a
   ``charge_many`` batch and for a staged hour.
 
@@ -19,6 +19,7 @@ match the references byte for byte.
 
 import numpy as np
 import pytest
+from per_request_oracle import PerLedgerReference
 
 from repro.core.accountant import BlockAccountant
 from repro.core.filters import (
@@ -42,102 +43,6 @@ FILTERS = {
 }
 
 
-class _PerLedgerReference:
-    """Block composition straight from the per-block filters: blocks
-    ``0 .. n_blocks - 1``, each with its own filter, charge history and
-    running totals row, decided one block at a time."""
-
-    def __init__(self, factory, n_blocks, epsilon=1.0, delta=1e-6):
-        self.filters = [factory(epsilon, delta) for _ in range(n_blocks)]
-        self.histories = [[] for _ in range(n_blocks)]
-        self.totals = [[0.0] * f.totals_width for f in self.filters]
-        self.live = [True] * n_blocks
-        self.charges = []
-        self.retirement_budget = PrivacyBudget(epsilon / 1000.0, 0.0)
-
-    @property
-    def block_keys(self):
-        return list(range(len(self.filters)))
-
-    def _admits(self, key, budget):
-        return self.filters[key].admits(
-            self.histories[key], budget, totals=tuple(self.totals[key])
-        )
-
-    def _retired(self, key):
-        return not self._admits(key, self.retirement_budget)
-
-    def _record(self, key, budget):
-        # The same scalar float64 adds a ledger applies.
-        self.histories[key].append(budget)
-        for column, value in enumerate(self.filters[key].contribution(budget).tolist()):
-            self.totals[key][column] += value
-
-    def charge_many(self, requests):
-        """Apply the batch one request at a time; on the first refusal,
-        undo every earlier request of the batch and raise."""
-        snapshot = [(len(h), list(t)) for h, t in zip(self.histories, self.totals)]
-        try:
-            for keys, budget, _ in requests:
-                for key in keys:
-                    if not self._admits(key, budget):
-                        if self._retired(key):
-                            raise BlockRetiredError(
-                                f"block {key!r} is retired", block_id=key
-                            )
-                        raise BudgetExceededError(
-                            f"block {key!r} cannot absorb {budget}", block_id=key
-                        )
-                for key in keys:
-                    self._record(key, budget)
-        except (BlockRetiredError, BudgetExceededError):
-            for key, (n_history, totals) in enumerate(snapshot):
-                del self.histories[key][n_history:]
-                self.totals[key] = totals
-            raise
-        self.charges.extend(
-            (budget.epsilon, budget.delta, tuple(keys), label)
-            for keys, budget, label in requests
-        )
-
-    def usable_blocks(self, floor):
-        """Blocks admitting ``floor``; like the accountant's scans, this
-        persists every retirement it finds."""
-        for key in self.block_keys:
-            if self.live[key] and self._retired(key):
-                self.live[key] = False
-        return [k for k in self.block_keys if self.live[k] and self._admits(k, floor)]
-
-    def usable_blocks_tail(self, floor, count):
-        return self.usable_blocks(floor)[-count:]
-
-    def admits_keys(self, keys, budget):
-        return np.array([self._admits(k, budget) for k in keys], dtype=bool)
-
-    def max_epsilon(self, keys, delta):
-        return min(self.filters[k].max_epsilon(self.histories[k], delta) for k in keys)
-
-    def stream_loss_bound(self):
-        worst_eps = worst_delta = 0.0
-        for key in self.block_keys:
-            bound = self.filters[key].loss_bound(
-                self.histories[key], totals=tuple(self.totals[key])
-            )
-            worst_eps = max(worst_eps, bound.epsilon)
-            worst_delta = max(worst_delta, bound.delta)
-        return PrivacyBudget(worst_eps, worst_delta)
-
-    def fingerprint(self):
-        return (
-            np.array(self.totals, dtype=np.float64).tobytes(),
-            np.array(self.live, dtype=bool).tobytes(),
-            np.array([len(h) for h in self.histories], dtype=np.int64).tobytes(),
-            list(self.charges),
-            [tuple(t) for t in self.totals],
-            [len(h) for h in self.histories],
-        )
-
-
 def _accountant(factory, n_blocks):
     acc = BlockAccountant(1.0, 1e-6, filter_factory=factory)
     acc.register_blocks(range(n_blocks))
@@ -145,13 +50,13 @@ def _accountant(factory, n_blocks):
 
 
 def _fingerprint(acc):
+    """The store rows, live mask, per-row charge counts and charge log --
+    the accountant's whole state."""
     return (
         acc.store.totals.tobytes(),
         acc.store.live.tobytes(),
         acc.store.charge_counts.tobytes(),
         [(r.budget.epsilon, r.budget.delta, r.block_keys, r.label) for r in acc.charges],
-        [tuple(acc.ledger(k).totals) for k in acc.block_keys],
-        [len(acc.ledger(k).history) for k in acc.block_keys],
     )
 
 
@@ -185,7 +90,7 @@ def _charged_pair(filter_name, seed, n_blocks=16, rounds=4):
     rounds of ``charge_many``; each round's outcome must agree."""
     factory, wide = FILTERS[filter_name]
     vector = _accountant(factory, n_blocks)
-    scalar = _PerLedgerReference(factory, n_blocks)
+    scalar = PerLedgerReference(factory, n_blocks)
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
         requests = _random_requests(rng, n_blocks, int(rng.integers(1, 9)), wide)
@@ -218,15 +123,13 @@ class TestVectorizedMatchesExactPath:
         assert _fingerprint(vector) == scalar.fingerprint()
 
     def test_retired_blocks_follow_the_per_ledger_rule(self, filter_name):
-        vector, _ = _charged_pair(filter_name, seed=3)
+        vector, scalar = _charged_pair(filter_name, seed=3)
         for key in (1, 5, 11):
             # The largest admissible charge drains the block.
-            vector.charge([key], PrivacyBudget(vector.max_epsilon([key]), 0.0))
-        retired = [
-            k
-            for k in vector.block_keys
-            if vector.ledger(k).is_retired(vector.retirement_budget)
-        ]
+            drain = PrivacyBudget(vector.max_epsilon([key]), 0.0)
+            vector.charge([key], drain)
+            scalar.charge([key], drain)
+        retired = [k for k in scalar.block_keys if scalar.is_retired(k)]
         assert vector.retired_blocks() == retired
         assert {1, 5, 11} <= set(retired)
 
@@ -234,7 +137,7 @@ class TestVectorizedMatchesExactPath:
         """The stream bound, folded from the whole totals store, equals the
         componentwise max of the per-ledger bounds."""
         vector, scalar = _charged_pair(filter_name, seed=4)
-        bounds = [vector.ledger(k).loss_bound() for k in vector.block_keys]
+        bounds = [scalar.loss_bound(k) for k in scalar.block_keys]
         stream = vector.stream_loss_bound()
         assert stream.epsilon == pytest.approx(max(b.epsilon for b in bounds), rel=1e-12)
         assert stream.delta == pytest.approx(max(b.delta for b in bounds), rel=1e-12)

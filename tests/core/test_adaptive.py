@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from per_request_oracle import block_histories
 
 from repro.core.access_control import SageAccessControl
 from repro.core.adaptive import (
@@ -123,8 +124,8 @@ class TestEscalation:
             AdaptiveConfig(max_attempts=30), np.random.default_rng(0),
         )
         session.step()
-        for key in access.accountant.block_keys:
-            spent = sum(b.epsilon for b in access.accountant.ledger(key).history)
+        for history in block_histories(access.accountant).values():
+            spent = sum(b.epsilon for b in history)
             assert spent <= 1.0 + 1e-9
 
     def test_conservation_bound_per_block(self):
@@ -138,8 +139,8 @@ class TestEscalation:
         status = session.step()
         assert status == SessionStatus.ACCEPTED
         final_eps = session.attempts[-1].budget.epsilon
-        for key in access.accountant.block_keys:
-            spent = sum(b.epsilon for b in access.accountant.ledger(key).history)
+        for history in block_histories(access.accountant).values():
+            spent = sum(b.epsilon for b in history)
             assert spent <= 2.0 * final_eps + 1e-9
 
     def test_timeout(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from per_request_oracle import block_histories
 
 from repro.core.adaptive import AdaptiveConfig, SessionStatus
 from repro.core.pipeline import PipelineRun, StatisticPipeline
@@ -65,7 +66,7 @@ class TestLifecycle:
         # The new block's budget was divided between the two waiting pipelines.
         key = sage.database.keys[0]
         total = a.reservations.get(key, 0.0) + b.reservations.get(key, 0.0)
-        spent = sum(bud.epsilon for bud in sage.access.accountant.ledger(key).history)
+        spent = sum(bud.epsilon for bud in block_histories(sage.access.accountant)[key])
         assert total + spent <= 1.0 + 1e-9
 
     def test_finished_pipeline_redistributes(self, sage):

@@ -340,11 +340,11 @@ def test_request_many_charges_stream_and_context():
         context="dev",
     )
     assert len(records) == 2
-    assert access.accountant.ledger(1).totals[TOT_EPS] == pytest.approx(0.4)
+    assert access.accountant.store.totals[1, TOT_EPS] == pytest.approx(0.4)
     with pytest.raises(AccessDeniedError):
         # The context (0.5) refuses before the stream (1.0) is touched.
         access.request_many([([0], PrivacyBudget(0.4, 0.0))], context="dev")
-    assert access.accountant.ledger(0).totals[TOT_EPS] == pytest.approx(0.2)
+    assert access.accountant.store.totals[0, TOT_EPS] == pytest.approx(0.2)
     assert access.can_request_many([([0], PrivacyBudget(0.4, 0.0))])
     assert not access.can_request_many([([0], PrivacyBudget(0.4, 0.0))], context="dev")
 
@@ -362,7 +362,7 @@ def test_request_many_accepts_generators():
         ((keys, PrivacyBudget(0.1, 0.0)) for keys in ([0], [0, 1])), context="dev"
     )
     assert len(records) == 2
-    assert access.accountant.ledger(0).totals[TOT_EPS] == pytest.approx(0.2)
+    assert access.accountant.store.totals[0, TOT_EPS] == pytest.approx(0.2)
     assert not access.can_request_many(
         (r for r in [([0], PrivacyBudget(0.45, 0.0))]), context="dev"
     )

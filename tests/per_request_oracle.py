@@ -17,15 +17,29 @@ accountant opened a staged batch and that ``request_many`` was never
 called, so a parity test cannot silently compare the staged drive with
 itself.  Use it on volatile platforms only: a durable hour would write
 ahead an empty request batch.
+
+The accountant keeps no per-block objects: its store rows and its charge
+log are the whole state.  Two more references check that state from the
+outside:
+
+* :func:`block_histories` rebuilds each block's charge history from the
+  charge log;
+* :class:`PerLedgerReference` is a small accountant that keeps one filter,
+  history and totals row per block and decides one block at a time with
+  the filters' scalar ``admits`` / ``max_epsilon`` / ``loss_bound``.
 """
 
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
+
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import BlockAccountant
+from repro.dp.budget import PrivacyBudget
+from repro.errors import BlockRetiredError, BudgetExceededError
 
-__all__ = ["per_request_drive"]
+__all__ = ["PerLedgerReference", "block_histories", "per_request_drive"]
 
 
 @contextmanager
@@ -59,3 +73,116 @@ def per_request_drive():
     assert seen == {"batches_opened": 0, "request_many_calls": 0}, (
         f"the per-request drive ran staged: {seen}"
     )
+
+
+def block_histories(accountant):
+    """Every registered block's charge history, in commit order, rebuilt
+    from the accountant's append-only charge log."""
+    histories = {key: [] for key in accountant.block_keys}
+    for record in accountant.charge_log:
+        for key in record.block_keys:
+            histories[key].append(record.budget)
+    return histories
+
+
+class PerLedgerReference:
+    """Block composition straight from per-block filters: blocks
+    ``0 .. n_blocks - 1``, each with its own filter, charge history and
+    running totals row, decided one block at a time."""
+
+    def __init__(self, factory, n_blocks, epsilon=1.0, delta=1e-6):
+        self.filters = [factory(epsilon, delta) for _ in range(n_blocks)]
+        self.histories = [[] for _ in range(n_blocks)]
+        self.totals = [[0.0] * f.totals_width for f in self.filters]
+        self.live = [True] * n_blocks
+        self.charges = []
+        self.retirement_budget = PrivacyBudget(epsilon / 1000.0, 0.0)
+
+    @property
+    def block_keys(self):
+        return list(range(len(self.filters)))
+
+    def _admits(self, key, budget):
+        return self.filters[key].admits(
+            self.histories[key], budget, totals=tuple(self.totals[key])
+        )
+
+    def is_retired(self, key):
+        return not self._admits(key, self.retirement_budget)
+
+    def _record(self, key, budget):
+        # Scalar float64 adds, one column at a time.
+        self.histories[key].append(budget)
+        for column, value in enumerate(self.filters[key].contribution(budget).tolist()):
+            self.totals[key][column] += value
+
+    def charge_many(self, requests):
+        """Apply the ``(keys, budget, label)`` batch one request at a time;
+        on the first refusal, undo every earlier request of the batch and
+        raise."""
+        snapshot = [(len(h), list(t)) for h, t in zip(self.histories, self.totals)]
+        try:
+            for keys, budget, _ in requests:
+                for key in keys:
+                    if not self._admits(key, budget):
+                        if self.is_retired(key):
+                            raise BlockRetiredError(
+                                f"block {key!r} is retired", block_id=key
+                            )
+                        raise BudgetExceededError(
+                            f"block {key!r} cannot absorb {budget}", block_id=key
+                        )
+                for key in keys:
+                    self._record(key, budget)
+        except (BlockRetiredError, BudgetExceededError):
+            for key, (n_history, totals) in enumerate(snapshot):
+                del self.histories[key][n_history:]
+                self.totals[key] = totals
+            raise
+        self.charges.extend(
+            (budget.epsilon, budget.delta, tuple(keys), label)
+            for keys, budget, label in requests
+        )
+
+    def charge(self, keys, budget, label=""):
+        self.charge_many([(list(keys), budget, label)])
+
+    def usable_blocks(self, floor):
+        """Blocks admitting ``floor``; like the accountant's scans, this
+        persists every retirement it finds."""
+        for key in self.block_keys:
+            if self.live[key] and self.is_retired(key):
+                self.live[key] = False
+        return [k for k in self.block_keys if self.live[k] and self._admits(k, floor)]
+
+    def usable_blocks_tail(self, floor, count):
+        return self.usable_blocks(floor)[-count:]
+
+    def admits_keys(self, keys, budget):
+        return np.array([self._admits(k, budget) for k in keys], dtype=bool)
+
+    def max_epsilon(self, keys, delta):
+        return min(self.filters[k].max_epsilon(self.histories[k], delta) for k in keys)
+
+    def loss_bound(self, key):
+        return self.filters[key].loss_bound(
+            self.histories[key], totals=tuple(self.totals[key])
+        )
+
+    def stream_loss_bound(self):
+        worst_eps = worst_delta = 0.0
+        for key in self.block_keys:
+            bound = self.loss_bound(key)
+            worst_eps = max(worst_eps, bound.epsilon)
+            worst_delta = max(worst_delta, bound.delta)
+        return PrivacyBudget(worst_eps, worst_delta)
+
+    def fingerprint(self):
+        """The state an accountant's ``(store totals, live mask, charge
+        counts, charge log)`` must match byte for byte."""
+        return (
+            np.array(self.totals, dtype=np.float64).tobytes(),
+            np.array(self.live, dtype=bool).tobytes(),
+            np.array([len(h) for h in self.histories], dtype=np.int64).tobytes(),
+            list(self.charges),
+        )
