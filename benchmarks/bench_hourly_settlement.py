@@ -13,12 +13,8 @@ reimplementations of the seed's scalar code:
   to the ledger store, so allocation, redistribution, settlement, and the
   window-selection filter are single NumPy passes.
 * ``BlockAccountant.charge_many``: settling a whole batch of multi-block
-  charges in one vectorized validate-and-commit pass, against the seed's
-  per-request charge loop (:func:`seed_charge_loop`): a batched admit
-  check per request, then a per-block record -- history append,
-  per-column Python float adds, one store-row write -- for every named
-  block.  The library's own ``charge`` no longer records per block, so
-  the baseline lives here.
+  charges in one vectorized validate-and-commit pass, against the
+  equivalent loop of per-request ``charge`` calls.
 * ``ReservationTable.release`` over a contention-shaped hour: a fully
   granted table whose pipelines finish in submission order, each handing
   its holding to the pipelines still waiting.  The baseline is the
@@ -28,10 +24,11 @@ reimplementations of the seed's scalar code:
 * ``advance_batched``: the propose/settle hourly batch.  Both sides run the
   modern ReservationTable allocator; the baseline
   (:class:`PerSessionSage`) drives the seed's per-session loop where every
-  attempt executes its own ``access.request`` (per-key ledger commits
-  mid-hour) and reads its allocation through the seed's settle-then-read
-  hook, while the batched platform stages every proposal and settles
-  the whole hour through one ``request_many`` bulk commit.
+  attempt commits mid-hour through its own ``access.request`` -- one
+  ``BlockAccountant.charge``: a store-row write plus a charge-log append --
+  and reads its allocation through the seed's settle-then-read hook, while
+  the batched platform stages every proposal and lands the whole hour
+  through one staged-batch commit (one bulk row write).
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_hourly_settlement.py``);
 ``--assert-speedup`` turns it into the CI perf gate.  Parity is always
@@ -468,37 +465,14 @@ def settlement_requests(n_requests, n_blocks, window=CHARGE_WINDOW):
     return requests
 
 
-def seed_charge_loop(acc, requests):
-    """The seed's per-request ``charge``: one batched admit check, then a
-    per-block record (history append, scalar float adds of the filter's
-    contribution, store-row write) for every named block."""
-    histories = {key: [] for key in acc.block_keys}
-    ledgers = dict(zip(acc.block_keys, acc.store.totals.tolist()))
-    for keys, budget, label in requests:
-        if not acc.can_charge(keys, budget):
-            raise AssertionError(f"seed loop refused settlement {label}")
-        contribution = acc.batch_filter.contribution(budget).tolist()
-        for key, row in zip(keys, acc.rows_for_keys(keys).tolist()):
-            histories[key].append(budget)
-            totals = ledgers[key]
-            for column, value in enumerate(contribution):
-                totals[column] += value
-            acc.store.totals[row] = totals
-            acc.store.charge_counts[row] = len(histories[key])
-
-
 def check_charge_parity(n_requests, n_blocks):
     requests = settlement_requests(n_requests, n_blocks)
-    batched, sequential, seed = (build_accountant(n_blocks) for _ in range(3))
+    batched, sequential = build_accountant(n_blocks), build_accountant(n_blocks)
     batched.charge_many(requests)
     for keys, budget, label in requests:
         sequential.charge(keys, budget, label=label)
-    seed_charge_loop(seed, requests)
-    for other, name in ((sequential, "sequential charges"), (seed, "the seed loop")):
-        if batched.store.totals.tobytes() != other.store.totals.tobytes() or (
-            batched.store.charge_counts.tobytes() != other.store.charge_counts.tobytes()
-        ):
-            raise AssertionError(f"charge_many rows diverged from {name}")
+    if not np.array_equal(batched.store.totals, sequential.store.totals):
+        raise AssertionError("charge_many totals diverged from sequential charges")
 
 
 def bench_charge_many(n_requests, n_blocks, repeats=3):
@@ -508,7 +482,9 @@ def bench_charge_many(n_requests, n_blocks, repeats=3):
         build_accountant(n_blocks).charge_many(requests)
 
     def run_sequential():
-        seed_charge_loop(build_accountant(n_blocks), requests)
+        acc = build_accountant(n_blocks)
+        for keys, budget, label in requests:
+            acc.charge(keys, budget, label=label)
 
     # Subtract the shared accountant-construction cost from both sides.
     t_build = _best_of(lambda: build_accountant(n_blocks), repeats)
@@ -589,8 +565,9 @@ def run(
             bench="hourly_settlement",
         )
     )
-    # The seed loop's per-block history appends bound charge_many's win,
-    # so its gate is looser than the headline advance gate.
+    # Both paths translate every named key to its store row in Python,
+    # which bounds charge_many's win, so its gate is looser than the
+    # headline advance gate.
     charge_gate = min(assert_speedup, 2.0)
     if assert_speedup and c_speedup < charge_gate:
         raise AssertionError(

@@ -16,7 +16,7 @@ schema's owners):
 * hard-coded integer *column* indices into totals rows: tuple subscripts
   with a constant column (``store.totals[:, 0]``,
   ``totals[rows, 2]``) and plain integer subscripts on per-block totals
-  tuples (``row_of(key).totals[0]``, a bare ``totals[1]``).  Row indexing
+  rows (``.totals[0]`` on a call result, a bare ``totals[1]``).  Row indexing
   (``store.totals[3]``) is layout-independent and stays legal.
 
 The fix is almost always importing the named base-column constants
@@ -88,7 +88,7 @@ class SchemaWidthRule(Rule):
         elif _is_int_constant(slice_node):
             # A single integer subscript is a *column* only on 1-D per-block
             # rows: a bare `totals` name or a `.totals` on a call result
-            # (`row_of(key).totals[0]`).  `store.totals[3]` is row indexing.
+            # (`f(key).totals[0]`).  `store.totals[3]` is row indexing.
             if is_totals_name or (
                 is_totals_attr and isinstance(base.value, ast.Call)
             ):

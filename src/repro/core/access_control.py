@@ -20,9 +20,10 @@ The platform validates each session proposal as it arrives but commits the
 whole hour in one batch: ``begin_staging()`` opens the stream accountant's
 staged-batch overlay, ``stage_request(keys, budget, label)`` validates and
 stages one proposal (raising exactly what ``request`` would, staging
-nothing on refusal), and ``commit_staged()`` settles everything staged
-through a single :meth:`request_many` call, whose validation re-checks the
-batch end to end.  ``abort_staged()`` drops the batch instead and
+nothing on refusal), and ``commit_staged()`` lands everything staged in one
+bulk write (the accountant's ``commit_staged``: staging already validated
+each request against the totals ``request_many`` would check it against,
+so nothing is validated twice).  ``abort_staged()`` drops the batch instead and
 ``rollback_registrations()`` drops the hour's blocks from every ledger set:
 together, the platform's rollback of an hour that raised.  Every stream can stage: the accountant only accepts filters that
 decide from their totals.  Staging is stream-wide: the platform never
@@ -247,7 +248,8 @@ class SageAccessControl:
         self._accountant.stage_charge(keys, budget, label)
 
     def commit_staged(self, principal: Optional[str] = None) -> List[ChargeRecord]:
-        """Commit everything staged through one :meth:`request_many` call.
+        """Commit everything staged in one bulk write; the store ends exactly
+        as one :meth:`request_many` call over the staged requests leaves it.
 
         ``principal`` is the committer (the platform); each staged request
         already passed its own principal check at stage time.  The check
@@ -255,10 +257,7 @@ class SageAccessControl:
         overlay open instead of silently dropping the staged charges.
         """
         self._check_principal(principal)
-        requests = self._accountant.pop_staged()
-        if not requests:
-            return []
-        return self.request_many(requests, principal=principal)
+        return self._accountant.commit_staged()
 
     def abort_staged(self) -> List[tuple]:
         """Drop the open batch without committing; returns what was staged."""

@@ -88,8 +88,8 @@ one pass.  Its contract:
 Staged batches (the propose/settle commit path)
 -----------------------------------------------
 The platform's two-phase session protocol validates charges as sessions
-propose them but commits the whole hour in one ``charge_many`` call.  The
-accountant supports this with a :class:`StagedBatch` overlay opened by
+propose them but commits the whole hour in one bulk write.  The accountant
+supports this with a :class:`StagedBatch` overlay opened by
 ``begin_staging()``:
 
 * ``stage_charge(keys, budget, label)`` validates a request against the
@@ -110,12 +110,14 @@ accountant supports this with a :class:`StagedBatch` overlay opened by
   or registrations rolled back.  A refused ``stage_charge`` moves nothing,
   so it keeps the memo -- a queue of blocked proposers at one floor pays
   for a single scan.  Decisions are identical to rescanning.
-* ``pop_staged()`` closes the overlay and hands back the request list for a
-  single ``charge_many`` commit.  Because staging replayed the exact
-  accumulation ``charge_many`` validates with, a staged batch can never be
-  refused at commit time; the commit's full re-validation is kept anyway
-  as an end-to-end check of that claim.  Discarding the returned list
-  aborts the batch (the platform's hour rollback).
+* ``commit_staged()`` closes the overlay and lands it: the touched
+  effective rows and their staged charge counts in one bulk row write,
+  then the requests on the charge log.  Staging already validated every
+  request against exactly the totals ``charge_many`` would check it
+  against, so the commit does not validate again; the store ends
+  byte-identical to ``charge_many(requests)``, which is what WAL replay
+  runs.  ``pop_staged()`` closes the overlay without committing and
+  returns the requests (the platform's hour rollback).
 
 Every accountant can stage, since every accepted filter decides from the
 totals the overlay carries.  Mutating the accountant through
@@ -316,12 +318,15 @@ class StagedBatch:
     totals that absorbs each staged request's contribution in request order
     -- the exact float accumulation ``charge_many``'s validation replays --
     so staging decisions and the final commit can never disagree, and reads
-    through the overlay are as cheap as reads of the store itself.
+    through the overlay are as cheap as reads of the store itself -- plus
+    the number of staged charges per row, which the commit adds to the
+    store's charge counts.
     """
 
     def __init__(self, accountant: "BlockAccountant") -> None:
         self._eff = accountant.store.totals.copy()
         self._width = accountant.store.width
+        self._counts = np.zeros(self._eff.shape[0], dtype=np.int64)
         self.requests: List[tuple] = []
         # Whole-stream admit scans by floor budget (filled by
         # BlockAccountant._live_admit_rows), cleared whenever the effective
@@ -338,15 +343,24 @@ class StagedBatch:
         and no staged charges, so their effective rows are zero too.
         """
         if size > self._eff.shape[0]:
-            grown = np.zeros((max(size, 2 * self._eff.shape[0]), self._width))
+            capacity = max(size, 2 * self._eff.shape[0])
+            grown = np.zeros((capacity, self._width))
             grown[: self._eff.shape[0]] = self._eff
+            counts = np.zeros(capacity, dtype=np.int64)
+            counts[: self._counts.size] = self._counts
             # repro: allow(purity) -- capacity growth only: new rows are all
             # zero, so every read returns the same values as before.
-            self._eff = grown
+            self._eff, self._counts = grown, counts
         return self._eff[:size]
 
     def add(self, rows: np.ndarray, contribution: np.ndarray) -> None:
         self._eff[rows] += contribution
+        self._counts[rows] += 1
+
+    def charged_rows(self):
+        """Rows with staged charges (ascending) and how many each has."""
+        rows = np.flatnonzero(self._counts)
+        return rows, self._counts[rows]
 
 
 class BlockAccountant:
@@ -477,7 +491,7 @@ class BlockAccountant:
         if cached is None:
             try:
                 cached = np.fromiter(
-                    (self._rows[k] for k in keys), dtype=np.intp, count=len(keys)
+                    map(self._rows.__getitem__, keys), dtype=np.intp, count=len(keys)
                 )
             except KeyError as exc:
                 raise InvalidBudgetError(
@@ -574,11 +588,40 @@ class BlockAccountant:
         self._staged.requests.append((keys, budget, label))
         self._invalidate_scans()
 
+    def commit_staged(self) -> List[ChargeRecord]:
+        """Close the staged batch and commit it in one bulk row write.
+
+        Every request was validated when it was staged, against the same
+        effective totals :meth:`charge_many` would check it against, so the
+        touched effective rows are the exact post-batch totals and land
+        as they are; the requests then join the charge log.  Commits
+        nothing when no batch is open or it is empty.  A staged charge on
+        a block rolled back since raises ``InvalidBudgetError`` and commits
+        nothing.
+        """
+        staged, self._staged = self._staged, None
+        if staged is None or not staged.requests:
+            return []
+        with self._tracer.span("charge.batch", requests=len(staged.requests)):
+            touched, counts = staged.charged_rows()
+            if touched[-1] >= len(self._store):
+                raise InvalidBudgetError(
+                    "a staged charge names a block rolled back since it was staged"
+                )
+            # Crash point between validation (done at staging) and the
+            # commit: nothing has been written.
+            faults.trip("charge.between_validate_and_commit")
+            return self._commit_validated(
+                staged.requests,
+                touched,
+                staged.effective_totals(len(self._store))[touched],
+                counts,
+            )
+
     def pop_staged(self) -> List[tuple]:
-        """Close the staged batch, returning its ``(keys, budget, label)``
-        requests for a single :meth:`charge_many` commit (nothing has been
-        committed yet; discarding the return value aborts the batch).  The
-        batch's scan memo goes with it."""
+        """Close the staged batch without committing it, returning its
+        ``(keys, budget, label)`` requests (the batch is aborted; its scan
+        memo goes with it)."""
         staged, self._staged = self._staged, None
         return staged.requests if staged is not None else []
 
@@ -689,17 +732,18 @@ class BlockAccountant:
         same error :meth:`charge` raises.
         """
         row_lists = [self._key_rows(keys) for keys, _, _ in norm]
-        touched = np.unique(np.concatenate(row_lists))
-        work = self._store.totals[touched].copy()
-        counts_delta = np.zeros(touched.size, dtype=np.int64)
-        for (keys, budget, _), rows in zip(norm, row_lists):
-            # touched is sorted-unique and rows is a subset, so searchsorted
-            # is an exact row -> scratch-index translation.
-            lrows = np.searchsorted(touched, rows)
-            self._refuse_unless_admitted(keys, work[lrows], budget)
-            work[lrows] += self._contribution(budget)
-            counts_delta[lrows] += 1
-        return touched, work, counts_delta
+        rows = np.concatenate(row_lists)
+        hit = np.zeros(len(self._store), dtype=bool)
+        hit[rows] = True
+        touched = np.flatnonzero(hit)
+        scratch = np.cumsum(hit, dtype=np.intp) - 1  # store row -> work row
+        work = self._store.totals[touched]
+        for (keys, budget, _), request_rows in zip(norm, row_lists):
+            lrows = scratch[request_rows]
+            before = work[lrows]
+            self._refuse_unless_admitted(keys, before, budget)
+            work[lrows] = before + self._contribution(budget)
+        return touched, work, np.bincount(scratch[rows], minlength=touched.size)
 
     def charge_many(self, requests) -> List[ChargeRecord]:
         """Atomically commit a whole batch of ``(keys, budget[, label])`` charges.
@@ -735,7 +779,7 @@ class BlockAccountant:
     ) -> List[ChargeRecord]:
         """Land a validated batch: one bulk store-row write, then the charge
         log.  ``work`` must hold the touched rows' exact post-batch totals
-        (``charge_many``'s scratch)."""
+        and ``counts_delta`` their numbers of new charges."""
         records = [
             ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
             for keys, budget, label in norm

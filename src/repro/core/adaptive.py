@@ -24,7 +24,7 @@ whoever drives it (the platform, a trainer, a test) is two-phase:
    in ``ChargeProposal.epsilon_after`` until the charge is known granted.
 2. The driver decides the proposal: it charges the accountant itself
    (immediately via ``SageAccessControl.request``, or staged into the
-   platform's hourly ``request_many`` batch), assembles the training
+   platform's hourly batch), assembles the training
    window, and hands the session a :class:`ChargeDecision`.
 3. :meth:`AdaptiveSession.complete` consumes the decision: a granted
    charge commits escalation state, runs the pipeline, records the
@@ -441,7 +441,7 @@ class AdaptiveSession:
         charges: every proposal is executed via ``access.request`` and
         completed as granted -- float-identical to the historical
         imperative loop.  The platform path does NOT use this; it stages
-        proposals into one hourly ``request_many`` batch instead.
+        proposals into one hourly staged batch instead.
         """
         while self.status == SessionStatus.RUNNING:
             proposal = self.propose()

@@ -6,9 +6,10 @@ open item 2's WAL/snapshot half).  The drive records every settled hour in
 a write-ahead log *before* committing it in memory, periodically snapshots
 the full accounting state, and a restarted platform recovers by loading
 the latest valid snapshot and replaying the subsequent WAL hours through
-the **existing** ``charge_many``/``request_many`` path -- so recovered
-state is byte-identical to the uninterrupted run by construction, and the
-repo's parity fingerprinting can verify it.
+the **existing** ``charge_many``/``request_many`` path, which accumulates
+each charge with the same float operations the live hour's staging did --
+so recovered state is byte-identical to the uninterrupted run by
+construction, and the repo's parity fingerprinting can verify it.
 
 WAL file format
 ---------------
@@ -35,7 +36,7 @@ Two record kinds (the ``"kind"`` key of the payload dict):
   ``entry_names``        their names, submission order (validated)
   ``new_block_keys``     keys the hour's ingest registered (validated)
   ``requests``           the exact staged ``(keys, budget, label)`` batch
-                         that one ``request_many`` call will commit
+                         the hour's staged commit will land
   ``deltas``             per driven session, in drive order: status /
                          epsilon / window_blocks / total_spent after the
                          hour plus the attempt records it appended
@@ -112,8 +113,8 @@ submission order:
    allocate / grant through the normal hour-open path, apply the recorded
    per-session deltas in drive order (settling reservations attempt by
    attempt exactly as the live drive does), and commit the recorded
-   request batch through **one** ``request_many`` call -- the same entry
-   point the live hour used, no parallel apply path.  Restore the
+   request batch through **one** ``request_many`` call, which ends the
+   store byte-identical to the live hour's staged commit.  Restore the
    post-hour RNG state and verify the hour's commit digest when present.
 3. Position the WAL writer at the end of the last complete record
    (repairing any torn tail) so the platform can keep advancing.

@@ -32,11 +32,12 @@ runs the pipeline and possibly escalates into another proposal, a denial
 (later proposals contending with earlier staged charges) blocks the session
 on NEED_DATA with its escalation state untouched.  When every session has
 finished or blocked, the entire hour commits through **one**
-``SageAccessControl.request_many`` call -- ``charge_many``'s intra-batch
-accumulation makes the batch observationally identical to the per-session
-sequential charges, and staged validation replays the exact same float
-accumulation, so the commit can never be refused (its validation stays on
-as an end-to-end check).  Each granted attempt's reservation deduction
+``SageAccessControl.commit_staged`` call: one bulk write of the staged
+rows.  Staging accumulated each charge with exactly the float operations
+of a sequential ``charge`` (and of ``charge_many``, which WAL replay
+commits the recorded batch through), so the hour is observationally
+identical to the per-session sequential charges and needs no second
+validation.  Each granted attempt's reservation deduction
 settles right after its ``complete()``, so a session reads its allocation
 through ``row_budget_fn`` as a pure read of the reservation table.
 
@@ -357,7 +358,7 @@ class Sage:
 
     Every :meth:`advance` is one transactional hour (see the module
     docstring): sessions stage their charges and the hour settles through
-    one ``request_many`` batch, or -- when it raises before that commit --
+    one staged-batch commit, or -- when it raises before that commit --
     rolls back to the exact pre-hour state.
 
     ``wal_dir`` makes the platform durable (see
@@ -670,7 +671,7 @@ class Sage:
 
         Returns the bundles released during this step.  The hour
         commits all its charges through exactly one
-        ``SageAccessControl.request_many`` call after every session has
+        ``SageAccessControl.commit_staged`` call after every session has
         finished or blocked; any exception before that commit, interrupts
         included, rolls the platform back to its pre-hour state (see the
         module docstring).
@@ -960,8 +961,8 @@ class Sage:
         hour) are re-submitted fresh at the end.
 
         Loads the newest valid snapshot (if any), then replays every
-        subsequent WAL hour through the live ``charge_many`` path --
-        byte-identical by construction, verified against each commit
+        subsequent WAL hour through ``charge_many`` -- byte-identical to
+        the live staged commit by construction, verified against each commit
         marker's state digest.  A torn trailing record (mid-append crash)
         is discarded and repaired; a complete record with a bad CRC raises
         :class:`~repro.errors.WalCorruptionError` and is never replayed.
@@ -1066,8 +1067,10 @@ class Sage:
         session's recorded attempts with a settle after every one (the
         drive's own cadence, so the settle calls are the same),
         redistributes exactly where the drive would have, and lands the
-        hour's charges through the **same** ``request_many`` call the
-        live hour committed through.  No parallel apply path exists.
+        hour's charges through one ``request_many`` call, whose
+        validation accumulates them with the same float operations the
+        live hour's staging did, so the store ends byte-identical to the
+        live staged commit.
         """
         accountant = self.access.accountant
         if record["schema_width"] != accountant.store.width:

@@ -63,7 +63,7 @@ span                        covers
 ``advance.open``            ingest + block registration + allocation
 ``session.drive``           one session's propose/decide loop for the hour
 ``staging.commit``          closing the hour's staged batch
-``charge.batch``            one ``charge_many`` (validate + commit)
+``charge.batch``            one ``charge_many`` or staged-batch commit
 ``wal.append``              framing + writing one hour record
 ``wal.fsync``               each write-ahead-log fsync
 ``wal.commit``              appending the commit marker

@@ -14,17 +14,22 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from per_request_oracle import per_request_drive
+from per_request_oracle import count_charge_paths, per_request_drive
 
 from repro.core import faults
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_EPS, BlockAccountant
 from repro.core.adaptive import AdaptiveConfig
-from repro.core.filters import RenyiCompositionFilter, StrongCompositionFilter
+from repro.core.filters import (
+    BasicCompositionFilter,
+    RenyiCompositionFilter,
+    StrongCompositionFilter,
+)
 from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     AccessDeniedError,
+    BlockRetiredError,
     BudgetExceededError,
     InvalidBudgetError,
 )
@@ -155,38 +160,26 @@ class TestBatchedAdvanceEquivalence:
 
 
 class TestOneBatchPerHour:
-    def test_advance_issues_exactly_one_request_many(self):
-        """The acceptance invariant: no per-session access.request calls on
-        the platform path, and at most one request_many per hour (exactly
-        one on hours that commit charges)."""
+    def test_advance_commits_exactly_one_batch(self):
+        """The acceptance invariant: no per-session charges on the platform
+        path -- neither ``access.request``/``request_many`` nor the
+        accountant's ``charge``/``charge_many`` -- and at most one staged
+        commit landing charges per hour (exactly one on hours that commit
+        charges)."""
         sage = Sage(CountStreamSource(4000, scale=1000), seed=3)
         for i, c in enumerate((2_000.0, 10_000.0, 1e9)):
             sage.submit(
                 OraclePipeline(name=f"p{i}", n_at_eps1=c),
                 AdaptiveConfig(max_attempts=8),
             )
-        counts = {"request": 0, "request_many": 0}
-        orig_request = sage.access.request
-        orig_many = sage.access.request_many
-
-        def counting_request(*args, **kwargs):
-            counts["request"] += 1
-            return orig_request(*args, **kwargs)
-
-        def counting_many(*args, **kwargs):
-            counts["request_many"] += 1
-            return orig_many(*args, **kwargs)
-
-        sage.access.request = counting_request
-        sage.access.request_many = counting_many
+        counts = count_charge_paths(sage)
         for _ in range(20):
-            before_many = counts["request_many"]
+            before = counts["commits"]
             charges_before = len(sage.access.accountant.charges)
             sage.advance(1.0)
             committed = len(sage.access.accountant.charges) - charges_before
-            many_calls = counts["request_many"] - before_many
-            assert counts["request"] == 0
-            assert many_calls == (1 if committed else 0)
+            assert counts["per_request"] == 0
+            assert counts["commits"] - before == (1 if committed else 0)
             assert sage.last_hour_charges == committed
 
     def test_scalar_only_filter_is_rejected_not_routed(self):
@@ -301,6 +294,60 @@ class TestStagedBatch:
         assert context.block_keys == [0, 1, 2, 3]
         assert context.charges == []
         assert access.can_request([2], PrivacyBudget(0.25, 0.0), context="dev")
+
+    @pytest.mark.parametrize(
+        "factory",
+        [BasicCompositionFilter, StrongCompositionFilter, RenyiCompositionFilter],
+    )
+    def test_commit_staged_lands_what_charge_many_would(self, factory):
+        """The staged commit writes the overlay's rows without validating
+        again; the store and the charge log must end byte-identical to a
+        charge_many over the same requests (what WAL replay runs) and to
+        sequential charges."""
+        rng = np.random.default_rng(7)
+        twins = [BlockAccountant(1.0, 1e-6, filter_factory=factory) for _ in range(3)]
+        for acc in twins:
+            acc.register_blocks(range(10))
+        staged, replayed, sequential = twins
+        requests = []
+        for acc in (staged, replayed):
+            acc.begin_staging()
+        for j in range(30):
+            if j == 15:
+                for acc in twins:
+                    acc.register_block(10)  # lands after the overlay opened
+            n_keys = 11 if j >= 15 else 10
+            keys = [int(k) for k in rng.choice(n_keys, size=rng.integers(1, 6), replace=False)]
+            budget = PrivacyBudget(float(rng.uniform(0.001, 0.08)), 1e-10)
+            try:
+                staged.stage_charge(keys, budget, f"r{j}")
+            except (BudgetExceededError, BlockRetiredError):
+                continue
+            replayed.stage_charge(keys, budget, f"r{j}")
+            requests.append((keys, budget, f"r{j}"))
+        assert len(requests) > 10
+        records = staged.commit_staged()
+        replayed.charge_many(replayed.pop_staged())
+        for keys, budget, label in requests:
+            sequential.charge(keys, budget, label=label)
+        assert [r.label for r in records] == [label for _, _, label in requests]
+        for other in (replayed, sequential):
+            assert staged.store.totals.tobytes() == other.store.totals.tobytes()
+            assert staged.store.charge_counts.tobytes() == other.store.charge_counts.tobytes()
+            assert staged.charges == other.charges
+        assert not staged.staging_active
+
+    def test_commit_staged_refuses_a_rolled_back_block(self):
+        acc = self._accountant(n_blocks=2)
+        acc.begin_staging()
+        acc.stage_charge([0], PrivacyBudget(0.25, 0.0))
+        acc.register_block(99)
+        acc.stage_charge([99], PrivacyBudget(0.5, 0.0))
+        acc.rollback_registrations(2)
+        with pytest.raises(InvalidBudgetError):
+            acc.commit_staged()
+        assert acc.charges == [] and not acc.staging_active
+        assert not acc.store.totals.any() and not acc.store.charge_counts.any()
 
     def test_staged_commit_with_block_registered_mid_batch(self):
         acc = self._accountant(n_blocks=2)

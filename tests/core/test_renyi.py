@@ -13,7 +13,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from per_request_oracle import block_histories, per_request_drive
+from per_request_oracle import block_histories, count_charge_paths, per_request_drive
 
 from repro.core.accountant import BlockAccountant
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSession
@@ -437,26 +437,14 @@ class TestRenyiPlatformDrive:
             OraclePipeline(name="p", n_at_eps1=10_000.0),
             AdaptiveConfig(max_attempts=8),
         )
-        counts = {"request": 0, "request_many": 0}
-        orig_request, orig_many = sage.access.request, sage.access.request_many
-
-        def counting_request(*args, **kwargs):
-            counts["request"] += 1
-            return orig_request(*args, **kwargs)
-
-        def counting_many(*args, **kwargs):
-            counts["request_many"] += 1
-            return orig_many(*args, **kwargs)
-
-        sage.access.request = counting_request
-        sage.access.request_many = counting_many
+        counts = count_charge_paths(sage)
         for _ in range(12):
-            before = counts["request_many"]
+            before = counts["commits"]
             charged_before = len(sage.access.accountant.charges)
             sage.advance(1.0)
             committed = len(sage.access.accountant.charges) - charged_before
-            assert counts["request"] == 0
-            assert counts["request_many"] - before == (1 if committed else 0)
+            assert counts["per_request"] == 0
+            assert counts["commits"] - before == (1 if committed else 0)
 
 
 class TestPrunedOrdersPreset:

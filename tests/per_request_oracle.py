@@ -1,7 +1,8 @@
 """The per-request drive: the parity oracle for the staged hour.
 
 ``Sage.advance`` always stages: every proposal is validated against the
-hour's open batch, and the hour commits through one ``request_many`` call.
+hour's open batch, and the hour commits through one staged commit
+(:func:`count_charge_paths` counts the entry points).
 The reference it must match byte for byte charges each granted proposal
 at once through ``SageAccessControl.request``, with no batch open and
 therefore no shared scans.  That drive lives only here, as a patch of the
@@ -186,3 +187,35 @@ class PerLedgerReference:
             np.array([len(h) for h in self.histories], dtype=np.int64).tobytes(),
             list(self.charges),
         )
+
+
+def count_charge_paths(sage):
+    """Wrap every charge entry point of ``sage``'s stream: returns live
+    counts of per-request charges (``per_request``) and of staged commits
+    that landed charges (``commits``)."""
+    counts = {"per_request": 0, "commits": 0}
+    accountant = sage.access.accountant
+
+    def per_request(fn):
+        def wrapped(*args, **kwargs):
+            counts["per_request"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for owner, name in (
+        (sage.access, "request"),
+        (sage.access, "request_many"),
+        (accountant, "charge"),
+        (accountant, "charge_many"),
+    ):
+        setattr(owner, name, per_request(getattr(owner, name)))
+    commit = accountant.commit_staged
+
+    def counting_commit():
+        records = commit()
+        counts["commits"] += bool(records)
+        return records
+
+    accountant.commit_staged = counting_commit
+    return counts
