@@ -193,6 +193,9 @@ class LegacySage(SeedAdvanceLoop, Sage):
             new_block_epsilon_fn=self._new_block_share,
         )
 
+    def _waiting_pipelines(self):
+        return [p for p in self._pipelines if p.waiting]
+
     def _allocate_block(self, key):
         waiting = self._waiting_pipelines()
         if not waiting:

@@ -1,7 +1,8 @@
 """Purity rule: pure accountant read paths must not mutate anything.
 
 The propose/decide/settle protocol (PR 3) and the staged hour's shared
-scans both rest on one contract: ``AdaptiveSession.propose_peek`` and the
+scans both rest on one contract: ``AdaptiveSession.propose_peek``, the
+blocked-session verdict ``AdaptiveSession.provably_blocked`` and the
 accountant's read surface (``admits_keys`` / ``can_charge`` /
 ``max_epsilon``) are *pure reads*.  Sessions share memoized scans within
 an hour precisely because nothing along those paths writes -- a single
@@ -55,11 +56,13 @@ __all__ = ["PurityRule", "PURE_SEEDS"]
 
 # Entry points of the pure-read contract.  ``propose_peek`` is how the
 # serial drive asks a waiting session for its next proposal, and a pure
-# peek is what lets a blocked queue share the open batch's scan memo; the
-# accountant reads are what every window scan and admissibility decision
-# flows through.
+# peek is what lets a blocked queue share the open batch's scan memo;
+# ``provably_blocked`` is the one-row-read verdict the drive asks first,
+# under the same contract; the accountant reads are what every window
+# scan and admissibility decision flows through.
 PURE_SEEDS = (
     "propose_peek",
+    "provably_blocked",
     "admits_keys",
     "can_charge",
     "max_epsilon",
@@ -81,8 +84,9 @@ _SCOPE_PREFIX = "src/repro/core/"
 class PurityRule(Rule):
     name = "purity"
     description = (
-        "methods reachable from propose_peek/admits_keys/can_charge/"
-        "max_epsilon must not mutate session, accountant, or store state"
+        "methods reachable from propose_peek/provably_blocked/admits_keys/"
+        "can_charge/max_epsilon must not mutate session, accountant, or "
+        "store state"
     )
 
     def applies(self, module: Module) -> bool:

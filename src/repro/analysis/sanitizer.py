@@ -1,23 +1,24 @@
 """Runtime write-barrier sanitizer for the declared-pure read paths.
 
 The static purity rule proves that no *known* mutation is reachable from
-the pure seeds (``propose_peek``, ``admits_keys``, ``can_charge``,
-``max_epsilon``); this module enforces the same contract dynamically so
-the parts the static layer cannot see -- C-level NumPy writes, monkeypatched
-callables, reflection -- still fault loudly instead of silently skewing
-the ledger.  While a declared-pure call is on the stack, the accounting
-slabs (``LedgerStore._totals``/``_counts``) are flipped to
-``writeable=False``; any in-place write raises ``ValueError: assignment
-destination is read-only`` at the exact offending line.
+the pure seeds (``propose_peek``, ``provably_blocked``, ``admits_keys``,
+``can_charge``, ``max_epsilon``); this module enforces the same contract
+dynamically so the parts the static layer cannot see -- C-level NumPy
+writes, monkeypatched callables, reflection -- still fault loudly instead
+of silently skewing the ledger.  While a declared-pure call is on the
+stack, the accounting slabs (``LedgerStore._totals``/``_counts``) are
+flipped to ``writeable=False``; any in-place write raises ``ValueError:
+assignment destination is read-only`` at the exact offending line.
 
 Deliberately **not** frozen:
 
 * ``LedgerStore._live`` -- deferred retirement marks exhausted blocks
   from read paths (a reviewed ``allow(purity)`` site); freezing it would
   fault on sanctioned behavior.
-* the reservation table and scan memo -- the peek path only reads the
-  table (its stored ``row_budget_fn`` hook is checked by the purity
-  tests), and the memo cache-fill on read paths is a reviewed allow site.
+* the reservation table and scan memo -- the peek and verdict paths only
+  read the table (its stored ``row_budget_fn`` hook is checked by the
+  purity tests), and the memo cache-fill on read paths is a reviewed
+  allow site.
 
 Usage: ``install()`` wraps the pure entry points in place (idempotent;
 ``uninstall()`` restores them), and ``REPRO_SANITIZER=1`` makes the test
@@ -99,11 +100,12 @@ def install() -> None:
 
     for method in ("admits_keys", "can_charge", "max_epsilon"):
         _wrap(BlockAccountant, method, lambda acct: acct._store)
-    _wrap(
-        AdaptiveSession,
-        "propose_peek",
-        lambda session: session.access.accountant._store,
-    )
+    for method in ("propose_peek", "provably_blocked"):
+        _wrap(
+            AdaptiveSession,
+            method,
+            lambda session: session.access.accountant._store,
+        )
 
 
 def uninstall() -> None:

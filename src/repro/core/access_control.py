@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.accountant import BlockAccountant, ChargeRecord
 from repro.core.filters import PrivacyFilter
 from repro.dp.budget import PrivacyBudget
@@ -145,6 +147,15 @@ class SageAccessControl:
         return self._accountant.usable_blocks_tail(
             min_budget, count, row_filter=row_filter
         )
+
+    def admit_rows(
+        self, min_budget: Optional[PrivacyBudget], principal: Optional[str] = None
+    ) -> np.ndarray:
+        """Store rows of the blocks that can absorb ``min_budget``, in
+        registration order: the row-native form of :meth:`offer_blocks`
+        (stream-wide; read-only while a staged batch is open)."""
+        self._check_principal(principal)
+        return self._accountant.admit_rows(min_budget)
 
     def can_request(
         self,

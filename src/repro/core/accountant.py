@@ -50,8 +50,8 @@ filtered by key.
 
 Batched-API contract: the ``filter_factory`` runs once per accountant, and
 the one filter it builds makes every decision -- charges, ``charge_many``
-batches, staged charges and the whole-stream scans (``usable_blocks``,
-``usable_blocks_tail``, ``can_charge``, ``max_epsilon``,
+batches, staged charges and the whole-stream scans (``admit_rows``,
+``usable_blocks``, ``usable_blocks_tail``, ``can_charge``, ``max_epsilon``,
 ``retired_blocks``) and the ``stream_loss_bound`` report -- through its
 ``admits_batch`` / ``max_epsilon_batch`` / ``loss_bound_batch`` over store
 rows.  Every filter must therefore decide from a block's totals row alone.
@@ -98,9 +98,10 @@ supports this with a :class:`StagedBatch` overlay opened by
   float operations) and records it without touching the store.  A refusal
   raises the same error ``charge`` would and stages nothing.
 * While a batch is open, every admissibility read (``admits_keys``,
-  ``can_charge``, ``max_epsilon``, ``usable_blocks``/``usable_blocks_tail``)
-  sees the effective totals, so later proposers contend with earlier staged
-  charges exactly as they would with committed ones.  ``stream_loss_bound``
+  ``can_charge``, ``max_epsilon``, ``admit_rows`` and the keyed
+  ``usable_blocks``/``usable_blocks_tail`` over it) sees the effective
+  totals, so later proposers contend with earlier staged charges exactly
+  as they would with committed ones.  ``stream_loss_bound``
   and the charge log keep reporting *committed* state only, and retirement
   is not persisted until the batch closes (scans still filter staged-retired
   blocks out).
@@ -972,11 +973,18 @@ class BlockAccountant:
             memo[floor] = live_rows
         return live_rows
 
+    def admit_rows(self, min_budget: Optional[PrivacyBudget] = None) -> np.ndarray:
+        """Store rows of the blocks that can still absorb ``min_budget``
+        (default: the retirement threshold), in registration order -- the
+        one whole-stream scan every block read goes through.  While a
+        staged batch is open the array is the batch's shared scan-memo
+        entry: read-only, and valid until the next successful stage."""
+        return self._live_admit_rows(min_budget or self.retirement_budget)
+
     def usable_blocks(self, min_budget: Optional[PrivacyBudget] = None) -> List[object]:
         """Keys of blocks that can still absorb ``min_budget`` (default: the
         retirement threshold), in registration order."""
-        floor = min_budget or self.retirement_budget
-        return [self._keys[i] for i in self._live_admit_rows(floor)]
+        return [self._keys[i] for i in self.admit_rows(min_budget)]
 
     def usable_blocks_tail(
         self,
@@ -985,14 +993,13 @@ class BlockAccountant:
         row_filter=None,
     ) -> List[object]:
         """The newest ``count`` usable blocks (chronological order) -- the
-        hot path of window selection.  One vectorized admit pass over live
-        blocks; ``row_filter`` is the caller's own filter (an ndarray of
-        store rows -> boolean mask, e.g. the platform's reservation check),
+        hot path of window selection, keyed over :meth:`admit_rows`;
+        ``row_filter`` is the caller's own filter (an ndarray of store
+        rows -> boolean mask, e.g. the platform's reservation check),
         called once and only on rows that admitted the floor."""
         if count <= 0:
             return []
-        floor = min_budget or self.retirement_budget
-        rows = self._live_admit_rows(floor)
+        rows = self.admit_rows(min_budget)
         if row_filter is not None and rows.size:
             rows = rows[np.asarray(row_filter(rows), dtype=bool)]
         return [self._keys[i] for i in rows[-count:]]

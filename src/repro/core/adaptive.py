@@ -312,6 +312,40 @@ class AdaptiveSession:
     # ------------------------------------------------------------------
     # The two-phase protocol
     # ------------------------------------------------------------------
+    def provably_blocked(self) -> bool:
+        """True only if :meth:`propose_peek` would return
+        ``(None, NEED_DATA)`` -- decided from one row read, with no window
+        search.
+
+        Every window :meth:`_select_attempt` can try needs
+        ``window_blocks`` store rows that admit its budget and hold its
+        epsilon in this session's reservation row: the main window asks
+        for ``epsilon``, the contention fallback for ``epsilon_floor``.
+        Every built-in filter is monotone in epsilon at a fixed delta (a
+        row admitting ``(e, delta)`` admits ``(e', delta)`` for every
+        ``e' <= e``; see :class:`~repro.core.filters.PrivacyFilter`), and
+        so is the reservation comparison, so the rows qualifying at
+        ``lowest = min(epsilon, epsilon_floor)`` contain those of both
+        windows.  Fewer than ``window_blocks`` of them means neither
+        window exists.  False means nothing: the full search decides.  The
+        budgets are rebuilt from the live fields on every call, since WAL
+        replay and the hour rollback rewrite them in place.  A pure read,
+        like :meth:`propose_peek`; while the hour's batch is open it shares
+        the batch's scan memo.
+        """
+        if self.status not in (SessionStatus.RUNNING, SessionStatus.NEED_DATA):
+            return False
+        if len(self.attempts) >= self.config.max_attempts:
+            return False  # propose_peek would report TIMEOUT
+        lowest = min(self.epsilon, self.epsilon_floor)
+        rows = self.access.admit_rows(PrivacyBudget(lowest, self.delta))
+        if rows.size < self.window_blocks:
+            return True
+        if self._row_budget_fn is None:
+            return False
+        held = self._row_budget_fn(rows) + 1e-12 >= lowest
+        return int(np.count_nonzero(held)) < self.window_blocks
+
     def propose_peek(self) -> Tuple[Optional[ChargeProposal], str]:
         """Preview :meth:`propose` without mutating *any* session state.
 
@@ -328,6 +362,12 @@ class AdaptiveSession:
         sessions blocked at the same floor reuse one whole-stream admit
         scan until a successful stage, a block registration or a
         registration rollback clears the memo.
+
+        The peek always runs the full window search.  The platform asks
+        the cheaper :meth:`provably_blocked` first, once per session and
+        hour, and calls :meth:`propose` only when that verdict is False; a
+        check here instead would rescan after every staged charge clears
+        the memo, on every proposal of a session that is not blocked.
         """
         status = self.status
         if status == SessionStatus.NEED_DATA:

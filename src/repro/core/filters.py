@@ -136,7 +136,19 @@ def _as_totals_matrix(totals, width: int = TOTALS_BASE) -> np.ndarray:
 
 
 class PrivacyFilter(abc.ABC):
-    """Admissibility rule for charging DP queries against one block."""
+    """Admissibility rule for charging DP queries against one block.
+
+    Contract: decisions come from a block's totals row alone (see the
+    module docstring), and admission is monotone in epsilon at a fixed
+    delta -- on any totals rows, ``admits_batch(rows, (e', delta))`` admits
+    every row ``admits_batch(rows, (e, delta))`` admits, for every
+    ``e' <= e``.  Spending less can never be refused where spending more
+    is admitted.  The platform relies on it to skip a blocked session:
+    counting the rows that admit the session's lowest attemptable epsilon
+    bounds every window it could try (``AdaptiveSession.provably_blocked``).
+    Every built-in filter holds it, and ``tests/core/test_filters.py``
+    checks it as a property.
+    """
 
     def __init__(self, epsilon_global: float, delta_global: float) -> None:
         if epsilon_global <= 0:

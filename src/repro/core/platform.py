@@ -79,6 +79,24 @@ blocked sessions at one floor shares a single scan, and every decision is
 identical to rescanning.  Sessions are driven serially in submission
 order (they share one RNG stream).
 
+Blocked sessions
+----------------
+Past the knee of Fig. 8 most waiting sessions are parked in NEED_DATA,
+and a window search (``propose_peek``) costs up to two scans, budget and
+key-list builds and an allocation-rate read over every pipeline.  Before
+a session's first proposal of the hour the drive asks its one-row-read
+verdict, :meth:`~repro.core.adaptive.AdaptiveSession.provably_blocked`,
+which is True when fewer than ``window_blocks`` store rows both admit the
+session's lowest attemptable epsilon and hold that epsilon in its
+reservation row.  Every built-in filter admits at least the same rows at
+a lower epsilon (the monotonicity clause of the
+:class:`~repro.core.filters.PrivacyFilter` contract), so then no window
+the search could try exists, and the session ends the hour in NEED_DATA
+without a proposal -- exactly the state ``wake()`` followed by
+``propose() -> None`` leaves.  The verdict is a pure read, so the skip
+changes no decision, trace tick, digest or WAL byte; the test suite's
+forced-poll drive, which polls every session, is its parity reference.
+
 Reservation table
 -----------------
 Per-pipeline epsilon reservations live in one contiguous
@@ -550,9 +568,6 @@ class Sage:
     # ------------------------------------------------------------------
     # Allocation (conserve strategy of §3.3, one table op per step)
     # ------------------------------------------------------------------
-    def _waiting_pipelines(self) -> List[SubmittedPipeline]:
-        return [p for p in self._pipelines if p.waiting]
-
     def _waiting_rows(self) -> np.ndarray:
         return np.fromiter(
             (p.table_row for p in self._pipelines if p.waiting), dtype=np.intp
@@ -560,8 +575,8 @@ class Sage:
 
     def _new_block_share(self) -> float:
         """Per-pipeline epsilon a freshly created block would grant now."""
-        waiting = max(1, len(self._waiting_pipelines()))
-        return self.epsilon_global / waiting
+        waiting = sum(1 for p in self._pipelines if p.waiting)
+        return self.epsilon_global / max(1, waiting)
 
     def _allocate_block(self, key: object) -> None:
         """Divide a new block's budget evenly among waiting pipelines."""
@@ -624,15 +639,26 @@ class Sage:
     def _drive_session(self, entry: SubmittedPipeline) -> None:
         """Run one session's propose/decide/complete loop for this hour.
 
-        Every proposal is validated against the hour's staged batch, its
-        window assembled, and the decision fed back; a refusal becomes a
-        denied decision, so the session blocks on NEED_DATA with escalation
-        state untouched instead of the refusal propagating.  A granted
-        attempt settles into the reservation table right after its
-        ``complete()``, before the session proposes again.
+        A session whose verdict proves it blocked (``provably_blocked``,
+        asked once, before the first proposal) goes back to NEED_DATA
+        without proposing: the verdict is True only when every window the
+        search could try is short of funded rows, so ``propose()`` would
+        have returned ``None`` with that status (see "Blocked sessions"
+        in the module docstring).  Otherwise every proposal is validated
+        against the hour's staged batch, its window assembled, and the
+        decision fed back; a refusal becomes a denied decision, so the
+        session blocks on NEED_DATA with escalation state untouched
+        instead of the refusal propagating.  A granted attempt settles
+        into the reservation table right after its ``complete()``, before
+        the session proposes again.
         """
         session = entry.session
         session.wake()
+        if session.provably_blocked():
+            # What propose() -> None leaves: the verdict proved the window
+            # search would find nothing.
+            session.status = SessionStatus.NEED_DATA
+            return
         metrics = self._metrics
         tracer = self._tracer
         while session.status == SessionStatus.RUNNING:
@@ -1134,7 +1160,7 @@ class Sage:
         released: List[ReleasedBundle] = []
         for _ in range(max_hours):
             released.extend(self.advance(1.0))
-            if not self._waiting_pipelines():
+            if not any(p.waiting for p in self._pipelines):
                 break
         return released
 

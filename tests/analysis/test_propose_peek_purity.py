@@ -5,7 +5,9 @@ name-based analysis cannot see through stored callables (allocation hooks,
 row filters).  This test closes that hole at runtime: it fingerprints the
 complete object graph of a live session -- accountant, ledgers, store
 arrays, reservation state, RNG state, everything reachable -- calls
-``propose_peek``, and requires the fingerprint to be byte-identical.
+``propose_peek`` (or the blocked-session verdict ``provably_blocked``,
+the other pure seed on a session), and requires the fingerprint to be
+byte-identical.
 
 Reservation state is pure from the first call: on a platform session the
 peek reads its allocation through ``row_budget_fn`` and never settles, so
@@ -128,17 +130,23 @@ def _walk(obj, path, seen, out):
         out.append((path, f"<opaque {type(obj).__qualname__}>"))
 
 
-def assert_peek_leaves_no_trace(session, access):
-    session.propose_peek()  # warm-up: benign caches may fill exactly once
+def assert_read_leaves_no_trace(read, session, access):
+    """Call the pure read ``read`` (a method name) twice and require the
+    whole object graph to be unchanged across the second call."""
+    getattr(session, read)()  # warm-up: benign caches may fill exactly once
     before = fingerprint((session, access))
-    result = session.propose_peek()
+    result = getattr(session, read)()
     after = fingerprint((session, access))
     for (path_b, val_b), (path_a, val_a) in zip(before, after):
         assert path_b == path_a and val_b == val_a, (
-            f"propose_peek mutated state at {path_b}"
+            f"{read} mutated state at {path_b}"
         )
     assert len(before) == len(after)
     return result
+
+
+def assert_peek_leaves_no_trace(session, access):
+    return assert_read_leaves_no_trace("propose_peek", session, access)
 
 
 class TestProposePeekIsPure:
@@ -220,3 +228,56 @@ class TestPlatformAllocationReadIsPure:
         for _ in range(4):
             sage.advance(1.0)
         assert checks, "no proposal followed a granted complete()"
+
+
+class TestBlockedVerdictIsPure:
+    """``provably_blocked`` is a pure seed too: the same whole-graph
+    snapshot, taken around the verdict."""
+
+    def test_fresh_session(self):
+        db, access = build_world()
+        session = AdaptiveSession(
+            _Threshold(), access, db, AdaptiveConfig(), np.random.default_rng(0)
+        )
+        assert assert_read_leaves_no_trace("provably_blocked", session, access) is False
+
+    def test_blocked_session(self):
+        session = AdaptiveSession(
+            _Threshold(),
+            SageAccessControl(1.0, 1e-6),  # no blocks: provably blocked
+            GrowingDatabase(),
+            AdaptiveConfig(),
+            np.random.default_rng(0),
+        )
+        session.status = SessionStatus.NEED_DATA
+        access = session.access
+        assert assert_read_leaves_no_trace("provably_blocked", session, access) is True
+        assert session.status == SessionStatus.NEED_DATA
+
+    def test_platform_session_mid_hour(self):
+        """Inside an open hour, with a staged charge and the reservation
+        hook in play, the verdict moves neither the table nor the batch."""
+        sage = Sage(CountStreamSource(4000, scale=1000), seed=5)
+        sage.advance(3.0)  # nobody waits: the blocks' budget is free
+        entries = [
+            sage.submit(
+                OraclePipeline(name=f"p{i}", n_at_eps1=1e9),
+                AdaptiveConfig(min_window_blocks=2 ** (3 * i)),
+            )
+            for i in range(2)
+        ]
+        sage._grant_free_pool()  # as the next hour's opening would
+        access = sage.access
+        access.begin_staging()
+        try:
+            key = access.accountant.block_keys[0]
+            access.stage_request([key], PrivacyBudget(0.01, 0.0))
+            verdicts = [
+                assert_read_leaves_no_trace(
+                    "provably_blocked", e.session, (access, sage.reservation_table)
+                )
+                for e in entries
+            ]
+        finally:
+            access.abort_staged()
+        assert verdicts == [False, True]  # 1 of 3 blocks is funded; 8 are not

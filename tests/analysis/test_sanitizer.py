@@ -134,3 +134,25 @@ class TestEndToEnd:
         monkeypatch.setattr(AdaptiveSession, "_select_attempt", leaky)
         with pytest.raises(ValueError, match="read-only"):
             session.propose_peek()
+
+    def test_leaky_hook_in_the_blocked_verdict_trips_the_barrier(
+        self, installed_sanitizer
+    ):
+        """The verdict is wrapped like the peek: an allocation hook that
+        writes the ledger faults at the write."""
+        db, access = build_world()
+
+        def leaky_budget(rows):
+            access.accountant.store.totals[0, TOT_EPS] += 1.0
+            return np.ones(len(rows))
+
+        session = AdaptiveSession(
+            NeverPipeline(),
+            access,
+            db,
+            AdaptiveConfig(),
+            np.random.default_rng(0),
+            row_budget_fn=leaky_budget,
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            session.provably_blocked()

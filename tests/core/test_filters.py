@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.accountant import TOT_DELTA, TOT_EPS, TOT_LINEAR, TOT_SQ
-from repro.core.filters import BasicCompositionFilter, StrongCompositionFilter
+from repro.core.filters import (
+    BasicCompositionFilter,
+    RenyiCompositionFilter,
+    StrongCompositionFilter,
+)
 from repro.dp.budget import PrivacyBudget
 from repro.errors import InvalidBudgetError
 
@@ -333,3 +338,50 @@ class TestBatchedMatchesScalar:
         matrix = np.zeros((0, 4))
         assert f.admits_batch(matrix, PrivacyBudget(0.1, 0.0)).shape == (0,)
         assert f.max_epsilon_batch(matrix, 0.0) == 0.0
+
+
+MONOTONE_FILTERS = {
+    "basic": lambda: BasicCompositionFilter(1.0, 1e-6),
+    "strong": lambda: StrongCompositionFilter(1.0, 1e-6),
+    "renyi-pruned": lambda: RenyiCompositionFilter(1.0, 1e-6, orders="pruned"),
+    "renyi-full": lambda: RenyiCompositionFilter(1.0, 1e-6),
+}
+
+
+class TestMonotoneInEpsilon:
+    """The filter contract the blocked-session verdict rests on: at a fixed
+    delta, lowering the candidate epsilon never shrinks the admitted set."""
+
+    @pytest.mark.parametrize("name", sorted(MONOTONE_FILTERS))
+    @given(
+        data=st.data(),
+        eps=st.floats(min_value=0.0, max_value=1.5),
+        shrink=st.floats(min_value=0.0, max_value=1.0),
+        delta=st.sampled_from([0.0, 1e-9, 2e-7]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_admitted_rows_grow_as_epsilon_falls(self, name, data, eps, shrink, delta):
+        f = MONOTONE_FILTERS[name]()
+        n_rows = data.draw(st.integers(min_value=1, max_value=40))
+        rows = data.draw(
+            hnp.arrays(
+                np.float64,
+                (n_rows, f.totals_width),
+                elements=st.floats(min_value=0.0, max_value=1.5),
+            )
+        )
+        rows[:, TOT_DELTA] *= 1e-7  # spent delta well inside the policy
+        narrow = f.admits_batch(rows, PrivacyBudget(eps, delta))
+        # A random lower epsilon, two fixed fractions of it, zero, and the
+        # float just below ``eps``.
+        for lower in (
+            eps * shrink,
+            eps / 2.0,
+            eps / 16.0,
+            0.0,
+            float(np.nextafter(eps, 0.0)),
+        ):
+            wide = f.admits_batch(rows, PrivacyBudget(lower, delta))
+            assert not (narrow & ~wide).any(), (
+                f"{name}: admitted at epsilon {eps!r} but refused at {lower!r}"
+            )

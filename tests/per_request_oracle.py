@@ -19,6 +19,17 @@ called, so a parity test cannot silently compare the staged drive with
 itself.  Use it on volatile platforms only: a durable hour would write
 ahead an empty request batch.
 
+The platform skips a waiting session for the hour when
+``AdaptiveSession.provably_blocked`` proves its window search would find
+nothing.  :func:`forced_poll_drive` is the reference for that skip: inside
+it the verdict always answers False, so every waiting session is polled
+through ``propose()`` every hour, as before the verdict existed.  Like the
+per-request drive it is a patch, not an option:
+
+    with forced_poll_drive() as seen:
+        sage.advance(1.0)
+    assert seen["verdicts"]  # the drive did consult the (patched) verdict
+
 The accountant keeps no per-block objects: its store rows and its charge
 log are the whole state.  Two more references check that state from the
 outside:
@@ -37,10 +48,16 @@ import numpy as np
 
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import BlockAccountant
+from repro.core.adaptive import AdaptiveSession
 from repro.dp.budget import PrivacyBudget
 from repro.errors import BlockRetiredError, BudgetExceededError
 
-__all__ = ["PerLedgerReference", "block_histories", "per_request_drive"]
+__all__ = [
+    "PerLedgerReference",
+    "block_histories",
+    "forced_poll_drive",
+    "per_request_drive",
+]
 
 
 @contextmanager
@@ -74,6 +91,21 @@ def per_request_drive():
     assert seen == {"batches_opened": 0, "request_many_calls": 0}, (
         f"the per-request drive ran staged: {seen}"
     )
+
+
+@contextmanager
+def forced_poll_drive():
+    """Poll every waiting session every hour: the blocked-session verdict
+    answers False inside the block.  Yields live counts of the verdicts
+    asked (``verdicts``)."""
+    seen = {"verdicts": 0}
+
+    def never_blocked(self):
+        seen["verdicts"] += 1
+        return False
+
+    with mock.patch.object(AdaptiveSession, "provably_blocked", never_blocked):
+        yield seen
 
 
 def block_histories(accountant):
