@@ -7,8 +7,9 @@ every waiting session's one-row-read verdict
 (``propose_peek``) for the sessions it proves blocked.
 
 This script builds a Fig. 8-style backlog from public parts -- Gamma
-(shape 2) arrivals at ``--rate`` per hour, power-law oracle pipelines, a
-count stream -- and drives it twice from the same seed:
+(shape 2) arrivals at ``RATE`` per hour for ``HOURS`` hours
+(``arrival_schedule`` in ``tests/per_request_oracle.py``), power-law
+oracle pipelines, a count stream -- and drives it twice from ``SEED``:
 
 * the default drive, which skips proven-blocked sessions;
 * the forced-poll drive (``forced_poll_drive`` in
@@ -40,45 +41,23 @@ for _path in (_ROOT / "src", _ROOT / "tests"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
-import numpy as np
-
-from per_request_oracle import forced_poll_drive
+from per_request_oracle import arrival_schedule, forced_poll_drive
 from repro.core import durability
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSession
 from repro.core.platform import Sage
-from repro.workload import (
-    CountStreamSource,
-    GammaArrivals,
-    OraclePipeline,
-    PowerLawComplexity,
-)
+from repro.workload import CountStreamSource
 
 # The Fig. 8 escalation schedule: start at 1/16, double up to 1.
 CONFIG = AdaptiveConfig(
     epsilon_start=1.0 / 16.0, epsilon_cap=1.0, min_window_blocks=1, max_attempts=64
 )
+# About three times the Fig. 8 knee: most of the queue waits for data.
+HOURS, RATE, SEED = 200, 2.0, 0
 
 
-def backlog_schedule(rate, hours, seed):
-    """``schedule[h]``: the pipelines submitted before the h-th hour."""
-    rng = np.random.default_rng(seed)
-    arrivals, complexity = GammaArrivals(rate, 2.0), PowerLawComplexity()
-    schedule = [[] for _ in range(hours)]
-    clock, count = 0.0, 0
-    while True:
-        clock += arrivals.sample_interarrival(rng)
-        hour = int(np.ceil(clock))
-        if hour >= hours:
-            return schedule
-        schedule[hour].append(
-            OraclePipeline(name=f"p{count}", n_at_eps1=float(complexity.sample(rng)))
-        )
-        count += 1
-
-
-def drive(args, forced):
+def drive(forced):
     """One episode; returns its peek count, outputs, digest and wall time."""
-    sage = Sage(CountStreamSource(16_000, scale=1000), seed=args.seed)
+    sage = Sage(CountStreamSource(16_000, scale=1000), seed=SEED)
     peek = AdaptiveSession.propose_peek
     peeks = 0
 
@@ -91,7 +70,7 @@ def drive(args, forced):
         AdaptiveSession, "propose_peek", counting_peek
     ):
         start = time.perf_counter()
-        for arrivals in backlog_schedule(args.rate, args.hours, args.seed):
+        for arrivals in arrival_schedule(HOURS, RATE, SEED):
             for pipeline in arrivals:
                 sage.submit(pipeline, CONFIG)
             sage.advance(1.0)
@@ -114,9 +93,6 @@ def drive(args, forced):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--hours", type=int, default=200)
-    parser.add_argument("--rate", type=float, default=2.0)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--assert-propose-reduction",
         type=float,
@@ -125,14 +101,14 @@ def main():
         help="exit 1 unless propose_peek calls fell by at least this fraction",
     )
     args = parser.parse_args()
-    skipped = drive(args, forced=False)
-    polled = drive(args, forced=True)
+    skipped = drive(forced=False)
+    polled = drive(forced=True)
     if skipped["digest"] != polled["digest"] or skipped["outputs"] != polled["outputs"]:
         print("PARITY FAILURE: the default and forced-poll drives diverged")
         return 1
     reduction = 1.0 - skipped["propose_peek"] / max(1, polled["propose_peek"])
     print(
-        f"backlog: {args.hours} hours at {args.rate}/h, seed {args.seed}: "
+        f"backlog: {HOURS} hours at {RATE}/h, seed {SEED}: "
         f"{skipped['sessions']} pipelines, {skipped['charges']} charges, "
         f"state digest {skipped['digest']:#010x} on both drives"
     )

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from per_request_oracle import forced_poll_drive
+from per_request_oracle import arrival_schedule, forced_poll_drive
 
 from repro.core import durability, faults
 from repro.core.access_control import SageAccessControl
@@ -40,12 +40,7 @@ from repro.core.validation.outcomes import Outcome
 from repro.data.database import GrowingDatabase
 from repro.dp.budget import ZERO_BUDGET, PrivacyBudget
 from repro.errors import BlockRetiredError, BudgetExceededError
-from repro.workload import (
-    CountStreamSource,
-    GammaArrivals,
-    OraclePipeline,
-    PowerLawComplexity,
-)
+from repro.workload import CountStreamSource, OraclePipeline
 
 FILTERS = {
     "basic": None,
@@ -218,23 +213,6 @@ CONFIG = AdaptiveConfig(
 )
 
 
-def _schedule(rate, seed=7):
-    """Fig. 8-style arrivals: Gamma(shape 2) gaps at ``rate`` per hour,
-    power-law oracle pipelines; ``schedule[h]`` is submitted before hour h."""
-    rng = np.random.default_rng(seed)
-    arrivals, complexity = GammaArrivals(rate, 2.0), PowerLawComplexity()
-    schedule = [[] for _ in range(HOURS)]
-    clock = 0.0
-    while True:
-        clock += arrivals.sample_interarrival(rng)
-        hour = int(np.ceil(clock))
-        if hour >= HOURS:
-            return schedule
-        name = f"p{sum(len(s) for s in schedule)}"
-        pipeline = OraclePipeline(name=name, n_at_eps1=float(complexity.sample(rng)))
-        schedule[hour].append((pipeline, CONFIG))
-
-
 def _drive(wal_dir, filter_name, mix, forced):
     """Drive a durable platform through a rolled-back hour and a recovery;
     returns every artifact the skip could perturb."""
@@ -259,16 +237,17 @@ def _drive(wal_dir, filter_name, mix, forced):
     with forced_poll_drive() if forced else nullcontext() as seen, mock.patch.object(
         AdaptiveSession, "propose_peek", counting_peek
     ):
-        for hour, arrivals in enumerate(_schedule(ARRIVAL_RATES[mix])):
+        schedule = arrival_schedule(HOURS, ARRIVAL_RATES[mix], seed=7)
+        for hour, arrivals in enumerate(schedule):
             if hour == RECOVER_HOUR:
                 digest = durability.state_digest(sage)
                 sage.close()
                 sage = build()
                 sage.recover(submitted)
                 assert durability.state_digest(sage) == digest
-            for pipeline, config in arrivals:
-                sage.submit(pipeline, config)
-                submitted.append((pipeline, config))
+            for pipeline in arrivals:
+                sage.submit(pipeline, CONFIG)
+                submitted.append((pipeline, CONFIG))
             if hour == ROLLBACK_HOUR:
                 with faults.armed_error("settle.mid_session", skip=1):
                     with pytest.raises(faults.InjectedFault):

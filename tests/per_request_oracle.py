@@ -30,6 +30,9 @@ per-request drive it is a patch, not an option:
         sage.advance(1.0)
     assert seen["verdicts"]  # the drive did consult the (patched) verdict
 
+:func:`arrival_schedule` builds the Fig. 8-style arrivals those parity
+drives submit.
+
 The accountant keeps no per-block objects: its store rows and its charge
 log are the whole state.  Two more references check that state from the
 outside:
@@ -51,9 +54,11 @@ from repro.core.accountant import BlockAccountant
 from repro.core.adaptive import AdaptiveSession
 from repro.dp.budget import PrivacyBudget
 from repro.errors import BlockRetiredError, BudgetExceededError
+from repro.workload import GammaArrivals, OraclePipeline, PowerLawComplexity
 
 __all__ = [
     "PerLedgerReference",
+    "arrival_schedule",
     "block_histories",
     "forced_poll_drive",
     "per_request_drive",
@@ -106,6 +111,25 @@ def forced_poll_drive():
 
     with mock.patch.object(AdaptiveSession, "provably_blocked", never_blocked):
         yield seen
+
+
+def arrival_schedule(hours, rate, seed):
+    """Fig. 8-style arrivals: Gamma(shape 2) gaps at ``rate`` per hour and
+    power-law oracle pipelines; ``schedule[h]`` lists the pipelines
+    submitted before the h-th hour."""
+    rng = np.random.default_rng(seed)
+    arrivals, complexity = GammaArrivals(rate, 2.0), PowerLawComplexity()
+    schedule = [[] for _ in range(hours)]
+    clock, count = 0.0, 0
+    while True:
+        clock += arrivals.sample_interarrival(rng)
+        hour = int(np.ceil(clock))
+        if hour >= hours:
+            return schedule
+        schedule[hour].append(
+            OraclePipeline(name=f"p{count}", n_at_eps1=float(complexity.sample(rng)))
+        )
+        count += 1
 
 
 def block_histories(accountant):
