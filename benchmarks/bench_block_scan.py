@@ -4,9 +4,9 @@ The ROADMAP's north star is streams with thousands of hours of blocks, so
 ``usable_blocks`` / ``can_charge`` scans -- executed by every session of
 every pipeline, every simulated hour -- must not be Python-object loops.
 This bench times the accountant's vectorized struct-of-arrays scans against
-the seed's per-ledger loop -- a Python loop over the store rows asking the
-filter's scalar ``admits`` one block at a time -- at 1k / 10k / 100k
-registered blocks.
+the seed's per-ledger loop -- a Python loop over the store rows applying
+the basic filter's per-row rule (:func:`basic_admits_row`) one block at a
+time -- at 1k / 10k / 100k registered blocks.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_block_scan.py``)
 or through pytest (the 10k case asserts the >= 5x acceptance threshold and
@@ -25,7 +25,7 @@ if str(_SRC) not in sys.path:
 import numpy as np
 
 from benchjson import write_bench_json, write_bench_report
-from repro.core.accountant import BlockAccountant
+from repro.core.accountant import TOT_DELTA, TOT_EPS, BlockAccountant
 from repro.dp.budget import PrivacyBudget
 
 SIZES = (1_000, 10_000, 100_000)
@@ -48,13 +48,23 @@ def build_accountant(n_blocks: int, seed: int = 0) -> BlockAccountant:
 # ----------------------------------------------------------------------
 # The seed's per-ledger loops, preserved as the baseline under test.
 # ----------------------------------------------------------------------
+def basic_admits_row(filter_obj, candidate: PrivacyBudget, totals: tuple) -> bool:
+    """Basic composition decided on one totals row, with the float
+    operations of the seed's per-ledger rule."""
+    eps_sum, delta_sum = totals[TOT_EPS], totals[TOT_DELTA]
+    total = PrivacyBudget(
+        eps_sum + candidate.epsilon, min(1.0, delta_sum + candidate.delta)
+    )
+    return total.fits_within(filter_obj.global_budget)
+
+
 def legacy_usable_blocks(acc: BlockAccountant, floor: PrivacyBudget):
-    admits = acc.batch_filter.admits
+    filt = acc.batch_filter
     out = []
     for key, row in zip(acc.block_keys, acc.store.totals.tolist()):
-        if not admits((), acc.retirement_budget, totals=tuple(row)):
+        if not basic_admits_row(filt, acc.retirement_budget, tuple(row)):
             continue  # retired
-        if admits((), floor, totals=tuple(row)):
+        if basic_admits_row(filt, floor, tuple(row)):
             out.append(key)
     return out
 
@@ -62,10 +72,10 @@ def legacy_usable_blocks(acc: BlockAccountant, floor: PrivacyBudget):
 def legacy_can_charge(acc: BlockAccountant, keys, budget: PrivacyBudget) -> bool:
     if not keys:
         return False
-    admits = acc.batch_filter.admits
+    filt = acc.batch_filter
     totals = acc.store.totals
     return all(
-        admits((), budget, totals=tuple(totals[row].tolist()))
+        basic_admits_row(filt, budget, tuple(totals[row].tolist()))
         for row in acc.rows_for_keys(keys)
     )
 

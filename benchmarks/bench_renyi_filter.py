@@ -11,8 +11,9 @@ Two claims, both gated in CI:
   (``--assert-admission-gain``).
 * **Scan parity.**  The order-extended ``(n, 4 + len(orders))`` store keeps
   whole-stream scans a single vectorized pass: the Renyi accountant's
-  ``usable_blocks`` + ``can_charge`` hot path must beat a per-block scalar
-  loop over the store rows by the usual factor (``--assert-speedup``) and
+  ``usable_blocks`` + ``can_charge`` hot path must beat a per-block loop
+  over the store rows (:func:`renyi_admits_row` one block at a time) by
+  the usual factor (``--assert-speedup``) and
   stay within a small constant of the 4-column strong filter's scans
   (``--assert-scan-ratio``).
 
@@ -62,11 +63,9 @@ WINDOW = 256
 # Admission gain: charges absorbed by one block before refusal
 # ----------------------------------------------------------------------
 def count_admitted(filter_obj, charge) -> int:
-    totals = np.zeros(filter_obj.totals_width)
+    totals = np.zeros((1, filter_obj.totals_width))
     admitted = 0
-    while admitted < MAX_CHARGES and filter_obj.admits(
-        (), charge, totals=tuple(totals)
-    ):
+    while admitted < MAX_CHARGES and filter_obj.admits_batch(totals, charge)[0]:
         totals += filter_obj.contribution(charge)
         admitted += 1
     return admitted
@@ -105,19 +104,29 @@ def build_accountant(factory, n_blocks: int, seed: int = 0) -> BlockAccountant:
     return acc
 
 
+def renyi_admits_row(filter_obj, candidate, totals: tuple) -> bool:
+    """The Renyi filter decided on one totals row: the seed's per-ledger
+    rule, which coerced and checked the row, then ran a one-row
+    ``admits_batch``."""
+    matrix = np.asarray(totals, dtype=np.float64).reshape(1, -1)
+    if matrix.shape[1] != filter_obj.totals_width:
+        raise ValueError(f"totals row of width {matrix.shape[1]}")
+    return bool(filter_obj.admits_batch(matrix, candidate)[0])
+
+
 def scalar_scan(acc: BlockAccountant, floor, window, charge):
     """The seed's per-ledger loop, as a baseline on the same store rows:
-    the filter's scalar ``admits`` asked one block at a time."""
-    admits = acc.batch_filter.admits
+    the filter asked one block at a time."""
+    filt = acc.batch_filter
     rows = acc.store.totals.tolist()
     usable = []
     for key, row in zip(acc.block_keys, rows):
-        if not admits((), acc.retirement_budget, totals=tuple(row)):
+        if not renyi_admits_row(filt, acc.retirement_budget, tuple(row)):
             continue  # retired
-        if admits((), floor, totals=tuple(row)):
+        if renyi_admits_row(filt, floor, tuple(row)):
             usable.append(key)
     ok = all(
-        admits((), charge, totals=tuple(rows[row]))
+        renyi_admits_row(filt, charge, tuple(rows[row]))
         for row in acc.rows_for_keys(window)
     )
     return usable, ok

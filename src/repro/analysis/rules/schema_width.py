@@ -21,7 +21,7 @@ schema's owners):
 
 The fix is almost always importing the named base-column constants
 (``TOT_EPS`` ... ``TOT_LINEAR`` from ``repro.core.accountant``) or going
-through the filter's declared ``contribution``/``loss_bound`` surface.
+through the filter's declared ``contribution``/``loss_bound_batch`` surface.
 """
 
 from __future__ import annotations

@@ -25,11 +25,11 @@ bulk write (the accountant's ``commit_staged``: staging already validated
 each request against the totals ``request_many`` would check it against,
 so nothing is validated twice).  ``abort_staged()`` drops the batch instead and
 ``rollback_registrations()`` drops the hour's blocks from every ledger set:
-together, the platform's rollback of an hour that raised.  Every stream can stage: the accountant only accepts filters that
-decide from their totals.  Staging is stream-wide: the platform never
-names a context, so per-context ledgers gain the hour's blocks but no
-charges, and contexts remain this class's own API (``request`` /
-``request_many`` with ``context=``).
+together, the platform's rollback of an hour that raised.  Every stream can
+stage: every filter decides from the totals the overlay carries.  Staging
+is stream-wide: the platform never names a context, so per-context ledgers
+gain the hour's blocks but no charges, and contexts remain this class's
+own API (``request`` / ``request_many`` with ``context=``).
 """
 
 from __future__ import annotations

@@ -48,22 +48,18 @@ append-only charge log are the accountant's whole per-block state: a
 block's charge history, when a caller wants one, is the charge log
 filtered by key.
 
-Batched-API contract: the ``filter_factory`` runs once per accountant, and
-the one filter it builds makes every decision -- charges, ``charge_many``
-batches, staged charges and the whole-stream scans (``admit_rows``,
+Filter API: the ``filter_factory`` runs once per accountant, and the one
+filter it builds makes every decision -- charges, ``charge_many`` batches,
+staged charges and the whole-stream scans (``admit_rows``,
 ``usable_blocks``, ``usable_blocks_tail``, ``can_charge``, ``max_epsilon``,
 ``retired_blocks``) and the ``stream_loss_bound`` report -- through its
 ``admits_batch`` / ``max_epsilon_batch`` / ``loss_bound_batch`` over store
-rows.  Every filter must therefore decide from a block's totals row alone.
-There is one accounting path and no fallback: a filter class whose
-decisions might come from elsewhere -- one that keeps the base-class
-``admits_batch`` (which decides from an empty history), or whose batch
-methods sit above an overridden scalar ``admits`` / ``max_epsilon`` /
-``loss_bound`` -- is rejected with ``InvalidBudgetError`` when the
-accountant is constructed.  The check inspects overrides of those six
-methods only: a subclass that changes decisions through a helper they
-call (e.g. ``remaining``) must override the decision method (or its batch
-form) as well, or it will not be caught.
+rows, the only decision forms a filter has (see ``repro.core.filters``).
+The guarantee needs ``admits_batch`` alone: ``charge``, ``charge_many``
+and ``stage_charge`` validate every write through it, ``commit_staged``
+lands only what staging validated, and ``max_epsilon_batch`` only sizes
+proposals -- so a filter subclass that overrides ``admits_batch`` and
+inherits the rest can get a proposal refused, never over-admitted.
 
 Batched atomic multi-charge (``charge_many``)
 ---------------------------------------------
@@ -120,8 +116,8 @@ supports this with a :class:`StagedBatch` overlay opened by
   runs.  ``pop_staged()`` closes the overlay without committing and
   returns the requests (the platform's hour rollback).
 
-Every accountant can stage, since every accepted filter decides from the
-totals the overlay carries.  Mutating the accountant through
+Every accountant can stage, since every filter decides from the totals the
+overlay carries.  Mutating the accountant through
 ``charge``/``charge_many`` while a batch is open is an error, since the
 overlay could not see those writes.
 """
@@ -168,49 +164,6 @@ class ChargeRecord:
     budget: PrivacyBudget
     block_keys: tuple
     label: str = ""
-
-
-def _defining_class(cls: type, name: str) -> type:
-    return next(c for c in cls.__mro__ if name in c.__dict__)
-
-
-def _scans_can_vectorize(filter_obj: PrivacyFilter) -> bool:
-    """Whether this filter class's batch methods decide exactly what its
-    scalar rules decide, i.e. from the totals row alone.
-
-    The base-class ``admits_batch`` sees an empty history, so it is only
-    valid for totals-deciding filters; and an *inherited* concrete batch
-    method must not shadow a subclass's overridden scalar rule (each of
-    ``admits_batch`` / ``max_epsilon_batch`` / ``loss_bound_batch`` has to
-    be defined at or below wherever its scalar ``admits`` / ``max_epsilon``
-    / ``loss_bound`` was last overridden).  The accountant rejects every
-    filter for which this is False.
-
-    Only these six methods are inspected: a subclass that changes
-    behavior through a *helper* they call (e.g. ``remaining``) without
-    overriding the decision method itself is undetectable here and must
-    override the corresponding batch method too -- see the batched-API
-    contract in the module docstring.
-    """
-    cls = type(filter_obj)
-    batch_owner = _defining_class(cls, "admits_batch")
-    if batch_owner is PrivacyFilter:
-        return False
-    if not issubclass(batch_owner, _defining_class(cls, "admits")):
-        return False
-    if not issubclass(
-        _defining_class(cls, "loss_bound_batch"), _defining_class(cls, "loss_bound")
-    ):
-        return False
-    max_batch_owner = _defining_class(cls, "max_epsilon_batch")
-    max_owner = _defining_class(cls, "max_epsilon")
-    if max_batch_owner is PrivacyFilter:
-        # The base max_epsilon_batch bisects admits_batch; that is exact
-        # only while the scalar max_epsilon has not been overridden below
-        # the class whose admits_batch the bisection runs against.
-        return issubclass(batch_owner, max_owner)
-    # A concrete batch method must sit at or below the scalar it mirrors.
-    return issubclass(max_batch_owner, max_owner)
 
 
 class LedgerStore:
@@ -376,9 +329,8 @@ class BlockAccountant:
         Called once, with ``(epsilon_global, delta_global)``, to build the
         filter that decides for every block; defaults to basic composition
         (Theorem 4.3).  Pass ``StrongCompositionFilter`` for Theorem A.2
-        accounting.  The filter must decide from the totals row (see module
-        docstring); any other filter class is rejected with
-        ``InvalidBudgetError``.
+        accounting.  The filter decides from the totals row alone (see the
+        module docstring).
     retirement_budget:
         Blocks that cannot absorb this charge any more count as retired;
         defaults to (epsilon_global/1000, 0).
@@ -402,20 +354,7 @@ class BlockAccountant:
         # The one filter that evaluates the whole matrix in one pass + the
         # struct-of-arrays totals store sized to its declared schema width.
         self._batch_filter = filter_factory(epsilon_global, delta_global)
-        self._store = LedgerStore(
-            width=getattr(self._batch_filter, "totals_width", TOTALS_BASE)
-        )
-        # A filter whose batch methods are missing or shadowed by scalar
-        # overrides (e.g. it decides from the charge history, or a subclass
-        # tightened admits without re-deriving admits_batch) would have its
-        # batched decisions silently admit what its scalar rule refuses.
-        if not _scans_can_vectorize(self._batch_filter):
-            raise InvalidBudgetError(
-                f"filter {type(self._batch_filter).__name__} does not decide "
-                "from its totals row: override admits_batch (and "
-                "max_epsilon_batch, loss_bound_batch) at or below every "
-                "overridden admits / max_epsilon / loss_bound"
-            )
+        self._store = LedgerStore(width=self._batch_filter.totals_width)
         self._keys: List[object] = []
         self._rows: Dict[object, int] = {}
         # Memoized key-tuple -> row-array translations (rows never move, so
@@ -475,7 +414,7 @@ class BlockAccountant:
         """Share of ``delta_global`` the filter's own analysis consumes
         (zero for basic composition); sessions ration attempt deltas out of
         the remainder so repeated attempts cannot delta-exhaust a block."""
-        return getattr(self._batch_filter, "delta_reserved", 0.0)
+        return self._batch_filter.delta_reserved
 
     def _key_rows(self, keys: Sequence[object]) -> np.ndarray:
         """Store rows for the named keys; rejects unregistered keys.

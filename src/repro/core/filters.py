@@ -21,12 +21,11 @@ matching the paper's two composition analyses:
   Canonne-Kamath-Steinke bound.  Tightest of the three for the
   many-small-charges workloads DP-SGD produces.
 
-Filters are pure decision logic over a block's running totals row (the
-scalar methods also accept the charge history the row sums up); the
+Filters are pure decision logic over a block's running totals row; the
 accountant owns the rows and the charge log.
 
-Batched evaluation and the pluggable totals schema
---------------------------------------------------
+The totals-only API
+-------------------
 Every decision rule here reduces to arithmetic on a block's running totals
 row, so the accountant's struct-of-arrays ledger store can evaluate a whole
 stream's blocks in one NumPy pass.  A filter class declares its row layout:
@@ -41,56 +40,48 @@ stream's blocks in one NumPy pass.  A filter class declares its row layout:
   staged overlay all apply exactly this vector, which is what keeps single,
   batched and staged accounting float-identical.
 
-:meth:`PrivacyFilter.admits_batch` takes an ``(n, totals_width)`` float64
-array of such totals rows and returns a boolean admit vector; the contract
-is that ``admits_batch(totals, c)[i]`` equals
-``admits((), c, totals=tuple(totals[i]))`` decision-for-decision (the
-vectorized arithmetic mirrors the scalar operation order exactly).
-:meth:`PrivacyFilter.max_epsilon_batch` is the batched analogue of
-``max_epsilon`` restricted to the conjunction over rows: the largest epsilon
-every row still admits at the given delta.  :meth:`PrivacyFilter.loss_bound_batch`
-returns per-row ``(epsilon, delta)`` arrays, row ``i`` equal to
-``loss_bound(history_i, totals=tuple(totals[i]))`` for the charged block
-whose history sums to that row.
+It decides through three methods over an ``(n, totals_width)`` float64
+matrix of such rows.  There is no other form, and no method takes a
+charge history:
 
-Deciding from the totals row alone is part of the filter contract: the
-accountant makes every decision through the batch methods, and it rejects
-at construction a filter class that keeps the base-class ``admits_batch``
-or whose batch methods sit above an overridden scalar ``admits`` /
-``max_epsilon`` / ``loss_bound`` (see ``repro.core.accountant``).  There is
-no per-block fallback for history-deciding filters.
+* :meth:`PrivacyFilter.admits_batch` (abstract) -- the per-row admit
+  vector for one candidate charge;
+* :meth:`PrivacyFilter.max_epsilon_batch` -- the largest epsilon every row
+  still admits at a given delta (the base form bisects ``admits_batch``);
+* :meth:`PrivacyFilter.loss_bound_batch` -- per-row ``(epsilon, delta)``
+  guarantees of charged blocks (the base form is basic composition).
+
+Soundness rests on ``admits_batch`` alone: every write the accountant
+makes (``charge``, ``charge_many``, ``stage_charge``) is validated through
+it, and ``commit_staged`` lands only what staging validated, while
+``max_epsilon_batch`` only sizes proposals.  A subclass that tightens
+``admits_batch`` and keeps an inherited ``max_epsilon_batch`` can see a
+proposal refused, never over-admitted.  The tests' reference for each
+rule is an independent oracle that decides from charge histories with the
+``repro.dp`` composition theorems (``tests/composition_oracle.py``).
 
 Tolerances: every admissibility comparison carries slack so that charging
 eps_g/k exactly k times is never rejected on the final charge by float
-accumulation drift in the running sums.  The basic filter compares through
-:meth:`PrivacyBudget.fits_within` (absolute 1e-12, relative 1e-9 of the
-global budget), and its ``max_epsilon`` delta-affordability check uses the
-same slack so the two can never disagree; the strong filter uses an
-absolute slack of 1e-12 on epsilon / 1e-15 on delta plus a relative 1e-12
-of the global budget.
+accumulation drift in the running sums.  The basic filter compares against
+:meth:`PrivacyBudget.fits_within`'s thresholds (absolute 1e-12, relative
+1e-9 of the global budget), and its ``max_epsilon_batch`` delta check uses
+the same slack so the two can never disagree; the strong and Renyi filters
+use an absolute slack of 1e-12 on epsilon / 1e-15 on delta plus a relative
+1e-12 of the global budget.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Sequence
 
 import numpy as np
 
-from repro.dp.budget import (
-    PrivacyBudget,
-    ZERO_BUDGET,
-    _ABS_TOL,
-    _REL_TOL,
-    sum_budgets,
-)
+from repro.dp.budget import PrivacyBudget, ZERO_BUDGET, _ABS_TOL, _REL_TOL
 from repro.dp.composition import (
     DELTA_DRIFT_ABS as _DELTA_DRIFT_ABS,
     DRIFT_REL as _DRIFT_REL,
     EPS_DRIFT_ABS as _EPS_DRIFT_ABS,
-    rogers_filter_epsilon,
-    rogers_filter_epsilon_from_sums as _rogers_from_sums,
     rogers_filter_epsilon_from_sums_batch as _rogers_from_sums_batch,
 )
 from repro.dp.rdp import (
@@ -115,8 +106,8 @@ TOTALS_BASE = 4
 
 def _drift_thresholds(epsilon_global: float, delta_global: float):
     """Admission thresholds with the shared float-drift slack, computed once
-    in scalar floats so scalar and batched paths compare against the same
-    bit-identical boundaries."""
+    in scalar floats so every row of a scan compares against the same
+    boundary."""
     eps_threshold = epsilon_global + _EPS_DRIFT_ABS + _DRIFT_REL * epsilon_global
     delta_threshold = delta_global + _DELTA_DRIFT_ABS + _DRIFT_REL * delta_global
     return eps_threshold, delta_threshold
@@ -193,45 +184,17 @@ class PrivacyFilter(abc.ABC):
         )
 
     @abc.abstractmethod
-    def admits(
-        self,
-        history: Sequence[PrivacyBudget],
-        candidate: PrivacyBudget,
-        totals: tuple = None,
-    ) -> bool:
-        """True iff ``history + [candidate]`` keeps the block within policy.
-
-        ``totals``, when provided, is the history's precomputed totals row
-        (``(sum eps, sum delta, sum eps^2, sum (e^eps - 1) eps / 2)`` plus
-        any schema extension), making the check O(1).
-        """
-
     def admits_batch(self, totals, candidate: PrivacyBudget) -> np.ndarray:
-        """Vectorized :meth:`admits` over an (n, 4) array of totals rows.
-
-        Concrete filters must override it with a true NumPy pass.  This
-        base form loops the scalar rule with an *empty history*, which is
-        only right for a filter that decides from ``totals`` alone; the
-        accountant cannot tell, so it rejects any filter class that keeps
-        this implementation.
-        """
-        matrix = _as_totals_matrix(totals, self.totals_width)
-        return np.fromiter(
-            (self.admits((), candidate, totals=tuple(row)) for row in matrix),
-            dtype=bool,
-            count=matrix.shape[0],
-        )
-
-    @abc.abstractmethod
-    def max_epsilon(self, history: Sequence[PrivacyBudget], delta: float) -> float:
-        """Largest epsilon whose (epsilon, delta) charge would still be admitted."""
+        """Per-row admit vector over an ``(n, totals_width)`` matrix of
+        running totals rows: row ``i`` is True iff the block whose charges
+        sum to ``totals[i]`` stays within policy after ``candidate``."""
 
     def max_epsilon_batch(self, totals, delta: float) -> float:
         """Largest epsilon that *every* totals row still admits at ``delta``.
 
-        This is the batched form the accountant's multi-block ``max_epsilon``
-        needs (the min over blocks of per-block headroom).  The generic
-        implementation bisects the scalar epsilon against the whole batch;
+        The accountant's multi-block ``max_epsilon`` (the min over blocks of
+        per-block headroom).  The generic implementation bisects one
+        epsilon against :meth:`admits_batch` over the whole batch;
         admissibility is monotone decreasing in epsilon, so the joint search
         converges to the per-block minimum.
         """
@@ -251,25 +214,13 @@ class PrivacyFilter(abc.ABC):
                 hi = mid
         return lo
 
-    def loss_bound(
-        self, history: Sequence[PrivacyBudget], totals: tuple = None
-    ) -> PrivacyBudget:
-        """A DP guarantee covering everything charged so far (diagnostics).
-
-        ``totals``, when provided, is the precomputed running-sums tuple,
-        making the bound O(1) instead of O(|history|).  A subclass that
-        overrides this must override :meth:`loss_bound_batch` as well.
-        """
-        if totals is not None:
-            return PrivacyBudget(totals[0], min(1.0, totals[1]))
-        return sum_budgets(history)
-
     def loss_bound_batch(self, totals):
-        """Per-row ``(epsilon, delta)`` bound arrays over an
-        ``(n, totals_width)`` matrix of charged blocks' totals rows -- the
-        accountant's ``stream_loss_bound`` pass (rows with no charges are
-        the caller's to exclude).  The base form is the basic-composition
-        bound, the row's own sums."""
+        """A DP guarantee covering everything charged so far: per-row
+        ``(epsilon, delta)`` bound arrays over an ``(n, totals_width)``
+        matrix of charged blocks' totals rows -- the accountant's
+        ``stream_loss_bound`` pass (rows with no charges are the caller's
+        to exclude).  The base form is the basic-composition bound, the
+        row's own sums."""
         matrix = _as_totals_matrix(totals, self.totals_width)
         return matrix[:, 0], np.minimum(1.0, matrix[:, 1])
 
@@ -277,51 +228,15 @@ class PrivacyFilter(abc.ABC):
 class BasicCompositionFilter(PrivacyFilter):
     """Admit while budgets sum within (eps_g, delta_g) -- paper Theorem 4.3."""
 
-    def admits(
-        self,
-        history: Sequence[PrivacyBudget],
-        candidate: PrivacyBudget,
-        totals: tuple = None,
-    ) -> bool:
-        if totals is not None:
-            eps_sum, delta_sum = totals[0], totals[1]
-        else:
-            spent = sum_budgets(history)
-            eps_sum, delta_sum = spent.epsilon, spent.delta
-        total = PrivacyBudget(
-            eps_sum + candidate.epsilon, min(1.0, delta_sum + candidate.delta)
-        )
-        return total.fits_within(self.global_budget)
-
     def admits_batch(self, totals, candidate: PrivacyBudget) -> np.ndarray:
         matrix = _as_totals_matrix(totals)
-        # Exactly fits_within's thresholds, computed once in scalar floats so
-        # every row sees the same boundary the scalar path does.
+        # fits_within's thresholds, computed once in scalar floats so every
+        # row sees the same boundary.
         eps_thr = self.epsilon_global + _ABS_TOL + _REL_TOL * self.epsilon_global
         delta_thr = self.delta_global + _ABS_TOL + _REL_TOL * self.delta_global
         eps_ok = matrix[:, 0] + candidate.epsilon <= eps_thr
         delta_ok = np.minimum(1.0, matrix[:, 1] + candidate.delta) <= delta_thr
         return eps_ok & delta_ok
-
-    def remaining(self, history: Sequence[PrivacyBudget]) -> PrivacyBudget:
-        """Exact leftover budget under basic composition."""
-        spent = sum_budgets(history)
-        if not spent.fits_within(self.global_budget):
-            return ZERO_BUDGET
-        eps_left = max(0.0, self.epsilon_global - spent.epsilon)
-        delta_left = max(0.0, self.delta_global - spent.delta)
-        return PrivacyBudget(eps_left, delta_left)
-
-    def _delta_affordable(self, delta: float, delta_left: float) -> bool:
-        # Same slack as fits_within's delta comparison, so max_epsilon never
-        # reports zero headroom for a delta that admits() would accept.
-        return delta <= delta_left + _ABS_TOL + _REL_TOL * self.delta_global
-
-    def max_epsilon(self, history: Sequence[PrivacyBudget], delta: float) -> float:
-        left = self.remaining(history)
-        if not self._delta_affordable(delta, left.delta):
-            return 0.0
-        return left.epsilon
 
     def max_epsilon_batch(self, totals, delta: float) -> float:
         matrix = _as_totals_matrix(totals)
@@ -331,7 +246,9 @@ class BasicCompositionFilter(PrivacyFilter):
         if not bool(spent_ok.all()):
             return 0.0
         delta_left = float(np.min(np.maximum(0.0, self.delta_global - matrix[:, 1])))
-        if not self._delta_affordable(delta, delta_left):
+        # Same slack as admits_batch's delta comparison, so no headroom is
+        # reported as zero for a delta admits_batch would accept.
+        if delta > delta_left + _ABS_TOL + _REL_TOL * self.delta_global:
             return 0.0
         return float(np.min(np.maximum(0.0, self.epsilon_global - matrix[:, 0])))
 
@@ -369,8 +286,7 @@ class StrongCompositionFilter(PrivacyFilter):
         if delta_slack > delta_global:
             raise InvalidBudgetError("delta_slack cannot exceed delta_global")
         self.delta_slack = delta_slack
-        # Admission thresholds, precomputed once so the scalar and batched
-        # paths compare against bit-identical boundaries.
+        # Admission thresholds, precomputed once per filter.
         self._eps_threshold, self._delta_threshold = _drift_thresholds(
             self.epsilon_global, self.delta_global
         )
@@ -378,31 +294,6 @@ class StrongCompositionFilter(PrivacyFilter):
     @property
     def delta_reserved(self) -> float:
         return self.delta_slack
-
-    def admits(
-        self,
-        history: Sequence[PrivacyBudget],
-        candidate: PrivacyBudget,
-        totals: tuple = None,
-    ) -> bool:
-        if totals is not None:
-            eps_sum, delta_sum, sq_sum, linear_sum = totals
-        else:
-            eps_sum = sum(b.epsilon for b in history)
-            delta_sum = sum(b.delta for b in history)
-            sq_sum = sum(b.epsilon ** 2 for b in history)
-            linear_sum = sum(math.expm1(b.epsilon) * b.epsilon / 2.0 for b in history)
-        ce = candidate.epsilon
-        strong_value = _rogers_from_sums(
-            sq_sum + ce * ce,
-            linear_sum + math.expm1(ce) * ce / 2.0,
-            self.epsilon_global,
-            self.delta_slack,
-        )
-        basic_value = eps_sum + ce
-        eps_ok = min(strong_value, basic_value) <= self._eps_threshold
-        delta_ok = self.delta_slack + delta_sum + candidate.delta <= self._delta_threshold
-        return eps_ok and delta_ok
 
     def admits_batch(self, totals, candidate: PrivacyBudget) -> np.ndarray:
         matrix = _as_totals_matrix(totals)
@@ -418,43 +309,9 @@ class StrongCompositionFilter(PrivacyFilter):
         delta_ok = self.delta_slack + matrix[:, 1] + candidate.delta <= self._delta_threshold
         return eps_ok & delta_ok
 
-    def max_epsilon(self, history: Sequence[PrivacyBudget], delta: float) -> float:
-        if not self.admits(history, PrivacyBudget(0.0, delta)):
-            return 0.0
-        lo, hi = 0.0, self.epsilon_global
-        if self.admits(history, PrivacyBudget(hi, delta)):
-            return hi
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if self.admits(history, PrivacyBudget(mid, delta)):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def loss_bound(
-        self, history: Sequence[PrivacyBudget], totals: tuple = None
-    ) -> PrivacyBudget:
-        if not history:
-            return ZERO_BUDGET
-        if totals is not None:
-            eps_sum, delta_sum, sq_sum, linear_sum = totals
-            strong = _rogers_from_sums(
-                sq_sum, linear_sum, self.epsilon_global, self.delta_slack
-            )
-            return PrivacyBudget(
-                min(strong, eps_sum), min(1.0, self.delta_slack + delta_sum)
-            )
-        strong = rogers_filter_epsilon(
-            [b.epsilon for b in history], self.epsilon_global, self.delta_slack
-        )
-        basic = sum(b.epsilon for b in history)
-        delta = min(1.0, self.delta_slack + sum(b.delta for b in history))
-        return PrivacyBudget(min(strong, basic), delta)
-
     def loss_bound_batch(self, totals):
-        """Theorem A.2 per row, unioned with basic composition as in
-        :meth:`loss_bound`."""
+        """Theorem A.2 per row, unioned with basic composition as
+        :meth:`admits_batch` is."""
         matrix = _as_totals_matrix(totals)
         strong = _rogers_from_sums_batch(
             matrix[:, 2], matrix[:, 3], self.epsilon_global, self.delta_slack
@@ -580,21 +437,13 @@ class RenyiCompositionFilter(PrivacyFilter):
             [super().contribution(budget), self.charge_rdp(budget)]
         )
 
-    def _totals_of(self, history: Sequence[PrivacyBudget]) -> np.ndarray:
-        """Replay a history into one totals row (the accountant's
-        accumulation order, so history and totals decisions agree)."""
-        totals = np.zeros(self.totals_width)
-        for budget in history:
-            totals += self.contribution(budget)
-        return totals
-
     def _eps_after(self, matrix: np.ndarray, candidate: PrivacyBudget) -> np.ndarray:
         """Per-row epsilon bound after the candidate lands: the better of
         the converted RDP curve and basic composition.
 
         The candidate's curve and the conversion penalty are summed first
         (one small vector) so the scan allocates a single (n, orders)
-        temporary; scalar and batched decisions share this exact op order.
+        temporary.
         """
         shifted = self.charge_rdp(candidate) + self._penalty
         eps_rdp = np.maximum(
@@ -602,17 +451,6 @@ class RenyiCompositionFilter(PrivacyFilter):
         )
         basic = matrix[:, 0] + candidate.epsilon
         return np.minimum(eps_rdp, basic)
-
-    def admits(
-        self,
-        history: Sequence[PrivacyBudget],
-        candidate: PrivacyBudget,
-        totals: tuple = None,
-    ) -> bool:
-        if totals is None:
-            totals = self._totals_of(history)
-        matrix = _as_totals_matrix(totals, self.totals_width)
-        return bool(self.admits_batch(matrix, candidate)[0])
 
     def admits_batch(self, totals, candidate: PrivacyBudget) -> np.ndarray:
         matrix = _as_totals_matrix(totals, self.totals_width)
@@ -622,11 +460,6 @@ class RenyiCompositionFilter(PrivacyFilter):
             <= self._delta_threshold
         )
         return eps_ok & delta_ok
-
-    def max_epsilon(self, history: Sequence[PrivacyBudget], delta: float) -> float:
-        return self.max_epsilon_batch(
-            self._totals_of(history).reshape(1, -1), delta
-        )
 
     def max_epsilon_batch(self, totals, delta: float) -> float:
         """Largest epsilon every row still admits at ``delta``, closed form.
@@ -656,25 +489,9 @@ class RenyiCompositionFilter(PrivacyFilter):
         )
         return float(min(max(float(best.min()), 0.0), self.epsilon_global))
 
-    def loss_bound(
-        self, history: Sequence[PrivacyBudget], totals: tuple = None
-    ) -> PrivacyBudget:
-        # An uncharged block's bound is zero, not the conversion slack --
-        # keyed on the history (as the strong filter does), never on the
-        # totals, so zero-epsilon charges still report their delta spend.
-        if not history:
-            return ZERO_BUDGET
-        if totals is None:
-            totals = self._totals_of(history)
-        arr = np.asarray(totals, dtype=np.float64)
-        eps_rdp = max(0.0, float(np.min(arr[TOTALS_BASE:] + self._penalty)))
-        eps = min(float(arr[0]), eps_rdp)
-        delta = min(1.0, self.delta_conversion + float(arr[1]))
-        return PrivacyBudget(eps, delta)
-
     def loss_bound_batch(self, totals):
         """The converted RDP curve per row, unioned with basic composition
-        as in :meth:`loss_bound`."""
+        as :meth:`admits_batch` is."""
         matrix = _as_totals_matrix(totals, self.totals_width)
         eps_rdp = np.maximum(
             0.0, np.min(matrix[:, TOTALS_BASE:] + self._penalty, axis=1)

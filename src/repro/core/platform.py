@@ -41,13 +41,12 @@ validation.  Each granted attempt's reservation deduction
 settles right after its ``complete()``, so a session reads its allocation
 through ``row_budget_fn`` as a pure read of the reservation table.
 
-There is no other drive.  Every stream can stage, because the accountant
-rejects at construction any filter that does not decide from its totals,
-and per-context policies do not change the drive: the platform never
-names a context, so context ledgers gain each hour's blocks and no
-charges.  Charging each proposal immediately through ``request`` would
-produce float-identical trajectories; the test suite keeps that drive as
-its parity oracle.
+There is no other drive.  Every stream can stage, because every filter
+decides from its totals rows alone, and per-context policies do not
+change the drive: the platform never names a context, so context
+ledgers gain each hour's blocks and no charges.  Charging each proposal
+immediately through ``request`` would produce float-identical
+trajectories; the test suite keeps that drive as its parity oracle.
 
 One transactional hour
 ----------------------
@@ -282,17 +281,9 @@ class ReservationTable:
         self._eps[row, cols] = np.maximum(0.0, self._eps[row, cols] - epsilon)
 
     def values(self, row: int, cols: np.ndarray) -> np.ndarray:
-        """One pipeline's reservations on the named block columns.
-
-        Columns the table has never seen (blocks registered with the
-        accountant outside the platform's ingest path) read as zero.
-        """
-        cols = np.asarray(cols, dtype=np.intp)
-        if cols.size and int(cols.max()) >= self._n_blocks:
-            out = np.zeros(cols.size)
-            known = cols < self._n_blocks
-            out[known] = self._eps[row, cols[known]]
-            return out
+        """One pipeline's reservations on the named block columns (every
+        column must be one the table has; ``Sage`` checks the table spans
+        the whole store when each hour opens)."""
         return self._eps[row, cols]
 
     def row_values(self, row: int) -> np.ndarray:
@@ -581,16 +572,6 @@ class Sage:
     def _allocate_block(self, key: object) -> None:
         """Divide a new block's budget evenly among waiting pipelines."""
         col = self._table.add_block()
-        # Columns mirror the accountant's registration order by
-        # construction; a drifted column (e.g. a block registered with the
-        # accountant outside the platform's ingest path) would silently
-        # misdirect budget, so it must be a hard error.
-        store_row = int(self.access.accountant.rows_for_keys([key])[0])
-        if col != store_row:
-            raise PipelineError(
-                f"reservation column {col} drifted from store row "
-                f"{store_row} for block {key!r}"
-            )
         self._table.allocate(col, self.epsilon_global, self._waiting_rows())
 
     def _redistribute(self, finished: SubmittedPipeline) -> None:
@@ -785,6 +766,17 @@ class Sage:
         every ledger set, allocate evenly to waiting pipelines, grant the
         free pool.  Returns the new blocks (also the WAL replay re-entry
         point -- identical given identical clock/RNG state)."""
+        # Columns mirror the accountant's registration order only while
+        # every block enters through this ingest path; a block registered
+        # with the accountant directly would shift every later column and
+        # misdirect budget, so it is a hard error.
+        n_rows = len(self.access.accountant.store)
+        if self._table.n_blocks != n_rows:
+            raise PipelineError(
+                f"reservation table spans {self._table.n_blocks} blocks "
+                f"but the ledger store has {n_rows} rows (a block was "
+                "registered outside the platform's ingest path)"
+            )
         with self._tracer.span("advance.open") as opening:
             new_blocks = self.ingestor.advance(hours)
             # Register the hour's blocks in every ledger set (stream-wide

@@ -167,8 +167,9 @@ def rogers_filter_epsilon_from_sums(
     inflation = epsilon_global ** 2 / (_ROGERS_CONSTANT * log_term)
     # np.log, not math.log: libm's and NumPy's log can disagree in the last
     # ulp, and this scalar form must be bit-identical to the batched one so
-    # per-ledger and whole-store scans reach the same admit/deny boundary
-    # (sqrt is correctly rounded by IEEE 754, so it needs no such care).
+    # the history-form rule (rogers_filter_epsilon) and the block filters'
+    # store scans reach the same admit/deny boundary (sqrt is correctly
+    # rounded by IEEE 754, so it needs no such care).
     inner_log = 1.0 + 0.5 * float(
         np.log(_ROGERS_CONSTANT * log_term * sum_sq / epsilon_global ** 2 + 1.0)
     )
@@ -181,7 +182,8 @@ def rogers_filter_epsilon_from_sums_batch(
     """Vectorized :func:`rogers_filter_epsilon_from_sums` over aligned arrays.
 
     Operation order mirrors the scalar form exactly so batched filter scans
-    reach the same admit/deny boundary as per-ledger evaluation.
+    reach the same admit/deny boundary as :func:`rogers_filter_epsilon` over
+    the charge history.
     """
     if epsilon_global <= 0:
         raise InvalidBudgetError(f"epsilon_global must be > 0, got {epsilon_global}")

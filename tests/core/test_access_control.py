@@ -1,6 +1,7 @@
 """SageAccessControl: ACLs, contexts, the offer/request protocol."""
 
 import pytest
+from composition_oracle import BasicRule
 from per_request_oracle import block_histories
 
 from repro.core.access_control import SageAccessControl
@@ -126,7 +127,8 @@ class TestContexts:
 
     def test_context_offer_uses_batched_filter(self, access):
         """The context filter in offer_blocks is one batched admit pass and
-        must agree with the scalar filter over each block's logged history."""
+        must agree with the history oracle over each block's logged
+        history."""
         access.add_context("dev-a", 0.5, 1e-6)
         access.request([0], PrivacyBudget(0.45, 0.0), context="dev-a")
         floor = PrivacyBudget(0.1, 0.0)
@@ -135,6 +137,6 @@ class TestContexts:
         histories = block_histories(ctx)
         expected = [
             k for k in access.offer_blocks(min_budget=floor)
-            if ctx.batch_filter.admits(histories[k], floor)
+            if BasicRule(0.5, 1e-6).admits(histories[k], floor)
         ]
         assert offered == expected == [1, 2]

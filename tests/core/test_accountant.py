@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from per_request_oracle import PerLedgerReference, block_histories
 
-from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_DELTA, TOT_EPS, BlockAccountant
-from repro.core.filters import (
-    BasicCompositionFilter,
-    PrivacyFilter,
-    StrongCompositionFilter,
-)
+from repro.core.filters import BasicCompositionFilter, StrongCompositionFilter
 from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     BlockRetiredError,
@@ -20,61 +15,6 @@ from repro.errors import (
     RecoveryError,
     SnapshotMismatchError,
 )
-
-
-class AtMostThreeCharges(PrivacyFilter):
-    """Decides from the charge history and keeps the base-class
-    admits_batch, which would see an empty history and admit everything."""
-
-    def admits(self, history, candidate, totals=None):
-        return len(history) < 3
-
-    def max_epsilon(self, history, delta):
-        return self.epsilon_global if len(history) < 3 else 0.0
-
-
-class AtMostOne(PrivacyFilter):
-    """The same shape with a one-charge cap."""
-
-    def admits(self, history, candidate, totals=None):
-        return len(history) < 1
-
-    def max_epsilon(self, history, delta):
-        return self.epsilon_global if not history else 0.0
-
-
-class AtMostTwoCharges(BasicCompositionFilter):
-    """Tightens only the scalar admits: the inherited concrete admits_batch
-    would admit what the override refuses."""
-
-    def admits(self, history, candidate, totals=None):
-        return len(history) < 2 and super().admits(history, candidate, totals=totals)
-
-
-class CappedMax(StrongCompositionFilter):
-    """Tightens only the scalar max_epsilon: the inherited batch form would
-    ignore the cap."""
-
-    def max_epsilon(self, history, delta):
-        return min(0.05, super().max_epsilon(history, delta))
-
-
-class LegacyFilter(BasicCompositionFilter):
-    """Overrides only the scalar loss_bound, with the history-only
-    signature: the inherited loss_bound_batch would report the basic bound
-    instead of this one."""
-
-    def loss_bound(self, history):
-        return PrivacyBudget(2.0 * sum(b.epsilon for b in history), 0.0)
-
-
-HISTORY_DECIDING_FILTERS = [
-    AtMostThreeCharges,
-    AtMostOne,
-    AtMostTwoCharges,
-    CappedMax,
-    LegacyFilter,
-]
 
 
 @pytest.fixture
@@ -410,37 +350,14 @@ class TestBatchedScansMatchScalar:
         floor = PrivacyBudget(0.25, 0.0)
         assert acc.usable_blocks(floor) == ref.usable_blocks(floor)
 
-    @pytest.mark.parametrize(
-        "filter_cls", HISTORY_DECIDING_FILTERS, ids=lambda cls: cls.__name__
-    )
-    def test_history_deciding_filter_rejected_at_construction(self, filter_cls):
-        """No history-deciding filter is silently under-enforced: every
-        decision goes through the batch methods, so a filter whose batch
-        rule could disagree with its scalar rule is refused outright --
-        by the accountant and by the access layer that builds one --
-        instead of being scanned through an inherited batch method."""
-        with pytest.raises(InvalidBudgetError, match=filter_cls.__name__):
-            BlockAccountant(1.0, 1e-6, filter_factory=filter_cls)
-        with pytest.raises(InvalidBudgetError, match=filter_cls.__name__):
-            SageAccessControl(1.0, 1e-6, filter_factory=filter_cls)
-
     def test_custom_totals_deciding_filter_accepted_and_enforced(self):
-        """The contract is satisfiable: a subclass that tightens both the
-        scalar and the batch rule, from the totals alone, is accepted,
-        stages, and is enforced by every decision."""
+        """A subclass that tightens the batch rules, from the totals alone,
+        stages and is enforced by every decision."""
 
         class CappedBasic(BasicCompositionFilter):
-            def admits(self, history, candidate, totals=None):
-                return candidate.epsilon <= 0.25 and super().admits(
-                    history, candidate, totals=totals
-                )
-
             def admits_batch(self, totals, candidate):
                 admitted = super().admits_batch(totals, candidate)
                 return admitted & (candidate.epsilon <= 0.25)
-
-            def max_epsilon(self, history, delta):
-                return min(0.25, super().max_epsilon(history, delta))
 
             def max_epsilon_batch(self, totals, delta):
                 return min(0.25, super().max_epsilon_batch(totals, delta))
@@ -455,6 +372,31 @@ class TestBatchedScansMatchScalar:
         acc.stage_charge([0], PrivacyBudget(0.25, 0.0))
         acc.charge_many(acc.pop_staged())
         assert acc.store.totals[0, TOT_EPS] == pytest.approx(0.25)
+
+    def test_admits_batch_alone_never_over_admits(self):
+        """A subclass that tightens only admits_batch inherits a
+        max_epsilon_batch that overstates its headroom: a proposal sized
+        by it is refused on every write path, and nothing lands."""
+
+        class CappedAdmitsOnly(BasicCompositionFilter):
+            def admits_batch(self, totals, candidate):
+                admitted = super().admits_batch(totals, candidate)
+                return admitted & (candidate.epsilon <= 0.25)
+
+        acc = BlockAccountant(1.0, 1e-6, filter_factory=CappedAdmitsOnly)
+        acc.register_blocks([0, 1])
+        oversized = PrivacyBudget(acc.max_epsilon([0, 1]), 0.0)
+        assert oversized.epsilon == pytest.approx(1.0)
+        with pytest.raises(BudgetExceededError):
+            acc.charge([0, 1], oversized)
+        with pytest.raises(BudgetExceededError):
+            acc.charge_many([([0], PrivacyBudget(0.1, 0.0)), ([1], oversized)])
+        acc.begin_staging()
+        with pytest.raises(BudgetExceededError):
+            acc.stage_charge([0, 1], oversized)
+        committed = acc.commit_staged()
+        assert committed == []
+        assert not acc.store.totals.any() and acc.charges == []
 
     def test_max_epsilon_matches_scalar_min(self):
         for factory in (BasicCompositionFilter, StrongCompositionFilter):

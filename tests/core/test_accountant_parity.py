@@ -4,11 +4,10 @@
 store.  Two references decide the same questions without that store:
 
 * :class:`~per_request_oracle.PerLedgerReference`, a small accountant
-  that keeps one filter, history and totals row per block, decides per
-  block with the filter's scalar ``admits`` / ``max_epsilon`` /
-  ``loss_bound``, and applies a batch sequentially, rolling it back on a
-  refusal.  (The accountant itself has no such path: it rejects any
-  filter whose scalar rule could disagree with its batch rule.)
+  that keeps one filter, history and totals row per block, decides one
+  block at a time through the filter's batch methods on that block's own
+  one-row totals, and applies a batch sequentially, rolling it back on a
+  refusal.
 * per-request ``charge`` calls, one at a time, stand in for a
   ``charge_many`` batch and for a staged hour.
 

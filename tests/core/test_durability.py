@@ -25,7 +25,6 @@ from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     DurabilityError,
-    InvalidBudgetError,
     RecoveryError,
     SnapshotMismatchError,
     WalCorruptionError,
@@ -454,26 +453,6 @@ class TestDurableDrive:
         with pytest.raises(RecoveryError, match="wal_dir"):
             sage.recover(_pipes())
         sage.close()
-
-    def test_history_deciding_filter_rejected_at_construction(self, tmp_path):
-        """A filter whose decisions might not come from its totals is
-        refused when the platform is built, durable or not: there is no
-        unstaged drive to fall back to."""
-        from repro.core.filters import BasicCompositionFilter
-
-        class ScalarOnlyFilter(BasicCompositionFilter):
-            def admits(self, history, candidate, totals=None):
-                return super().admits(history, candidate, totals=totals)
-
-        for wal_dir in (tmp_path, None):
-            with pytest.raises(InvalidBudgetError, match="ScalarOnlyFilter"):
-                Sage(
-                    CountStreamSource(4000, scale=1000),
-                    seed=5,
-                    wal_dir=wal_dir,
-                    filter_factory=ScalarOnlyFilter,
-                )
-        assert not durability.wal_path(tmp_path).exists()
 
     def test_durable_mode_refuses_per_context_policies(self, tmp_path):
         """Context ledgers are in neither the WAL nor the snapshots, so a

@@ -1,9 +1,17 @@
-"""Per-block privacy filters (basic + Rogers strong composition)."""
+"""Per-block privacy filters (basic + Rogers strong composition).
+
+Filters decide from totals rows only; these tests build one block's row
+from a charge history the way the accountant does (adding each charge's
+``contribution``) and ask the filter through one-row batch calls.  The
+rules themselves are checked against the history oracle in
+``composition_oracle.py``.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from composition_oracle import BasicRule, StrongRule
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,13 +25,27 @@ from repro.dp.budget import PrivacyBudget
 from repro.errors import InvalidBudgetError
 
 
-def totals_of(history):
-    """The (sum eps, sum delta, sum eps^2, sum linear) a ledger would keep."""
-    eps = sum(b.epsilon for b in history)
-    delta = sum(b.delta for b in history)
-    sq = sum(b.epsilon ** 2 for b in history)
-    linear = sum(math.expm1(b.epsilon) * b.epsilon / 2.0 for b in history)
-    return (eps, delta, sq, linear)
+def row_of(f, history):
+    """One block's ``(1, totals_width)`` totals row, accumulated charge by
+    charge as the accountant's store does."""
+    row = np.zeros((1, f.totals_width))
+    for budget in history:
+        row += f.contribution(budget)
+    return row
+
+
+def admits(f, history, candidate):
+    return bool(f.admits_batch(row_of(f, history), candidate)[0])
+
+
+def max_epsilon(f, history, delta):
+    return f.max_epsilon_batch(row_of(f, history), delta)
+
+
+def loss_bound(f, history):
+    eps, delta = f.loss_bound_batch(row_of(f, history))
+    return PrivacyBudget(float(eps[0]), float(delta[0]))
+
 
 SMALL_BUDGETS = st.lists(
     st.builds(
@@ -41,32 +63,35 @@ class TestBasicFilter:
         history = []
         charge = PrivacyBudget(0.3, 1e-7)
         for _ in range(3):
-            assert f.admits(history, charge)
+            assert admits(f, history, charge)
             history.append(charge)
         # 0.9 spent; 0.3 more would overflow epsilon.
-        assert not f.admits(history, charge)
-        assert f.admits(history, PrivacyBudget(0.1, 0.0))
+        assert not admits(f, history, charge)
+        assert admits(f, history, PrivacyBudget(0.1, 0.0))
 
-    def test_remaining_exact(self):
+    def test_headroom_exact(self):
+        """Budgets add up, so the leftover is exact on both dimensions."""
         f = BasicCompositionFilter(1.0, 1e-6)
-        left = f.remaining([PrivacyBudget(0.25, 4e-7)])
-        assert left.epsilon == pytest.approx(0.75)
-        assert left.delta == pytest.approx(6e-7)
+        spent = [PrivacyBudget(0.25, 4e-7)]
+        assert max_epsilon(f, spent, 0.0) == pytest.approx(0.75)
+        assert max_epsilon(f, spent, 6e-7) == pytest.approx(0.75)
+        assert max_epsilon(f, spent, 6.1e-7) == 0.0
+        assert admits(f, spent, PrivacyBudget(0.75, 6e-7))
 
     def test_delta_dimension_enforced(self):
         f = BasicCompositionFilter(10.0, 1e-6)
         history = [PrivacyBudget(0.1, 1e-6)]
-        assert not f.admits(history, PrivacyBudget(0.1, 1e-7))
-        assert f.admits(history, PrivacyBudget(0.1, 0.0))
+        assert not admits(f, history, PrivacyBudget(0.1, 1e-7))
+        assert admits(f, history, PrivacyBudget(0.1, 0.0))
 
     def test_max_epsilon(self):
         f = BasicCompositionFilter(1.0, 1e-6)
-        assert f.max_epsilon([PrivacyBudget(0.4, 0.0)], 0.0) == pytest.approx(0.6)
-        assert f.max_epsilon([], 2e-6) == 0.0  # delta unaffordable
+        assert max_epsilon(f, [PrivacyBudget(0.4, 0.0)], 0.0) == pytest.approx(0.6)
+        assert max_epsilon(f, [], 2e-6) == 0.0  # delta unaffordable
 
     def test_loss_bound_is_sum(self):
         f = BasicCompositionFilter(1.0, 1e-6)
-        bound = f.loss_bound([PrivacyBudget(0.2), PrivacyBudget(0.3)])
+        bound = loss_bound(f, [PrivacyBudget(0.2), PrivacyBudget(0.3)])
         assert bound.epsilon == pytest.approx(0.5)
 
     def test_invalid_global_params(self):
@@ -81,7 +106,7 @@ class TestBasicFilter:
         f = BasicCompositionFilter(1.0, 1e-6)
         admitted = []
         for b in history:
-            if f.admits(admitted, b):
+            if admits(f, admitted, b):
                 admitted.append(b)
         total = sum(b.epsilon for b in admitted)
         assert total <= 1.0 + 1e-9
@@ -102,56 +127,66 @@ class TestStrongFilter:
         basic = BasicCompositionFilter(1.0, 1e-6)
         strong = StrongCompositionFilter(1.0, 1e-6)
         charge = PrivacyBudget(0.005, 0.0)
-        history = []
-        while basic.admits(history, charge):
-            history.append(charge)
-        k_basic = len(history)
-        while strong.admits(history, charge):
-            history.append(charge)
-        assert len(history) > 1.5 * k_basic
+        row = np.zeros((1, 4))
+        counts = []
+        for f in (basic, strong):  # strong picks up where basic refused
+            n = 0
+            while f.admits_batch(row, charge)[0]:
+                row += f.contribution(charge)
+                n += 1
+            counts.append(n)
+        k_basic, admitted = counts[0], sum(counts)
+        assert admitted > 1.5 * k_basic
+        # The history oracle puts strong composition's refusal there too.
+        rule = StrongRule(1.0, 1e-6)
+        assert rule.admits([charge] * (admitted - 1), charge)
+        assert not rule.admits([charge] * admitted, charge)
 
     def test_single_big_query_behaves_like_basic(self):
         strong = StrongCompositionFilter(1.0, 1e-6)
-        assert not strong.admits([], PrivacyBudget(1.5, 0.0))
+        assert not admits(strong, [], PrivacyBudget(1.5, 0.0))
 
     def test_delta_budget_shared_with_slack(self):
         strong = StrongCompositionFilter(1.0, 1e-6, delta_slack=5e-7)
         # Queries may consume at most delta_global - slack = 5e-7 in total.
-        assert strong.admits([], PrivacyBudget(0.1, 4e-7))
-        assert not strong.admits([PrivacyBudget(0.1, 4e-7)], PrivacyBudget(0.1, 2e-7))
+        assert admits(strong, [], PrivacyBudget(0.1, 4e-7))
+        assert not admits(strong, [PrivacyBudget(0.1, 4e-7)], PrivacyBudget(0.1, 2e-7))
 
     def test_max_epsilon_bisection(self):
         strong = StrongCompositionFilter(1.0, 1e-6)
         history = [PrivacyBudget(0.01, 0.0)] * 10
-        limit = strong.max_epsilon(history, 0.0)
+        limit = max_epsilon(strong, history, 0.0)
         assert 0.0 < limit < 1.0
-        assert strong.admits(history, PrivacyBudget(limit * 0.999, 0.0))
-        assert not strong.admits(history, PrivacyBudget(min(1.0, limit * 1.01), 0.0))
+        assert admits(strong, history, PrivacyBudget(limit * 0.999, 0.0))
+        assert not admits(strong, history, PrivacyBudget(min(1.0, limit * 1.01), 0.0))
 
     def test_basic_fallback_keeps_moderate_queries_admissible(self):
         """A lone eps=0.125 query trivially fits eps_g=1 by basic
         composition even though the Rogers bound alone would refuse it."""
         strong = StrongCompositionFilter(1.0, 1e-6)
-        assert strong.admits([], PrivacyBudget(0.125, 0.0))
+        assert admits(strong, [], PrivacyBudget(0.125, 0.0))
         # Basic fallback also gives exact headroom after moderate spends.
-        limit = strong.max_epsilon([PrivacyBudget(0.1, 0.0)] * 5, 0.0)
+        limit = max_epsilon(strong, [PrivacyBudget(0.1, 0.0)] * 5, 0.0)
         assert limit == pytest.approx(0.5, abs=1e-6)
 
     def test_loss_bound_grows_with_history(self):
         strong = StrongCompositionFilter(1.0, 1e-6)
-        a = strong.loss_bound([PrivacyBudget(0.1)] * 2)
-        b = strong.loss_bound([PrivacyBudget(0.1)] * 6)
+        a = loss_bound(strong, [PrivacyBudget(0.1)] * 2)
+        b = loss_bound(strong, [PrivacyBudget(0.1)] * 6)
         assert b.epsilon > a.epsilon
 
-    def test_loss_bound_from_totals_equals_replay(self):
-        """The O(1) totals path (used by ledgers / stream_loss_bound) must
-        match replaying the history."""
+    def test_loss_bound_matches_oracle(self):
+        """The O(1) totals bound (the stream_loss_bound pass) equals the
+        oracle's bound over the charge history."""
         history = [PrivacyBudget(0.05, 1e-8)] * 9
-        for f in (BasicCompositionFilter(1.0, 1e-6), StrongCompositionFilter(1.0, 1e-6)):
-            replayed = f.loss_bound(history)
-            from_totals = f.loss_bound(history, totals=totals_of(history))
-            assert from_totals.epsilon == pytest.approx(replayed.epsilon)
-            assert from_totals.delta == pytest.approx(replayed.delta)
+        for f, rule in (
+            (BasicCompositionFilter(1.0, 1e-6), BasicRule(1.0, 1e-6)),
+            (StrongCompositionFilter(1.0, 1e-6), StrongRule(1.0, 1e-6)),
+        ):
+            from_totals = loss_bound(f, history)
+            replayed = rule.bound(history)
+            assert from_totals.epsilon == pytest.approx(replayed.epsilon, rel=1e-12)
+            assert from_totals.delta == pytest.approx(replayed.delta, rel=1e-12)
 
     @given(SMALL_BUDGETS)
     @settings(max_examples=30)
@@ -160,10 +195,11 @@ class TestStrongFilter:
         strong = StrongCompositionFilter(1.0, 1e-6)
         admitted = []
         for b in history:
-            if strong.admits(admitted, b):
+            if admits(strong, admitted, b):
                 admitted.append(b)
         if admitted:
-            assert strong.loss_bound(admitted).epsilon <= 1.0 + 1e-9
+            assert loss_bound(strong, admitted).epsilon <= 1.0 + 1e-9
+            assert StrongRule(1.0, 1e-6).bound(admitted).epsilon <= 1.0 + 1e-9
 
 
 class TestSplitRecomposition:
@@ -177,30 +213,22 @@ class TestSplitRecomposition:
         absolute 1e-15 slack."""
         f = StrongCompositionFilter(1.0, 0.1)
         charge = PrivacyBudget(1e-6, (0.1 / 2) / 4096)
-        totals = (0.0, 0.0, 0.0, 0.0)
+        totals = np.zeros((1, 4))
         for i in range(4096):
-            assert f.admits(None, charge, totals=totals), f"rejected at charge {i}"
-            totals = tuple(
-                a + b
-                for a, b in zip(
-                    totals,
-                    (
-                        charge.epsilon,
-                        charge.delta,
-                        charge.epsilon ** 2,
-                        math.expm1(charge.epsilon) * charge.epsilon / 2.0,
-                    ),
-                )
-            )
+            assert f.admits_batch(totals, charge)[0], f"rejected at charge {i}"
+            totals[0, TOT_EPS] += charge.epsilon
+            totals[0, TOT_DELTA] += charge.delta
+            totals[0, TOT_SQ] += charge.epsilon ** 2
+            totals[0, TOT_LINEAR] += math.expm1(charge.epsilon) * charge.epsilon / 2.0
 
     def test_basic_max_epsilon_agrees_with_admits_in_tolerance_band(self):
-        """max_epsilon must not report zero headroom for a delta that
-        admits() would accept (they share fits_within's slack)."""
+        """max_epsilon_batch must not report zero headroom for a delta that
+        admits_batch would accept (they share fits_within's slack)."""
         f = BasicCompositionFilter(1.0, 0.9)
         history = [PrivacyBudget(0.1, 0.9)]  # delta fully spent
         candidate = PrivacyBudget(0.05, 1e-11)  # inside fits_within's slack
-        assert f.admits(history, candidate)
-        assert f.max_epsilon(history, candidate.delta) > 0.0
+        assert admits(f, history, candidate)
+        assert max_epsilon(f, history, candidate.delta) > 0.0
 
     def test_rogers_scalar_and_batch_bit_identical(self):
         import numpy as np
@@ -227,8 +255,8 @@ class TestSplitRecomposition:
         f = BasicCompositionFilter(1.0, 0.9)
         charge = PrivacyBudget(1e-6, 0.9 / 4096)
         history = [charge] * 4095
-        assert f.admits(history, charge)
-        assert f.max_epsilon(history, charge.delta) > 0.0
+        assert admits(f, history, charge)
+        assert max_epsilon(f, history, charge.delta) > 0.0
 
     @given(
         st.integers(min_value=1, max_value=400),
@@ -243,68 +271,62 @@ class TestSplitRecomposition:
         strong = StrongCompositionFilter(eps_g, delta_g)
         basic_charge = PrivacyBudget(eps_g / k, delta_g / k)
         strong_charge = PrivacyBudget(eps_g / k, (delta_g / 2.0) / k)
-        basic_totals = [0.0, 0.0, 0.0, 0.0]
-        strong_totals = [0.0, 0.0, 0.0, 0.0]
+        basic_totals = np.zeros((1, 4))
+        strong_totals = np.zeros((1, 4))
         for i in range(k):
-            assert basic.admits(None, basic_charge, totals=tuple(basic_totals)), (
+            assert basic.admits_batch(basic_totals, basic_charge)[0], (
                 f"basic rejected charge {i + 1}/{k}"
             )
             # The strong filter may legitimately refuse on its eps side (the
             # Rogers bound exceeds eps_g for moderate per-query epsilons)
             # but never on delta drift: a zero-eps probe carrying the same
             # delta isolates the delta check.
-            assert strong.admits(
-                None,
-                PrivacyBudget(0.0, strong_charge.delta),
-                totals=tuple(strong_totals),
-            ), f"strong filter rejected the delta share at charge {i + 1}/{k}"
+            assert strong.admits_batch(
+                strong_totals, PrivacyBudget(0.0, strong_charge.delta)
+            )[0], f"strong filter rejected the delta share at charge {i + 1}/{k}"
             for totals, charge in (
                 (basic_totals, basic_charge),
                 (strong_totals, strong_charge),
             ):
-                totals[TOT_EPS] += charge.epsilon
-                totals[TOT_DELTA] += charge.delta
-                totals[TOT_SQ] += charge.epsilon ** 2
-                totals[TOT_LINEAR] += math.expm1(charge.epsilon) * charge.epsilon / 2.0
+                totals[0, TOT_EPS] += charge.epsilon
+                totals[0, TOT_DELTA] += charge.delta
+                totals[0, TOT_SQ] += charge.epsilon ** 2
+                totals[0, TOT_LINEAR] += math.expm1(charge.epsilon) * charge.epsilon / 2.0
 
 
-TOTALS_ROWS = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=1.2),
-        st.floats(min_value=0.0, max_value=2e-6),
-        st.floats(min_value=0.0, max_value=1.5),
-        st.floats(min_value=0.0, max_value=1.5),
-    ),
-    min_size=1,
-    max_size=20,
-)
+HISTORIES = st.lists(SMALL_BUDGETS, min_size=1, max_size=12)
+ORACLE_PAIRS = {
+    "basic": lambda: (BasicCompositionFilter(1.0, 1e-6), BasicRule(1.0, 1e-6)),
+    "strong": lambda: (StrongCompositionFilter(1.0, 1e-6), StrongRule(1.0, 1e-6)),
+    "basic-wide": lambda: (BasicCompositionFilter(23.0, 0.9), BasicRule(23.0, 0.9)),
+    "strong-wide": lambda: (StrongCompositionFilter(23.0, 0.9), StrongRule(23.0, 0.9)),
+}
 
 
-class TestBatchedMatchesScalar:
-    """admits_batch must be decision-identical to row-by-row admits."""
+def assert_rows_match_oracle(f, rule, histories, candidate):
+    matrix = np.concatenate([row_of(f, h) for h in histories])
+    batched = f.admits_batch(matrix, candidate)
+    for history, admitted in zip(histories, batched):
+        assert bool(admitted) == rule.admits(history, candidate) or rule.near_threshold(
+            history, candidate
+        ), f"admits_batch says {bool(admitted)} for {candidate} after {history}"
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: BasicCompositionFilter(1.0, 1e-6),
-            lambda: StrongCompositionFilter(1.0, 1e-6),
-            lambda: BasicCompositionFilter(23.0, 0.9),
-            lambda: StrongCompositionFilter(23.0, 0.9),
-        ],
-    )
-    @given(rows=TOTALS_ROWS, eps=st.floats(min_value=0.0, max_value=1.5))
+
+class TestBatchMatchesOracle:
+    """admits_batch over many rows decides each row as the history oracle
+    decides that row's charge history."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PAIRS))
+    @given(histories=HISTORIES, eps=st.floats(min_value=0.0, max_value=1.5))
     @settings(max_examples=40, deadline=None)
-    def test_property_batch_equals_scalar(self, make, rows, eps):
-        f = make()
-        candidate = PrivacyBudget(eps, 1e-9)
-        matrix = np.array(rows, dtype=np.float64)
-        batched = f.admits_batch(matrix, candidate)
-        scalar = [f.admits((), candidate, totals=tuple(row)) for row in rows]
-        assert list(batched) == scalar
+    def test_property_batch_equals_oracle(self, name, histories, eps):
+        f, rule = ORACLE_PAIRS[name]()
+        assert_rows_match_oracle(f, rule, histories, PrivacyBudget(eps, 1e-9))
 
     def test_batch_on_real_charge_histories(self):
         rng = np.random.default_rng(3)
-        for f in (BasicCompositionFilter(1.0, 1e-6), StrongCompositionFilter(1.0, 1e-6)):
+        for name in ("basic", "strong"):
+            f, rule = ORACLE_PAIRS[name]()
             histories = []
             for _ in range(40):
                 n = int(rng.integers(0, 30))
@@ -314,24 +336,28 @@ class TestBatchedMatchesScalar:
                         for _ in range(n)
                     ]
                 )
-            matrix = np.array([totals_of(h) for h in histories])
             for eps in (0.01, 0.1, 0.5, 0.99, 1.0):
-                candidate = PrivacyBudget(eps, 1e-9)
-                batched = list(f.admits_batch(matrix, candidate))
-                scalar = [f.admits(h, candidate, totals=totals_of(h)) for h in histories]
-                assert batched == scalar
+                assert_rows_match_oracle(f, rule, histories, PrivacyBudget(eps, 1e-9))
 
-    def test_max_epsilon_batch_matches_scalar_min(self):
+    def test_max_epsilon_batch_is_the_oracle_boundary(self):
+        """The joint headroom is what the tightest row's history still
+        admits: just below it every row admits, just above some row
+        refuses."""
         histories = [
             [PrivacyBudget(0.1, 0.0)] * 3,
             [PrivacyBudget(0.05, 0.0)] * 8,
             [],
         ]
-        for f in (BasicCompositionFilter(1.0, 1e-6), StrongCompositionFilter(1.0, 1e-6)):
-            matrix = np.array([totals_of(h) for h in histories])
+        for name in ("basic", "strong"):
+            f, rule = ORACLE_PAIRS[name]()
+            matrix = np.concatenate([row_of(f, h) for h in histories])
             joint = f.max_epsilon_batch(matrix, 0.0)
-            scalar = min(f.max_epsilon(h, 0.0) for h in histories)
-            assert joint == pytest.approx(scalar, abs=1e-9)
+            assert joint == pytest.approx(
+                min(max_epsilon(f, h, 0.0) for h in histories), abs=1e-9
+            )
+            below, above = PrivacyBudget(joint - 1e-6), PrivacyBudget(joint + 1e-6)
+            assert all(rule.admits(h, below) for h in histories)
+            assert not all(rule.admits(h, above) for h in histories)
 
     def test_empty_batch(self):
         f = BasicCompositionFilter(1.0, 1e-6)

@@ -182,22 +182,6 @@ class TestOneBatchPerHour:
             assert counts["commits"] - before == (1 if committed else 0)
             assert sage.last_hour_charges == committed
 
-    def test_scalar_only_filter_is_rejected_not_routed(self):
-        """There is no per-proposal fallback drive: a filter whose scalar
-        rule overrides the inherited batch rule is refused when the
-        platform is built, before any hour could run."""
-        from repro.core.filters import BasicCompositionFilter
-
-        class ScalarOnlyFilter(BasicCompositionFilter):
-            def admits(self, history, candidate, totals=None):
-                return super().admits(history, candidate, totals=totals)
-
-        with pytest.raises(InvalidBudgetError, match="ScalarOnlyFilter"):
-            Sage(
-                CountStreamSource(4000, scale=1000), seed=3,
-                filter_factory=ScalarOnlyFilter,
-            )
-
 
 class TestStagedBatch:
     """The accountant's staged-batch overlay underneath the protocol."""

@@ -1,9 +1,9 @@
 """Renyi block accounting: the per-order RDP ledger schema and
 :class:`RenyiCompositionFilter`, end to end.
 
-Covers the filter's decision logic (scalar/batch grid parity, closed-form
-``max_epsilon`` inversion, the superset-of-strong-composition property for
-Gaussian-style workloads), the order-extended ledger store under
+Covers the filter's decision logic (batch decisions against the history
+oracle, closed-form ``max_epsilon`` inversion, the
+superset-of-strong-composition property for Gaussian-style workloads), the order-extended ledger store under
 ``charge_many``/staging (byte-parity and rollback), and the platform drive
 (an RDP-filtered stream runs the full batched propose/settle protocol).
 """
@@ -12,6 +12,7 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from composition_oracle import RenyiRule
 from hypothesis import given, settings, strategies as st
 from per_request_oracle import block_histories, count_charge_paths, per_request_drive
 
@@ -46,11 +47,26 @@ def replay_totals(filt: PrivacyFilter, history) -> np.ndarray:
     return totals
 
 
+def admits(filt: PrivacyFilter, history, candidate: PrivacyBudget) -> bool:
+    """The filter's decision on one block's history, as a one-row batch."""
+    return bool(filt.admits_batch(replay_totals(filt, history)[None, :], candidate)[0])
+
+
+def assert_matches_oracle(filt, rule, histories, candidate):
+    """admits_batch over the histories' rows decides each row as the
+    history oracle does (up to its threshold band)."""
+    matrix = np.stack([replay_totals(filt, h) for h in histories])
+    for history, admitted in zip(histories, filt.admits_batch(matrix, candidate)):
+        assert bool(admitted) == rule.admits(history, candidate) or rule.near_threshold(
+            history, candidate
+        )
+
+
 def count_admitted(filt: PrivacyFilter, charge: PrivacyBudget, cap: int = 5000) -> int:
     """How many copies of ``charge`` one block absorbs before refusal."""
-    totals = np.zeros(filt.totals_width)
+    totals = np.zeros((1, filt.totals_width))
     n = 0
-    while n < cap and filt.admits((), charge, totals=tuple(totals)):
+    while n < cap and filt.admits_batch(totals, charge)[0]:
         totals += filt.contribution(charge)
         n += 1
     return n
@@ -87,15 +103,18 @@ class TestRenyiFilterUnit:
 
     def test_loss_bound_reports_delta_of_zero_epsilon_charges(self):
         """Regression: a history of pure-delta charges is real spend; the
-        scalar bound must report it exactly as loss_bound_batch does."""
-        f = RenyiCompositionFilter(1.0, 1e-6, orders=ORDERS_SMALL)
-        history = [PrivacyBudget(0.0, 1e-7)]
-        bound = f.loss_bound(history)
-        assert bound.delta == pytest.approx(5e-7 + 1e-7)
-        _, delta_rows = f.loss_bound_batch(
-            replay_totals(f, history).reshape(1, -1)
+        stream bound must report it, as the history oracle does."""
+        acc = BlockAccountant(
+            1.0,
+            1e-6,
+            filter_factory=lambda e, d: RenyiCompositionFilter(e, d, orders=ORDERS_SMALL),
         )
-        assert float(delta_rows[0]) == pytest.approx(bound.delta)
+        acc.register_blocks([0, 1])
+        acc.charge([0], PrivacyBudget(0.0, 1e-7))
+        bound = acc.stream_loss_bound()
+        assert bound.delta == pytest.approx(5e-7 + 1e-7)
+        oracle = RenyiRule(1.0, 1e-6, ORDERS_SMALL).bound([PrivacyBudget(0.0, 1e-7)])
+        assert bound.delta == pytest.approx(oracle.delta)
 
     def test_admits_until_exhaustion_and_beats_strong(self):
         charge = PrivacyBudget(0.01, 1e-9)
@@ -107,8 +126,8 @@ class TestRenyiFilterUnit:
         f = RenyiCompositionFilter(10.0, 1e-6)
         # delta_conversion (5e-7) plus the charge deltas may not pass 1e-6.
         history = [PrivacyBudget(0.1, 4e-7)]
-        assert not f.admits(history, PrivacyBudget(0.1, 2e-7))
-        assert f.admits(history, PrivacyBudget(0.1, 0.0))
+        assert not admits(f, history, PrivacyBudget(0.1, 2e-7))
+        assert admits(f, history, PrivacyBudget(0.1, 0.0))
 
     def test_gaussian_charges_use_exact_curve(self):
         f = RenyiCompositionFilter(1.0, 1e-6, orders=ORDERS_SMALL)
@@ -122,28 +141,26 @@ class TestRenyiFilterUnit:
         plain = PrivacyBudget(g.epsilon, g.delta)
         assert count_admitted(f, g) > 2 * count_admitted(f, plain)
 
-    def test_grid_parity_scalar_vs_batch(self):
-        """admits_batch must equal the scalar rule decision-for-decision on
+    def test_grid_matches_oracle(self):
+        """admits_batch decides every row as the history oracle does, on
         rows straddling the admit boundary."""
         f = RenyiCompositionFilter(1.0, 1e-6, orders=ORDERS_SMALL)
+        rule = RenyiRule(1.0, 1e-6, ORDERS_SMALL)
         rng = np.random.default_rng(7)
-        rows = []
-        for _ in range(60):
-            history = [
+        histories = [
+            [
                 PrivacyBudget(float(rng.uniform(0.001, 0.2)), float(rng.uniform(0, 4e-9)))
                 for _ in range(int(rng.integers(0, 60)))
             ]
-            rows.append(replay_totals(f, history))
-        matrix = np.array(rows)
+            for _ in range(60)
+        ]
         for candidate in (
             PrivacyBudget(0.01, 0.0),
             PrivacyBudget(0.2, 1e-8),
             PrivacyBudget(0.7, 0.0),
             gaussian_mechanism_budget(0.02, 1.5, 50, 1e-9, orders=ORDERS_SMALL),
         ):
-            batch = f.admits_batch(matrix, candidate)
-            scalar = [f.admits((), candidate, totals=tuple(row)) for row in rows]
-            assert batch.tolist() == scalar
+            assert_matches_oracle(f, rule, histories, candidate)
 
     def test_max_epsilon_closed_form_matches_bisection(self):
         """The per-order inversion must agree with the generic base-class
@@ -161,7 +178,7 @@ class TestRenyiFilterUnit:
             assert closed == pytest.approx(bisected, abs=1e-9)
             # A charge at exactly the reported headroom is always admitted.
             if closed > 0.0:
-                assert f.admits((), PrivacyBudget(closed, 0.0), totals=tuple(matrix[0]))
+                assert f.admits_batch(matrix, PrivacyBudget(closed, 0.0))[0]
 
     def test_max_epsilon_joint_over_rows(self):
         f = RenyiCompositionFilter(1.0, 1e-6, orders=ORDERS_SMALL)
@@ -172,27 +189,25 @@ class TestRenyiFilterUnit:
         assert joint == pytest.approx(worst)
         assert joint <= f.max_epsilon_batch(light.reshape(1, -1), 0.0)
 
-    def test_max_epsilon_scalar_matches_batch(self):
+    def test_max_epsilon_is_the_oracle_boundary(self):
         f = RenyiCompositionFilter(1.0, 1e-6, orders=ORDERS_SMALL)
+        rule = RenyiRule(1.0, 1e-6, ORDERS_SMALL)
         history = [PrivacyBudget(0.1, 1e-9)] * 3
-        assert f.max_epsilon(history, 1e-9) == pytest.approx(
-            f.max_epsilon_batch(replay_totals(f, history).reshape(1, -1), 1e-9)
-        )
+        limit = f.max_epsilon_batch(replay_totals(f, history)[None, :], 1e-9)
+        assert 0.0 < limit < 1.0
+        assert rule.admits(history, PrivacyBudget(limit - 1e-6, 1e-9))
+        assert not rule.admits(history, PrivacyBudget(limit + 1e-6, 1e-9))
 
     def test_loss_bound_tracks_conversion(self):
         f = RenyiCompositionFilter(1.0, 1e-6, orders=ORDERS_SMALL)
-        assert f.loss_bound([]) == ZERO_BUDGET
         history = [PrivacyBudget(0.05, 1e-9)] * 10
-        bound = f.loss_bound(history)
-        totals = replay_totals(f, history)
-        from_totals = f.loss_bound(history, totals=tuple(totals))
-        assert bound.epsilon == pytest.approx(from_totals.epsilon)
+        bound = RenyiRule(1.0, 1e-6, ORDERS_SMALL).bound(history)
         assert bound.delta == pytest.approx(5e-7 + 1e-8)
         # The converted bound beats basic composition on many small charges.
         assert bound.epsilon < 0.5
-        eps_rows, delta_rows = f.loss_bound_batch(totals.reshape(1, -1))
-        assert float(eps_rows[0]) == pytest.approx(bound.epsilon)
-        assert float(delta_rows[0]) == pytest.approx(bound.delta)
+        eps_rows, delta_rows = f.loss_bound_batch(replay_totals(f, history)[None, :])
+        assert float(eps_rows[0]) == pytest.approx(bound.epsilon, rel=1e-12)
+        assert float(delta_rows[0]) == pytest.approx(bound.delta, rel=1e-12)
 
     def test_penalty_matches_rdp_to_epsilon(self):
         """The filter's conversion must be the exact arithmetic of
@@ -225,10 +240,8 @@ class TestSupersetOfStrongComposition:
         strong = StrongCompositionFilter(1.0, 1e-6)
         renyi = RenyiCompositionFilter(1.0, 1e-6)
         candidate = PrivacyBudget(candidate_eps, 1e-9)
-        s_totals = tuple(replay_totals(strong, history))
-        r_totals = tuple(replay_totals(renyi, history))
-        if strong.admits((), candidate, totals=s_totals):
-            assert renyi.admits((), candidate, totals=r_totals)
+        if admits(strong, history, candidate):
+            assert admits(renyi, history, candidate)
 
     def test_admission_counts_ordering(self):
         """Deterministic spot check of the bench's headline ordering."""
@@ -351,8 +364,8 @@ class TestRenyiAccountant:
         for _ in range(8):
             acc.charge([0, 1], PrivacyBudget(0.05, 1e-9))
         bound = acc.stream_loss_bound()
-        # The scalar bound replayed from block 0's logged history.
-        expected = acc.batch_filter.loss_bound(block_histories(acc)[0])
+        # The oracle's bound over block 0's logged history.
+        expected = RenyiRule(1.0, 1e-6, ORDERS_SMALL).bound(block_histories(acc)[0])
         assert bound.epsilon == pytest.approx(expected.epsilon)
         assert bound.delta == pytest.approx(expected.delta)
         assert bound.epsilon < 0.4  # converted curve beats the 0.4 basic sum
@@ -533,9 +546,12 @@ class TestPrunedOrdersPreset:
             assert n_pruned >= 0.9 * n_dense
             assert n_pruned > n_strong
 
-    def test_pruned_scalar_batch_grid_parity(self):
-        """The pruned filter rides the same scalar/batch contract."""
+    def test_pruned_grid_matches_oracle(self):
+        """The pruned filter decides as the oracle does on its own grid."""
+        from repro.dp.rdp import PRUNED_ORDERS
+
         filt = RenyiCompositionFilter(1.0, 1e-6, orders="pruned")
+        rule = RenyiRule(1.0, 1e-6, PRUNED_ORDERS)
         rng = np.random.default_rng(3)
         histories = [
             [PrivacyBudget(float(rng.uniform(0.005, 0.1)), 1e-10) for _ in range(k)]
@@ -543,9 +559,15 @@ class TestPrunedOrdersPreset:
         ]
         matrix = np.stack([replay_totals(filt, h) for h in histories])
         for charge in (PrivacyBudget(0.05, 1e-9), gaussian_mechanism_budget(0.02, 3.0, 50, 1e-9)):
-            batch = filt.admits_batch(matrix, charge)
-            scalar = [filt.admits(h, charge) for h in histories]
-            assert batch.tolist() == scalar
-        assert filt.max_epsilon_batch(matrix, 1e-9) == pytest.approx(
-            min(filt.max_epsilon(h, 1e-9) for h in histories), abs=1e-9
+            assert_matches_oracle(filt, rule, histories, charge)
+        joint = filt.max_epsilon_batch(matrix, 1e-9)
+        assert joint == pytest.approx(
+            min(filt.max_epsilon_batch(row[None, :], 1e-9) for row in matrix), abs=1e-9
+        )
+        if joint > 1e-6:
+            assert all(
+                rule.admits(h, PrivacyBudget(joint - 1e-6, 1e-9)) for h in histories
+            )
+        assert not all(
+            rule.admits(h, PrivacyBudget(joint + 1e-6, 1e-9)) for h in histories
         )

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import durability
 from repro.core.accountant import TOT_EPS, BlockAccountant
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import ReservationTable, Sage
 from repro.data.taxi import TaxiGenerator
 from repro.dp.budget import PrivacyBudget
-from repro.errors import AccessDeniedError
+from repro.errors import AccessDeniedError, PipelineError
 
 
 class DictAllocator:
@@ -264,14 +265,19 @@ def test_negative_zero_survives_a_redistribution():
     assert np.signbit(table.matrix[1:, 1]).all()
 
 
-def test_unknown_columns_read_as_zero():
-    table = ReservationTable()
-    row = table.add_pipeline()
-    table.add_block()
-    table.allocate(0, 1.0, np.array([row], dtype=np.intp))
-    values = table.values(row, np.array([0, 5], dtype=np.intp))
-    assert values[0] == pytest.approx(1.0)
-    assert values[1] == 0.0
+def test_block_registered_outside_ingest_fails_the_next_hour():
+    """The table's columns are the store's rows only while every block
+    enters through the platform's ingest path: a block registered on the
+    access layer directly makes the next hour refuse to open, and the
+    hour rolls back to its pre-hour state."""
+    sage = Sage(TaxiGenerator(points_per_hour=1000), 1.0, 1e-6, seed=4)
+    sage.submit(_Threshold("p0", 600.0))
+    sage.advance(1.0)
+    sage.access.register_blocks(["stray"])
+    before = durability.state_digest(sage)
+    with pytest.raises(PipelineError, match="ingest path"):
+        sage.advance(1.0)
+    assert durability.state_digest(sage) == before
 
 
 def test_epsilon_conservation_on_platform():

@@ -40,8 +40,12 @@ outside:
 * :func:`block_histories` rebuilds each block's charge history from the
   charge log;
 * :class:`PerLedgerReference` is a small accountant that keeps one filter,
-  history and totals row per block and decides one block at a time with
-  the filters' scalar ``admits`` / ``max_epsilon`` / ``loss_bound``.
+  history and totals row per block and decides one block at a time, each
+  through its filter's ``admits_batch`` / ``max_epsilon_batch`` /
+  ``loss_bound_batch`` on that block's own one-row totals.
+
+The filters' rules themselves are checked against charge histories by the
+independent oracle in ``composition_oracle.py``.
 """
 
 from contextlib import contextmanager
@@ -52,7 +56,7 @@ import numpy as np
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import BlockAccountant
 from repro.core.adaptive import AdaptiveSession
-from repro.dp.budget import PrivacyBudget
+from repro.dp.budget import PrivacyBudget, ZERO_BUDGET
 from repro.errors import BlockRetiredError, BudgetExceededError
 from repro.workload import GammaArrivals, OraclePipeline, PowerLawComplexity
 
@@ -159,10 +163,11 @@ class PerLedgerReference:
     def block_keys(self):
         return list(range(len(self.filters)))
 
+    def _row(self, key):
+        return np.array([self.totals[key]], dtype=np.float64)
+
     def _admits(self, key, budget):
-        return self.filters[key].admits(
-            self.histories[key], budget, totals=tuple(self.totals[key])
-        )
+        return bool(self.filters[key].admits_batch(self._row(key), budget)[0])
 
     def is_retired(self, key):
         return not self._admits(key, self.retirement_budget)
@@ -219,12 +224,15 @@ class PerLedgerReference:
         return np.array([self._admits(k, budget) for k in keys], dtype=bool)
 
     def max_epsilon(self, keys, delta):
-        return min(self.filters[k].max_epsilon(self.histories[k], delta) for k in keys)
+        return min(
+            self.filters[k].max_epsilon_batch(self._row(k), delta) for k in keys
+        )
 
     def loss_bound(self, key):
-        return self.filters[key].loss_bound(
-            self.histories[key], totals=tuple(self.totals[key])
-        )
+        if not self.histories[key]:
+            return ZERO_BUDGET
+        eps, delta = self.filters[key].loss_bound_batch(self._row(key))
+        return PrivacyBudget(float(eps[0]), float(delta[0]))
 
     def stream_loss_bound(self):
         worst_eps = worst_delta = 0.0
