@@ -55,7 +55,9 @@ def basic_admits_row(filter_obj, candidate: PrivacyBudget, totals: tuple) -> boo
     total = PrivacyBudget(
         eps_sum + candidate.epsilon, min(1.0, delta_sum + candidate.delta)
     )
-    return total.fits_within(filter_obj.global_budget)
+    return total.fits_within(
+        PrivacyBudget(filter_obj.epsilon_global, filter_obj.delta_global)
+    )
 
 
 def legacy_usable_blocks(acc: BlockAccountant, floor: PrivacyBudget):

@@ -651,7 +651,8 @@ class BlockAccountant:
             return
         pos = int(np.argmin(admitted))
         key = keys[pos]
-        if not self._batch_filter.admits_batch(totals[pos], self.retirement_budget)[0]:
+        row = totals[pos : pos + 1]
+        if not self._batch_filter.admits_batch(row, self.retirement_budget)[0]:
             raise BlockRetiredError(f"block {key!r} is retired", block_id=key)
         raise BudgetExceededError(
             f"block {key!r} cannot absorb {budget}", block_id=key

@@ -150,10 +150,6 @@ class PrivacyFilter(abc.ABC):
         self.delta_global = delta_global
 
     @property
-    def global_budget(self) -> PrivacyBudget:
-        return PrivacyBudget(self.epsilon_global, self.delta_global)
-
-    @property
     def totals_width(self) -> int:
         """Length of this filter's ledger-store totals row.
 

@@ -376,12 +376,13 @@ class TestBatchedScansMatchScalar:
     def test_admits_batch_alone_never_over_admits(self):
         """A subclass that tightens only admits_batch inherits a
         max_epsilon_batch that overstates its headroom: a proposal sized
-        by it is refused on every write path, and nothing lands."""
+        by it is refused on every write path, and nothing lands.  The
+        subclass reads its ``(n, totals_width)`` matrix by column, so every
+        refusal's retirement check must pass it a matrix too."""
 
         class CappedAdmitsOnly(BasicCompositionFilter):
             def admits_batch(self, totals, candidate):
-                admitted = super().admits_batch(totals, candidate)
-                return admitted & (candidate.epsilon <= 0.25)
+                return totals[:, TOT_EPS] + candidate.epsilon <= 0.25
 
         acc = BlockAccountant(1.0, 1e-6, filter_factory=CappedAdmitsOnly)
         acc.register_blocks([0, 1])
@@ -397,6 +398,9 @@ class TestBatchedScansMatchScalar:
         committed = acc.commit_staged()
         assert committed == []
         assert not acc.store.totals.any() and acc.charges == []
+        acc.charge([0], PrivacyBudget(0.25, 0.0))
+        with pytest.raises(BlockRetiredError):
+            acc.charge([0], PrivacyBudget(0.1, 0.0))
 
     def test_max_epsilon_matches_scalar_min(self):
         for factory in (BasicCompositionFilter, StrongCompositionFilter):

@@ -30,10 +30,18 @@ N_BLOCKS = 4
 # How far from a reported max_epsilon the oracle must already decide.
 HEADROOM_TIGHTNESS = 1e-6
 
+# Non-default reserved deltas: strong composition's slack and the Renyi
+# conversion delta, each well away from the delta_global / 2 default.
+SLACK, CONVERSION = DELTA_G / 4.0, DELTA_G / 10.0
+
 # filter factory, oracle rule factory
 FILTERS = {
     "basic": (BasicCompositionFilter, BasicRule),
     "strong": (StrongCompositionFilter, StrongRule),
+    "strong-slack": (
+        lambda e, d: StrongCompositionFilter(e, d, delta_slack=SLACK),
+        lambda e, d: StrongRule(e, d, delta_slack=SLACK),
+    ),
     "renyi-default": (
         RenyiCompositionFilter,
         lambda e, d: RenyiRule(e, d, DEFAULT_ORDERS),
@@ -41,6 +49,10 @@ FILTERS = {
     "renyi-pruned": (
         lambda e, d: RenyiCompositionFilter(e, d, orders="pruned"),
         lambda e, d: RenyiRule(e, d, PRUNED_ORDERS),
+    ),
+    "renyi-conversion": (
+        lambda e, d: RenyiCompositionFilter(e, d, delta_conversion=CONVERSION),
+        lambda e, d: RenyiRule(e, d, DEFAULT_ORDERS, delta_conversion=CONVERSION),
     ),
 }
 
@@ -175,4 +187,6 @@ def test_oracle_refuses_past_the_policy():
         assert not rule.admits([charge], charge)
         assert not rule.admits([], PrivacyBudget(0.1, 2 * DELTA_G))
     assert StrongRule(EPSILON_G, DELTA_G).bound([charge]).delta == pytest.approx(5e-7)
+    _, make_rule = FILTERS["strong-slack"]
+    assert make_rule(EPSILON_G, DELTA_G).bound([charge]).delta == pytest.approx(SLACK)
     assert np.isclose(BasicRule(EPSILON_G, DELTA_G).bound([charge] * 2).epsilon, 1.2)

@@ -14,6 +14,13 @@ import pytest
 from composition_oracle import BasicRule, StrongRule
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from per_request_oracle import (
+    assert_rows_match_oracle,
+    history_admits,
+    history_loss_bound,
+    history_max_epsilon,
+    history_row,
+)
 
 from repro.core.accountant import TOT_DELTA, TOT_EPS, TOT_LINEAR, TOT_SQ
 from repro.core.filters import (
@@ -23,28 +30,6 @@ from repro.core.filters import (
 )
 from repro.dp.budget import PrivacyBudget
 from repro.errors import InvalidBudgetError
-
-
-def row_of(f, history):
-    """One block's ``(1, totals_width)`` totals row, accumulated charge by
-    charge as the accountant's store does."""
-    row = np.zeros((1, f.totals_width))
-    for budget in history:
-        row += f.contribution(budget)
-    return row
-
-
-def admits(f, history, candidate):
-    return bool(f.admits_batch(row_of(f, history), candidate)[0])
-
-
-def max_epsilon(f, history, delta):
-    return f.max_epsilon_batch(row_of(f, history), delta)
-
-
-def loss_bound(f, history):
-    eps, delta = f.loss_bound_batch(row_of(f, history))
-    return PrivacyBudget(float(eps[0]), float(delta[0]))
 
 
 SMALL_BUDGETS = st.lists(
@@ -63,35 +48,35 @@ class TestBasicFilter:
         history = []
         charge = PrivacyBudget(0.3, 1e-7)
         for _ in range(3):
-            assert admits(f, history, charge)
+            assert history_admits(f, history, charge)
             history.append(charge)
         # 0.9 spent; 0.3 more would overflow epsilon.
-        assert not admits(f, history, charge)
-        assert admits(f, history, PrivacyBudget(0.1, 0.0))
+        assert not history_admits(f, history, charge)
+        assert history_admits(f, history, PrivacyBudget(0.1, 0.0))
 
     def test_headroom_exact(self):
         """Budgets add up, so the leftover is exact on both dimensions."""
         f = BasicCompositionFilter(1.0, 1e-6)
         spent = [PrivacyBudget(0.25, 4e-7)]
-        assert max_epsilon(f, spent, 0.0) == pytest.approx(0.75)
-        assert max_epsilon(f, spent, 6e-7) == pytest.approx(0.75)
-        assert max_epsilon(f, spent, 6.1e-7) == 0.0
-        assert admits(f, spent, PrivacyBudget(0.75, 6e-7))
+        assert history_max_epsilon(f, spent, 0.0) == pytest.approx(0.75)
+        assert history_max_epsilon(f, spent, 6e-7) == pytest.approx(0.75)
+        assert history_max_epsilon(f, spent, 6.1e-7) == 0.0
+        assert history_admits(f, spent, PrivacyBudget(0.75, 6e-7))
 
     def test_delta_dimension_enforced(self):
         f = BasicCompositionFilter(10.0, 1e-6)
         history = [PrivacyBudget(0.1, 1e-6)]
-        assert not admits(f, history, PrivacyBudget(0.1, 1e-7))
-        assert admits(f, history, PrivacyBudget(0.1, 0.0))
+        assert not history_admits(f, history, PrivacyBudget(0.1, 1e-7))
+        assert history_admits(f, history, PrivacyBudget(0.1, 0.0))
 
     def test_max_epsilon(self):
         f = BasicCompositionFilter(1.0, 1e-6)
-        assert max_epsilon(f, [PrivacyBudget(0.4, 0.0)], 0.0) == pytest.approx(0.6)
-        assert max_epsilon(f, [], 2e-6) == 0.0  # delta unaffordable
+        assert history_max_epsilon(f, [PrivacyBudget(0.4, 0.0)], 0.0) == pytest.approx(0.6)
+        assert history_max_epsilon(f, [], 2e-6) == 0.0  # delta unaffordable
 
     def test_loss_bound_is_sum(self):
         f = BasicCompositionFilter(1.0, 1e-6)
-        bound = loss_bound(f, [PrivacyBudget(0.2), PrivacyBudget(0.3)])
+        bound = history_loss_bound(f, [PrivacyBudget(0.2), PrivacyBudget(0.3)])
         assert bound.epsilon == pytest.approx(0.5)
 
     def test_invalid_global_params(self):
@@ -106,7 +91,7 @@ class TestBasicFilter:
         f = BasicCompositionFilter(1.0, 1e-6)
         admitted = []
         for b in history:
-            if admits(f, admitted, b):
+            if history_admits(f, admitted, b):
                 admitted.append(b)
         total = sum(b.epsilon for b in admitted)
         assert total <= 1.0 + 1e-9
@@ -144,35 +129,35 @@ class TestStrongFilter:
 
     def test_single_big_query_behaves_like_basic(self):
         strong = StrongCompositionFilter(1.0, 1e-6)
-        assert not admits(strong, [], PrivacyBudget(1.5, 0.0))
+        assert not history_admits(strong, [], PrivacyBudget(1.5, 0.0))
 
     def test_delta_budget_shared_with_slack(self):
         strong = StrongCompositionFilter(1.0, 1e-6, delta_slack=5e-7)
         # Queries may consume at most delta_global - slack = 5e-7 in total.
-        assert admits(strong, [], PrivacyBudget(0.1, 4e-7))
-        assert not admits(strong, [PrivacyBudget(0.1, 4e-7)], PrivacyBudget(0.1, 2e-7))
+        assert history_admits(strong, [], PrivacyBudget(0.1, 4e-7))
+        assert not history_admits(strong, [PrivacyBudget(0.1, 4e-7)], PrivacyBudget(0.1, 2e-7))
 
     def test_max_epsilon_bisection(self):
         strong = StrongCompositionFilter(1.0, 1e-6)
         history = [PrivacyBudget(0.01, 0.0)] * 10
-        limit = max_epsilon(strong, history, 0.0)
+        limit = history_max_epsilon(strong, history, 0.0)
         assert 0.0 < limit < 1.0
-        assert admits(strong, history, PrivacyBudget(limit * 0.999, 0.0))
-        assert not admits(strong, history, PrivacyBudget(min(1.0, limit * 1.01), 0.0))
+        assert history_admits(strong, history, PrivacyBudget(limit * 0.999, 0.0))
+        assert not history_admits(strong, history, PrivacyBudget(min(1.0, limit * 1.01), 0.0))
 
     def test_basic_fallback_keeps_moderate_queries_admissible(self):
         """A lone eps=0.125 query trivially fits eps_g=1 by basic
         composition even though the Rogers bound alone would refuse it."""
         strong = StrongCompositionFilter(1.0, 1e-6)
-        assert admits(strong, [], PrivacyBudget(0.125, 0.0))
+        assert history_admits(strong, [], PrivacyBudget(0.125, 0.0))
         # Basic fallback also gives exact headroom after moderate spends.
-        limit = max_epsilon(strong, [PrivacyBudget(0.1, 0.0)] * 5, 0.0)
+        limit = history_max_epsilon(strong, [PrivacyBudget(0.1, 0.0)] * 5, 0.0)
         assert limit == pytest.approx(0.5, abs=1e-6)
 
     def test_loss_bound_grows_with_history(self):
         strong = StrongCompositionFilter(1.0, 1e-6)
-        a = loss_bound(strong, [PrivacyBudget(0.1)] * 2)
-        b = loss_bound(strong, [PrivacyBudget(0.1)] * 6)
+        a = history_loss_bound(strong, [PrivacyBudget(0.1)] * 2)
+        b = history_loss_bound(strong, [PrivacyBudget(0.1)] * 6)
         assert b.epsilon > a.epsilon
 
     def test_loss_bound_matches_oracle(self):
@@ -183,7 +168,7 @@ class TestStrongFilter:
             (BasicCompositionFilter(1.0, 1e-6), BasicRule(1.0, 1e-6)),
             (StrongCompositionFilter(1.0, 1e-6), StrongRule(1.0, 1e-6)),
         ):
-            from_totals = loss_bound(f, history)
+            from_totals = history_loss_bound(f, history)
             replayed = rule.bound(history)
             assert from_totals.epsilon == pytest.approx(replayed.epsilon, rel=1e-12)
             assert from_totals.delta == pytest.approx(replayed.delta, rel=1e-12)
@@ -195,10 +180,10 @@ class TestStrongFilter:
         strong = StrongCompositionFilter(1.0, 1e-6)
         admitted = []
         for b in history:
-            if admits(strong, admitted, b):
+            if history_admits(strong, admitted, b):
                 admitted.append(b)
         if admitted:
-            assert loss_bound(strong, admitted).epsilon <= 1.0 + 1e-9
+            assert history_loss_bound(strong, admitted).epsilon <= 1.0 + 1e-9
             assert StrongRule(1.0, 1e-6).bound(admitted).epsilon <= 1.0 + 1e-9
 
 
@@ -227,8 +212,8 @@ class TestSplitRecomposition:
         f = BasicCompositionFilter(1.0, 0.9)
         history = [PrivacyBudget(0.1, 0.9)]  # delta fully spent
         candidate = PrivacyBudget(0.05, 1e-11)  # inside fits_within's slack
-        assert admits(f, history, candidate)
-        assert max_epsilon(f, history, candidate.delta) > 0.0
+        assert history_admits(f, history, candidate)
+        assert history_max_epsilon(f, history, candidate.delta) > 0.0
 
     def test_rogers_scalar_and_batch_bit_identical(self):
         import numpy as np
@@ -255,8 +240,8 @@ class TestSplitRecomposition:
         f = BasicCompositionFilter(1.0, 0.9)
         charge = PrivacyBudget(1e-6, 0.9 / 4096)
         history = [charge] * 4095
-        assert admits(f, history, charge)
-        assert max_epsilon(f, history, charge.delta) > 0.0
+        assert history_admits(f, history, charge)
+        assert history_max_epsilon(f, history, charge.delta) > 0.0
 
     @given(
         st.integers(min_value=1, max_value=400),
@@ -303,15 +288,6 @@ ORACLE_PAIRS = {
 }
 
 
-def assert_rows_match_oracle(f, rule, histories, candidate):
-    matrix = np.concatenate([row_of(f, h) for h in histories])
-    batched = f.admits_batch(matrix, candidate)
-    for history, admitted in zip(histories, batched):
-        assert bool(admitted) == rule.admits(history, candidate) or rule.near_threshold(
-            history, candidate
-        ), f"admits_batch says {bool(admitted)} for {candidate} after {history}"
-
-
 class TestBatchMatchesOracle:
     """admits_batch over many rows decides each row as the history oracle
     decides that row's charge history."""
@@ -350,10 +326,10 @@ class TestBatchMatchesOracle:
         ]
         for name in ("basic", "strong"):
             f, rule = ORACLE_PAIRS[name]()
-            matrix = np.concatenate([row_of(f, h) for h in histories])
+            matrix = np.concatenate([history_row(f, h) for h in histories])
             joint = f.max_epsilon_batch(matrix, 0.0)
             assert joint == pytest.approx(
-                min(max_epsilon(f, h, 0.0) for h in histories), abs=1e-9
+                min(history_max_epsilon(f, h, 0.0) for h in histories), abs=1e-9
             )
             below, above = PrivacyBudget(joint - 1e-6), PrivacyBudget(joint + 1e-6)
             assert all(rule.admits(h, below) for h in histories)

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 from composition_oracle import RenyiRule
 from hypothesis import given, settings, strategies as st
-from per_request_oracle import block_histories, count_charge_paths, per_request_drive
+from per_request_oracle import (
+    assert_rows_match_oracle,
+    block_histories,
+    count_charge_paths,
+    history_admits,
+    history_row,
+    per_request_drive,
+)
 
 from repro.core.accountant import BlockAccountant
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSession
@@ -36,30 +43,6 @@ from repro.errors import BudgetExceededError, InvalidBudgetError
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
 ORDERS_SMALL = (2, 3, 4, 8, 16, 32, 64)
-
-
-def replay_totals(filt: PrivacyFilter, history) -> np.ndarray:
-    """A ledger's accumulation of ``history`` (the float op order ledgers,
-    charge_many, and staging all share)."""
-    totals = np.zeros(filt.totals_width)
-    for budget in history:
-        totals += filt.contribution(budget)
-    return totals
-
-
-def admits(filt: PrivacyFilter, history, candidate: PrivacyBudget) -> bool:
-    """The filter's decision on one block's history, as a one-row batch."""
-    return bool(filt.admits_batch(replay_totals(filt, history)[None, :], candidate)[0])
-
-
-def assert_matches_oracle(filt, rule, histories, candidate):
-    """admits_batch over the histories' rows decides each row as the
-    history oracle does (up to its threshold band)."""
-    matrix = np.stack([replay_totals(filt, h) for h in histories])
-    for history, admitted in zip(histories, filt.admits_batch(matrix, candidate)):
-        assert bool(admitted) == rule.admits(history, candidate) or rule.near_threshold(
-            history, candidate
-        )
 
 
 def count_admitted(filt: PrivacyFilter, charge: PrivacyBudget, cap: int = 5000) -> int:
@@ -126,8 +109,8 @@ class TestRenyiFilterUnit:
         f = RenyiCompositionFilter(10.0, 1e-6)
         # delta_conversion (5e-7) plus the charge deltas may not pass 1e-6.
         history = [PrivacyBudget(0.1, 4e-7)]
-        assert not admits(f, history, PrivacyBudget(0.1, 2e-7))
-        assert admits(f, history, PrivacyBudget(0.1, 0.0))
+        assert not history_admits(f, history, PrivacyBudget(0.1, 2e-7))
+        assert history_admits(f, history, PrivacyBudget(0.1, 0.0))
 
     def test_gaussian_charges_use_exact_curve(self):
         f = RenyiCompositionFilter(1.0, 1e-6, orders=ORDERS_SMALL)
@@ -160,7 +143,7 @@ class TestRenyiFilterUnit:
             PrivacyBudget(0.7, 0.0),
             gaussian_mechanism_budget(0.02, 1.5, 50, 1e-9, orders=ORDERS_SMALL),
         ):
-            assert_matches_oracle(f, rule, histories, candidate)
+            assert_rows_match_oracle(f, rule, histories, candidate)
 
     def test_max_epsilon_closed_form_matches_bisection(self):
         """The per-order inversion must agree with the generic base-class
@@ -172,7 +155,7 @@ class TestRenyiFilterUnit:
                 PrivacyBudget(float(rng.uniform(0.001, 0.15)), 0.0)
                 for _ in range(int(rng.integers(0, 40)))
             ]
-            matrix = replay_totals(f, history).reshape(1, -1)
+            matrix = history_row(f, history)
             closed = f.max_epsilon_batch(matrix, 0.0)
             bisected = PrivacyFilter.max_epsilon_batch(f, matrix, 0.0)
             assert closed == pytest.approx(bisected, abs=1e-9)
@@ -182,18 +165,18 @@ class TestRenyiFilterUnit:
 
     def test_max_epsilon_joint_over_rows(self):
         f = RenyiCompositionFilter(1.0, 1e-6, orders=ORDERS_SMALL)
-        light = replay_totals(f, [PrivacyBudget(0.05, 0.0)])
-        heavy = replay_totals(f, [PrivacyBudget(0.4, 0.0)] * 2)
-        joint = f.max_epsilon_batch(np.array([light, heavy]), 0.0)
-        worst = f.max_epsilon_batch(heavy.reshape(1, -1), 0.0)
+        light = history_row(f, [PrivacyBudget(0.05, 0.0)])
+        heavy = history_row(f, [PrivacyBudget(0.4, 0.0)] * 2)
+        joint = f.max_epsilon_batch(np.concatenate([light, heavy]), 0.0)
+        worst = f.max_epsilon_batch(heavy, 0.0)
         assert joint == pytest.approx(worst)
-        assert joint <= f.max_epsilon_batch(light.reshape(1, -1), 0.0)
+        assert joint <= f.max_epsilon_batch(light, 0.0)
 
     def test_max_epsilon_is_the_oracle_boundary(self):
         f = RenyiCompositionFilter(1.0, 1e-6, orders=ORDERS_SMALL)
         rule = RenyiRule(1.0, 1e-6, ORDERS_SMALL)
         history = [PrivacyBudget(0.1, 1e-9)] * 3
-        limit = f.max_epsilon_batch(replay_totals(f, history)[None, :], 1e-9)
+        limit = f.max_epsilon_batch(history_row(f, history), 1e-9)
         assert 0.0 < limit < 1.0
         assert rule.admits(history, PrivacyBudget(limit - 1e-6, 1e-9))
         assert not rule.admits(history, PrivacyBudget(limit + 1e-6, 1e-9))
@@ -205,7 +188,7 @@ class TestRenyiFilterUnit:
         assert bound.delta == pytest.approx(5e-7 + 1e-8)
         # The converted bound beats basic composition on many small charges.
         assert bound.epsilon < 0.5
-        eps_rows, delta_rows = f.loss_bound_batch(replay_totals(f, history)[None, :])
+        eps_rows, delta_rows = f.loss_bound_batch(history_row(f, history))
         assert float(eps_rows[0]) == pytest.approx(bound.epsilon, rel=1e-12)
         assert float(delta_rows[0]) == pytest.approx(bound.delta, rel=1e-12)
 
@@ -240,8 +223,8 @@ class TestSupersetOfStrongComposition:
         strong = StrongCompositionFilter(1.0, 1e-6)
         renyi = RenyiCompositionFilter(1.0, 1e-6)
         candidate = PrivacyBudget(candidate_eps, 1e-9)
-        if admits(strong, history, candidate):
-            assert admits(renyi, history, candidate)
+        if history_admits(strong, history, candidate):
+            assert history_admits(renyi, history, candidate)
 
     def test_admission_counts_ordering(self):
         """Deterministic spot check of the bench's headline ordering."""
@@ -557,9 +540,9 @@ class TestPrunedOrdersPreset:
             [PrivacyBudget(float(rng.uniform(0.005, 0.1)), 1e-10) for _ in range(k)]
             for k in (0, 1, 5, 20)
         ]
-        matrix = np.stack([replay_totals(filt, h) for h in histories])
+        matrix = np.concatenate([history_row(filt, h) for h in histories])
         for charge in (PrivacyBudget(0.05, 1e-9), gaussian_mechanism_budget(0.02, 3.0, 50, 1e-9)):
-            assert_matches_oracle(filt, rule, histories, charge)
+            assert_rows_match_oracle(filt, rule, histories, charge)
         joint = filt.max_epsilon_batch(matrix, 1e-9)
         assert joint == pytest.approx(
             min(filt.max_epsilon_batch(row[None, :], 1e-9) for row in matrix), abs=1e-9

@@ -45,7 +45,11 @@ outside:
   ``loss_bound_batch`` on that block's own one-row totals.
 
 The filters' rules themselves are checked against charge histories by the
-independent oracle in ``composition_oracle.py``.
+independent oracle in ``composition_oracle.py``.  The filter tests ask a
+filter about one block's history through :func:`history_row` (the
+block's totals row, accumulated as the store does) and the
+``history_*`` one-row decisions, and compare many rows with the oracle
+through :func:`assert_rows_match_oracle`.
 """
 
 from contextlib import contextmanager
@@ -63,8 +67,13 @@ from repro.workload import GammaArrivals, OraclePipeline, PowerLawComplexity
 __all__ = [
     "PerLedgerReference",
     "arrival_schedule",
+    "assert_rows_match_oracle",
     "block_histories",
     "forced_poll_drive",
+    "history_admits",
+    "history_loss_bound",
+    "history_max_epsilon",
+    "history_row",
     "per_request_drive",
 ]
 
@@ -146,6 +155,44 @@ def block_histories(accountant):
     return histories
 
 
+def history_row(filt, history, row=None):
+    """One block's ``(1, totals_width)`` totals row: each charge's
+    ``contribution`` added in order, as the accountant's store accumulates
+    it.  Given ``row``, the charges are added to it in place."""
+    if row is None:
+        row = np.zeros((1, filt.totals_width))
+    for budget in history:
+        row += filt.contribution(budget)
+    return row
+
+
+def history_admits(filt, history, candidate):
+    """``filt``'s decision on ``candidate`` after ``history``, as a one-row
+    batch."""
+    return bool(filt.admits_batch(history_row(filt, history), candidate)[0])
+
+
+def history_max_epsilon(filt, history, delta):
+    return filt.max_epsilon_batch(history_row(filt, history), delta)
+
+
+def history_loss_bound(filt, history):
+    if not history:
+        return ZERO_BUDGET
+    eps, delta = filt.loss_bound_batch(history_row(filt, history))
+    return PrivacyBudget(float(eps[0]), float(delta[0]))
+
+
+def assert_rows_match_oracle(filt, rule, histories, candidate):
+    """``admits_batch`` over the histories' rows decides each row as the
+    history oracle ``rule`` does, up to its threshold band."""
+    matrix = np.concatenate([history_row(filt, h) for h in histories])
+    for history, admitted in zip(histories, filt.admits_batch(matrix, candidate)):
+        assert bool(admitted) == rule.admits(history, candidate) or rule.near_threshold(
+            history, candidate
+        ), f"admits_batch says {bool(admitted)} for {candidate} after {history}"
+
+
 class PerLedgerReference:
     """Block composition straight from per-block filters: blocks
     ``0 .. n_blocks - 1``, each with its own filter, charge history and
@@ -154,7 +201,7 @@ class PerLedgerReference:
     def __init__(self, factory, n_blocks, epsilon=1.0, delta=1e-6):
         self.filters = [factory(epsilon, delta) for _ in range(n_blocks)]
         self.histories = [[] for _ in range(n_blocks)]
-        self.totals = [[0.0] * f.totals_width for f in self.filters]
+        self.rows = [history_row(f, []) for f in self.filters]
         self.live = [True] * n_blocks
         self.charges = []
         self.retirement_budget = PrivacyBudget(epsilon / 1000.0, 0.0)
@@ -163,26 +210,17 @@ class PerLedgerReference:
     def block_keys(self):
         return list(range(len(self.filters)))
 
-    def _row(self, key):
-        return np.array([self.totals[key]], dtype=np.float64)
-
     def _admits(self, key, budget):
-        return bool(self.filters[key].admits_batch(self._row(key), budget)[0])
+        return bool(self.filters[key].admits_batch(self.rows[key], budget)[0])
 
     def is_retired(self, key):
         return not self._admits(key, self.retirement_budget)
-
-    def _record(self, key, budget):
-        # Scalar float64 adds, one column at a time.
-        self.histories[key].append(budget)
-        for column, value in enumerate(self.filters[key].contribution(budget).tolist()):
-            self.totals[key][column] += value
 
     def charge_many(self, requests):
         """Apply the ``(keys, budget, label)`` batch one request at a time;
         on the first refusal, undo every earlier request of the batch and
         raise."""
-        snapshot = [(len(h), list(t)) for h, t in zip(self.histories, self.totals)]
+        snapshot = [(len(h), r.copy()) for h, r in zip(self.histories, self.rows)]
         try:
             for keys, budget, _ in requests:
                 for key in keys:
@@ -195,11 +233,12 @@ class PerLedgerReference:
                             f"block {key!r} cannot absorb {budget}", block_id=key
                         )
                 for key in keys:
-                    self._record(key, budget)
+                    self.histories[key].append(budget)
+                    history_row(self.filters[key], [budget], self.rows[key])
         except (BlockRetiredError, BudgetExceededError):
-            for key, (n_history, totals) in enumerate(snapshot):
+            for key, (n_history, row) in enumerate(snapshot):
                 del self.histories[key][n_history:]
-                self.totals[key] = totals
+                self.rows[key] = row
             raise
         self.charges.extend(
             (budget.epsilon, budget.delta, tuple(keys), label)
@@ -225,14 +264,11 @@ class PerLedgerReference:
 
     def max_epsilon(self, keys, delta):
         return min(
-            self.filters[k].max_epsilon_batch(self._row(k), delta) for k in keys
+            self.filters[k].max_epsilon_batch(self.rows[k], delta) for k in keys
         )
 
     def loss_bound(self, key):
-        if not self.histories[key]:
-            return ZERO_BUDGET
-        eps, delta = self.filters[key].loss_bound_batch(self._row(key))
-        return PrivacyBudget(float(eps[0]), float(delta[0]))
+        return history_loss_bound(self.filters[key], self.histories[key])
 
     def stream_loss_bound(self):
         worst_eps = worst_delta = 0.0
@@ -246,7 +282,7 @@ class PerLedgerReference:
         """The state an accountant's ``(store totals, live mask, charge
         counts, charge log)`` must match byte for byte."""
         return (
-            np.array(self.totals, dtype=np.float64).tobytes(),
+            np.concatenate(self.rows).tobytes(),
             np.array(self.live, dtype=bool).tobytes(),
             np.array([len(h) for h in self.histories], dtype=np.int64).tobytes(),
             list(self.charges),
