@@ -20,7 +20,8 @@ statement after that capture from which the rollback call is reachable
 * every ``self``-attribute the protected region may mutate -- direct
   assignments, subscript writes, and known-mutator calls, collected
   transitively through ``self.*()`` calls on the typed call graph and
-  resolved through local aliases -- must have its root attribute either
+  resolved through local aliases, in every statement of a called helper
+  (loop and branch bodies included) -- must have its root attribute either
   **restored** (the rollback helper assigns through it or calls a method
   on it) or **exempt** (diagnostics the contract documents as
   non-rolled-back);
@@ -300,14 +301,15 @@ class RollbackCompletenessRule(Rule):
                     if defn is None:
                         continue
                     _, callee_fn = defn
+                    callee_cfg = build_cfg(callee_fn)
                     self._collect(
-                        list(callee_fn.body),
+                        [n.stmt for n in callee_cfg.stmt_nodes()],
                         ref[0],
                         callgraph,
                         depth - 1,
                         out,
                         visited,
-                        aliases=MayAlias(build_cfg(callee_fn)).alias_map(),
+                        aliases=MayAlias(callee_cfg).alias_map(),
                         via=f" (via {ref[0]}.{ref[1]})" if ref[0] else f" (via {ref[1]})",
                     )
 

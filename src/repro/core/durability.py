@@ -72,7 +72,11 @@ database, RNG state, clock, and a state digest.  Snapshots are written to
 a temp file in the same directory and published with ``os.replace``, so a
 crash mid-write (crash point ``snapshot.mid_write``) can never leave a
 half-written snapshot where the loader finds it; ``latest()`` also skips
-corrupt snapshot files and falls back to the next older valid one.
+corrupt snapshot files and falls back to the next older valid one.  The
+database's packed columns pickle their live rows and capacity only (see
+:class:`~repro.data.stream.PackedColumns`), so equal states -- two runs of
+one seed, or a run with a rolled-back and retried hour -- write
+byte-identical snapshot files.
 
 State digest
 ------------
@@ -91,10 +95,14 @@ State digest
    tuple(window), epsilon, delta, str(outcome), train_size)``.
 
 The charge log and the attempt lists are append-only, so their running
-CRCs are memoized on the platform and a digest costs O(new records +
-pipelines) per hour, not O(history).  Commit markers and snapshots
-written under an earlier digest definition fail verification with a
-typed error rather than replaying silently.
+CRCs are memoized on the platform, and so is each pipeline's encoded
+``repr`` of item 4, reused while every value it encodes is the same
+object.  A finished pipeline never changes again, so a digest encodes
+only the entries that changed since the last one and folds all entry
+bytes with one CRC call; it costs O(new records + changed entries) of
+encoding plus an O(pipelines) check, not O(history).  Commit markers
+and snapshots written under an earlier digest definition fail
+verification with a typed error rather than replaying silently.
 
 Recovery procedure
 ------------------
@@ -131,6 +139,7 @@ files are trusted local state, not an interchange format.
 
 from __future__ import annotations
 
+import operator
 import os
 import pickle
 import struct
@@ -618,7 +627,9 @@ def _fold_sequence(memo: dict, slot, seq, encode) -> Tuple[int, int]:
         crc = zlib.crc32(encode(seq[index]), crc)
     if n > fold.n:
         fold.n, fold.last, fold.crc = n, seq[n - 1], crc
-    return n, crc
+    # The stored objects, not fresh equal ones: state_digest reuses an
+    # entry's bytes only while every value it encodes is the same object.
+    return fold.n, fold.crc
 
 
 def _charge_bytes(record) -> bytes:
@@ -642,6 +653,10 @@ def _attempt_bytes(record) -> bytes:
     ).encode("utf-8")
 
 
+def _entry_bytes(scalars) -> bytes:
+    return repr(scalars).encode("utf-8")
+
+
 def _fold_array(crc: int, array) -> int:
     """Fold an array's shape and C-order bytes (its ``tobytes()``)."""
     crc = zlib.crc32(repr(array.shape).encode("utf-8"), crc)
@@ -660,6 +675,16 @@ def state_digest(sage) -> int:
     states could pickle differently (recovery rebuilds values, not
     identity graphs).  The charge log and each session's attempts enter
     as ``(length, running CRC)`` memoized in ``sage._digest_memo``.
+
+    Each pipeline entry's encoded scalars are cached there too, with the
+    scalar objects they encode.  A cached entry is reused only while
+    every scalar -- its status, attempt count and attempts CRC included
+    -- is the very same object, so a terminal entry (which nothing
+    changes again) is encoded once, at its first digest after the
+    transition, and a rollback, a snapshot restore or any direct edit
+    re-encodes.  The entries' bytes are joined and folded with one
+    ``zlib.crc32`` call: ``crc32(a + b, c) == crc32(b, crc32(a, c))``,
+    so the value is the per-entry chain's.
     """
     accountant = sage.access.accountant
     accountant.retired_blocks()  # persist pending lazy retirement
@@ -677,6 +702,8 @@ def state_digest(sage) -> int:
         crc = _fold_array(crc, array)
     charges = _fold_sequence(memo, "charges", accountant.charge_log, _charge_bytes)
     crc = zlib.crc32(repr(charges).encode("utf-8"), crc)
+    encoded = memo.setdefault("entries", {})
+    parts = []
     for index, entry in enumerate(sage.pipelines):
         session = entry.session
         spent = session.total_spent
@@ -695,8 +722,13 @@ def state_digest(sage) -> int:
             n_attempts,
             attempts_crc,
         )
-        crc = zlib.crc32(repr(scalars).encode("utf-8"), crc)
-    return crc
+        cached = encoded.get(index)
+        # Identity, not equality: the very same objects repr the same,
+        # while 0.0 == -0.0 would reuse bytes that no longer match.
+        if cached is None or not all(map(operator.is_, cached[0], scalars)):
+            cached = encoded[index] = (scalars, _entry_bytes(scalars))
+        parts.append(cached[1])
+    return zlib.crc32(b"".join(parts), crc)
 
 
 # ----------------------------------------------------------------------
@@ -818,6 +850,7 @@ def restore_snapshot_payload(sage, payload: dict) -> None:
     sage.reservation_table.restore(matrix, payload["table_free"])
     for entry, state in zip(entries, states):
         restore_entry_state(entry, state)
+    sage._reindex_waiting()
     sage.rng.bit_generator.state = payload["rng_state"]
     digest = state_digest(sage)
     if digest != payload["digest"]:

@@ -96,6 +96,19 @@ without a proposal -- exactly the state ``wake()`` followed by
 changes no decision, trace tick, digest or WAL byte; the test suite's
 forced-poll drive, which polls every session, is its parity reference.
 
+Waiting index
+-------------
+The platform keeps its waiting (non-terminal) entries in ``_waiting``, a
+dict from table row -- which is also the submission position -- to
+entry, in submission order.  ``submit`` adds an entry; the drive and the
+WAL replay drop one at its terminal transition, just before its leftovers
+are redistributed; the hour rollback restores the captured index, and a
+snapshot restore rebuilds it from the restored statuses.  The waiting-set
+size (the new-block share), the waiting rows of every allocation and
+redistribution, the drive, the pre-hour capture and ``run_until_quiet``
+therefore cost O(waiting pipelines), not O(every pipeline ever
+submitted), and visit entries in the order a full scan would.
+
 Reservation table
 -----------------
 Per-pipeline epsilon reservations live in one contiguous
@@ -431,6 +444,9 @@ class Sage:
         self.epsilon_global = epsilon_global
         self.delta_global = delta_global
         self._pipelines: List[SubmittedPipeline] = []
+        # The waiting index: every non-terminal entry, keyed by its table
+        # row (its submission position), in submission order.
+        self._waiting: Dict[int, SubmittedPipeline] = {}
         # All pipelines' epsilon reservations plus the unreserved free pool,
         # columns aligned to the stream accountant's ledger-store rows.
         self._table = ReservationTable()
@@ -554,20 +570,25 @@ class Sage:
         )
         entry.session = session
         self._pipelines.append(entry)
+        self._waiting[entry.table_row] = entry
         return entry
+
+    def _reindex_waiting(self) -> None:
+        """Rebuild the waiting index from every entry's status (snapshot
+        restore rewrites all of them at once)."""
+        self._waiting = {
+            entry.table_row: entry for entry in self._pipelines if entry.waiting
+        }
 
     # ------------------------------------------------------------------
     # Allocation (conserve strategy of §3.3, one table op per step)
     # ------------------------------------------------------------------
     def _waiting_rows(self) -> np.ndarray:
-        return np.fromiter(
-            (p.table_row for p in self._pipelines if p.waiting), dtype=np.intp
-        )
+        return np.fromiter(self._waiting, dtype=np.intp, count=len(self._waiting))
 
     def _new_block_share(self) -> float:
         """Per-pipeline epsilon a freshly created block would grant now."""
-        waiting = sum(1 for p in self._pipelines if p.waiting)
-        return self.epsilon_global / max(1, waiting)
+        return self.epsilon_global / max(1, len(self._waiting))
 
     def _allocate_block(self, key: object) -> None:
         """Divide a new block's budget evenly among waiting pipelines."""
@@ -796,9 +817,7 @@ class Sage:
         tracer = self._tracer
         released: List[ReleasedBundle] = []
         driven = 0
-        for entry in self._pipelines:
-            if not entry.waiting:
-                continue
+        for entry in list(self._waiting.values()):
             # The span covers the session's whole hour -- drive, settle,
             # release, redistribute -- so the wall view attributes the
             # settlement tail (a whole-table ReservationTable op per
@@ -825,6 +844,7 @@ class Sage:
                     entry.release_time_hours = self.clock_hours
                     released.append(bundle)
                 if entry.session.is_terminal:
+                    self._waiting.pop(entry.table_row)
                     self._redistribute(entry)
         # One settle marker per hour (not per session: settle instants
         # ride the per-session hot path, and the session.drive spans
@@ -854,9 +874,7 @@ class Sage:
         waiting pipelines are captured: the hour never touches finished
         ones."""
         entries = []
-        for index, entry in enumerate(self._pipelines):
-            if not entry.waiting:
-                continue
+        for index, entry in self._waiting.items():
             session = entry.session
             entries.append(
                 (
@@ -885,6 +903,7 @@ class Sage:
             "free": self._table.free_epsilon.copy(),
             "store_marks": self.store.version_marks(),
             "entries": entries,
+            "waiting": dict(self._waiting),
         }
 
     def _rollback_hour(self, txn: dict) -> None:
@@ -911,6 +930,7 @@ class Sage:
             entry.settled_attempts = pre["settled_attempts"]
             entry.release_time_hours = pre["release_time_hours"]
             entry.bundle = pre["bundle"]
+        self._waiting = txn["waiting"]
         self.store.rollback_to_marks(txn["store_marks"])
 
     def _build_hour_record(self, txn: dict, hours: float, new_blocks) -> dict:
@@ -1136,6 +1156,7 @@ class Sage:
             entry.settled_attempts = delta["settled_attempts"]
             entry.release_time_hours = delta["release_time_hours"]
             if session.is_terminal:
+                self._waiting.pop(entry.table_row)
                 self._redistribute(entry)
         if record["requests"]:
             self.access.request_many(record["requests"])
@@ -1152,7 +1173,7 @@ class Sage:
         released: List[ReleasedBundle] = []
         for _ in range(max_hours):
             released.extend(self.advance(1.0))
-            if not any(p.waiting for p in self._pipelines):
+            if not self._waiting:
                 break
         return released
 

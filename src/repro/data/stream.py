@@ -130,6 +130,41 @@ class PackedColumns:
     def __len__(self) -> int:
         return self._n
 
+    def __getstate__(self) -> dict:
+        """Pickle the live rows and the capacity, never the spare buffer
+        bytes: ``np.empty`` leaves them arbitrary, and a truncated tail
+        keeps rolled-back rows, so pickling them would make two equal
+        stores (and the snapshots that carry them) differ byte for byte."""
+        n = self._n  # a pickled slice carries its own rows only
+        return {
+            "capacity": self._y.shape[0],
+            "feature_shape": self._feature_shape,
+            "extras_keys": self._extras_keys,
+            "X": self._X[:n],
+            "y": self._y[:n],
+            "timestamps": self._timestamps[:n],
+            "user_ids": self._user_ids[:n],
+            "extras": {k: v[:n] for k, v in self._extras.items()},
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        """Re-allocate the pickled capacity zeroed and refill the live rows."""
+        capacity = state["capacity"]
+
+        def refilled(live: np.ndarray) -> np.ndarray:
+            out = np.zeros((capacity,) + live.shape[1:], dtype=live.dtype)
+            out[: live.shape[0]] = live
+            return out
+
+        self._feature_shape = state["feature_shape"]
+        self._extras_keys = state["extras_keys"]
+        self._n = state["y"].shape[0]
+        self._X = refilled(state["X"])
+        self._y = refilled(state["y"])
+        self._timestamps = refilled(state["timestamps"])
+        self._user_ids = refilled(state["user_ids"])
+        self._extras = {k: refilled(v) for k, v in state["extras"].items()}
+
     def matches(self, batch: StreamBatch) -> bool:
         """Whether the batch fits this store's fixed schema."""
         if batch.X.shape[1:] != self._feature_shape:

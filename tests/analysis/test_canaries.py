@@ -21,10 +21,12 @@ PLATFORM = "src/repro/core/platform.py"
 DURABILITY = "src/repro/core/durability.py"
 
 
-def lint_seeded(relpath, anchor, replacement, rule):
-    source = (REPO_ROOT / relpath).read_text(encoding="utf-8")
-    assert source.count(anchor) == 1, f"anchor moved in {relpath}; update this test"
-    seeded = source.replace(anchor, replacement, 1)
+def lint_seeded(relpath, anchor, replacement, rule, more=()):
+    """Lint ``src`` with ``anchor`` replaced (plus each ``more`` pair)."""
+    seeded = (REPO_ROOT / relpath).read_text(encoding="utf-8")
+    for anchor, replacement in ((anchor, replacement), *more):
+        assert seeded.count(anchor) == 1, f"anchor moved in {relpath}; update this test"
+        seeded = seeded.replace(anchor, replacement, 1)
     project = collect_project(REPO_ROOT, ["src"])
     modules = [
         Module.from_source(seeded, relpath) if m.relpath == relpath else m
@@ -50,6 +52,24 @@ def test_seeded_unrestored_mutation_fails_rollback():
         and "_rollback_hour never restores self._hour_trace" in f.message
         for f in findings
     ), "rollback-completeness went blind: seeded unrestored mutation not flagged"
+
+
+def test_unrestored_waiting_index_fails_rollback():
+    """The drive drops a finished session from the waiting index inside a
+    loop of a called helper; with the index's capture and restore both
+    gone, the rule must flag that nested mutation."""
+    findings = lint_seeded(
+        PLATFORM,
+        '        self._waiting = txn["waiting"]\n',
+        "",
+        RollbackCompletenessRule(),
+        more=[('            "waiting": dict(self._waiting),\n', "")],
+    )
+    assert any(
+        "self._waiting.pop() (via Sage._drive_hour)" in f.message
+        and "never restores self._waiting" in f.message
+        for f in findings
+    ), "rollback-completeness went blind to mutations nested in a callee's loop"
 
 
 def test_seeded_unsynced_append_fails_wal_ordering():

@@ -13,9 +13,12 @@ typed error naming the file and offset, never a silent replay.
 import dataclasses
 import os
 import struct
+import tempfile
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import durability, faults
 from repro.core.accountant import ChargeRecord
@@ -779,3 +782,92 @@ class TestDigestCoverage:
         undo()
         assert _memo_digest(sage) == base
         sage.close()
+
+
+# ----------------------------------------------------------------------
+# The waiting index through recovery; reproducible snapshot files
+# ----------------------------------------------------------------------
+def _waiting_rows(sage):
+    """The waiting index's rows, checked against the full scan."""
+    rows = list(sage._waiting)
+    assert rows == [entry.table_row for entry in sage.pipelines if entry.waiting]
+    return rows
+
+
+class TestWaitingIndexRecovery:
+    @given(
+        hours=st.integers(4, 10),
+        snapshot_every=st.sampled_from([0, 2, 3]),
+        tail=st.integers(1, 3),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_recovered_index_matches_scan_and_live_run(
+        self, hours, snapshot_every, tail
+    ):
+        with tempfile.TemporaryDirectory() as wal_dir:
+            sage = _submitted(
+                "single-basic", wal_dir=wal_dir, snapshot_every=snapshot_every
+            )
+            for _ in range(hours):
+                sage.advance(1.0)
+            live_rows, live_digest = _waiting_rows(sage), _memo_digest(sage)
+            sage.close()
+            recovered = _build(
+                "single-basic", wal_dir=wal_dir, snapshot_every=snapshot_every
+            )
+            report = recovered.recover(_pipes())
+            assert report.hours_committed == hours
+            assert _waiting_rows(recovered) == live_rows
+            assert _memo_digest(recovered) == live_digest
+            # The recovered platform keeps the index in lockstep with a
+            # clean run.
+            digests = _clean_digests("single-basic", hours=hours + tail)
+            for hour in range(hours + 1, hours + tail + 1):
+                recovered.advance(1.0)
+                _waiting_rows(recovered)
+                assert _memo_digest(recovered) == digests[hour]
+            recovered.close()
+
+
+def _snapshot_bytes(wal_dir):
+    return {path.name: path.read_bytes() for path in sorted(wal_dir.glob("*.snap"))}
+
+
+class TestSnapshotReproducibility:
+    def test_two_fresh_wal_demo_runs_write_identical_snapshots(self, tmp_path):
+        from repro.cli import main
+
+        runs = []
+        for name in ("a", "b"):
+            wal_dir = tmp_path / name
+            args = ["--wal-dir", str(wal_dir), "--hours", "6", "--snapshot-every", "4"]
+            assert main(["wal-demo", *args]) == 0
+            runs.append(wal_dir)
+        snapshots = _snapshot_bytes(runs[0])
+        assert list(snapshots) == ["snapshot-00000004.snap"]
+        assert snapshots == _snapshot_bytes(runs[1])
+        assert (runs[0] / "charge.wal").read_bytes() == (
+            runs[1] / "charge.wal"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_rolled_back_hour_leaves_identical_snapshots(self, variant, tmp_path):
+        """An hour that failed after staging and ingesting, then re-ran,
+        snapshots the same bytes as a run where it never failed."""
+        runs = []
+        for name, failing_hour in (("clean", None), ("rolled-back", 2)):
+            wal_dir = tmp_path / name
+            sage = _submitted(variant, wal_dir=wal_dir, snapshot_every=4)
+            for hour in range(8):
+                if hour == failing_hour:
+                    faults.arm_error("settle.mid_session", skip=1)
+                    try:
+                        with pytest.raises(faults.InjectedFault):
+                            sage.advance(1.0)
+                    finally:
+                        faults.disarm("settle.mid_session")
+                sage.advance(1.0)
+            sage.close()
+            runs.append(_snapshot_bytes(wal_dir))
+        assert list(runs[0]) == ["snapshot-00000004.snap", "snapshot-00000008.snap"]
+        assert runs[0] == runs[1]

@@ -205,3 +205,29 @@ class TestPackedColumns:
         assert np.array_equal(out.X, batch.X)
         out.y[:] = -5.0
         assert not np.array_equal(batch.y, out.y)
+
+    def test_pickle_keeps_live_rows_and_capacity_only(self):
+        import pickle
+
+        parts = [make_batch(5), make_batch(3)]
+        packed, _ = self._packed_with(parts)
+        packed.append(make_batch(4))
+        packed.truncate_to(8)  # the rolled-back rows stay in the buffer
+        # Equal stores whose spare capacity differs pickle the same.
+        clean, _ = self._packed_with(parts)
+        clean._grow_to(packed._y.shape[0])
+        blob = pickle.dumps(packed)
+        assert blob == pickle.dumps(clean)
+        restored = pickle.loads(blob)
+        assert len(restored) == 8
+        assert restored._y.shape == packed._y.shape
+        assert not restored._y[8:].any() and not restored._X[8:].any()
+        joined = StreamBatch.concatenate(parts)
+        got = restored.slice_batch(0, 8)
+        for col in ("X", "y", "timestamps", "user_ids"):
+            assert np.array_equal(getattr(got, col), getattr(joined, col))
+        assert np.array_equal(got.extras["speed"], joined.extras["speed"])
+        # The restored store keeps appending where the live rows end.
+        extent = restored.append(make_batch(2))
+        assert extent == (8, 2)
+        assert restored.matches(make_batch(2))
