@@ -103,8 +103,10 @@ def attr_chain(node: ast.AST) -> List[str]:
 
 
 def assigned_target_nodes(node: ast.AST) -> Iterator[ast.AST]:
-    """The leaf targets of an assignment statement (tuples flattened)."""
-    if isinstance(node, ast.Assign):
+    """The leaf targets of an assignment or ``del`` statement (tuples
+    flattened): ``del self.x[k]`` rebinds ``self.x[k]`` as surely as an
+    assignment does."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
         targets = node.targets
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         targets = [node.target]

@@ -125,7 +125,8 @@ def mutations_in_stmt(
     roots: Tuple[str, ...] = ("self",),
 ) -> List[Mutation]:
     """Every mutation event in one statement (assignments to tracked
-    roots, subscript writes through them, mutator-method calls).
+    roots, subscript writes through them, ``del`` of either,
+    mutator-method calls).
 
     ``aliases`` maps local names to the ``self``-rooted path they may
     alias (see :class:`MayAlias`); a write through an alias is reported
@@ -141,6 +142,8 @@ def mutations_in_stmt(
         return []
     out: List[Mutation] = []
     for node in ast.walk(probe):
+        deletes = isinstance(node, ast.Delete)
+        assigns, writes = ("deletes", "deletes") if deletes else ("assigns", "writes")
         for target in assigned_target_nodes(node):
             if isinstance(target, ast.Attribute):
                 chain = tuple(attr_chain(target))
@@ -150,7 +153,7 @@ def mutations_in_stmt(
                         Mutation(
                             chain[0],
                             chain,
-                            f"assigns {'.'.join(chain)}",
+                            f"{assigns} {'.'.join(chain)}",
                             getattr(node, "lineno", 0),
                             getattr(node, "col_offset", 0),
                         )
@@ -163,7 +166,7 @@ def mutations_in_stmt(
                         Mutation(
                             chain[0],
                             chain,
-                            f"writes {'.'.join(chain)}[...]",
+                            f"{writes} {'.'.join(chain)}[...]",
                             getattr(node, "lineno", 0),
                             getattr(node, "col_offset", 0),
                         )

@@ -102,11 +102,19 @@ supports this with a :class:`StagedBatch` overlay opened by
   is not persisted until the batch closes (scans still filter staged-retired
   blocks out).
 * While a batch is open, whole-stream admit scans are memoized per floor
-  budget on the batch itself (``StagedBatch.scan_memo``): every reader
-  shares one scan until a charge is actually staged, a block registered,
-  or registrations rolled back.  A refused ``stage_charge`` moves nothing,
-  so it keeps the memo -- a queue of blocked proposers at one floor pays
-  for a single scan.  Decisions are identical to rescanning.
+  budget on the batch itself (``StagedBatch.scan_memo``): an admit mask
+  over the store rows plus the read-only row array readers get.  The
+  memo survives stages.  A successful ``stage_charge`` re-decides only
+  the rows it staged -- one ``admits_batch`` over those rows at the
+  retirement budget, one more per memoized floor -- and re-derives each
+  floor's row array, so a stage costs O(rows staged x floors) instead of
+  the next reader's O(stream) rescan.  This is exact: ``admits_batch``
+  decides a row from that row's totals alone, the staged charge moved no
+  other row's effective totals, and ``store.live`` cannot move while a
+  batch is open (retirement is persisted only outside one).  A refused
+  ``stage_charge`` moves nothing and touches no entry; a block registered
+  or registrations rolled back mid-batch (both rare) clear the memo.
+  Decisions are identical to rescanning.
 * ``commit_staged()`` closes the overlay and lands it: the touched
   effective rows and their staged charge counts in one bulk row write,
   then the requests on the charge log.  Staging already validated every
@@ -125,7 +133,7 @@ overlay could not see those writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -282,10 +290,12 @@ class StagedBatch:
         self._width = accountant.store.width
         self._counts = np.zeros(self._eff.shape[0], dtype=np.int64)
         self.requests: List[tuple] = []
-        # Whole-stream admit scans by floor budget (filled by
-        # BlockAccountant._live_admit_rows), cleared whenever the effective
-        # totals or the row set move; it dies with the batch.
-        self.scan_memo: Dict[PrivacyBudget, np.ndarray] = {}
+        # Whole-stream admit scans by floor budget: (admit mask over the
+        # store rows, its read-only np.flatnonzero row array).  Filled by
+        # BlockAccountant._live_admit_rows, brought up to date on the
+        # staged rows by every successful stage, cleared when the row set
+        # moves; it dies with the batch.
+        self.scan_memo: Dict[PrivacyBudget, Tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -498,10 +508,32 @@ class BlockAccountant:
         return self._staged
 
     def _invalidate_scans(self) -> None:
-        """Forget the open batch's memoized scans (the totals or the row
-        set just moved); a no-op when no batch is open."""
+        """Forget the open batch's memoized scans (the row set just
+        moved); a no-op when no batch is open."""
         if self._staged is not None:
             self._staged.scan_memo.clear()
+
+    def _redecide_staged_rows(self, rows: np.ndarray) -> None:
+        """Bring every memoized scan up to date after a charge on ``rows``
+        was staged: re-decide those rows, then re-derive each floor's row
+        array (a new read-only array; ones already handed out never
+        change).  Every other row keeps its effective totals and its live
+        bit, so each entry stays equal to a fresh scan."""
+        memo = self._staged.scan_memo
+        if not memo:
+            return
+        totals = self._staged.effective_totals(len(self._store))[rows]
+        alive = self._store.live[rows] & self._batch_filter.admits_batch(
+            totals, self.retirement_budget
+        )
+        for floor, (mask, _) in list(memo.items()):
+            if floor == self.retirement_budget:
+                mask[rows] = alive
+            else:
+                mask[rows] = alive & self._batch_filter.admits_batch(totals, floor)
+            admitted = np.flatnonzero(mask)
+            admitted.setflags(write=False)  # shared across memo readers
+            memo[floor] = (mask, admitted)
 
     def stage_charge(
         self, keys: Sequence[object], budget: PrivacyBudget, label: str = ""
@@ -512,7 +544,8 @@ class BlockAccountant:
         ``BudgetExceededError``) and stages nothing on refusal; on success
         the request joins the batch and becomes visible to every subsequent
         read and stage decision (intra-batch accumulation).  Only that
-        success drops the batch's scan memo: a refusal moves no totals.
+        success re-decides the staged rows in the batch's scan memo: a
+        refusal moves no totals and leaves the memo as it is.
         """
         if self._staged is None:
             raise InvalidBudgetError("no staged batch is open")
@@ -526,7 +559,7 @@ class BlockAccountant:
         self._refuse_unless_admitted(keys, eff[rows], budget)
         self._staged.add(rows, self._contribution(budget))
         self._staged.requests.append((keys, budget, label))
-        self._invalidate_scans()
+        self._redecide_staged_rows(rows)
 
     def commit_staged(self) -> List[ChargeRecord]:
         """Close the staged batch and commit it in one bulk row write.
@@ -875,14 +908,15 @@ class BlockAccountant:
         blocks dead along the way -- the shared body of every block scan.
 
         While a staged batch is open the result is cached per floor budget
-        in the batch's scan memo and shared read-only across callers.
+        in the batch's scan memo, with its admit mask, and shared read-only
+        across callers.
         """
         memo = None
         if self._staged is not None:
             memo = self._staged.scan_memo
             cached = memo.get(floor)
             if cached is not None:
-                return cached
+                return cached[1]
         live_rows = np.nonzero(self._store.live)[0]
         if live_rows.size == 0:
             return live_rows
@@ -905,12 +939,14 @@ class BlockAccountant:
             )
             live_rows = live_rows[admitted]
         if memo is not None:
+            mask = np.zeros(len(self._store), dtype=bool)
+            mask[live_rows] = True
             live_rows.setflags(write=False)  # shared across memo readers
-            # repro: allow(purity) -- scan-memo cache fill: the memo is
-            # cleared whenever the totals or the row set move, and the
-            # cached rows are the value an uncached scan would recompute
-            # identically.
-            memo[floor] = live_rows
+            # repro: allow(purity) -- scan-memo cache fill: every stage
+            # re-decides its rows in the memo and a moved row set clears
+            # it, so the cached rows are the value an uncached scan would
+            # recompute identically.
+            memo[floor] = (mask, live_rows)
         return live_rows
 
     def admit_rows(self, min_budget: Optional[PrivacyBudget] = None) -> np.ndarray:
@@ -918,7 +954,8 @@ class BlockAccountant:
         (default: the retirement threshold), in registration order -- the
         one whole-stream scan every block read goes through.  While a
         staged batch is open the array is the batch's shared scan-memo
-        entry: read-only, and valid until the next successful stage."""
+        entry: read-only, and current until the next successful stage,
+        which replaces the entry with a new array."""
         return self._live_admit_rows(min_budget or self.retirement_budget)
 
     def usable_blocks(self, min_budget: Optional[PrivacyBudget] = None) -> List[object]:

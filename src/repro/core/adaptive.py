@@ -330,8 +330,9 @@ class AdaptiveSession:
         window exists.  False means nothing: the full search decides.  The
         budgets are rebuilt from the live fields on every call, since WAL
         replay and the hour rollback rewrite them in place.  A pure read,
-        like :meth:`propose_peek`; while the hour's batch is open it shares
-        the batch's scan memo.
+        like :meth:`propose_peek`; while the hour's batch is open its row
+        read is the batch's memoized scan at ``lowest``, which every stage
+        keeps current by re-deciding only the rows it staged.
         """
         if self.status not in (SessionStatus.RUNNING, SessionStatus.NEED_DATA):
             return False
@@ -358,16 +359,19 @@ class AdaptiveSession:
         another, each through :meth:`propose`, so this read always sees
         the charges staged by the sessions before it.  Because it writes
         nothing, the accountant scans behind it can be shared: while the
-        hour's staged batch is open, its scan memo lets a queue of
-        sessions blocked at the same floor reuse one whole-stream admit
-        scan until a successful stage, a block registration or a
+        hour's staged batch is open, its scan memo holds one whole-stream
+        admit scan per floor, and every session at that floor reads it.
+        A successful stage re-decides only the rows it staged in each
+        memoized scan (exact, since a filter decides each row from that
+        row's totals alone), so the next proposer pays for those rows,
+        not for a rescan of the stream; only a block registration or a
         registration rollback clears the memo.
 
         The peek always runs the full window search.  The platform asks
         the cheaper :meth:`provably_blocked` first, once per session and
         hour, and calls :meth:`propose` only when that verdict is False; a
-        check here instead would rescan after every staged charge clears
-        the memo, on every proposal of a session that is not blocked.
+        check here instead would repeat that verdict's row read on every
+        proposal of a session that is not blocked.
         """
         status = self.status
         if status == SessionStatus.NEED_DATA:

@@ -144,7 +144,7 @@ import os
 import pickle
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -193,14 +193,16 @@ class WalScan:
     """Result of reading a WAL file.
 
     ``records`` are the complete, CRC-verified payload dicts in file
-    order; ``truncated_tail`` reports an incomplete trailing record (a
-    crash mid-append) whose bytes start at ``end_offset`` -- the offset
-    the writer resumes (and truncates) at.
+    order, and ``spans[i]`` is the ``(start, end)`` byte range of record
+    ``i``'s frame (header and payload); ``truncated_tail`` reports an
+    incomplete trailing record (a crash mid-append) whose bytes start at
+    ``end_offset`` -- the offset the writer resumes (and truncates) at.
     """
 
     records: List[dict]
     truncated_tail: bool
     end_offset: int
+    spans: List[Tuple[int, int]] = field(default_factory=list)
 
 
 def read_wal(path) -> WalScan:
@@ -214,7 +216,11 @@ def read_wal(path) -> WalScan:
     path = Path(path)
     if not path.exists():
         return WalScan(records=[], truncated_tail=False, end_offset=0)
-    data = path.read_bytes()
+    return _scan_wal_bytes(path, path.read_bytes())
+
+
+def _scan_wal_bytes(path: Path, data: bytes) -> WalScan:
+    """:func:`read_wal` over the file's bytes, already read."""
     if not data:
         return WalScan(records=[], truncated_tail=False, end_offset=0)
     if len(data) < len(WAL_MAGIC):
@@ -225,6 +231,7 @@ def read_wal(path) -> WalScan:
     if data[: len(WAL_MAGIC)] != WAL_MAGIC:
         raise WalCorruptionError(path, 0, "bad file magic")
     records: List[dict] = []
+    spans: List[Tuple[int, int]] = []
     offset = len(WAL_MAGIC)
     index = 0
     truncated = False
@@ -248,9 +255,12 @@ def read_wal(path) -> WalScan:
                 path, offset, f"undecodable record payload ({exc})", record=index
             ) from exc
         records.append(record)
+        spans.append((offset, offset + _FRAME.size + length))
         offset += _FRAME.size + length
         index += 1
-    return WalScan(records=records, truncated_tail=truncated, end_offset=offset)
+    return WalScan(
+        records=records, truncated_tail=truncated, end_offset=offset, spans=spans
+    )
 
 
 def pair_hour_records(records) -> List[Tuple[dict, Optional[int]]]:
@@ -396,7 +406,8 @@ class WalWriter:
         *oldest retained* snapshot's hour: every dropped hour is folded
         into every snapshot recovery could still load, so the corrupt-
         newest-snapshot fallback keeps working.  Records that carry no
-        hour index are preserved untouched, in order.
+        hour index are preserved untouched, in order: every kept frame is
+        copied byte for byte, never decoded and encoded again.
 
         The rewrite is crash-atomic (same-directory temp file, fsync,
         ``os.replace``): a crash mid-compaction leaves either the old log
@@ -412,10 +423,11 @@ class WalWriter:
         if upto_hour <= 0:
             return 0
         self._fh.flush()
-        scan = read_wal(self._path)
-        kept: List[dict] = []
+        data = self._path.read_bytes()
+        scan = _scan_wal_bytes(self._path, data)
+        kept: List[bytes] = []
         dropped = 0
-        for record in scan.records:
+        for record, (start, end) in zip(scan.records, scan.spans):
             hour_index = record.get("hour_index")
             if (
                 record.get("kind") in ("hour", "commit")
@@ -424,7 +436,7 @@ class WalWriter:
             ):
                 dropped += 1
             else:
-                kept.append(record)
+                kept.append(data[start:end])
         if not dropped:
             return 0
         with self._tracer.span(
@@ -432,9 +444,7 @@ class WalWriter:
         ):
             tmp = self._path.with_name(self._path.name + ".compact")
             with open(tmp, "wb") as fh:
-                fh.write(WAL_MAGIC)
-                for record in kept:
-                    fh.write(_encode_record(record))
+                fh.write(WAL_MAGIC + b"".join(kept))
                 fh.flush()
                 os.fsync(fh.fileno())
             self._fh.close()

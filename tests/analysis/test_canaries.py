@@ -72,6 +72,27 @@ def test_unrestored_waiting_index_fails_rollback():
     ), "rollback-completeness went blind to mutations nested in a callee's loop"
 
 
+def test_waiting_index_deleted_with_del_fails_rollback():
+    """The same nested removal written as ``del self._waiting[row]``:
+    with the index's capture and restore gone, the rule must flag the
+    ``del`` as it flags ``.pop()``."""
+    findings = lint_seeded(
+        PLATFORM,
+        "                    self._waiting.pop(entry.table_row)\n",
+        "                    del self._waiting[entry.table_row]\n",
+        RollbackCompletenessRule(),
+        more=[
+            ('        self._waiting = txn["waiting"]\n', ""),
+            ('            "waiting": dict(self._waiting),\n', ""),
+        ],
+    )
+    assert any(
+        "deletes self._waiting[...] (via Sage._drive_hour)" in f.message
+        and "never restores self._waiting" in f.message
+        for f in findings
+    ), "rollback-completeness went blind to state removed with del"
+
+
 def test_seeded_unsynced_append_fails_wal_ordering():
     """Dropping the fsync after the write-ahead record's write must be
     flagged: buffered bytes break the write-ahead guarantee."""

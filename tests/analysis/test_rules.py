@@ -28,6 +28,7 @@ CASES = [
     (FloatDeterminismRule, "float_determinism", "src/repro/core/fixture_mod.py", 2),
     (ApiHygieneRule, "api_hygiene", "tests/core/fixture_mod.py", 4),
     (RollbackCompletenessRule, "rollback", "src/repro/core/fixture_mod.py", 3),
+    (RollbackCompletenessRule, "rollback_del", "src/repro/core/fixture_mod.py", 2),
     (WalOrderingRule, "wal_ordering", "src/repro/core/fixture_mod.py", 5),
     (TelemetryIsolationRule, "telemetry", "src/repro/core/fixture_mod.py", 3),
     (TelemetryIsolationRule, "telemetry_obs", "src/repro/obs/fixture_mod.py", 2),

@@ -24,9 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from per_request_oracle import arrival_schedule, forced_poll_drive
+from per_request_oracle import arrival_schedule, durable_drive, forced_poll_drive
 
-from repro.core import durability, faults
 from repro.core.access_control import SageAccessControl
 from repro.core.adaptive import (
     AdaptiveConfig,
@@ -214,61 +213,15 @@ CONFIG = AdaptiveConfig(
 
 
 def _drive(wal_dir, filter_name, mix, forced):
-    """Drive a durable platform through a rolled-back hour and a recovery;
-    returns every artifact the skip could perturb."""
-
-    def build():
-        return Sage(
-            CountStreamSource(16_000, scale=1000),
-            seed=3,
-            filter_factory=FILTERS[filter_name],
-            wal_dir=wal_dir,
-            snapshot_every=8,
-        )
-
-    sage, submitted, released = build(), [], []
-    peeks = {"calls": 0}
-    peek = AdaptiveSession.propose_peek
-
-    def counting_peek(self):
-        peeks["calls"] += 1
-        return peek(self)
-
-    with forced_poll_drive() if forced else nullcontext() as seen, mock.patch.object(
-        AdaptiveSession, "propose_peek", counting_peek
-    ):
-        schedule = arrival_schedule(HOURS, ARRIVAL_RATES[mix], seed=7)
-        for hour, arrivals in enumerate(schedule):
-            if hour == RECOVER_HOUR:
-                digest = durability.state_digest(sage)
-                sage.close()
-                sage = build()
-                sage.recover(submitted)
-                assert durability.state_digest(sage) == digest
-            for pipeline in arrivals:
-                sage.submit(pipeline, CONFIG)
-                submitted.append((pipeline, CONFIG))
-            if hour == ROLLBACK_HOUR:
-                with faults.armed_error("settle.mid_session", skip=1):
-                    with pytest.raises(faults.InjectedFault):
-                        sage.advance(1.0)
-            released.extend(sage.advance(1.0))
-        sage.close()
-    if forced:
-        assert seen["verdicts"] > 0, "the forced-poll patch was never consulted"
-    return {
-        "digest": durability.state_digest(sage),
-        "wal": durability.wal_path(wal_dir).read_bytes(),
-        "attempts": [
-            (entry.name, entry.status, entry.release_time_hours, entry.session.attempts)
-            for entry in sage.pipelines
-        ],
-        "released": [
-            (b.name, b.version, b.budget, b.block_keys, b.release_time_hours)
-            for b in released
-        ],
-        "peeks": peeks["calls"],
-    }
+    return durable_drive(
+        wal_dir,
+        FILTERS[filter_name],
+        arrival_schedule(HOURS, ARRIVAL_RATES[mix], seed=7),
+        CONFIG,
+        rollback_hour=ROLLBACK_HOUR,
+        recover_hour=RECOVER_HOUR,
+        reference=forced_poll_drive if forced else nullcontext,
+    )
 
 
 class TestForcedPollParity:
@@ -277,6 +230,7 @@ class TestForcedPollParity:
     def test_default_drive_matches_forced_poll(self, tmp_path, filter_name, mix):
         skipped = _drive(tmp_path / "default", filter_name, mix, forced=False)
         polled = _drive(tmp_path / "forced", filter_name, mix, forced=True)
+        assert polled["seen"]["verdicts"], "the forced-poll patch was never consulted"
         assert skipped["released"], "no pipeline was released: nothing compared"
         for field in ("digest", "wal", "attempts", "released"):
             assert skipped[field] == polled[field], f"{field} diverged"

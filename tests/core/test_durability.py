@@ -280,6 +280,36 @@ class TestWalCompaction:
         assert not scan.truncated_tail
         assert self._committed_hours(path) == [3, 4, 5, 6]
 
+    def test_compact_copies_the_kept_frames_verbatim(self, tmp_path):
+        """The compacted log is the magic followed by the kept frames'
+        original bytes, though real hour records re-encode differently."""
+        sage = _build("single-basic", wal_dir=tmp_path)
+        for pipeline, config in _pipes():
+            sage.submit(pipeline, config)
+        for _ in range(6):
+            sage.advance(1.0)
+        sage.close()
+        path = durability.wal_path(tmp_path)
+        data = path.read_bytes()
+        scan = durability.read_wal(path)
+        # The spans tile the file behind the magic.
+        ends = [len(durability.WAL_MAGIC)] + [end for _, end in scan.spans]
+        assert [start for start, _ in scan.spans] == ends[:-1]
+        assert ends[-1] == scan.end_offset == len(data)
+        kept = [
+            data[start:end]
+            for record, (start, end) in zip(scan.records, scan.spans)
+            if record["hour_index"] >= 3
+        ]
+        assert any(
+            frame != durability._encode_record(record)
+            for frame, record in zip(kept, scan.records[-len(kept) :])
+        ), "every kept record round-trips: the test cannot tell copy from re-encode"
+        writer = durability.WalWriter(path)
+        assert writer.compact(3) == len(scan.records) - len(kept)
+        writer.close()
+        assert path.read_bytes() == durability.WAL_MAGIC + b"".join(kept)
+
     def test_compact_refuses_while_hour_open(self, tmp_path):
         writer = durability.WalWriter(tmp_path / "charge.wal")
         writer.begin_hour()

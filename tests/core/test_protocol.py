@@ -9,12 +9,20 @@ platform always stages; the sequential drive is the test-side oracle
 opened while it ran.
 """
 
+import functools
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from per_request_oracle import count_charge_paths, per_request_drive
+from per_request_oracle import (
+    arrival_schedule,
+    count_charge_paths,
+    durable_drive,
+    fresh_scan_drive,
+    per_request_drive,
+)
 
 from repro.core import faults
 from repro.core.access_control import SageAccessControl
@@ -27,6 +35,7 @@ from repro.core.filters import (
 )
 from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget
+from repro.dp.rdp import gaussian_mechanism_budget
 from repro.errors import (
     AccessDeniedError,
     BlockRetiredError,
@@ -369,6 +378,23 @@ FILTERS = {
 }
 
 
+def without_memo(acc, read):
+    """``read()`` run on an empty scan memo; the memo is put back after."""
+    memo = acc._staged.scan_memo
+    saved = dict(memo)
+    memo.clear()
+    try:
+        return read()
+    finally:
+        memo.clear()
+        memo.update(saved)
+
+
+def fresh_scan(acc, floor):
+    """The whole-stream admit scan at ``floor`` from an empty memo."""
+    return without_memo(acc, lambda: acc._live_admit_rows(floor))
+
+
 @pytest.mark.parametrize("filter_name", sorted(FILTERS))
 class TestScanMemoLifetime:
     """The open staged batch memoizes whole-stream admit scans: a memo hit
@@ -409,14 +435,32 @@ class TestScanMemoLifetime:
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
         acc.pop_staged()
 
-    def test_successful_stage_drops_the_memo(self, filter_name):
+    def test_successful_stage_redecides_the_staged_rows(self, filter_name):
         acc = self._accountant(filter_name)
         acc.begin_staging()
         scan = acc._live_admit_rows(self.FLOOR)
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
         acc.stage_charge([0], PrivacyBudget(1.0, 0.0))
-        assert acc._live_admit_rows(self.FLOOR) is not scan
+        kept = acc._live_admit_rows(self.FLOOR)
+        # A new read-only array; the one handed out before is unchanged.
+        assert kept is not scan and not kept.flags.writeable
+        assert scan.tolist() == [0, 1, 2, 3]
+        assert kept.tobytes() == fresh_scan(acc, self.FLOOR).tobytes()
         assert acc.usable_blocks(self.FLOOR) == [1, 2, 3]
+        acc.pop_staged()
+
+    def test_staged_retirement_leaves_a_scan_below_the_retirement_budget(
+        self, filter_name
+    ):
+        below = PrivacyBudget(2e-4, 0.0)  # the retirement budget is (1e-3, 0)
+        acc = self._accountant(filter_name)
+        acc.begin_staging()
+        assert acc.usable_blocks(below) == [0, 1, 2, 3]
+        # Block 0 still admits `below` but is retired: it leaves the scan.
+        acc.stage_charge([0], PrivacyBudget(0.9995, 0.0))
+        assert acc.admits_keys([0], below).tolist() == [True]
+        assert acc.usable_blocks(below) == [1, 2, 3]
+        assert acc.admit_rows(below).tobytes() == fresh_scan(acc, below).tobytes()
         acc.pop_staged()
 
     def test_mid_batch_registration_drops_the_memo(self, filter_name):
@@ -434,6 +478,166 @@ class TestScanMemoLifetime:
         acc.rollback_registrations(2)
         assert acc.usable_blocks(self.FLOOR) == [0, 1]
         acc.pop_staged()
+
+
+MEMO_FILTERS = {
+    "basic": None,
+    "strong": StrongCompositionFilter,
+    "renyi-default": RenyiCompositionFilter,
+    "renyi-pruned": functools.partial(RenyiCompositionFilter, orders="pruned"),
+}
+GAUSSIAN = [
+    gaussian_mechanism_budget(q, sigma, steps, delta)
+    for q, sigma, steps, delta in (
+        (0.002, 4.0, 10, 1e-9),
+        (0.01, 2.0, 100, 1e-8),
+    )
+]
+MEMO_BUDGETS = st.one_of(
+    st.builds(
+        PrivacyBudget,
+        st.one_of(
+            st.floats(min_value=0.001, max_value=0.7),
+            # Charges that leave a block between the two lowest floors.
+            st.sampled_from([0.4997, 0.9995]),
+        ),
+        st.sampled_from([0.0, 1e-8, 1e-7]),
+    ),
+    st.sampled_from(GAUSSIAN),
+)
+# None reads at the retirement budget (1e-3, 0); 2e-4 lies below it, so
+# only the retirement check keeps a retired row out of that scan.
+MEMO_FLOORS = st.one_of(
+    st.none(),
+    st.builds(
+        PrivacyBudget,
+        st.sampled_from([2e-4, 0.001, 0.05, 0.2, 0.5]),
+        st.sampled_from([0.0, 1e-8]),
+    ),
+    st.sampled_from(GAUSSIAN),
+)
+REFUSED = (BlockRetiredError, BudgetExceededError)
+
+
+def assert_memo_is_fresh(acc):
+    """Every memoized floor's entry equals an empty-memo scan byte for
+    byte, its mask agrees with its rows, and the keyed reads over it
+    match theirs."""
+    for floor, (mask, rows) in list(acc._staged.scan_memo.items()):
+        assert not rows.flags.writeable
+        assert mask.shape == (len(acc.store),)
+        assert np.array_equal(np.flatnonzero(mask), rows)
+        fresh = fresh_scan(acc, floor)
+        assert rows.dtype == fresh.dtype and rows.tobytes() == fresh.tobytes()
+        assert acc.usable_blocks(floor) == without_memo(
+            acc, lambda: acc.usable_blocks(floor)
+        )
+        assert acc.usable_blocks_tail(floor, 3) == without_memo(
+            acc, lambda: acc.usable_blocks_tail(floor, 3)
+        )
+
+
+class TestMemoSurvivesStages:
+    """The scan memo outlives stages: after any interleaving of granted
+    and refused stages, registrations and registration rollbacks, each
+    memoized entry is what a fresh scan would return."""
+
+    @pytest.mark.parametrize("filter_name", sorted(MEMO_FILTERS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_memo_equals_a_fresh_scan_after_every_step(self, filter_name, data):
+        acc = BlockAccountant(1.0, 1e-6, filter_factory=MEMO_FILTERS[filter_name])
+        n_blocks = data.draw(st.integers(min_value=1, max_value=10), label="blocks")
+        acc.register_blocks(range(n_blocks))
+        for key, budget in data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n_blocks - 1), MEMO_BUDGETS), max_size=12
+            ),
+            label="committed",
+        ):
+            try:
+                acc.charge([key], budget)
+            except REFUSED:
+                pass
+        acc.begin_staging()
+        next_key = n_blocks
+        actions = st.sampled_from(
+            ["read", "read", "stage", "stage", "register", "rollback"]
+        )
+        for _ in range(data.draw(st.integers(1, 25), label="steps")):
+            action = data.draw(actions)
+            keys = acc.block_keys
+            if action == "read":
+                acc.admit_rows(data.draw(MEMO_FLOORS, label="floor"))
+            elif action == "stage" and keys:
+                named = data.draw(
+                    st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True),
+                    label="named",
+                )
+                try:
+                    acc.stage_charge(named, data.draw(MEMO_BUDGETS, label="budget"))
+                except REFUSED:
+                    pass
+            elif action == "register":
+                acc.register_block(next_key)
+                next_key += 1
+            elif action == "rollback":
+                acc.rollback_registrations(
+                    data.draw(st.integers(0, len(keys)), label="keep")
+                )
+            assert_memo_is_fresh(acc)
+        acc.pop_staged()
+
+
+# ----------------------------------------------------------------------
+# Parity: the default drive against the fresh-scan drive
+# ----------------------------------------------------------------------
+PARITY_CONFIG = AdaptiveConfig(
+    epsilon_start=1.0 / 16.0, epsilon_cap=1.0, min_window_blocks=1, max_attempts=64
+)
+
+
+def _contention_schedule():
+    """Forty hours: two bursts of Fig. 8 pipelines land at once on a stream
+    that grew for twenty hours with nobody waiting."""
+    bursts = [
+        [p for hour in arrival_schedule(12, 2.0, seed) for p in hour]
+        for seed in (7, 8)
+    ]
+    schedule = [[] for _ in range(40)]
+    schedule[20], schedule[31] = bursts
+    return schedule
+
+
+# schedule, hour that fails and rolls back, hour recover() runs before
+PARITY_MIXES = {
+    "steady": (lambda: arrival_schedule(30, 0.7, seed=7), 12, 20),
+    "backlog": (lambda: arrival_schedule(30, 2.0, seed=7), 12, 20),
+    "contention": (_contention_schedule, 20, 26),
+}
+
+
+class TestFreshScanParity:
+    @pytest.mark.parametrize("mix", sorted(PARITY_MIXES))
+    @pytest.mark.parametrize("filter_name", sorted(MEMO_FILTERS))
+    def test_default_drive_matches_fresh_scans(self, tmp_path, filter_name, mix):
+        schedule, rollback_hour, recover_hour = PARITY_MIXES[mix]
+        kept, fresh = (
+            durable_drive(
+                tmp_path / name,
+                MEMO_FILTERS[filter_name],
+                schedule(),
+                PARITY_CONFIG,
+                rollback_hour=rollback_hour,
+                recover_hour=recover_hour,
+                reference=reference,
+            )
+            for name, reference in (("kept", nullcontext), ("fresh", fresh_scan_drive))
+        )
+        assert fresh["seen"]["scans"], "the fresh-scan patch was never consulted"
+        assert kept["released"], "no pipeline was released: nothing compared"
+        for field in ("digest", "wal", "attempts", "released"):
+            assert kept[field] == fresh[field], f"{field} diverged"
 
 
 class TestSharedScans:

@@ -30,8 +30,21 @@ per-request drive it is a patch, not an option:
         sage.advance(1.0)
     assert seen["verdicts"]  # the drive did consult the (patched) verdict
 
+While an hour's batch is open the accountant memoizes its whole-stream
+admit scans per floor budget, and every successful stage re-decides just
+the rows it staged in that memo.  :func:`fresh_scan_drive` is the
+reference for that upkeep: inside it the memo is emptied before every
+scan read, so each read rescans the whole stream from the effective
+totals:
+
+    with fresh_scan_drive() as seen:
+        sage.advance(1.0)
+    assert seen["scans"]  # the drive did read through the (patched) scan
+
 :func:`arrival_schedule` builds the Fig. 8-style arrivals those parity
-drives submit.
+drives submit, and :func:`durable_drive` runs one such schedule on a
+durable platform, through a rolled-back hour and a ``recover()``, inside
+a reference patch, returning every artifact the two drives must share.
 
 The accountant keeps no per-block objects: its store rows and its charge
 log are the whole state.  Two more references check that state from the
@@ -52,24 +65,33 @@ block's totals row, accumulated as the store does) and the
 through :func:`assert_rows_match_oracle`.
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
 
+from repro.core import durability, faults
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import BlockAccountant
 from repro.core.adaptive import AdaptiveSession
+from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget, ZERO_BUDGET
 from repro.errors import BlockRetiredError, BudgetExceededError
-from repro.workload import GammaArrivals, OraclePipeline, PowerLawComplexity
+from repro.workload import (
+    CountStreamSource,
+    GammaArrivals,
+    OraclePipeline,
+    PowerLawComplexity,
+)
 
 __all__ = [
     "PerLedgerReference",
     "arrival_schedule",
     "assert_rows_match_oracle",
     "block_histories",
+    "durable_drive",
     "forced_poll_drive",
+    "fresh_scan_drive",
     "history_admits",
     "history_loss_bound",
     "history_max_epsilon",
@@ -126,6 +148,24 @@ def forced_poll_drive():
         yield seen
 
 
+@contextmanager
+def fresh_scan_drive():
+    """Rescan the whole stream on every admit-scan read: the open batch's
+    scan memo is emptied before each ``_live_admit_rows`` call.  Yields
+    live counts of the reads (``scans``)."""
+    seen = {"scans": 0}
+    scan = BlockAccountant._live_admit_rows
+
+    def fresh_scan(self, floor):
+        seen["scans"] += 1
+        if self._staged is not None:
+            self._staged.scan_memo.clear()
+        return scan(self, floor)
+
+    with mock.patch.object(BlockAccountant, "_live_admit_rows", fresh_scan):
+        yield seen
+
+
 def arrival_schedule(hours, rate, seed):
     """Fig. 8-style arrivals: Gamma(shape 2) gaps at ``rate`` per hour and
     power-law oracle pipelines; ``schedule[h]`` lists the pipelines
@@ -143,6 +183,81 @@ def arrival_schedule(hours, rate, seed):
             OraclePipeline(name=f"p{count}", n_at_eps1=float(complexity.sample(rng)))
         )
         count += 1
+
+
+def durable_drive(
+    wal_dir,
+    filter_factory,
+    schedule,
+    config,
+    rollback_hour,
+    recover_hour,
+    reference=nullcontext,
+):
+    """Drive ``schedule`` (``schedule[h]`` lists the pipelines submitted
+    before hour ``h``) on a durable platform inside ``reference()``.
+
+    Hour ``rollback_hour`` first fails mid-drive, rolls back and is run
+    again; before hour ``recover_hour`` the platform is rebuilt from its
+    WAL directory.  Returns the state digest, the ``charge.wal`` bytes,
+    every pipeline's attempt records, the released bundles, the number of
+    ``propose_peek`` calls and what ``reference()`` yielded.
+    """
+
+    def build():
+        return Sage(
+            CountStreamSource(16_000, scale=1000),
+            seed=3,
+            filter_factory=filter_factory,
+            wal_dir=wal_dir,
+            snapshot_every=8,
+        )
+
+    sage, submitted, released = build(), [], []
+    peeks = {"calls": 0}
+    peek = AdaptiveSession.propose_peek
+
+    def counting_peek(self):
+        peeks["calls"] += 1
+        return peek(self)
+
+    with reference() as seen, mock.patch.object(
+        AdaptiveSession, "propose_peek", counting_peek
+    ):
+        for hour, arrivals in enumerate(schedule):
+            if hour == recover_hour:
+                digest = durability.state_digest(sage)
+                sage.close()
+                sage = build()
+                sage.recover(submitted)
+                assert durability.state_digest(sage) == digest
+            for pipeline in arrivals:
+                sage.submit(pipeline, config)
+                submitted.append((pipeline, config))
+            if hour == rollback_hour:
+                with faults.armed_error("settle.mid_session", skip=1):
+                    try:
+                        sage.advance(1.0)
+                    except faults.InjectedFault:
+                        pass
+                    else:
+                        raise AssertionError("the armed fault never fired")
+            released.extend(sage.advance(1.0))
+        sage.close()
+    return {
+        "digest": durability.state_digest(sage),
+        "wal": durability.wal_path(wal_dir).read_bytes(),
+        "attempts": [
+            (entry.name, entry.status, entry.release_time_hours, entry.session.attempts)
+            for entry in sage.pipelines
+        ],
+        "released": [
+            (b.name, b.version, b.budget, b.block_keys, b.release_time_hours)
+            for b in released
+        ],
+        "peeks": peeks["calls"],
+        "seen": seen,
+    }
 
 
 def block_histories(accountant):
