@@ -1,10 +1,12 @@
 """Blocked-session skip: window searches saved on a backlogged queue.
 
 Past the knee of Fig. 8 most of the queue waits in NEED_DATA for the
-growing database to fund its next attempt.  Each hour the platform asks
-every waiting session's one-row-read verdict
-(``AdaptiveSession.provably_blocked``) first and skips the window search
-(``propose_peek``) for the sessions it proves blocked.
+growing database to fund its next attempt.  Each hour the platform
+decides the blocked verdicts of the sessions parked when the hour opens
+in one pass (``Sage._decide_parked``), asks the one-row-read verdict
+(``AdaptiveSession.provably_blocked``) only of the other sessions and of
+those whose pass verdict something moved since, and skips the window
+search (``propose_peek``) for the sessions proven blocked.
 
 This script builds a Fig. 8-style backlog from public parts -- Gamma
 (shape 2) arrivals at ``RATE`` per hour for ``HOURS`` hours
@@ -13,20 +15,23 @@ oracle pipelines, a count stream -- and drives it twice from ``SEED``:
 
 * the default drive, which skips proven-blocked sessions;
 * the forced-poll drive (``forced_poll_drive`` in
-  ``tests/per_request_oracle.py``), where the verdict always answers
-  False, so every waiting session runs its window search every hour.
+  ``tests/per_request_oracle.py``), where the hour pass decides nothing
+  and the verdict always answers False, so every waiting session asks
+  the verdict and runs its window search every hour.
 
 It asserts that both drives end with the same state digest and the same
-public outputs, and reports the ``propose_peek`` calls of each.
-``--assert-propose-reduction F`` exits 1 unless the default drive makes
-at most ``1 - F`` of the forced-poll drive's calls.  The gate counts
-calls and never reads a clock, so it repeats exactly on any machine; the
-wall times are printed for information only.
+public outputs, and reports the ``propose_peek`` and per-session
+``provably_blocked`` calls of each.  ``--assert-propose-reduction F``
+exits 1 unless the default drive makes at most ``1 - F`` of the
+forced-poll drive's ``propose_peek`` calls, and
+``--assert-verdict-reduction F`` likewise for ``provably_blocked``
+calls.  The gates count calls and never read a clock, so they repeat
+exactly on any machine; the wall times are printed for information only.
 
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_blocked_sessions.py \\
-        --assert-propose-reduction 0.8
+        --assert-propose-reduction 0.8 --assert-verdict-reduction 0.9
 """
 
 import argparse
@@ -56,19 +61,25 @@ HOURS, RATE, SEED = 200, 2.0, 0
 
 
 def drive(forced):
-    """One episode; returns its peek count, outputs, digest and wall time."""
+    """One episode; returns its peek and verdict counts, outputs, digest
+    and wall time."""
     sage = Sage(CountStreamSource(16_000, scale=1000), seed=SEED)
-    peek = AdaptiveSession.propose_peek
-    peeks = 0
+    counts = {"propose_peek": 0, "provably_blocked": 0}
 
-    def counting_peek(self):
-        nonlocal peeks
-        peeks += 1
-        return peek(self)
+    def counting(method):
+        original = getattr(AdaptiveSession, method)
 
-    with forced_poll_drive() if forced else nullcontext() as seen, mock.patch.object(
-        AdaptiveSession, "propose_peek", counting_peek
-    ):
+        def counted(self):
+            counts[method] += 1
+            return original(self)
+
+        return mock.patch.object(AdaptiveSession, method, counted)
+
+    # The counters wrap whichever method is current: under the forced-poll
+    # patch that is its always-False verdict.
+    with forced_poll_drive() if forced else nullcontext() as seen, counting(
+        "propose_peek"
+    ), counting("provably_blocked"):
         start = time.perf_counter()
         for arrivals in arrival_schedule(HOURS, RATE, SEED):
             for pipeline in arrivals:
@@ -87,7 +98,7 @@ def drive(forced):
         "charges": len(sage.access.accountant.charge_log),
         "sessions": len(outputs),
         "wall_s": wall_s,
-        "propose_peek": peeks,
+        **counts,
     }
 
 
@@ -100,13 +111,24 @@ def main():
         metavar="F",
         help="exit 1 unless propose_peek calls fell by at least this fraction",
     )
+    parser.add_argument(
+        "--assert-verdict-reduction",
+        type=float,
+        default=None,
+        metavar="F",
+        help="exit 1 unless per-session provably_blocked calls fell by at "
+        "least this fraction",
+    )
     args = parser.parse_args()
     skipped = drive(forced=False)
     polled = drive(forced=True)
     if skipped["digest"] != polled["digest"] or skipped["outputs"] != polled["outputs"]:
         print("PARITY FAILURE: the default and forced-poll drives diverged")
         return 1
-    reduction = 1.0 - skipped["propose_peek"] / max(1, polled["propose_peek"])
+    reductions = {
+        method: 1.0 - skipped[method] / max(1, polled[method])
+        for method in ("propose_peek", "provably_blocked")
+    }
     print(
         f"backlog: {HOURS} hours at {RATE}/h, seed {SEED}: "
         f"{skipped['sessions']} pipelines, {skipped['charges']} charges, "
@@ -115,14 +137,20 @@ def main():
     for label, run in (("forced poll", polled), ("default", skipped)):
         print(
             f"  {label:<12} propose_peek {run['propose_peek']:>7}  "
+            f"provably_blocked {run['provably_blocked']:>7}  "
             f"wall {run['wall_s']:6.2f} s"
         )
-    print(f"  propose_peek calls fell by {reduction:.1%}")
-    gate = args.assert_propose_reduction
-    if gate is not None and reduction < gate:
-        print(f"FAIL: propose_peek reduction {reduction:.1%} is below {gate:.0%}")
-        return 1
-    return 0
+    failed = False
+    for method, gate in (
+        ("propose_peek", args.assert_propose_reduction),
+        ("provably_blocked", args.assert_verdict_reduction),
+    ):
+        reduction = reductions[method]
+        print(f"  {method} calls fell by {reduction:.1%}")
+        if gate is not None and reduction < gate:
+            print(f"FAIL: {method} reduction {reduction:.1%} is below {gate:.0%}")
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

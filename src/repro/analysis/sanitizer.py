@@ -1,8 +1,9 @@
 """Runtime write-barrier sanitizer for the declared-pure read paths.
 
 The static purity rule proves that no *known* mutation is reachable from
-the pure seeds (``propose_peek``, ``provably_blocked``, ``admits_keys``,
-``can_charge``, ``max_epsilon``); this module enforces the same contract
+the pure seeds (``propose_peek``, ``provably_blocked``, the hour pass
+``_decide_parked``, ``admits_keys``, ``can_charge``, ``max_epsilon``);
+this module enforces the same contract
 dynamically so the parts the static layer cannot see -- C-level NumPy
 writes, monkeypatched callables, reflection -- still fault loudly instead
 of silently skewing the ledger.  While a declared-pure call is on the
@@ -15,9 +16,9 @@ Deliberately **not** frozen:
 * ``LedgerStore._live`` -- deferred retirement marks exhausted blocks
   from read paths (a reviewed ``allow(purity)`` site); freezing it would
   fault on sanctioned behavior.
-* the reservation table and scan memo -- the peek and verdict paths only
-  read the table (its stored ``row_budget_fn`` hook is checked by the
-  purity tests), and the memo cache-fill on read paths is a reviewed
+* the reservation table and scan memo -- the peek, verdict and pass paths
+  only read the table (its stored ``row_budget_fn`` hook is checked by
+  the purity tests), and the memo cache-fill on read paths is a reviewed
   allow site.
 
 Usage: ``install()`` wraps the pure entry points in place (idempotent;
@@ -97,6 +98,7 @@ def install() -> None:
     """
     from repro.core.accountant import BlockAccountant
     from repro.core.adaptive import AdaptiveSession
+    from repro.core.platform import Sage
 
     for method in ("admits_keys", "can_charge", "max_epsilon"):
         _wrap(BlockAccountant, method, lambda acct: acct._store)
@@ -106,6 +108,7 @@ def install() -> None:
             method,
             lambda session: session.access.accountant._store,
         )
+    _wrap(Sage, "_decide_parked", lambda sage: sage.access.accountant._store)
 
 
 def uninstall() -> None:

@@ -106,9 +106,12 @@ supports this with a :class:`StagedBatch` overlay opened by
   over the store rows plus the read-only row array readers get.  The
   memo survives stages.  A successful ``stage_charge`` re-decides only
   the rows it staged -- one ``admits_batch`` over those rows at the
-  retirement budget, one more per memoized floor -- and re-derives each
-  floor's row array, so a stage costs O(rows staged x floors) instead of
-  the next reader's O(stream) rescan.  This is exact: ``admits_batch``
+  retirement budget, one more per memoized floor -- and re-derives the
+  row array of each floor where one of those decisions changed, so a
+  stage costs O(rows staged x floors) plus one O(stream) derivation per
+  floor it moved, instead of the next reader's rescan.  A floor whose
+  decisions all stand keeps its array object: while the batch is open,
+  the same array means the same decisions.  This is exact: ``admits_batch``
   decides a row from that row's totals alone, the staged charge moved no
   other row's effective totals, and ``store.live`` cannot move while a
   batch is open (retirement is persisted only outside one).  A refused
@@ -515,10 +518,12 @@ class BlockAccountant:
 
     def _redecide_staged_rows(self, rows: np.ndarray) -> None:
         """Bring every memoized scan up to date after a charge on ``rows``
-        was staged: re-decide those rows, then re-derive each floor's row
-        array (a new read-only array; ones already handed out never
-        change).  Every other row keeps its effective totals and its live
-        bit, so each entry stays equal to a fresh scan."""
+        was staged: re-decide those rows, and re-derive the row array of
+        each floor where a decision changed (a new read-only array; ones
+        already handed out never change).  A floor whose decisions all
+        stand keeps its array object, so the same array means the same
+        decisions.  Every other row keeps its effective totals and its
+        live bit, so each entry stays equal to a fresh scan."""
         memo = self._staged.scan_memo
         if not memo:
             return
@@ -526,11 +531,14 @@ class BlockAccountant:
         alive = self._store.live[rows] & self._batch_filter.admits_batch(
             totals, self.retirement_budget
         )
-        for floor, (mask, _) in list(memo.items()):
+        for floor, (mask, _) in memo.items():
             if floor == self.retirement_budget:
-                mask[rows] = alive
+                decided = alive
             else:
-                mask[rows] = alive & self._batch_filter.admits_batch(totals, floor)
+                decided = alive & self._batch_filter.admits_batch(totals, floor)
+            if np.array_equal(mask[rows], decided):
+                continue
+            mask[rows] = decided
             admitted = np.flatnonzero(mask)
             admitted.setflags(write=False)  # shared across memo readers
             memo[floor] = (mask, admitted)
@@ -954,8 +962,9 @@ class BlockAccountant:
         (default: the retirement threshold), in registration order -- the
         one whole-stream scan every block read goes through.  While a
         staged batch is open the array is the batch's shared scan-memo
-        entry: read-only, and current until the next successful stage,
-        which replaces the entry with a new array."""
+        entry: read-only, and current until a successful stage changes
+        one of its decisions, which replaces the entry with a new array
+        (a stage that changes none keeps the array object)."""
         return self._live_admit_rows(min_budget or self.retirement_budget)
 
     def usable_blocks(self, min_budget: Optional[PrivacyBudget] = None) -> List[object]:

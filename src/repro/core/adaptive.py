@@ -332,7 +332,10 @@ class AdaptiveSession:
         replay and the hour rollback rewrite them in place.  A pure read,
         like :meth:`propose_peek`; while the hour's batch is open its row
         read is the batch's memoized scan at ``lowest``, which every stage
-        keeps current by re-deciding only the rows it staged.
+        keeps current by re-deciding only the rows it staged.  The
+        platform's hour pass (``Sage._decide_parked``) computes this same
+        count for all its parked sessions at once; this method stays the
+        definition and the fallback.
         """
         if self.status not in (SessionStatus.RUNNING, SessionStatus.NEED_DATA):
             return False
@@ -367,11 +370,14 @@ class AdaptiveSession:
         not for a rescan of the stream; only a block registration or a
         registration rollback clears the memo.
 
-        The peek always runs the full window search.  The platform asks
-        the cheaper :meth:`provably_blocked` first, once per session and
-        hour, and calls :meth:`propose` only when that verdict is False; a
-        check here instead would repeat that verdict's row read on every
-        proposal of a session that is not blocked.
+        The peek always runs the full window search.  The platform
+        settles the cheaper blocked verdict first, once per session and
+        hour -- from its hour pass over the sessions parked when the hour
+        opens while nothing the pass counted has moved, otherwise by
+        asking :meth:`provably_blocked` -- and calls :meth:`propose` only
+        when that verdict is False; a check here instead would repeat that
+        verdict's row read on every proposal of a session that is not
+        blocked.
         """
         status = self.status
         if status == SessionStatus.NEED_DATA:

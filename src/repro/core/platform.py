@@ -83,18 +83,39 @@ Blocked sessions
 Past the knee of Fig. 8 most waiting sessions are parked in NEED_DATA,
 and a window search (``propose_peek``) costs up to two scans, budget and
 key-list builds and an allocation-rate read over every pipeline.  Before
-a session's first proposal of the hour the drive asks its one-row-read
-verdict, :meth:`~repro.core.adaptive.AdaptiveSession.provably_blocked`,
-which is True when fewer than ``window_blocks`` store rows both admit the
-session's lowest attemptable epsilon and hold that epsilon in its
-reservation row.  Every built-in filter admits at least the same rows at
-a lower epsilon (the monotonicity clause of the
+a session's first proposal of the hour the drive settles its blocked
+verdict, which is True when fewer than ``window_blocks`` store rows both
+admit the session's lowest attemptable epsilon and hold that epsilon in
+its reservation row.  Every built-in filter admits at least the same rows
+at a lower epsilon (the monotonicity clause of the
 :class:`~repro.core.filters.PrivacyFilter` contract), so then no window
 the search could try exists, and the session ends the hour in NEED_DATA
 without a proposal -- exactly the state ``wake()`` followed by
-``propose() -> None`` leaves.  The verdict is a pure read, so the skip
-changes no decision, trace tick, digest or WAL byte; the test suite's
-forced-poll drive, which polls every session, is its parity reference.
+``propose() -> None`` leaves.
+
+The verdict's definition is the session's one-row read,
+:meth:`~repro.core.adaptive.AdaptiveSession.provably_blocked`.  Most
+sessions of a backlog are parked from one hour to the next, so the hour
+pass (:meth:`Sage._decide_parked`) decides the verdicts of every session
+parked when the hour opens at once: one ``admit_rows`` read and one
+reservation gather per floor budget, compared with the verdict's own
+floats.  A pass verdict is used at the session's turn unless something
+it counted moved earlier in the hour:
+
+* a termination ran ``_redistribute``, whose release changes held values
+  in the waiting rows -- every remaining pass verdict is dropped;
+* a successful stage changed the admit decision, at the session's floor,
+  of a staged row the session holds -- the scan memo keeps a floor's
+  array object while its decisions stand, so an unchanged array settles
+  this with one ``is`` test.
+
+Status, attempts, epsilon, delta and window size move only on the
+session's own turn, so in every other case the count is the pass's.
+Sessions without a usable pass verdict (submitted since the last hour,
+or voided by the rules above) ask ``provably_blocked`` themselves.  The
+pass and the verdict are pure reads, so the skip changes no decision,
+trace tick, digest or WAL byte; the test suite's forced-poll drive, which
+turns the pass off and polls every session, is its parity reference.
 
 Waiting index
 -------------
@@ -128,7 +149,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,6 +165,7 @@ from repro.core.adaptive import (
 from repro.core.model_store import ModelFeatureStore, ReleasedBundle
 from repro.data.database import GrowingDatabase, StreamIngestor
 from repro.data.stream import StreamSource, TimePartitioner
+from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     BlockRetiredError,
     BudgetExceededError,
@@ -373,6 +395,18 @@ class SubmittedPipeline:
         if self.platform is None:
             return {}
         return self.platform.reservations_of(self)
+
+
+@dataclass
+class _ParkedFloor:
+    """One floor of the hour pass: the admit rows it counted against, and
+    the rows whose admit decision moved since (against the newest array
+    the scan memo has handed out at that floor)."""
+
+    floor: PrivacyBudget
+    admitted: np.ndarray
+    latest: Optional[np.ndarray] = None
+    moved: Optional[np.ndarray] = None
 
 
 class Sage:
@@ -638,15 +672,99 @@ class Sage:
         self.close()
 
     # ------------------------------------------------------------------
-    def _drive_session(self, entry: SubmittedPipeline) -> None:
+    def _decide_parked(self) -> Dict[int, Tuple[bool, _ParkedFloor]]:
+        """The hour pass: the blocked verdict of every session parked when
+        the hour opens, decided in one gather per floor.
+
+        Covers the waiting sessions in NEED_DATA with attempts left (a
+        session submitted since the last hour is RUNNING and keeps its own
+        verdict).  Sessions are grouped by their floor ``PrivacyBudget(
+        min(epsilon, epsilon_floor), delta)``; each floor makes one
+        ``admit_rows`` read -- the scan-memo entry the session's own
+        :meth:`~repro.core.adaptive.AdaptiveSession.provably_blocked`
+        reads -- and one gather of the group's reservation rows on the
+        admitted columns, compared as ``row_budget_fn(rows) + 1e-12 >=
+        lowest`` compares.  A session's verdict is True when fewer than
+        its ``window_blocks`` cells qualify: ``provably_blocked``'s count
+        from the same floats.  Returns ``{table row: (verdict, floor
+        group)}``; a pure read whose result lives for the hour only (see
+        :meth:`_parked_verdict` for when a verdict may be used).
+        """
+        # Grouped by the floor's (epsilon, delta) floats: one budget per
+        # floor, not per session.
+        groups: Dict[Tuple[float, float], List[SubmittedPipeline]] = {}
+        for entry in self._waiting.values():
+            session = entry.session
+            if (
+                session.status == SessionStatus.NEED_DATA
+                and len(session.attempts) < session.config.max_attempts
+            ):
+                key = (min(session.epsilon, session.epsilon_floor), session.delta)
+                groups.setdefault(key, []).append(entry)
+        verdicts: Dict[int, Tuple[bool, _ParkedFloor]] = {}
+        for key, entries in groups.items():
+            floor = PrivacyBudget(*key)
+            admitted = self.access.admit_rows(floor)
+            rows = np.fromiter(
+                (entry.table_row for entry in entries),
+                dtype=np.intp,
+                count=len(entries),
+            )
+            held = self._table.matrix[np.ix_(rows, admitted)]
+            held += 1e-12
+            counts = np.count_nonzero(held >= floor.epsilon, axis=1)
+            group = _ParkedFloor(floor, admitted)
+            for entry, count in zip(entries, counts.tolist()):
+                verdicts[entry.table_row] = (
+                    count < entry.session.window_blocks,
+                    group,
+                )
+        return verdicts
+
+    def _parked_verdict(
+        self, parked: Dict[int, Tuple[bool, _ParkedFloor]], entry: SubmittedPipeline
+    ) -> Optional[bool]:
+        """``entry``'s verdict from the hour pass, or ``None`` when the
+        pass has none for it or something it counted has moved.
+
+        The pass counted the columns both admitted at the session's floor
+        and held at ``lowest`` in its row.  Before the session's turn its
+        row moves only through a release, after which the drive drops
+        every remaining verdict, so only the admitted set can move, and
+        only on staged rows.  The scan memo keeps a floor's array object
+        while its decisions stand, so the same array proves the count
+        unchanged; a new one is compared with the pass's array, and the
+        verdict stands unless a moved row is one the session holds.
+        """
+        found = parked.get(entry.table_row)
+        if found is None:
+            return None
+        blocked, group = found
+        admitted = self.access.admit_rows(group.floor)
+        if admitted is not group.admitted:
+            if admitted is not group.latest:
+                group.latest = admitted
+                group.moved = np.setxor1d(
+                    group.admitted, admitted, assume_unique=True
+                )
+            held = self._table.values(entry.table_row, group.moved)
+            if np.any(held + 1e-12 >= group.floor.epsilon):
+                return None
+        return blocked
+
+    def _drive_session(
+        self, entry: SubmittedPipeline, blocked: Optional[bool]
+    ) -> None:
         """Run one session's propose/decide/complete loop for this hour.
 
-        A session whose verdict proves it blocked (``provably_blocked``,
-        asked once, before the first proposal) goes back to NEED_DATA
-        without proposing: the verdict is True only when every window the
-        search could try is short of funded rows, so ``propose()`` would
-        have returned ``None`` with that status (see "Blocked sessions"
-        in the module docstring).  Otherwise every proposal is validated
+        A session proven blocked goes back to NEED_DATA without
+        proposing.  The proof is ``blocked``, the hour pass's verdict
+        (:meth:`_parked_verdict`), or when that is ``None`` the session's
+        own ``provably_blocked``, asked once, before the first proposal.
+        Either is True only when every window the search could try is
+        short of funded rows, so ``propose()`` would have returned
+        ``None`` with that status (see "Blocked sessions" in the module
+        docstring).  Otherwise every proposal is validated
         against the hour's staged batch, its window assembled, and the
         decision fed back; a refusal becomes a denied decision, so the
         session blocks on NEED_DATA with escalation state untouched
@@ -656,7 +774,9 @@ class Sage:
         """
         session = entry.session
         session.wake()
-        if session.provably_blocked():
+        if blocked is None:
+            blocked = session.provably_blocked()
+        if blocked:
             # What propose() -> None leaves: the verdict proved the window
             # search would find nothing.
             session.status = SessionStatus.NEED_DATA
@@ -817,6 +937,7 @@ class Sage:
         tracer = self._tracer
         released: List[ReleasedBundle] = []
         driven = 0
+        parked = self._decide_parked()
         for entry in list(self._waiting.values()):
             # The span covers the session's whole hour -- drive, settle,
             # release, redistribute -- so the wall view attributes the
@@ -825,7 +946,7 @@ class Sage:
             # settle/release helpers emit no telemetry, so the widened
             # body leaves the deterministic tick sequence untouched.
             with tracer.span("session.drive", session=entry.name):
-                self._drive_session(entry)
+                self._drive_session(entry, self._parked_verdict(parked, entry))
                 self._metrics.inc("sage_sessions_driven_total")
                 driven += 1
                 faults.trip("settle.mid_session")
@@ -846,6 +967,9 @@ class Sage:
                 if entry.session.is_terminal:
                     self._waiting.pop(entry.table_row)
                     self._redistribute(entry)
+                    # The release moved held values in the waiting rows:
+                    # the pass's remaining verdicts no longer count them.
+                    parked.clear()
         # One settle marker per hour (not per session: settle instants
         # ride the per-session hot path, and the session.drive spans
         # already carry the per-session timeline).

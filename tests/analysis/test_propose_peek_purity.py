@@ -6,7 +6,8 @@ row filters).  This test closes that hole at runtime: it fingerprints the
 complete object graph of a live session -- accountant, ledgers, store
 arrays, reservation state, RNG state, everything reachable -- calls
 ``propose_peek`` (or the blocked-session verdict ``provably_blocked``,
-the other pure seed on a session), and requires the fingerprint to be
+the other pure seed on a session, or the platform's hour pass
+``Sage._decide_parked``), and requires the fingerprint to be
 byte-identical.
 
 Reservation state is pure from the first call: on a platform session the
@@ -231,8 +232,8 @@ class TestPlatformAllocationReadIsPure:
 
 
 class TestBlockedVerdictIsPure:
-    """``provably_blocked`` is a pure seed too: the same whole-graph
-    snapshot, taken around the verdict."""
+    """``provably_blocked`` and the hour pass are pure seeds too: the same
+    whole-graph snapshot, taken around the verdict or the pass."""
 
     def test_fresh_session(self):
         db, access = build_world()
@@ -281,3 +282,30 @@ class TestBlockedVerdictIsPure:
         finally:
             access.abort_staged()
         assert verdicts == [False, True]  # 1 of 3 blocks is funded; 8 are not
+
+    def test_hour_pass_mid_hour(self):
+        """The hour pass over a parked queue, with a staged charge in the
+        open batch, moves neither the table, the batch nor any session."""
+        sage = Sage(CountStreamSource(4000, scale=1000), seed=5)
+        sage.advance(3.0)
+        entries = [
+            sage.submit(
+                OraclePipeline(name=f"p{i}", n_at_eps1=1e9),
+                AdaptiveConfig(min_window_blocks=2 ** (3 * i)),
+            )
+            for i in range(3)
+        ]
+        sage.advance(1.0)
+        access = sage.access
+        access.begin_staging()
+        try:
+            key = access.accountant.block_keys[0]
+            access.stage_request([key], PrivacyBudget(0.01, 0.0))
+            parked = assert_read_leaves_no_trace(
+                "_decide_parked",
+                sage,
+                (access, sage.reservation_table, [e.session for e in entries]),
+            )
+        finally:
+            access.abort_staged()
+        assert parked, "no session was parked: nothing was checked"

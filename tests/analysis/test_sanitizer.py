@@ -7,11 +7,13 @@ import pytest
 from repro.analysis import sanitizer
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_EPS, LedgerStore
-from repro.core.adaptive import AdaptiveConfig, AdaptiveSession
+from repro.core.adaptive import AdaptiveConfig, AdaptiveSession, SessionStatus
+from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget
 from repro.data.database import GrowingDatabase, StreamIngestor
 from repro.data.stream import TimePartitioner
 from repro.data.taxi import TaxiGenerator
+from repro.workload import CountStreamSource, OraclePipeline
 
 
 @pytest.fixture
@@ -156,3 +158,31 @@ class TestEndToEnd:
         )
         with pytest.raises(ValueError, match="read-only"):
             session.provably_blocked()
+
+    def test_leaky_hour_pass_trips_the_barrier(
+        self, installed_sanitizer, monkeypatch
+    ):
+        """The hour pass is wrapped too: a write smuggled into the scan it
+        reads faults at the write, inside an open hour."""
+        sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
+        sage.advance(3.0)
+        entry = sage.submit(
+            OraclePipeline(name="parked", n_at_eps1=1e12),
+            AdaptiveConfig(min_window_blocks=64),
+        )
+        sage.advance(1.0)
+        assert entry.status == SessionStatus.NEED_DATA
+        admit_rows = SageAccessControl.admit_rows
+
+        def leaky(self, min_budget, principal=None):
+            self.accountant.store.totals[0, TOT_EPS] += 1.0
+            return admit_rows(self, min_budget, principal)
+
+        sage.access.begin_staging()
+        try:
+            assert sage._decide_parked()[entry.table_row][0] is True
+            monkeypatch.setattr(SageAccessControl, "admit_rows", leaky)
+            with pytest.raises(ValueError, match="read-only"):
+                sage._decide_parked()
+        finally:
+            sage.access.abort_staged()

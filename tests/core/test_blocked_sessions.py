@@ -1,22 +1,29 @@
 """The blocked-session verdict: sound, and invisible to every artifact.
 
 ``AdaptiveSession.provably_blocked`` lets the hourly drive skip a waiting
-session whose window search provably finds nothing.  Two properties make
-the skip safe:
+session whose window search provably finds nothing, and the hour pass
+(``Sage._decide_parked``) decides that verdict for every session parked
+when the hour opens at once.  Three properties make the skip safe:
 
 * **Soundness.**  Whenever the verdict is True, ``propose_peek`` returns
   ``(None, NEED_DATA)``: the skip leaves exactly what ``wake()`` followed
   by ``propose() -> None`` leaves.  Checked on random stores, staged
   overlays, reservation rows and escalation states.
+* **The pass is the verdict.**  Every verdict the pass supplies at a
+  session's turn equals ``provably_blocked()`` asked at that turn, with
+  mid-hour releases, stages the session does or does not hold, refused
+  stages and Gaussian budgets in play, through a rolled-back hour and a
+  ``recover()``.
 * **Parity.**  The default drive matches the forced-poll drive
-  (``per_request_oracle.forced_poll_drive``, where the verdict always
-  answers False) byte for byte -- state digests, ``charge.wal`` bytes,
-  attempt records, released bundles -- through a rolled-back hour and a
-  ``recover()``, under every built-in filter.
+  (``per_request_oracle.forced_poll_drive``, where the pass decides
+  nothing and the verdict always answers False) byte for byte -- state
+  digests, ``charge.wal`` bytes, attempt records, released bundles --
+  through a rolled-back hour and a ``recover()``, under every built-in
+  filter.
 """
 
 import functools
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -26,6 +33,7 @@ from hypothesis.extra import numpy as hnp
 
 from per_request_oracle import arrival_schedule, durable_drive, forced_poll_drive
 
+from repro.core import faults
 from repro.core.access_control import SageAccessControl
 from repro.core.adaptive import (
     AdaptiveConfig,
@@ -38,6 +46,7 @@ from repro.core.platform import Sage
 from repro.core.validation.outcomes import Outcome
 from repro.data.database import GrowingDatabase
 from repro.dp.budget import ZERO_BUDGET, PrivacyBudget
+from repro.dp.rdp import gaussian_mechanism_budget
 from repro.errors import BlockRetiredError, BudgetExceededError
 from repro.workload import CountStreamSource, OraclePipeline
 
@@ -231,8 +240,247 @@ class TestForcedPollParity:
         skipped = _drive(tmp_path / "default", filter_name, mix, forced=False)
         polled = _drive(tmp_path / "forced", filter_name, mix, forced=True)
         assert polled["seen"]["verdicts"], "the forced-poll patch was never consulted"
+        # The forced side polls every session-hour: the hour pass is off.
+        assert polled["seen"]["verdicts"] == polled["seen"]["sessions"]
         assert skipped["released"], "no pipeline was released: nothing compared"
         for field in ("digest", "wal", "attempts", "released"):
             assert skipped[field] == polled[field], f"{field} diverged"
         # The skip happened: fewer window searches, same trajectory.
         assert skipped["peeks"] < polled["peeks"]
+
+
+# ----------------------------------------------------------------------
+# The hour pass: every verdict it supplies is the session's own verdict
+# ----------------------------------------------------------------------
+INJECTED_BUDGETS = st.one_of(
+    st.builds(
+        PrivacyBudget,
+        st.floats(min_value=0.001, max_value=0.7),
+        st.sampled_from([0.0, 1e-9]),
+    ),
+    st.sampled_from(
+        [
+            gaussian_mechanism_budget(q, sigma, steps, 1e-9)
+            for q, sigma, steps in ((0.002, 4.0, 10), (0.01, 2.0, 100))
+        ]
+    ),
+)
+
+
+@contextmanager
+def checked_pass(injections=(), fail_turn=None):
+    """Check every verdict the hour pass supplies against the session's
+    own ``provably_blocked()`` at its turn.
+
+    ``injections`` lists ``(turn, blocks, budget)``: before the drive's
+    ``turn``-th session turn (counted across hours), ``budget`` is staged
+    on the newest ``blocks`` blocks, so a stage lands between the pass and
+    the turns after it; a refused one stages nothing.  At turn
+    ``fail_turn`` the drive raises ``InjectedFault`` once, after the
+    check, so that hour rolls back mid-drive (``durable_drive`` runs it
+    again).  Yields live counts.
+    """
+    seen = {
+        "turns": 0, "supplied": 0, "blocked": 0, "voided": 0, "refused": 0,
+        "failed": 0,
+    }
+    plan = {}
+    for turn, blocks, budget in injections:
+        plan.setdefault(turn, []).append((blocks, budget))
+    take = Sage._parked_verdict
+
+    def checked(self, parked, entry):
+        turn = seen["turns"]
+        seen["turns"] += 1
+        for blocks, budget in plan.get(turn, ()):
+            keys = self.access.accountant.block_keys[-blocks:]
+            try:
+                self.access.stage_request(keys, budget, label="injected")
+            except REFUSALS:
+                seen["refused"] += 1
+        verdict = take(self, parked, entry)
+        if verdict is None:
+            seen["voided"] += entry.table_row in parked
+        else:
+            seen["supplied"] += 1
+            seen["blocked"] += verdict
+            assert verdict == entry.session.provably_blocked(), (
+                f"the pass's verdict for {entry.name} is stale"
+            )
+        if turn == fail_turn:
+            seen["failed"] += 1
+            raise faults.InjectedFault("checked_pass")
+        return verdict
+
+    with mock.patch.object(Sage, "_parked_verdict", checked):
+        yield seen
+
+
+class TestHourPassIsTheVerdict:
+    @pytest.mark.parametrize("filter_name", ["basic", "strong", "renyi-pruned"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_every_supplied_verdict_is_the_sessions_own(
+        self, tmp_path_factory, filter_name, data
+    ):
+        hours = data.draw(st.integers(min_value=12, max_value=30), label="hours")
+        rate = data.draw(st.sampled_from(sorted(ARRIVAL_RATES.values())), label="rate")
+        start = 1.0 / 16.0
+        config = AdaptiveConfig(
+            epsilon_start=start,
+            epsilon_cap=1.0,
+            epsilon_floor=data.draw(st.sampled_from([None, start / 4])),
+            min_window_blocks=data.draw(st.sampled_from([1, 2])),
+            # Few attempts end sessions in TIMEOUT: more mid-hour releases.
+            max_attempts=data.draw(st.sampled_from([6, 64]), label="attempts"),
+        )
+        injections = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=300),
+                    st.integers(min_value=1, max_value=8),
+                    INJECTED_BUDGETS,
+                ),
+                max_size=12,
+            ),
+            label="injected stages",
+        )
+        fail_turn = data.draw(st.integers(0, 60), label="failing turn")
+        seen = durable_drive(
+            tmp_path_factory.mktemp("pass"),
+            FILTERS[filter_name],
+            arrival_schedule(hours, rate, seed=data.draw(st.integers(0, 9))),
+            config,
+            rollback_hour=None,
+            recover_hour=data.draw(st.integers(1, hours - 1), label="recover"),
+            reference=functools.partial(checked_pass, injections, fail_turn),
+        )["seen"]
+        assert seen["turns"], "no session was driven"
+
+    def test_pass_supplies_most_verdicts_on_a_backlog(self, tmp_path):
+        """Not vacuous: on a backlog the pass answers most session-hours,
+        both ways; stages landing mid-hour void some verdicts, and one
+        more stage on the same blocks is refused."""
+        injections = [
+            (turn, 4, budget)
+            for turn in range(40, 400, 40)
+            for budget in (PrivacyBudget(0.4, 0.0), PrivacyBudget(0.7, 0.0))
+        ]
+        seen = durable_drive(
+            tmp_path,
+            None,
+            arrival_schedule(HOURS, ARRIVAL_RATES["backlog"], seed=7),
+            CONFIG,
+            rollback_hour=None,
+            recover_hour=RECOVER_HOUR,
+            reference=functools.partial(checked_pass, injections, fail_turn=200),
+        )["seen"]
+        assert seen["supplied"] > seen["turns"] / 2
+        assert 0 < seen["blocked"] < seen["supplied"]
+        assert seen["voided"] and seen["refused"] and seen["failed"]
+
+
+class TestPassInvalidation:
+    """The two rules under which a pass verdict is not used: a release
+    (every remaining verdict is dropped), and a stage that moves the admit
+    decision of a row the session holds."""
+
+    def _parked(self):
+        """An open hour with one session parked at its floor: it holds
+        1.0 on every block and its window asks for all admitted rows."""
+        sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
+        sage.advance(6.0)  # nobody waits: the blocks' budget is free
+        entry = sage.submit(
+            OraclePipeline(name="parked", n_at_eps1=1e12),
+            AdaptiveConfig(min_window_blocks=64),
+        )
+        sage.advance(1.0)
+        assert entry.status == SessionStatus.NEED_DATA
+        sage.access.begin_staging()
+        sage.reservation_table.matrix[entry.table_row] = 1.0
+        session = entry.session
+        floor = PrivacyBudget(
+            min(session.epsilon, session.epsilon_floor), session.delta
+        )
+        session.window_blocks = len(sage.access.admit_rows(floor))
+        return sage, entry
+
+    def _exhaust(self, sage, key):
+        sage.access.stage_request([key], PrivacyBudget(0.999, 0.0))
+
+    def test_a_stage_on_a_held_row_voids_the_verdict(self):
+        sage, entry = self._parked()
+        try:
+            parked = sage._decide_parked()
+            assert sage._parked_verdict(parked, entry) is False
+            self._exhaust(sage, sage.access.accountant.block_keys[0])
+            assert sage._parked_verdict(parked, entry) is None
+            assert entry.session.provably_blocked() is True
+        finally:
+            sage.access.abort_staged()
+
+    def test_a_stage_on_a_row_not_held_keeps_the_verdict(self):
+        sage, entry = self._parked()
+        try:
+            sage.reservation_table.matrix[entry.table_row, 0] = 0.0
+            entry.session.window_blocks -= 1
+            parked = sage._decide_parked()
+            assert sage._parked_verdict(parked, entry) is False
+            self._exhaust(sage, sage.access.accountant.block_keys[0])
+            assert sage._parked_verdict(parked, entry) is False
+            assert entry.session.provably_blocked() is False
+        finally:
+            sage.access.abort_staged()
+
+    def test_a_stage_that_moves_no_decision_keeps_the_array(self):
+        sage, entry = self._parked()
+        try:
+            parked = sage._decide_parked()
+            _, group = parked[entry.table_row]
+            sage.access.stage_request(
+                sage.access.accountant.block_keys[:1], PrivacyBudget(0.01, 0.0)
+            )
+            assert sage.access.admit_rows(group.floor) is group.admitted
+            assert sage._parked_verdict(parked, entry) is False
+        finally:
+            sage.access.abort_staged()
+
+    def test_a_release_drops_every_remaining_verdict(self):
+        """A session that finishes ahead of a parked one hands it its
+        holding: the pass proved the parked session blocked, but it asks
+        its own verdict after the release, and it proposes."""
+        sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
+        sage.advance(2.0)
+        config = AdaptiveConfig(min_window_blocks=4, max_attempts=8)
+        first = sage.submit(OraclePipeline(name="first", n_at_eps1=1e12), config)
+        parked = sage.submit(OraclePipeline(name="parked", n_at_eps1=1e12), config)
+        sage.advance(1.0)
+        assert first.status == parked.status == SessionStatus.NEED_DATA
+        # The first session holds what the parked one lacks, and times out
+        # at its next turn, releasing it.
+        table = sage.reservation_table.matrix
+        table[first.table_row], table[parked.table_row] = 0.5, 0.0
+        first.session.attempts.extend(
+            AttemptRecord(i + 1, (), ZERO_BUDGET, Outcome.RETRY, 0)
+            for i in range(config.max_attempts - len(first.session.attempts))
+        )
+        asked, passed = [], []
+        verdict, decide = AdaptiveSession.provably_blocked, Sage._decide_parked
+
+        def spy(session):
+            asked.append(session.pipeline.name)
+            return verdict(session)
+
+        def spy_pass(sage):
+            verdicts = decide(sage)
+            passed.extend(verdicts.values())
+            return verdicts
+
+        with mock.patch.object(
+            AdaptiveSession, "provably_blocked", spy
+        ), mock.patch.object(Sage, "_decide_parked", spy_pass):
+            sage.advance(1.0)
+        assert [blocked for blocked, _ in passed] == [True]
+        assert first.status == SessionStatus.TIMEOUT
+        assert asked == ["first", "parked"]
+        assert parked.session.attempts

@@ -27,7 +27,7 @@ from per_request_oracle import (
 from repro.core import faults
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_EPS, BlockAccountant
-from repro.core.adaptive import AdaptiveConfig
+from repro.core.adaptive import AdaptiveConfig, AdaptiveSession
 from repro.core.filters import (
     BasicCompositionFilter,
     RenyiCompositionFilter,
@@ -440,6 +440,11 @@ class TestScanMemoLifetime:
         acc.begin_staging()
         scan = acc._live_admit_rows(self.FLOOR)
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
+        # A stage that changes no decision keeps the very array.
+        acc.stage_charge([1], PrivacyBudget(0.01, 0.0))
+        assert acc._live_admit_rows(self.FLOOR) is scan
+        assert scan.tobytes() == fresh_scan(acc, self.FLOOR).tobytes()
+        # One that changes a decision replaces it.
         acc.stage_charge([0], PrivacyBudget(1.0, 0.0))
         kept = acc._live_admit_rows(self.FLOOR)
         # A new read-only array; the one handed out before is unchanged.
@@ -641,9 +646,9 @@ class TestFreshScanParity:
 
 
 class TestSharedScans:
-    """A staged starved hour: every session at one floor scans the whole
-    stream for an affordable window and blocks.  The open batch shares one
-    whole-stream admit scan across all of them."""
+    """A staged starved hour: every session at one floor is parked, and the
+    hour pass decides them all blocked.  The open batch serves the whole
+    queue from one whole-stream admit scan."""
 
     N_SESSIONS = 8
 
@@ -668,23 +673,30 @@ class TestSharedScans:
     ):
         sage = self._starved(FILTERS[filter_name])
         acc = sage.access.accountant
-        scans = []
+        scans, verdicts = [], []
         original = type(acc)._live_admit_rows
+        verdict = AdaptiveSession.provably_blocked
 
         def spy(self, floor):
             rows = original(self, floor)
             scans.append(rows)  # keeps each result alive: ids stay unique
             return rows
 
+        def spy_verdict(self):
+            verdicts.append(self)
+            return verdict(self)
+
         monkeypatch.setattr(type(acc), "_live_admit_rows", spy)
+        monkeypatch.setattr(AdaptiveSession, "provably_blocked", spy_verdict)
         sage.advance(1.0)
         monkeypatch.undo()
         assert sage.last_hour_charges == 0
         assert all(e.status == "need_data" for e in sage.pipelines)
-        # Every session asked (at least once) ...
-        assert len(scans) >= self.N_SESSIONS
-        # ... and all of them were served by one scan.
-        assert len({id(rows) for rows in scans}) == 1
+        # The hour pass decided the whole parked queue: no session asked
+        # its own verdict ...
+        assert not verdicts
+        # ... and one scan served all of them.
+        assert scans and len({id(rows) for rows in scans}) == 1
 
 
 class TestPlatformSurface:

@@ -19,12 +19,15 @@ called, so a parity test cannot silently compare the staged drive with
 itself.  Use it on volatile platforms only: a durable hour would write
 ahead an empty request batch.
 
-The platform skips a waiting session for the hour when
-``AdaptiveSession.provably_blocked`` proves its window search would find
-nothing.  :func:`forced_poll_drive` is the reference for that skip: inside
-it the verdict always answers False, so every waiting session is polled
-through ``propose()`` every hour, as before the verdict existed.  Like the
-per-request drive it is a patch, not an option:
+The platform skips a waiting session for the hour when its blocked
+verdict proves its window search would find nothing: the hour pass
+(``Sage._decide_parked``) decides the sessions parked when the hour opens,
+and ``AdaptiveSession.provably_blocked`` decides the rest.
+:func:`forced_poll_drive` is the reference for that skip: inside it the
+pass decides nothing and the verdict always answers False, so every
+waiting session is polled through ``propose()`` every hour, as before the
+verdict existed.  Like the per-request drive it is a patch, not an
+option:
 
     with forced_poll_drive() as seen:
         sage.advance(1.0)
@@ -135,16 +138,27 @@ def per_request_drive():
 
 @contextmanager
 def forced_poll_drive():
-    """Poll every waiting session every hour: the blocked-session verdict
-    answers False inside the block.  Yields live counts of the verdicts
-    asked (``verdicts``)."""
-    seen = {"verdicts": 0}
+    """Poll every waiting session every hour: inside the block the hour
+    pass decides no session and the blocked-session verdict answers
+    False, so every session-hour asks the verdict.  Yields live counts of
+    the verdicts asked (``verdicts``) and of the session-hours driven
+    (``sessions``)."""
+    seen = {"verdicts": 0, "sessions": 0}
+    drive_session = Sage._drive_session
 
     def never_blocked(self):
         seen["verdicts"] += 1
         return False
 
-    with mock.patch.object(AdaptiveSession, "provably_blocked", never_blocked):
+    def counting_drive(self, entry, blocked):
+        seen["sessions"] += 1
+        return drive_session(self, entry, blocked)
+
+    with mock.patch.object(
+        Sage, "_decide_parked", lambda self: {}
+    ), mock.patch.object(
+        Sage, "_drive_session", counting_drive
+    ), mock.patch.object(AdaptiveSession, "provably_blocked", never_blocked):
         yield seen
 
 
@@ -198,7 +212,9 @@ def durable_drive(
     before hour ``h``) on a durable platform inside ``reference()``.
 
     Hour ``rollback_hour`` first fails mid-drive, rolls back and is run
-    again; before hour ``recover_hour`` the platform is rebuilt from its
+    again (``None``: no hour is made to fail, but an hour the reference
+    fails with ``InjectedFault`` is run again the same way); before hour
+    ``recover_hour`` the platform is rebuilt from its
     WAL directory.  Returns the state digest, the ``charge.wal`` bytes,
     every pipeline's attempt records, the released bundles, the number of
     ``propose_peek`` calls and what ``reference()`` yielded.
@@ -242,7 +258,10 @@ def durable_drive(
                         pass
                     else:
                         raise AssertionError("the armed fault never fired")
-            released.extend(sage.advance(1.0))
+            try:
+                released.extend(sage.advance(1.0))
+            except faults.InjectedFault:
+                released.extend(sage.advance(1.0))
         sage.close()
     return {
         "digest": durability.state_digest(sage),
