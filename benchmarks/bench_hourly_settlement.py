@@ -85,6 +85,7 @@ class SeedAdvanceLoop:
         )
         entry.session = self._session(entry, config or AdaptiveConfig())
         self._pipelines.append(entry)
+        self._waiting[entry.table_row] = entry
         return entry
 
     def advance(self, hours=1.0):
@@ -113,8 +114,10 @@ class SeedAdvanceLoop:
                 entry.bundle = bundle
                 entry.release_time_hours = self.clock_hours
                 released.append(bundle)
+                self._waiting.pop(entry.table_row)
                 self._redistribute(entry)
             elif entry.session.is_terminal:
+                self._waiting.pop(entry.table_row)
                 self._redistribute(entry)
         return released
 

@@ -10,14 +10,23 @@ Two questions about ``Sage(wal_dir=...)``:
 * **Overhead**: wall-clock of the hourly drive with the log on (frame
   encode + CRC + fsync per hour) over the log off, reported as a ratio.
   ``--assert-max-overhead`` gates it in CI.
+* **Block frees per snapshot**: on a disk mounted with ``discard`` every
+  call that frees a file's blocks costs tens of milliseconds, whatever
+  the file's size.  A drive that runs past ``snapshot_keep`` snapshots
+  counts such calls -- an ``unlink`` or a ``replace``/``rename`` that
+  drops a file's last link, and a ``truncate`` that shrinks a file --
+  per snapshot after the first ``snapshot_keep``.
+  ``--assert-frees-per-snapshot`` gates the count, which never flakes.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_wal_overhead.py``).
 """
 
 import argparse
+import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,6 +42,7 @@ from repro.workload.oracle import CountStreamSource, OraclePipeline
 
 DEFAULT_HOURS = 24
 DEFAULT_PIPELINES = 6
+SNAPSHOT_KEEP = 3  # Sage's default snapshot_keep
 
 
 def _build(wal_dir=None, snapshot_every=0):
@@ -140,11 +150,137 @@ def bench_overhead(hours, n_pipelines, snapshot_every):
     return t_off, t_on, t_on / t_off
 
 
-def run(hours, n_pipelines, snapshot_every, assert_max_overhead=0.0):
+def _drops_last_link(path) -> bool:
+    """Whether removing the name ``path`` frees data blocks: it is the
+    file's last link and the file holds data."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return False
+    return st.st_nlink == 1 and st.st_size > 0
+
+
+class _CountingFile:
+    """A file object whose ``truncate`` counts the calls that shrink it."""
+
+    def __init__(self, fh, note):
+        self._fh = fh
+        self._note = note
+
+    def truncate(self, size=None):
+        self._fh.flush()
+        target = self._fh.tell() if size is None else size
+        if target < os.fstat(self._fh.fileno()).st_size:
+            self._note()
+        return self._fh.truncate(size)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@contextmanager
+def count_block_frees():
+    """Count the calls that free a file's blocks while the block runs:
+    ``os.unlink``/``os.remove``/``Path.unlink`` of a file's last link,
+    ``os.replace``/``os.rename`` onto an existing file's last link, and
+    a shrinking ``os.truncate``/``os.ftruncate`` or file-object
+    ``truncate`` (the durability module's ``open`` is wrapped for that).
+    Yields a one-entry list holding the running count."""
+    count = [0]
+    depth = [0]  # Path.unlink may call os.unlink: count the outer call
+
+    def note():
+        count[0] += 1
+
+    def counted(real, frees):
+        def wrapper(*args, **kwargs):
+            if not depth[0] and frees(*args, **kwargs):
+                note()
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    def removes(path, *args, **kwargs):
+        return _drops_last_link(path)
+
+    def overwrites(src, dst, *args, **kwargs):
+        return _drops_last_link(dst) and not (
+            os.path.exists(src) and os.path.samefile(src, dst)
+        )
+
+    def shrinks(path, length):
+        return length < os.stat(path).st_size
+
+    def shrinks_fd(fd, length):
+        return length < os.fstat(fd).st_size
+
+    patches = [
+        (os, "unlink", removes),
+        (os, "remove", removes),
+        (Path, "unlink", removes),
+        (os, "replace", overwrites),
+        (os, "rename", overwrites),
+        (os, "truncate", shrinks),
+        (os, "ftruncate", shrinks_fd),
+    ]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    for (owner, name, frees), (_, _, real) in zip(patches, saved):
+        setattr(owner, name, counted(real, frees))
+    durability.open = lambda *args, **kwargs: _CountingFile(open(*args, **kwargs), note)
+    try:
+        yield count
+    finally:
+        del durability.open
+        for owner, name, real in saved:
+            setattr(owner, name, real)
+
+
+def bench_block_frees(n_pipelines, snapshot_every, extra_snapshots=3):
+    """Block-freeing calls per snapshot written after the first
+    ``SNAPSHOT_KEEP``, over a durable drive of ``SNAPSHOT_KEEP +
+    extra_snapshots`` snapshots.  Returns ``(per snapshot, warm-up
+    count)``; the warm-up count covers the first ``SNAPSHOT_KEEP``."""
+    with tempfile.TemporaryDirectory(prefix="wal_bench_frees_") as tmp:
+        sage = _build(wal_dir=Path(tmp), snapshot_every=snapshot_every)
+        for pipeline, config in _pipes(n_pipelines):
+            sage.submit(pipeline, config)
+        with count_block_frees() as warmup:
+            for _ in range(SNAPSHOT_KEEP * snapshot_every):
+                sage.advance(1.0)
+        with count_block_frees() as counted:
+            for _ in range(extra_snapshots * snapshot_every):
+                sage.advance(1.0)
+        sage.close()
+    return counted[0] / extra_snapshots, warmup[0]
+
+
+def run(
+    hours,
+    n_pipelines,
+    snapshot_every,
+    assert_max_overhead=0.0,
+    assert_frees_per_snapshot=None,
+):
     t_off, t_on, overhead = bench_overhead(hours, n_pipelines, snapshot_every)
+    frees, warmup_frees = bench_block_frees(n_pipelines, snapshot_every or 4)
     case = write_bench_json(
         "wal_overhead",
-        {"hours": hours, "pipelines": n_pipelines, "snapshot_every": snapshot_every},
+        {
+            "hours": hours,
+            "pipelines": n_pipelines,
+            "snapshot_every": snapshot_every,
+            "frees_per_snapshot": frees,
+        },
         t_on * 1e3,
         t_off * 1e3,
         bench="wal_overhead",
@@ -160,12 +296,19 @@ def run(hours, n_pipelines, snapshot_every, assert_max_overhead=0.0):
             f"({t_on / hours * 1e3:.2f}ms vs {t_off / hours * 1e3:.2f}ms per hour)",
             "parity: durable==volatile per hour; snapshot+tail and pure-WAL "
             "recovery both reproduce the final digest",
+            f"block-freeing calls: {frees:g} per snapshot after the first "
+            f"{SNAPSHOT_KEEP} ({warmup_frees} during them)",
         ],
     )
     if assert_max_overhead and overhead > assert_max_overhead:
         raise AssertionError(
             f"durable drive costs {overhead:.2f}x the volatile drive, over "
             f"the allowed {assert_max_overhead}x"
+        )
+    if assert_frees_per_snapshot is not None and frees > assert_frees_per_snapshot:
+        raise AssertionError(
+            f"{frees:g} block-freeing calls per snapshot, over the allowed "
+            f"{assert_frees_per_snapshot:g}"
         )
     return table
 
@@ -192,6 +335,14 @@ def main():
         help="fail if the durable drive costs more than this factor of the "
         "volatile drive",
     )
+    parser.add_argument(
+        "--assert-frees-per-snapshot",
+        type=float,
+        default=None,
+        help="fail if snapshots past the first snapshot_keep average more "
+        "than this many block-freeing calls (unlink, replace onto a last "
+        "link, shrinking truncate)",
+    )
     args = parser.parse_args()
     print(
         run(
@@ -199,6 +350,7 @@ def main():
             args.pipelines,
             args.snapshot_every,
             assert_max_overhead=args.assert_max_overhead,
+            assert_frees_per_snapshot=args.assert_frees_per_snapshot,
         )
     )
 

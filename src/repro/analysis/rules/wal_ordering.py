@@ -23,7 +23,12 @@ A fourth check covers the snapshot side of the same contract:
 **fsync-before-rename** -- any function that publishes with
 ``os.replace``/``os.rename`` must ``os.fsync`` the payload first on
 every path, else the rename can land before the data and a crash
-publishes a hole.
+publishes a hole.  A rename onto an unpublished name -- a temp file
+(``*.tmp``, ``*.compact``) or a spare kept for reuse (``*.spare``) -- is
+a *claim*: no reader loads that name, so it needs no fsync first.  The
+destination is read from the call, from the local name's assignments,
+or from the class's ``self.<attr>`` assignments; one that cannot be
+resolved to an unpublished name counts as a publication.
 
 All checks are path-sensitive on the CFG (``always_precedes`` /
 ``always_followed_by``); dunder methods are exempt from
@@ -46,6 +51,9 @@ __all__ = ["WalOrderingRule"]
 _SCOPE_PREFIX = "src/repro/core/"
 
 _SYNC_NAMES = frozenset({"_sync", "fsync"})
+_RENAME_NAMES = ("replace", "rename")
+# Names no reader ever loads: temp files and spares kept for reuse.
+_UNPUBLISHED_SUFFIXES = (".tmp", ".compact", ".spare")
 _HANDLE_WRITE_NAMES = frozenset({"write", "truncate"})
 
 
@@ -75,6 +83,47 @@ def _is_os_call(call: ast.Call, names) -> bool:
     return len(chain) == 2 and chain[0] == "os" and chain[1] in names
 
 
+def _assigned_values(scope: ast.AST, chain: List[str]) -> List[ast.expr]:
+    """Every value ``scope`` assigns to the name or attribute chain
+    ``chain`` (``['tmp']``, ``['self', '_spare']``)."""
+    values = []
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        values.extend(value for target in targets if attr_chain(target) == chain)
+    return values
+
+
+def _names_unpublished(node: ast.expr) -> bool:
+    return any(
+        isinstance(c, ast.Constant)
+        and isinstance(c.value, str)
+        and c.value.endswith(_UNPUBLISHED_SUFFIXES)
+        for c in ast.walk(node)
+    )
+
+
+def _is_claim(call: ast.Call, func: ast.AST, cls: Optional[ast.ClassDef]) -> bool:
+    """A rename onto an unpublished name: every value the destination
+    (the second positional argument) can hold names a temp file or a
+    spare."""
+    if len(call.args) < 2:
+        return False
+    dest = call.args[1]
+    chain = attr_chain(dest)
+    if isinstance(dest, ast.Name):
+        values = _assigned_values(func, chain)
+    elif chain[:1] == ["self"] and cls is not None:
+        values = _assigned_values(cls, chain)
+    else:
+        values = [dest]
+    return bool(values) and all(_names_unpublished(v) for v in values)
+
+
 def _mentions_digest_call(node: ast.AST) -> bool:
     return any("digest" in (call_name(c) or "") for c in walk_calls(node))
 
@@ -95,10 +144,16 @@ class WalOrderingRule(Rule):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         yield from self._check_writer_method(module, node.name, item)
+        owners = {
+            item: cls
+            for cls in ast.walk(module.tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+        }
         for func in ast.walk(module.tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_commit_site(module, func)
-                yield from self._check_rename_site(module, func)
+                yield from self._check_rename_site(module, func, owners.get(func))
 
     # ------------------------------------------------------------------
     # sync-after-write (inside the WAL writer class)
@@ -215,17 +270,15 @@ class WalOrderingRule(Rule):
     # fsync-before-rename (snapshot publication)
     # ------------------------------------------------------------------
     def _check_rename_site(
-        self, module: Module, func: ast.FunctionDef
+        self, module: Module, func: ast.FunctionDef, cls: Optional[ast.ClassDef]
     ) -> Iterable[Finding]:
-        has_rename = any(
-            _is_os_call(c, ("replace", "rename")) for c in walk_calls(func)
-        )
-        if not has_rename:
+        def publishes(call: ast.Call) -> bool:
+            return _is_os_call(call, _RENAME_NAMES) and not _is_claim(call, func, cls)
+
+        if not any(publishes(c) for c in walk_calls(func)):
             return
         cfg = build_cfg(func)
-        renames = _nodes_where(
-            cfg, lambda c: _is_os_call(c, ("replace", "rename"))
-        )
+        renames = _nodes_where(cfg, publishes)
         if not renames:
             return
         fsyncs = _nodes_where(cfg, lambda c: (call_name(c) or "") == "fsync")

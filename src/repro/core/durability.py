@@ -20,6 +20,12 @@ One append-only file, ``charge.wal``, in the platform's ``wal_dir``::
                  uint32le  payload length
                  uint32le  CRC32 of the payload
                  payload   pickled dict
+    optional  zero tail: zero bytes up to the end of the file
+
+A compaction that reuses an older, longer log file zeroes the bytes past
+its last record (see "Snapshot format and atomicity"), and appends
+overwrite the zeros, so the all-zero remainder after the last record is
+the clean end of the log.
 
 Two record kinds (the ``"kind"`` key of the payload dict):
 
@@ -56,10 +62,16 @@ Two record kinds (the ``"kind"`` key of the payload dict):
 The reader (:func:`read_wal`) is **truncated-tail tolerant**: a final
 record with fewer bytes than its frame promises (a crash mid-append) is
 reported via ``truncated_tail``/``end_offset`` and ignored, and the
-writer truncates it away on reopen.  A *complete* record whose CRC does
-not match, or a bad file magic, is real corruption and raises
-:class:`~repro.errors.WalCorruptionError` naming the file, byte offset,
-and record index -- a corrupt record is never silently replayed.
+writer truncates it away on reopen.  Over a zero tail a torn append
+leaves its frame's unwritten bytes zero, so a frame that fails its CRC
+(or runs past the end of the file) is a torn tail only if its last byte
+and every byte after it are zero -- a complete frame's last byte is the
+pickle STOP byte ``.`` -- and no shorter prefix of its payload ending in
+that byte matches the CRC (which would mean a damaged length field).  A
+*complete* record whose CRC does not match, a zero length field with
+nonzero bytes after it, or a bad file magic, is real corruption and
+raises :class:`~repro.errors.WalCorruptionError` naming the file, byte
+offset, and record index -- a corrupt record is never silently replayed.
 
 Snapshot format and atomicity
 -----------------------------
@@ -76,7 +88,36 @@ corrupt snapshot files and falls back to the next older valid one.  The
 database's packed columns pickle their live rows and capacity only (see
 :class:`~repro.data.stream.PackedColumns`), so equal states -- two runs of
 one seed, or a run with a rolled-back and retried hour -- write
-byte-identical snapshot files.
+byte-identical snapshot, log and spare files.
+
+Retired files are recycled, never freed: on a file system mounted with
+``discard``, every call that frees a file's blocks (``unlink``, a
+``replace`` onto a file's last link, a shrinking ``truncate``) costs tens
+of milliseconds whatever the file's size, while renaming onto a fresh
+name or overwriting in place costs well under one.
+
+* A snapshot pruned past ``keep`` is renamed to ``snapshot.spare``.  The
+  next snapshot write renames the spare onto its temp name (a *claim*:
+  nothing loads that name), overwrites it from offset 0, truncates it to
+  the blob's length (snapshots grow, so this cuts nothing on the steady
+  path), fsyncs, and publishes it with ``os.replace`` as above.
+* WAL compaction claims ``charge.wal.spare`` as ``charge.wal.compact``,
+  writes the magic and the kept frames, zeroes the rest of the spare's
+  old bytes and fsyncs.  The swap is link-then-replace:
+  ``os.link(charge.wal, charge.wal.spare)`` keeps the live log's inode as
+  the next spare, then ``os.replace`` moves the rewritten file onto
+  ``charge.wal`` atomically.  The replaced name still has a link, so the
+  swap frees nothing.  A crash between the two (crash point
+  ``wal.compact_swap``) leaves the old log live and the spare a second
+  link to it; the writer unlinks such a spare on open and before any
+  compaction, so the live log is never overwritten in place.
+
+Disk footprint: next to the ``keep`` snapshots and ``charge.wal`` the
+directory holds at most one ``snapshot.spare`` and one
+``charge.wal.spare``, and ``charge.wal``'s size is its high-water mark
+(live records plus the zero tail).  A crash can also leave a
+``*.snap.tmp`` or ``charge.wal.compact``; neither is ever loaded, and
+the next compaction overwrites a leftover ``charge.wal.compact``.
 
 State digest
 ------------
@@ -146,7 +187,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import BinaryIO, List, Optional, Tuple
 
 import numpy as np
 
@@ -178,6 +219,25 @@ _PICKLE_PROTOCOL = 4
 def wal_path(wal_dir) -> Path:
     """The charge log's location inside a platform's WAL directory."""
     return Path(wal_dir) / "charge.wal"
+
+
+def _open_for_overwrite(path) -> BinaryIO:
+    """Open ``path`` read-write at offset 0, creating it if missing but
+    never truncating it: a claimed spare keeps its blocks, and the
+    caller overwrites them."""
+    return open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b")
+
+
+def _fsync_dir(directory) -> None:
+    """Make a rename in ``directory`` durable (best effort)."""
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:  # pragma: no cover - platform-dependent best effort
+        pass
 
 
 def _encode_record(payload_obj) -> bytes:
@@ -219,6 +279,24 @@ def read_wal(path) -> WalScan:
     return _scan_wal_bytes(path, path.read_bytes())
 
 
+def _complete_prefix(payload, crc: int) -> bool:
+    """Whether a prefix of ``payload`` that ends in pickle's STOP byte
+    (``.``) has CRC ``crc``: the frame's record is complete and its
+    length field is what broke, so the frame is damage, not a torn
+    append (whose CRC covers bytes that never landed)."""
+    view = memoryview(payload)
+    running = 0
+    start = 0
+    while True:
+        stop = payload.find(b".", start)
+        if stop < 0:
+            return False
+        running = zlib.crc32(view[start : stop + 1], running)
+        if running == crc:
+            return True
+        start = stop + 1
+
+
 def _scan_wal_bytes(path: Path, data: bytes) -> WalScan:
     """:func:`read_wal` over the file's bytes, already read."""
     if not data:
@@ -233,21 +311,33 @@ def _scan_wal_bytes(path: Path, data: bytes) -> WalScan:
     records: List[dict] = []
     spans: List[Tuple[int, int]] = []
     offset = len(WAL_MAGIC)
+    # Every byte from ``zero_from`` on is zero: a recycled file's zero
+    # tail, which is the clean end of the log.
+    zero_from = len(data.rstrip(b"\0"))
     index = 0
     truncated = False
-    while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            truncated = True
-            break
-        length, crc = _FRAME.unpack_from(data, offset)
-        if offset + _FRAME.size + length > len(data):
-            truncated = True
-            break
-        payload = data[offset + _FRAME.size : offset + _FRAME.size + length]
-        if zlib.crc32(payload) != crc:
-            raise WalCorruptionError(
-                path, offset, "record CRC mismatch", record=index
-            )
+    while offset < zero_from:
+        # A header cut short by the end of the file reads as zero-padded.
+        length, crc = _FRAME.unpack(
+            data[offset : offset + _FRAME.size].ljust(_FRAME.size, b"\0")
+        )
+        if not length:
+            # No record is empty, so a zero length field with nonzero
+            # bytes after it is damage, never a torn append.
+            raise WalCorruptionError(path, offset, "empty record frame", record=index)
+        start = offset + _FRAME.size
+        end = start + length
+        payload = data[start:end]
+        if end > len(data) or zlib.crc32(payload) != crc:
+            # A torn append leaves the frame's last byte unwritten: zero
+            # (or past the end of the file), like every byte after it.
+            # A complete frame's last byte is the payload's STOP byte.
+            complete = _complete_prefix(payload, crc)
+            if end > zero_from and not complete:
+                truncated = True
+                break
+            reason = "record length mismatch" if complete else "record CRC mismatch"
+            raise WalCorruptionError(path, offset, reason, record=index)
         try:
             record = pickle.loads(payload)
         except Exception as exc:
@@ -255,8 +345,8 @@ def _scan_wal_bytes(path: Path, data: bytes) -> WalScan:
                 path, offset, f"undecodable record payload ({exc})", record=index
             ) from exc
         records.append(record)
-        spans.append((offset, offset + _FRAME.size + length))
-        offset += _FRAME.size + length
+        spans.append((offset, end))
+        offset = end
         index += 1
     return WalScan(
         records=records, truncated_tail=truncated, end_offset=offset, spans=spans
@@ -308,20 +398,25 @@ class WalWriter:
 
     Opening an existing file validates it with :func:`read_wal` (real
     corruption raises) and truncates any torn tail so appends resume at
-    the last complete record; a file torn inside its header gets the
-    magic rewritten.
+    the last complete record; a clean zero tail stays, and appends
+    overwrite it.  A file torn inside its header gets the magic
+    rewritten.
     """
 
     def __init__(self, path, telemetry=None) -> None:
         self._tracer = telemetry.tracer if telemetry is not None else NULL_PROBE
         self._metrics = telemetry.metrics if telemetry is not None else None
         self._path = Path(path)
+        # The previous log file, kept for the next compaction to reuse.
+        self._spare = self._path.with_name(self._path.name + ".spare")
         self._path.parent.mkdir(parents=True, exist_ok=True)
+        self._drop_linked_spare()
         if self._path.exists() and self._path.stat().st_size > 0:
             scan = read_wal(self._path)
             self._fh = open(self._path, "r+b")
             self._fh.seek(scan.end_offset)
-            self._fh.truncate()
+            if scan.truncated_tail:
+                self._fh.truncate()
         else:
             self._fh = open(self._path, "wb")
         if self._fh.tell() == 0:
@@ -329,10 +424,23 @@ class WalWriter:
             self._fh.write(WAL_MAGIC)
             self._sync()
         self._hour_start: Optional[int] = None
+        self._hour_size = 0
 
     @property
     def path(self) -> Path:
         return self._path
+
+    def _drop_linked_spare(self) -> None:
+        """Unlink a spare that is a second link to the live log -- what a
+        crash between compaction's ``os.link`` and its ``os.replace``
+        leaves -- so that no compaction ever overwrites the live log in
+        place.  Unlinking a second link frees no blocks."""
+        try:
+            linked = os.path.samefile(self._spare, self._path)
+        except OSError:
+            return  # one of the two is missing
+        if linked:
+            os.unlink(self._spare)
 
     @property
     def hour_open(self) -> bool:
@@ -354,6 +462,8 @@ class WalWriter:
                 "it before beginning another"
             )
         self._hour_start = self._fh.tell()
+        # Every earlier write was synced, so this is the file's size.
+        self._hour_size = os.fstat(self._fh.fileno()).st_size
 
     def append_hour(self, payload: dict) -> None:
         """Write-ahead append: the hour record lands and fsyncs *before*
@@ -387,15 +497,22 @@ class WalWriter:
         self._hour_start = None
 
     def abort_hour(self) -> None:
-        """Truncate everything appended since ``begin_hour``.
+        """Undo everything appended since ``begin_hour``: the file is
+        again byte for byte what it was when the hour began.
 
-        No-op when no hour is open, so the platform's exception handler
-        can call it unconditionally.
+        Bytes past the file's size at ``begin_hour`` are truncated away;
+        bytes written over the zero tail are zeroed again.  No-op when no
+        hour is open, so the platform's exception handler can call it
+        unconditionally.
         """
         if self._hour_start is None:
             return
+        end = self._fh.tell()
         self._fh.seek(self._hour_start)
-        self._fh.truncate()
+        if end > self._hour_size:
+            self._fh.truncate(self._hour_size)
+        self._fh.write(bytes(min(end, self._hour_size) - self._hour_start))
+        self._fh.seek(self._hour_start)
         self._sync()
         self._hour_start = None
 
@@ -409,9 +526,17 @@ class WalWriter:
         hour index are preserved untouched, in order: every kept frame is
         copied byte for byte, never decoded and encoded again.
 
-        The rewrite is crash-atomic (same-directory temp file, fsync,
-        ``os.replace``): a crash mid-compaction leaves either the old log
-        or the new one, both complete.  Returns the number of records
+        The rewrite reuses the previous compaction's file,
+        ``charge.wal.spare``, instead of freeing and allocating blocks:
+        it claims the spare as ``charge.wal.compact``, writes the magic
+        and the kept frames from offset 0, zeroes the rest of the spare's
+        old bytes and fsyncs.  Then ``os.link`` keeps the live log's
+        inode as the next spare, and ``os.replace`` swaps the rewritten
+        file in; the replaced name still has a link, so no blocks are
+        freed.  Appends resume at the end of the kept frames, over the
+        zero tail.  A crash anywhere leaves either the old log or the new
+        one, both complete (crash point ``wal.compact_swap`` sits between
+        the link and the replace).  Returns the number of records
         dropped (0 means the file was not rewritten).  An open hour must
         be committed or aborted first.
         """
@@ -442,23 +567,24 @@ class WalWriter:
         with self._tracer.span(
             "wal.compact", upto_hour=upto_hour, dropped=dropped
         ):
+            body = WAL_MAGIC + b"".join(kept)
             tmp = self._path.with_name(self._path.name + ".compact")
-            with open(tmp, "wb") as fh:
-                fh.write(WAL_MAGIC + b"".join(kept))
+            self._drop_linked_spare()
+            if self._spare.exists():
+                os.rename(self._spare, tmp)
+            with _open_for_overwrite(tmp) as fh:
+                stale = os.fstat(fh.fileno()).st_size
+                fh.write(body)
+                fh.write(bytes(max(0, stale - len(body))))
                 fh.flush()
                 os.fsync(fh.fileno())
-            self._fh.close()
+            os.link(self._path, self._spare)
+            faults.trip("wal.compact_swap")
             os.replace(tmp, self._path)
-            try:
-                dir_fd = os.open(self._path.parent, os.O_RDONLY)
-                try:
-                    os.fsync(dir_fd)
-                finally:
-                    os.close(dir_fd)
-            except OSError:  # pragma: no cover - platform-dependent best effort
-                pass
+            self._fh.close()
+            _fsync_dir(self._path.parent)
             self._fh = open(self._path, "r+b")
-            self._fh.seek(0, os.SEEK_END)
+            self._fh.seek(len(body))
         if self._metrics is not None:
             self._metrics.inc("sage_wal_compact_dropped_total", dropped)
         return dropped
@@ -476,9 +602,12 @@ class SnapshotStore:
 
     Files are ``snapshot-<hour>.snap``, written via a same-directory temp
     file + ``os.replace`` so readers only ever see complete snapshots;
-    the newest ``keep`` snapshots are retained.  ``latest()`` skips
-    corrupt files (surviving e.g. bit rot on the newest snapshot) and
-    falls back to the next older valid one.
+    the newest ``keep`` snapshots are retained.  A pruned snapshot is
+    renamed to ``snapshot.spare`` rather than deleted, and the next write
+    claims it as its temp file, so snapshots reuse blocks instead of
+    freeing them.  ``latest()`` skips corrupt files (surviving e.g. bit
+    rot on the newest snapshot) and falls back to the next older valid
+    one.
     """
 
     def __init__(self, directory, keep: int = 3, telemetry=None) -> None:
@@ -487,6 +616,7 @@ class SnapshotStore:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._keep = max(1, int(keep))
+        self._spare = self._dir / "snapshot.spare"
 
     def path_for(self, hour_index: int) -> Path:
         return self._dir / f"snapshot-{int(hour_index):08d}.snap"
@@ -501,7 +631,9 @@ class SnapshotStore:
             "snapshot.write", hour_index=int(hour_index), bytes=len(blob)
         ):
             tmp = final.with_name(final.name + ".tmp")
-            with open(tmp, "wb") as fh:
+            if self._spare.exists():
+                os.rename(self._spare, tmp)
+            with _open_for_overwrite(tmp) as fh:
                 # Two writes around the crash point: a mid-snapshot death
                 # leaves only the temp file -- the published snapshot set is
                 # untouched and recovery falls back to the previous one.
@@ -510,17 +642,12 @@ class SnapshotStore:
                 fh.flush()
                 faults.trip("snapshot.mid_write")
                 fh.write(blob[half:])
+                # Snapshots grow, so this cuts nothing on the steady path.
+                fh.truncate(len(blob))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, final)
-            try:
-                dir_fd = os.open(self._dir, os.O_RDONLY)
-                try:
-                    os.fsync(dir_fd)
-                finally:
-                    os.close(dir_fd)
-            except OSError:  # pragma: no cover - platform-dependent best effort
-                pass
+            _fsync_dir(self._dir)
             self._prune()
         if self._metrics is not None:
             self._metrics.inc("sage_snapshots_written_total")
@@ -528,10 +655,14 @@ class SnapshotStore:
         return final
 
     def _prune(self) -> None:
-        paths = self.snapshot_paths()
-        for stale in paths[: -self._keep]:
+        """Retire snapshots beyond ``keep``: the first becomes the spare
+        (when there is none), any further one is deleted."""
+        for stale in self.snapshot_paths()[: -self._keep]:
             try:
-                stale.unlink()
+                if self._spare.exists():
+                    stale.unlink()
+                else:
+                    os.rename(stale, self._spare)
             except OSError:  # pragma: no cover - concurrent cleanup
                 pass
 

@@ -39,6 +39,10 @@ point                                   fires
                                         store write
 ``snapshot.mid_write``                  mid-way through writing a snapshot
                                         temp file, before ``os.replace``
+``wal.compact_swap``                    in ``WalWriter.compact``, after the
+                                        live log is linked as the next spare,
+                                        before ``os.replace`` swaps the
+                                        rewritten log in
 ``hour.after_commit``                   after the hour committed in memory
                                         and the WAL commit marker landed
 ======================================= =====================================
@@ -76,6 +80,7 @@ CRASH_POINTS = (
     "wal.after_append",
     "charge.between_validate_and_commit",
     "snapshot.mid_write",
+    "wal.compact_swap",
     "hour.after_commit",
 )
 

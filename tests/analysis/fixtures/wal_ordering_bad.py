@@ -1,8 +1,10 @@
 """Known-bad fixture for the wal-ordering rule.
 
-Five violations: an unsynced log write, a commit with no write-ahead
+Seven violations: an unsynced log write, a commit with no write-ahead
 append, a branch that can commit before appending, a commit marker with
-a constant (stale) digest, and a rename published without fsync.
+a constant (stale) digest, a rename published without fsync, an unsynced
+publication after a (legal) spare claim, and a rename whose destination
+is a published name on one path.
 """
 
 import os
@@ -49,3 +51,21 @@ def publish(tmp, final, blob):
         fh.flush()
     # Finding 5: the rename can land before the payload without fsync.
     os.replace(tmp, final)
+
+
+def recycle_and_publish(spare, final, blob):
+    tmp = final + ".tmp"
+    os.rename(spare, tmp)  # a claim: no finding here
+    with open(tmp, "r+b") as fh:
+        fh.write(blob)
+        fh.flush()
+    # Finding 6: claiming a spare does not excuse the publication's fsync.
+    os.replace(tmp, final)
+
+
+def publish_maybe_tmp(tmp, final, direct):
+    dest = final + ".tmp"
+    if direct:
+        dest = final
+    # Finding 7: on the `direct` path the destination is a published name.
+    os.replace(tmp, dest)

@@ -1,6 +1,7 @@
 """Fixed twin of ``wal_ordering_bad.py``: every write syncs, the record
 always precedes the marker, the digest is computed at (or provably
-before) the commit, and the snapshot fsyncs before it renames."""
+before) the commit, and the snapshot fsyncs before it renames; renames
+onto temp or spare names are claims and need no fsync first."""
 
 import os
 
@@ -49,3 +50,21 @@ def publish(tmp, final, blob):
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, final)
+
+
+class Snapshots:
+    def __init__(self, directory):
+        self._spare = directory / "snap.spare"
+
+    def retire(self, stale):
+        # Renaming onto the spare name publishes nothing.
+        os.rename(stale, self._spare)
+
+    def write(self, final, blob):
+        tmp = final.with_name(final.name + ".tmp")
+        os.rename(self._spare, tmp)
+        with open(tmp, "r+b") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, final)

@@ -115,6 +115,47 @@ def test_seeded_unsynced_append_fails_wal_ordering():
     ), "wal-ordering went blind: seeded unsynced append not flagged"
 
 
+def test_seeded_unsynced_snapshot_publication_fails_wal_ordering():
+    """SnapshotStore.write claims the spare by renaming it onto its temp
+    name, which needs no fsync; dropping the fsync before the rename onto
+    the published ``snapshot-<hour>.snap`` name must still be flagged."""
+    anchor = (
+        "                fh.truncate(len(blob))\n"
+        "                fh.flush()\n"
+        "                os.fsync(fh.fileno())\n"
+    )
+    findings = lint_seeded(
+        DURABILITY,
+        anchor,
+        anchor.replace("                os.fsync(fh.fileno())\n", "", 1),
+        WalOrderingRule(),
+    )
+    assert [f.message.split(" publishes")[0] for f in findings] == ["write()"], (
+        "wal-ordering went blind: seeded unsynced snapshot publication not "
+        "flagged (or a spare claim was)"
+    )
+
+
+def test_seeded_unsynced_compaction_swap_fails_wal_ordering():
+    """The compaction's claim of ``charge.wal.spare`` is not a
+    publication, but its swap onto ``charge.wal`` is: without the fsync
+    of the rewritten log the swap must be flagged."""
+    anchor = (
+        "                fh.flush()\n"
+        "                os.fsync(fh.fileno())\n"
+        "            os.link(self._path, self._spare)\n"
+    )
+    findings = lint_seeded(
+        DURABILITY,
+        anchor,
+        anchor.replace("                os.fsync(fh.fileno())\n", "", 1),
+        WalOrderingRule(),
+    )
+    assert [f.message.split(" publishes")[0] for f in findings] == ["compact()"], (
+        "wal-ordering went blind: seeded unsynced compaction swap not flagged"
+    )
+
+
 def test_seeded_stale_digest_fails_wal_ordering():
     """Committing the hour with a constant instead of a live state digest
     must be flagged: recovery's parity check becomes a no-op."""

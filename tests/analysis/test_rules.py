@@ -29,7 +29,7 @@ CASES = [
     (ApiHygieneRule, "api_hygiene", "tests/core/fixture_mod.py", 4),
     (RollbackCompletenessRule, "rollback", "src/repro/core/fixture_mod.py", 3),
     (RollbackCompletenessRule, "rollback_del", "src/repro/core/fixture_mod.py", 2),
-    (WalOrderingRule, "wal_ordering", "src/repro/core/fixture_mod.py", 5),
+    (WalOrderingRule, "wal_ordering", "src/repro/core/fixture_mod.py", 7),
     (TelemetryIsolationRule, "telemetry", "src/repro/core/fixture_mod.py", 3),
     (TelemetryIsolationRule, "telemetry_obs", "src/repro/obs/fixture_mod.py", 2),
     (TelemetryIsolationRule, "telemetry_profiler", "src/repro/core/fixture_mod.py", 3),

@@ -59,7 +59,11 @@ CRASH_OFFSETS = {
     "charge.between_validate_and_commit": 1,
     "hour.after_commit": 1,
     "snapshot.mid_write": 1,
+    "wal.compact_swap": 1,
 }
+
+# Crash points that fire only while a snapshot is written.
+SNAPSHOT_POINTS = ("snapshot.mid_write", "wal.compact_swap")
 
 
 def _build(variant, wal_dir=None, snapshot_every=0):
@@ -220,6 +224,93 @@ class TestWalFormat:
 
 
 # ----------------------------------------------------------------------
+# The zero tail a recycled log file carries past its last record
+# ----------------------------------------------------------------------
+_RECORDS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["hour", "commit"]),
+            "hour_index": st.integers(0, 2**20),
+            "blob": st.binary(max_size=64),
+        }
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _framed(records):
+    """The framed bytes of ``records`` behind the magic, and each frame's
+    span."""
+    data = durability.WAL_MAGIC
+    spans = []
+    for record in records:
+        frame = durability._encode_record(record)
+        spans.append((len(data), len(data) + len(frame)))
+        data += frame
+    return data, spans
+
+
+class TestZeroTail:
+    @given(records=_RECORDS, tail=st.integers(0, 96))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_tail_is_the_clean_end(self, records, tail):
+        base, spans = _framed(records)
+        scan = durability._scan_wal_bytes("charge.wal", base + bytes(tail))
+        assert scan.records == records and scan.spans == spans
+        assert not scan.truncated_tail and scan.end_offset == len(base)
+
+    @given(records=_RECORDS, extra=_RECORDS, tail=st.integers(0, 96), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_frame_torn_over_the_zero_tail(self, records, extra, tail, data):
+        """An append torn anywhere inside its frame, over the zeros (and
+        past them), reads as a torn tail at the frame's start."""
+        base, _ = _framed(records)
+        frame = durability._encode_record(extra[0])
+        cut = data.draw(st.integers(1, len(frame) - 1), label="cut")
+        written = frame[:cut]
+        torn = base + written + bytes(max(0, tail - cut))
+        scan = durability._scan_wal_bytes("charge.wal", torn)
+        assert scan.records == records and scan.end_offset == len(base)
+        # Zeros written over zeros leave nothing to tell from a clean end.
+        assert scan.truncated_tail == any(written)
+
+    @given(records=_RECORDS, tail=st.integers(0, 96), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_flip_in_a_complete_frame_is_corruption(self, records, tail, data):
+        base, spans = _framed(records)
+        index = data.draw(st.integers(0, len(spans) - 1), label="frame")
+        start, end = spans[index]
+        bit = data.draw(st.integers(0, (end - start) * 8 - 1), label="bit")
+        flipped = bytearray(base + bytes(tail))
+        flipped[start + bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(WalCorruptionError) as err:
+            durability._scan_wal_bytes("charge.wal", bytes(flipped))
+        assert err.value.offset == start
+
+    @given(
+        records=_RECORDS,
+        tail=st.integers(5, 96),
+        value=st.integers(1, 255),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_nonzero_byte_in_the_zero_tail_is_corruption(
+        self, records, tail, value, data
+    ):
+        """From the tail's fifth byte on, a nonzero byte is damage.  The
+        first four are where an append's length field lands, so a nonzero
+        byte there is byte for byte a torn append (previous test)."""
+        base, _ = _framed(records)
+        at = data.draw(st.integers(4, tail - 1), label="at")
+        damaged = bytearray(base + bytes(tail))
+        damaged[len(base) + at] = value
+        with pytest.raises(WalCorruptionError) as err:
+            durability._scan_wal_bytes("charge.wal", bytes(damaged))
+        assert err.value.offset == len(base)
+
+
+# ----------------------------------------------------------------------
 # Snapshot store
 # ----------------------------------------------------------------------
 class TestSnapshotStore:
@@ -253,24 +344,26 @@ class TestSnapshotStore:
 # ----------------------------------------------------------------------
 # WAL compaction
 # ----------------------------------------------------------------------
+def _fill_wal(path, hours, blob=b""):
+    writer = durability.WalWriter(path)
+    for hour in range(hours):
+        writer.begin_hour()
+        writer.append_hour({"hour_index": hour, "n_entries": 0, "blob": blob})
+        writer.commit_hour(hour, 1000 + hour)
+    return writer
+
+
+def _wal_hours(path):
+    scan = durability.read_wal(path)
+    return [r["hour_index"] for r in scan.records if r["kind"] == "hour"]
+
+
 class TestWalCompaction:
-    def _committed_hours(self, path):
-        scan = durability.read_wal(path)
-        return [r["hour_index"] for r in scan.records if r["kind"] == "hour"]
-
-    def _fill(self, path, hours):
-        writer = durability.WalWriter(path)
-        for hour in range(hours):
-            writer.begin_hour()
-            writer.append_hour({"hour_index": hour, "n_entries": 0})
-            writer.commit_hour(hour, 1000 + hour)
-        return writer
-
     def test_compact_drops_hours_before_horizon(self, tmp_path):
         path = tmp_path / "charge.wal"
-        writer = self._fill(path, 6)
+        writer = _fill_wal(path, 6)
         assert writer.compact(3) == 6  # hour + commit records for 0..2
-        assert self._committed_hours(path) == [3, 4, 5]
+        assert _wal_hours(path) == [3, 4, 5]
         # The compacted log keeps accepting appends on the reopened handle.
         writer.begin_hour()
         writer.append_hour({"hour_index": 6, "n_entries": 0})
@@ -278,7 +371,7 @@ class TestWalCompaction:
         writer.close()
         scan = durability.read_wal(path)
         assert not scan.truncated_tail
-        assert self._committed_hours(path) == [3, 4, 5, 6]
+        assert _wal_hours(path) == [3, 4, 5, 6]
 
     def test_compact_copies_the_kept_frames_verbatim(self, tmp_path):
         """The compacted log is the magic followed by the kept frames'
@@ -320,7 +413,7 @@ class TestWalCompaction:
 
     def test_compact_without_drops_leaves_bytes_untouched(self, tmp_path):
         path = tmp_path / "charge.wal"
-        writer = self._fill(path, 4)
+        writer = _fill_wal(path, 4)
         writer.compact(2)
         before = path.read_bytes()
         assert writer.compact(0) == 0
@@ -337,7 +430,7 @@ class TestWalCompaction:
         # Snapshots at hours 2,4,6,8 pruned to keep=3 leave {4,6,8}.
         oldest = sage._snapshots.oldest_retained_hour()
         assert oldest == 4
-        hours = self._committed_hours(durability.wal_path(tmp_path))
+        hours = _wal_hours(durability.wal_path(tmp_path))
         assert hours == list(range(oldest, 8))
         sage.close()
 
@@ -350,7 +443,7 @@ class TestWalCompaction:
         for _ in range(8):
             sage.advance(1.0)
         sage.close()
-        assert min(self._committed_hours(durability.wal_path(tmp_path))) == 4
+        assert min(_wal_hours(durability.wal_path(tmp_path))) == 4
         recovered = _build(variant, wal_dir=tmp_path, snapshot_every=2)
         report = recovered.recover(_pipes())
         assert report.hours_committed == 8
@@ -382,6 +475,153 @@ class TestWalCompaction:
         assert report.hours_committed == 8
         assert durability.state_digest(recovered) == digests[8]
         recovered.close()
+
+
+# ----------------------------------------------------------------------
+# Recycling: retired snapshot and log files are reused, never freed
+# ----------------------------------------------------------------------
+class TestRecycling:
+    def test_pruned_snapshot_is_the_next_writes_file(self, tmp_path):
+        store = durability.SnapshotStore(tmp_path, keep=2)
+        for hour in range(3):
+            store.write(hour, {"hour_index": hour, "pad": "x" * 400})
+        spare = tmp_path / "snapshot.spare"
+        inode = spare.stat().st_ino
+        # A smaller payload over the larger spare: cut to its own length.
+        payload = {"hour_index": 3}
+        path = store.write(3, payload)
+        assert path.stat().st_ino == inode
+        assert path.read_bytes() == durability.SNAP_MAGIC + durability._encode_record(
+            payload
+        )
+        assert [p.name for p in store.snapshot_paths()] == [
+            "snapshot-00000002.snap",
+            "snapshot-00000003.snap",
+        ]
+        assert spare.exists()  # hour 1, retired by the write of hour 3
+        assert store.latest()[0] == 3
+
+    def test_compaction_reuses_the_previous_log_file(self, tmp_path):
+        path = tmp_path / "charge.wal"
+        spare = tmp_path / "charge.wal.spare"
+        writer = _fill_wal(path, 6)
+        first = path.stat().st_ino
+        assert writer.compact(2) == 4
+        # The first compaction writes a new file; the old log is the spare.
+        assert spare.stat().st_ino == first and spare.stat().st_nlink == 1
+        second = path.stat().st_ino
+        assert writer.compact(4) == 4
+        assert path.stat().st_ino == first and spare.stat().st_ino == second
+        scan = durability.read_wal(path)
+        size = path.stat().st_size
+        assert not scan.truncated_tail and scan.end_offset < size
+        assert path.read_bytes()[scan.end_offset :] == bytes(size - scan.end_offset)
+        assert _wal_hours(path) == [4, 5]
+        # Appends overwrite the zeros, on this handle and after a reopen,
+        # which keeps the tail.
+        writer.begin_hour()
+        writer.append_hour({"hour_index": 6, "n_entries": 0})
+        writer.commit_hour(6, 1006)
+        writer.close()
+        writer = durability.WalWriter(path)
+        assert path.stat().st_size == size
+        writer.begin_hour()
+        writer.append_hour({"hour_index": 7, "n_entries": 0})
+        writer.commit_hour(7, 1007)
+        writer.close()
+        assert _wal_hours(path) == [4, 5, 6, 7]
+
+    @pytest.mark.parametrize("blob_size", [8, 4096], ids=["inside-tail", "past-tail"])
+    def test_abort_over_the_zero_tail_restores_the_bytes(self, blob_size, tmp_path):
+        path = tmp_path / "charge.wal"
+        writer = _fill_wal(path, 6, blob=b"x" * 200)
+        writer.compact(2)
+        writer.compact(4)
+        before = path.read_bytes()
+        assert durability.read_wal(path).end_offset < len(before)
+        writer.begin_hour()
+        writer.append_hour({"hour_index": 6, "blob": b"y" * blob_size})
+        writer.abort_hour()
+        writer.close()
+        assert path.read_bytes() == before
+
+    def test_spare_linked_to_the_live_log_is_dropped_on_open(self, tmp_path):
+        """What a crash between the swap's link and its replace leaves:
+        the spare is a second name of the live log, and writing it in
+        place would rewrite the live log.  Opening the log unlinks it."""
+        path = tmp_path / "charge.wal"
+        spare = tmp_path / "charge.wal.spare"
+        _fill_wal(path, 4).close()
+        os.link(path, spare)
+        before = path.read_bytes()
+        writer = durability.WalWriter(path)
+        assert not spare.exists() and path.stat().st_nlink == 1
+        assert writer.compact(2) == 4
+        writer.close()
+        assert _wal_hours(path) == [2, 3]
+        assert spare.read_bytes() == before
+
+    def test_crash_at_the_swap_then_advance_and_recover(self, tmp_path):
+        """Crash between link and replace in a compaction that recycles a
+        spare, reopen, advance through later compactions, recover."""
+        digests = _clean_digests("single-basic", hours=12)
+        sage = _build("single-basic", wal_dir=tmp_path, snapshot_every=2)
+        for pipeline, config in _pipes():
+            sage.submit(pipeline, config)
+        path = durability.wal_path(tmp_path)
+        spare = tmp_path / "charge.wal.spare"
+        # Compactions at hours 2 (a fresh file) and 8 (recycles the spare).
+        with pytest.raises(faults.InjectedCrash):
+            with faults.armed_crash("wal.compact_swap", skip=1):
+                for _ in range(12):
+                    sage.advance(1.0)
+        assert sage.hours_committed == 8
+        assert os.path.samefile(spare, path)
+        assert (tmp_path / "charge.wal.compact").exists()
+        recovered = _build("single-basic", wal_dir=tmp_path, snapshot_every=2)
+        assert recovered.recover(_pipes()).hours_committed == 8
+        assert durability.state_digest(recovered) == digests[8]
+        for hour in range(9, 13):
+            recovered.advance(1.0)
+            assert durability.state_digest(recovered) == digests[hour]
+        assert not os.path.samefile(spare, path)
+        recovered.close()
+        sage.close()
+        final = _build("single-basic", wal_dir=tmp_path, snapshot_every=2)
+        report = final.recover(_pipes())
+        assert report.hours_committed == 12
+        assert durability.state_digest(final) == digests[12]
+        final.close()
+
+    def test_leftover_compact_tmp_and_spares_are_never_loaded(self, tmp_path):
+        """A longer run's files under the temp and spare names would move
+        recovery past hour 8 if anything loaded them."""
+        digests = _clean_digests("single-basic", hours=12)
+        runs = {}
+        for name, hours in (("long", 12), ("short", 8)):
+            wal_dir = runs[name] = tmp_path / name
+            sage = _submitted("single-basic", wal_dir=wal_dir, snapshot_every=4)
+            for _ in range(hours):
+                sage.advance(1.0)
+            sage.close()
+        long_run, short = runs["long"], runs["short"]
+        newest = (long_run / "snapshot-00000012.snap").read_bytes()
+        (short / "snapshot-00000012.snap.tmp").write_bytes(newest)
+        (short / "snapshot.spare").write_bytes(newest)
+        (short / "charge.wal.compact").write_bytes((long_run / "charge.wal").read_bytes())
+        recovered = _build("single-basic", wal_dir=short, snapshot_every=4)
+        report = recovered.recover(_pipes())
+        assert (report.snapshot_hour, report.hours_committed) == (8, 8)
+        assert durability.state_digest(recovered) == digests[8]
+        # Later snapshots and compactions overwrite the leftovers.
+        for hour in range(9, 13):
+            recovered.advance(1.0)
+            assert durability.state_digest(recovered) == digests[hour]
+        recovered.close()
+        final = _build("single-basic", wal_dir=short, snapshot_every=4)
+        assert final.recover(_pipes()).hours_committed == 12
+        assert durability.state_digest(final) == digests[12]
+        final.close()
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +782,7 @@ class TestCrashMatrix:
         digest equals the clean run's at the recovered hour, and the next
         hours stay in lockstep."""
         digests = _clean_digests(variant, hours=10)
-        snapshot_every = 4 if point == "snapshot.mid_write" else 0
+        snapshot_every = 4 if point in SNAPSHOT_POINTS else 0
         sage = _build(variant, wal_dir=tmp_path, snapshot_every=snapshot_every)
         for pipeline, config in _pipes():
             sage.submit(pipeline, config)
@@ -863,6 +1103,15 @@ def _snapshot_bytes(wal_dir):
     return {path.name: path.read_bytes() for path in sorted(wal_dir.glob("*.snap"))}
 
 
+def _durable_bytes(wal_dir):
+    """Every snapshot, log and spare file of a WAL directory."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(wal_dir.iterdir())
+        if path.name != "manifest.json"
+    }
+
+
 class TestSnapshotReproducibility:
     def test_two_fresh_wal_demo_runs_write_identical_snapshots(self, tmp_path):
         from repro.cli import main
@@ -880,24 +1129,66 @@ class TestSnapshotReproducibility:
             runs[1] / "charge.wal"
         ).read_bytes()
 
-    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
-    def test_rolled_back_hour_leaves_identical_snapshots(self, variant, tmp_path):
-        """An hour that failed after staging and ingesting, then re-ran,
-        snapshots the same bytes as a run where it never failed."""
+    def test_wal_demo_runs_stay_identical_across_recycling(self, tmp_path):
+        """Past the third snapshot every compaction reuses the spare log
+        and every snapshot the spare snapshot: still the same bytes."""
+        from repro.cli import main
+
         runs = []
-        for name, failing_hour in (("clean", None), ("rolled-back", 2)):
+        for name in ("a", "b"):
+            wal_dir = tmp_path / name
+            args = ["--wal-dir", str(wal_dir), "--hours", "20", "--snapshot-every", "4"]
+            assert main(["wal-demo", *args]) == 0
+            runs.append(_durable_bytes(wal_dir))
+        assert [name for name in runs[0] if name.endswith(".snap")] == [
+            "snapshot-00000012.snap",
+            "snapshot-00000016.snap",
+            "snapshot-00000020.snap",
+        ]
+        assert runs[0] == runs[1]
+        # Recycling happened: the log carries a zero tail from a spare.
+        log = runs[0]["charge.wal"]
+        assert durability._scan_wal_bytes("charge.wal", log).end_offset < len(log)
+
+    @pytest.mark.parametrize(
+        "point,failing_hour,skip",
+        [
+            # After the second driven session settled (the first staged).
+            ("settle.mid_session", 2, 1),
+            # Past the first recycles, when one session is still driven.
+            ("settle.mid_session", 21, 0),
+            # Fails after the hour record landed over the zero tail.
+            ("wal.after_append", 21, 0),
+        ],
+    )
+    @pytest.mark.parametrize("variant", MEMO_VARIANTS)
+    def test_rolled_back_hour_leaves_identical_files(
+        self, variant, point, failing_hour, skip, tmp_path
+    ):
+        """An hour that failed after staging and ingesting, then re-ran,
+        leaves the same snapshot, log and spare bytes as a run where it
+        never failed -- before recycling starts and after it."""
+        runs = []
+        for name, fails in (("clean", None), ("rolled-back", failing_hour)):
             wal_dir = tmp_path / name
             sage = _submitted(variant, wal_dir=wal_dir, snapshot_every=4)
-            for hour in range(8):
-                if hour == failing_hour:
-                    faults.arm_error("settle.mid_session", skip=1)
+            for hour in range(24):
+                if hour == fails:
+                    faults.arm_error(point, skip=skip)
                     try:
                         with pytest.raises(faults.InjectedFault):
                             sage.advance(1.0)
                     finally:
-                        faults.disarm("settle.mid_session")
+                        faults.disarm(point)
                 sage.advance(1.0)
             sage.close()
-            runs.append(_snapshot_bytes(wal_dir))
-        assert list(runs[0]) == ["snapshot-00000004.snap", "snapshot-00000008.snap"]
+            runs.append(_durable_bytes(wal_dir))
+        assert list(runs[0]) == [
+            "charge.wal",
+            "charge.wal.spare",
+            "snapshot-00000016.snap",
+            "snapshot-00000020.snap",
+            "snapshot-00000024.snap",
+            "snapshot.spare",
+        ]
         assert runs[0] == runs[1]

@@ -23,7 +23,7 @@ PRE_COMMIT_POINTS = (
     "wal.after_append",
     "charge.between_validate_and_commit",
 )
-POST_COMMIT_POINTS = ("hour.after_commit", "snapshot.mid_write")
+POST_COMMIT_POINTS = ("hour.after_commit", "snapshot.mid_write", "wal.compact_swap")
 # Every pre-commit point on both kinds of platform; the WAL points exist
 # only where there is a log.
 ROLLBACK_CASES = [
@@ -199,7 +199,7 @@ class TestDurableRollback:
     @pytest.mark.parametrize("point", POST_COMMIT_POINTS)
     def test_post_commit_fault_keeps_the_committed_hour(self, point, tmp_path):
         digests = _clean_digests(hours=6)
-        snapshot_every = 2 if point == "snapshot.mid_write" else 0
+        snapshot_every = 0 if point == "hour.after_commit" else 2
         sage = _build(wal_dir=tmp_path, snapshot_every=snapshot_every)
         for pipeline, config in _pipes():
             sage.submit(pipeline, config)
