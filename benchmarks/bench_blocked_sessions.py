@@ -1,12 +1,16 @@
-"""Blocked-session skip: window searches saved on a backlogged queue.
+"""Blocked-session skip: window searches and session turns saved on a
+backlogged queue.
 
 Past the knee of Fig. 8 most of the queue waits in NEED_DATA for the
 growing database to fund its next attempt.  Each hour the platform
 decides the blocked verdicts of the sessions parked when the hour opens
-in one pass (``Sage._decide_parked``), asks the one-row-read verdict
-(``AdaptiveSession.provably_blocked``) only of the other sessions and of
-those whose pass verdict something moved since, and skips the window
-search (``propose_peek``) for the sessions proven blocked.
+in one pass (``Sage._decide_parked``), keeps them standing through the
+hour with one check per stage (``Sage._recheck_parked``) and a new pass
+after each release, and visits only the sessions that pass cannot prove
+blocked.  The parked ones cost no session turn at all; the visited ones
+without a standing verdict ask the one-row-read verdict
+(``AdaptiveSession.provably_blocked``) and skip the window search
+(``propose_peek``) when it proves them blocked.
 
 This script builds a Fig. 8-style backlog from public parts -- Gamma
 (shape 2) arrivals at ``RATE`` per hour for ``HOURS`` hours
@@ -16,22 +20,25 @@ oracle pipelines, a count stream -- and drives it twice from ``SEED``:
 * the default drive, which skips proven-blocked sessions;
 * the forced-poll drive (``forced_poll_drive`` in
   ``tests/per_request_oracle.py``), where the hour pass decides nothing
-  and the verdict always answers False, so every waiting session asks
-  the verdict and runs its window search every hour.
+  and the verdict always answers False, so the drive visits every
+  waiting session, which asks the verdict and runs its window search
+  every hour.
 
 It asserts that both drives end with the same state digest and the same
-public outputs, and reports the ``propose_peek`` and per-session
-``provably_blocked`` calls of each.  ``--assert-propose-reduction F``
-exits 1 unless the default drive makes at most ``1 - F`` of the
-forced-poll drive's ``propose_peek`` calls, and
-``--assert-verdict-reduction F`` likewise for ``provably_blocked``
-calls.  The gates count calls and never read a clock, so they repeat
+public outputs, and reports the ``propose_peek`` calls, per-session
+``provably_blocked`` calls and session turns (``Sage._drive_session``
+calls) of each.  ``--assert-propose-reduction F`` exits 1 unless the
+default drive makes at most ``1 - F`` of the forced-poll drive's
+``propose_peek`` calls, ``--assert-verdict-reduction F`` likewise for
+``provably_blocked`` calls and ``--assert-visit-reduction F`` for session
+turns.  The gates count calls and never read a clock, so they repeat
 exactly on any machine; the wall times are printed for information only.
 
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_blocked_sessions.py \\
-        --assert-propose-reduction 0.8 --assert-verdict-reduction 0.9
+        --assert-propose-reduction 0.8 --assert-verdict-reduction 0.9 \\
+        --assert-visit-reduction 0.8
 """
 
 import argparse
@@ -58,28 +65,30 @@ CONFIG = AdaptiveConfig(
 )
 # About three times the Fig. 8 knee: most of the queue waits for data.
 HOURS, RATE, SEED = 200, 2.0, 0
+# The counted calls, each with its reduction gate.
+GATED = ("propose_peek", "provably_blocked", "_drive_session")
 
 
 def drive(forced):
-    """One episode; returns its peek and verdict counts, outputs, digest
-    and wall time."""
+    """One episode; returns its peek, verdict and session-turn counts,
+    outputs, digest and wall time."""
     sage = Sage(CountStreamSource(16_000, scale=1000), seed=SEED)
-    counts = {"propose_peek": 0, "provably_blocked": 0}
+    counts = {"propose_peek": 0, "provably_blocked": 0, "_drive_session": 0}
 
-    def counting(method):
-        original = getattr(AdaptiveSession, method)
+    def counting(method, owner=AdaptiveSession):
+        original = getattr(owner, method)
 
-        def counted(self):
+        def counted(self, *args):
             counts[method] += 1
-            return original(self)
+            return original(self, *args)
 
-        return mock.patch.object(AdaptiveSession, method, counted)
+        return mock.patch.object(owner, method, counted)
 
     # The counters wrap whichever method is current: under the forced-poll
-    # patch that is its always-False verdict.
+    # patch that is its always-False verdict and its counting drive.
     with forced_poll_drive() if forced else nullcontext() as seen, counting(
         "propose_peek"
-    ), counting("provably_blocked"):
+    ), counting("provably_blocked"), counting("_drive_session", Sage):
         start = time.perf_counter()
         for arrivals in arrival_schedule(HOURS, RATE, SEED):
             for pipeline in arrivals:
@@ -119,6 +128,14 @@ def main():
         help="exit 1 unless per-session provably_blocked calls fell by at "
         "least this fraction",
     )
+    parser.add_argument(
+        "--assert-visit-reduction",
+        type=float,
+        default=None,
+        metavar="F",
+        help="exit 1 unless session turns (Sage._drive_session calls) fell "
+        "by at least this fraction",
+    )
     args = parser.parse_args()
     skipped = drive(forced=False)
     polled = drive(forced=True)
@@ -127,7 +144,7 @@ def main():
         return 1
     reductions = {
         method: 1.0 - skipped[method] / max(1, polled[method])
-        for method in ("propose_peek", "provably_blocked")
+        for method in GATED
     }
     print(
         f"backlog: {HOURS} hours at {RATE}/h, seed {SEED}: "
@@ -138,12 +155,14 @@ def main():
         print(
             f"  {label:<12} propose_peek {run['propose_peek']:>7}  "
             f"provably_blocked {run['provably_blocked']:>7}  "
+            f"turns {run['_drive_session']:>7}  "
             f"wall {run['wall_s']:6.2f} s"
         )
     failed = False
     for method, gate in (
         ("propose_peek", args.assert_propose_reduction),
         ("provably_blocked", args.assert_verdict_reduction),
+        ("_drive_session", args.assert_visit_reduction),
     ):
         reduction = reductions[method]
         print(f"  {method} calls fell by {reduction:.1%}")

@@ -2,7 +2,8 @@
 
 The static purity rule proves that no *known* mutation is reachable from
 the pure seeds (``propose_peek``, ``provably_blocked``, the hour pass
-``_decide_parked``, ``admits_keys``, ``can_charge``, ``max_epsilon``);
+``_decide_parked`` and its per-stage check ``_recheck_parked``,
+``admits_keys``, ``can_charge``, ``max_epsilon``);
 this module enforces the same contract
 dynamically so the parts the static layer cannot see -- C-level NumPy
 writes, monkeypatched callables, reflection -- still fault loudly instead
@@ -108,7 +109,8 @@ def install() -> None:
             method,
             lambda session: session.access.accountant._store,
         )
-    _wrap(Sage, "_decide_parked", lambda sage: sage.access.accountant._store)
+    for method in ("_decide_parked", "_recheck_parked"):
+        _wrap(Sage, method, lambda sage: sage.access.accountant._store)
 
 
 def uninstall() -> None:

@@ -134,6 +134,28 @@ class SessionStatus:
     TIMEOUT = "timeout"
     NEED_DATA = "need_data"  # blocked: not enough usable blocks / budget yet
 
+    @staticmethod
+    def canonical(status: str) -> str:
+        """The constant equal to ``status``.  A decoded status is a new
+        string object, and pickle writes one object once per record but
+        equal copies each in full.  The drive does not touch a parked
+        session's status, so the WAL and snapshot restores hand back the
+        constants, and later hour records stay byte-identical to a run
+        that never restarted."""
+        return _STATUSES[status]
+
+
+_STATUSES = {
+    status: status
+    for status in (
+        SessionStatus.RUNNING,
+        SessionStatus.ACCEPTED,
+        SessionStatus.REJECTED,
+        SessionStatus.TIMEOUT,
+        SessionStatus.NEED_DATA,
+    )
+}
+
 
 @dataclass(frozen=True)
 class ChargeProposal:

@@ -116,8 +116,11 @@ Disk footprint: next to the ``keep`` snapshots and ``charge.wal`` the
 directory holds at most one ``snapshot.spare`` and one
 ``charge.wal.spare``, and ``charge.wal``'s size is its high-water mark
 (live records plus the zero tail).  A crash can also leave a
-``*.snap.tmp`` or ``charge.wal.compact``; neither is ever loaded, and
-the next compaction overwrites a leftover ``charge.wal.compact``.
+``snapshot-<hour>.snap.tmp`` or ``charge.wal.compact``; neither is ever
+loaded.  The next :class:`SnapshotStore` opened on the directory adopts
+a leftover temp snapshot as ``snapshot.spare`` (or deletes it when a
+spare exists), and the next compaction overwrites a leftover
+``charge.wal.compact``.
 
 State digest
 ------------
@@ -192,7 +195,7 @@ from typing import BinaryIO, List, Optional, Tuple
 import numpy as np
 
 from repro.core import faults
-from repro.core.adaptive import AttemptRecord
+from repro.core.adaptive import AttemptRecord, SessionStatus
 from repro.errors import RecoveryError, SnapshotMismatchError, WalCorruptionError
 from repro.obs.trace import NULL_PROBE
 
@@ -617,6 +620,11 @@ class SnapshotStore:
         self._dir.mkdir(parents=True, exist_ok=True)
         self._keep = max(1, int(keep))
         self._spare = self._dir / "snapshot.spare"
+        # A crash at snapshot.mid_write leaves its temp file (perhaps a
+        # claimed spare) behind; nothing loads that name, so it is retired
+        # like a pruned snapshot.
+        for leftover in sorted(self._dir.glob("snapshot-*.snap.tmp")):
+            self._retire(leftover)
 
     def path_for(self, hour_index: int) -> Path:
         return self._dir / f"snapshot-{int(hour_index):08d}.snap"
@@ -655,16 +663,19 @@ class SnapshotStore:
         return final
 
     def _prune(self) -> None:
-        """Retire snapshots beyond ``keep``: the first becomes the spare
-        (when there is none), any further one is deleted."""
+        """Retire snapshots beyond ``keep``."""
         for stale in self.snapshot_paths()[: -self._keep]:
-            try:
-                if self._spare.exists():
-                    stale.unlink()
-                else:
-                    os.rename(stale, self._spare)
-            except OSError:  # pragma: no cover - concurrent cleanup
-                pass
+            self._retire(stale)
+
+    def _retire(self, path: Path) -> None:
+        """Make ``path`` the spare when there is none, else delete it."""
+        try:
+            if self._spare.exists():
+                path.unlink()
+            else:
+                os.rename(path, self._spare)
+        except OSError:  # pragma: no cover - concurrent cleanup
+            pass
 
     def load(self, path) -> dict:
         """Decode one snapshot file; integrity failures raise
@@ -923,7 +934,7 @@ def restore_entry_state(entry, state: dict) -> None:
     snapshot entry dict (model artifacts are not recovered -- see the
     module docstring's limitations)."""
     session = entry.session
-    session.status = state["status"]
+    session.status = SessionStatus.canonical(state["status"])
     session.epsilon = state["epsilon"]
     session.epsilon_floor = state["epsilon_floor"]
     session.delta = state["delta"]

@@ -28,7 +28,9 @@ point                                   fires
 ``hour.opened``                         after ingest/register/allocate,
                                         before any session is driven
 ``settle.mid_session``                  after each driven session settles
-                                        its reservation deductions
+                                        its reservation deductions (a
+                                        session the hour pass proves
+                                        blocked is not driven)
 ``wal.before_append``                   in ``WalWriter.append_hour``, before
                                         the hour record reaches the file
 ``wal.after_append``                    after the hour record is fsynced,

@@ -99,23 +99,31 @@ sessions of a backlog are parked from one hour to the next, so the hour
 pass (:meth:`Sage._decide_parked`) decides the verdicts of every session
 parked when the hour opens at once: one ``admit_rows`` read and one
 reservation gather per floor budget, compared with the verdict's own
-floats.  A pass verdict is used at the session's turn unless something
-it counted moved earlier in the hour:
+floats.  The drive visits only the sessions the pass cannot prove
+blocked.  A session whose standing pass verdict is True is blocked at
+its turn, and the turn would only run ``wake()`` and set NEED_DATA
+again, so the drive skips it with no call at all (no ``session.drive``
+span, no ``settle.mid_session`` trip; ``sage_sessions_parked_total``
+counts the skips).  A pass verdict stands until something it counted
+moves, and the drive checks that per stage, not per session:
 
 * a termination ran ``_redistribute``, whose release changes held values
-  in the waiting rows -- every remaining pass verdict is dropped;
-* a successful stage changed the admit decision, at the session's floor,
-  of a staged row the session holds -- the scan memo keeps a floor's
-  array object while its decisions stand, so an unchanged array settles
-  this with one ``is`` test.
+  in the waiting rows -- the pass runs again over its parked sessions
+  not yet driven;
+* a visited turn moved ``staged_request_count`` -- each floor reads its
+  scan-memo array once (:meth:`Sage._recheck_parked`).  The memo keeps a
+  floor's array object while its decisions stand, so an unchanged array
+  settles the floor with one ``is`` test; a new one voids every verdict,
+  True or False, whose session holds a row whose decision moved.
 
 Status, attempts, epsilon, delta and window size move only on the
 session's own turn, so in every other case the count is the pass's.
-Sessions without a usable pass verdict (submitted since the last hour,
-or voided by the rules above) ask ``provably_blocked`` themselves.  The
-pass and the verdict are pure reads, so the skip changes no decision,
-trace tick, digest or WAL byte; the test suite's forced-poll drive, which
-turns the pass off and polls every session, is its parity reference.
+Sessions without a standing pass verdict (submitted since the last hour,
+or voided by the rules above) are visited and ask ``provably_blocked``
+themselves.  The pass and the verdict are pure reads, so the skip
+changes no decision, digest or WAL byte; the test suite's forced-poll
+drive, which turns the pass off and visits every session, is its parity
+reference.
 
 Waiting index
 -------------
@@ -147,6 +155,8 @@ accountant's tail scan as a vectorized ``row_filter``.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -399,14 +409,27 @@ class SubmittedPipeline:
 
 @dataclass
 class _ParkedFloor:
-    """One floor of the hour pass: the admit rows it counted against, and
-    the rows whose admit decision moved since (against the newest array
-    the scan memo has handed out at that floor)."""
+    """One floor of the hour pass: the admit rows its verdicts count (the
+    scan-memo array read when they were last checked), and the table rows
+    of its sessions whose verdicts still stand, in drive order (which is
+    ascending: the waiting index keeps submission order)."""
 
     floor: PrivacyBudget
     admitted: np.ndarray
-    latest: Optional[np.ndarray] = None
-    moved: Optional[np.ndarray] = None
+    rows: np.ndarray
+
+
+@dataclass
+class _HourPass:
+    """The hour pass: the parked sessions it decided (in drive order), its
+    standing verdicts ``{table row: blocked}`` for those not yet driven,
+    their floors, and the accountant's ``staged_request_count`` when the
+    verdicts were last checked."""
+
+    parked: List[SubmittedPipeline]
+    verdicts: Dict[int, bool]
+    floors: List[_ParkedFloor]
+    staged: int
 
 
 class Sage:
@@ -672,13 +695,16 @@ class Sage:
         self.close()
 
     # ------------------------------------------------------------------
-    def _decide_parked(self) -> Dict[int, Tuple[bool, _ParkedFloor]]:
-        """The hour pass: the blocked verdict of every session parked when
-        the hour opens, decided in one gather per floor.
+    def _decide_parked(self, entries: Sequence[SubmittedPipeline]) -> _HourPass:
+        """The hour pass: the blocked verdict of every session of
+        ``entries`` parked in NEED_DATA with attempts left, decided in one
+        gather per floor.
 
-        Covers the waiting sessions in NEED_DATA with attempts left (a
-        session submitted since the last hour is RUNNING and keeps its own
-        verdict).  Sessions are grouped by their floor ``PrivacyBudget(
+        ``entries`` are waiting entries in drive order: every one when the
+        hour opens, and after a release the parked ones not yet driven
+        (a session submitted since the last hour is RUNNING and keeps its
+        own verdict; no status moves before the session's turn, so the
+        parked set only shrinks).  Sessions are grouped by their floor ``PrivacyBudget(
         min(epsilon, epsilon_floor), delta)``; each floor makes one
         ``admit_rows`` read -- the scan-memo entry the session's own
         :meth:`~repro.core.adaptive.AdaptiveSession.provably_blocked`
@@ -686,85 +712,97 @@ class Sage:
         admitted columns, compared as ``row_budget_fn(rows) + 1e-12 >=
         lowest`` compares.  A session's verdict is True when fewer than
         its ``window_blocks`` cells qualify: ``provably_blocked``'s count
-        from the same floats.  Returns ``{table row: (verdict, floor
-        group)}``; a pure read whose result lives for the hour only (see
-        :meth:`_parked_verdict` for when a verdict may be used).
+        from the same floats.  A pure read whose result lives for the hour
+        only (see :meth:`_recheck_parked` for when a verdict stops
+        standing).
         """
         # Grouped by the floor's (epsilon, delta) floats: one budget per
         # floor, not per session.
+        parked: List[SubmittedPipeline] = []
         groups: Dict[Tuple[float, float], List[SubmittedPipeline]] = {}
-        for entry in self._waiting.values():
+        for entry in entries:
             session = entry.session
             if (
                 session.status == SessionStatus.NEED_DATA
                 and len(session.attempts) < session.config.max_attempts
             ):
+                parked.append(entry)
                 key = (min(session.epsilon, session.epsilon_floor), session.delta)
                 groups.setdefault(key, []).append(entry)
-        verdicts: Dict[int, Tuple[bool, _ParkedFloor]] = {}
-        for key, entries in groups.items():
+        verdicts: Dict[int, bool] = {}
+        floors: List[_ParkedFloor] = []
+        for key, members in groups.items():
             floor = PrivacyBudget(*key)
             admitted = self.access.admit_rows(floor)
             rows = np.fromiter(
-                (entry.table_row for entry in entries),
+                (entry.table_row for entry in members),
                 dtype=np.intp,
-                count=len(entries),
+                count=len(members),
             )
             held = self._table.matrix[np.ix_(rows, admitted)]
             held += 1e-12
             counts = np.count_nonzero(held >= floor.epsilon, axis=1)
-            group = _ParkedFloor(floor, admitted)
-            for entry, count in zip(entries, counts.tolist()):
-                verdicts[entry.table_row] = (
-                    count < entry.session.window_blocks,
-                    group,
-                )
-        return verdicts
+            for entry, count in zip(members, counts.tolist()):
+                verdicts[entry.table_row] = count < entry.session.window_blocks
+            floors.append(_ParkedFloor(floor, admitted, rows))
+        return _HourPass(
+            parked, verdicts, floors, self.access.accountant.staged_request_count
+        )
 
-    def _parked_verdict(
-        self, parked: Dict[int, Tuple[bool, _ParkedFloor]], entry: SubmittedPipeline
-    ) -> Optional[bool]:
-        """``entry``'s verdict from the hour pass, or ``None`` when the
-        pass has none for it or something it counted has moved.
+    def _recheck_parked(self, hour_pass: _HourPass, driven_row: int) -> None:
+        """Void the standing verdicts of ``hour_pass`` that a stage since
+        its last check may have moved; every entry up to table row
+        ``driven_row`` has had its turn.
 
-        The pass counted the columns both admitted at the session's floor
+        A verdict counts the columns both admitted at the session's floor
         and held at ``lowest`` in its row.  Before the session's turn its
-        row moves only through a release, after which the drive drops
-        every remaining verdict, so only the admitted set can move, and
-        only on staged rows.  The scan memo keeps a floor's array object
-        while its decisions stand, so the same array proves the count
-        unchanged; a new one is compared with the pass's array, and the
-        verdict stands unless a moved row is one the session holds.
+        row moves only through a release, after which the drive runs the
+        pass again, so only the admitted set can move, and only on staged
+        rows.  The scan memo keeps a floor's array object while its
+        decisions stand, so the same array proves every count of the
+        floor unchanged.  A new array is compared with the one the counts
+        were checked against, and one gather of the floor's rows not yet
+        driven on the moved columns voids (drops from
+        ``hour_pass.verdicts``) each verdict, True or False, whose session
+        holds a moved column at ``lowest``; the others' counts stand.  A
+        pure read of the platform that writes only ``hour_pass``.
         """
-        found = parked.get(entry.table_row)
-        if found is None:
-            return None
-        blocked, group = found
-        admitted = self.access.admit_rows(group.floor)
-        if admitted is not group.admitted:
-            if admitted is not group.latest:
-                group.latest = admitted
-                group.moved = np.setxor1d(
-                    group.admitted, admitted, assume_unique=True
-                )
-            held = self._table.values(entry.table_row, group.moved)
-            if np.any(held + 1e-12 >= group.floor.epsilon):
-                return None
-        return blocked
+        hour_pass.staged = self.access.accountant.staged_request_count
+        standing: List[_ParkedFloor] = []
+        for group in hour_pass.floors:
+            admitted = self.access.admit_rows(group.floor)
+            if admitted is not group.admitted:
+                moved = np.setxor1d(group.admitted, admitted, assume_unique=True)
+                group.admitted = admitted
+                rows = group.rows[
+                    np.searchsorted(group.rows, driven_row, side="right"):
+                ]
+                if moved.size and rows.size:
+                    held = self._table.matrix[np.ix_(rows, moved)]
+                    held += 1e-12
+                    hit = np.any(held >= group.floor.epsilon, axis=1)
+                    for row in rows[hit].tolist():
+                        del hour_pass.verdicts[row]
+                    rows = rows[~hit]
+                group.rows = rows
+            if group.rows.size:
+                standing.append(group)
+        hour_pass.floors = standing
 
     def _drive_session(
         self, entry: SubmittedPipeline, blocked: Optional[bool]
     ) -> None:
         """Run one session's propose/decide/complete loop for this hour.
 
-        A session proven blocked goes back to NEED_DATA without
-        proposing.  The proof is ``blocked``, the hour pass's verdict
-        (:meth:`_parked_verdict`), or when that is ``None`` the session's
-        own ``provably_blocked``, asked once, before the first proposal.
-        Either is True only when every window the search could try is
-        short of funded rows, so ``propose()`` would have returned
-        ``None`` with that status (see "Blocked sessions" in the module
-        docstring).  Otherwise every proposal is validated
+        ``blocked`` is the session's standing hour-pass verdict, or
+        ``None`` when it has none; the drive never visits a session whose
+        verdict is True (see "Blocked sessions" in the module docstring).
+        Without one the session asks its own ``provably_blocked`` once,
+        before the first proposal, and when proven blocked goes back to
+        NEED_DATA without proposing: the verdict is True only when every
+        window the search could try is short of funded rows, so
+        ``propose()`` would have returned ``None`` with that status.
+        Otherwise every proposal is validated
         against the hour's staged batch, its window assembled, and the
         decision fed back; a refusal becomes a denied decision, so the
         session blocks on NEED_DATA with escalation state untouched
@@ -931,14 +969,24 @@ class Sage:
         return new_blocks
 
     def _drive_hour(self) -> List[ReleasedBundle]:
-        """Drive every waiting session through the hour's propose/settle
-        loop (after :meth:`_open_hour`, inside the staging window).
-        Returns the hour's released bundles."""
+        """Drive the waiting sessions through the hour's propose/settle
+        loop (after :meth:`_open_hour`, inside the staging window): every
+        one but those whose standing hour-pass verdict proves them blocked
+        (see "Blocked sessions" in the module docstring).  Returns the
+        hour's released bundles."""
         tracer = self._tracer
+        accountant = self.access.accountant
         released: List[ReleasedBundle] = []
-        driven = 0
-        parked = self._decide_parked()
-        for entry in list(self._waiting.values()):
+        driven = parked = 0
+        order = list(self._waiting.values())
+        hour_pass = self._decide_parked(order)
+        for entry in order:
+            blocked = hour_pass.verdicts.pop(entry.table_row, None)
+            if blocked:
+                # Still blocked: its turn would only wake it and park it
+                # again.
+                parked += 1
+                continue
             # The span covers the session's whole hour -- drive, settle,
             # release, redistribute -- so the wall view attributes the
             # settlement tail (a whole-table ReservationTable op per
@@ -946,7 +994,7 @@ class Sage:
             # settle/release helpers emit no telemetry, so the widened
             # body leaves the deterministic tick sequence untouched.
             with tracer.span("session.drive", session=entry.name):
-                self._drive_session(entry, self._parked_verdict(parked, entry))
+                self._drive_session(entry, blocked)
                 self._metrics.inc("sage_sessions_driven_total")
                 driven += 1
                 faults.trip("settle.mid_session")
@@ -967,9 +1015,22 @@ class Sage:
                 if entry.session.is_terminal:
                     self._waiting.pop(entry.table_row)
                     self._redistribute(entry)
-                    # The release moved held values in the waiting rows:
-                    # the pass's remaining verdicts no longer count them.
-                    parked.clear()
+                    if hour_pass.parked:
+                        # The release moved held values in the waiting
+                        # rows: decide the parked sessions not yet driven
+                        # again.
+                        rest = bisect.bisect_right(
+                            hour_pass.parked,
+                            entry.table_row,
+                            key=operator.attrgetter("table_row"),
+                        )
+                        hour_pass = self._decide_parked(hour_pass.parked[rest:])
+                elif (
+                    hour_pass.floors
+                    and accountant.staged_request_count != hour_pass.staged
+                ):
+                    self._recheck_parked(hour_pass, entry.table_row)
+        self._metrics.inc("sage_sessions_parked_total", parked)
         # One settle marker per hour (not per session: settle instants
         # ride the per-session hot path, and the session.drive spans
         # already carry the per-session timeline).
@@ -1271,7 +1332,7 @@ class Sage:
                 # Settle after every attempt, as the drive does after
                 # every complete(): the same settle calls in the same order.
                 self._settle_charges(entry)
-            session.status = delta["status"]
+            session.status = SessionStatus.canonical(delta["status"])
             session.epsilon = delta["epsilon"]
             session.epsilon_floor = delta["epsilon_floor"]
             session.delta = delta["delta"]

@@ -61,7 +61,7 @@ span                        covers
 =========================== ==============================================
 ``advance.hour``            one whole ``advance()`` (volatile or durable)
 ``advance.open``            ingest + block registration + allocation
-``session.drive``           one session's propose/decide loop for the hour
+``session.drive``           a visited session's propose/decide loop
 ``staging.commit``          closing the hour's staged batch
 ``charge.batch``            one ``charge_many`` or staged-batch commit
 ``wal.append``              framing + writing one hour record
@@ -106,10 +106,12 @@ Privacy: ``sage_privacy_epsilon_spent`` / ``sage_privacy_delta_spent``
 ``sage_charges_granted_total`` / ``sage_charges_denied_total``
 (admission/denial rates).
 
-Throughput: ``sage_hours_advanced_total``, ``sage_sessions_driven_total``,
-``sage_hour_charges`` (last completed hour, the ``Sage.last_hour_charges``
-compatibility source), ``sage_staged_batch_requests`` (histogram of staged
-batch sizes).
+Throughput: ``sage_hours_advanced_total``, ``sage_sessions_driven_total``
+(session turns the drive visited), ``sage_sessions_parked_total``
+(session turns it skipped because the hour pass proved them blocked;
+added once per hour), ``sage_hour_charges`` (last completed hour, the
+``Sage.last_hour_charges`` compatibility source),
+``sage_staged_batch_requests`` (histogram of staged batch sizes).
 
 Counters are monotonic and count work done, so a rolled-back hour keeps
 its increments: after a failed hour, ``sage_charges_granted_total`` and

@@ -162,8 +162,9 @@ class TestEndToEnd:
     def test_leaky_hour_pass_trips_the_barrier(
         self, installed_sanitizer, monkeypatch
     ):
-        """The hour pass is wrapped too: a write smuggled into the scan it
-        reads faults at the write, inside an open hour."""
+        """The hour pass and its per-stage check are wrapped too: a write
+        smuggled into the scan they read faults at the write, inside an
+        open hour."""
         sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
         sage.advance(3.0)
         entry = sage.submit(
@@ -180,9 +181,13 @@ class TestEndToEnd:
 
         sage.access.begin_staging()
         try:
-            assert sage._decide_parked()[entry.table_row][0] is True
+            hour_pass = sage._decide_parked([entry])
+            assert hour_pass.verdicts[entry.table_row] is True
             monkeypatch.setattr(SageAccessControl, "admit_rows", leaky)
             with pytest.raises(ValueError, match="read-only"):
-                sage._decide_parked()
+                sage._decide_parked([entry])
+            # The per-stage check reads the same scans, wrapped alike.
+            with pytest.raises(ValueError, match="read-only"):
+                sage._recheck_parked(hour_pass, -1)
         finally:
             sage.access.abort_staged()

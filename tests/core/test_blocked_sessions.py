@@ -9,11 +9,15 @@ when the hour opens at once.  Three properties make the skip safe:
   ``(None, NEED_DATA)``: the skip leaves exactly what ``wake()`` followed
   by ``propose() -> None`` leaves.  Checked on random stores, staged
   overlays, reservation rows and escalation states.
-* **The pass is the verdict.**  Every verdict the pass supplies at a
-  session's turn equals ``provably_blocked()`` asked at that turn, with
-  mid-hour releases, stages the session does or does not hold, refused
-  stages and Gaussian budgets in play, through a rolled-back hour and a
-  ``recover()``.
+* **The pass is the verdict.**  The drive visits only the sessions the
+  pass cannot prove blocked.  No state moves between two visited turns,
+  so every session it skipped is still proven blocked by its own
+  ``provably_blocked()`` at the next visited turn (or at the end of the
+  hour's drive), and every False verdict the pass supplies to a visited
+  turn equals ``provably_blocked()`` there -- with mid-hour releases
+  (after which the pass runs again), stages the session does or does not
+  hold, refused stages and Gaussian budgets in play, through a
+  rolled-back hour and a ``recover()``.
 * **Parity.**  The default drive matches the forced-poll drive
   (``per_request_oracle.forced_poll_drive``, where the pass decides
   nothing and the verdict always answers False) byte for byte -- state
@@ -269,50 +273,87 @@ INJECTED_BUDGETS = st.one_of(
 
 @contextmanager
 def checked_pass(injections=(), fail_turn=None):
-    """Check every verdict the hour pass supplies against the session's
-    own ``provably_blocked()`` at its turn.
+    """Check the hour pass against the sessions' own ``provably_blocked()``.
 
-    ``injections`` lists ``(turn, blocks, budget)``: before the drive's
-    ``turn``-th session turn (counted across hours), ``budget`` is staged
-    on the newest ``blocks`` blocks, so a stage lands between the pass and
-    the turns after it; a refused one stages nothing.  At turn
-    ``fail_turn`` the drive raises ``InjectedFault`` once, after the
-    check, so that hour rolls back mid-drive (``durable_drive`` runs it
-    again).  Yields live counts.
+    No state moves between two visited turns, so every session the drive
+    skipped since the last visited turn must still be proven blocked at
+    the start of the next one (or when the hour's drive returns), and a
+    False verdict the pass supplies to a visited turn must be the
+    session's own verdict there.  ``injections`` lists ``(turn, blocks,
+    budget)``: at the start of the drive's ``turn``-th visited turn
+    (counted across hours), after the checks, ``budget`` is staged on the
+    newest ``blocks`` blocks, so a stage lands between the pass and the
+    turns after it; a refused one stages nothing.  At turn ``fail_turn``
+    the drive raises ``InjectedFault`` once, after the checks, so that
+    hour rolls back mid-drive (``durable_drive`` runs it again).  Yields
+    live counts.
     """
     seen = {
-        "turns": 0, "supplied": 0, "blocked": 0, "voided": 0, "refused": 0,
-        "failed": 0,
+        "turns": 0, "skipped": 0, "supplied": 0, "voided": 0, "passes": 0,
+        "refused": 0, "failed": 0,
     }
     plan = {}
     for turn, blocks, budget in injections:
         plan.setdefault(turn, []).append((blocks, budget))
-    take = Sage._parked_verdict
+    drive_hour, drive_session = Sage._drive_hour, Sage._drive_session
+    decide, recheck = Sage._decide_parked, Sage._recheck_parked
+    hour = {"order": [], "position": {}, "next": 0}
 
-    def checked(self, parked, entry):
+    def check_skipped(upto):
+        for entry in hour["order"][hour["next"] : upto]:
+            seen["skipped"] += 1
+            assert entry.session.provably_blocked(), (
+                f"{entry.name} was skipped but is not proven blocked"
+            )
+        hour["next"] = upto
+
+    def checked_hour(self):
+        hour["order"] = list(self._waiting.values())
+        hour["position"] = {e.table_row: i for i, e in enumerate(hour["order"])}
+        hour["next"] = 0
+        released = drive_hour(self)
+        check_skipped(len(hour["order"]))
+        return released
+
+    def checked_session(self, entry, blocked):
         turn = seen["turns"]
         seen["turns"] += 1
+        check_skipped(hour["position"][entry.table_row])
+        hour["next"] += 1
+        if blocked is not None:
+            seen["supplied"] += 1
+            assert blocked == entry.session.provably_blocked(), (
+                f"the pass's verdict for {entry.name} is stale"
+            )
         for blocks, budget in plan.get(turn, ()):
             keys = self.access.accountant.block_keys[-blocks:]
             try:
                 self.access.stage_request(keys, budget, label="injected")
             except REFUSALS:
                 seen["refused"] += 1
-        verdict = take(self, parked, entry)
-        if verdict is None:
-            seen["voided"] += entry.table_row in parked
-        else:
-            seen["supplied"] += 1
-            seen["blocked"] += verdict
-            assert verdict == entry.session.provably_blocked(), (
-                f"the pass's verdict for {entry.name} is stale"
-            )
         if turn == fail_turn:
             seen["failed"] += 1
             raise faults.InjectedFault("checked_pass")
-        return verdict
+        return drive_session(self, entry, blocked)
 
-    with mock.patch.object(Sage, "_parked_verdict", checked):
+    def counted_pass(self, entries):
+        seen["passes"] += 1
+        return decide(self, entries)
+
+    def counted_recheck(self, hour_pass, driven_row):
+        standing = len(hour_pass.verdicts)
+        recheck(self, hour_pass, driven_row)
+        seen["voided"] += standing - len(hour_pass.verdicts)
+
+    with mock.patch.object(
+        Sage, "_drive_hour", checked_hour
+    ), mock.patch.object(
+        Sage, "_drive_session", checked_session
+    ), mock.patch.object(
+        Sage, "_decide_parked", counted_pass
+    ), mock.patch.object(
+        Sage, "_recheck_parked", counted_recheck
+    ):
         yield seen
 
 
@@ -357,13 +398,14 @@ class TestHourPassIsTheVerdict:
         )["seen"]
         assert seen["turns"], "no session was driven"
 
-    def test_pass_supplies_most_verdicts_on_a_backlog(self, tmp_path):
-        """Not vacuous: on a backlog the pass answers most session-hours,
-        both ways; stages landing mid-hour void some verdicts, and one
-        more stage on the same blocks is refused."""
+    def test_pass_skips_most_sessions_on_a_backlog(self, tmp_path):
+        """Not vacuous: on a backlog the drive skips most session-hours
+        and the pass supplies False verdicts too; stages landing mid-hour
+        void some verdicts, one more stage on the same blocks is refused,
+        and releases run the pass again."""
         injections = [
             (turn, 4, budget)
-            for turn in range(40, 400, 40)
+            for turn in range(10, 100, 10)
             for budget in (PrivacyBudget(0.4, 0.0), PrivacyBudget(0.7, 0.0))
         ]
         seen = durable_drive(
@@ -373,17 +415,18 @@ class TestHourPassIsTheVerdict:
             CONFIG,
             rollback_hour=None,
             recover_hour=RECOVER_HOUR,
-            reference=functools.partial(checked_pass, injections, fail_turn=200),
+            reference=functools.partial(checked_pass, injections, fail_turn=50),
         )["seen"]
-        assert seen["supplied"] > seen["turns"] / 2
-        assert 0 < seen["blocked"] < seen["supplied"]
+        assert seen["skipped"] > seen["turns"]
+        assert seen["supplied"]
+        assert seen["passes"] > HOURS
         assert seen["voided"] and seen["refused"] and seen["failed"]
 
 
 class TestPassInvalidation:
-    """The two rules under which a pass verdict is not used: a release
-    (every remaining verdict is dropped), and a stage that moves the admit
-    decision of a row the session holds."""
+    """When a pass verdict stops standing: a stage that moves the admit
+    decision of a row the session holds voids it, True or False, and a
+    release runs the pass again over the sessions not yet driven."""
 
     def _parked(self):
         """An open hour with one session parked at its floor: it holds
@@ -408,13 +451,34 @@ class TestPassInvalidation:
     def _exhaust(self, sage, key):
         sage.access.stage_request([key], PrivacyBudget(0.999, 0.0))
 
+    def _verdict(self, sage, hour_pass, entry):
+        """The standing verdict after the per-stage check (``None`` when
+        voided); nothing has been driven yet."""
+        sage._recheck_parked(hour_pass, -1)
+        return hour_pass.verdicts.get(entry.table_row)
+
     def test_a_stage_on_a_held_row_voids_the_verdict(self):
         sage, entry = self._parked()
         try:
-            parked = sage._decide_parked()
-            assert sage._parked_verdict(parked, entry) is False
+            hour_pass = sage._decide_parked([entry])
+            assert self._verdict(sage, hour_pass, entry) is False
             self._exhaust(sage, sage.access.accountant.block_keys[0])
-            assert sage._parked_verdict(parked, entry) is None
+            assert self._verdict(sage, hour_pass, entry) is None
+            assert not hour_pass.floors
+            assert entry.session.provably_blocked() is True
+        finally:
+            sage.access.abort_staged()
+
+    def test_a_true_verdict_is_voided_alike(self):
+        """Voiding does not look at the verdict: a blocked session that
+        holds a moved row is visited and asks its own verdict."""
+        sage, entry = self._parked()
+        try:
+            entry.session.window_blocks += 1
+            hour_pass = sage._decide_parked([entry])
+            assert self._verdict(sage, hour_pass, entry) is True
+            self._exhaust(sage, sage.access.accountant.block_keys[0])
+            assert self._verdict(sage, hour_pass, entry) is None
             assert entry.session.provably_blocked() is True
         finally:
             sage.access.abort_staged()
@@ -424,10 +488,13 @@ class TestPassInvalidation:
         try:
             sage.reservation_table.matrix[entry.table_row, 0] = 0.0
             entry.session.window_blocks -= 1
-            parked = sage._decide_parked()
-            assert sage._parked_verdict(parked, entry) is False
+            hour_pass = sage._decide_parked([entry])
+            assert self._verdict(sage, hour_pass, entry) is False
             self._exhaust(sage, sage.access.accountant.block_keys[0])
-            assert sage._parked_verdict(parked, entry) is False
+            assert self._verdict(sage, hour_pass, entry) is False
+            # The floor now counts against the new array.
+            (group,) = hour_pass.floors
+            assert sage.access.admit_rows(group.floor) is group.admitted
             assert entry.session.provably_blocked() is False
         finally:
             sage.access.abort_staged()
@@ -435,20 +502,34 @@ class TestPassInvalidation:
     def test_a_stage_that_moves_no_decision_keeps_the_array(self):
         sage, entry = self._parked()
         try:
-            parked = sage._decide_parked()
-            _, group = parked[entry.table_row]
+            hour_pass = sage._decide_parked([entry])
+            (group,) = hour_pass.floors
             sage.access.stage_request(
                 sage.access.accountant.block_keys[:1], PrivacyBudget(0.01, 0.0)
             )
             assert sage.access.admit_rows(group.floor) is group.admitted
-            assert sage._parked_verdict(parked, entry) is False
+            assert self._verdict(sage, hour_pass, entry) is False
         finally:
             sage.access.abort_staged()
 
-    def test_a_release_drops_every_remaining_verdict(self):
+    def test_driven_rows_are_not_checked(self):
+        """A session that has had its turn leaves the floor's rows at the
+        next check that finds a moved array."""
+        sage, entry = self._parked()
+        try:
+            hour_pass = sage._decide_parked([entry])
+            self._exhaust(sage, sage.access.accountant.block_keys[0])
+            sage._recheck_parked(hour_pass, entry.table_row)
+            assert hour_pass.verdicts == {entry.table_row: False}
+            assert not hour_pass.floors
+        finally:
+            sage.access.abort_staged()
+
+    def test_a_release_reruns_the_pass(self):
         """A session that finishes ahead of a parked one hands it its
-        holding: the pass proved the parked session blocked, but it asks
-        its own verdict after the release, and it proposes."""
+        holding: the pass proved the parked session blocked, the release
+        runs the pass again over it, and the new verdict (not blocked,
+        checked against its own) sends it to propose."""
         sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
         sage.advance(2.0)
         config = AdaptiveConfig(min_window_blocks=4, max_attempts=8)
@@ -464,23 +545,23 @@ class TestPassInvalidation:
             AttemptRecord(i + 1, (), ZERO_BUDGET, Outcome.RETRY, 0)
             for i in range(config.max_attempts - len(first.session.attempts))
         )
-        asked, passed = [], []
-        verdict, decide = AdaptiveSession.provably_blocked, Sage._decide_parked
+        passes, decide = [], Sage._decide_parked
 
-        def spy(session):
-            asked.append(session.pipeline.name)
-            return verdict(session)
+        def spy_pass(sage, entries):
+            hour_pass = decide(sage, entries)
+            passes.append(
+                {sage.pipelines[row].name: v for row, v in hour_pass.verdicts.items()}
+            )
+            return hour_pass
 
-        def spy_pass(sage):
-            verdicts = decide(sage)
-            passed.extend(verdicts.values())
-            return verdicts
-
-        with mock.patch.object(
-            AdaptiveSession, "provably_blocked", spy
-        ), mock.patch.object(Sage, "_decide_parked", spy_pass):
+        with checked_pass() as seen, mock.patch.object(
+            Sage, "_decide_parked", spy_pass
+        ):
             sage.advance(1.0)
-        assert [blocked for blocked, _ in passed] == [True]
+        # The first session has no attempt left, so only the second is in
+        # the hour's pass; the release re-decides it, and checked_pass
+        # holds the new verdict to the session's own.
+        assert passes == [{"parked": True}, {"parked": False}]
         assert first.status == SessionStatus.TIMEOUT
-        assert asked == ["first", "parked"]
+        assert seen["turns"] == 2 and seen["supplied"] == 1
         assert parked.session.attempts

@@ -561,6 +561,49 @@ class TestRecycling:
         assert _wal_hours(path) == [2, 3]
         assert spare.read_bytes() == before
 
+    def test_crash_mid_snapshot_leaves_no_temp_file(self, tmp_path):
+        """A crash in the hour-8 snapshot write leaves its temp file; the
+        recovering platform's store adopts it as the spare, and 8 more
+        hours leave only the kept snapshots, the log and the spares."""
+        digests = _clean_digests("single-basic", hours=16)
+        sage = _build("single-basic", wal_dir=tmp_path, snapshot_every=2)
+        for pipeline, config in _pipes():
+            sage.submit(pipeline, config)
+        # Snapshots at hours 2, 4 and 6, then the crash at hour 8.
+        with pytest.raises(faults.InjectedCrash):
+            with faults.armed_crash("snapshot.mid_write", skip=3):
+                for _ in range(16):
+                    sage.advance(1.0)
+        sage.close()
+        tmp = tmp_path / "snapshot-00000008.snap.tmp"
+        assert tmp.exists() and not (tmp_path / "snapshot.spare").exists()
+        recovered = _build("single-basic", wal_dir=tmp_path, snapshot_every=2)
+        assert not tmp.exists() and (tmp_path / "snapshot.spare").exists()
+        assert recovered.recover(_pipes()).hours_committed == 8
+        assert durability.state_digest(recovered) == digests[8]
+        for hour in range(9, 17):
+            recovered.advance(1.0)
+            assert durability.state_digest(recovered) == digests[hour]
+        recovered.close()
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert [name for name in names if name.endswith(".snap")] == [
+            "snapshot-00000012.snap",
+            "snapshot-00000014.snap",
+            "snapshot-00000016.snap",
+        ]
+        assert set(names) - {
+            "snapshot-00000012.snap",
+            "snapshot-00000014.snap",
+            "snapshot-00000016.snap",
+        } <= {"charge.wal", "charge.wal.spare", "snapshot.spare"}
+
+    def test_a_leftover_temp_snapshot_is_deleted_next_to_a_spare(self, tmp_path):
+        for name in ("snapshot.spare", "snapshot-00000004.snap.tmp"):
+            (tmp_path / name).write_bytes(name.encode())
+        durability.SnapshotStore(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot.spare"]
+        assert (tmp_path / "snapshot.spare").read_bytes() == b"snapshot.spare"
+
     def test_crash_at_the_swap_then_advance_and_recover(self, tmp_path):
         """Crash between link and replace in a compaction that recycles a
         spare, reopen, advance through later compactions, recover."""

@@ -22,12 +22,13 @@ ahead an empty request batch.
 The platform skips a waiting session for the hour when its blocked
 verdict proves its window search would find nothing: the hour pass
 (``Sage._decide_parked``) decides the sessions parked when the hour opens,
-and ``AdaptiveSession.provably_blocked`` decides the rest.
+and the drive does not visit those it proves blocked;
+``AdaptiveSession.provably_blocked`` decides the rest at their turns.
 :func:`forced_poll_drive` is the reference for that skip: inside it the
 pass decides nothing and the verdict always answers False, so every
-waiting session is polled through ``propose()`` every hour, as before the
-verdict existed.  Like the per-request drive it is a patch, not an
-option:
+waiting session is visited and polled through ``propose()`` every hour,
+as before the verdict existed.  Like the per-request drive it is a
+patch, not an option:
 
     with forced_poll_drive() as seen:
         sage.advance(1.0)
@@ -77,7 +78,7 @@ from repro.core import durability, faults
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import BlockAccountant
 from repro.core.adaptive import AdaptiveSession
-from repro.core.platform import Sage
+from repro.core.platform import Sage, _HourPass
 from repro.dp.budget import PrivacyBudget, ZERO_BUDGET
 from repro.errors import BlockRetiredError, BudgetExceededError
 from repro.workload import (
@@ -140,11 +141,14 @@ def per_request_drive():
 def forced_poll_drive():
     """Poll every waiting session every hour: inside the block the hour
     pass decides no session and the blocked-session verdict answers
-    False, so every session-hour asks the verdict.  Yields live counts of
-    the verdicts asked (``verdicts``) and of the session-hours driven
-    (``sessions``)."""
+    False, so the drive visits every session-hour and each asks the
+    verdict.  Yields live counts of the verdicts asked (``verdicts``) and
+    of the session-hours driven (``sessions``)."""
     seen = {"verdicts": 0, "sessions": 0}
     drive_session = Sage._drive_session
+
+    def no_pass(self, entries):
+        return _HourPass([], {}, [], self.access.accountant.staged_request_count)
 
     def never_blocked(self):
         seen["verdicts"] += 1
@@ -155,7 +159,7 @@ def forced_poll_drive():
         return drive_session(self, entry, blocked)
 
     with mock.patch.object(
-        Sage, "_decide_parked", lambda self: {}
+        Sage, "_decide_parked", no_pass
     ), mock.patch.object(
         Sage, "_drive_session", counting_drive
     ), mock.patch.object(AdaptiveSession, "provably_blocked", never_blocked):
