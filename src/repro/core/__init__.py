@@ -19,7 +19,7 @@ from repro.core.filters import (
     StrongCompositionFilter,
 )
 from repro.core.model_store import ModelFeatureStore, ReleasedBundle
-from repro.core.odometer import BasicOdometer, StrongOdometer, loss_dashboard
+from repro.core.odometer import StrongOdometer, loss_dashboard
 from repro.core.serving import ContinuousEvaluator, EvaluationTick, PredictionServer
 from repro.core.pipeline import (
     HistogramPipeline,
@@ -64,7 +64,6 @@ __all__ = [
     "SessionStatus",
     "ModelFeatureStore",
     "ReleasedBundle",
-    "BasicOdometer",
     "StrongOdometer",
     "loss_dashboard",
     "PredictionServer",

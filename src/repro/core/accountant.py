@@ -163,10 +163,6 @@ __all__ = [
 # module docstring); filter-specific columns (e.g. per-order RDP) follow.
 TOT_EPS, TOT_DELTA, TOT_SQ, TOT_LINEAR = range(TOTALS_BASE)
 
-# Bound on the memoized key-tuple -> store-row-array mapping (the window
-# scan hot path re-resolves the same windows every hour).
-_ROW_CACHE_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class ChargeRecord:
@@ -344,9 +340,9 @@ class BlockAccountant:
         (Theorem 4.3).  Pass ``StrongCompositionFilter`` for Theorem A.2
         accounting.  The filter decides from the totals row alone (see the
         module docstring).
-    retirement_budget:
-        Blocks that cannot absorb this charge any more count as retired;
-        defaults to (epsilon_global/1000, 0).
+
+    Blocks that cannot absorb ``retirement_budget`` any more count as
+    retired; it is fixed at (epsilon_global/1000, 0).
     """
 
     def __init__(
@@ -354,15 +350,12 @@ class BlockAccountant:
         epsilon_global: float,
         delta_global: float,
         filter_factory: Optional[Callable[[float, float], PrivacyFilter]] = None,
-        retirement_budget: Optional[PrivacyBudget] = None,
     ) -> None:
         if filter_factory is None:
             filter_factory = BasicCompositionFilter
         self.epsilon_global = epsilon_global
         self.delta_global = delta_global
-        self.retirement_budget = retirement_budget or PrivacyBudget(
-            epsilon_global / 1000.0, 0.0
-        )
+        self.retirement_budget = PrivacyBudget(epsilon_global / 1000.0, 0.0)
         self._charges: List[ChargeRecord] = []
         # The one filter that evaluates the whole matrix in one pass + the
         # struct-of-arrays totals store sized to its declared schema width.
@@ -370,9 +363,6 @@ class BlockAccountant:
         self._store = LedgerStore(width=self._batch_filter.totals_width)
         self._keys: List[object] = []
         self._rows: Dict[object, int] = {}
-        # Memoized key-tuple -> row-array translations (rows never move, so
-        # entries never go stale; the cache is only bounded for memory).
-        self._row_cache: Dict[tuple, np.ndarray] = {}
         # Open staged batch (the propose/settle overlay), or None.
         self._staged: Optional[StagedBatch] = None
         # Telemetry probe attached by a traced platform (the no-op probe
@@ -430,34 +420,15 @@ class BlockAccountant:
         return self._batch_filter.delta_reserved
 
     def _key_rows(self, keys: Sequence[object]) -> np.ndarray:
-        """Store rows for the named keys; rejects unregistered keys.
-
-        The hourly drive resolves the same windows over and over (every
-        proposal, settlement, and reservation read names a recent-blocks
-        window), so translations are memoized by key tuple.  Rows are
-        assigned once at registration and never move, so cached arrays
-        never go stale; they are returned read-only since callers share
-        them.
-        """
-        tkey = tuple(keys)
-        cached = self._row_cache.get(tkey)
-        if cached is None:
-            try:
-                cached = np.fromiter(
-                    map(self._rows.__getitem__, keys), dtype=np.intp, count=len(keys)
-                )
-            except KeyError as exc:
-                raise InvalidBudgetError(
-                    f"block {exc.args[0]!r} was never registered"
-                ) from None
-            cached.setflags(write=False)
-            if len(self._row_cache) >= _ROW_CACHE_LIMIT:
-                # repro: allow(purity) -- bounded memo-cache reset; rebuilt
-                # entries are value-identical to the evicted ones.
-                self._row_cache.clear()
-            # repro: allow(purity) -- memo-cache fill; reads are value-identical
-            self._row_cache[tkey] = cached
-        return cached
+        """Store rows for the named keys; rejects unregistered keys."""
+        try:
+            return np.fromiter(
+                map(self._rows.__getitem__, keys), dtype=np.intp, count=len(keys)
+            )
+        except KeyError as exc:
+            raise InvalidBudgetError(
+                f"block {exc.args[0]!r} was never registered"
+            ) from None
 
     def rows_for_keys(self, keys: Sequence[object]) -> np.ndarray:
         """Store row indices (registration order) for the named keys.
@@ -811,8 +782,7 @@ class BlockAccountant:
         for key in removed:
             del self._rows[key]
         del self._keys[n_blocks:]
-        # Cached row arrays / memoized scans may name the removed rows.
-        self._row_cache.clear()
+        # Memoized scans may name the removed rows.
         self._invalidate_scans()
         self._store.truncate_to(n_blocks)
 

@@ -7,16 +7,15 @@ at every point in time without a pre-declared stop.  An odometer is what a
 platform operator reads on a dashboard ("how exposed is this block right
 now?"), while the filter is what gates the next query.
 
-Two variants, mirroring the filter pair:
+:class:`StrongOdometer` is Rogers et al.'s doubling construction: the
+strong-composition bound evaluated at the smallest power-of-two budget
+envelope that contains the spend so far.  It pays a doubling penalty over
+the fixed-budget filter but needs no budget declared in advance.  The basic
+odometer needs no class: it is the exact running (sum eps, sum delta), which
+the store row already holds.
 
-* :class:`BasicOdometer` -- the running (sum eps, sum delta); exact.
-* :class:`StrongOdometer` -- Rogers et al.'s doubling construction: the
-  strong-composition bound evaluated at the smallest power-of-two budget
-  envelope that contains the spend so far.  Pays a doubling penalty over
-  the fixed-budget filter but needs no budget declared in advance.
-
-Both load a block's running sums straight from the accountant's
-:class:`~repro.core.accountant.LedgerStore` row, so ``repro.core.platform``
+:func:`loss_dashboard` reads either bound straight from the accountant's
+:class:`~repro.core.accountant.LedgerStore` rows, so ``repro.core.platform``
 deployments can expose loss dashboards without touching the enforcement
 path.
 """
@@ -34,27 +33,7 @@ from repro.dp.budget import PrivacyBudget
 from repro.dp.composition import rogers_filter_epsilon_from_sums
 from repro.errors import InvalidBudgetError
 
-__all__ = ["BasicOdometer", "StrongOdometer", "loss_dashboard"]
-
-
-class BasicOdometer:
-    """Running basic-composition loss: exact, always valid."""
-
-    def __init__(self) -> None:
-        self._epsilon = 0.0
-        self._delta = 0.0
-
-    def record(self, budget: PrivacyBudget) -> None:
-        self._epsilon += budget.epsilon
-        self._delta = min(1.0, self._delta + budget.delta)
-
-    def record_all(self, budgets: Sequence[PrivacyBudget]) -> None:
-        for budget in budgets:
-            self.record(budget)
-
-    @property
-    def loss(self) -> PrivacyBudget:
-        return PrivacyBudget(self._epsilon, self._delta)
+__all__ = ["StrongOdometer", "loss_dashboard"]
 
 
 class StrongOdometer:

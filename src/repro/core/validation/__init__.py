@@ -5,7 +5,6 @@ from repro.core.validation.bounds import (
     bernstein_upper_bound,
     binomial_lower_bound,
     binomial_upper_bound,
-    empirical_bernstein_upper_bound,
     hoeffding_deviation,
 )
 from repro.core.validation.loss import DPLossValidator
@@ -19,7 +18,6 @@ __all__ = [
     "DPAccuracyValidator",
     "DPStatisticValidator",
     "bernstein_upper_bound",
-    "empirical_bernstein_upper_bound",
     "hoeffding_deviation",
     "binomial_upper_bound",
     "binomial_lower_bound",

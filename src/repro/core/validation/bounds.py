@@ -7,9 +7,6 @@ for losses bounded in [0, B]:
   an upper bound on the population mean from an empirical mean, tight when
   the loss itself is small (Bernstein's inequality, cf. Shalev-Shwartz &
   Ben-David Appendix B).
-* :func:`empirical_bernstein_upper_bound` -- Maurer & Pontil (2009): uses
-  the empirical variance; tight when the variance is small.  The drop-in
-  replacement §3.3 mentions.
 * :func:`hoeffding_deviation` -- the distribution-free fallback used by the
   REJECT test and the statistics validator.
 * :func:`binomial_upper_bound` / :func:`binomial_lower_bound` --
@@ -28,7 +25,6 @@ from repro.errors import ValidationError
 
 __all__ = [
     "bernstein_upper_bound",
-    "empirical_bernstein_upper_bound",
     "hoeffding_deviation",
     "binomial_upper_bound",
     "binomial_lower_bound",
@@ -58,26 +54,6 @@ def bernstein_upper_bound(mean_loss: float, n: float, eta: float, B: float) -> f
         mean_loss
         + math.sqrt(2.0 * B * mean_loss * log_term / n)
         + 4.0 * B * log_term / n
-    )
-
-
-def empirical_bernstein_upper_bound(
-    mean_loss: float, variance: float, n: float, eta: float, B: float
-) -> float:
-    """Maurer-Pontil empirical Bernstein bound (variance-adaptive).
-
-    ``mean + sqrt(2 var ln(2/eta) / n) + 7 B ln(2/eta) / (3 (n - 1))``.
-    """
-    _check(eta, n, B)
-    if n <= 1:
-        raise ValidationError("empirical Bernstein needs n > 1")
-    if variance < 0:
-        raise ValidationError(f"variance must be >= 0, got {variance}")
-    log_term = math.log(2.0 / eta)
-    return (
-        max(0.0, mean_loss)
-        + math.sqrt(2.0 * variance * log_term / n)
-        + 7.0 * B * log_term / (3.0 * (n - 1.0))
     )
 
 

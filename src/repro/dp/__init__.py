@@ -26,7 +26,6 @@ from repro.dp.mechanisms import (
     laplace_scale,
     make_rng,
 )
-from repro.dp.partition import PartitionedQuery, parallel_composition, partition_indices
 from repro.dp.queries import (
     dp_count,
     dp_group_by_count,
@@ -34,9 +33,7 @@ from repro.dp.queries import (
     dp_group_by_sum,
     dp_histogram,
     dp_mean,
-    dp_quantile,
     dp_sum,
-    dp_variance,
 )
 from repro.dp.rdp import (
     DEFAULT_ORDERS,
@@ -51,17 +48,10 @@ from repro.dp.rdp import (
     rdp_to_epsilon,
     sampled_gaussian_rdp,
 )
-from repro.dp.selection import (
-    dp_argmax_count,
-    exponential_mechanism,
-    report_noisy_max,
-)
 from repro.dp.sensitivity import (
     clip_rows_l2,
     clip_values,
-    count_sensitivity,
     l2_clip_factor,
-    mean_sensitivity_numerator,
     sum_sensitivity,
 )
 
@@ -84,21 +74,13 @@ __all__ = [
     "laplace_scale",
     "gaussian_sigma",
     "make_rng",
-    "PartitionedQuery",
-    "parallel_composition",
-    "partition_indices",
     "dp_count",
     "dp_sum",
     "dp_mean",
-    "dp_variance",
     "dp_histogram",
     "dp_group_by_count",
     "dp_group_by_sum",
     "dp_group_by_mean",
-    "dp_quantile",
-    "exponential_mechanism",
-    "report_noisy_max",
-    "dp_argmax_count",
     "DEFAULT_ORDERS",
     "GaussianMechanismBudget",
     "gaussian_mechanism_budget",
@@ -113,7 +95,5 @@ __all__ = [
     "clip_values",
     "clip_rows_l2",
     "l2_clip_factor",
-    "count_sensitivity",
     "sum_sensitivity",
-    "mean_sensitivity_numerator",
 ]

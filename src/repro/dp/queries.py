@@ -2,8 +2,7 @@
 
 These are the building blocks Sage training pipelines call inside their
 ``preprocessing_fn`` (Listing 1 of the paper): DP counts, sums, means,
-variances, histograms, per-key group-by aggregates, and a DP quantile via
-the exponential mechanism.
+histograms and per-key group-by aggregates.
 
 Conventions shared by every query here:
 
@@ -11,8 +10,8 @@ Conventions shared by every query here:
   aggregation so the stated sensitivity is enforced, not assumed;
 * each query documents how it splits the epsilon it is handed;
 * each query takes an explicit ``rng`` (`numpy.random.Generator`);
-* all queries are pure-epsilon (Laplace / exponential mechanism) as in the
-  paper's pipelines, which reserve delta for DP-SGD training.
+* all queries are pure-epsilon (Laplace mechanism) as in the paper's
+  pipelines, which reserve delta for DP-SGD training.
 """
 
 from __future__ import annotations
@@ -29,12 +28,10 @@ __all__ = [
     "dp_count",
     "dp_sum",
     "dp_mean",
-    "dp_variance",
     "dp_histogram",
     "dp_group_by_sum",
     "dp_group_by_count",
     "dp_group_by_mean",
-    "dp_quantile",
 ]
 
 
@@ -83,34 +80,6 @@ def dp_mean(
     noisy_sum = dp_sum(values, lower, upper, epsilon / 2.0, rng)
     noisy_count = max(1.0, dp_count(values.size, epsilon / 2.0, rng))
     return float(np.clip(noisy_sum / noisy_count, lower, upper))
-
-
-def dp_variance(
-    values: np.ndarray,
-    lower: float,
-    upper: float,
-    epsilon: float,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """(epsilon, 0)-DP variance: DP mean-of-squares minus squared DP mean.
-
-    Epsilon is split three ways (count, sum, sum of squares).  The output is
-    clamped at 0 (post-processing).
-    """
-    _check_epsilon(epsilon)
-    rng = make_rng(rng)
-    values = clip_values(values, lower, upper)
-    width_sq = max(abs(lower), abs(upper)) ** 2
-    eps_each = epsilon / 3.0
-    noisy_count = max(1.0, dp_count(values.size, eps_each, rng))
-    noisy_sum = float(
-        np.sum(values) + laplace_noise(rng, laplace_scale(sum_sensitivity(lower, upper), eps_each))
-    )
-    noisy_sum_sq = float(
-        np.sum(values ** 2) + laplace_noise(rng, laplace_scale(width_sq, eps_each))
-    )
-    mean = noisy_sum / noisy_count
-    return float(max(0.0, noisy_sum_sq / noisy_count - mean ** 2))
 
 
 def dp_histogram(
@@ -197,41 +166,3 @@ def dp_group_by_mean(
     sums = dp_group_by_sum(keys, values, nkeys, value_range, epsilon / 2.0, rng)
     means = sums / np.maximum(counts, 1.0)
     return np.clip(means, 0.0, value_range)
-
-
-def dp_quantile(
-    values: np.ndarray,
-    quantile: float,
-    lower: float,
-    upper: float,
-    epsilon: float,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """(epsilon, 0)-DP quantile via the exponential mechanism [Smith 2011].
-
-    Candidate outputs are the gaps between sorted (clipped) data points; a
-    gap's utility is minus the rank distance from the target quantile, and a
-    gap is selected with probability proportional to
-    ``len(gap) * exp(-epsilon/2 * |rank - target|)``; the output is uniform
-    inside the chosen gap.
-    """
-    _check_epsilon(epsilon)
-    if not 0.0 <= quantile <= 1.0:
-        raise DataError(f"quantile must be in [0, 1], got {quantile}")
-    if lower >= upper:
-        raise DataError(f"need lower < upper, got [{lower}, {upper}]")
-    rng = make_rng(rng)
-    data = np.sort(clip_values(values, lower, upper))
-    edges = np.concatenate(([lower], data, [upper]))
-    widths = np.diff(edges)
-    n = data.size
-    target_rank = quantile * n
-    ranks = np.arange(n + 1, dtype=float)
-    utilities = -np.abs(ranks - target_rank)
-    # Sensitivity of rank utility is 1; exponential mechanism exponent eps/2.
-    log_weights = (epsilon / 2.0) * utilities + np.log(np.maximum(widths, 1e-300))
-    log_weights -= log_weights.max()
-    weights = np.exp(log_weights)
-    weights /= weights.sum()
-    idx = int(rng.choice(n + 1, p=weights))
-    return float(rng.uniform(edges[idx], max(edges[idx], edges[idx + 1])))

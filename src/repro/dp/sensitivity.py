@@ -15,18 +15,11 @@ import numpy as np
 from repro.errors import DataError
 
 __all__ = [
-    "count_sensitivity",
     "sum_sensitivity",
-    "mean_sensitivity_numerator",
     "clip_values",
     "clip_rows_l2",
     "l2_clip_factor",
 ]
-
-
-def count_sensitivity() -> float:
-    """Adding/removing one record changes a count by exactly 1."""
-    return 1.0
 
 
 def sum_sensitivity(lower: float, upper: float) -> float:
@@ -38,11 +31,6 @@ def sum_sensitivity(lower: float, upper: float) -> float:
     if lower > upper:
         raise DataError(f"empty clipping range [{lower}, {upper}]")
     return max(abs(lower), abs(upper))
-
-
-def mean_sensitivity_numerator(lower: float, upper: float) -> float:
-    """Sensitivity of the numerator when a mean is computed as noisy-sum/noisy-count."""
-    return sum_sensitivity(lower, upper)
 
 
 def clip_values(values: np.ndarray, lower: float, upper: float) -> np.ndarray:

@@ -21,23 +21,13 @@ from repro.ml.estimators import (
 )
 from repro.ml.linear import AdaSSPRegressor, RidgeRegression
 from repro.ml.metrics import (
-    absolute_errors,
     accuracy,
-    log_loss,
-    log_losses,
-    mae,
     mse,
     squared_errors,
     zero_one_losses,
 )
 from repro.ml.neural import MLPModel, relu, sigmoid
-from repro.ml.objective import ObjectivePerturbationLogistic
 from repro.ml.preprocessing import (
-    MinMaxScaler,
-    OneHotEncoder,
-    StandardScaler,
-    add_bias_column,
-    hash_buckets,
     scale_to_0_1,
     train_test_split,
 )
@@ -52,7 +42,6 @@ __all__ = [
     "sigmoid",
     "RidgeRegression",
     "AdaSSPRegressor",
-    "ObjectivePerturbationLogistic",
     "SGDConfig",
     "sgd_train",
     "minibatch_indices",
@@ -66,18 +55,9 @@ __all__ = [
     "DPSGDRegressorEstimator",
     "DPSGDClassifierEstimator",
     "mse",
-    "mae",
     "accuracy",
-    "log_loss",
-    "log_losses",
     "squared_errors",
-    "absolute_errors",
     "zero_one_losses",
     "scale_to_0_1",
-    "MinMaxScaler",
-    "StandardScaler",
-    "OneHotEncoder",
-    "hash_buckets",
     "train_test_split",
-    "add_bias_column",
 ]

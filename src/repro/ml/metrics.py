@@ -1,10 +1,9 @@
 """Model-quality metrics.
 
-The three metric families Sage's SLAed validators cover (§3.3): loss metrics
-(MSE / log-loss, lower is better), accuracy (higher is better), and absolute
-error of sum-based statistics.  Validators need *per-example* losses so they
-can clip each one into [0, B] before summing (Listing 2), so each loss metric
-comes in a per-example and an aggregate form.
+The model metrics Sage's SLAed validators cover (§3.3): a loss metric
+(MSE, lower is better) and accuracy (higher is better).  Validators need
+*per-example* losses so they can clip each one into [0, B] before summing
+(Listing 2), so each metric comes in a per-example and an aggregate form.
 """
 
 from __future__ import annotations
@@ -16,15 +15,9 @@ from repro.errors import DataError
 __all__ = [
     "squared_errors",
     "mse",
-    "mae",
-    "absolute_errors",
-    "log_losses",
-    "log_loss",
     "accuracy",
     "zero_one_losses",
 ]
-
-_LOG_EPS = 1e-12
 
 
 def _as_1d(a: np.ndarray, name: str) -> np.ndarray:
@@ -45,31 +38,6 @@ def squared_errors(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
 
 def mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(squared_errors(y_true, y_pred)))
-
-
-def absolute_errors(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
-    y_true = _as_1d(y_true, "y_true")
-    y_pred = _as_1d(y_pred, "y_pred")
-    if y_true.shape != y_pred.shape:
-        raise DataError("y_true and y_pred must have the same shape")
-    return np.abs(y_true - y_pred)
-
-
-def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    return float(np.mean(absolute_errors(y_true, y_pred)))
-
-
-def log_losses(y_true: np.ndarray, prob_pred: np.ndarray) -> np.ndarray:
-    """Per-example binary cross-entropy; probabilities clipped away from {0,1}."""
-    y_true = _as_1d(y_true, "y_true")
-    prob = np.clip(_as_1d(prob_pred, "prob_pred"), _LOG_EPS, 1.0 - _LOG_EPS)
-    if y_true.shape != prob.shape:
-        raise DataError("y_true and prob_pred must have the same shape")
-    return -(y_true * np.log(prob) + (1.0 - y_true) * np.log(1.0 - prob))
-
-
-def log_loss(y_true: np.ndarray, prob_pred: np.ndarray) -> float:
-    return float(np.mean(log_losses(y_true, prob_pred)))
 
 
 def zero_one_losses(y_true: np.ndarray, label_pred: np.ndarray) -> np.ndarray:

@@ -1,16 +1,15 @@
 """Feature transformation operators.
 
-The non-private analogues of TFX-Transform operators that Listing 1 uses
-(``tft.scale_to_0_1``), plus the encoders the synthetic datasets need.  DP
-*aggregate* features (e.g. the hour-of-day mean speed) are built from
-``repro.dp.queries``; the operators here are record-local and therefore do
-not consume privacy budget -- they are shipped with the model as its
-"features" bundle.
+The non-private analogue of the TFX-Transform operator that Listing 1 uses
+(``tft.scale_to_0_1``), plus the train/test split.  DP *aggregate* features
+(e.g. the hour-of-day mean speed) are built from ``repro.dp.queries``; the
+operators here are record-local and therefore do not consume privacy budget
+-- they are shipped with the model as its "features" bundle.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -18,12 +17,7 @@ from repro.errors import DataError
 
 __all__ = [
     "scale_to_0_1",
-    "MinMaxScaler",
-    "StandardScaler",
-    "OneHotEncoder",
-    "hash_buckets",
     "train_test_split",
-    "add_bias_column",
 ]
 
 
@@ -33,97 +27,6 @@ def scale_to_0_1(values: np.ndarray, lower: float, upper: float) -> np.ndarray:
         raise DataError(f"need lower < upper, got [{lower}, {upper}]")
     values = np.asarray(values, dtype=float)
     return (np.clip(values, lower, upper) - lower) / (upper - lower)
-
-
-class MinMaxScaler:
-    """Per-column min-max scaling with *fixed, public* bounds.
-
-    Bounds must be supplied by the caller (public knowledge such as "distance
-    in [0, 100] km"); learning them from data would itself leak, which is why
-    Listing 1 passes explicit ranges.
-    """
-
-    def __init__(self, lower: np.ndarray, upper: np.ndarray) -> None:
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        if np.any(self.lower >= self.upper):
-            raise DataError("every column needs lower < upper")
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return (np.clip(X, self.lower, self.upper) - self.lower) / (
-            self.upper - self.lower
-        )
-
-
-class StandardScaler:
-    """Mean/std standardization fit on (public or already-DP) statistics."""
-
-    def __init__(self) -> None:
-        self.mean_: Optional[np.ndarray] = None
-        self.std_: Optional[np.ndarray] = None
-
-    def fit(self, X: np.ndarray) -> "StandardScaler":
-        X = np.asarray(X, dtype=float)
-        self.mean_ = X.mean(axis=0)
-        self.std_ = np.maximum(X.std(axis=0), 1e-12)
-        return self
-
-    def set_statistics(self, mean: np.ndarray, std: np.ndarray) -> "StandardScaler":
-        """Install externally computed (e.g. DP) statistics instead of fitting."""
-        self.mean_ = np.asarray(mean, dtype=float)
-        self.std_ = np.maximum(np.asarray(std, dtype=float), 1e-12)
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.std_ is None:
-            raise DataError("StandardScaler used before fit/set_statistics")
-        return (np.asarray(X, dtype=float) - self.mean_) / self.std_
-
-
-class OneHotEncoder:
-    """One-hot encoding of integer categorical columns with known cardinality."""
-
-    def __init__(self, cardinalities) -> None:
-        self.cardinalities = [int(c) for c in cardinalities]
-        if any(c <= 0 for c in self.cardinalities):
-            raise DataError("cardinalities must be positive")
-
-    @property
-    def output_dim(self) -> int:
-        return sum(self.cardinalities)
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X)
-        if X.ndim != 2 or X.shape[1] != len(self.cardinalities):
-            raise DataError(
-                f"expected shape (n, {len(self.cardinalities)}), got {X.shape}"
-            )
-        n = X.shape[0]
-        out = np.zeros((n, self.output_dim))
-        offset = 0
-        for j, card in enumerate(self.cardinalities):
-            col = X[:, j].astype(np.int64)
-            if col.size and (col.min() < 0 or col.max() >= card):
-                raise DataError(f"column {j} has values outside [0, {card})")
-            out[np.arange(n), offset + col] = 1.0
-            offset += card
-        return out
-
-
-def hash_buckets(values: np.ndarray, num_buckets: int, salt: int = 0) -> np.ndarray:
-    """Deterministic feature hashing of integer ids into ``num_buckets``.
-
-    Used for the Criteo categorical features the way production pipelines
-    hash high-cardinality vocabularies.
-    """
-    if num_buckets <= 0:
-        raise DataError(f"num_buckets must be > 0, got {num_buckets}")
-    values = np.asarray(values).astype(np.uint64)
-    # Fibonacci hashing with a salt; stable across runs and platforms.
-    mixed = (values + np.uint64(salt)) * np.uint64(11400714819323198485)
-    mixed ^= mixed >> np.uint64(29)
-    return (mixed % np.uint64(num_buckets)).astype(np.int64)
 
 
 def train_test_split(
@@ -146,9 +49,3 @@ def train_test_split(
     perm = rng.permutation(n)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
-
-
-def add_bias_column(X: np.ndarray) -> np.ndarray:
-    """Append a constant-1 column (bias absorbed into the weight vector)."""
-    X = np.asarray(X, dtype=float)
-    return np.hstack([X, np.ones((X.shape[0], 1))])

@@ -20,16 +20,13 @@ the perf work actually needs:
 * :func:`phase_breakdown` / :func:`hour_coverage` -- the per-phase table
   and the fraction of root time explained by instrumented children;
 * :func:`diff_profiles` -- two runs side by side, per span name;
-* :func:`collapsed_stacks` / :func:`load_collapsed` -- the flamegraph
-  exporter (Brendan Gregg's collapsed-stack format, one
-  ``root;child;leaf <self-weight>`` line per tree node) and its inverse;
+* :func:`collapsed_stacks` -- the flamegraph exporter (Brendan Gregg's
+  collapsed-stack format, one ``root;child;leaf <self-weight>`` line per
+  tree node);
 * :func:`load_chrome_trace` -- the Chrome trace-event exporter's inverse.
 
-Both loaders are tested as round trips: a Chrome trace document loads
-back into the same span tree (:func:`span_tree_shape` equality), and
-``collapsed_stacks(load_collapsed(text)) == text`` exactly (weights are
-integer microseconds, so the synthetic layout's float arithmetic is
-exact).
+The loader is tested as a round trip: a Chrome trace document loads back
+into the same span tree (:func:`span_tree_shape` equality).
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ __all__ = [
     "diff_profiles",
     "hour_coverage",
     "load_chrome_trace",
-    "load_collapsed",
     "phase_breakdown",
     "render_breakdown",
     "render_critical_path",
@@ -358,58 +354,6 @@ def write_collapsed(source, path) -> Path:
     tmp.write_text(collapsed_stacks(source), encoding="utf-8")
     os.replace(tmp, path)
     return path
-
-
-class _StackNode:
-    __slots__ = ("self_weight", "children")
-
-    def __init__(self) -> None:
-        self.self_weight = 0
-        self.children: Dict[str, "_StackNode"] = {}
-
-
-def load_collapsed(text: Union[str, Path]) -> LoadedTrace:
-    """Parse collapsed stacks back into a synthetic span source.
-
-    Aggregation is lossy by design (per-stack totals, not individual
-    spans), so the reconstruction lays each stack out once: children
-    first, the node's own self weight last, all in integer microseconds
-    from zero -- a canonical layout under which
-    ``collapsed_stacks(load_collapsed(text)) == text`` exactly.
-    """
-    if isinstance(text, Path):
-        text = text.read_text(encoding="utf-8")
-    root = _StackNode()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        stack, _, weight = line.rpartition(" ")
-        node = root
-        for frame in stack.split(";"):
-            node = node.children.setdefault(frame, _StackNode())
-        node.self_weight += int(weight)
-
-    spans: List[Span] = []
-    counter = [0]
-
-    def emit(frame: str, node: _StackNode, start: float, parent: Optional[int]) -> float:
-        counter[0] += 1
-        span_id = counter[0]
-        cursor = start
-        children_of = node.children
-        for child_frame in sorted(children_of):
-            cursor = emit(child_frame, children_of[child_frame], cursor, span_id)
-        end = cursor + node.self_weight
-        # Recursion appended the children first, so the list lands in
-        # close order like a live tracer's.
-        spans.append(Span(span_id, parent, frame, start, end, -1, {}))
-        return end
-
-    cursor = 0.0
-    for frame in sorted(root.children):
-        cursor = emit(frame, root.children[frame], cursor, None)
-    return LoadedTrace(spans)
 
 
 # ----------------------------------------------------------------------

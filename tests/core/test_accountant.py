@@ -571,48 +571,25 @@ def test_property_no_block_ever_exceeds_global(charges):
         assert spent <= 1.0 + 1e-9
 
 
-class TestKeyRowCache:
-    """rows_for_keys memoizes window -> row translations (the hourly
-    drive's per-proposal lookup hot path)."""
-
-    def test_repeat_lookup_returns_cached_array(self, accountant):
-        first = accountant.rows_for_keys([1, 3])
-        second = accountant.rows_for_keys([1, 3])
-        assert second is first  # memoized, not rebuilt
-        assert not first.flags.writeable  # shared, so frozen
-        assert first.tolist() == [1, 3]
+class TestKeyRows:
+    """rows_for_keys translates a window into store rows (registration
+    order), the index space the platform's ReservationTable shares."""
 
     def test_distinct_windows_distinct_rows(self, accountant):
         assert accountant.rows_for_keys([0, 2]).tolist() == [0, 2]
         assert accountant.rows_for_keys([2, 0]).tolist() == [2, 0]
         assert accountant.rows_for_keys([]).tolist() == []
 
-    def test_cache_survives_new_registrations(self, accountant):
-        rows = accountant.rows_for_keys([1, 3])
+    def test_new_registration_resolves_to_appended_row(self, accountant):
         accountant.register_block(99)
-        # Rows never move, so the cached translation stays valid...
-        assert accountant.rows_for_keys([1, 3]) is rows
-        # ... and the new key resolves to the appended row.
+        assert accountant.rows_for_keys([1, 3]).tolist() == [1, 3]
         assert accountant.rows_for_keys([99]).tolist() == [4]
 
-    def test_unregistered_key_still_raises(self, accountant):
+    def test_unregistered_key_raises(self, accountant):
         with pytest.raises(InvalidBudgetError):
             accountant.rows_for_keys([1, 77])
-        # The failed lookup must not poison the cache.
         accountant.register_block(77)
         assert accountant.rows_for_keys([1, 77]).tolist() == [1, 4]
-
-    def test_cache_bound_clears_not_breaks(self, accountant):
-        from repro.core import accountant as accountant_mod
-
-        old_limit = accountant_mod._ROW_CACHE_LIMIT
-        accountant_mod._ROW_CACHE_LIMIT = 4
-        try:
-            for i in range(10):
-                assert accountant.rows_for_keys([i % 4]).tolist() == [i % 4]
-        finally:
-            accountant_mod._ROW_CACHE_LIMIT = old_limit
-        assert accountant.rows_for_keys([0, 1]).tolist() == [0, 1]
 
 
 class TestFrozenBenchNames:

@@ -3,20 +3,9 @@
 import pytest
 
 from repro.core.accountant import BlockAccountant
-from repro.core.odometer import BasicOdometer, StrongOdometer, loss_dashboard
+from repro.core.odometer import StrongOdometer, loss_dashboard
 from repro.dp.budget import PrivacyBudget
 from repro.errors import InvalidBudgetError
-
-
-class TestBasicOdometer:
-    def test_exact_running_totals(self):
-        odo = BasicOdometer()
-        odo.record_all([PrivacyBudget(0.1, 1e-8), PrivacyBudget(0.3, 2e-8)])
-        assert odo.loss.epsilon == pytest.approx(0.4)
-        assert odo.loss.delta == pytest.approx(3e-8)
-
-    def test_empty_is_zero(self):
-        assert BasicOdometer().loss.is_zero
 
 
 class TestStrongOdometer:
@@ -126,9 +115,6 @@ class TestDashboard:
         for _ in range(10):
             acc.charge([0], PrivacyBudget(0.02, 1e-8))
         replays = []
-        monkeypatch.setattr(
-            BasicOdometer, "record", lambda self, b: replays.append(b)
-        )
         monkeypatch.setattr(
             StrongOdometer, "record", lambda self, b: replays.append(b)
         )

@@ -2,13 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.validation.bounds import (
     bernstein_upper_bound,
     binomial_lower_bound,
     binomial_upper_bound,
-    empirical_bernstein_upper_bound,
     hoeffding_deviation,
 )
 from repro.errors import ValidationError
@@ -53,15 +51,6 @@ class TestBernstein:
             bound = bernstein_upper_bound(float(sample.mean()), n, eta, 1.0)
             misses += bound < p
         assert misses / trials <= eta
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.integers(min_value=2, max_value=10_000),
-    )
-    @settings(max_examples=50)
-    def test_empirical_bernstein_dominates_mean(self, mean, n):
-        bound = empirical_bernstein_upper_bound(mean, 0.25, n, 0.05, 1.0)
-        assert bound >= mean
 
 
 class TestHoeffding:

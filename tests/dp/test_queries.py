@@ -10,9 +10,7 @@ from repro.dp.queries import (
     dp_group_by_sum,
     dp_histogram,
     dp_mean,
-    dp_quantile,
     dp_sum,
-    dp_variance,
 )
 from repro.errors import CalibrationError, DataError
 
@@ -34,7 +32,7 @@ class TestCount:
             dp_count(10, 0.0, rng)
 
 
-class TestSumMeanVariance:
+class TestSumMean:
     def test_sum_low_noise(self, rng):
         values = np.array([1.0, 2.0, 3.0])
         assert dp_sum(values, 0.0, 5.0, BIG_EPS, rng) == pytest.approx(6.0, abs=0.01)
@@ -53,15 +51,6 @@ class TestSumMeanVariance:
         for _ in range(50):
             out = dp_mean(values, 0.0, 1.0, 0.5, rng)
             assert 0.0 <= out <= 1.0
-
-    def test_variance_low_noise(self, rng):
-        values = np.array([0.0, 1.0] * 500)
-        assert dp_variance(values, 0.0, 1.0, BIG_EPS, rng) == pytest.approx(0.25, abs=0.01)
-
-    def test_variance_nonnegative(self, rng):
-        values = np.array([0.5] * 10)
-        for _ in range(50):
-            assert dp_variance(values, 0.0, 1.0, 1.0, rng) >= 0.0
 
     def test_empty_range_raises(self, rng):
         with pytest.raises(DataError):
@@ -100,29 +89,3 @@ class TestHistogramAndGroupBy:
     def test_group_by_shape_mismatch(self, rng):
         with pytest.raises(DataError):
             dp_group_by_sum(np.array([0, 1]), np.array([1.0]), 2, 1.0, 1.0, rng)
-
-
-class TestQuantile:
-    def test_median_low_noise(self, rng):
-        values = np.linspace(0, 100, 1001)
-        est = dp_quantile(values, 0.5, 0.0, 100.0, 50.0, rng)
-        assert abs(est - 50.0) < 3.0
-
-    def test_output_within_bounds(self, rng):
-        values = np.array([5.0, 6.0, 7.0])
-        for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            out = dp_quantile(values, q, 0.0, 10.0, 0.5, rng)
-            assert 0.0 <= out <= 10.0
-
-    def test_invalid_quantile(self, rng):
-        with pytest.raises(DataError):
-            dp_quantile(np.array([1.0]), 1.5, 0.0, 1.0, 1.0, rng)
-
-    def test_empirical_accuracy_median(self):
-        """With moderate eps and data, the DP median lands near the truth."""
-        rng = make_rng(5)
-        values = rng.normal(50.0, 10.0, size=5000)
-        estimates = [
-            dp_quantile(values, 0.5, 0.0, 100.0, 1.0, rng) for _ in range(20)
-        ]
-        assert abs(np.median(estimates) - 50.0) < 2.5

@@ -6,7 +6,6 @@ import pytest
 from repro.dp.sensitivity import (
     clip_rows_l2,
     clip_values,
-    count_sensitivity,
     l2_clip_factor,
     sum_sensitivity,
 )
@@ -14,9 +13,6 @@ from repro.errors import DataError
 
 
 class TestScalarSensitivities:
-    def test_count(self):
-        assert count_sensitivity() == 1.0
-
     @pytest.mark.parametrize(
         "lower,upper,expected",
         [(0.0, 1.0, 1.0), (-2.0, 1.0, 2.0), (-1.0, 3.0, 3.0), (0.0, 0.0, 0.0)],

@@ -5,11 +5,7 @@ import pytest
 
 from repro.errors import DataError
 from repro.ml.metrics import (
-    absolute_errors,
     accuracy,
-    log_loss,
-    log_losses,
-    mae,
     mse,
     squared_errors,
     zero_one_losses,
@@ -28,13 +24,6 @@ class TestRegressionMetrics:
         y = np.array([0.0, 1.0, 2.0])
         p = np.array([0.5, 0.5, 0.5])
         assert mse(y, p) == pytest.approx(np.mean((y - p) ** 2))
-
-    def test_mae(self):
-        assert mae([0.0, 2.0], [1.0, 0.0]) == 1.5
-
-    def test_absolute_errors_nonnegative(self, rng):
-        a, b = rng.normal(size=10), rng.normal(size=10)
-        assert np.all(absolute_errors(a, b) >= 0)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DataError):
@@ -55,20 +44,3 @@ class TestClassificationMetrics:
     def test_zero_one_losses(self):
         out = zero_one_losses([1, 0], [0, 0])
         assert np.array_equal(out, [1.0, 0.0])
-
-    def test_log_loss_confident_correct_is_small(self):
-        assert log_loss([1.0, 0.0], [0.999, 0.001]) < 0.01
-
-    def test_log_loss_confident_wrong_is_large(self):
-        assert log_loss([1.0], [0.001]) > 5.0
-
-    def test_log_losses_clip_extremes(self):
-        # probabilities of exactly 0/1 must not produce inf
-        out = log_losses([1.0, 0.0], [0.0, 1.0])
-        assert np.all(np.isfinite(out))
-
-    def test_log_loss_of_base_rate_equals_entropy(self):
-        y = np.array([1.0] * 30 + [0.0] * 70)
-        p = np.full(100, 0.3)
-        expected = -(0.3 * np.log(0.3) + 0.7 * np.log(0.7))
-        assert log_loss(y, p) == pytest.approx(expected, rel=1e-9)

@@ -1,15 +1,10 @@
-"""Feature transforms, encoders and splits."""
+"""Feature transforms and splits."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DataError
 from repro.ml.preprocessing import (
-    MinMaxScaler,
-    OneHotEncoder,
-    StandardScaler,
-    add_bias_column,
-    hash_buckets,
     scale_to_0_1,
     train_test_split,
 )
@@ -27,63 +22,6 @@ class TestScaleTo01:
     def test_bad_range(self):
         with pytest.raises(DataError):
             scale_to_0_1(np.array([1.0]), 5.0, 5.0)
-
-
-class TestScalers:
-    def test_minmax_columns(self):
-        scaler = MinMaxScaler(lower=[0.0, 10.0], upper=[1.0, 20.0])
-        out = scaler.transform(np.array([[0.5, 15.0]]))
-        assert np.allclose(out, [[0.5, 0.5]])
-
-    def test_standard_scaler_normalizes(self, rng):
-        X = rng.normal(3.0, 2.0, size=(5000, 2))
-        Z = StandardScaler().fit(X).transform(X)
-        assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(Z.std(axis=0), 1.0, atol=1e-9)
-
-    def test_standard_scaler_external_stats(self):
-        scaler = StandardScaler().set_statistics(mean=[1.0], std=[2.0])
-        assert np.allclose(scaler.transform(np.array([[3.0]])), [[1.0]])
-
-    def test_standard_scaler_unfit_raises(self):
-        with pytest.raises(DataError):
-            StandardScaler().transform(np.ones((2, 2)))
-
-
-class TestOneHot:
-    def test_output_dim(self):
-        enc = OneHotEncoder([3, 2])
-        assert enc.output_dim == 5
-
-    def test_rows_one_hot(self):
-        enc = OneHotEncoder([3, 2])
-        out = enc.transform(np.array([[2, 0], [1, 1]]))
-        assert np.array_equal(out, [[0, 0, 1, 1, 0], [0, 1, 0, 0, 1]])
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(DataError):
-            OneHotEncoder([2]).transform(np.array([[3]]))
-
-
-class TestHashing:
-    def test_deterministic(self):
-        a = hash_buckets(np.arange(100), 10)
-        b = hash_buckets(np.arange(100), 10)
-        assert np.array_equal(a, b)
-
-    def test_in_range(self):
-        out = hash_buckets(np.arange(10_000), 7)
-        assert out.min() >= 0 and out.max() < 7
-
-    def test_roughly_uniform(self):
-        out = hash_buckets(np.arange(70_000), 7)
-        counts = np.bincount(out, minlength=7)
-        assert counts.min() > 0.8 * 10_000
-
-    def test_salt_changes_assignment(self):
-        a = hash_buckets(np.arange(1000), 16, salt=0)
-        b = hash_buckets(np.arange(1000), 16, salt=1)
-        assert not np.array_equal(a, b)
 
 
 class TestSplit:
@@ -108,10 +46,3 @@ class TestSplit:
     def test_bad_fraction(self, rng):
         with pytest.raises(DataError):
             train_test_split(np.ones((4, 1)), np.ones(4), 1.5, rng)
-
-
-class TestBias:
-    def test_adds_ones_column(self):
-        out = add_bias_column(np.zeros((3, 2)))
-        assert out.shape == (3, 3)
-        assert np.all(out[:, -1] == 1.0)
