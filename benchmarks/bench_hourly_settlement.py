@@ -73,7 +73,9 @@ class SeedAdvanceLoop:
     A session here charges several attempts in one ``step()``, so the
     seed's allocation hook settled the pending attempts inside every read;
     each baseline builds its sessions with such a settle-then-read hook
-    through :meth:`_session`."""
+    through :meth:`_session`, and counts the attempts it has settled in
+    ``entry.settled_attempts`` (the platform settles each attempt on its
+    turn and needs no count)."""
 
     def submit(self, pipeline, config=None):
         entry = SubmittedPipeline(
@@ -83,6 +85,7 @@ class SeedAdvanceLoop:
             table_row=self._table.add_pipeline(),
             platform=self,
         )
+        entry.settled_attempts = 0
         entry.session = self._session(entry, config or AdaptiveConfig())
         self._pipelines.append(entry)
         self._waiting[entry.table_row] = entry
@@ -137,6 +140,16 @@ class PerSessionSage(SeedAdvanceLoop, Sage):
             new_block_epsilon_fn=self._new_block_share,
         )
 
+    def _settle_charges(self, entry):
+        """The seed's settle: deduct every attempt not yet settled, its
+        recorded window translated back to table columns."""
+        rows_for_keys = self.access.accountant.rows_for_keys
+        for record in entry.session.attempts[entry.settled_attempts:]:
+            self._table.settle(
+                entry.table_row, rows_for_keys(record.window), record.budget.epsilon
+            )
+        entry.settled_attempts = len(entry.session.attempts)
+
     def _settled_values(self, entry, rows):
         self._settle_charges(entry)
         return self._table.values(entry.table_row, rows)
@@ -148,7 +161,9 @@ class PerSessionSage(SeedAdvanceLoop, Sage):
 class LegacyWindowSession(AdaptiveSession):
     """The seed's window selection: a scalar allocation hook ``(window
     keys) -> epsilon``, asked key by key while walking the admitted blocks
-    newest first until the window fills."""
+    newest first until the window fills.  The hook is keyed, so this
+    session translates the store rows the library hands it to keys at
+    its own edge, and the window it picks back to rows."""
 
     def __init__(self, *args, epsilon_limit_fn, **kwargs):
         super().__init__(*args, **kwargs)
@@ -158,21 +173,22 @@ class LegacyWindowSession(AdaptiveSession):
         admitted = self.access.offer_recent_blocks(
             budget, len(self.access.accountant.store)  # every admitted block
         )
+        keys = self.access.accountant.keys_for_rows(admitted)
         window = []
-        for key in reversed(admitted):
+        for row, key in zip(reversed(admitted.tolist()), reversed(keys)):
             if self._epsilon_limit_fn([key]) + 1e-12 >= budget.epsilon:
-                window.append(key)
+                window.append(row)
                 if len(window) == self.window_blocks:
                     break
         if len(window) < self.window_blocks:
             return None
         window.reverse()
-        return window
+        return np.array(window, dtype=np.intp)
 
-    def _epsilon_limit(self, window):
+    def _epsilon_limit(self, rows):
         limit = min(
-            self.access.max_epsilon(window, self.delta),
-            self._epsilon_limit_fn(window),
+            self.access.max_epsilon(rows, self.delta),
+            self._epsilon_limit_fn(self.access.accountant.keys_for_rows(rows)),
         )
         return min(limit, self.config.epsilon_cap)
 
@@ -295,7 +311,10 @@ def check_platform_parity():
         for _ in range(40):
             sage.advance(1.0)
         outcomes.append(
-            [(e.status, e.release_time_hours, e.settled_attempts) for e in entries]
+            [
+                (e.status, e.release_time_hours, len(e.session.attempts))
+                for e in entries
+            ]
         )
     if outcomes[0] != outcomes[1]:
         raise AssertionError(

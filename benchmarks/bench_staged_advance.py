@@ -24,9 +24,14 @@ Run as a script (``PYTHONPATH=src python benchmarks/bench_staged_advance.py``);
 1.0: the staged hour must never lose), and ``--assert-assembly-speedup``
 gates the packed assembly win.
 
-The records keep the ``sharded_advance`` bench name and the
-``sharded_advance_s1`` case name they were first recorded under, so new
-runs extend the same ``results/perf_history.jsonl`` series.
+At the default size (200 pipelines x 5000 blocks) the records keep the
+``sharded_advance`` bench name and the ``sharded_advance_s1`` and
+``stream_assembly`` case names they were first recorded under, so new
+runs extend the same ``results/perf_history.jsonl`` series.  A run at any
+other size (CI's smoke runs 60 x 1500) records its cases under
+size-suffixed names (``sharded_advance_s1_p60_b1500``), so
+``perf-report --check`` never compares a small run with the default-size
+history.
 """
 
 import argparse
@@ -53,6 +58,15 @@ DEFAULT_BLOCKS = 5_000
 # Perf-history keys (see the module docstring).
 HISTORY_BENCH = "sharded_advance"
 ADVANCE_CASE = "sharded_advance_s1"
+ASSEMBLY_CASE = "stream_assembly"
+
+
+def history_case(name, n_pipelines, n_blocks):
+    """The perf-history case key of a run at this size: ``name`` at the
+    default size, ``name`` plus the size otherwise."""
+    if (n_pipelines, n_blocks) == (DEFAULT_PIPELINES, DEFAULT_BLOCKS):
+        return name
+    return f"{name}_p{n_pipelines}_b{n_blocks}"
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +199,7 @@ def run(n_pipelines, n_blocks, assert_speedup=0.0, assert_assembly=0.0):
     t_req, t_staged, speedup = bench_advance(n_pipelines, n_blocks)
     cases = [
         write_bench_json(
-            ADVANCE_CASE,
+            history_case(ADVANCE_CASE, n_pipelines, n_blocks),
             {"pipelines": n_pipelines, "blocks": n_blocks},
             t_req * 1e3,
             t_staged * 1e3,
@@ -200,7 +214,7 @@ def run(n_pipelines, n_blocks, assert_speedup=0.0, assert_assembly=0.0):
 
     a_slow, a_fast, a_speedup = bench_assembly(n_blocks)
     write_bench_json(
-        "stream_assembly",
+        history_case(ASSEMBLY_CASE, n_pipelines, n_blocks),
         {"blocks": n_blocks, "rows_per_block": 1},
         a_slow * 1e3,
         a_fast * 1e3,

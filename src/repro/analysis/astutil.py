@@ -48,7 +48,6 @@ MUTATOR_METHODS = frozenset(
         "complete",
         "wake",
         "_escalate",
-        "_settle_charges",
         "register_block",
         "register_blocks",
         "allocate",

@@ -18,8 +18,8 @@ Two-phase platform path (propose/settle)
 ----------------------------------------
 The platform validates each session proposal as it arrives but commits the
 whole hour in one batch: ``begin_staging()`` opens the stream accountant's
-staged-batch overlay, ``stage_request(keys, budget, label)`` validates and
-stages one proposal (raising exactly what ``request`` would, staging
+staged-batch overlay, ``stage_request(rows, keys, budget, label)`` validates
+and stages one proposal (raising exactly what ``request`` would, staging
 nothing on refusal), and ``commit_staged()`` lands everything staged in one
 bulk write (the accountant's ``commit_staged``: staging already validated
 each request against the totals ``request_many`` would check it against,
@@ -139,14 +139,17 @@ class SageAccessControl:
         count: int,
         principal: Optional[str] = None,
         row_filter=None,
-    ) -> List[object]:
-        """The newest ``count`` blocks that can absorb ``min_budget`` and pass
-        the caller's ``row_filter`` (store-row array -> boolean mask, one
-        pass), in chronological order."""
+    ) -> np.ndarray:
+        """Read-only store rows of the newest ``count`` blocks that can
+        absorb ``min_budget`` and pass the caller's ``row_filter`` (store-row
+        array -> boolean mask, one pass), in registration order."""
         self._check_principal(principal)
-        return self._accountant.usable_blocks_tail(
-            min_budget, count, row_filter=row_filter
-        )
+        rows = self._accountant.admit_rows(min_budget)
+        if row_filter is not None and rows.size:
+            rows = rows[np.asarray(row_filter(rows), dtype=bool)]
+        tail = rows[-count:] if count > 0 else rows[:0]
+        tail.setflags(write=False)
+        return tail
 
     def admit_rows(
         self, min_budget: Optional[PrivacyBudget], principal: Optional[str] = None
@@ -244,19 +247,21 @@ class SageAccessControl:
 
     def stage_request(
         self,
+        rows: np.ndarray,
         keys: Sequence[object],
         budget: PrivacyBudget,
         label: str = "",
         principal: Optional[str] = None,
     ) -> None:
-        """Validate and stage one charge against the open batch.
+        """Validate and stage one charge on the store ``rows`` against the
+        open batch; ``keys`` name the same blocks and are what it records.
 
         Refusals raise exactly what :meth:`request` would have raised and
         leave the batch untouched -- the caller turns them into a denied
         :class:`~repro.core.adaptive.ChargeDecision`.
         """
         self._check_principal(principal)
-        self._accountant.stage_charge(keys, budget, label)
+        self._accountant.stage_charge(rows, keys, budget, label)
 
     def commit_staged(self, principal: Optional[str] = None) -> List[ChargeRecord]:
         """Commit everything staged in one bulk write; the store ends exactly
@@ -275,11 +280,13 @@ class SageAccessControl:
         return self._accountant.pop_staged()
 
     def max_epsilon(
-        self, keys: Sequence[object], delta: float = 0.0, context: Optional[str] = None
+        self, rows: np.ndarray, delta: float = 0.0, context: Optional[str] = None
     ) -> float:
-        eps = self._accountant.max_epsilon(keys, delta)
+        """Largest epsilon all store ``rows`` can absorb (every ledger set
+        registers the same keys in the same order, so rows align)."""
+        eps = self._accountant.max_epsilon(rows, delta)
         if context is not None:
-            eps = min(eps, self._require_context(context).max_epsilon(keys, delta))
+            eps = min(eps, self._require_context(context).max_epsilon(rows, delta))
         return eps
 
     # ------------------------------------------------------------------

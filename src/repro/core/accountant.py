@@ -51,8 +51,8 @@ filtered by key.
 Filter API: the ``filter_factory`` runs once per accountant, and the one
 filter it builds makes every decision -- charges, ``charge_many`` batches,
 staged charges and the whole-stream scans (``admit_rows``,
-``usable_blocks``, ``usable_blocks_tail``, ``can_charge``, ``max_epsilon``,
-``retired_blocks``) and the ``stream_loss_bound`` report -- through its
+``usable_blocks``, ``can_charge``, ``max_epsilon``, ``retired_blocks``)
+and the ``stream_loss_bound`` report -- through its
 ``admits_batch`` / ``max_epsilon_batch`` / ``loss_bound_batch`` over store
 rows, the only decision forms a filter has (see ``repro.core.filters``).
 The guarantee needs ``admits_batch`` alone: ``charge``, ``charge_many``
@@ -88,16 +88,16 @@ propose them but commits the whole hour in one bulk write.  The accountant
 supports this with a :class:`StagedBatch` overlay opened by
 ``begin_staging()``:
 
-* ``stage_charge(keys, budget, label)`` validates a request against the
-  *effective* totals (committed store rows plus every earlier staged
+* ``stage_charge(rows, keys, budget, label)`` validates a request against
+  the *effective* totals (committed store rows plus every earlier staged
   charge, accumulated in request order with exactly ``charge_many``'s
   float operations) and records it without touching the store.  A refusal
   raises the same error ``charge`` would and stages nothing.
 * While a batch is open, every admissibility read (``admits_keys``,
   ``can_charge``, ``max_epsilon``, ``admit_rows`` and the keyed
-  ``usable_blocks``/``usable_blocks_tail`` over it) sees the effective
-  totals, so later proposers contend with earlier staged charges exactly
-  as they would with committed ones.  ``stream_loss_bound``
+  ``usable_blocks`` over it) sees the effective totals, so later
+  proposers contend with earlier staged charges exactly as they would
+  with committed ones.  ``stream_loss_bound``
   and the charge log keep reporting *committed* state only, and retirement
   is not persisted until the batch closes (scans still filter staged-retired
   blocks out).
@@ -131,6 +131,11 @@ Every accountant can stage, since every filter decides from the totals the
 overlay carries.  Mutating the accountant through
 ``charge``/``charge_many`` while a batch is open is an error, since the
 overlay could not see those writes.
+
+The hour reads and stages store rows (``admit_rows``, ``max_epsilon``,
+``stage_charge``); ``keys_for_rows`` builds a window's keys once, for what
+is recorded, and the keyed methods serve callers outside the hour, WAL
+replay's ``rows_for_keys`` among them.
 """
 
 from __future__ import annotations
@@ -408,8 +413,9 @@ class BlockAccountant:
 
     def attach_tracer(self, tracer) -> None:
         """Attach a telemetry probe (``NULL_PROBE`` detaches).  The probe
-        only ever *records* -- the batch span on ``charge_many`` -- so
-        attaching one cannot change any admission decision."""
+        only ever *records* -- the ``charge.batch`` span of
+        ``charge_many`` and of ``commit_staged`` -- so attaching one
+        cannot change any admission decision."""
         self._tracer = tracer
 
     @property
@@ -431,12 +437,15 @@ class BlockAccountant:
             ) from None
 
     def rows_for_keys(self, keys: Sequence[object]) -> np.ndarray:
-        """Store row indices (registration order) for the named keys.
-
-        This is the alignment contract the platform's ``ReservationTable``
-        relies on: its block columns are indexed by exactly these rows.
-        """
+        """Store row indices (registration order) for the named keys, the
+        index space of the platform's ``ReservationTable`` columns too: the
+        edge translation for keyed callers such as WAL replay."""
         return self._key_rows(keys)
+
+    def keys_for_rows(self, rows: np.ndarray) -> tuple:
+        """The registered keys of the store ``rows``, in row-array order
+        (a window's recorded names)."""
+        return tuple(map(self._keys.__getitem__, rows.tolist()))
 
     def _totals_view(self) -> np.ndarray:
         """Totals every admissibility read decides from: the committed store
@@ -446,7 +455,7 @@ class BlockAccountant:
         return self._store.totals
 
     # ------------------------------------------------------------------
-    # Staged batches (validate now, commit the hour in one charge_many)
+    # Staged batches (validate now, commit the hour in one commit_staged)
     # ------------------------------------------------------------------
     @property
     def staging_active(self) -> bool:
@@ -458,9 +467,9 @@ class BlockAccountant:
         (empty when no batch is open).
 
         This is what the durability layer writes ahead: the exact batch the
-        closing ``charge_many`` commit will land, captured *before*
-        the commit so a crash between WAL append and commit replays the
-        identical requests.
+        closing ``commit_staged`` will land, captured *before* the commit
+        so a crash between WAL append and commit replays the identical
+        requests (through ``charge_many``).
         """
         if self._staged is None:
             return []
@@ -515,25 +524,23 @@ class BlockAccountant:
             memo[floor] = (mask, admitted)
 
     def stage_charge(
-        self, keys: Sequence[object], budget: PrivacyBudget, label: str = ""
+        self, rows: np.ndarray, keys: Sequence, budget: PrivacyBudget, label: str = ""
     ) -> None:
         """Validate one request against the effective totals and stage it.
 
-        Raises exactly what :meth:`charge` would (``BlockRetiredError`` /
-        ``BudgetExceededError``) and stages nothing on refusal; on success
-        the request joins the batch and becomes visible to every subsequent
-        read and stage decision (intra-batch accumulation).  Only that
-        success re-decides the staged rows in the batch's scan memo: a
-        refusal moves no totals and leaves the memo as it is.
+        ``rows`` come from a scan (registered and distinct by construction);
+        ``keys`` name them and are recorded as given.  Raises exactly what
+        :meth:`charge` would (``BlockRetiredError`` / ``BudgetExceededError``)
+        and stages nothing on refusal; on success the request joins the
+        batch and becomes visible to every subsequent read and stage
+        decision (intra-batch accumulation).  Only that success re-decides
+        the staged rows in the batch's scan memo: a refusal moves no totals
+        and leaves the memo as it is.
         """
         if self._staged is None:
             raise InvalidBudgetError("no staged batch is open")
-        keys = list(keys)
-        if not keys:
+        if not len(rows):
             raise InvalidBudgetError("a charge must name at least one block")
-        if len(set(keys)) != len(keys):
-            raise InvalidBudgetError("duplicate block keys in one charge")
-        rows = self._key_rows(keys)
         eff = self._staged.effective_totals(len(self._store))
         self._refuse_unless_admitted(keys, eff[rows], budget)
         self._staged.add(rows, self._contribution(budget))
@@ -872,11 +879,10 @@ class BlockAccountant:
     # ------------------------------------------------------------------
     # Queries used by the platform / iterators (vectorized scans)
     # ------------------------------------------------------------------
-    def max_epsilon(self, keys: Sequence[object], delta: float = 0.0) -> float:
-        """Largest epsilon chargeable to *all* named blocks at once."""
-        if not keys:
+    def max_epsilon(self, rows: np.ndarray, delta: float = 0.0) -> float:
+        """Largest epsilon chargeable to *all* the store ``rows`` at once."""
+        if not len(rows):
             return 0.0
-        rows = self._key_rows(keys)
         return float(
             self._batch_filter.max_epsilon_batch(self._totals_view()[rows], delta)
         )
@@ -941,24 +947,6 @@ class BlockAccountant:
         """Keys of blocks that can still absorb ``min_budget`` (default: the
         retirement threshold), in registration order."""
         return [self._keys[i] for i in self.admit_rows(min_budget)]
-
-    def usable_blocks_tail(
-        self,
-        min_budget: Optional[PrivacyBudget],
-        count: int,
-        row_filter=None,
-    ) -> List[object]:
-        """The newest ``count`` usable blocks (chronological order) -- the
-        hot path of window selection, keyed over :meth:`admit_rows`;
-        ``row_filter`` is the caller's own filter (an ndarray of store
-        rows -> boolean mask, e.g. the platform's reservation check),
-        called once and only on rows that admitted the floor."""
-        if count <= 0:
-            return []
-        rows = self.admit_rows(min_budget)
-        if row_filter is not None and rows.size:
-            rows = rows[np.asarray(row_filter(rows), dtype=bool)]
-        return [self._keys[i] for i in rows[-count:]]
 
     def retired_blocks(self) -> List[object]:
         """Keys of retired blocks, in registration order."""

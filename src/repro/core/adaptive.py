@@ -167,11 +167,15 @@ class ChargeProposal:
     granted (the aggressive strategy raises it to everything available;
     conserve leaves it at the current schedule) -- deferring this mutation
     to the grant is what keeps a denied attempt side-effect free.
+
+    ``rows`` is the window as its scan found it (read-only store rows, what
+    the driver stages and settles); ``window`` holds their keys, built once.
     """
 
     session: "AdaptiveSession" = field(repr=False)
     attempt: int
     window: Tuple
+    rows: np.ndarray = field(repr=False, compare=False)
     budget: PrivacyBudget
     epsilon_after: float
     label: str = ""
@@ -254,8 +258,8 @@ class AdaptiveSession:
         self.total_spent: PrivacyBudget = ZERO_BUDGET
 
     # ------------------------------------------------------------------
-    def _candidate_window(self, budget: PrivacyBudget) -> Optional[List[object]]:
-        """The most recent ``window_blocks`` blocks that can fund ``budget``.
+    def _candidate_window(self, budget: PrivacyBudget) -> Optional[np.ndarray]:
+        """Rows of the newest ``window_blocks`` blocks that can fund ``budget``.
 
         A block qualifies when its ledger can absorb the charge AND this
         pipeline's own allocation on it covers the epsilon; blocks reserved
@@ -271,12 +275,12 @@ class AdaptiveSession:
             row_filter = (
                 lambda rows: self._row_budget_fn(rows) + 1e-12 >= budget.epsilon
             )
-        window = self.access.offer_recent_blocks(
+        rows = self.access.offer_recent_blocks(
             budget, self.window_blocks, row_filter=row_filter
         )
-        if len(window) < self.window_blocks:
+        if len(rows) < self.window_blocks:
             return None
-        return window
+        return rows
 
     def _new_block_rate(self) -> float:
         """Epsilon this session can expect on a freshly created block."""
@@ -286,7 +290,7 @@ class AdaptiveSession:
         return min(rate, self.config.epsilon_cap)
 
     def _select_attempt(self):
-        """Pick (window, epsilon) for the next attempt, or (None, None).
+        """Pick (window rows, epsilon) for the next attempt, or (None, None).
 
         An attempt fires only when a window of the committed size can fund
         the committed budget; otherwise the session waits for fresh blocks.
@@ -296,11 +300,11 @@ class AdaptiveSession:
         schedule still at epsilon_start but the platform granting less --
         where the attempt runs at the granted level, compensating with data.
         """
-        window = self._candidate_window(PrivacyBudget(self.epsilon, self.delta))
-        if window is not None:
-            available = self._epsilon_limit(window)
+        rows = self._candidate_window(PrivacyBudget(self.epsilon, self.delta))
+        if rows is not None:
+            available = self._epsilon_limit(rows)
             if available + 1e-12 >= self.epsilon:
-                return window, self.epsilon
+                return rows, self.epsilon
         # Contention fallback: when the schedule has not escalated yet, or
         # the allocation rate has since dropped below the committed epsilon
         # (more pipelines arrived), run with whatever is granted instead of
@@ -310,23 +314,22 @@ class AdaptiveSession:
             or self._new_block_rate() < self.epsilon - 1e-12
         )
         if under_contention:
-            window = self._candidate_window(
+            rows = self._candidate_window(
                 PrivacyBudget(self.epsilon_floor, self.delta)
             )
-            if window is not None:
-                available = self._epsilon_limit(window)
+            if rows is not None:
+                available = self._epsilon_limit(rows)
                 if available + 1e-12 >= self.epsilon_floor:
-                    return window, min(available, self.epsilon)
+                    return rows, min(available, self.epsilon)
         return None, None
 
-    def _epsilon_limit(self, window: List[object]) -> float:
-        """Largest epsilon this session may spend on the window right now:
+    def _epsilon_limit(self, rows: np.ndarray) -> float:
+        """Largest epsilon this session may spend on the window ``rows`` now:
         whatever the blocks can absorb, intersected with the platform's
         per-pipeline allocation (both strategies honour the even split of
         §5.4; they differ in how much of it each attempt consumes)."""
-        limit = self.access.max_epsilon(window, self.delta)
+        limit = self.access.max_epsilon(rows, self.delta)
         if self._row_budget_fn is not None:
-            rows = self.access.accountant.rows_for_keys(window)
             held = self._row_budget_fn(rows)
             limit = min(limit, float(held.min()) if held.size else 0.0)
         return min(limit, self.config.epsilon_cap)
@@ -408,19 +411,20 @@ class AdaptiveSession:
             return None, status
         if len(self.attempts) >= self.config.max_attempts:
             return None, SessionStatus.TIMEOUT
-        window, eps_attempt = self._select_attempt()
-        if window is None:
+        rows, eps_attempt = self._select_attempt()
+        if rows is None:
             return None, SessionStatus.NEED_DATA
         epsilon_after = self.epsilon
         if self.config.strategy == "aggressive":
             # Spend everything available on this window right away -- but
             # only commit the raised schedule once the charge is granted.
-            eps_attempt = max(eps_attempt, self._epsilon_limit(window))
+            eps_attempt = max(eps_attempt, self._epsilon_limit(rows))
             epsilon_after = max(self.epsilon, eps_attempt)
         proposal = ChargeProposal(
             session=self,
             attempt=len(self.attempts) + 1,
-            window=tuple(window),
+            window=self.access.accountant.keys_for_rows(rows),
+            rows=rows,
             budget=PrivacyBudget(eps_attempt, self.delta),
             epsilon_after=epsilon_after,
             label=self.pipeline.name,

@@ -132,11 +132,12 @@ State digest
    its C-order bytes;
 3. ``repr((n, crc))`` of the charge log, where ``crc`` chains ``repr``
    of each record's ``(epsilon, delta, block_keys, label)``;
-4. per pipeline, in submission order, ``repr`` of ``(name, status,
-   settled_attempts, release_time_hours, epsilon, window_blocks,
-   spent_epsilon, spent_delta, n, crc)``, where ``n``/``crc`` fold the
-   session's attempt records, each as ``repr`` of ``(attempt,
-   tuple(window), epsilon, delta, str(outcome), train_size)``.
+4. per pipeline, in submission order, ``repr`` of ``(name, status, n,
+   release_time_hours, epsilon, window_blocks, spent_epsilon,
+   spent_delta, n, crc)``, where ``n``/``crc`` fold the session's attempt
+   records, each as ``repr`` of ``(attempt, tuple(window), epsilon,
+   delta, str(outcome), train_size)``.  The first ``n`` keeps the slot
+   of a settled-attempt count that always equalled it.
 
 The charge log and the attempt lists are append-only, so their running
 CRCs are memoized on the platform, and so is each pipeline's encoded
@@ -865,7 +866,7 @@ def state_digest(sage) -> int:
         scalars = (
             entry.name,
             entry.status,
-            entry.settled_attempts,
+            n_attempts,
             entry.release_time_hours,
             session.epsilon,
             session.window_blocks,
@@ -903,7 +904,7 @@ def build_snapshot_payload(sage, hours_committed: int) -> dict:
             "name": entry.name,
             "submit_time_hours": entry.submit_time_hours,
             "release_time_hours": entry.release_time_hours,
-            "settled_attempts": entry.settled_attempts,
+            "settled_attempts": len(entry.session.attempts),  # all settle
             "status": entry.session.status,
             "epsilon": entry.session.epsilon,
             "epsilon_floor": entry.session.epsilon_floor,
@@ -953,7 +954,6 @@ def restore_entry_state(entry, state: dict) -> None:
     session.final_run = None
     entry.submit_time_hours = state["submit_time_hours"]
     entry.release_time_hours = state["release_time_hours"]
-    entry.settled_attempts = state["settled_attempts"]
     entry.bundle = None
 
 

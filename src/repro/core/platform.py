@@ -38,8 +38,15 @@ of a sequential ``charge`` (and of ``charge_many``, which WAL replay
 commits the recorded batch through), so the hour is observationally
 identical to the per-session sequential charges and needs no second
 validation.  Each granted attempt's reservation deduction
-settles right after its ``complete()``, so a session reads its allocation
-through ``row_budget_fn`` as a pure read of the reservation table.
+settles right after its ``complete()``, on the proposal's own store rows,
+so a session reads its allocation through ``row_budget_fn`` as a pure
+read of the reservation table.
+
+From the admit scan to that settle a window is the read-only row array
+the scan returned; the proposal builds its keys once, for what is
+recorded (the staged request, hence the WAL and the charge log, and the
+attempt record) and for ``database.assemble``.  Only WAL replay turns
+recorded keys back into rows.
 
 There is no other drive.  Every stream can stage, because every filter
 decides from its totals rows alone, and per-context policies do not
@@ -72,17 +79,17 @@ Block composition makes every admit decision per-block arithmetic on
 running totals, so inside one staged hour the only thing that can change a
 session's proposal is a charge staged earlier in that hour.  The
 accountant memoizes whole-stream admit scans per floor budget for as long
-as the hour's staged batch is open and drops the memo only when a charge
-is actually staged (or a block is registered or rolled back): a queue of
-blocked sessions at one floor shares a single scan, and every decision is
-identical to rescanning.  Sessions are driven serially in submission
-order (they share one RNG stream).
+as the hour's staged batch is open; a stage re-decides only the rows it
+staged, and only a block registration or rollback drops the memo.  A
+queue of blocked sessions at one floor shares a single scan, and every
+decision is identical to rescanning.  Sessions are driven serially in
+submission order (they share one RNG stream).
 
 Blocked sessions
 ----------------
 Past the knee of Fig. 8 most waiting sessions are parked in NEED_DATA,
-and a window search (``propose_peek``) costs up to two scans, budget and
-key-list builds and an allocation-rate read over every pipeline.  Before
+and a window search (``propose_peek``) costs up to two scans, budget
+builds and an allocation-rate read over every pipeline.  Before
 a session's first proposal of the hour the drive settles its blocked
 verdict, which is True when fewer than ``window_blocks`` store rows both
 admit the session's lowest attemptable epsilon and hold that epsilon in
@@ -144,13 +151,13 @@ Per-pipeline epsilon reservations live in one contiguous
 :class:`ReservationTable`: a pipelines x blocks float64 matrix whose rows
 are pipelines (in submission order) and whose columns are aligned to the
 stream accountant's :class:`~repro.core.accountant.LedgerStore` rows (i.e.
-block registration order -- ``BlockAccountant.rows_for_keys`` is the shared
-index space).  Hourly allocation, free-pool grants, redistribution of a
-finished pipeline's leftovers, and settlement of a session's charges are
+block registration order: a scan's row array indexes both).  Hourly
+allocation, free-pool grants, redistribution of a finished pipeline's
+leftovers, and settlement of a granted attempt on its proposal's rows are
 each a single NumPy row/column operation (a redistribution: one slice add
 per run of consecutive waiting rows) instead of O(pipelines x blocks)
 dict loops, and the allocation check during window selection reaches the
-accountant's tail scan as a vectorized ``row_filter``.
+window scan (``offer_recent_blocks``) as a vectorized ``row_filter``.
 """
 
 from __future__ import annotations
@@ -382,8 +389,6 @@ class SubmittedPipeline:
     # Row of the platform's ReservationTable holding this pipeline's
     # per-block epsilon reservations.
     table_row: int = -1
-    # Number of session attempts already deducted from reservations.
-    settled_attempts: int = 0
     platform: Optional["Sage"] = field(default=None, repr=False)
 
     @property
@@ -660,20 +665,6 @@ class Sage:
         """Hand any unreserved budget to newly waiting pipelines."""
         self._table.grant_free(self._waiting_rows())
 
-    def _settle_charges(self, entry: SubmittedPipeline) -> None:
-        """Deduct the session's unsettled attempts from its reservations:
-        one clamped ``ReservationTable.settle`` per attempt, in attempt
-        order (the seed's loop).  The drive and the WAL replay both call it
-        right after every attempt, so ``row_budget_fn`` reads a settled row
-        and never settles itself."""
-        attempts = entry.session.attempts
-        rows_for_keys = self.access.accountant.rows_for_keys
-        for record in attempts[entry.settled_attempts:]:
-            self._table.settle(
-                entry.table_row, rows_for_keys(record.window), record.budget.epsilon
-            )
-        entry.settled_attempts = len(attempts)
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Close the WAL handle and detach the fault observer.  Idempotent;
@@ -806,9 +797,9 @@ class Sage:
         against the hour's staged batch, its window assembled, and the
         decision fed back; a refusal becomes a denied decision, so the
         session blocks on NEED_DATA with escalation state untouched
-        instead of the refusal propagating.  A granted attempt settles
-        into the reservation table right after its ``complete()``, before
-        the session proposes again.
+        instead of the refusal propagating.  A granted attempt settles its
+        proposal's rows into the reservation table right after its
+        ``complete()``, before the session proposes again.
         """
         session = entry.session
         session.wake()
@@ -828,7 +819,9 @@ class Sage:
             window = list(proposal.window)
             granted = True
             try:
-                self.access.stage_request(window, proposal.budget, label=entry.name)
+                self.access.stage_request(
+                    proposal.rows, window, proposal.budget, label=entry.name
+                )
             except (BlockRetiredError, BudgetExceededError):
                 granted = False
             metrics.inc(
@@ -849,7 +842,10 @@ class Sage:
                     batch=self.database.assemble(window) if granted else None,
                 )
             )
-            self._settle_charges(entry)
+            if granted:
+                self._table.settle(
+                    entry.table_row, proposal.rows, proposal.budget.epsilon
+                )
 
     def advance(self, hours: float = 1.0) -> List[ReleasedBundle]:
         """Move the clock one transactional hour: ingest, allocate, drive
@@ -1073,7 +1069,6 @@ class Sage:
                         "n_attempts": len(session.attempts),
                         "total_spent": session.total_spent,
                         "final_run": session.final_run,
-                        "settled_attempts": entry.settled_attempts,
                         "release_time_hours": entry.release_time_hours,
                         "bundle": entry.bundle,
                     },
@@ -1112,7 +1107,6 @@ class Sage:
             session.total_spent = pre["total_spent"]
             session.final_run = pre["final_run"]
             del session.attempts[pre["n_attempts"]:]
-            entry.settled_attempts = pre["settled_attempts"]
             entry.release_time_hours = pre["release_time_hours"]
             entry.bundle = pre["bundle"]
         self._waiting = txn["waiting"]
@@ -1137,7 +1131,7 @@ class Sage:
                     "delta": session.delta,
                     "window_blocks": session.window_blocks,
                     "total_spent": session.total_spent,
-                    "settled_attempts": entry.settled_attempts,
+                    "settled_attempts": len(session.attempts),  # all settle
                     "release_time_hours": entry.release_time_hours,
                     "attempts": durability._attempt_tuples(
                         session.attempts[pre["n_attempts"]:]
@@ -1288,7 +1282,8 @@ class Sage:
         Re-ingests the hour's stream slice under the recorded pre-hour
         clock/RNG (regenerating the same blocks), re-applies each
         session's recorded attempts with a settle after every one (the
-        drive's own cadence, so the settle calls are the same),
+        drive's own cadence and settle calls, on the recorded windows'
+        rows),
         redistributes exactly where the drive would have, and lands the
         hour's charges through one ``request_many`` call, whose
         validation accumulates them with the same float operations the
@@ -1316,6 +1311,7 @@ class Sage:
                 f"WAL hour {record['hour_index']}: re-ingested block keys "
                 "do not match the recorded hour (different stream source?)"
             )
+        rows_for_keys = accountant.rows_for_keys
         for delta in record["deltas"]:
             entry = self._pipelines[delta["index"]]
             session = entry.session
@@ -1331,14 +1327,15 @@ class Sage:
                 )
                 # Settle after every attempt, as the drive does after
                 # every complete(): the same settle calls in the same order.
-                self._settle_charges(entry)
+                self._table.settle(
+                    entry.table_row, rows_for_keys(window), budget.epsilon
+                )
             session.status = SessionStatus.canonical(delta["status"])
             session.epsilon = delta["epsilon"]
             session.epsilon_floor = delta["epsilon_floor"]
             session.delta = delta["delta"]
             session.window_blocks = delta["window_blocks"]
             session.total_spent = delta["total_spent"]
-            entry.settled_attempts = delta["settled_attempts"]
             entry.release_time_hours = delta["release_time_hours"]
             if session.is_terminal:
                 self._waiting.pop(entry.table_row)

@@ -13,9 +13,9 @@ byte-identical.
 
 Reservation state is pure from the first call: on a platform session the
 peek reads its allocation through ``row_budget_fn`` and never settles, so
-the reservation table and the settled-attempt count stay put even right
-after a granted ``complete()``.  Only the documented memo caches (row-key
-memo, staged effective-totals growth) may fill on the first call, and the
+the reservation table and the session's attempts stay put even right
+after a granted ``complete()``.  Only the documented memo caches (the
+scan memo, staged effective-totals growth) may fill on the first call, and the
 linter's allow comments cover exactly those; so the whole-graph fingerprint
 is compared from the second call on.
 """
@@ -206,7 +206,7 @@ class TestPlatformAllocationReadIsPure:
     def test_peek_after_granted_complete_settles_nothing(self):
         """Mid-hour, right after a granted ``complete()`` and before the
         session's next proposal, the first ``propose_peek`` leaves the
-        reservation table and the settled-attempt count untouched."""
+        reservation table and the session's attempts untouched."""
         sage = Sage(CountStreamSource(4000, scale=1000), seed=5)
         entry = sage.submit(
             OraclePipeline(name="p0", n_at_eps1=1e9), AdaptiveConfig(max_attempts=16)
@@ -220,10 +220,9 @@ class TestPlatformAllocationReadIsPure:
             if len(session.attempts) > seen_attempts:  # a granted complete() ran
                 seen_attempts = len(session.attempts)
                 matrix = sage.reservation_table.matrix.tobytes()
-                settled = entry.settled_attempts
                 session.propose_peek()
                 assert sage.reservation_table.matrix.tobytes() == matrix
-                assert entry.settled_attempts == settled
+                assert len(session.attempts) == seen_attempts
                 checks += 1
             return propose()
 
@@ -274,7 +273,7 @@ class TestBlockedVerdictIsPure:
         access.begin_staging()
         try:
             key = access.accountant.block_keys[0]
-            access.stage_request([key], PrivacyBudget(0.01, 0.0))
+            access.stage_request([0], [key], PrivacyBudget(0.01, 0.0))
             verdicts = [
                 assert_read_leaves_no_trace(
                     "provably_blocked", e.session, (access, sage.reservation_table)
@@ -302,7 +301,7 @@ class TestBlockedVerdictIsPure:
         access.begin_staging()
         try:
             key = access.accountant.block_keys[0]
-            access.stage_request([key], PrivacyBudget(0.01, 0.0))
+            access.stage_request([0], [key], PrivacyBudget(0.01, 0.0))
             parked = assert_read_leaves_no_trace(
                 "_decide_parked",
                 sage,
@@ -333,10 +332,10 @@ class TestBlockedVerdictIsPure:
             hour_pass = sage._decide_parked(entries)
             assert hour_pass.floors, "no floor was counted: nothing was checked"
             # Spend what every block still has, down to under the floors.
-            for key in access.accountant.block_keys:
-                eps = access.accountant.max_epsilon([key], 0.0)
+            for row, key in enumerate(access.accountant.block_keys):
+                eps = access.accountant.max_epsilon([row], 0.0)
                 if eps > 0.0:
-                    access.stage_request([key], PrivacyBudget(eps, 0.0))
+                    access.stage_request([row], [key], PrivacyBudget(eps, 0.0))
             assert any(
                 access.admit_rows(group.floor) is not group.admitted
                 for group in hour_pass.floors

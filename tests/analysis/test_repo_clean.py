@@ -19,7 +19,7 @@ LINT_PATHS = ["src", "tests", "benchmarks"]
 
 # A line unique to AdaptiveSession.propose_peek (and _peek-only helpers
 # would not do: the splice must land on the pure path itself).
-ANCHOR = "window, eps_attempt = self._select_attempt()"
+ANCHOR = "rows, eps_attempt = self._select_attempt()"
 
 
 def test_repo_is_clean_under_all_rules():

@@ -64,7 +64,7 @@ class TestACLs:
             ac.offer_recent_blocks(floor, 1, principal="ads-team")
         with pytest.raises(AccessDeniedError):
             ac.offer_recent_blocks(floor, 1)  # an ACL needs a named principal
-        assert ac.offer_recent_blocks(floor, 1, principal="fraud-team") == [1]
+        assert ac.offer_recent_blocks(floor, 1, principal="fraud-team").tolist() == [1]
 
     def test_no_acl_means_open(self, access):
         assert access.offer_blocks(principal=None) == [0, 1, 2]
@@ -112,7 +112,8 @@ class TestContexts:
         access.register_blocks([10, 11, 12])
         assert access.offer_blocks() == [0, 1, 2, 10, 11, 12]
         access.request([10, 11], PrivacyBudget(0.2, 0.0), context="dev-a")
-        assert access.max_epsilon([10], 0.0, context="dev-a") == pytest.approx(0.3)
+        rows = access.accountant.rows_for_keys([10])
+        assert access.max_epsilon(rows, 0.0, context="dev-a") == pytest.approx(0.3)
 
     def test_failed_batch_registration_keeps_ledger_sets_consistent(self, access):
         """A mid-batch duplicate must not leave blocks registered in the

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from per_request_oracle import PerLedgerReference, block_histories
+from per_request_oracle import PerLedgerReference, block_histories, stage_keys
 
+from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_DELTA, TOT_EPS, BlockAccountant
 from repro.core.filters import BasicCompositionFilter, StrongCompositionFilter
 from repro.dp.budget import PrivacyBudget
@@ -191,59 +192,69 @@ class TestStreamBound:
 
 
 class TestTailScan:
-    def test_tail_returns_newest_first_in_chrono_order(self, accountant):
-        tail = accountant.usable_blocks_tail(PrivacyBudget(0.1, 0.0), 2)
-        assert tail == [2, 3]
+    """The window tail: ``SageAccessControl.offer_recent_blocks`` over the
+    accountant's ``admit_rows`` returns store rows, and the proposal's
+    keys are those rows' keys."""
 
-    def test_tail_skips_drained_blocks(self, accountant):
-        accountant.charge([3], PrivacyBudget(1.0, 1e-6))
-        tail = accountant.usable_blocks_tail(PrivacyBudget(0.5, 0.0), 2)
-        assert tail == [1, 2]
+    @pytest.fixture
+    def access(self):
+        access = SageAccessControl(1.0, 1e-6)
+        access.register_blocks([0, 1, 2, 3])
+        return access
 
-    def test_tail_respects_row_filter(self, accountant):
-        tail = accountant.usable_blocks_tail(
-            PrivacyBudget(0.1, 0.0), 3, row_filter=lambda rows: rows % 2 == 0
+    @staticmethod
+    def _tail(access, floor, count, row_filter=None):
+        rows = access.offer_recent_blocks(floor, count, row_filter=row_filter)
+        assert not rows.flags.writeable
+        return list(access.accountant.keys_for_rows(rows))
+
+    def test_tail_returns_newest_first_in_chrono_order(self, access):
+        assert self._tail(access, PrivacyBudget(0.1, 0.0), 2) == [2, 3]
+
+    def test_tail_skips_drained_blocks(self, access):
+        access.request([3], PrivacyBudget(1.0, 1e-6))
+        assert self._tail(access, PrivacyBudget(0.5, 0.0), 2) == [1, 2]
+
+    def test_tail_respects_row_filter(self, access):
+        tail = self._tail(
+            access, PrivacyBudget(0.1, 0.0), 3, row_filter=lambda rows: rows % 2 == 0
         )
         assert tail == [0, 2]
 
-    def test_row_filter_sees_only_rows_that_admit_the_floor(self, accountant):
-        accountant.charge([1], PrivacyBudget(1.0, 1e-6))
+    def test_row_filter_sees_only_rows_that_admit_the_floor(self, access):
+        access.request([1], PrivacyBudget(1.0, 1e-6))
         seen = []
 
         def row_filter(rows):
             seen.append(rows.tolist())
             return np.ones(rows.shape, dtype=bool)
 
-        tail = accountant.usable_blocks_tail(
-            PrivacyBudget(0.5, 0.0), 4, row_filter=row_filter
-        )
+        tail = self._tail(access, PrivacyBudget(0.5, 0.0), 4, row_filter=row_filter)
         assert seen == [[0, 2, 3]]
         assert tail == [0, 2, 3]
 
-    def test_row_filter_not_called_when_no_row_admits(self, accountant):
+    def test_row_filter_not_called_when_no_row_admits(self, access):
         def row_filter(rows):
             raise AssertionError(f"row filter called on {rows!r}")
 
-        tail = accountant.usable_blocks_tail(
-            PrivacyBudget(2.0, 0.0), 2, row_filter=row_filter
-        )
+        tail = self._tail(access, PrivacyBudget(2.0, 0.0), 2, row_filter=row_filter)
         assert tail == []
 
     def test_row_filter_tail_keeps_newest_in_chrono_order(self):
-        acc = BlockAccountant(1.0, 1e-6)
-        acc.register_blocks([f"b{i}" for i in range(8)])
-        tail = acc.usable_blocks_tail(
+        access = SageAccessControl(1.0, 1e-6)
+        access.register_blocks([f"b{i}" for i in range(8)])
+        rows = access.offer_recent_blocks(
             PrivacyBudget(0.1, 0.0), 2, row_filter=lambda rows: rows % 2 == 0
         )
-        assert tail == ["b4", "b6"]
+        assert rows.tolist() == [4, 6]
+        assert access.accountant.keys_for_rows(rows) == ("b4", "b6")
 
-    def test_tail_short_when_not_enough(self, accountant):
-        tail = accountant.usable_blocks_tail(PrivacyBudget(0.1, 0.0), 99)
-        assert tail == [0, 1, 2, 3]
+    def test_tail_short_when_not_enough(self, access):
+        assert self._tail(access, PrivacyBudget(0.1, 0.0), 99) == [0, 1, 2, 3]
 
-    def test_tail_zero_count_is_empty(self, accountant):
-        assert accountant.usable_blocks_tail(PrivacyBudget(0.1, 0.0), 0) == []
-        assert accountant.usable_blocks_tail(None, -1) == []
+    def test_tail_zero_count_is_empty(self, access):
+        assert self._tail(access, PrivacyBudget(0.1, 0.0), 0) == []
+        assert self._tail(access, None, -1) == []
 
 
 class TestLedgerStore:
@@ -369,7 +380,7 @@ class TestBatchedScansMatchScalar:
         with pytest.raises(BudgetExceededError):
             acc.charge([0], PrivacyBudget(0.3, 0.0))
         acc.begin_staging()
-        acc.stage_charge([0], PrivacyBudget(0.25, 0.0))
+        stage_keys(acc, [0], PrivacyBudget(0.25, 0.0))
         acc.charge_many(acc.pop_staged())
         assert acc.store.totals[0, TOT_EPS] == pytest.approx(0.25)
 
@@ -394,7 +405,7 @@ class TestBatchedScansMatchScalar:
             acc.charge_many([([0], PrivacyBudget(0.1, 0.0)), ([1], oversized)])
         acc.begin_staging()
         with pytest.raises(BudgetExceededError):
-            acc.stage_charge([0, 1], oversized)
+            stage_keys(acc, [0, 1], oversized)
         committed = acc.commit_staged()
         assert committed == []
         assert not acc.store.totals.any() and acc.charges == []
@@ -412,7 +423,8 @@ class TestBatchedScansMatchScalar:
                 side.charge([2, 4], PrivacyBudget(0.2, 0.0))
             keys = [0, 2, 4]
             scalar = ref.max_epsilon(keys, 0.0)
-            assert acc.max_epsilon(keys, 0.0) == pytest.approx(scalar, abs=1e-9)
+            limit = acc.max_epsilon(acc.rows_for_keys(keys), 0.0)
+            assert limit == pytest.approx(scalar, abs=1e-9)
 
 
 def _store_state(acc):
@@ -572,8 +584,9 @@ def test_property_no_block_ever_exceeds_global(charges):
 
 
 class TestKeyRows:
-    """rows_for_keys translates a window into store rows (registration
-    order), the index space the platform's ReservationTable shares."""
+    """rows_for_keys translates a keyed window into store rows
+    (registration order), the index space the platform's ReservationTable
+    shares; keys_for_rows goes the other way."""
 
     def test_distinct_windows_distinct_rows(self, accountant):
         assert accountant.rows_for_keys([0, 2]).tolist() == [0, 2]
@@ -590,6 +603,16 @@ class TestKeyRows:
             accountant.rows_for_keys([1, 77])
         accountant.register_block(77)
         assert accountant.rows_for_keys([1, 77]).tolist() == [1, 4]
+
+    def test_keys_for_rows_inverts_rows_for_keys(self):
+        acc = BlockAccountant(1.0, 1e-6)
+        acc.register_blocks(["a", "b", "c"])
+        rows = acc.rows_for_keys(["c", "a"])
+        assert acc.keys_for_rows(rows) == ("c", "a")
+        assert acc.keys_for_rows(rows[:0]) == ()
+        # The registered key objects themselves, not copies.
+        key = acc.block_keys[1]
+        assert acc.keys_for_rows(np.array([1]))[0] is key
 
 
 class TestFrozenBenchNames:

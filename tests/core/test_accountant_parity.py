@@ -18,7 +18,7 @@ match the references byte for byte.
 
 import numpy as np
 import pytest
-from per_request_oracle import PerLedgerReference
+from per_request_oracle import PerLedgerReference, stage_keys
 
 from repro.core.accountant import BlockAccountant
 from repro.core.filters import (
@@ -109,15 +109,13 @@ class TestVectorizedMatchesExactPath:
         vector, scalar = _charged_pair(filter_name, seed)
         for probe in (PrivacyBudget(0.05, 1e-9), PrivacyBudget(0.3, 0.0)):
             assert vector.usable_blocks(probe) == scalar.usable_blocks(probe)
-            assert vector.usable_blocks_tail(probe, 5) == scalar.usable_blocks_tail(
-                probe, 5
-            )
             assert np.array_equal(
                 vector.admits_keys(vector.block_keys, probe),
                 scalar.admits_keys(scalar.block_keys, probe),
             )
         for keys in ([0], list(range(8)), list(range(16))):
-            assert vector.max_epsilon(keys, 1e-9) == scalar.max_epsilon(keys, 1e-9)
+            rows = vector.rows_for_keys(keys)
+            assert vector.max_epsilon(rows, 1e-9) == scalar.max_epsilon(keys, 1e-9)
         # The scans above persist retirements on both sides alike.
         assert _fingerprint(vector) == scalar.fingerprint()
 
@@ -125,7 +123,7 @@ class TestVectorizedMatchesExactPath:
         vector, scalar = _charged_pair(filter_name, seed=3)
         for key in (1, 5, 11):
             # The largest admissible charge drains the block.
-            drain = PrivacyBudget(vector.max_epsilon([key]), 0.0)
+            drain = PrivacyBudget(vector.max_epsilon(vector.rows_for_keys([key])), 0.0)
             vector.charge([key], drain)
             scalar.charge([key], drain)
         retired = [k for k in scalar.block_keys if scalar.is_retired(k)]
@@ -154,15 +152,16 @@ class TestVectorizedMatchesExactPath:
         ]
         staged.begin_staging()
         for keys, budget, label in requests:
-            staged.stage_charge(keys, budget, label)
+            stage_keys(staged, keys, budget, label)
         with pytest.raises(BudgetExceededError):
-            staged.stage_charge([2], PrivacyBudget(0.5, 0.0))
+            stage_keys(staged, [2], PrivacyBudget(0.5, 0.0))
         for keys, budget, label in requests:
             sequential.charge(keys, budget, label=label)
         # Overlay reads see exactly the spend the sequential side committed.
         for probe in (PrivacyBudget(0.2, 0.0), PrivacyBudget(0.05, 1e-9)):
             assert staged.usable_blocks(probe) == sequential.usable_blocks(probe)
-        assert staged.max_epsilon([2, 3]) == sequential.max_epsilon([2, 3])
+        rows = staged.rows_for_keys([2, 3])
+        assert staged.max_epsilon(rows) == sequential.max_epsilon(rows)
         staged.charge_many(staged.pop_staged())
         assert _fingerprint(staged) == _fingerprint(sequential)
 

@@ -35,7 +35,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from per_request_oracle import arrival_schedule, durable_drive, forced_poll_drive
+from per_request_oracle import (
+    arrival_schedule,
+    durable_drive,
+    forced_poll_drive,
+    stage_keys,
+)
 
 from repro.core import faults
 from repro.core.access_control import SageAccessControl
@@ -115,7 +120,7 @@ class TestVerdictIsSound:
                 label="staged charges",
             ):
                 try:
-                    access.stage_request([key], PrivacyBudget(eps, 0.0))
+                    stage_keys(access, [key], PrivacyBudget(eps, 0.0))
                 except REFUSALS:
                     pass
         start = data.draw(st.sampled_from([1 / 64, 1 / 16, 1 / 4]), label="start")
@@ -328,7 +333,7 @@ def checked_pass(injections=(), fail_turn=None):
         for blocks, budget in plan.get(turn, ()):
             keys = self.access.accountant.block_keys[-blocks:]
             try:
-                self.access.stage_request(keys, budget, label="injected")
+                stage_keys(self.access, keys, budget, label="injected")
             except REFUSALS:
                 seen["refused"] += 1
         if turn == fail_turn:
@@ -449,7 +454,7 @@ class TestPassInvalidation:
         return sage, entry
 
     def _exhaust(self, sage, key):
-        sage.access.stage_request([key], PrivacyBudget(0.999, 0.0))
+        stage_keys(sage.access, [key], PrivacyBudget(0.999, 0.0))
 
     def _verdict(self, sage, hour_pass, entry):
         """The standing verdict after the per-stage check (``None`` when
@@ -504,8 +509,10 @@ class TestPassInvalidation:
         try:
             hour_pass = sage._decide_parked([entry])
             (group,) = hour_pass.floors
-            sage.access.stage_request(
-                sage.access.accountant.block_keys[:1], PrivacyBudget(0.01, 0.0)
+            stage_keys(
+                sage.access,
+                sage.access.accountant.block_keys[:1],
+                PrivacyBudget(0.01, 0.0),
             )
             assert sage.access.admit_rows(group.floor) is group.admitted
             assert self._verdict(sage, hour_pass, entry) is False

@@ -1063,9 +1063,6 @@ COMPONENTS = {
     "appended-charge": _append_charge,
     "replaced-attempt": _replace_attempt,
     "status": lambda s: _mutate(_busiest(s).session, "status", "timeout"),
-    "settled-attempts": lambda s: _mutate(
-        _busiest(s), "settled_attempts", _busiest(s).settled_attempts + 1
-    ),
     "release-time": lambda s: _mutate(_busiest(s), "release_time_hours", 123.0),
     "epsilon": lambda s: _mutate(
         _busiest(s).session, "epsilon", _busiest(s).session.epsilon * 2

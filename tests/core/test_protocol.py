@@ -22,6 +22,7 @@ from per_request_oracle import (
     durable_drive,
     fresh_scan_drive,
     per_request_drive,
+    stage_keys,
 )
 
 from repro.core import faults
@@ -67,7 +68,6 @@ def _fingerprint(sage: Sage):
         ],
         "statuses": [e.status for e in entries],
         "release_times": [e.release_time_hours for e in entries],
-        "settled": [e.settled_attempts for e in entries],
         "totals": sage.access.accountant.store.totals.tobytes(),
         "live": sage.access.accountant.store.live.tobytes(),
         "reservations": sage.reservation_table.matrix.tobytes(),
@@ -209,7 +209,7 @@ class TestStagedBatch:
         ]
         staged_acc.begin_staging()
         for keys, budget, label in requests:
-            staged_acc.stage_charge(keys, budget, label)
+            stage_keys(staged_acc, keys, budget, label)
         # Nothing committed while staged...
         assert staged_acc.charges == []
         # ... but reads see the staged spend.
@@ -225,9 +225,9 @@ class TestStagedBatch:
     def test_stage_refusal_stages_nothing(self):
         acc = self._accountant()
         acc.begin_staging()
-        acc.stage_charge([0, 1], PrivacyBudget(0.8, 0.0))
+        stage_keys(acc, [0, 1], PrivacyBudget(0.8, 0.0))
         with pytest.raises(BudgetExceededError):
-            acc.stage_charge([1, 2], PrivacyBudget(0.5, 0.0))
+            stage_keys(acc, [1, 2], PrivacyBudget(0.5, 0.0))
         # The refused request is absent; the earlier one still commits.
         records = acc.charge_many(acc.pop_staged())
         assert len(records) == 1
@@ -237,7 +237,7 @@ class TestStagedBatch:
         acc = self._accountant()
         acc.begin_staging()
         assert acc.max_epsilon([0]) == pytest.approx(1.0)
-        acc.stage_charge([0], PrivacyBudget(0.6, 0.0))
+        stage_keys(acc, [0], PrivacyBudget(0.6, 0.0))
         assert acc.max_epsilon([0]) == pytest.approx(0.4)
         assert acc.usable_blocks(PrivacyBudget(0.5, 0.0)) == [1, 2, 3, 4, 5]
         acc.pop_staged()
@@ -259,7 +259,7 @@ class TestStagedBatch:
     def test_staged_retirement_not_persisted_until_commit(self):
         acc = self._accountant(n_blocks=2)
         acc.begin_staging()
-        acc.stage_charge([0], PrivacyBudget(1.0, 0.0))  # exhausts block 0
+        stage_keys(acc, [0], PrivacyBudget(1.0, 0.0))  # exhausts block 0
         # Scans filter the staged-retired block out...
         assert acc.usable_blocks() == [1]
         # ... but nothing is persisted as retired yet.
@@ -271,7 +271,7 @@ class TestStagedBatch:
         access = SageAccessControl(1.0, 1e-6)
         access.register_blocks(range(4))
         access.begin_staging()
-        access.stage_request([0, 1], PrivacyBudget(0.5, 0.0), label="x")
+        stage_keys(access, [0, 1], PrivacyBudget(0.5, 0.0), label="x")
         records = access.commit_staged()
         assert len(records) == 1 and records[0].label == "x"
         reclosed = access.commit_staged()
@@ -280,7 +280,7 @@ class TestStagedBatch:
         # stream-wide, and the context's ledgers see no charge.
         access.add_context("dev", 0.5, 1e-7)
         access.begin_staging()
-        access.stage_request([2], PrivacyBudget(0.75, 0.0), label="y")
+        stage_keys(access, [2], PrivacyBudget(0.75, 0.0), label="y")
         records = access.commit_staged()
         assert [r.label for r in records] == ["y"]
         context = access.contexts["dev"]
@@ -313,10 +313,10 @@ class TestStagedBatch:
             keys = [int(k) for k in rng.choice(n_keys, size=rng.integers(1, 6), replace=False)]
             budget = PrivacyBudget(float(rng.uniform(0.001, 0.08)), 1e-10)
             try:
-                staged.stage_charge(keys, budget, f"r{j}")
+                stage_keys(staged, keys, budget, f"r{j}")
             except (BudgetExceededError, BlockRetiredError):
                 continue
-            replayed.stage_charge(keys, budget, f"r{j}")
+            stage_keys(replayed, keys, budget, f"r{j}")
             requests.append((keys, budget, f"r{j}"))
         assert len(requests) > 10
         records = staged.commit_staged()
@@ -333,9 +333,9 @@ class TestStagedBatch:
     def test_commit_staged_refuses_a_rolled_back_block(self):
         acc = self._accountant(n_blocks=2)
         acc.begin_staging()
-        acc.stage_charge([0], PrivacyBudget(0.25, 0.0))
+        stage_keys(acc, [0], PrivacyBudget(0.25, 0.0))
         acc.register_block(99)
-        acc.stage_charge([99], PrivacyBudget(0.5, 0.0))
+        stage_keys(acc, [99], PrivacyBudget(0.5, 0.0))
         acc.rollback_registrations(2)
         with pytest.raises(InvalidBudgetError):
             acc.commit_staged()
@@ -345,9 +345,9 @@ class TestStagedBatch:
     def test_staged_commit_with_block_registered_mid_batch(self):
         acc = self._accountant(n_blocks=2)
         acc.begin_staging()
-        acc.stage_charge([0], PrivacyBudget(0.25, 0.0))
+        stage_keys(acc, [0], PrivacyBudget(0.25, 0.0))
         acc.register_block(99)  # lands mid-hour, after the overlay opened
-        acc.stage_charge([99, 1], PrivacyBudget(0.5, 0.0))
+        stage_keys(acc, [99, 1], PrivacyBudget(0.5, 0.0))
         acc.charge_many(acc.pop_staged())
         assert acc.store.totals[acc.rows_for_keys([99])[0], TOT_EPS] == pytest.approx(0.5)
         assert len(acc.charges) == 2
@@ -358,8 +358,8 @@ class TestStagedBatch:
         access = SageAccessControl(1.0, 1e-6, authorized_principals=["alice"])
         access.register_blocks(range(2))
         access.begin_staging()
-        access.stage_request(
-            [0], PrivacyBudget(0.25, 0.0), label="x", principal="alice"
+        stage_keys(
+            access, [0], PrivacyBudget(0.25, 0.0), label="x", principal="alice"
         )
         # An unauthorized committer is refused *before* the batch closes...
         with pytest.raises(AccessDeniedError):
@@ -427,10 +427,10 @@ class TestScanMemoLifetime:
     def test_refused_stage_keeps_the_memo(self, filter_name):
         acc = self._accountant(filter_name)
         acc.begin_staging()
-        acc.stage_charge([0], PrivacyBudget(0.8, 0.0))
+        stage_keys(acc, [0], PrivacyBudget(0.8, 0.0))
         scan = acc._live_admit_rows(self.FLOOR)
         with pytest.raises(BudgetExceededError):
-            acc.stage_charge([0, 1], PrivacyBudget(0.5, 0.0))
+            stage_keys(acc, [0, 1], PrivacyBudget(0.5, 0.0))
         assert acc._live_admit_rows(self.FLOOR) is scan
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
         acc.pop_staged()
@@ -441,11 +441,11 @@ class TestScanMemoLifetime:
         scan = acc._live_admit_rows(self.FLOOR)
         assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
         # A stage that changes no decision keeps the very array.
-        acc.stage_charge([1], PrivacyBudget(0.01, 0.0))
+        stage_keys(acc, [1], PrivacyBudget(0.01, 0.0))
         assert acc._live_admit_rows(self.FLOOR) is scan
         assert scan.tobytes() == fresh_scan(acc, self.FLOOR).tobytes()
         # One that changes a decision replaces it.
-        acc.stage_charge([0], PrivacyBudget(1.0, 0.0))
+        stage_keys(acc, [0], PrivacyBudget(1.0, 0.0))
         kept = acc._live_admit_rows(self.FLOOR)
         # A new read-only array; the one handed out before is unchanged.
         assert kept is not scan and not kept.flags.writeable
@@ -462,7 +462,7 @@ class TestScanMemoLifetime:
         acc.begin_staging()
         assert acc.usable_blocks(below) == [0, 1, 2, 3]
         # Block 0 still admits `below` but is retired: it leaves the scan.
-        acc.stage_charge([0], PrivacyBudget(0.9995, 0.0))
+        stage_keys(acc, [0], PrivacyBudget(0.9995, 0.0))
         assert acc.admits_keys([0], below).tolist() == [True]
         assert acc.usable_blocks(below) == [1, 2, 3]
         assert acc.admit_rows(below).tobytes() == fresh_scan(acc, below).tobytes()
@@ -537,9 +537,6 @@ def assert_memo_is_fresh(acc):
         assert acc.usable_blocks(floor) == without_memo(
             acc, lambda: acc.usable_blocks(floor)
         )
-        assert acc.usable_blocks_tail(floor, 3) == without_memo(
-            acc, lambda: acc.usable_blocks_tail(floor, 3)
-        )
 
 
 class TestMemoSurvivesStages:
@@ -580,7 +577,7 @@ class TestMemoSurvivesStages:
                     label="named",
                 )
                 try:
-                    acc.stage_charge(named, data.draw(MEMO_BUDGETS, label="budget"))
+                    stage_keys(acc, named, data.draw(MEMO_BUDGETS, label="budget"))
                 except REFUSED:
                     pass
             elif action == "register":

@@ -21,6 +21,7 @@ from per_request_oracle import (
     history_admits,
     history_row,
     per_request_drive,
+    stage_keys,
 )
 
 from repro.core.accountant import BlockAccountant
@@ -324,7 +325,7 @@ class TestRenyiAccountant:
         ]
         staged.begin_staging()
         for keys, budget, label in requests:
-            staged.stage_charge(keys, budget, label)
+            stage_keys(staged, keys, budget, label)
         # Staged reads see the per-order accumulation.
         assert staged.max_epsilon([1]) < staged.max_epsilon([3])
         staged.charge_many(staged.pop_staged())
@@ -335,9 +336,9 @@ class TestRenyiAccountant:
     def test_stage_refusal_stages_nothing(self, renyi_accountant):
         acc = renyi_accountant
         acc.begin_staging()
-        acc.stage_charge([0], PrivacyBudget(0.9, 0.0))
+        stage_keys(acc, [0], PrivacyBudget(0.9, 0.0))
         with pytest.raises(BudgetExceededError):
-            acc.stage_charge([0], PrivacyBudget(0.5, 0.0))
+            stage_keys(acc, [0], PrivacyBudget(0.5, 0.0))
         committed = acc.charge_many(acc.pop_staged())
         assert len(committed) == 1
 

@@ -229,3 +229,21 @@ class TestWriteBenchJson:
         assert (results / "bench_demo.txt").read_text(
             encoding="utf-8"
         ) == table + "\n"
+
+
+def test_staged_advance_keys_runs_off_the_default_size_apart():
+    """A smoke-size run of the staged-advance bench must not extend the
+    default-size history, or the gate would compare runs of different
+    sizes."""
+    import bench_staged_advance as bench
+
+    default = (bench.DEFAULT_PIPELINES, bench.DEFAULT_BLOCKS)
+    for case in (bench.ADVANCE_CASE, bench.ASSEMBLY_CASE):
+        assert bench.history_case(case, *default) == case
+    assert (
+        bench.history_case(bench.ADVANCE_CASE, 60, 1500)
+        == "sharded_advance_s1_p60_b1500"
+    )
+    assert bench.history_case(bench.ASSEMBLY_CASE, 60, 1500) == (
+        "stream_assembly_p60_b1500"
+    )

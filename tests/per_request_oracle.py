@@ -12,12 +12,12 @@ access layer, so ``src/`` carries no option for it:
         sage.advance(1.0)
 
 Inside the block ``SageAccessControl.begin_staging`` opens nothing and
-``stage_request`` charges through ``request``; the real ``commit_staged``
-then finds nothing to commit.  On a clean exit the guard asserts that no
-accountant opened a staged batch and that ``request_many`` was never
-called, so a parity test cannot silently compare the staged drive with
-itself.  Use it on volatile platforms only: a durable hour would write
-ahead an empty request batch.
+``stage_request`` charges the proposal's keys through ``request``; the
+real ``commit_staged`` then finds nothing to commit.  On a clean exit the
+guard asserts that no accountant opened a staged batch and that
+``request_many`` was never called, so a parity test cannot silently
+compare the staged drive with itself.  Use it on volatile platforms
+only: a durable hour would write ahead an empty request batch.
 
 The platform skips a waiting session for the hour when its blocked
 verdict proves its window search would find nothing: the hour pass
@@ -101,7 +101,19 @@ __all__ = [
     "history_max_epsilon",
     "history_row",
     "per_request_drive",
+    "stage_keys",
 ]
+
+
+def stage_keys(target, keys, budget, label="", **kwargs):
+    """Stage a charge named by block keys on an accountant or an access
+    layer, both of which stage store rows: the test's own key-to-row
+    edge."""
+    keys = list(keys)
+    if isinstance(target, SageAccessControl):
+        rows = target.accountant.rows_for_keys(keys)
+        return target.stage_request(rows, keys, budget, label, **kwargs)
+    return target.stage_charge(target.rows_for_keys(keys), keys, budget, label)
 
 
 @contextmanager
@@ -119,7 +131,9 @@ def per_request_drive():
         seen["request_many_calls"] += 1
         return settle_batch(self, *args, **kwargs)
 
-    def charge_now(self, keys, budget, label="", principal=None):
+    def charge_now(self, rows, keys, budget, label="", principal=None):
+        # The keyed edge: ``request`` translates the proposal's keys back
+        # to the rows the staged drive charges.
         self.request(keys, budget, label=label, principal=principal)
 
     with mock.patch.object(
@@ -393,9 +407,6 @@ class PerLedgerReference:
             if self.live[key] and self.is_retired(key):
                 self.live[key] = False
         return [k for k in self.block_keys if self.live[k] and self._admits(k, floor)]
-
-    def usable_blocks_tail(self, floor, count):
-        return self.usable_blocks(floor)[-count:]
 
     def admits_keys(self, keys, budget):
         return np.array([self._admits(k, budget) for k in keys], dtype=bool)

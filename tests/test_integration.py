@@ -79,7 +79,8 @@ class TestUserLevelPrivacy:
         accountant.charge(keys, PrivacyBudget(0.4, 0.0))
         for block in blocks:
             expected = 0.4 if block.key in keys else 1.0
-            headroom = accountant.max_epsilon([block.key], 0.0)
+            rows = accountant.rows_for_keys([block.key])
+            headroom = accountant.max_epsilon(rows, 0.0)
             assert headroom == pytest.approx(1.0 - (0.4 if block.key in keys else 0.0))
 
     def test_adassp_on_user_partitioned_data(self):
