@@ -3,16 +3,20 @@
 Two measurements on the heavy-contention shape of the Fig. 8 loop (many
 waiting pipelines scanning a long stream every hour):
 
-* ``advance``: a starved hour (every session scans the whole stream and
-  blocks) driven through the **staged** hour -- whose open batch shares
-  each whole-stream admit scan across every session at one floor --
-  versus the **per-request** drive, which stages nothing and rescans per
-  session.  The per-request drive is the test suite's parity oracle
-  (``tests/per_request_oracle.py``), whose guard proves no batch opened
-  while it ran.  Parity is
-  asserted first: the staged drive must reproduce the per-request one
-  byte for byte, and the timed starved hour must end in the same state
-  on both drives.
+* ``advance``: a starved hour (every session polls for a window, scans
+  the whole stream and blocks) driven through the **staged** hour --
+  whose open batch shares each whole-stream admit scan across every
+  session at one floor -- versus the **per-request** drive, which stages
+  nothing and rescans per session.  The per-request drive is the test
+  suite's parity oracle (``tests/per_request_oracle.py``), whose guard
+  proves no batch opened while it ran.  Both timed hours run inside
+  that file's ``forced_poll_drive()``: the platform's hour pass would
+  otherwise prove every starved session blocked and visit none, and the
+  two drives would time the same empty hour.  The bench asserts that
+  every session was visited in every timed hour.  Parity is asserted
+  first: the staged drive must reproduce the per-request one byte for
+  byte, and the timed starved hour must end in the same state on both
+  drives.
 * ``stream_assembly``: window assembly through the growing database's
   packed-column store (preallocated columns filled once at ingest, windows
   read back as one slice/gather) versus the legacy per-block
@@ -47,7 +51,7 @@ for _path in (_ROOT / "src", _ROOT / "tests"):
 import numpy as np
 
 from benchjson import write_bench_json, write_bench_report
-from per_request_oracle import per_request_drive
+from per_request_oracle import forced_poll_drive, per_request_drive
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import Sage
 from repro.data.stream import StreamBatch
@@ -120,10 +124,11 @@ def check_staged_parity():
 # ----------------------------------------------------------------------
 def build_starved_platform(n_pipelines, n_blocks):
     """A stream ``n_blocks`` hours old with ``n_pipelines`` starved
-    sessions at one floor: every hour each session scans the whole stream
+    sessions at one floor: each session that polls scans the whole stream
     for an affordable window and blocks again -- the propose-dominated
     steady state of heavy traffic, where the shared scan carries the
-    whole hour."""
+    whole hour.  The hour pass proves all of them blocked, so only a
+    forced-poll drive visits them."""
     sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
     sage.advance(float(n_blocks))  # blocks land with nobody waiting
     config = AdaptiveConfig(epsilon_start=0.5, epsilon_floor=0.5, max_attempts=4)
@@ -145,9 +150,18 @@ def _best_of(fn, repeats):
 def bench_advance(n_pipelines, n_blocks, repeats=3):
     per_request = build_starved_platform(n_pipelines, n_blocks)
     staged = build_starved_platform(n_pipelines, n_blocks)
-    with per_request_drive():
-        t_req = _best_of(lambda: per_request.advance(1.0), repeats)
-    t_staged = _best_of(lambda: staged.advance(1.0), repeats)
+    with forced_poll_drive() as visits:
+        with per_request_drive():
+            t_req = _best_of(lambda: per_request.advance(1.0), repeats)
+        req_sessions = visits["sessions"]
+        t_staged = _best_of(lambda: staged.advance(1.0), repeats)
+        staged_sessions = visits["sessions"] - req_sessions
+    if req_sessions != staged_sessions or staged_sessions != repeats * n_pipelines:
+        raise AssertionError(
+            f"the timed hours visited {req_sessions} (per-request) and "
+            f"{staged_sessions} (staged) session-hours, not "
+            f"{repeats} x {n_pipelines}"
+        )
     if _fingerprint(staged) != _fingerprint(per_request):
         raise AssertionError("starved staged hour diverged from the per-request drive")
     per_request.close()

@@ -8,10 +8,10 @@ halves, and this rule enforces both statically:
   the pure-read seeds (``propose_peek`` / ``admits_keys`` / ``can_charge``
   / ``max_epsilon``) must contain no telemetry emission.  The hazard is
   concrete: ``can_charge_many`` and ``charge_many`` share
-  ``_validate_many_vectorized``, so a span emitted there would fire from
-  every admissibility probe too -- a trace that depends on how often a
-  read was asked rather than on what was committed.  Reachability reuses the purity rule's typed call graph (one build
-  per project, cached on it).
+  ``_stage_many``, so a span emitted there would fire from every
+  admissibility probe too -- a trace that depends on how often a read
+  was asked rather than on what was committed.  Reachability reuses the
+  purity rule's typed call graph (one build per project, cached on it).
 * **Telemetry never mutates accounting.**  Modules under ``src/repro/obs/``
   observe through documented pure reads; a call to any known accounting
   mutator (``charge_many``, ``write_rows``, ``settle``, ...) from an

@@ -36,10 +36,10 @@ column per Renyi order (columns ``4 .. 4 + len(orders)``, in the filter's
 ``orders`` sequence order), so an RDP stream's whole ledger is one
 ``(n_blocks, 4 + len(orders))`` matrix and every scan below stays a single
 vectorized pass.  The increment a charge adds to a row is defined solely by
-``filter.contribution(budget)`` -- ``charge``, ``charge_many``'s scratch
-validation and the staged overlay all apply that exact vector, which is
-what keeps single, batched and staged accounting float-identical whatever
-the schema width.
+``filter.contribution(budget)`` -- ``charge`` and the staged overlay
+(every batch, ``charge_many``'s included) both apply that exact vector,
+which is what keeps single, batched and staged accounting float-identical
+whatever the schema width.
 
 The store also keeps a per-row charge count and a boolean *live* mask
 (False once a block is retired).  Rows are in registration order and are
@@ -55,11 +55,11 @@ staged charges and the whole-stream scans (``admit_rows``,
 and the ``stream_loss_bound`` report -- through its
 ``admits_batch`` / ``max_epsilon_batch`` / ``loss_bound_batch`` over store
 rows, the only decision forms a filter has (see ``repro.core.filters``).
-The guarantee needs ``admits_batch`` alone: ``charge``, ``charge_many``
-and ``stage_charge`` validate every write through it, ``commit_staged``
-lands only what staging validated, and ``max_epsilon_batch`` only sizes
-proposals -- so a filter subclass that overrides ``admits_batch`` and
-inherits the rest can get a proposal refused, never over-admitted.
+The guarantee needs ``admits_batch`` alone: ``charge`` and staging
+validate every write through it, a batch lands only what staging
+validated, and ``max_epsilon_batch`` only sizes proposals -- so a filter
+subclass that overrides ``admits_batch`` and inherits the rest can get a
+proposal refused, never over-admitted.
 
 Batched atomic multi-charge (``charge_many``)
 ---------------------------------------------
@@ -77,9 +77,10 @@ one pass.  Its contract:
   nothing is committed anywhere and the error ``charge`` would have raised
   for that request (``BlockRetiredError`` / ``BudgetExceededError``)
   propagates.
-* **One vectorized pass.**  Each request is validated with one filter
-  pass over a scratch copy of the touched store rows, and the batch is
-  committed with a single bulk row write.
+* **The hour's own bodies.**  The batch is staged into a private
+  :class:`StagedBatch` and landed with one bulk row write, through the
+  staging and landing bodies of ``stage_charge`` and ``commit_staged``.
+  ``can_charge_many`` stages it and discards it.
 
 Staged batches (the propose/settle commit path)
 -----------------------------------------------
@@ -90,9 +91,9 @@ supports this with a :class:`StagedBatch` overlay opened by
 
 * ``stage_charge(rows, keys, budget, label)`` validates a request against
   the *effective* totals (committed store rows plus every earlier staged
-  charge, accumulated in request order with exactly ``charge_many``'s
-  float operations) and records it without touching the store.  A refusal
-  raises the same error ``charge`` would and stages nothing.
+  charge, accumulated in request order) and records it without touching
+  the store.  A refusal raises the same error ``charge`` would and stages
+  nothing.
 * While a batch is open, every admissibility read (``admits_keys``,
   ``can_charge``, ``max_epsilon``, ``admit_rows`` and the keyed
   ``usable_blocks`` over it) sees the effective totals, so later
@@ -121,11 +122,10 @@ supports this with a :class:`StagedBatch` overlay opened by
 * ``commit_staged()`` closes the overlay and lands it: the touched
   effective rows and their staged charge counts in one bulk row write,
   then the requests on the charge log.  Staging already validated every
-  request against exactly the totals ``charge_many`` would check it
-  against, so the commit does not validate again; the store ends
-  byte-identical to ``charge_many(requests)``, which is what WAL replay
-  runs.  ``pop_staged()`` closes the overlay without committing and
-  returns the requests (the platform's hour rollback).
+  request, so the commit does not validate again; WAL replay's
+  ``charge_many(requests)`` runs the same bodies.  ``pop_staged()``
+  closes the overlay without committing and returns the requests (the
+  platform's hour rollback).
 
 Every accountant can stage, since every filter decides from the totals the
 overlay carries.  Mutating the accountant through
@@ -280,29 +280,25 @@ class LedgerStore:
 class StagedBatch:
     """Charges validated against the accountant but not yet committed.
 
-    Keeps one dense *effective-totals* matrix: a copy of the committed store
-    totals that absorbs each staged request's contribution in request order
-    -- the exact float accumulation ``charge_many``'s validation replays --
-    so staging decisions and the final commit can never disagree, and reads
+    The hour's open batch, or a private one of ``charge_many``.  Keeps one
+    dense *effective-totals* matrix: a copy of the committed store totals
+    that absorbs each staged request's contribution in request order, so
+    staging decisions and the final commit can never disagree, and reads
     through the overlay are as cheap as reads of the store itself -- plus
-    the number of staged charges per row, which the commit adds to the
-    store's charge counts.
+    each request's store rows (``rows``, aligned with ``requests``), whose
+    per-row tally the commit adds to the store's charge counts.
     """
 
     def __init__(self, accountant: "BlockAccountant") -> None:
         self._eff = accountant.store.totals.copy()
-        self._width = accountant.store.width
-        self._counts = np.zeros(self._eff.shape[0], dtype=np.int64)
         self.requests: List[tuple] = []
+        self.rows: List[np.ndarray] = []
         # Whole-stream admit scans by floor budget: (admit mask over the
         # store rows, its read-only np.flatnonzero row array).  Filled by
         # BlockAccountant._live_admit_rows, brought up to date on the
         # staged rows by every successful stage, cleared when the row set
         # moves; it dies with the batch.
         self.scan_memo: Dict[PrivacyBudget, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def __len__(self) -> int:
-        return len(self.requests)
 
     def effective_totals(self, size: int) -> np.ndarray:
         """The (size, width) committed-plus-staged totals view.
@@ -312,23 +308,18 @@ class StagedBatch:
         """
         if size > self._eff.shape[0]:
             capacity = max(size, 2 * self._eff.shape[0])
-            grown = np.zeros((capacity, self._width))
+            grown = np.zeros((capacity, self._eff.shape[1]))
             grown[: self._eff.shape[0]] = self._eff
-            counts = np.zeros(capacity, dtype=np.int64)
-            counts[: self._counts.size] = self._counts
             # repro: allow(purity) -- capacity growth only: new rows are all
             # zero, so every read returns the same values as before.
-            self._eff, self._counts = grown, counts
+            self._eff = grown
         return self._eff[:size]
-
-    def add(self, rows: np.ndarray, contribution: np.ndarray) -> None:
-        self._eff[rows] += contribution
-        self._counts[rows] += 1
 
     def charged_rows(self):
         """Rows with staged charges (ascending) and how many each has."""
-        rows = np.flatnonzero(self._counts)
-        return rows, self._counts[rows]
+        counts = np.bincount(np.concatenate(self.rows))
+        rows = np.flatnonzero(counts)
+        return rows, counts[rows]
 
 
 class BlockAccountant:
@@ -523,6 +514,21 @@ class BlockAccountant:
             admitted.setflags(write=False)  # shared across memo readers
             memo[floor] = (mask, admitted)
 
+    def _stage(self, batch: StagedBatch, rows, keys, budget, label) -> None:
+        """Validate one request against ``batch``'s effective totals and
+        stage it there (the one staging body): request ``j`` is checked
+        against exactly the totals a sequential :meth:`charge` loop would
+        have produced.  Raises what :meth:`charge` would and stages
+        nothing on refusal."""
+        eff = batch.effective_totals(len(self._store))
+        before = eff[rows]
+        self._refuse_unless_admitted(keys, before, budget)
+        eff[rows] = before + self._contribution(budget)
+        batch.requests.append((keys, budget, label))
+        # A copy: a scan's rows may be a view that would keep a whole
+        # scan-memo array alive until the batch closes.
+        batch.rows.append(rows.copy())
+
     def stage_charge(
         self, rows: np.ndarray, keys: Sequence, budget: PrivacyBudget, label: str = ""
     ) -> None:
@@ -541,28 +547,30 @@ class BlockAccountant:
             raise InvalidBudgetError("no staged batch is open")
         if not len(rows):
             raise InvalidBudgetError("a charge must name at least one block")
-        eff = self._staged.effective_totals(len(self._store))
-        self._refuse_unless_admitted(keys, eff[rows], budget)
-        self._staged.add(rows, self._contribution(budget))
-        self._staged.requests.append((keys, budget, label))
+        self._stage(self._staged, rows, keys, budget, label)
         self._redecide_staged_rows(rows)
 
     def commit_staged(self) -> List[ChargeRecord]:
         """Close the staged batch and commit it in one bulk row write.
 
-        Every request was validated when it was staged, against the same
-        effective totals :meth:`charge_many` would check it against, so the
-        touched effective rows are the exact post-batch totals and land
-        as they are; the requests then join the charge log.  Commits
-        nothing when no batch is open or it is empty.  A staged charge on
-        a block rolled back since raises ``InvalidBudgetError`` and commits
+        Every request was validated when it was staged, so the touched
+        effective rows are the exact post-batch totals and land as they
+        are; the requests then join the charge log.  Commits nothing when
+        no batch is open or it is empty.  A staged charge on a block
+        rolled back since raises ``InvalidBudgetError`` and commits
         nothing.
         """
         staged, self._staged = self._staged, None
         if staged is None or not staged.requests:
             return []
-        with self._tracer.span("charge.batch", requests=len(staged.requests)):
-            touched, counts = staged.charged_rows()
+        return self._land(staged)
+
+    def _land(self, batch: StagedBatch) -> List[ChargeRecord]:
+        """Commit a non-empty staged batch (the one landing body): the
+        touched effective rows and their staged charge counts in one bulk
+        row write, then the requests on the charge log."""
+        with self._tracer.span("charge.batch", requests=len(batch.requests)):
+            touched, counts = batch.charged_rows()
             if touched[-1] >= len(self._store):
                 raise InvalidBudgetError(
                     "a staged charge names a block rolled back since it was staged"
@@ -571,9 +579,9 @@ class BlockAccountant:
             # commit: nothing has been written.
             faults.trip("charge.between_validate_and_commit")
             return self._commit_validated(
-                staged.requests,
+                batch.requests,
                 touched,
-                staged.effective_totals(len(self._store))[touched],
+                batch.effective_totals(len(self._store))[touched],
                 counts,
             )
 
@@ -635,25 +643,6 @@ class BlockAccountant:
     # ------------------------------------------------------------------
     # Batched hourly settlement (atomic multi-request charges)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _normalize_requests(requests) -> List[tuple]:
-        """Coerce ``(keys, budget[, label])`` requests into a uniform list,
-        applying the same per-request validation as :meth:`charge`."""
-        norm = []
-        for request in requests:
-            if len(request) == 2:
-                keys, budget = request
-                label = ""
-            else:
-                keys, budget, label = request
-            keys = list(keys)
-            if not keys:
-                raise InvalidBudgetError("a charge must name at least one block")
-            if len(set(keys)) != len(keys):
-                raise InvalidBudgetError("duplicate block keys in one charge")
-            norm.append((keys, budget, label))
-        return norm
-
     def _contribution(self, budget: PrivacyBudget) -> np.ndarray:
         """One charge's totals-row increment (every write path adds it)."""
         return self._batch_filter.contribution(budget)
@@ -677,33 +666,30 @@ class BlockAccountant:
             f"block {key!r} cannot absorb {budget}", block_id=key
         )
 
-    def _validate_many_vectorized(self, norm: List[tuple]):
-        """Vectorized all-requests admissibility check with intra-batch
-        accumulation.
-
-        Returns ``(touched_rows, work, counts_delta)`` where ``work`` holds
-        the touched rows' totals *after* the whole batch and ``counts_delta``
-        the per-row number of new charges.  ``work`` starts as a copy of
-        the store rows and absorbs each request's contribution in order, so
-        request ``j`` is checked against exactly the float totals a
-        sequential ``charge`` loop would have produced -- two charges against
-        the same block in one batch are checked against their combined total.
-        Raises (committing nothing) on the first refusing request, with the
-        same error :meth:`charge` raises.
-        """
+    def _stage_many(self, requests) -> StagedBatch:
+        """Stage ``(keys, budget[, label])`` requests, in order, into a new
+        batch of their own (never the open one), after the per-request
+        checks :meth:`charge` makes.  Every request's keys are translated
+        before any is validated, so an unregistered key anywhere raises
+        ``InvalidBudgetError`` ahead of any refusal."""
+        norm = []
+        for request in requests:
+            if len(request) == 2:
+                keys, budget = request
+                label = ""
+            else:
+                keys, budget, label = request
+            keys = list(keys)
+            if not keys:
+                raise InvalidBudgetError("a charge must name at least one block")
+            if len(set(keys)) != len(keys):
+                raise InvalidBudgetError("duplicate block keys in one charge")
+            norm.append((keys, budget, label))
         row_lists = [self._key_rows(keys) for keys, _, _ in norm]
-        rows = np.concatenate(row_lists)
-        hit = np.zeros(len(self._store), dtype=bool)
-        hit[rows] = True
-        touched = np.flatnonzero(hit)
-        scratch = np.cumsum(hit, dtype=np.intp) - 1  # store row -> work row
-        work = self._store.totals[touched]
-        for (keys, budget, _), request_rows in zip(norm, row_lists):
-            lrows = scratch[request_rows]
-            before = work[lrows]
-            self._refuse_unless_admitted(keys, before, budget)
-            work[lrows] = before + self._contribution(budget)
-        return touched, work, np.bincount(scratch[rows], minlength=touched.size)
+        batch = StagedBatch(self)
+        for (keys, budget, label), rows in zip(norm, row_lists):
+            self._stage(batch, rows, keys, budget, label)
+        return batch
 
     def charge_many(self, requests) -> List[ChargeRecord]:
         """Atomically commit a whole batch of ``(keys, budget[, label])`` charges.
@@ -716,19 +702,14 @@ class BlockAccountant:
         totals store and the charge log untouched, and raises the error
         :meth:`charge` would have raised for that request.
 
-        The whole batch is validated in one vectorized pass over the ledger
-        store and committed with a single bulk row write.
+        The batch is staged into a private :class:`StagedBatch` and landed
+        with a single bulk row write, as the hour's batch is.
         """
         self._forbid_staging("charge_many")
-        norm = self._normalize_requests(requests)
-        if not norm:
+        batch = self._stage_many(requests)
+        if not batch.requests:
             return []
-        with self._tracer.span("charge.batch", requests=len(norm)):
-            touched, work, counts_delta = self._validate_many_vectorized(norm)
-            # Crash point between validation and the commit: the whole
-            # batch has been checked, nothing has been written.
-            faults.trip("charge.between_validate_and_commit")
-            return self._commit_validated(norm, touched, work, counts_delta)
+        return self._land(batch)
 
     def _commit_validated(
         self,
@@ -757,11 +738,8 @@ class BlockAccountant:
         key sets, duplicate keys, unregistered blocks) raise just as
         ``charge_many`` does.
         """
-        norm = self._normalize_requests(requests)
-        if not norm:
-            return True
         try:
-            self._validate_many_vectorized(norm)
+            self._stage_many(requests)
         except (BudgetExceededError, BlockRetiredError):
             return False
         return True

@@ -559,6 +559,30 @@ class AdaptiveSession:
             SessionStatus.TIMEOUT,
         )
 
+    def export_state(self) -> dict:
+        """The session's durable scalars, in record order (the hour
+        rollback keeps it; WAL hour deltas and snapshot entries splice it
+        in, and pickle writes dict keys in insertion order, so the order
+        is file format).  Attempts and the final run are not in it."""
+        return {
+            "status": self.status,
+            "epsilon": self.epsilon,
+            "epsilon_floor": self.epsilon_floor,
+            "delta": self.delta,
+            "window_blocks": self.window_blocks,
+            "total_spent": self.total_spent,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        """Apply an :meth:`export_state` record (extra keys are ignored);
+        a decoded status comes back as the :class:`SessionStatus` constant."""
+        self.status = SessionStatus.canonical(state["status"])
+        self.epsilon = state["epsilon"]
+        self.epsilon_floor = state["epsilon_floor"]
+        self.delta = state["delta"]
+        self.window_blocks = state["window_blocks"]
+        self.total_spent = state["total_spent"]
+
 
 @dataclass
 class AdaptiveResult:

@@ -1,15 +1,13 @@
 """Durable accounting: write-ahead charge log, snapshots, recovery.
 
-Today's platform otherwise lives and dies with one Python process; this
-module gives :class:`~repro.core.platform.Sage` crash durability (ROADMAP
-open item 2's WAL/snapshot half).  The drive records every settled hour in
-a write-ahead log *before* committing it in memory, periodically snapshots
-the full accounting state, and a restarted platform recovers by loading
-the latest valid snapshot and replaying the subsequent WAL hours through
-the **existing** ``charge_many``/``request_many`` path, which accumulates
-each charge with the same float operations the live hour's staging did --
-so recovered state is byte-identical to the uninterrupted run by
-construction, and the repo's parity fingerprinting can verify it.
+This module gives :class:`~repro.core.platform.Sage` crash durability.
+The drive records every settled hour in a write-ahead log *before*
+committing it in memory, periodically snapshots the full accounting
+state, and a restarted platform recovers by loading the latest valid
+snapshot and replaying the subsequent WAL hours through ``request_many``,
+whose ``charge_many`` stages and lands them through the live hour's own
+staging and landing bodies -- so recovered state is byte-identical to the
+uninterrupted run by construction, and the state digest verifies it.
 
 WAL file format
 ---------------
@@ -37,20 +35,28 @@ Two record kinds (the ``"kind"`` key of the payload dict):
   ====================== ==================================================
   ``hour_index``         0-based index of the hour being settled
   ``hours``              clock step of this ``advance`` call
+  ``clock_start``        platform clock before the hour (replay restores
+                         it before re-ingesting)
+  ``clock_hours``        platform clock after the hour
   ``schema_width``       ledger totals width (validated on replay)
   ``n_entries``          pipelines submitted at hour start
   ``entry_names``        their names, submission order (validated)
   ``new_block_keys``     keys the hour's ingest registered (validated)
   ``requests``           the exact staged ``(keys, budget, label)`` batch
                          the hour's staged commit will land
-  ``deltas``             per driven session, in drive order: status /
-                         epsilon / window_blocks / total_spent after the
-                         hour plus the attempt records it appended
+  ``rng_state_before``   the platform RNG's bit-generator state before the
+                         hour (replay restores it before re-ingesting)
   ``rng_state``          the platform RNG's bit-generator state *after*
                          the hour (replay skips pipeline executions, so
                          it restores the post-hour stream position)
-  ``clock_hours``        platform clock after the hour
+  ``deltas``             per session waiting at hour start, in drive
+                         order: ``index``, the session's ``export_state``
+                         record after the hour, ``settled_attempts``,
+                         ``release_time_hours`` and the ``attempts`` the
+                         hour appended (:func:`encode_attempts` form)
   ====================== ==================================================
+
+  Pickle writes dict keys in insertion order: key order is file format.
 
 * ``"commit"`` -- the commit marker, appended after the in-memory commit:
   ``hour_index`` plus the :func:`state_digest` of the committed post-hour
@@ -79,16 +85,17 @@ Snapshot format and atomicity
 ``b"SAGESNP1"``, then the same length/CRC frame) whose payload captures
 everything :meth:`~repro.core.platform.Sage.recover` restores: accountant
 export (keys, totals, live mask, charge counts, charge log), reservation
-matrix and free pool, per-session protocol state, the pickled growing
-database, RNG state, clock, and a state digest.  Snapshots are written to
-a temp file in the same directory and published with ``os.replace``, so a
-crash mid-write (crash point ``snapshot.mid_write``) can never leave a
-half-written snapshot where the loader finds it; ``latest()`` also skips
-corrupt snapshot files and falls back to the next older valid one.  The
-database's packed columns pickle their live rows and capacity only (see
-:class:`~repro.data.stream.PackedColumns`), so equal states -- two runs of
-one seed, or a run with a rolled-back and retried hour -- write
-byte-identical snapshot, log and spare files.
+matrix and free pool, per-pipeline entries (bookkeeping, the session's
+``export_state`` record, :func:`encode_attempts` attempts), the pickled
+growing database, RNG state, clock, and a state digest.  Snapshots are
+written to a temp file in the same directory and published with
+``os.replace``, so a crash mid-write (crash point ``snapshot.mid_write``)
+can never leave a half-written snapshot where the loader finds it;
+``latest()`` also skips corrupt snapshot files and falls back to the next
+older valid one.  The database's packed columns pickle their live rows
+and capacity only (see :class:`~repro.data.stream.PackedColumns`), so
+equal states -- two runs of one seed, or a run with a rolled-back and
+retried hour -- write byte-identical snapshot, log and spare files.
 
 Retired files are recycled, never freed: on a file system mounted with
 ``discard``, every call that frees a file's blocks (``unlink``, a
@@ -161,14 +168,14 @@ submission order:
    verify the snapshot's state digest.
 2. For each WAL ``"hour"`` record at or past the snapshot hour, in order:
    re-submit pipelines until the record's ``n_entries`` is reached, then
-   replay the hour -- re-run ingest (the restored RNG regenerates the
-   identical blocks; keys are validated against the record), register /
-   allocate / grant through the normal hour-open path, apply the recorded
-   per-session deltas in drive order (settling reservations attempt by
-   attempt exactly as the live drive does), and commit the recorded
-   request batch through **one** ``request_many`` call, which ends the
-   store byte-identical to the live hour's staged commit.  Restore the
-   post-hour RNG state and verify the hour's commit digest when present.
+   replay the hour -- restore the recorded pre-hour clock and RNG state,
+   re-run ingest (which regenerates the identical blocks; keys are
+   validated against the record), register / allocate / grant through
+   the normal hour-open path, apply the recorded per-session deltas in
+   drive order (settling reservations attempt by attempt exactly as the
+   live drive does), and land the recorded request batch through **one**
+   ``request_many`` call (the live hour's staging and landing bodies).
+   Restore the post-hour RNG state and verify the hour's commit digest.
 3. Position the WAL writer at the end of the last complete record
    (repairing any torn tail) so the platform can keep advancing.
 
@@ -196,7 +203,7 @@ from typing import BinaryIO, List, Optional, Tuple
 import numpy as np
 
 from repro.core import faults
-from repro.core.adaptive import AttemptRecord, SessionStatus
+from repro.core.adaptive import AttemptRecord
 from repro.errors import RecoveryError, SnapshotMismatchError, WalCorruptionError
 from repro.obs.trace import NULL_PROBE
 
@@ -206,6 +213,8 @@ __all__ = [
     "WalScan",
     "WalWriter",
     "build_snapshot_payload",
+    "decode_attempts",
+    "encode_attempts",
     "pair_hour_records",
     "read_wal",
     "restore_snapshot_payload",
@@ -887,11 +896,28 @@ def state_digest(sage) -> int:
 # ----------------------------------------------------------------------
 # Snapshot payload build/restore (public platform surfaces only)
 # ----------------------------------------------------------------------
-def _attempt_tuples(attempts) -> tuple:
+def encode_attempts(attempts) -> tuple:
+    """The durable form of a session's attempt records (WAL hour deltas,
+    snapshot entries): one ``(attempt, window, budget, outcome,
+    train_size)`` tuple per record."""
     return tuple(
         (a.attempt, tuple(a.window), a.budget, a.outcome, a.train_size)
         for a in attempts
     )
+
+
+def decode_attempts(tuples) -> List[AttemptRecord]:
+    """The attempt records an :func:`encode_attempts` tuple encodes."""
+    return [
+        AttemptRecord(
+            attempt=attempt,
+            window=window,
+            budget=budget,
+            outcome=outcome,
+            train_size=train_size,
+        )
+        for attempt, window, budget, outcome, train_size in tuples
+    ]
 
 
 def build_snapshot_payload(sage, hours_committed: int) -> dict:
@@ -905,13 +931,8 @@ def build_snapshot_payload(sage, hours_committed: int) -> dict:
             "submit_time_hours": entry.submit_time_hours,
             "release_time_hours": entry.release_time_hours,
             "settled_attempts": len(entry.session.attempts),  # all settle
-            "status": entry.session.status,
-            "epsilon": entry.session.epsilon,
-            "epsilon_floor": entry.session.epsilon_floor,
-            "delta": entry.session.delta,
-            "window_blocks": entry.session.window_blocks,
-            "total_spent": entry.session.total_spent,
-            "attempts": _attempt_tuples(entry.session.attempts),
+            **entry.session.export_state(),
+            "attempts": encode_attempts(entry.session.attempts),
         }
         for entry in sage.pipelines
     )
@@ -935,22 +956,8 @@ def restore_entry_state(entry, state: dict) -> None:
     snapshot entry dict (model artifacts are not recovered -- see the
     module docstring's limitations)."""
     session = entry.session
-    session.status = SessionStatus.canonical(state["status"])
-    session.epsilon = state["epsilon"]
-    session.epsilon_floor = state["epsilon_floor"]
-    session.delta = state["delta"]
-    session.window_blocks = state["window_blocks"]
-    session.total_spent = state["total_spent"]
-    session.attempts = [
-        AttemptRecord(
-            attempt=attempt,
-            window=window,
-            budget=budget,
-            outcome=outcome,
-            train_size=train_size,
-        )
-        for attempt, window, budget, outcome, train_size in state["attempts"]
-    ]
+    session.restore_state(state)
+    session.attempts = decode_attempts(state["attempts"])
     session.final_run = None
     entry.submit_time_hours = state["submit_time_hours"]
     entry.release_time_hours = state["release_time_hours"]

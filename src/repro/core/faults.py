@@ -35,9 +35,9 @@ point                                   fires
                                         the hour record reaches the file
 ``wal.after_append``                    after the hour record is fsynced,
                                         before the in-memory commit
-``charge.between_validate_and_commit``  inside ``charge_many`` and the
-                                        staged-batch commit, after the
-                                        batch's validation, before its
+``charge.between_validate_and_commit``  in every batch's landing
+                                        (``commit_staged``, ``charge_many``)
+                                        after its validation, before its
                                         store write
 ``snapshot.mid_write``                  mid-way through writing a snapshot
                                         temp file, before ``os.replace``

@@ -36,9 +36,9 @@ stream's blocks in one NumPy pass.  A filter class declares its row layout:
   may extend the row (``RenyiCompositionFilter`` appends one running-RDP
   column per Renyi order).
 * :meth:`PrivacyFilter.contribution` -- one charge's additive increment to
-  the row.  ``charge``, ``charge_many``'s scratch accumulation, and the
-  staged overlay all apply exactly this vector, which is what keeps single,
-  batched and staged accounting float-identical.
+  the row.  ``charge`` and the staged overlay (which ``charge_many``
+  stages through too) both apply exactly this vector, which is what keeps
+  single, batched and staged accounting float-identical.
 
 It decides through three methods over an ``(n, totals_width)`` float64
 matrix of such rows.  There is no other form, and no method takes a
@@ -170,9 +170,10 @@ class PrivacyFilter(abc.ABC):
     def contribution(self, budget: PrivacyBudget) -> np.ndarray:
         """One charge's additive increment to a block's totals row.
 
-        Every accumulation path -- ``charge``, ``charge_many``'s scratch
-        validation, the staged-batch overlay -- applies exactly this vector,
-        so single, batched and staged accounting stay float-identical.
+        Both accumulation paths -- ``charge`` and the staged-batch overlay
+        that ``stage_charge`` and ``charge_many`` share -- apply exactly
+        this vector, so single, batched and staged accounting stay
+        float-identical.
         """
         eps = budget.epsilon
         return np.array(

@@ -34,10 +34,10 @@ on NEED_DATA with its escalation state untouched.  When every session has
 finished or blocked, the entire hour commits through **one**
 ``SageAccessControl.commit_staged`` call: one bulk write of the staged
 rows.  Staging accumulated each charge with exactly the float operations
-of a sequential ``charge`` (and of ``charge_many``, which WAL replay
-commits the recorded batch through), so the hour is observationally
-identical to the per-session sequential charges and needs no second
-validation.  Each granted attempt's reservation deduction
+of a sequential ``charge``, so the hour is observationally identical to
+the per-session sequential charges and needs no second validation.  WAL
+replay lands the recorded batch through ``charge_many``, which runs the
+same staging and landing bodies over a batch of its own.  Each granted attempt's reservation deduction
 settles right after its ``complete()``, on the proposal's own store rows,
 so a session reads its allocation through ``row_budget_fn`` as a pure
 read of the reservation table.
@@ -175,7 +175,6 @@ from repro.core.access_control import SageAccessControl
 from repro.core.adaptive import (
     AdaptiveConfig,
     AdaptiveSession,
-    AttemptRecord,
     ChargeDecision,
     SessionStatus,
 )
@@ -1054,26 +1053,17 @@ class Sage:
         the retried hour re-ingests the very same stream slice.  Only
         waiting pipelines are captured: the hour never touches finished
         ones."""
-        entries = []
-        for index, entry in self._waiting.items():
-            session = entry.session
-            entries.append(
-                (
-                    index,
-                    {
-                        "status": session.status,
-                        "epsilon": session.epsilon,
-                        "epsilon_floor": session.epsilon_floor,
-                        "delta": session.delta,
-                        "window_blocks": session.window_blocks,
-                        "n_attempts": len(session.attempts),
-                        "total_spent": session.total_spent,
-                        "final_run": session.final_run,
-                        "release_time_hours": entry.release_time_hours,
-                        "bundle": entry.bundle,
-                    },
-                )
+        entries = [
+            (
+                index,
+                entry.session.export_state(),
+                len(entry.session.attempts),
+                entry.session.final_run,
+                entry.release_time_hours,
+                entry.bundle,
             )
+            for index, entry in self._waiting.items()
+        ]
         return {
             "n_blocks": len(self.access.accountant.store),
             "clock": self.clock_hours,
@@ -1096,19 +1086,14 @@ class Sage:
         self.ingestor.clock_hours = txn["clock"]
         self.rng.bit_generator.state = txn["rng_state"]
         self._table.restore(txn["matrix"], txn["free"])
-        for index, pre in txn["entries"]:
+        for index, state, n_attempts, final_run, released_at, bundle in txn["entries"]:
             entry = self._pipelines[index]
             session = entry.session
-            session.status = pre["status"]
-            session.epsilon = pre["epsilon"]
-            session.epsilon_floor = pre["epsilon_floor"]
-            session.delta = pre["delta"]
-            session.window_blocks = pre["window_blocks"]
-            session.total_spent = pre["total_spent"]
-            session.final_run = pre["final_run"]
-            del session.attempts[pre["n_attempts"]:]
-            entry.release_time_hours = pre["release_time_hours"]
-            entry.bundle = pre["bundle"]
+            session.restore_state(state)
+            session.final_run = final_run
+            del session.attempts[n_attempts:]
+            entry.release_time_hours = released_at
+            entry.bundle = bundle
         self._waiting = txn["waiting"]
         self.store.rollback_to_marks(txn["store_marks"])
 
@@ -1119,22 +1104,17 @@ class Sage:
         pair after, so it never depends on the recovering process's own
         clock or RNG position)."""
         deltas = []
-        for index, pre in txn["entries"]:
+        for index, _, n_attempts, *_ in txn["entries"]:
             entry = self._pipelines[index]
             session = entry.session
             deltas.append(
                 {
                     "index": index,
-                    "status": session.status,
-                    "epsilon": session.epsilon,
-                    "epsilon_floor": session.epsilon_floor,
-                    "delta": session.delta,
-                    "window_blocks": session.window_blocks,
-                    "total_spent": session.total_spent,
+                    **session.export_state(),
                     "settled_attempts": len(session.attempts),  # all settle
                     "release_time_hours": entry.release_time_hours,
-                    "attempts": durability._attempt_tuples(
-                        session.attempts[pre["n_attempts"]:]
+                    "attempts": durability.encode_attempts(
+                        session.attempts[n_attempts:]
                     ),
                 }
             )
@@ -1178,9 +1158,8 @@ class Sage:
         hour) are re-submitted fresh at the end.
 
         Loads the newest valid snapshot (if any), then replays every
-        subsequent WAL hour through ``charge_many`` -- byte-identical to
-        the live staged commit by construction, verified against each commit
-        marker's state digest.  A torn trailing record (mid-append crash)
+        subsequent WAL hour (see :meth:`_replay_hour`), each verified
+        against its commit marker's state digest.  A torn trailing record (mid-append crash)
         is discarded and repaired; a complete record with a bad CRC raises
         :class:`~repro.errors.WalCorruptionError` and is never replayed.
         """
@@ -1283,12 +1262,13 @@ class Sage:
         clock/RNG (regenerating the same blocks), re-applies each
         session's recorded attempts with a settle after every one (the
         drive's own cadence and settle calls, on the recorded windows'
-        rows),
+        rows), restores each session's recorded ``export_state`` record,
         redistributes exactly where the drive would have, and lands the
-        hour's charges through one ``request_many`` call, whose
-        validation accumulates them with the same float operations the
-        live hour's staging did, so the store ends byte-identical to the
-        live staged commit.
+        hour's charges through one ``request_many`` call.  Its
+        ``charge_many`` stages them into a batch of its own and lands it
+        through the staging and landing bodies the live hour's
+        ``stage_charge`` and ``commit_staged`` ran, so the store ends
+        byte-identical to the live staged commit by construction.
         """
         accountant = self.access.accountant
         if record["schema_width"] != accountant.store.width:
@@ -1315,27 +1295,16 @@ class Sage:
         for delta in record["deltas"]:
             entry = self._pipelines[delta["index"]]
             session = entry.session
-            for attempt, window, budget, outcome, train_size in delta["attempts"]:
-                session.attempts.append(
-                    AttemptRecord(
-                        attempt=attempt,
-                        window=window,
-                        budget=budget,
-                        outcome=outcome,
-                        train_size=train_size,
-                    )
-                )
+            for attempt in durability.decode_attempts(delta["attempts"]):
+                session.attempts.append(attempt)
                 # Settle after every attempt, as the drive does after
                 # every complete(): the same settle calls in the same order.
                 self._table.settle(
-                    entry.table_row, rows_for_keys(window), budget.epsilon
+                    entry.table_row,
+                    rows_for_keys(attempt.window),
+                    attempt.budget.epsilon,
                 )
-            session.status = SessionStatus.canonical(delta["status"])
-            session.epsilon = delta["epsilon"]
-            session.epsilon_floor = delta["epsilon_floor"]
-            session.delta = delta["delta"]
-            session.window_blocks = delta["window_blocks"]
-            session.total_spent = delta["total_spent"]
+            session.restore_state(delta)
             entry.release_time_hours = delta["release_time_hours"]
             if session.is_terminal:
                 self._waiting.pop(entry.table_row)

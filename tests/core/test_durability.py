@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import durability, faults
 from repro.core.accountant import ChargeRecord
-from repro.core.adaptive import AdaptiveConfig
+from repro.core.adaptive import AdaptiveConfig, SessionStatus
 from repro.core.filters import RenyiCompositionFilter, StrongCompositionFilter
 from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget
@@ -1232,3 +1232,92 @@ class TestSnapshotReproducibility:
             "snapshot.spare",
         ]
         assert runs[0] == runs[1]
+
+
+# Pickle writes dict keys in insertion order, so the key order of a WAL
+# hour delta and of a snapshot entry is part of the file bytes.
+DELTA_KEYS = [
+    "index",
+    "status",
+    "epsilon",
+    "epsilon_floor",
+    "delta",
+    "window_blocks",
+    "total_spent",
+    "settled_attempts",
+    "release_time_hours",
+    "attempts",
+]
+ENTRY_KEYS = [
+    "name",
+    "submit_time_hours",
+    "release_time_hours",
+    "settled_attempts",
+    "status",
+    "epsilon",
+    "epsilon_floor",
+    "delta",
+    "window_blocks",
+    "total_spent",
+    "attempts",
+]
+SESSION_KEYS = [
+    "status",
+    "epsilon",
+    "epsilon_floor",
+    "delta",
+    "window_blocks",
+    "total_spent",
+]
+
+
+class TestRecordFormat:
+    def test_delta_and_entry_key_order(self, tmp_path):
+        sage = _submitted("single-basic", wal_dir=tmp_path, snapshot_every=2)
+        for _ in range(3):  # hour 2 stays in the log past the snapshot
+            sage.advance(1.0)
+        sage.close()
+        hours = [
+            record
+            for record in durability.read_wal(durability.wal_path(tmp_path)).records
+            if record["kind"] == "hour"
+        ]
+        deltas = [delta for record in hours for delta in record["deltas"]]
+        assert deltas and all(list(delta) == DELTA_KEYS for delta in deltas)
+        _, payload, _ = durability.SnapshotStore(tmp_path).latest()
+        assert payload["entries"]
+        assert all(list(entry) == ENTRY_KEYS for entry in payload["entries"])
+
+    def test_export_restore_round_trip(self):
+        sage = _submitted("single-basic")
+        for _ in range(3):
+            sage.advance(1.0)
+        source, target = (entry.session for entry in sage.pipelines[:2])
+        state = source.export_state()
+        assert list(state) == SESSION_KEYS
+        target.restore_state(state)
+        assert target.export_state() == state
+        for key, value in state.items():
+            assert getattr(target, key) is value
+        sage.close()
+
+    def test_decoded_status_comes_back_as_the_constant(self):
+        sage = _submitted("single-basic")
+        session = sage.pipelines[0].session
+        decoded = "".join(["need", "_data"])  # equal, not the same object
+        assert decoded == SessionStatus.NEED_DATA
+        assert decoded is not SessionStatus.NEED_DATA
+        session.restore_state({**session.export_state(), "status": decoded})
+        assert session.status is SessionStatus.NEED_DATA
+        sage.close()
+
+    def test_attempt_codec_round_trips(self):
+        sage = _submitted("single-basic")
+        for _ in range(6):
+            sage.advance(1.0)
+        attempts = [a for entry in sage.pipelines for a in entry.session.attempts]
+        assert attempts
+        assert durability.decode_attempts(durability.encode_attempts(attempts)) == (
+            attempts
+        )
+        sage.close()
