@@ -17,12 +17,18 @@ Two questions about ``Sage(wal_dir=...)``:
   drops a file's last link, and a ``truncate`` that shrinks a file --
   per snapshot after the first ``snapshot_keep``.
   ``--assert-frees-per-snapshot`` gates the count, which never flakes.
+* **Decodes per compaction**: compaction picks its frames from the
+  writer's frame index and CRC-checks them, so it unpickles no record.
+  A durable drive counts the ``pickle.loads`` calls made inside
+  ``WalWriter.compact`` per compaction that rewrote the log;
+  ``--assert-decodes-per-compaction`` gates that count.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_wal_overhead.py``).
 """
 
 import argparse
 import os
+import pickle
 import sys
 import tempfile
 import time
@@ -264,15 +270,68 @@ def bench_block_frees(n_pipelines, snapshot_every, extra_snapshots=3):
     return counted[0] / extra_snapshots, warmup[0]
 
 
+@contextmanager
+def count_compaction_decodes():
+    """Count the ``pickle.loads`` calls made inside ``WalWriter.compact``
+    while the block runs, and the compactions that rewrote the log.
+    Yields a dict holding the running ``decodes`` and ``compactions``."""
+    counts = {"decodes": 0, "compactions": 0}
+    inside = [0]
+    real_loads = pickle.loads
+    real_compact = durability.WalWriter.compact
+
+    def loads(*args, **kwargs):
+        if inside[0]:
+            counts["decodes"] += 1
+        return real_loads(*args, **kwargs)
+
+    def compact(self, upto_hour):
+        inside[0] += 1
+        try:
+            dropped = real_compact(self, upto_hour)
+        finally:
+            inside[0] -= 1
+        if dropped:
+            counts["compactions"] += 1
+        return dropped
+
+    pickle.loads = loads
+    durability.WalWriter.compact = compact
+    try:
+        yield counts
+    finally:
+        pickle.loads = real_loads
+        durability.WalWriter.compact = real_compact
+
+
+def bench_compaction_decodes(n_pipelines, snapshot_every):
+    """Records decoded per compaction over a durable drive of
+    ``SNAPSHOT_KEEP + 3`` snapshots.  Returns ``(per compaction,
+    compactions)``."""
+    with tempfile.TemporaryDirectory(prefix="wal_bench_decodes_") as tmp:
+        sage = _build(wal_dir=Path(tmp), snapshot_every=snapshot_every)
+        for pipeline, config in _pipes(n_pipelines):
+            sage.submit(pipeline, config)
+        with count_compaction_decodes() as counts:
+            for _ in range((SNAPSHOT_KEEP + 3) * snapshot_every):
+                sage.advance(1.0)
+        sage.close()
+    if not counts["compactions"]:
+        raise AssertionError("the drive never compacted the log")
+    return counts["decodes"] / counts["compactions"], counts["compactions"]
+
+
 def run(
     hours,
     n_pipelines,
     snapshot_every,
     assert_max_overhead=0.0,
     assert_frees_per_snapshot=None,
+    assert_decodes_per_compaction=None,
 ):
     t_off, t_on, overhead = bench_overhead(hours, n_pipelines, snapshot_every)
     frees, warmup_frees = bench_block_frees(n_pipelines, snapshot_every or 4)
+    decodes, compactions = bench_compaction_decodes(n_pipelines, snapshot_every or 4)
     case = write_bench_json(
         "wal_overhead",
         {
@@ -280,6 +339,7 @@ def run(
             "pipelines": n_pipelines,
             "snapshot_every": snapshot_every,
             "frees_per_snapshot": frees,
+            "decodes_per_compaction": decodes,
         },
         t_on * 1e3,
         t_off * 1e3,
@@ -298,6 +358,8 @@ def run(
             "recovery both reproduce the final digest",
             f"block-freeing calls: {frees:g} per snapshot after the first "
             f"{SNAPSHOT_KEEP} ({warmup_frees} during them)",
+            f"records decoded by compaction: {decodes:g} per compaction "
+            f"({compactions} compactions)",
         ],
     )
     if assert_max_overhead and overhead > assert_max_overhead:
@@ -309,6 +371,14 @@ def run(
         raise AssertionError(
             f"{frees:g} block-freeing calls per snapshot, over the allowed "
             f"{assert_frees_per_snapshot:g}"
+        )
+    if (
+        assert_decodes_per_compaction is not None
+        and decodes > assert_decodes_per_compaction
+    ):
+        raise AssertionError(
+            f"compaction decoded {decodes:g} records per compaction, over "
+            f"the allowed {assert_decodes_per_compaction:g}"
         )
     return table
 
@@ -343,6 +413,13 @@ def main():
         "than this many block-freeing calls (unlink, replace onto a last "
         "link, shrinking truncate)",
     )
+    parser.add_argument(
+        "--assert-decodes-per-compaction",
+        type=float,
+        default=None,
+        help="fail if WAL compaction unpickles more than this many records "
+        "per compaction",
+    )
     args = parser.parse_args()
     print(
         run(
@@ -351,6 +428,7 @@ def main():
             args.snapshot_every,
             assert_max_overhead=args.assert_max_overhead,
             assert_frees_per_snapshot=args.assert_frees_per_snapshot,
+            assert_decodes_per_compaction=args.assert_decodes_per_compaction,
         )
     )
 

@@ -108,9 +108,14 @@ name or overwriting in place costs well under one.
   nothing loads that name), overwrites it from offset 0, truncates it to
   the blob's length (snapshots grow, so this cuts nothing on the steady
   path), fsyncs, and publishes it with ``os.replace`` as above.
-* WAL compaction claims ``charge.wal.spare`` as ``charge.wal.compact``,
-  writes the magic and the kept frames, zeroes the rest of the spare's
-  old bytes and fsyncs.  The swap is link-then-replace:
+* WAL compaction decodes no record.  The writer keeps an index of the
+  live log's frames, ``(hour index, start, end)`` each, built from the
+  scan it opened the log with and extended by every append; compaction
+  chooses the frames to keep from it, reads the log back and checks
+  every frame's length field and CRC32 against its bytes, then claims
+  ``charge.wal.spare`` as ``charge.wal.compact``, writes the magic and
+  the kept frames byte for byte, zeroes the rest of the spare's old
+  bytes and fsyncs.  The swap is link-then-replace:
   ``os.link(charge.wal, charge.wal.spare)`` keeps the live log's inode as
   the next spare, then ``os.replace`` moves the rewritten file onto
   ``charge.wal`` atomically.  The replaced name still has a link, so the
@@ -176,8 +181,9 @@ submission order:
    live drive does), and land the recorded request batch through **one**
    ``request_many`` call (the live hour's staging and landing bodies).
    Restore the post-hour RNG state and verify the hour's commit digest.
-3. Position the WAL writer at the end of the last complete record
-   (repairing any torn tail) so the platform can keep advancing.
+3. Open the WAL writer on the scan step 2 read (the log is not read
+   again), positioned at the end of the last complete record (repairing
+   any torn tail) so the platform can keep advancing.
 
 Recovery limitations (by design): released model artifacts are not
 re-materialized (``bundle``/``final_run`` stay ``None`` on recovered
@@ -278,20 +284,6 @@ class WalScan:
     spans: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def read_wal(path) -> WalScan:
-    """Read every complete record of a WAL file, tolerating a torn tail.
-
-    Raises :class:`~repro.errors.WalCorruptionError` (naming the file,
-    byte offset, and record index) for a bad magic or a complete record
-    whose CRC32 does not match -- corruption is surfaced, never silently
-    replayed.  A missing file reads as an empty scan.
-    """
-    path = Path(path)
-    if not path.exists():
-        return WalScan(records=[], truncated_tail=False, end_offset=0)
-    return _scan_wal_bytes(path, path.read_bytes())
-
-
 def _complete_prefix(payload, crc: int) -> bool:
     """Whether a prefix of ``payload`` that ends in pickle's STOP byte
     (``.``) has CRC ``crc``: the frame's record is complete and its
@@ -310,8 +302,16 @@ def _complete_prefix(payload, crc: int) -> bool:
         start = stop + 1
 
 
-def _scan_wal_bytes(path: Path, data: bytes) -> WalScan:
-    """:func:`read_wal` over the file's bytes, already read."""
+def read_wal(path) -> WalScan:
+    """Read every complete record of a WAL file, tolerating a torn tail.
+
+    Raises :class:`~repro.errors.WalCorruptionError` (naming the file,
+    byte offset, and record index) for a bad magic or a complete record
+    whose CRC32 does not match -- corruption is surfaced, never silently
+    replayed.  A missing file reads as an empty scan.
+    """
+    path = Path(path)
+    data = path.read_bytes() if path.exists() else b""
     if not data:
         return WalScan(records=[], truncated_tail=False, end_offset=0)
     if len(data) < len(WAL_MAGIC):
@@ -366,6 +366,16 @@ def _scan_wal_bytes(path: Path, data: bytes) -> WalScan:
     )
 
 
+def _frame_hour(record: dict) -> Optional[int]:
+    """The hour a record's frame belongs to in the writer's index: the
+    ``hour_index`` of an hour or commit record, else ``None`` (kept by
+    every compaction)."""
+    hour_index = record.get("hour_index")
+    if record.get("kind") in ("hour", "commit") and hour_index is not None:
+        return int(hour_index)
+    return None
+
+
 def pair_hour_records(records) -> List[Tuple[dict, Optional[int]]]:
     """Group a scan's records into ``(hour_record, commit_digest)`` pairs.
 
@@ -413,10 +423,17 @@ class WalWriter:
     corruption raises) and truncates any torn tail so appends resume at
     the last complete record; a clean zero tail stays, and appends
     overwrite it.  A file torn inside its header gets the magic
-    rewritten.
+    rewritten.  A caller that already holds a :func:`read_wal` scan of
+    the file, taken since its last write, passes it as ``scan`` and the
+    log is not read again.
+
+    The writer indexes every frame of the live log as ``(hour index or
+    None, start, end)``: the scan seeds the index, appends extend it once
+    their bytes are synced, an abort drops the frames it truncated, and
+    compaction picks its frames from it without decoding a record.
     """
 
-    def __init__(self, path, telemetry=None) -> None:
+    def __init__(self, path, telemetry=None, scan: Optional[WalScan] = None) -> None:
         self._tracer = telemetry.tracer if telemetry is not None else NULL_PROBE
         self._metrics = telemetry.metrics if telemetry is not None else None
         self._path = Path(path)
@@ -424,14 +441,20 @@ class WalWriter:
         self._spare = self._path.with_name(self._path.name + ".spare")
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._drop_linked_spare()
+        self._frames: List[Tuple[Optional[int], int, int]] = []
         if self._path.exists() and self._path.stat().st_size > 0:
-            scan = read_wal(self._path)
+            if scan is None:
+                scan = read_wal(self._path)
+            self._frames = [
+                (_frame_hour(record), start, end)
+                for record, (start, end) in zip(scan.records, scan.spans)
+            ]
             self._fh = open(self._path, "r+b")
             self._fh.seek(scan.end_offset)
             if scan.truncated_tail:
                 self._fh.truncate()
         else:
-            self._fh = open(self._path, "wb")
+            self._fh = open(self._path, "w+b")
         if self._fh.tell() == 0:
             # A new file, or one torn inside its header: write the magic.
             self._fh.write(WAL_MAGIC)
@@ -487,12 +510,14 @@ class WalWriter:
         record = dict(payload)
         record["kind"] = "hour"
         encoded = _encode_record(record)
+        start = self._fh.tell()
         with self._tracer.span("wal.append", bytes=len(encoded)):
             self._fh.write(encoded)
             self._sync()
         if self._metrics is not None:
             self._metrics.inc("sage_wal_bytes_total", len(encoded))
             self._metrics.observe("sage_wal_append_bytes", len(encoded))
+        self._frames.append((_frame_hour(record), start, start + len(encoded)))
         faults.trip("wal.after_append")
 
     def commit_hour(self, hour_index: int, digest: int) -> None:
@@ -502,11 +527,13 @@ class WalWriter:
         encoded = _encode_record(
             {"kind": "commit", "hour_index": int(hour_index), "digest": int(digest)}
         )
+        start = self._fh.tell()
         with self._tracer.span("wal.commit", hour_index=int(hour_index)):
             self._fh.write(encoded)
             self._sync()
         if self._metrics is not None:
             self._metrics.inc("sage_wal_bytes_total", len(encoded))
+        self._frames.append((int(hour_index), start, start + len(encoded)))
         self._hour_start = None
 
     def abort_hour(self) -> None:
@@ -527,6 +554,8 @@ class WalWriter:
         self._fh.write(bytes(min(end, self._hour_size) - self._hour_start))
         self._fh.seek(self._hour_start)
         self._sync()
+        while self._frames and self._frames[-1][1] >= self._hour_start:
+            self._frames.pop()
         self._hour_start = None
 
     def compact(self, upto_hour: int) -> int:
@@ -536,8 +565,12 @@ class WalWriter:
         *oldest retained* snapshot's hour: every dropped hour is folded
         into every snapshot recovery could still load, so the corrupt-
         newest-snapshot fallback keeps working.  Records that carry no
-        hour index are preserved untouched, in order: every kept frame is
-        copied byte for byte, never decoded and encoded again.
+        hour index are preserved untouched, in order.  The writer's frame
+        index chooses the frames; no record is decoded.  Every frame of
+        the log is read back and its length field and CRC32 checked
+        against its bytes (a damaged frame, kept or dropped, raises
+        :class:`~repro.errors.WalCorruptionError` before any file is
+        touched), and every kept frame is copied byte for byte.
 
         The rewrite reuses the previous compaction's file,
         ``charge.wal.spare``, instead of freeing and allocating blocks:
@@ -560,27 +593,24 @@ class WalWriter:
         upto_hour = int(upto_hour)
         if upto_hour <= 0:
             return 0
-        self._fh.flush()
-        data = self._path.read_bytes()
-        scan = _scan_wal_bytes(self._path, data)
-        kept: List[bytes] = []
-        dropped = 0
-        for record, (start, end) in zip(scan.records, scan.spans):
-            hour_index = record.get("hour_index")
-            if (
-                record.get("kind") in ("hour", "commit")
-                and hour_index is not None
-                and int(hour_index) < upto_hour
-            ):
-                dropped += 1
-            else:
-                kept.append(data[start:end])
+        kept = [
+            frame
+            for frame in self._frames
+            if frame[0] is None or frame[0] >= upto_hour
+        ]
+        dropped = len(self._frames) - len(kept)
         if not dropped:
             return 0
+        data = self._read_frames()
         with self._tracer.span(
             "wal.compact", upto_hour=upto_hour, dropped=dropped
         ):
-            body = WAL_MAGIC + b"".join(kept)
+            body = WAL_MAGIC + b"".join(data[start:end] for _, start, end in kept)
+            # The kept frames' index in the rewritten file, laid end to end.
+            frames, offset = [], len(WAL_MAGIC)
+            for hour, start, end in kept:
+                frames.append((hour, offset, offset + end - start))
+                offset += end - start
             tmp = self._path.with_name(self._path.name + ".compact")
             self._drop_linked_spare()
             if self._spare.exists():
@@ -594,6 +624,7 @@ class WalWriter:
             os.link(self._path, self._spare)
             faults.trip("wal.compact_swap")
             os.replace(tmp, self._path)
+            self._frames = frames
             self._fh.close()
             _fsync_dir(self._path.parent)
             self._fh = open(self._path, "r+b")
@@ -601,6 +632,28 @@ class WalWriter:
         if self._metrics is not None:
             self._metrics.inc("sage_wal_compact_dropped_total", dropped)
         return dropped
+
+    def _read_frames(self) -> bytes:
+        """The log's bytes up to the end of its last indexed frame, each
+        frame's length field and CRC32 checked against them."""
+        self._fh.flush()
+        size = self._frames[-1][2]
+        data = os.pread(self._fh.fileno(), size, 0)
+        if len(data) < size:
+            raise WalCorruptionError(
+                self._path, len(data), "log ends inside an indexed frame"
+            )
+        view = memoryview(data)
+        for index, (_, start, end) in enumerate(self._frames):
+            length, crc = _FRAME.unpack_from(data, start)
+            if length != end - start - _FRAME.size:
+                reason = "record length mismatch"
+            elif zlib.crc32(view[start + _FRAME.size : end]) != crc:
+                reason = "record CRC mismatch"
+            else:
+                continue
+            raise WalCorruptionError(self._path, start, reason, record=index)
+        return data
 
     def close(self) -> None:
         if not self._fh.closed:

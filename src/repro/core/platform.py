@@ -1036,12 +1036,17 @@ class Sage:
     # ------------------------------------------------------------------
     # Durability: pre-hour capture, rollback, WAL records, recovery
     # ------------------------------------------------------------------
-    def _ensure_wal(self) -> durability.WalWriter:
+    def _ensure_wal(self, scan=None) -> durability.WalWriter:
+        """The open WAL writer; opening it reuses ``scan``, a
+        :func:`~repro.core.durability.read_wal` of the log taken since
+        its last write, instead of reading the log again."""
         if self._wal_dir is None:
             raise DurabilityError("platform was constructed without a wal_dir")
         if self._wal is None:
             self._wal = durability.WalWriter(
-                durability.wal_path(self._wal_dir), telemetry=self._telemetry
+                durability.wal_path(self._wal_dir),
+                telemetry=self._telemetry,
+                scan=scan,
             )
         return self._wal
 
@@ -1239,8 +1244,9 @@ class Sage:
             while submitted < len(supplied):
                 submit_next()
             self._needs_recovery = False
-            # Re-open the log for appending; a torn tail is truncated here.
-            self._ensure_wal()
+            # Re-open the log for appending from the scan replay read (the
+            # log is unchanged since); a torn tail is truncated here.
+            self._ensure_wal(scan)
         report = durability.RecoveryReport(
             snapshot_hour=snapshot_hour,
             snapshots_skipped=snapshots_skipped,

@@ -251,12 +251,21 @@ def _framed(records):
     return data, spans
 
 
+def _read_bytes(data):
+    """:func:`durability.read_wal` of a log file holding ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "charge.wal")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return durability.read_wal(path)
+
+
 class TestZeroTail:
     @given(records=_RECORDS, tail=st.integers(0, 96))
     @settings(max_examples=60, deadline=None)
     def test_zero_tail_is_the_clean_end(self, records, tail):
         base, spans = _framed(records)
-        scan = durability._scan_wal_bytes("charge.wal", base + bytes(tail))
+        scan = _read_bytes(base + bytes(tail))
         assert scan.records == records and scan.spans == spans
         assert not scan.truncated_tail and scan.end_offset == len(base)
 
@@ -270,7 +279,7 @@ class TestZeroTail:
         cut = data.draw(st.integers(1, len(frame) - 1), label="cut")
         written = frame[:cut]
         torn = base + written + bytes(max(0, tail - cut))
-        scan = durability._scan_wal_bytes("charge.wal", torn)
+        scan = _read_bytes(torn)
         assert scan.records == records and scan.end_offset == len(base)
         # Zeros written over zeros leave nothing to tell from a clean end.
         assert scan.truncated_tail == any(written)
@@ -285,7 +294,7 @@ class TestZeroTail:
         flipped = bytearray(base + bytes(tail))
         flipped[start + bit // 8] ^= 1 << (bit % 8)
         with pytest.raises(WalCorruptionError) as err:
-            durability._scan_wal_bytes("charge.wal", bytes(flipped))
+            _read_bytes(bytes(flipped))
         assert err.value.offset == start
 
     @given(
@@ -306,7 +315,7 @@ class TestZeroTail:
         damaged = bytearray(base + bytes(tail))
         damaged[len(base) + at] = value
         with pytest.raises(WalCorruptionError) as err:
-            durability._scan_wal_bytes("charge.wal", bytes(damaged))
+            _read_bytes(bytes(damaged))
         assert err.value.offset == len(base)
 
 
@@ -475,6 +484,189 @@ class TestWalCompaction:
         assert report.hours_committed == 8
         assert durability.state_digest(recovered) == digests[8]
         recovered.close()
+
+
+# ----------------------------------------------------------------------
+# The writer's frame index, and compaction from it
+# ----------------------------------------------------------------------
+def _oracle_compact(data, upto_hour):
+    """A decode-and-filter compaction of the log bytes ``data``: the magic
+    plus every frame not an hour or commit record of an hour before
+    ``upto_hour``, and the number of frames dropped."""
+    scan = _read_bytes(data)
+    kept = []
+    for record, (start, end) in zip(scan.records, scan.spans):
+        hour_index = record.get("hour_index")
+        if not (
+            record.get("kind") in ("hour", "commit")
+            and hour_index is not None
+            and int(hour_index) < upto_hour
+        ):
+            kept.append(data[start:end])
+    return durability.WAL_MAGIC + b"".join(kept), len(scan.records) - len(kept)
+
+
+def _scanned_index(path):
+    """Each frame of the log at ``path`` as ``(hour index or None, start,
+    end)``, read back from the file."""
+    scan = durability.read_wal(path)
+    return [
+        (
+            record.get("hour_index")
+            if record.get("kind") in ("hour", "commit")
+            else None,
+            start,
+            end,
+        )
+        for record, (start, end) in zip(scan.records, scan.spans)
+    ]
+
+
+_WAL_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(
+                ["commit", "abort", "abort-empty", "unmarked", "unindexed"]
+            ),
+            st.integers(0, 300),
+        ),
+        st.tuples(st.sampled_from(["compact", "swap-crash"]), st.integers(0, 12)),
+        st.tuples(st.just("reopen"), st.booleans()),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestFrameIndex:
+    @given(steps=_WAL_STEPS)
+    @settings(max_examples=60, deadline=None)
+    def test_the_index_is_the_file(self, steps):
+        """After every step -- hours committed, aborted or left without
+        their marker, records with no hour, compactions (some crashing
+        at the swap), reopens with and without a scan in hand -- the
+        writer's index is the file's frames, and every compaction writes
+        the oracle's bytes over the recycled spare."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = durability.wal_path(tmp)
+            spare = path.with_name("charge.wal.spare")
+            leftover = path.with_name("charge.wal.compact")
+            writer = durability.WalWriter(path)
+            hour = 0
+            for op, arg in steps:
+                if op in ("commit", "abort", "unmarked"):
+                    writer.begin_hour()
+                    writer.append_hour({"hour_index": hour, "blob": b"x" * arg})
+                    if op == "commit":
+                        writer.commit_hour(hour, 1000 + hour)
+                        hour += 1
+                    elif op == "abort":
+                        writer.abort_hour()
+                    else:  # the process died before the commit marker
+                        writer.close()
+                        writer = durability.WalWriter(path)
+                        hour += 1
+                elif op == "abort-empty":
+                    writer.begin_hour()
+                    writer.abort_hour()
+                elif op == "unindexed":
+                    writer.begin_hour()
+                    writer.append_hour({"blob": b"u" * arg})
+                    writer.commit_hour(hour, 1000 + hour)
+                    hour += 1
+                elif op == "reopen":
+                    writer.close()
+                    scan = durability.read_wal(path) if arg else None
+                    writer = durability.WalWriter(path, scan=scan)
+                else:
+                    before = path.read_bytes()
+                    # The file the rewrite claims: the spare, unless a
+                    # crashed swap left it a link to the live log, else
+                    # that crash's leftover temp file.
+                    if spare.exists() and not os.path.samefile(spare, path):
+                        stale = spare.stat().st_size
+                    elif leftover.exists():
+                        stale = leftover.stat().st_size
+                    else:
+                        stale = 0
+                    body, dropped = _oracle_compact(before, arg)
+                    if op == "swap-crash" and dropped:
+                        with pytest.raises(faults.InjectedCrash):
+                            with faults.armed_crash("wal.compact_swap"):
+                                writer.compact(arg)
+                        assert path.read_bytes() == before
+                        assert os.path.samefile(spare, path)
+                    else:
+                        assert writer.compact(arg) == dropped
+                        after = path.read_bytes()
+                        if dropped:
+                            assert after == body + bytes(max(0, stale - len(body)))
+                        else:
+                            assert after == before
+                assert writer._frames == _scanned_index(path)
+            writer.close()
+
+    @pytest.mark.parametrize("frame_hour", [2, 4], ids=["dropped", "kept"])
+    def test_a_damaged_frame_stops_compaction(self, frame_hour, tmp_path):
+        """A payload byte flipped in a frame the compaction would drop, or
+        in one it would keep, raises before any file is touched."""
+        path = tmp_path / "charge.wal"
+        writer = _fill_wal(path, 6)
+        writer.compact(2)  # the old log becomes the spare
+        scan = durability.read_wal(path)
+        index, (start, end) = next(
+            (i, span)
+            for i, (record, span) in enumerate(zip(scan.records, scan.spans))
+            if record["kind"] == "hour" and record["hour_index"] == frame_hour
+        )
+        with open(path, "r+b") as fh:
+            at = (start + durability._FRAME.size + end) // 2
+            fh.seek(at)
+            byte = fh.read(1)[0]
+            fh.seek(at)
+            fh.write(bytes([byte ^ 0x40]))
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(files) == ["charge.wal", "charge.wal.spare"]
+        with pytest.raises(WalCorruptionError, match="record CRC mismatch") as err:
+            writer.compact(4)
+        assert err.value.offset == start and err.value.record == index
+        assert f"@ byte {start}" in str(err.value)
+        writer.close()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+    def test_recovery_reads_the_log_once(self, tmp_path, monkeypatch):
+        """Recovery opens the writer on the scan replay read, so the log
+        is read once; a torn tail is still cut away at the end of
+        recovery, and the platform keeps advancing in lockstep."""
+        digests = _clean_digests("single-basic", hours=8)
+        sage = _submitted("single-basic", wal_dir=tmp_path, snapshot_every=4)
+        for _ in range(6):
+            sage.advance(1.0)
+        sage.close()
+        path = durability.wal_path(tmp_path)
+        size = path.stat().st_size
+        frame = durability._encode_record({"kind": "hour", "hour_index": 6})
+        with open(path, "ab") as fh:
+            fh.write(frame[: len(frame) // 2])
+        reads = []
+        real = durability.read_wal
+        monkeypatch.setattr(
+            durability, "read_wal", lambda p: reads.append(p) or real(p)
+        )
+        recovered = _build("single-basic", wal_dir=tmp_path, snapshot_every=4)
+        report = recovered.recover(_pipes())
+        assert len(reads) == 1
+        assert report.truncated_tail and report.hours_committed == 6
+        assert path.stat().st_size == size
+        for hour in (7, 8):
+            recovered.advance(1.0)
+            assert durability.state_digest(recovered) == digests[hour]
+        recovered.close()
+        final = _build("single-basic", wal_dir=tmp_path, snapshot_every=4)
+        assert final.recover(_pipes()).hours_committed == 8
+        assert durability.state_digest(final) == digests[8]
+        final.close()
 
 
 # ----------------------------------------------------------------------
@@ -1188,7 +1380,7 @@ class TestSnapshotReproducibility:
         assert runs[0] == runs[1]
         # Recycling happened: the log carries a zero tail from a spare.
         log = runs[0]["charge.wal"]
-        assert durability._scan_wal_bytes("charge.wal", log).end_offset < len(log)
+        assert _read_bytes(log).end_offset < len(log)
 
     @pytest.mark.parametrize(
         "point,failing_hour,skip",
