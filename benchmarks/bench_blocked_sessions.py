@@ -3,14 +3,13 @@ backlogged queue.
 
 Past the knee of Fig. 8 most of the queue waits in NEED_DATA for the
 growing database to fund its next attempt.  Each hour the platform
-decides the blocked verdicts of the sessions parked when the hour opens
-in one pass (``Sage._decide_parked``), keeps them standing through the
-hour with one check per stage (``Sage._recheck_parked``) and a new pass
-after each release, and visits only the sessions that pass cannot prove
-blocked.  The parked ones cost no session turn at all; the visited ones
-without a standing verdict ask the one-row-read verdict
-(``AdaptiveSession.provably_blocked``) and skip the window search
-(``propose_peek``) when it proves them blocked.
+proves blocked, in one pass (``Sage._decide_parked``), the sessions
+parked when the hour opens that cannot find a window, and runs the pass
+again after each release.  A proof stands for the hour -- a stage only
+adds spend, and admission is monotone in spend -- so those sessions cost
+no session turn at all.  Every session the drive visits asks the
+one-row-read verdict (``AdaptiveSession.provably_blocked``) once and
+skips the window search (``propose_peek``) when it proves it blocked.
 
 This script builds a Fig. 8-style backlog from public parts -- Gamma
 (shape 2) arrivals at ``RATE`` per hour for ``HOURS`` hours
@@ -25,7 +24,9 @@ oracle pipelines, a count stream -- and drives it twice from ``SEED``:
   every hour.
 
 It asserts that both drives end with the same state digest and the same
-public outputs, and reports the ``propose_peek`` calls, per-session
+public outputs, and that every turn of the default drive asks the
+verdict exactly once (``provably_blocked`` calls equal session turns).
+It reports the ``propose_peek`` calls, per-session
 ``provably_blocked`` calls and session turns (``Sage._drive_session``
 calls) of each.  ``--assert-propose-reduction F`` exits 1 unless the
 default drive makes at most ``1 - F`` of the forced-poll drive's
@@ -141,6 +142,13 @@ def main():
     polled = drive(forced=True)
     if skipped["digest"] != polled["digest"] or skipped["outputs"] != polled["outputs"]:
         print("PARITY FAILURE: the default and forced-poll drives diverged")
+        return 1
+    if skipped["provably_blocked"] != skipped["_drive_session"]:
+        print(
+            f"VERDICT FAILURE: the default drive asked provably_blocked "
+            f"{skipped['provably_blocked']} times in "
+            f"{skipped['_drive_session']} session turns, not once per turn"
+        )
         return 1
     reductions = {
         method: 1.0 - skipped[method] / max(1, polled[method])

@@ -3,9 +3,7 @@
 The propose/decide/settle protocol (PR 3) and the staged hour's shared
 scans both rest on one contract: ``AdaptiveSession.propose_peek``, the
 blocked-session verdict ``AdaptiveSession.provably_blocked``, the hour
-pass that decides it for the parked queue (``Sage._decide_parked``), the
-per-stage check that voids the pass verdicts a stage moved
-(``Sage._recheck_parked``, which writes only the pass it is handed) and
+pass that decides it for the parked queue (``Sage._decide_parked``) and
 the accountant's read surface (``admits_keys`` / ``can_charge`` /
 ``max_epsilon``) are *pure reads*.  Sessions share memoized scans within
 an hour precisely because nothing along those paths writes -- a single
@@ -61,15 +59,13 @@ __all__ = ["PurityRule", "PURE_SEEDS"]
 # serial drive asks a waiting session for its next proposal, and a pure
 # peek is what lets a blocked queue share the open batch's scan memo;
 # ``provably_blocked`` is the one-row-read verdict the drive asks first,
-# under the same contract, ``_decide_parked`` the hour pass that decides
-# the parked sessions' verdicts at once and ``_recheck_parked`` the
-# per-stage check of those verdicts; the accountant reads are
+# under the same contract, and ``_decide_parked`` the hour pass that
+# decides the parked sessions' verdicts at once; the accountant reads are
 # what every window scan and admissibility decision flows through.
 PURE_SEEDS = (
     "propose_peek",
     "provably_blocked",
     "_decide_parked",
-    "_recheck_parked",
     "admits_keys",
     "can_charge",
     "max_epsilon",
@@ -92,7 +88,7 @@ class PurityRule(Rule):
     name = "purity"
     description = (
         "methods reachable from propose_peek/provably_blocked/"
-        "_decide_parked/_recheck_parked/admits_keys/can_charge/max_epsilon "
+        "_decide_parked/admits_keys/can_charge/max_epsilon "
         "must not mutate session, accountant, or store state"
     )
 

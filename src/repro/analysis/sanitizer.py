@@ -2,8 +2,7 @@
 
 The static purity rule proves that no *known* mutation is reachable from
 the pure seeds (``propose_peek``, ``provably_blocked``, the hour pass
-``_decide_parked`` and its per-stage check ``_recheck_parked``,
-``admits_keys``, ``can_charge``, ``max_epsilon``);
+``_decide_parked``, ``admits_keys``, ``can_charge``, ``max_epsilon``);
 this module enforces the same contract
 dynamically so the parts the static layer cannot see -- C-level NumPy
 writes, monkeypatched callables, reflection -- still fault loudly instead
@@ -94,8 +93,8 @@ def install() -> None:
     """Wrap every declared-pure entry point with a write barrier.
 
     Idempotent; the wrapped set mirrors ``PURE_SEEDS`` in the static
-    purity rule -- keep the two in sync (the purity rule's seed-list test
-    pins the names).
+    purity rule -- keep the two in sync (``TestInstall`` in the sanitizer
+    tests pins the names).
     """
     from repro.core.accountant import BlockAccountant
     from repro.core.adaptive import AdaptiveSession
@@ -109,8 +108,7 @@ def install() -> None:
             method,
             lambda session: session.access.accountant._store,
         )
-    for method in ("_decide_parked", "_recheck_parked"):
-        _wrap(Sage, method, lambda sage: sage.access.accountant._store)
+    _wrap(Sage, "_decide_parked", lambda sage: sage.access.accountant._store)
 
 
 def uninstall() -> None:

@@ -359,8 +359,12 @@ class AdaptiveSession:
         read is the batch's memoized scan at ``lowest``, which every stage
         keeps current by re-deciding only the rows it staged.  The
         platform's hour pass (``Sage._decide_parked``) computes this same
-        count for all its parked sessions at once; this method stays the
-        definition and the fallback.
+        count for all its parked sessions at once and skips those it
+        proves blocked; every session the drive visits asks this method
+        once, so it stays the definition.  A True answer stands until the
+        session's own turn or a release: a stage only adds spend, and
+        admission is monotone in spend (the
+        :class:`~repro.core.filters.PrivacyFilter` contract).
         """
         if self.status not in (SessionStatus.RUNNING, SessionStatus.NEED_DATA):
             return False
@@ -397,11 +401,11 @@ class AdaptiveSession:
 
         The peek always runs the full window search.  The platform
         settles the cheaper blocked verdict first, once per session and
-        hour -- from its hour pass over the sessions parked when the hour
-        opens while nothing the pass counted has moved, otherwise by
-        asking :meth:`provably_blocked` -- and calls :meth:`propose` only
-        when that verdict is False; a check here instead would repeat that
-        verdict's row read on every proposal of a session that is not
+        hour -- it skips the sessions its hour pass proved blocked when the
+        hour opened (or since the last release), and every session it
+        visits asks :meth:`provably_blocked` -- and calls :meth:`propose`
+        only when that verdict is False; a check here instead would repeat
+        that verdict's row read on every proposal of a session that is not
         blocked.
         """
         status = self.status

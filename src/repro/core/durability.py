@@ -197,6 +197,7 @@ files are trusted local state, not an interchange format.
 
 from __future__ import annotations
 
+import gc
 import operator
 import os
 import pickle
@@ -308,7 +309,12 @@ def read_wal(path) -> WalScan:
     Raises :class:`~repro.errors.WalCorruptionError` (naming the file,
     byte offset, and record index) for a bad magic or a complete record
     whose CRC32 does not match -- corruption is surfaced, never silently
-    replayed.  A missing file reads as an empty scan.
+    replayed.  A missing file reads as an empty scan.  The decode runs
+    with the cyclic garbage collector off (its previous state is restored
+    on every exit): unpickling allocates container objects fast enough to
+    trigger collections, and one that cascades into a full collection
+    costs several times the whole read.  The collector's next pass, after
+    the read returns, sees the decoded records once.
     """
     path = Path(path)
     data = path.read_bytes() if path.exists() else b""
@@ -329,41 +335,49 @@ def read_wal(path) -> WalScan:
     zero_from = len(data.rstrip(b"\0"))
     index = 0
     truncated = False
-    while offset < zero_from:
-        # A header cut short by the end of the file reads as zero-padded.
-        length, crc = _FRAME.unpack(
-            data[offset : offset + _FRAME.size].ljust(_FRAME.size, b"\0")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while offset < zero_from:
+            # A header cut short by the end of the file reads as zero-padded.
+            length, crc = _FRAME.unpack(
+                data[offset : offset + _FRAME.size].ljust(_FRAME.size, b"\0")
+            )
+            if not length:
+                # No record is empty, so a zero length field with nonzero
+                # bytes after it is damage, never a torn append.
+                raise WalCorruptionError(
+                    path, offset, "empty record frame", record=index
+                )
+            start = offset + _FRAME.size
+            end = start + length
+            payload = data[start:end]
+            if end > len(data) or zlib.crc32(payload) != crc:
+                # A torn append leaves the frame's last byte unwritten: zero
+                # (or past the end of the file), like every byte after it.
+                # A complete frame's last byte is the payload's STOP byte.
+                complete = _complete_prefix(payload, crc)
+                if end > zero_from and not complete:
+                    truncated = True
+                    break
+                reason = "record length mismatch" if complete else "record CRC mismatch"
+                raise WalCorruptionError(path, offset, reason, record=index)
+            try:
+                record = pickle.loads(payload)
+            except Exception as exc:
+                raise WalCorruptionError(
+                    path, offset, f"undecodable record payload ({exc})", record=index
+                ) from exc
+            records.append(record)
+            spans.append((offset, end))
+            offset = end
+            index += 1
+        return WalScan(
+            records=records, truncated_tail=truncated, end_offset=offset, spans=spans
         )
-        if not length:
-            # No record is empty, so a zero length field with nonzero
-            # bytes after it is damage, never a torn append.
-            raise WalCorruptionError(path, offset, "empty record frame", record=index)
-        start = offset + _FRAME.size
-        end = start + length
-        payload = data[start:end]
-        if end > len(data) or zlib.crc32(payload) != crc:
-            # A torn append leaves the frame's last byte unwritten: zero
-            # (or past the end of the file), like every byte after it.
-            # A complete frame's last byte is the payload's STOP byte.
-            complete = _complete_prefix(payload, crc)
-            if end > zero_from and not complete:
-                truncated = True
-                break
-            reason = "record length mismatch" if complete else "record CRC mismatch"
-            raise WalCorruptionError(path, offset, reason, record=index)
-        try:
-            record = pickle.loads(payload)
-        except Exception as exc:
-            raise WalCorruptionError(
-                path, offset, f"undecodable record payload ({exc})", record=index
-            ) from exc
-        records.append(record)
-        spans.append((offset, end))
-        offset = end
-        index += 1
-    return WalScan(
-        records=records, truncated_tail=truncated, end_offset=offset, spans=spans
-    )
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _frame_hour(record: dict) -> Optional[int]:

@@ -130,15 +130,24 @@ class PrivacyFilter(abc.ABC):
     """Admissibility rule for charging DP queries against one block.
 
     Contract: decisions come from a block's totals row alone (see the
-    module docstring), and admission is monotone in epsilon at a fixed
-    delta -- on any totals rows, ``admits_batch(rows, (e', delta))`` admits
-    every row ``admits_batch(rows, (e, delta))`` admits, for every
-    ``e' <= e``.  Spending less can never be refused where spending more
-    is admitted.  The platform relies on it to skip a blocked session:
-    counting the rows that admit the session's lowest attemptable epsilon
-    bounds every window it could try (``AdaptiveSession.provably_blocked``).
-    Every built-in filter holds it, and ``tests/core/test_filters.py``
-    checks it as a property.
+    module docstring), and admission is monotone twice over:
+
+    * in epsilon at a fixed delta -- on any totals rows,
+      ``admits_batch(rows, (e', delta))`` admits every row
+      ``admits_batch(rows, (e, delta))`` admits, for every ``e' <= e``.
+      Spending less can never be refused where spending more is admitted.
+      The platform relies on it to skip a blocked session: counting the
+      rows that admit the session's lowest attemptable epsilon bounds
+      every window it could try (``AdaptiveSession.provably_blocked``).
+    * in spend -- for any totals rows ``T`` and charge ``b``,
+      ``admits_batch(T + contribution(b), c)`` admits no row that
+      ``admits_batch(T, c)`` refuses.  A charge never unblocks a block.
+      The platform relies on it to keep a session the hour pass proved
+      blocked skipped for the rest of the hour while other sessions
+      stage (``Sage._decide_parked``).
+
+    Every built-in filter holds both, and ``tests/core/test_filters.py``
+    checks each as a property.
     """
 
     def __init__(self, epsilon_global: float, delta_global: float) -> None:

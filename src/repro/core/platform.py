@@ -103,34 +103,32 @@ without a proposal -- exactly the state ``wake()`` followed by
 The verdict's definition is the session's one-row read,
 :meth:`~repro.core.adaptive.AdaptiveSession.provably_blocked`.  Most
 sessions of a backlog are parked from one hour to the next, so the hour
-pass (:meth:`Sage._decide_parked`) decides the verdicts of every session
-parked when the hour opens at once: one ``admit_rows`` read and one
-reservation gather per floor budget, compared with the verdict's own
-floats.  The drive visits only the sessions the pass cannot prove
-blocked.  A session whose standing pass verdict is True is blocked at
-its turn, and the turn would only run ``wake()`` and set NEED_DATA
-again, so the drive skips it with no call at all (no ``session.drive``
-span, no ``settle.mid_session`` trip; ``sage_sessions_parked_total``
-counts the skips).  A pass verdict stands until something it counted
-moves, and the drive checks that per stage, not per session:
+pass (:meth:`Sage._decide_parked`) proves blocked, at once, the sessions
+parked when the hour opens: one ``admit_rows`` read and one reservation
+gather per floor budget, compared with the verdict's own floats.  It
+records only the proofs, and the drive skips those sessions with no call
+at all (no ``session.drive`` span, no ``settle.mid_session`` trip;
+``sage_sessions_parked_total`` counts the skips): the turn would only run
+``wake()`` and set NEED_DATA again.  A proof stands for the rest of the
+hour, because the count it made can only fall before the session's turn:
 
-* a termination ran ``_redistribute``, whose release changes held values
-  in the waiting rows -- the pass runs again over its parked sessions
-  not yet driven;
-* a visited turn moved ``staged_request_count`` -- each floor reads its
-  scan-memo array once (:meth:`Sage._recheck_parked`).  The memo keeps a
-  floor's array object while its decisions stand, so an unchanged array
-  settles the floor with one ``is`` test; a new one voids every verdict,
-  True or False, whose session holds a row whose decision moved.
+* a stage only adds spend, and admission is monotone in spend (the
+  spend clause of the :class:`~repro.core.filters.PrivacyFilter`
+  contract), so the admitted set only shrinks;
+* the session's reservation row moves only through a release, and a
+  termination's ``_redistribute`` runs the pass again over its parked
+  sessions not yet driven;
+* status, attempts, epsilon, delta and window size move only on the
+  session's own turn.
 
-Status, attempts, epsilon, delta and window size move only on the
-session's own turn, so in every other case the count is the pass's.
-Sessions without a standing pass verdict (submitted since the last hour,
-or voided by the rules above) are visited and ask ``provably_blocked``
-themselves.  The pass and the verdict are pure reads, so the skip
-changes no decision, digest or WAL byte; the test suite's forced-poll
-drive, which turns the pass off and visits every session, is its parity
-reference.
+Every other session (submitted since the last hour, not proven by the
+pass, or re-decided as not blocked after a release) is visited and asks
+``provably_blocked`` once itself.  Were a filter to break the spend
+clause, a skipped session would only wait an hour longer: a skipped
+session stages nothing, so no charge can exceed a budget.  The pass and
+the verdict are pure reads, so the skip changes no decision, digest or
+WAL byte; the test suite's forced-poll drive, which turns the pass off
+and visits every session, is its parity reference.
 
 Waiting index
 -------------
@@ -166,7 +164,7 @@ import bisect
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -412,28 +410,12 @@ class SubmittedPipeline:
 
 
 @dataclass
-class _ParkedFloor:
-    """One floor of the hour pass: the admit rows its verdicts count (the
-    scan-memo array read when they were last checked), and the table rows
-    of its sessions whose verdicts still stand, in drive order (which is
-    ascending: the waiting index keeps submission order)."""
-
-    floor: PrivacyBudget
-    admitted: np.ndarray
-    rows: np.ndarray
-
-
-@dataclass
 class _HourPass:
-    """The hour pass: the parked sessions it decided (in drive order), its
-    standing verdicts ``{table row: blocked}`` for those not yet driven,
-    their floors, and the accountant's ``staged_request_count`` when the
-    verdicts were last checked."""
+    """The hour pass: the parked sessions it decided (in drive order), and
+    the table rows of those it proved blocked."""
 
     parked: List[SubmittedPipeline]
-    verdicts: Dict[int, bool]
-    floors: List[_ParkedFloor]
-    staged: int
+    blocked: Set[int]
 
 
 class Sage:
@@ -686,9 +668,9 @@ class Sage:
 
     # ------------------------------------------------------------------
     def _decide_parked(self, entries: Sequence[SubmittedPipeline]) -> _HourPass:
-        """The hour pass: the blocked verdict of every session of
-        ``entries`` parked in NEED_DATA with attempts left, decided in one
-        gather per floor.
+        """The hour pass: the sessions of ``entries`` parked in NEED_DATA
+        with attempts left, and those of them proven blocked, decided in
+        one gather per floor.
 
         ``entries`` are waiting entries in drive order: every one when the
         hour opens, and after a release the parked ones not yet driven
@@ -700,11 +682,11 @@ class Sage:
         :meth:`~repro.core.adaptive.AdaptiveSession.provably_blocked`
         reads -- and one gather of the group's reservation rows on the
         admitted columns, compared as ``row_budget_fn(rows) + 1e-12 >=
-        lowest`` compares.  A session's verdict is True when fewer than
+        lowest`` compares.  A session is proven blocked when fewer than
         its ``window_blocks`` cells qualify: ``provably_blocked``'s count
-        from the same floats.  A pure read whose result lives for the hour
-        only (see :meth:`_recheck_parked` for when a verdict stops
-        standing).
+        from the same floats.  Only those proofs are recorded; they stand
+        until a release (see "Blocked sessions" in the module docstring).
+        A pure read.
         """
         # Grouped by the floor's (epsilon, delta) floats: one budget per
         # floor, not per session.
@@ -719,8 +701,7 @@ class Sage:
                 parked.append(entry)
                 key = (min(session.epsilon, session.epsilon_floor), session.delta)
                 groups.setdefault(key, []).append(entry)
-        verdicts: Dict[int, bool] = {}
-        floors: List[_ParkedFloor] = []
+        blocked: Set[int] = set()
         for key, members in groups.items():
             floor = PrivacyBudget(*key)
             admitted = self.access.admit_rows(floor)
@@ -733,65 +714,20 @@ class Sage:
             held += 1e-12
             counts = np.count_nonzero(held >= floor.epsilon, axis=1)
             for entry, count in zip(members, counts.tolist()):
-                verdicts[entry.table_row] = count < entry.session.window_blocks
-            floors.append(_ParkedFloor(floor, admitted, rows))
-        return _HourPass(
-            parked, verdicts, floors, self.access.accountant.staged_request_count
-        )
+                if count < entry.session.window_blocks:
+                    blocked.add(entry.table_row)
+        return _HourPass(parked, blocked)
 
-    def _recheck_parked(self, hour_pass: _HourPass, driven_row: int) -> None:
-        """Void the standing verdicts of ``hour_pass`` that a stage since
-        its last check may have moved; every entry up to table row
-        ``driven_row`` has had its turn.
-
-        A verdict counts the columns both admitted at the session's floor
-        and held at ``lowest`` in its row.  Before the session's turn its
-        row moves only through a release, after which the drive runs the
-        pass again, so only the admitted set can move, and only on staged
-        rows.  The scan memo keeps a floor's array object while its
-        decisions stand, so the same array proves every count of the
-        floor unchanged.  A new array is compared with the one the counts
-        were checked against, and one gather of the floor's rows not yet
-        driven on the moved columns voids (drops from
-        ``hour_pass.verdicts``) each verdict, True or False, whose session
-        holds a moved column at ``lowest``; the others' counts stand.  A
-        pure read of the platform that writes only ``hour_pass``.
-        """
-        hour_pass.staged = self.access.accountant.staged_request_count
-        standing: List[_ParkedFloor] = []
-        for group in hour_pass.floors:
-            admitted = self.access.admit_rows(group.floor)
-            if admitted is not group.admitted:
-                moved = np.setxor1d(group.admitted, admitted, assume_unique=True)
-                group.admitted = admitted
-                rows = group.rows[
-                    np.searchsorted(group.rows, driven_row, side="right"):
-                ]
-                if moved.size and rows.size:
-                    held = self._table.matrix[np.ix_(rows, moved)]
-                    held += 1e-12
-                    hit = np.any(held >= group.floor.epsilon, axis=1)
-                    for row in rows[hit].tolist():
-                        del hour_pass.verdicts[row]
-                    rows = rows[~hit]
-                group.rows = rows
-            if group.rows.size:
-                standing.append(group)
-        hour_pass.floors = standing
-
-    def _drive_session(
-        self, entry: SubmittedPipeline, blocked: Optional[bool]
-    ) -> None:
+    def _drive_session(self, entry: SubmittedPipeline) -> None:
         """Run one session's propose/decide/complete loop for this hour.
 
-        ``blocked`` is the session's standing hour-pass verdict, or
-        ``None`` when it has none; the drive never visits a session whose
-        verdict is True (see "Blocked sessions" in the module docstring).
-        Without one the session asks its own ``provably_blocked`` once,
-        before the first proposal, and when proven blocked goes back to
-        NEED_DATA without proposing: the verdict is True only when every
-        window the search could try is short of funded rows, so
-        ``propose()`` would have returned ``None`` with that status.
+        The drive never visits a session the hour pass proved blocked (see
+        "Blocked sessions" in the module docstring).  A visited session
+        asks its own ``provably_blocked`` once, before the first proposal,
+        and when proven blocked goes back to NEED_DATA without proposing:
+        the verdict is True only when every window the search could try
+        is short of funded rows, so ``propose()`` would have returned
+        ``None`` with that status.
         Otherwise every proposal is validated
         against the hour's staged batch, its window assembled, and the
         decision fed back; a refusal becomes a denied decision, so the
@@ -802,9 +738,7 @@ class Sage:
         """
         session = entry.session
         session.wake()
-        if blocked is None:
-            blocked = session.provably_blocked()
-        if blocked:
+        if session.provably_blocked():
             # What propose() -> None leaves: the verdict proved the window
             # search would find nothing.
             session.status = SessionStatus.NEED_DATA
@@ -966,18 +900,15 @@ class Sage:
     def _drive_hour(self) -> List[ReleasedBundle]:
         """Drive the waiting sessions through the hour's propose/settle
         loop (after :meth:`_open_hour`, inside the staging window): every
-        one but those whose standing hour-pass verdict proves them blocked
-        (see "Blocked sessions" in the module docstring).  Returns the
-        hour's released bundles."""
+        one but those the hour pass proved blocked (see "Blocked sessions"
+        in the module docstring).  Returns the hour's released bundles."""
         tracer = self._tracer
-        accountant = self.access.accountant
         released: List[ReleasedBundle] = []
         driven = parked = 0
         order = list(self._waiting.values())
         hour_pass = self._decide_parked(order)
         for entry in order:
-            blocked = hour_pass.verdicts.pop(entry.table_row, None)
-            if blocked:
+            if entry.table_row in hour_pass.blocked:
                 # Still blocked: its turn would only wake it and park it
                 # again.
                 parked += 1
@@ -989,7 +920,7 @@ class Sage:
             # settle/release helpers emit no telemetry, so the widened
             # body leaves the deterministic tick sequence untouched.
             with tracer.span("session.drive", session=entry.name):
-                self._drive_session(entry, blocked)
+                self._drive_session(entry)
                 self._metrics.inc("sage_sessions_driven_total")
                 driven += 1
                 faults.trip("settle.mid_session")
@@ -1020,11 +951,6 @@ class Sage:
                             key=operator.attrgetter("table_row"),
                         )
                         hour_pass = self._decide_parked(hour_pass.parked[rest:])
-                elif (
-                    hour_pass.floors
-                    and accountant.staged_request_count != hour_pass.staged
-                ):
-                    self._recheck_parked(hour_pass, entry.table_row)
         self._metrics.inc("sage_sessions_parked_total", parked)
         # One settle marker per hour (not per session: settle instants
         # ride the per-session hot path, and the session.drive spans

@@ -7,8 +7,7 @@ complete object graph of a live session -- accountant, ledgers, store
 arrays, reservation state, RNG state, everything reachable -- calls
 ``propose_peek`` (or the blocked-session verdict ``provably_blocked``,
 the other pure seed on a session, or the platform's hour pass
-``Sage._decide_parked`` and its per-stage check ``Sage._recheck_parked``),
-and requires the fingerprint to be
+``Sage._decide_parked``), and requires the fingerprint to be
 byte-identical.
 
 Reservation state is pure from the first call: on a platform session the
@@ -310,42 +309,4 @@ class TestBlockedVerdictIsPure:
             )
         finally:
             access.abort_staged()
-        assert parked.verdicts, "no session was parked: nothing was checked"
-
-    def test_recheck_mid_hour(self):
-        """The per-stage check of the pass, after a stage that moved a
-        floor's admit decisions, moves neither the table, the batch nor any
-        session; it writes only the pass it is handed."""
-        sage = Sage(CountStreamSource(4000, scale=1000), seed=5)
-        sage.advance(3.0)
-        entries = [
-            sage.submit(
-                OraclePipeline(name=f"p{i}", n_at_eps1=1e9),
-                AdaptiveConfig(min_window_blocks=2 ** (3 * i)),
-            )
-            for i in range(3)
-        ]
-        sage.advance(1.0)
-        access = sage.access
-        access.begin_staging()
-        try:
-            hour_pass = sage._decide_parked(entries)
-            assert hour_pass.floors, "no floor was counted: nothing was checked"
-            # Spend what every block still has, down to under the floors.
-            for row, key in enumerate(access.accountant.block_keys):
-                eps = access.accountant.max_epsilon([row], 0.0)
-                if eps > 0.0:
-                    access.stage_request([row], [key], PrivacyBudget(eps, 0.0))
-            assert any(
-                access.admit_rows(group.floor) is not group.admitted
-                for group in hour_pass.floors
-            ), "no stage moved a floor's decisions: nothing was checked"
-            assert_read_leaves_no_trace(
-                "_recheck_parked",
-                sage,
-                (access, sage.reservation_table, [e.session for e in entries]),
-                hour_pass,
-                -1,
-            )
-        finally:
-            access.abort_staged()
+        assert parked.parked, "no session was parked: nothing was checked"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import sanitizer
+from repro.analysis.rules.purity import PURE_SEEDS
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_EPS, LedgerStore
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSession, SessionStatus
@@ -91,6 +92,17 @@ class TestInstall:
         assert AdaptiveSession.__dict__["propose_peek"] is original
         sanitizer.install_from_env()
 
+    def test_install_wraps_exactly_the_pure_seeds(self):
+        """The wrapped set mirrors the static rule's seed list."""
+        sanitizer.uninstall()
+        try:
+            sanitizer.install()
+            wrapped = {method for _cls, method in sanitizer._installed}
+        finally:
+            sanitizer.uninstall()
+            sanitizer.install_from_env()
+        assert wrapped == set(PURE_SEEDS)
+
     def test_env_flag_controls_install(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZER", raising=False)
         assert sanitizer.install_from_env() is False
@@ -162,9 +174,8 @@ class TestEndToEnd:
     def test_leaky_hour_pass_trips_the_barrier(
         self, installed_sanitizer, monkeypatch
     ):
-        """The hour pass and its per-stage check are wrapped too: a write
-        smuggled into the scan they read faults at the write, inside an
-        open hour."""
+        """The hour pass is wrapped too: a write smuggled into the scan it
+        reads faults at the write, inside an open hour."""
         sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
         sage.advance(3.0)
         entry = sage.submit(
@@ -181,13 +192,9 @@ class TestEndToEnd:
 
         sage.access.begin_staging()
         try:
-            hour_pass = sage._decide_parked([entry])
-            assert hour_pass.verdicts[entry.table_row] is True
+            assert sage._decide_parked([entry]).blocked == {entry.table_row}
             monkeypatch.setattr(SageAccessControl, "admit_rows", leaky)
             with pytest.raises(ValueError, match="read-only"):
                 sage._decide_parked([entry])
-            # The per-stage check reads the same scans, wrapped alike.
-            with pytest.raises(ValueError, match="read-only"):
-                sage._recheck_parked(hour_pass, -1)
         finally:
             sage.access.abort_staged()

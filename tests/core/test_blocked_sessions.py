@@ -10,13 +10,12 @@ when the hour opens at once.  Three properties make the skip safe:
   by ``propose() -> None`` leaves.  Checked on random stores, staged
   overlays, reservation rows and escalation states.
 * **The pass is the verdict.**  The drive visits only the sessions the
-  pass cannot prove blocked.  No state moves between two visited turns,
-  so every session it skipped is still proven blocked by its own
-  ``provably_blocked()`` at the next visited turn (or at the end of the
-  hour's drive), and every False verdict the pass supplies to a visited
-  turn equals ``provably_blocked()`` there -- with mid-hour releases
-  (after which the pass runs again), stages the session does or does not
-  hold, refused stages and Gaussian budgets in play, through a
+  pass cannot prove blocked, and each visited session asks its own
+  verdict.  A proof stands for the hour: every session the drive skipped
+  is still proven blocked by its own ``provably_blocked()`` at the next
+  visited turn (or at the end of the hour's drive) -- with mid-hour
+  releases (after which the pass runs again), stages the session does or
+  does not hold, refused stages and Gaussian budgets in play, through a
   rolled-back hour and a ``recover()``.
 * **Parity.**  The default drive matches the forced-poll drive
   (``per_request_oracle.forced_poll_drive``, where the pass decides
@@ -282,26 +281,22 @@ def checked_pass(injections=(), fail_turn=None):
 
     No state moves between two visited turns, so every session the drive
     skipped since the last visited turn must still be proven blocked at
-    the start of the next one (or when the hour's drive returns), and a
-    False verdict the pass supplies to a visited turn must be the
-    session's own verdict there.  ``injections`` lists ``(turn, blocks,
-    budget)``: at the start of the drive's ``turn``-th visited turn
-    (counted across hours), after the checks, ``budget`` is staged on the
-    newest ``blocks`` blocks, so a stage lands between the pass and the
-    turns after it; a refused one stages nothing.  At turn ``fail_turn``
+    the start of the next one (or when the hour's drive returns): a proof
+    the pass made stands across the stages since.  ``injections`` lists
+    ``(turn, blocks, budget)``: at the start of the drive's ``turn``-th
+    visited turn (counted across hours), after the checks, ``budget`` is
+    staged on the newest ``blocks`` blocks, so a stage lands between the
+    pass and the turns after it; a refused one stages nothing.  At turn ``fail_turn``
     the drive raises ``InjectedFault`` once, after the checks, so that
     hour rolls back mid-drive (``durable_drive`` runs it again).  Yields
     live counts.
     """
-    seen = {
-        "turns": 0, "skipped": 0, "supplied": 0, "voided": 0, "passes": 0,
-        "refused": 0, "failed": 0,
-    }
+    seen = {"turns": 0, "skipped": 0, "passes": 0, "refused": 0, "failed": 0}
     plan = {}
     for turn, blocks, budget in injections:
         plan.setdefault(turn, []).append((blocks, budget))
     drive_hour, drive_session = Sage._drive_hour, Sage._drive_session
-    decide, recheck = Sage._decide_parked, Sage._recheck_parked
+    decide = Sage._decide_parked
     hour = {"order": [], "position": {}, "next": 0}
 
     def check_skipped(upto):
@@ -320,16 +315,11 @@ def checked_pass(injections=(), fail_turn=None):
         check_skipped(len(hour["order"]))
         return released
 
-    def checked_session(self, entry, blocked):
+    def checked_session(self, entry):
         turn = seen["turns"]
         seen["turns"] += 1
         check_skipped(hour["position"][entry.table_row])
         hour["next"] += 1
-        if blocked is not None:
-            seen["supplied"] += 1
-            assert blocked == entry.session.provably_blocked(), (
-                f"the pass's verdict for {entry.name} is stale"
-            )
         for blocks, budget in plan.get(turn, ()):
             keys = self.access.accountant.block_keys[-blocks:]
             try:
@@ -339,16 +329,11 @@ def checked_pass(injections=(), fail_turn=None):
         if turn == fail_turn:
             seen["failed"] += 1
             raise faults.InjectedFault("checked_pass")
-        return drive_session(self, entry, blocked)
+        return drive_session(self, entry)
 
     def counted_pass(self, entries):
         seen["passes"] += 1
         return decide(self, entries)
-
-    def counted_recheck(self, hour_pass, driven_row):
-        standing = len(hour_pass.verdicts)
-        recheck(self, hour_pass, driven_row)
-        seen["voided"] += standing - len(hour_pass.verdicts)
 
     with mock.patch.object(
         Sage, "_drive_hour", checked_hour
@@ -356,8 +341,6 @@ def checked_pass(injections=(), fail_turn=None):
         Sage, "_drive_session", checked_session
     ), mock.patch.object(
         Sage, "_decide_parked", counted_pass
-    ), mock.patch.object(
-        Sage, "_recheck_parked", counted_recheck
     ):
         yield seen
 
@@ -366,7 +349,7 @@ class TestHourPassIsTheVerdict:
     @pytest.mark.parametrize("filter_name", ["basic", "strong", "renyi-pruned"])
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
-    def test_every_supplied_verdict_is_the_sessions_own(
+    def test_every_proof_stands_until_the_sessions_turn(
         self, tmp_path_factory, filter_name, data
     ):
         hours = data.draw(st.integers(min_value=12, max_value=30), label="hours")
@@ -404,10 +387,9 @@ class TestHourPassIsTheVerdict:
         assert seen["turns"], "no session was driven"
 
     def test_pass_skips_most_sessions_on_a_backlog(self, tmp_path):
-        """Not vacuous: on a backlog the drive skips most session-hours
-        and the pass supplies False verdicts too; stages landing mid-hour
-        void some verdicts, one more stage on the same blocks is refused,
-        and releases run the pass again."""
+        """Not vacuous: on a backlog the drive skips most session-hours,
+        stages land mid-hour (one more stage on the same blocks is
+        refused), an hour rolls back, and releases run the pass again."""
         injections = [
             (turn, 4, budget)
             for turn in range(10, 100, 10)
@@ -423,19 +405,19 @@ class TestHourPassIsTheVerdict:
             reference=functools.partial(checked_pass, injections, fail_turn=50),
         )["seen"]
         assert seen["skipped"] > seen["turns"]
-        assert seen["supplied"]
         assert seen["passes"] > HOURS
-        assert seen["voided"] and seen["refused"] and seen["failed"]
+        assert seen["refused"] and seen["failed"]
 
 
 class TestPassInvalidation:
-    """When a pass verdict stops standing: a stage that moves the admit
-    decision of a row the session holds voids it, True or False, and a
-    release runs the pass again over the sessions not yet driven."""
+    """How long a proof stands: stages only add spend, so a session the
+    pass proved blocked stays blocked for the hour, and only a release
+    runs the pass again over the sessions not yet driven."""
 
-    def _parked(self):
-        """An open hour with one session parked at its floor: it holds
-        1.0 on every block and its window asks for all admitted rows."""
+    def test_a_proof_stands_across_stages(self):
+        """Stages landing after the pass, on a row the parked session
+        holds and on one it does not hold, leave it unvisited and still
+        proven blocked at its turn."""
         sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
         sage.advance(6.0)  # nobody waits: the blocks' budget is free
         entry = sage.submit(
@@ -444,99 +426,45 @@ class TestPassInvalidation:
         )
         sage.advance(1.0)
         assert entry.status == SessionStatus.NEED_DATA
-        sage.access.begin_staging()
-        sage.reservation_table.matrix[entry.table_row] = 1.0
-        session = entry.session
+        # Take block 0 from the row; the next hour's opening gives nothing
+        # back (the free pool is empty and no one else waits).
+        table = sage.reservation_table.matrix
+        table[entry.table_row, 0] = 0.0
+        session, decide = entry.session, Sage._decide_parked
         floor = PrivacyBudget(
             min(session.epsilon, session.epsilon_floor), session.delta
         )
-        session.window_blocks = len(sage.access.admit_rows(floor))
-        return sage, entry
+        moved = []
 
-    def _exhaust(self, sage, key):
-        stage_keys(sage.access, [key], PrivacyBudget(0.999, 0.0))
+        def staging_pass(sage, entries):
+            hour_pass = decide(sage, entries)
+            assert hour_pass.blocked == {entry.table_row}
+            keys = sage.access.accountant.block_keys
+            # Block 0 is not held, block 1 is; each stage moves its row
+            # out of the floor's admitted set.
+            assert table[entry.table_row, 0] == 0.0 < table[entry.table_row, 1]
+            for col in (0, 1):
+                before = sage.access.admit_rows(floor)
+                stage_keys(sage.access, [keys[col]], PrivacyBudget(0.999, 0.0))
+                after = sage.access.admit_rows(floor)
+                moved.append(col in before and col not in after)
+            assert session.provably_blocked()
+            return hour_pass
 
-    def _verdict(self, sage, hour_pass, entry):
-        """The standing verdict after the per-stage check (``None`` when
-        voided); nothing has been driven yet."""
-        sage._recheck_parked(hour_pass, -1)
-        return hour_pass.verdicts.get(entry.table_row)
-
-    def test_a_stage_on_a_held_row_voids_the_verdict(self):
-        sage, entry = self._parked()
-        try:
-            hour_pass = sage._decide_parked([entry])
-            assert self._verdict(sage, hour_pass, entry) is False
-            self._exhaust(sage, sage.access.accountant.block_keys[0])
-            assert self._verdict(sage, hour_pass, entry) is None
-            assert not hour_pass.floors
-            assert entry.session.provably_blocked() is True
-        finally:
-            sage.access.abort_staged()
-
-    def test_a_true_verdict_is_voided_alike(self):
-        """Voiding does not look at the verdict: a blocked session that
-        holds a moved row is visited and asks its own verdict."""
-        sage, entry = self._parked()
-        try:
-            entry.session.window_blocks += 1
-            hour_pass = sage._decide_parked([entry])
-            assert self._verdict(sage, hour_pass, entry) is True
-            self._exhaust(sage, sage.access.accountant.block_keys[0])
-            assert self._verdict(sage, hour_pass, entry) is None
-            assert entry.session.provably_blocked() is True
-        finally:
-            sage.access.abort_staged()
-
-    def test_a_stage_on_a_row_not_held_keeps_the_verdict(self):
-        sage, entry = self._parked()
-        try:
-            sage.reservation_table.matrix[entry.table_row, 0] = 0.0
-            entry.session.window_blocks -= 1
-            hour_pass = sage._decide_parked([entry])
-            assert self._verdict(sage, hour_pass, entry) is False
-            self._exhaust(sage, sage.access.accountant.block_keys[0])
-            assert self._verdict(sage, hour_pass, entry) is False
-            # The floor now counts against the new array.
-            (group,) = hour_pass.floors
-            assert sage.access.admit_rows(group.floor) is group.admitted
-            assert entry.session.provably_blocked() is False
-        finally:
-            sage.access.abort_staged()
-
-    def test_a_stage_that_moves_no_decision_keeps_the_array(self):
-        sage, entry = self._parked()
-        try:
-            hour_pass = sage._decide_parked([entry])
-            (group,) = hour_pass.floors
-            stage_keys(
-                sage.access,
-                sage.access.accountant.block_keys[:1],
-                PrivacyBudget(0.01, 0.0),
-            )
-            assert sage.access.admit_rows(group.floor) is group.admitted
-            assert self._verdict(sage, hour_pass, entry) is False
-        finally:
-            sage.access.abort_staged()
-
-    def test_driven_rows_are_not_checked(self):
-        """A session that has had its turn leaves the floor's rows at the
-        next check that finds a moved array."""
-        sage, entry = self._parked()
-        try:
-            hour_pass = sage._decide_parked([entry])
-            self._exhaust(sage, sage.access.accountant.block_keys[0])
-            sage._recheck_parked(hour_pass, entry.table_row)
-            assert hour_pass.verdicts == {entry.table_row: False}
-            assert not hour_pass.floors
-        finally:
-            sage.access.abort_staged()
+        with checked_pass() as seen, mock.patch.object(
+            Sage, "_decide_parked", staging_pass
+        ):
+            sage.advance(1.0)
+        assert moved == [True, True]
+        assert seen["turns"] == 0 and seen["skipped"] == 1
+        assert sage.metrics.counter_value("sage_sessions_parked_total") == 1
+        assert entry.status == SessionStatus.NEED_DATA
 
     def test_a_release_reruns_the_pass(self):
         """A session that finishes ahead of a parked one hands it its
         holding: the pass proved the parked session blocked, the release
-        runs the pass again over it, and the new verdict (not blocked,
-        checked against its own) sends it to propose."""
+        runs the pass again over it, and the new pass does not prove it
+        blocked, so it is visited, asks its own verdict and proposes."""
         sage = Sage(CountStreamSource(1000, scale=1000), seed=0)
         sage.advance(2.0)
         config = AdaptiveConfig(min_window_blocks=4, max_attempts=8)
@@ -556,9 +484,7 @@ class TestPassInvalidation:
 
         def spy_pass(sage, entries):
             hour_pass = decide(sage, entries)
-            passes.append(
-                {sage.pipelines[row].name: v for row, v in hour_pass.verdicts.items()}
-            )
+            passes.append({sage.pipelines[row].name for row in hour_pass.blocked})
             return hour_pass
 
         with checked_pass() as seen, mock.patch.object(
@@ -566,9 +492,9 @@ class TestPassInvalidation:
         ):
             sage.advance(1.0)
         # The first session has no attempt left, so only the second is in
-        # the hour's pass; the release re-decides it, and checked_pass
-        # holds the new verdict to the session's own.
-        assert passes == [{"parked": True}, {"parked": False}]
+        # the hour's pass; the release re-decides it before its turn, so
+        # no session is skipped.
+        assert passes == [{"parked"}, set()]
         assert first.status == SessionStatus.TIMEOUT
-        assert seen["turns"] == 2 and seen["supplied"] == 1
+        assert seen["turns"] == 2 and seen["skipped"] == 0
         assert parked.session.attempts

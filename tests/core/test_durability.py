@@ -11,10 +11,13 @@ typed error naming the file and offset, never a silent replay.
 """
 
 import dataclasses
+import gc
 import os
+import pickle
 import struct
 import tempfile
 import zlib
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +320,88 @@ class TestZeroTail:
         with pytest.raises(WalCorruptionError) as err:
             _read_bytes(bytes(damaged))
         assert err.value.offset == len(base)
+
+
+# ----------------------------------------------------------------------
+# The decode runs with the cyclic garbage collector off
+# ----------------------------------------------------------------------
+def _container_records(n):
+    """``n`` hour records, each unpickling into a few dozen containers."""
+    return [
+        {"kind": "hour", "hour_index": i, "rows": [[i, j] for j in range(24)]}
+        for i in range(n)
+    ]
+
+
+@contextmanager
+def _gc_state(enabled):
+    """Run the block with the collector on or off, restoring it after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@contextmanager
+def _counted_collections():
+    """Count the collections that start inside the block."""
+    seen = {"collections": 0}
+
+    def count(phase, info):
+        if phase == "start":
+            seen["collections"] += 1
+
+    gc.callbacks.append(count)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(count)
+
+
+class TestReadWithoutCollection:
+    def test_a_long_read_runs_no_collection(self, tmp_path):
+        records = _container_records(2000)
+        data, _ = _framed(records)
+        path = tmp_path / "charge.wal"
+        path.write_bytes(data)
+        payloads = [
+            durability._encode_record(r)[durability._FRAME.size :] for r in records
+        ]
+        with _gc_state(True):
+            # Not vacuous: the same decode with the collector on collects.
+            with _counted_collections() as baseline:
+                decoded = [pickle.loads(p) for p in payloads]
+            assert baseline["collections"] > 0
+            with _counted_collections() as seen:
+                scan = durability.read_wal(path)
+            assert gc.isenabled()
+        assert scan.records == decoded == records
+        assert seen["collections"] == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", ["clean", "torn tail", "corrupt"])
+    def test_the_collector_state_is_restored(self, tmp_path, enabled, case):
+        data, spans = _framed(_container_records(8))
+        if case == "torn tail":
+            data = data[:-5]
+        elif case == "corrupt":
+            start, end = spans[3]
+            damaged = bytearray(data)
+            damaged[end - 2] ^= 0xFF
+            data = bytes(damaged)
+        path = tmp_path / "charge.wal"
+        path.write_bytes(data)
+        with _gc_state(enabled):
+            if case == "corrupt":
+                with pytest.raises(WalCorruptionError) as err:
+                    durability.read_wal(path)
+                assert err.value.offset == start
+            else:
+                scan = durability.read_wal(path)
+                assert scan.truncated_tail == (case == "torn tail")
+            assert gc.isenabled() is enabled
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.core.filters import (
     StrongCompositionFilter,
 )
 from repro.dp.budget import PrivacyBudget
+from repro.dp.rdp import gaussian_mechanism_budget
 from repro.errors import InvalidBudgetError
 
 
@@ -387,3 +388,64 @@ class TestMonotoneInEpsilon:
             assert not (narrow & ~wide).any(), (
                 f"{name}: admitted at epsilon {eps!r} but refused at {lower!r}"
             )
+
+
+PURE_BUDGETS = st.builds(
+    PrivacyBudget,
+    st.floats(min_value=0.0, max_value=0.7),
+    st.sampled_from([0.0, 1e-9]),
+)
+GAUSSIAN_BUDGETS = st.sampled_from(
+    [
+        gaussian_mechanism_budget(q, sigma, steps, 1e-9)
+        for q, sigma, steps in ((0.002, 4.0, 10), (0.01, 2.0, 100), (0.05, 1.0, 50))
+    ]
+)
+
+
+class TestMonotoneInSpend:
+    """The filter contract the hour pass rests on: a charge never grows the
+    admitted set.  On any totals rows, after adding one charge's
+    ``contribution`` to every row, a candidate is admitted on no row that
+    refused it before -- so a session the pass proved blocked stays
+    blocked while stages land."""
+
+    @pytest.mark.parametrize("name", sorted(MONOTONE_FILTERS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_charge_admits_no_refused_row(self, name, data):
+        f = MONOTONE_FILTERS[name]()
+        budgets = PURE_BUDGETS
+        if isinstance(f, RenyiCompositionFilter):
+            budgets = st.one_of(PURE_BUDGETS, GAUSSIAN_BUDGETS)
+        n_rows = data.draw(st.integers(min_value=1, max_value=40))
+        rows = data.draw(
+            hnp.arrays(
+                np.float64,
+                (n_rows, f.totals_width),
+                elements=st.floats(min_value=0.0, max_value=1.5),
+            ),
+            label="totals",
+        )
+        rows[:, TOT_DELTA] *= 1e-7  # spent delta well inside the policy
+        candidate = data.draw(budgets, label="candidate")
+        admitted = f.admits_batch(rows, candidate)
+        spends = data.draw(st.lists(budgets, min_size=1, max_size=4), label="spends")
+        for spend in spends:
+            rows = rows + f.contribution(spend)
+            after = f.admits_batch(rows, candidate)
+            assert not (after & ~admitted).any(), (
+                f"{name}: a charge of {spend!r} made {candidate!r} admissible"
+            )
+            admitted = after
+
+    @pytest.mark.parametrize("name", sorted(MONOTONE_FILTERS))
+    def test_a_charge_can_refuse_an_admitted_row(self, name):
+        """Not vacuous: spending moves rows out of the admitted set."""
+        f = MONOTONE_FILTERS[name]()
+        rows = np.zeros((2, f.totals_width))
+        rows[1] += f.contribution(PrivacyBudget(0.5, 0.0))
+        candidate = PrivacyBudget(0.4, 0.0)
+        assert f.admits_batch(rows, candidate).all()
+        spent = rows + f.contribution(PrivacyBudget(0.5, 0.0))
+        assert f.admits_batch(spent, candidate).tolist() == [True, False]

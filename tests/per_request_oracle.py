@@ -21,8 +21,8 @@ only: a durable hour would write ahead an empty request batch.
 
 The platform skips a waiting session for the hour when its blocked
 verdict proves its window search would find nothing: the hour pass
-(``Sage._decide_parked``) decides the sessions parked when the hour opens,
-and the drive does not visit those it proves blocked;
+(``Sage._decide_parked``) proves blocked some of the sessions parked when
+the hour opens, and the drive does not visit those;
 ``AdaptiveSession.provably_blocked`` decides the rest at their turns.
 :func:`forced_poll_drive` is the reference for that skip: inside it the
 pass decides nothing and the verdict always answers False, so every
@@ -162,15 +162,15 @@ def forced_poll_drive():
     drive_session = Sage._drive_session
 
     def no_pass(self, entries):
-        return _HourPass([], {}, [], self.access.accountant.staged_request_count)
+        return _HourPass([], set())
 
     def never_blocked(self):
         seen["verdicts"] += 1
         return False
 
-    def counting_drive(self, entry, blocked):
+    def counting_drive(self, entry):
         seen["sessions"] += 1
-        return drive_session(self, entry, blocked)
+        return drive_session(self, entry)
 
     with mock.patch.object(
         Sage, "_decide_parked", no_pass
