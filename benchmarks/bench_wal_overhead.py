@@ -22,6 +22,14 @@ Two questions about ``Sage(wal_dir=...)``:
   A durable drive counts the ``pickle.loads`` calls made inside
   ``WalWriter.compact`` per compaction that rewrote the log;
   ``--assert-decodes-per-compaction`` gates that count.
+* **Stale record items**: an hour record carries a delta only for the
+  sessions whose durable record the hour changed, and names only the
+  pipelines submitted since the last committed hour.  A snapshot-free
+  durable drive compares every session's durable record before and after
+  each hour and counts, over the whole log, the deltas of sessions whose
+  record did not change plus the names an earlier record already gave;
+  ``--assert-stale-record-items`` gates that count.  A changed session
+  without a delta fails the bench outright.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_wal_overhead.py``).
 """
@@ -321,6 +329,64 @@ def bench_compaction_decodes(n_pipelines, snapshot_every):
     return counts["decodes"] / counts["compactions"], counts["compactions"]
 
 
+def _durable_records(sage):
+    """``repr`` of every session's durable record (its ``export_state``,
+    release time and attempts)."""
+    return [
+        repr(
+            (
+                entry.session.export_state(),
+                entry.release_time_hours,
+                durability.encode_attempts(entry.session.attempts),
+            )
+        )
+        for entry in sage.pipelines
+    ]
+
+
+def bench_stale_record_items(n_pipelines, hours):
+    """Deltas of unchanged sessions plus names already named, over the
+    hour records of a snapshot-free durable drive that submits one more
+    pipeline every third hour.  Returns ``(stale items, deltas, names)``;
+    raises if a changed session has no delta."""
+    with tempfile.TemporaryDirectory(prefix="wal_bench_stale_") as tmp:
+        wal_dir = Path(tmp)
+        sage = _build(wal_dir=wal_dir)
+        pipes = _pipes(n_pipelines + hours // 3)
+        for pipeline, config in pipes[:n_pipelines]:
+            sage.submit(pipeline, config)
+        changed = []
+        for hour in range(hours):
+            if hour and hour % 3 == 0:
+                sage.submit(*pipes[n_pipelines + hour // 3 - 1])
+            before = _durable_records(sage)
+            sage.advance(1.0)
+            after = _durable_records(sage)
+            changed.append({i for i, old in enumerate(before) if after[i] != old})
+        sage.close()
+        records = [
+            record
+            for record in durability.read_wal(durability.wal_path(wal_dir)).records
+            if record["kind"] == "hour"
+        ]
+    stale = deltas = names = named = 0
+    for record, moved in zip(records, changed):
+        indices = {delta["index"] for delta in record["deltas"]}
+        if moved - indices:
+            raise AssertionError(
+                f"hour {record['hour_index']}: sessions {sorted(moved - indices)} "
+                "changed but the record has no delta for them"
+            )
+        stale += len(indices - moved)
+        # A record without names_from names every pipeline from the first.
+        first = record.get("names_from", 0)
+        stale += max(0, min(named, first + len(record["entry_names"])) - first)
+        named = record["n_entries"]
+        deltas += len(record["deltas"])
+        names += len(record["entry_names"])
+    return stale, deltas, names
+
+
 def run(
     hours,
     n_pipelines,
@@ -328,10 +394,12 @@ def run(
     assert_max_overhead=0.0,
     assert_frees_per_snapshot=None,
     assert_decodes_per_compaction=None,
+    assert_stale_record_items=None,
 ):
     t_off, t_on, overhead = bench_overhead(hours, n_pipelines, snapshot_every)
     frees, warmup_frees = bench_block_frees(n_pipelines, snapshot_every or 4)
     decodes, compactions = bench_compaction_decodes(n_pipelines, snapshot_every or 4)
+    stale, deltas, names = bench_stale_record_items(n_pipelines, hours)
     case = write_bench_json(
         "wal_overhead",
         {
@@ -340,6 +408,7 @@ def run(
             "snapshot_every": snapshot_every,
             "frees_per_snapshot": frees,
             "decodes_per_compaction": decodes,
+            "stale_record_items": stale,
         },
         t_on * 1e3,
         t_off * 1e3,
@@ -360,6 +429,8 @@ def run(
             f"{SNAPSHOT_KEEP} ({warmup_frees} during them)",
             f"records decoded by compaction: {decodes:g} per compaction "
             f"({compactions} compactions)",
+            f"stale hour-record items: {stale} ({deltas} deltas and {names} "
+            f"names over {hours} hours)",
         ],
     )
     if assert_max_overhead and overhead > assert_max_overhead:
@@ -379,6 +450,12 @@ def run(
         raise AssertionError(
             f"compaction decoded {decodes:g} records per compaction, over "
             f"the allowed {assert_decodes_per_compaction:g}"
+        )
+    if assert_stale_record_items is not None and stale > assert_stale_record_items:
+        raise AssertionError(
+            f"hour records carry {stale} stale items (deltas of unchanged "
+            "sessions, names already named), over the allowed "
+            f"{assert_stale_record_items}"
         )
     return table
 
@@ -420,6 +497,14 @@ def main():
         help="fail if WAL compaction unpickles more than this many records "
         "per compaction",
     )
+    parser.add_argument(
+        "--assert-stale-record-items",
+        type=int,
+        default=None,
+        help="fail if the hour records of a snapshot-free durable drive "
+        "carry more than this many deltas of unchanged sessions plus names "
+        "an earlier record already gave",
+    )
     args = parser.parse_args()
     print(
         run(
@@ -429,6 +514,7 @@ def main():
             assert_max_overhead=args.assert_max_overhead,
             assert_frees_per_snapshot=args.assert_frees_per_snapshot,
             assert_decodes_per_compaction=args.assert_decodes_per_compaction,
+            assert_stale_record_items=args.assert_stale_record_items,
         )
     )
 

@@ -777,7 +777,7 @@ class BlockAccountant:
         Pending lazy retirement is persisted first so the exported live
         mask is the normalized one every scan would converge to.
         """
-        self.retired_blocks()
+        self.admit_rows()
         store = self._store
         return {
             "schema_width": store.width,

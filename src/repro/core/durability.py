@@ -40,7 +40,12 @@ Two record kinds (the ``"kind"`` key of the payload dict):
   ``clock_hours``        platform clock after the hour
   ``schema_width``       ledger totals width (validated on replay)
   ``n_entries``          pipelines submitted at hour start
-  ``entry_names``        their names, submission order (validated)
+  ``names_from``         pipelines the log had already named: the
+                         previous hour record's ``n_entries`` (0 for the
+                         first hour), or a snapshot's entry count
+  ``entry_names``        names of pipelines ``names_from`` to
+                         ``n_entries``, the ones submitted since the last
+                         committed hour, in submission order (validated)
   ``new_block_keys``     keys the hour's ingest registered (validated)
   ``requests``           the exact staged ``(keys, budget, label)`` batch
                          the hour's staged commit will land
@@ -49,14 +54,23 @@ Two record kinds (the ``"kind"`` key of the payload dict):
   ``rng_state``          the platform RNG's bit-generator state *after*
                          the hour (replay skips pipeline executions, so
                          it restores the post-hour stream position)
-  ``deltas``             per session waiting at hour start, in drive
-                         order: ``index``, the session's ``export_state``
-                         record after the hour, ``settled_attempts``,
+  ``deltas``             per session waiting at hour start whose
+                         durable record the hour changed, in drive order:
+                         ``index``, the session's ``export_state`` record
+                         after the hour, ``settled_attempts``,
                          ``release_time_hours`` and the ``attempts`` the
                          hour appended (:func:`encode_attempts` form)
   ====================== ==================================================
 
   Pickle writes dict keys in insertion order: key order is file format.
+  A record costs O(what the hour changed): a session the hour left alone
+  (parked, or visited and parked again) has no delta, and a pipeline is
+  named once, by the first hour that commits after its submission.
+  Replay refuses, with :class:`~repro.errors.RecoveryError`, a record
+  whose ``names_from`` is not the count it has validated so far, whose
+  names do not match the submitted pipelines, or that has no
+  ``names_from`` at all (the older format, which named every pipeline
+  and gave every waiting session a delta).
 
 * ``"commit"`` -- the commit marker, appended after the in-memory commit:
   ``hour_index`` plus the :func:`state_digest` of the committed post-hour
@@ -153,13 +167,17 @@ State digest
 
 The charge log and the attempt lists are append-only, so their running
 CRCs are memoized on the platform, and so is each pipeline's encoded
-``repr`` of item 4, reused while every value it encodes is the same
-object.  A finished pipeline never changes again, so a digest encodes
-only the entries that changed since the last one and folds all entry
-bytes with one CRC call; it costs O(new records + changed entries) of
-encoding plus an O(pipelines) check, not O(history).  Commit markers
-and snapshots written under an earlier digest definition fail
-verification with a typed error rather than replaying silently.
+``repr`` of item 4.  The cache keeps the entry's raw fields with it --
+name, status, release time, epsilon, window size, the spent budget, the
+attempts list, its length and its last record -- and reuses the bytes
+while every one is the same object; only an entry that fails this one
+identity check folds its attempts and builds its tuple again.  A
+finished pipeline never changes again, so a digest encodes only the
+entries that changed since the last one and folds all entry bytes with
+one CRC call; it costs O(new records + changed entries) of encoding plus
+one tuple compare per pipeline, not O(history).  Commit markers and
+snapshots written under an earlier digest definition fail verification
+with a typed error rather than replaying silently.
 
 Recovery procedure
 ------------------
@@ -173,13 +191,14 @@ submission order:
    verify the snapshot's state digest.
 2. For each WAL ``"hour"`` record at or past the snapshot hour, in order:
    re-submit pipelines until the record's ``n_entries`` is reached, then
-   replay the hour -- restore the recorded pre-hour clock and RNG state,
-   re-run ingest (which regenerates the identical blocks; keys are
-   validated against the record), register / allocate / grant through
-   the normal hour-open path, apply the recorded per-session deltas in
-   drive order (settling reservations attempt by attempt exactly as the
-   live drive does), and land the recorded request batch through **one**
-   ``request_many`` call (the live hour's staging and landing bodies).
+   replay the hour -- validate the names from ``names_from`` on, restore
+   the recorded pre-hour clock and RNG state, re-run ingest (which
+   regenerates the identical blocks; keys are validated against the
+   record), register / allocate / grant through the normal hour-open
+   path, apply the recorded per-session deltas in drive order (settling
+   reservations attempt by attempt exactly as the live drive does), and
+   land the recorded request batch through **one** ``request_many`` call
+   (the live hour's staging and landing bodies).
    Restore the post-hour RNG state and verify the hour's commit digest.
 3. Open the WAL writer on the scan step 2 read (the log is not read
    again), positioned at the end of the last complete record (repairing
@@ -906,17 +925,20 @@ def state_digest(sage) -> int:
     as ``(length, running CRC)`` memoized in ``sage._digest_memo``.
 
     Each pipeline entry's encoded scalars are cached there too, with the
-    scalar objects they encode.  A cached entry is reused only while
-    every scalar -- its status, attempt count and attempts CRC included
-    -- is the very same object, so a terminal entry (which nothing
-    changes again) is encoded once, at its first digest after the
+    raw fields they come from.  A cached entry is reused only while every
+    field -- its status, attempts list, attempt count and last attempt
+    record included -- is the very same object, checked before the
+    attempts are folded or the tuple built, so a terminal entry (which
+    nothing changes again) is encoded once, at its first digest after the
     transition, and a rollback, a snapshot restore or any direct edit
-    re-encodes.  The entries' bytes are joined and folded with one
+    re-encodes.  Pending retirement is persisted through
+    ``admit_rows()``, which builds no key list.  The entries' bytes are
+    joined and folded with one
     ``zlib.crc32`` call: ``crc32(a + b, c) == crc32(b, crc32(a, c))``,
     so the value is the per-entry chain's.
     """
     accountant = sage.access.accountant
-    accountant.retired_blocks()  # persist pending lazy retirement
+    accountant.admit_rows()  # persist pending lazy retirement
     store = accountant.store
     table = sage.reservation_table
     memo = sage._digest_memo
@@ -935,27 +957,43 @@ def state_digest(sage) -> int:
     parts = []
     for index, entry in enumerate(sage.pipelines):
         session = entry.session
+        attempts = session.attempts
         spent = session.total_spent
-        n_attempts, attempts_crc = _fold_sequence(
-            memo, index, session.attempts, _attempt_bytes
-        )
-        scalars = (
+        n = len(attempts)
+        fields = (
             entry.name,
-            entry.status,
-            n_attempts,
+            session.status,
             entry.release_time_hours,
             session.epsilon,
             session.window_blocks,
-            spent.epsilon,
-            spent.delta,
-            n_attempts,
-            attempts_crc,
+            spent,
+            attempts,
+            n,
+            attempts[-1] if n else None,
         )
         cached = encoded.get(index)
         # Identity, not equality: the very same objects repr the same,
-        # while 0.0 == -0.0 would reuse bytes that no longer match.
-        if cached is None or not all(map(operator.is_, cached[0], scalars)):
-            cached = encoded[index] = (scalars, _entry_bytes(scalars))
+        # while 0.0 == -0.0 would reuse bytes that no longer match.  The
+        # same list, length and last record mean the same attempts (the
+        # fold memo's own test), and a budget is frozen.
+        if cached is None or not all(map(operator.is_, cached[0], fields)):
+            n_attempts, attempts_crc = _fold_sequence(
+                memo, index, attempts, _attempt_bytes
+            )
+            name, status, released, epsilon, window_blocks = fields[:5]
+            scalars = (
+                name,
+                status,
+                n_attempts,
+                released,
+                epsilon,
+                window_blocks,
+                spent.epsilon,
+                spent.delta,
+                n_attempts,
+                attempts_crc,
+            )
+            cached = encoded[index] = (fields, _entry_bytes(scalars))
         parts.append(cached[1])
     return zlib.crc32(b"".join(parts), crc)
 
@@ -990,7 +1028,7 @@ def decode_attempts(tuples) -> List[AttemptRecord]:
 def build_snapshot_payload(sage, hours_committed: int) -> dict:
     """Capture a platform's full recoverable state as one picklable dict."""
     accountant = sage.access.accountant
-    accountant.retired_blocks()  # snapshot the normalized live mask
+    accountant.admit_rows()  # snapshot the normalized live mask
     table = sage.reservation_table
     entries = tuple(
         {

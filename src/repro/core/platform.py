@@ -510,6 +510,10 @@ class Sage:
         self._snapshot_every = max(0, int(snapshot_every))
         self._snapshots: Optional[durability.SnapshotStore] = None
         self._hours_committed = 0
+        # Pipelines the WAL has named: the n_entries of the last committed
+        # hour record (or of the restored snapshot).  The next record names
+        # only the pipelines submitted since.
+        self._entries_named = 0
         self._needs_recovery = False
         # durability.state_digest's running CRCs of the append-only charge
         # log and attempt lists; checked on every use, dies with the
@@ -833,6 +837,9 @@ class Sage:
                     wal.append_hour(
                         self._build_hour_record(txn, hours, new_blocks)
                     )
+                    # The log has named every pipeline; a rollback truncates
+                    # the record and restores the count with it.
+                    self._entries_named = len(self._pipelines)
                 self._metrics.observe(
                     "sage_staged_batch_requests",
                     self.access.accountant.staged_request_count,
@@ -1005,6 +1012,7 @@ class Sage:
             "store_marks": self.store.version_marks(),
             "entries": entries,
             "waiting": dict(self._waiting),
+            "entries_named": self._entries_named,
         }
 
     def _rollback_hour(self, txn: dict) -> None:
@@ -1026,22 +1034,40 @@ class Sage:
             entry.release_time_hours = released_at
             entry.bundle = bundle
         self._waiting = txn["waiting"]
+        self._entries_named = txn["entries_named"]
         self.store.rollback_to_marks(txn["store_marks"])
 
     def _build_hour_record(self, txn: dict, hours: float, new_blocks) -> dict:
-        """The hour's WAL record: the staged request batch verbatim plus
-        per-session deltas, bracketed by the pre/post clock and RNG states
-        (replay restores the *pre* pair before re-ingesting and the *post*
-        pair after, so it never depends on the recovering process's own
-        clock or RNG position)."""
+        """The hour's WAL record: the staged request batch verbatim, the
+        names of the pipelines submitted since the last committed hour
+        (from position ``names_from``) and a delta per session whose
+        durable record the hour changed, bracketed by the pre/post clock
+        and RNG states (replay restores the *pre* pair before re-ingesting
+        and the *post* pair after, so it never depends on the recovering
+        process's own clock or RNG position).
+
+        A captured session's record changed when the hour appended an
+        attempt, or when its ``release_time_hours`` or any
+        ``export_state()`` value is not the object :meth:`_capture_hour`
+        captured.  The drive writes those fields only by assigning new
+        objects or the :class:`SessionStatus` constants, so the test reads
+        state, not which sessions the drive visited: a drive that visits
+        every session writes the same bytes."""
         deltas = []
-        for index, _, n_attempts, *_ in txn["entries"]:
+        for index, state, n_attempts, _, released_at, _ in txn["entries"]:
             entry = self._pipelines[index]
             session = entry.session
+            current = session.export_state()
+            if (
+                len(session.attempts) == n_attempts
+                and entry.release_time_hours is released_at
+                and all(map(operator.is_, current.values(), state.values()))
+            ):
+                continue
             deltas.append(
                 {
                     "index": index,
-                    **session.export_state(),
+                    **current,
                     "settled_attempts": len(session.attempts),  # all settle
                     "release_time_hours": entry.release_time_hours,
                     "attempts": durability.encode_attempts(
@@ -1056,7 +1082,10 @@ class Sage:
             "clock_hours": self.clock_hours,
             "schema_width": self.access.accountant.store.width,
             "n_entries": len(self._pipelines),
-            "entry_names": [entry.name for entry in self._pipelines],
+            "names_from": self._entries_named,
+            "entry_names": [
+                entry.name for entry in self._pipelines[self._entries_named :]
+            ],
             "new_block_keys": [block.key for block in new_blocks],
             "requests": self.access.accountant.staged_requests,
             "rng_state_before": txn["rng_state"],
@@ -1133,6 +1162,7 @@ class Sage:
                     submit_next()
                 durability.restore_snapshot_payload(self, payload)
                 self._hours_committed = snapshot_hour
+                self._entries_named = len(payload["entries"])
                 tracer.event(
                     "recover.snapshot",
                     hour=snapshot_hour,
@@ -1190,15 +1220,22 @@ class Sage:
     def _replay_hour(self, record: dict, digest: Optional[int]) -> None:
         """Re-apply one WAL hour through the live platform paths.
 
-        Re-ingests the hour's stream slice under the recorded pre-hour
-        clock/RNG (regenerating the same blocks), re-applies each
-        session's recorded attempts with a settle after every one (the
-        drive's own cadence and settle calls, on the recorded windows'
-        rows), restores each session's recorded ``export_state`` record,
+        Validates the record's names first: they must start at
+        ``names_from``, the pipeline count already validated (the
+        restored snapshot's entries, or the previous record's
+        ``n_entries``), and match the submitted pipelines up to
+        ``n_entries``; a record without ``names_from`` predates this
+        format and is refused.  Then re-ingests the hour's stream slice
+        under the recorded pre-hour clock/RNG (regenerating the same
+        blocks), re-applies the recorded attempts of each session the
+        hour changed with a settle after every one (the drive's own
+        cadence and settle calls, on the recorded windows' rows),
+        restores that session's recorded ``export_state`` record,
         redistributes exactly where the drive would have, and lands the
-        hour's charges through one ``request_many`` call.  Its
-        ``charge_many`` stages them into a batch of its own and lands it
-        through the staging and landing bodies the live hour's
+        hour's charges through one ``request_many`` call.  A session
+        without a delta kept its record through the hour.  The batch's
+        ``charge_many`` stages the charges into a batch of its own and
+        lands it through the staging and landing bodies the live hour's
         ``stage_charge`` and ``commit_staged`` ran, so the store ends
         byte-identical to the live staged commit by construction.
         """
@@ -1209,12 +1246,27 @@ class Sage:
                 f"{record['schema_width']} does not match platform "
                 f"{accountant.store.width} (different filter_factory?)"
             )
-        names = [entry.name for entry in self._pipelines]
+        if "names_from" not in record:
+            raise RecoveryError(
+                f"WAL hour {record['hour_index']}: the record has no names_from "
+                "(an older record format this platform does not replay)"
+            )
+        if record["names_from"] != self._entries_named:
+            raise RecoveryError(
+                f"WAL hour {record['hour_index']}: names start at pipeline "
+                f"#{record['names_from']} but {self._entries_named} were "
+                "already named (missing or reordered log records?)"
+            )
+        names = [
+            entry.name
+            for entry in self._pipelines[self._entries_named : record["n_entries"]]
+        ]
         if record["entry_names"] != names:
             raise RecoveryError(
                 f"WAL hour {record['hour_index']}: pipeline names "
                 f"{record['entry_names']} do not match submitted {names}"
             )
+        self._entries_named = record["n_entries"]
         self.rng.bit_generator.state = record["rng_state_before"]
         self.ingestor.clock_hours = record["clock_start"]
         new_blocks = self._open_hour(record["hours"])

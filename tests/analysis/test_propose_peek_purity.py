@@ -21,7 +21,6 @@ is compared from the second call on.
 
 import enum
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
