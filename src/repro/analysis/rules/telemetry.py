@@ -7,9 +7,9 @@ halves, and this rule enforces both statically:
   only from driver/mutating coordination points; anything reachable from
   the pure-read seeds (``propose_peek`` / ``admits_keys`` / ``can_charge``
   / ``max_epsilon``) must contain no telemetry emission.  The hazard is
-  concrete: ``can_charge_many`` and ``charge_many`` share
-  ``_stage_many``, so a span emitted there would fire from every
-  admissibility probe too -- a trace that depends on how often a read
+  concrete: ``can_charge`` and ``charge`` share ``_key_rows`` and the
+  filter's ``admits_batch``, so a span emitted there would fire from
+  every admissibility probe too -- a trace that depends on how often a read
   was asked rather than on what was committed.  Reachability reuses the
   purity rule's typed call graph (one build per project, cached on it).
 * **Telemetry never mutates accounting.**  Modules under ``src/repro/obs/``

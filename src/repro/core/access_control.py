@@ -1,10 +1,10 @@
 """Sage access control: the DP layer above stream-level ACLs (§3.2).
 
 :class:`SageAccessControl` mediates every pipeline's data access for one
-sensitive stream.  It wraps a :class:`~repro.core.accountant.BlockAccountant`
-(the global (eps_g, delta_g) policy) and optionally *per-context* accountants
--- the paper's example of enforcing a separate guarantee per developer or
-geography, under the assumption that contexts do not collude.
+sensitive stream.  It wraps one
+:class:`~repro.core.accountant.BlockAccountant`, which enforces the
+stream's global (eps_g, delta_g) guarantee, behind the stream-level
+principal check.
 
 The request protocol mirrors §3.2's description of the Sage Iterator's
 interaction:
@@ -24,17 +24,14 @@ nothing on refusal), and ``commit_staged()`` lands everything staged in one
 bulk write (the accountant's ``commit_staged``: staging already validated
 each request against the totals ``request_many`` would check it against,
 so nothing is validated twice).  ``abort_staged()`` drops the batch instead and
-``rollback_registrations()`` drops the hour's blocks from every ledger set:
-together, the platform's rollback of an hour that raised.  Every stream can
-stage: every filter decides from the totals the overlay carries.  Staging
-is stream-wide: the platform never names a context, so per-context ledgers
-gain the hour's blocks but no charges, and contexts remain this class's
-own API (``request`` / ``request_many`` with ``context=``).
+``rollback_registrations()`` drops the hour's blocks: together, the
+platform's rollback of an hour that raised.  Every stream can stage: every
+filter decides from the totals the overlay carries.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +44,7 @@ __all__ = ["SageAccessControl"]
 
 
 class SageAccessControl:
-    """Per-stream DP access control with optional per-context policies."""
+    """Per-stream DP access control: one accountant behind the stream's ACL."""
 
     def __init__(
         self,
@@ -59,55 +56,30 @@ class SageAccessControl:
         self._accountant = BlockAccountant(
             epsilon_global, delta_global, filter_factory=filter_factory
         )
-        self._filter_factory = filter_factory
-        self._contexts: Dict[str, BlockAccountant] = {}
         # Stream-level ACLs (the pre-existing, non-DP layer of Fig. 1): when
-        # set, only these principals may request data at all.
-        self._principals = set(authorized_principals) if authorized_principals else None
+        # given, only these principals may request data at all (an empty
+        # sequence authorizes nobody; ``None`` means no ACL).
+        self._principals = (
+            None if authorized_principals is None else set(authorized_principals)
+        )
 
     # ------------------------------------------------------------------
     @property
     def accountant(self) -> BlockAccountant:
         return self._accountant
 
-    @property
-    def contexts(self) -> Dict[str, BlockAccountant]:
-        """The per-context accountants by name, in the order they were
-        added (a new dict; the accountants themselves are live)."""
-        return dict(self._contexts)
-
-    def add_context(self, name: str, epsilon: float, delta: float) -> None:
-        """Add a per-context guarantee (e.g. one per developer or geography)."""
-        if name in self._contexts:
-            raise AccessDeniedError(f"context {name!r} already exists")
-        accountant = BlockAccountant(epsilon, delta, filter_factory=self._filter_factory)
-        for key in self._accountant.block_keys:
-            accountant.register_block(key)
-        self._contexts[name] = accountant
-
     def register_block(self, key: object) -> None:
-        """Register a freshly ingested block in every ledger set."""
+        """Register a freshly ingested block."""
         self._accountant.register_block(key)
-        for ctx in self._contexts.values():
-            ctx.register_block(key)
 
     def register_blocks(self, keys: Sequence[object]) -> None:
-        """Register a batch of freshly ingested blocks in every ledger set.
-
-        Registered key by key across all ledger sets, so a mid-batch
-        failure (e.g. a duplicate key) leaves the stream and context
-        accountants consistent with each other.
-        """
-        for key in keys:
-            self.register_block(key)
+        """Register a batch of freshly ingested blocks, in order."""
+        self._accountant.register_blocks(keys)
 
     def rollback_registrations(self, n_blocks: int) -> None:
-        """Unregister every block past the first ``n_blocks`` in every
-        ledger set -- the platform's hour rollback.  Every set registers
-        the same keys in the same order, so one count truncates them all."""
+        """Unregister every block past the first ``n_blocks`` -- the
+        platform's hour rollback."""
         self._accountant.rollback_registrations(n_blocks)
-        for ctx in self._contexts.values():
-            ctx.rollback_registrations(n_blocks)
 
     # ------------------------------------------------------------------
     def _check_principal(self, principal: Optional[str]) -> None:
@@ -120,18 +92,10 @@ class SageAccessControl:
         self,
         min_budget: Optional[PrivacyBudget] = None,
         principal: Optional[str] = None,
-        context: Optional[str] = None,
     ) -> List[object]:
         """Blocks with available budget, oldest first (Alg. 4(c) data offer)."""
         self._check_principal(principal)
-        keys = self._accountant.usable_blocks(min_budget)
-        if context is not None:
-            ctx = self._require_context(context)  # validate even when empty
-            if keys:
-                floor = min_budget or ctx.retirement_budget
-                admitted = ctx.admits_keys(keys, floor)  # one batched pass
-                keys = [k for k, ok in zip(keys, admitted) if ok]
-        return keys
+        return self._accountant.usable_blocks(min_budget)
 
     def offer_recent_blocks(
         self,
@@ -156,20 +120,9 @@ class SageAccessControl:
     ) -> np.ndarray:
         """Store rows of the blocks that can absorb ``min_budget``, in
         registration order: the row-native form of :meth:`offer_blocks`
-        (stream-wide; read-only while a staged batch is open)."""
+        (read-only while a staged batch is open)."""
         self._check_principal(principal)
         return self._accountant.admit_rows(min_budget)
-
-    def can_request(
-        self,
-        keys: Sequence[object],
-        budget: PrivacyBudget,
-        context: Optional[str] = None,
-    ) -> bool:
-        ok = self._accountant.can_charge(keys, budget)
-        if ok and context is not None:
-            ok = self._require_context(context).can_charge(keys, budget)
-        return ok
 
     def request(
         self,
@@ -177,62 +130,23 @@ class SageAccessControl:
         budget: PrivacyBudget,
         label: str = "",
         principal: Optional[str] = None,
-        context: Optional[str] = None,
     ) -> ChargeRecord:
-        """Atomically charge ``budget`` against the named blocks.
-
-        The charge lands on the stream-wide ledgers and, if a context is
-        named, on that context's ledgers too; failure anywhere leaves all
-        ledgers untouched.
-        """
+        """Atomically charge ``budget`` against the named blocks; a refusal
+        leaves every ledger untouched."""
         self._check_principal(principal)
-        if context is not None:
-            ctx = self._require_context(context)
-            if not ctx.can_charge(keys, budget):
-                raise AccessDeniedError(
-                    f"context {context!r} has insufficient budget for {budget}"
-                )
-        record = self._accountant.charge(keys, budget, label=label)
-        if context is not None:
-            self._contexts[context].charge(keys, budget, label=label)
-        return record
-
-    def can_request_many(
-        self, requests, context: Optional[str] = None
-    ) -> bool:
-        """True iff :meth:`request_many` would commit the whole batch."""
-        requests = list(requests)  # consumed per ledger set
-        ok = self._accountant.can_charge_many(requests)
-        if ok and context is not None:
-            ok = self._require_context(context).can_charge_many(requests)
-        return ok
+        return self._accountant.charge(keys, budget, label=label)
 
     def request_many(
-        self,
-        requests,
-        principal: Optional[str] = None,
-        context: Optional[str] = None,
+        self, requests, principal: Optional[str] = None
     ) -> List[ChargeRecord]:
         """Atomically settle a batch of ``(keys, budget[, label])`` charges.
 
-        One vectorized validation-and-commit pass per ledger set (see the
-        accountant's batch contract): requests are checked with intra-batch
-        accumulation and either the whole batch commits or nothing does.
-        As with :meth:`request`, a context charge follows the stream-wide
-        one after a ``can_charge_many`` pre-check.
+        One vectorized validation-and-commit pass (see the accountant's
+        batch contract): requests are checked with intra-batch accumulation
+        and either the whole batch commits or nothing does.
         """
         self._check_principal(principal)
-        requests = list(requests)  # consumed per ledger set
-        if context is not None:
-            ctx = self._require_context(context)
-            if not ctx.can_charge_many(requests):
-                raise AccessDeniedError(
-                    f"context {context!r} has insufficient budget for the batch"
-                )
-        records = self._accountant.charge_many(requests)
-        if context is not None:
-            self._contexts[context].charge_many(requests)
-        return records
+        return self._accountant.charge_many(requests)
 
     # ------------------------------------------------------------------
     # Two-phase (propose/settle) staging for the platform's hourly batch
@@ -279,22 +193,11 @@ class SageAccessControl:
         """Drop the open batch without committing; returns what was staged."""
         return self._accountant.pop_staged()
 
-    def max_epsilon(
-        self, rows: np.ndarray, delta: float = 0.0, context: Optional[str] = None
-    ) -> float:
-        """Largest epsilon all store ``rows`` can absorb (every ledger set
-        registers the same keys in the same order, so rows align)."""
-        eps = self._accountant.max_epsilon(rows, delta)
-        if context is not None:
-            eps = min(eps, self._require_context(context).max_epsilon(rows, delta))
-        return eps
+    def max_epsilon(self, rows: np.ndarray, delta: float = 0.0) -> float:
+        """Largest epsilon all store ``rows`` can absorb."""
+        return self._accountant.max_epsilon(rows, delta)
 
     # ------------------------------------------------------------------
-    def _require_context(self, name: str) -> BlockAccountant:
-        if name not in self._contexts:
-            raise AccessDeniedError(f"unknown context {name!r}")
-        return self._contexts[name]
-
     def stream_loss_bound(self) -> PrivacyBudget:
         return self._accountant.stream_loss_bound()
 

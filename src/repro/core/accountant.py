@@ -80,7 +80,6 @@ one pass.  Its contract:
 * **The hour's own bodies.**  The batch is staged into a private
   :class:`StagedBatch` and landed with one bulk row write, through the
   staging and landing bodies of ``stage_charge`` and ``commit_staged``.
-  ``can_charge_many`` stages it and discards it.
 
 Staged batches (the propose/settle commit path)
 -----------------------------------------------
@@ -730,19 +729,6 @@ class BlockAccountant:
         )
         self._charges.extend(records)
         return records
-
-    def can_charge_many(self, requests) -> bool:
-        """True iff :meth:`charge_many` would commit the whole batch.
-
-        An empty batch is vacuously committable.  Malformed requests (empty
-        key sets, duplicate keys, unregistered blocks) raise just as
-        ``charge_many`` does.
-        """
-        try:
-            self._stage_many(requests)
-        except (BudgetExceededError, BlockRetiredError):
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # Durability hooks (hour rollback + snapshot export/restore)

@@ -57,9 +57,9 @@ Two record kinds (the ``"kind"`` key of the payload dict):
   ``deltas``             per session waiting at hour start whose
                          durable record the hour changed, in drive order:
                          ``index``, the session's ``export_state`` record
-                         after the hour, ``settled_attempts``,
-                         ``release_time_hours`` and the ``attempts`` the
-                         hour appended (:func:`encode_attempts` form)
+                         after the hour, ``release_time_hours`` and the
+                         ``attempts`` the hour appended
+                         (:func:`encode_attempts` form)
   ====================== ==================================================
 
   Pickle writes dict keys in insertion order: key order is file format.
@@ -1035,7 +1035,6 @@ def build_snapshot_payload(sage, hours_committed: int) -> dict:
             "name": entry.name,
             "submit_time_hours": entry.submit_time_hours,
             "release_time_hours": entry.release_time_hours,
-            "settled_attempts": len(entry.session.attempts),  # all settle
             **entry.session.export_state(),
             "attempts": encode_attempts(entry.session.attempts),
         }

@@ -49,11 +49,9 @@ attempt record) and for ``database.assemble``.  Only WAL replay turns
 recorded keys back into rows.
 
 There is no other drive.  Every stream can stage, because every filter
-decides from its totals rows alone, and per-context policies do not
-change the drive: the platform never names a context, so context
-ledgers gain each hour's blocks and no charges.  Charging each proposal
-immediately through ``request`` would produce float-identical
-trajectories; the test suite keeps that drive as its parity oracle.
+decides from its totals rows alone.  Charging each proposal immediately
+through ``request`` would produce float-identical trajectories; the test
+suite keeps that drive as its parity oracle.
 
 One transactional hour
 ----------------------
@@ -69,9 +67,6 @@ freezes the state as-is for recovery to rebuild from disk.  A durable
 platform (``wal_dir``) runs the same hour and additionally writes it ahead
 into the charge log before the commit, then marks it committed with a
 state digest; a volatile platform is the durable one without the log.
-Durable mode refuses platforms with per-context policies: context ledgers
-are in neither the WAL nor the snapshots, so recovery could not rebuild
-them.
 
 Shared scans
 ------------
@@ -432,8 +427,7 @@ class Sage:
     state digest after, and every ``snapshot_every`` committed hours a
     full-state snapshot lands next to it (the newest ``snapshot_keep`` are
     retained).  A platform constructed over a WAL directory holding prior
-    state must call :meth:`recover` before advancing.  Durable mode
-    refuses per-context policies, whose ledgers the WAL does not record.
+    state must call :meth:`recover` before advancing.
 
     ``telemetry`` attaches a :class:`repro.obs.Telemetry` (tracer +
     metrics registry) to the whole deployment: every phase of the hourly
@@ -807,15 +801,7 @@ class Sage:
                 f"WAL directory {self._wal_dir} holds prior platform state; "
                 "call recover() before advancing"
             )
-        wal = None
-        if self._wal_dir is not None:
-            if self.access.contexts:
-                raise DurabilityError(
-                    "durable mode (wal_dir) refuses per-context policies: "
-                    "context ledgers are not in the WAL or the snapshots, "
-                    "so recovery could not rebuild them"
-                )
-            wal = self._ensure_wal()
+        wal = None if self._wal_dir is None else self._ensure_wal()
         txn = self._capture_hour()
         tracer = self._tracer
         tracer.hour = self._hours_committed
@@ -877,10 +863,10 @@ class Sage:
         return released
 
     def _open_hour(self, hours: float) -> List:
-        """Ingest the hour's stream slice and fund its blocks: register in
-        every ledger set, allocate evenly to waiting pipelines, grant the
-        free pool.  Returns the new blocks (also the WAL replay re-entry
-        point -- identical given identical clock/RNG state)."""
+        """Ingest the hour's stream slice and fund its blocks: register
+        them, allocate evenly to waiting pipelines, grant the free pool.
+        Returns the new blocks (also the WAL replay re-entry point --
+        identical given identical clock/RNG state)."""
         # Columns mirror the accountant's registration order only while
         # every block enters through this ingest path; a block registered
         # with the accountant directly would shift every later column and
@@ -894,9 +880,6 @@ class Sage:
             )
         with self._tracer.span("advance.open") as opening:
             new_blocks = self.ingestor.advance(hours)
-            # Register the hour's blocks in every ledger set (stream-wide
-            # and per-context); the access layer interleaves sets per key
-            # so a failure cannot leave them inconsistent.
             self.access.register_blocks([block.key for block in new_blocks])
             for block in new_blocks:
                 self._allocate_block(block.key)
@@ -1068,7 +1051,6 @@ class Sage:
                 {
                     "index": index,
                     **current,
-                    "settled_attempts": len(session.attempts),  # all settle
                     "release_time_hours": entry.release_time_hours,
                     "attempts": durability.encode_attempts(
                         session.attempts[n_attempts:]

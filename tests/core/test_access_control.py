@@ -1,12 +1,10 @@
-"""SageAccessControl: ACLs, contexts, the offer/request protocol."""
+"""SageAccessControl: ACLs, registration, the offer/request protocol."""
 
 import pytest
-from composition_oracle import BasicRule
-from per_request_oracle import block_histories
 
 from repro.core.access_control import SageAccessControl
 from repro.dp.budget import PrivacyBudget
-from repro.errors import AccessDeniedError, BudgetExceededError
+from repro.errors import AccessDeniedError, BudgetExceededError, InvalidBudgetError
 
 
 @pytest.fixture
@@ -69,75 +67,35 @@ class TestACLs:
     def test_no_acl_means_open(self, access):
         assert access.offer_blocks(principal=None) == [0, 1, 2]
 
+    def test_empty_acl_authorizes_nobody(self):
+        """Only ``None`` means "no ACL": an empty principal list fails
+        closed, for named and unnamed principals alike."""
+        ac = SageAccessControl(1.0, 1e-6, authorized_principals=[])
+        ac.register_blocks([0, 1])
+        floor = PrivacyBudget(0.1, 0.0)
+        for principal in ("fraud-team", None):
+            with pytest.raises(AccessDeniedError):
+                ac.offer_blocks(principal=principal)
+            with pytest.raises(AccessDeniedError):
+                ac.request([0], floor, principal=principal)
+            with pytest.raises(AccessDeniedError):
+                ac.offer_recent_blocks(floor, 1, principal=principal)
+        assert ac.accountant.charges == []
 
-class TestContexts:
-    def test_context_has_separate_ceiling(self, access):
-        access.add_context("dev-a", 0.5, 1e-6)
-        access.request([0], PrivacyBudget(0.4, 0.0), context="dev-a")
-        # dev-a may only take 0.1 more on block 0; the stream allows 0.6.
-        assert not access.can_request([0], PrivacyBudget(0.2, 0.0), context="dev-a")
-        assert access.can_request([0], PrivacyBudget(0.2, 0.0))
 
-    def test_context_denial_leaves_stream_untouched(self, access):
-        access.add_context("dev-a", 0.3, 1e-6)
-        with pytest.raises(AccessDeniedError):
-            access.request([0], PrivacyBudget(0.4, 0.0), context="dev-a")
-        assert access.max_epsilon([0], 0.0) == pytest.approx(1.0)
-
-    def test_blocks_registered_after_context_creation(self, access):
-        access.add_context("dev-a", 0.5, 1e-6)
-        access.register_block(7)
-        access.request([7], PrivacyBudget(0.2, 0.0), context="dev-a")
-
-    def test_unknown_context_rejected(self, access):
-        with pytest.raises(AccessDeniedError):
-            access.request([0], PrivacyBudget(0.1), context="nope")
-
-    def test_unknown_context_rejected_even_with_no_usable_blocks(self):
-        ac = SageAccessControl(1.0, 1e-6)  # no blocks registered at all
-        with pytest.raises(AccessDeniedError):
-            ac.offer_blocks(context="nope")
-
-    def test_duplicate_context_rejected(self, access):
-        access.add_context("dev-a", 0.5, 1e-6)
-        with pytest.raises(AccessDeniedError):
-            access.add_context("dev-a", 0.5, 1e-6)
-
-    def test_max_epsilon_respects_context(self, access):
-        access.add_context("dev-a", 0.25, 1e-6)
-        assert access.max_epsilon([0], 0.0, context="dev-a") == pytest.approx(0.25)
-
-    def test_batch_registration_reaches_every_ledger_set(self, access):
-        access.add_context("dev-a", 0.5, 1e-6)
+class TestRegistration:
+    def test_batch_registration_registers_every_block(self, access):
         access.register_blocks([10, 11, 12])
         assert access.offer_blocks() == [0, 1, 2, 10, 11, 12]
-        access.request([10, 11], PrivacyBudget(0.2, 0.0), context="dev-a")
+        access.request([10, 11], PrivacyBudget(0.2, 0.0))
         rows = access.accountant.rows_for_keys([10])
-        assert access.max_epsilon(rows, 0.0, context="dev-a") == pytest.approx(0.3)
+        assert access.max_epsilon(rows, 0.0) == pytest.approx(0.8)
 
-    def test_failed_batch_registration_keeps_ledger_sets_consistent(self, access):
-        """A mid-batch duplicate must not leave blocks registered in the
-        stream accountant but missing from the contexts."""
-        from repro.errors import InvalidBudgetError
-
-        access.add_context("dev-a", 0.5, 1e-6)
+    def test_failed_batch_registration_keeps_the_keys_before_the_duplicate(
+        self, access
+    ):
+        """A mid-batch duplicate raises and leaves the keys before it
+        registered, in order."""
         with pytest.raises(InvalidBudgetError):
             access.register_blocks([10, 11, 11])
-        offered = access.offer_blocks(context="dev-a")  # must not crash
-        assert offered == [0, 1, 2, 10, 11]
-
-    def test_context_offer_uses_batched_filter(self, access):
-        """The context filter in offer_blocks is one batched admit pass and
-        must agree with the history oracle over each block's logged
-        history."""
-        access.add_context("dev-a", 0.5, 1e-6)
-        access.request([0], PrivacyBudget(0.45, 0.0), context="dev-a")
-        floor = PrivacyBudget(0.1, 0.0)
-        offered = access.offer_blocks(min_budget=floor, context="dev-a")
-        ctx = access._require_context("dev-a")
-        histories = block_histories(ctx)
-        expected = [
-            k for k in access.offer_blocks(min_budget=floor)
-            if BasicRule(0.5, 1e-6).admits(histories[k], floor)
-        ]
-        assert offered == expected == [1, 2]
+        assert access.offer_blocks() == [0, 1, 2, 10, 11]

@@ -477,8 +477,8 @@ class TestChargeMany:
         assert accountant.can_charge([0], budget)
         with pytest.raises(BudgetExceededError):
             accountant.charge_many([([0], budget), ([0, 1], budget)])
-        assert not accountant.can_charge_many([([0], budget), ([0, 1], budget)])
-        assert accountant.can_charge_many([([0], budget), ([1], budget)])
+        records = accountant.charge_many([([0], budget), ([1], budget)])
+        assert len(records) == 2
 
     def test_mid_batch_rejection_rolls_everything_back(self, accountant):
         accountant.charge([2], PrivacyBudget(0.8, 0.0))  # pre-existing spend
@@ -511,7 +511,6 @@ class TestChargeMany:
             accountant.charge_many([([99], PrivacyBudget(0.1))])
         empty = accountant.charge_many([])
         assert empty == []
-        assert accountant.can_charge_many([])
 
     def test_unregistered_key_beats_an_earlier_refusal(self, accountant):
         """Every request's keys are translated before any is validated: an
@@ -522,32 +521,6 @@ class TestChargeMany:
         with pytest.raises(InvalidBudgetError):
             accountant.charge_many(requests)
         _assert_store_equal(_store_state(accountant), before)
-        with pytest.raises(InvalidBudgetError):
-            accountant.can_charge_many(requests)
-        _assert_store_equal(_store_state(accountant), before)
-
-    def test_can_charge_many_ignores_the_open_batch(self, accountant):
-        """With a staged batch open, ``can_charge_many`` decides from the
-        committed totals and leaves the batch's requests and every
-        scan-memo entry -- mask and row array objects -- as they were."""
-        budget = PrivacyBudget(0.6, 0.0)
-        floor = PrivacyBudget(0.5, 0.0)
-        accountant.begin_staging()
-        stage_keys(accountant, [0], budget, "staged")
-        accountant.admit_rows()
-        assert 0 not in accountant.admit_rows(floor)
-        staged = accountant.staged_requests
-        memo = dict(accountant._staged.scan_memo)
-        masks = {key: mask.copy() for key, (mask, _) in memo.items()}
-        assert not accountant.can_charge([0], budget)  # the effective view
-        assert accountant.can_charge_many([([0], budget), ([1], budget)])
-        assert not accountant.can_charge_many([([0], budget), ([0, 1], budget)])
-        assert accountant.staged_requests == staged
-        assert accountant._staged.scan_memo.keys() == memo.keys()
-        for key, (mask, rows) in accountant._staged.scan_memo.items():
-            assert mask is memo[key][0] and rows is memo[key][1]
-            assert np.array_equal(mask, masks[key])
-        accountant.pop_staged()
 
     @given(
         st.lists(

@@ -27,12 +27,7 @@ from repro.core.adaptive import AdaptiveConfig, SessionStatus
 from repro.core.filters import RenyiCompositionFilter, StrongCompositionFilter
 from repro.core.platform import Sage
 from repro.dp.budget import PrivacyBudget
-from repro.errors import (
-    DurabilityError,
-    RecoveryError,
-    SnapshotMismatchError,
-    WalCorruptionError,
-)
+from repro.errors import RecoveryError, SnapshotMismatchError, WalCorruptionError
 from repro.workload.oracle import CountStreamSource, OraclePipeline
 
 PRUNED_RENYI = lambda e, d: RenyiCompositionFilter(e, d, orders="pruned")  # noqa: E731
@@ -1045,18 +1040,6 @@ class TestDurableDrive:
             sage.recover(_pipes())
         sage.close()
 
-    def test_durable_mode_refuses_per_context_policies(self, tmp_path):
-        """Context ledgers are in neither the WAL nor the snapshots, so a
-        durable platform with a per-context policy refuses to run an hour
-        it could not recover."""
-        sage = _build("single-basic", wal_dir=tmp_path)
-        sage.access.add_context("dev", 0.5, 1e-7)
-        with pytest.raises(DurabilityError, match="context ledgers"):
-            sage.advance(1.0)
-        assert sage.hours_committed == 0
-        assert len(sage.access.accountant.store) == 0
-        sage.close()
-
     def test_corrupt_wal_record_is_never_replayed(self, tmp_path):
         sage = _build("single-basic", wal_dir=tmp_path)
         for pipeline, config in _pipes():
@@ -1519,7 +1502,6 @@ DELTA_KEYS = [
     "delta",
     "window_blocks",
     "total_spent",
-    "settled_attempts",
     "release_time_hours",
     "attempts",
 ]
@@ -1527,7 +1509,6 @@ ENTRY_KEYS = [
     "name",
     "submit_time_hours",
     "release_time_hours",
-    "settled_attempts",
     "status",
     "epsilon",
     "epsilon_floor",

@@ -285,55 +285,3 @@ class TestDurableRollback:
             sage.advance(1.0)
             assert durability.state_digest(sage) == digests[hour]
         sage.close()
-
-    def test_context_platform_rolls_back_every_ledger_set(self):
-        """A per-context policy does not change the drive: a platform with
-        one stages and rolls back like any other.  A failed hour's blocks
-        leave every ledger set, the context's included, so the retried
-        hour registers them again and commits where a run that never
-        failed does."""
-
-        def build():
-            sage = _build()
-            sage.access.add_context("dev", 0.5, 1e-7)
-            for pipeline, config in _pipes():
-                sage.submit(pipeline, config)
-            return sage
-
-        clean = build()
-        clean_digests = []
-        for _ in range(3):
-            clean.advance(1.0)
-            clean_digests.append(durability.state_digest(clean))
-        clean.close()
-
-        sage = build()
-        sage.advance(1.0)
-        context = sage.access.contexts["dev"]
-
-        def context_state():
-            return (
-                context.block_keys,
-                context.store.totals.tobytes(),
-                context.store.live.tobytes(),
-                context.store.charge_counts.tobytes(),
-            )
-
-        pre_state = _pre_hour_state(sage)
-        pre_context = context_state()
-        # skip=1: an earlier session of the hour has already staged its
-        # charges when the fault lands.
-        with faults.armed_error("settle.mid_session", skip=1):
-            with pytest.raises(faults.InjectedFault):
-                sage.advance(1.0)
-        assert _pre_hour_state(sage) == pre_state
-        assert context_state() == pre_context
-        assert not sage.access.staging_active
-        assert sage.hours_committed == 1
-        for hour in (1, 2):
-            sage.advance(1.0)
-            assert durability.state_digest(sage) == clean_digests[hour]
-        assert sage.hours_committed == 3
-        assert context.block_keys == sage.access.accountant.block_keys
-        assert len(context.block_keys) > len(pre_context[0])
-        sage.close()

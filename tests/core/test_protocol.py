@@ -276,17 +276,14 @@ class TestStagedBatch:
         assert len(records) == 1 and records[0].label == "x"
         reclosed = access.commit_staged()
         assert reclosed == []  # nothing open: no-op
-        # A context does not change the staging surface: the batch is
-        # stream-wide, and the context's ledgers see no charge.
-        access.add_context("dev", 0.5, 1e-7)
+        # A closed batch reopens, and its commit lands on the stream.
         access.begin_staging()
         stage_keys(access, [2], PrivacyBudget(0.75, 0.0), label="y")
         records = access.commit_staged()
         assert [r.label for r in records] == ["y"]
-        context = access.contexts["dev"]
-        assert context.block_keys == [0, 1, 2, 3]
-        assert context.charges == []
-        assert access.can_request([2], PrivacyBudget(0.25, 0.0), context="dev")
+        assert [r.label for r in access.accountant.charges] == ["x", "y"]
+        rows = access.accountant.rows_for_keys([2])
+        assert access.max_epsilon(rows) == pytest.approx(0.25)
 
     @pytest.mark.parametrize(
         "factory",

@@ -13,7 +13,7 @@ from repro.core.adaptive import AdaptiveConfig
 from repro.core.platform import ReservationTable, Sage
 from repro.data.taxi import TaxiGenerator
 from repro.dp.budget import PrivacyBudget
-from repro.errors import AccessDeniedError, PipelineError
+from repro.errors import BudgetExceededError, PipelineError
 
 
 class DictAllocator:
@@ -335,42 +335,25 @@ def test_failed_request_many_leaves_table_untouched():
     assert np.array_equal(sage.access.accountant.store.totals, totals_before)
 
 
-def test_request_many_charges_stream_and_context():
-    from repro.core.access_control import SageAccessControl
-
-    access = SageAccessControl(1.0, 1e-6)
-    access.add_context("dev", 0.5, 1e-6)
-    access.register_blocks([0, 1, 2])
-    records = access.request_many(
-        [([0, 1], PrivacyBudget(0.2, 0.0)), ([1, 2], PrivacyBudget(0.2, 0.0), "x")],
-        context="dev",
-    )
-    assert len(records) == 2
-    assert access.accountant.store.totals[1, TOT_EPS] == pytest.approx(0.4)
-    with pytest.raises(AccessDeniedError):
-        # The context (0.5) refuses before the stream (1.0) is touched.
-        access.request_many([([0], PrivacyBudget(0.4, 0.0))], context="dev")
-    assert access.accountant.store.totals[0, TOT_EPS] == pytest.approx(0.2)
-    assert access.can_request_many([([0], PrivacyBudget(0.4, 0.0))])
-    assert not access.can_request_many([([0], PrivacyBudget(0.4, 0.0))], context="dev")
-
-
 def test_request_many_accepts_generators():
-    """Regression: the batch endpoints consume ``requests`` once per ledger
-    set; a generator must not be silently exhausted by the context
-    pre-check (which would commit nothing and return success)."""
+    """A generator of requests is consumed once and decided whole: a
+    granted batch commits every request it yields, and a refused one
+    commits nothing."""
     from repro.core.access_control import SageAccessControl
 
     access = SageAccessControl(1.0, 1e-6)
-    access.add_context("dev", 0.5, 1e-6)
     access.register_blocks([0, 1])
     records = access.request_many(
-        ((keys, PrivacyBudget(0.1, 0.0)) for keys in ([0], [0, 1])), context="dev"
+        (keys, PrivacyBudget(0.1, 0.0)) for keys in ([0], [0, 1])
     )
     assert len(records) == 2
     assert access.accountant.store.totals[0, TOT_EPS] == pytest.approx(0.2)
-    assert not access.can_request_many(
-        (r for r in [([0], PrivacyBudget(0.45, 0.0))]), context="dev"
+    with pytest.raises(BudgetExceededError):
+        access.request_many(
+            (keys, PrivacyBudget(0.5, 0.0)) for keys in ([1], [0, 1])
+        )
+    assert access.accountant.store.totals[:2, TOT_EPS].tolist() == pytest.approx(
+        [0.2, 0.1]
     )
 
 

@@ -11,7 +11,6 @@ from repro.core import (
     StatisticPipeline,
     TrainingPipeline,
 )
-from repro.core.access_control import SageAccessControl
 from repro.core.accountant import BlockAccountant
 from repro.data import TaxiGenerator, UserPartitioner
 from repro.dp.budget import PrivacyBudget
@@ -144,19 +143,3 @@ class TestServingLoop:
         # Fresh same-distribution traffic: healthy model, no regression.
         assert not evaluator.regression_flagged
         assert server.requests_served == 15_000
-
-
-class TestContextPolicies:
-    def test_per_developer_budgets(self):
-        """§3.2's per-context policy: two developers, separate ceilings."""
-        access = SageAccessControl(2.0, 1e-6)
-        for key in range(3):
-            access.register_block(key)
-        access.add_context("dev-a", 1.0, 1e-6)
-        access.add_context("dev-b", 1.0, 1e-6)
-        access.request([0], PrivacyBudget(0.9, 0.0), context="dev-a")
-        # dev-a nearly exhausted on block 0; dev-b unaffected.
-        assert access.max_epsilon([0], 0.0, context="dev-a") == pytest.approx(0.1)
-        assert access.max_epsilon([0], 0.0, context="dev-b") == pytest.approx(1.0)
-        # The stream-wide ledger saw one 0.9 charge.
-        assert access.max_epsilon([0], 0.0) == pytest.approx(1.1)
