@@ -1,6 +1,8 @@
 """SageAccessControl: ACLs, registration, the offer/request protocol."""
 
 import pytest
+from composition_oracle import BasicRule
+from per_request_oracle import block_histories, stage_keys
 
 from repro.core.access_control import SageAccessControl
 from repro.dp.budget import PrivacyBudget
@@ -38,6 +40,38 @@ class TestOfferRequest:
     def test_stream_loss_bound_tracks(self, access):
         access.request([2], PrivacyBudget(0.4, 0.0))
         assert access.stream_loss_bound().epsilon == pytest.approx(0.4)
+
+    def test_refused_request_leaves_stream_untouched(self, access):
+        with pytest.raises(BudgetExceededError):
+            access.request([0, 1], PrivacyBudget(1.5, 0.0))
+        rows = access.accountant.rows_for_keys([0, 1])
+        assert access.max_epsilon(rows, 0.0) == pytest.approx(1.0)
+        assert access.accountant.charges == []
+
+    def test_unregistered_key_rejected(self, access):
+        with pytest.raises(InvalidBudgetError):
+            access.request([0, 99], PrivacyBudget(0.1, 0.0))
+        assert access.accountant.charges == []
+
+    def test_max_epsilon_is_the_tightest_block(self, access):
+        access.request([0], PrivacyBudget(0.7, 0.0))
+        access.request([1], PrivacyBudget(0.2, 0.0))
+        rows = access.accountant.rows_for_keys([0, 1, 2])
+        assert access.max_epsilon(rows, 0.0) == pytest.approx(0.3)
+
+    def test_offer_with_floor_matches_history_oracle(self, access):
+        """The floor filter in offer_blocks is one batched admit pass and
+        must agree with the history oracle over each block's logged
+        history."""
+        access.request([0], PrivacyBudget(0.95, 0.0))
+        access.request([0, 1], PrivacyBudget(0.02, 0.0))
+        floor = PrivacyBudget(0.1, 0.0)
+        histories = block_histories(access.accountant)
+        expected = [
+            k for k in access.offer_blocks()
+            if BasicRule(1.0, 1e-6).admits(histories[k], floor)
+        ]
+        assert access.offer_blocks(min_budget=floor) == expected == [1, 2]
 
 
 class TestACLs:
@@ -82,6 +116,33 @@ class TestACLs:
                 ac.offer_recent_blocks(floor, 1, principal=principal)
         assert ac.accountant.charges == []
 
+    @pytest.mark.parametrize(
+        "endpoint", ["admit_rows", "request_many", "stage_request", "commit_staged"]
+    )
+    def test_empty_acl_refuses_every_principal_checked_endpoint(self, endpoint):
+        """The endpoints the test above leaves out fail closed too, and a
+        refused one stages and charges nothing."""
+        ac = SageAccessControl(1.0, 1e-6, authorized_principals=[])
+        ac.register_blocks([0, 1])
+        floor = PrivacyBudget(0.1, 0.0)
+        calls = {
+            "admit_rows": lambda: ac.admit_rows(floor, principal="fraud-team"),
+            "request_many": lambda: ac.request_many(
+                [([0], floor)], principal="fraud-team"
+            ),
+            "stage_request": lambda: stage_keys(
+                ac, [0], floor, principal="fraud-team"
+            ),
+            "commit_staged": lambda: ac.commit_staged(principal="fraud-team"),
+        }
+        ac.begin_staging()
+        with pytest.raises(AccessDeniedError):
+            calls[endpoint]()
+        assert ac.staging_active
+        dropped = ac.abort_staged()
+        assert dropped == []
+        assert ac.accountant.charges == []
+
 
 class TestRegistration:
     def test_batch_registration_registers_every_block(self, access):
@@ -90,6 +151,24 @@ class TestRegistration:
         access.request([10, 11], PrivacyBudget(0.2, 0.0))
         rows = access.accountant.rows_for_keys([10])
         assert access.max_epsilon(rows, 0.0) == pytest.approx(0.8)
+
+    def test_block_registered_later_can_be_charged(self, access):
+        access.register_block(7)
+        access.request([7], PrivacyBudget(0.2, 0.0))
+        rows = access.accountant.rows_for_keys([7])
+        assert access.max_epsilon(rows, 0.0) == pytest.approx(0.8)
+
+    def test_duplicate_registration_rejected(self, access):
+        with pytest.raises(InvalidBudgetError):
+            access.register_block(1)
+        assert access.offer_blocks() == [0, 1, 2]
+
+    def test_rollback_registrations_drops_the_newest_blocks(self, access):
+        access.register_blocks([10, 11])
+        access.rollback_registrations(3)
+        assert access.offer_blocks() == [0, 1, 2]
+        access.register_blocks([10, 11])  # the dropped keys register again
+        assert access.offer_blocks() == [0, 1, 2, 10, 11]
 
     def test_failed_batch_registration_keeps_the_keys_before_the_duplicate(
         self, access

@@ -335,6 +335,30 @@ def test_failed_request_many_leaves_table_untouched():
     assert np.array_equal(sage.access.accountant.store.totals, totals_before)
 
 
+def test_request_many_accumulates_within_the_batch():
+    """Requests in one batch see each other's charges: two that fit alone
+    but not together refuse the whole batch, and one that fits commits
+    every request."""
+    from repro.core.access_control import SageAccessControl
+
+    access = SageAccessControl(1.0, 1e-6)
+    access.register_blocks([0, 1, 2])
+    records = access.request_many(
+        [([0, 1], PrivacyBudget(0.2, 0.0)), ([1, 2], PrivacyBudget(0.2, 0.0), "x")]
+    )
+    assert [r.label for r in records] == ["", "x"]
+    assert access.accountant.store.totals[:3, TOT_EPS].tolist() == pytest.approx(
+        [0.2, 0.4, 0.2]
+    )
+    with pytest.raises(BudgetExceededError):
+        access.request_many(
+            [([1], PrivacyBudget(0.4, 0.0)), ([0, 1], PrivacyBudget(0.3, 0.0))]
+        )
+    assert access.accountant.store.totals[:3, TOT_EPS].tolist() == pytest.approx(
+        [0.2, 0.4, 0.2]
+    )
+
+
 def test_request_many_accepts_generators():
     """A generator of requests is consumed once and decided whole: a
     granted batch commits every request it yields, and a refused one

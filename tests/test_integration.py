@@ -11,9 +11,11 @@ from repro.core import (
     StatisticPipeline,
     TrainingPipeline,
 )
+from repro.core.access_control import SageAccessControl
 from repro.core.accountant import BlockAccountant
 from repro.data import TaxiGenerator, UserPartitioner
 from repro.dp.budget import PrivacyBudget
+from repro.errors import AccessDeniedError
 from repro.experiments.configs import TAXI_LR, TAXI_X_BOUND
 from repro.ml import AdaSSPRegressor, mse
 
@@ -143,3 +145,21 @@ class TestServingLoop:
         # Fresh same-distribution traffic: healthy model, no regression.
         assert not evaluator.regression_flagged
         assert server.requests_served == 15_000
+
+
+class TestStreamPolicy:
+    def test_developers_share_the_stream_ceiling(self):
+        """§3.2's block composition: every authorized developer draws on
+        the one stream-wide (eps_g, delta_g) guarantee."""
+        access = SageAccessControl(
+            2.0, 1e-6, authorized_principals=["dev-a", "dev-b"]
+        )
+        access.register_blocks(range(3))
+        access.request([0], PrivacyBudget(0.9, 0.0), principal="dev-a")
+        rows = access.accountant.rows_for_keys([0])
+        # dev-a's charge is dev-b's loss: one ledger per stream.
+        assert access.max_epsilon(rows, 0.0) == pytest.approx(1.1)
+        access.request([0], PrivacyBudget(1.1, 0.0), principal="dev-b")
+        assert access.offer_blocks(principal="dev-a") == [1, 2]
+        with pytest.raises(AccessDeniedError):
+            access.offer_blocks(principal="ads-team")
