@@ -364,7 +364,6 @@ def check_batched_advance_parity(n_pipelines=12, n_blocks=400, hours=3):
         sage = build_charging_platform(sage_cls, n_pipelines, n_blocks)
         for _ in range(hours):
             sage.advance(1.0)
-        sage.access.accountant.retired_blocks()  # persist pending retirement
         outcomes.append(
             (
                 [

@@ -78,7 +78,6 @@ def history_case(name, n_pipelines, n_blocks):
 # byte.
 # ----------------------------------------------------------------------
 def _fingerprint(sage):
-    sage.access.accountant.retired_blocks()  # persist pending retirement
     return (
         [
             [

@@ -37,7 +37,7 @@ drive, after ``complete``); the runtime sanitizer
 ``tests/analysis/test_propose_peek_purity.py`` check it at runtime.
 
 Benign-by-design writes on read paths (memo caches with value-identical
-reads, deferred retirement persistence) must carry an explicit
+reads) must carry an explicit
 ``# repro: allow(purity) -- reason`` so every such exception is a
 reviewed, documented decision.
 """

@@ -7,19 +7,16 @@ this module enforces the same contract
 dynamically so the parts the static layer cannot see -- C-level NumPy
 writes, monkeypatched callables, reflection -- still fault loudly instead
 of silently skewing the ledger.  While a declared-pure call is on the
-stack, the accounting slabs (``LedgerStore._totals``/``_counts``) are
-flipped to ``writeable=False``; any in-place write raises ``ValueError:
-assignment destination is read-only`` at the exact offending line.
+stack, the accounting slabs (``LedgerStore._totals``/``_counts``/
+``_live``) are flipped to ``writeable=False``; any in-place write raises
+``ValueError: assignment destination is read-only`` at the exact
+offending line.  The live mask is among them: retirement is written by
+the commit that exhausts a block, never by a read.
 
-Deliberately **not** frozen:
-
-* ``LedgerStore._live`` -- deferred retirement marks exhausted blocks
-  from read paths (a reviewed ``allow(purity)`` site); freezing it would
-  fault on sanctioned behavior.
-* the reservation table and scan memo -- the peek, verdict and pass paths
-  only read the table (its stored ``row_budget_fn`` hook is checked by
-  the purity tests), and the memo cache-fill on read paths is a reviewed
-  allow site.
+Deliberately **not** frozen: the reservation table and scan memo -- the
+peek, verdict and pass paths only read the table (its stored
+``row_budget_fn`` hook is checked by the purity tests), and the memo
+cache-fill on read paths is a reviewed allow site.
 
 Usage: ``install()`` wraps the pure entry points in place (idempotent;
 ``uninstall()`` restores them), and ``REPRO_SANITIZER=1`` makes the test
@@ -47,7 +44,7 @@ def frozen_arrays(store) -> List[object]:
     out: List[object] = []
     if store is None:
         return out
-    for name in ("_totals", "_counts"):
+    for name in ("_totals", "_counts", "_live"):
         array = getattr(store, name, None)
         if array is not None and hasattr(array, "flags"):
             out.append(array)
@@ -56,7 +53,7 @@ def frozen_arrays(store) -> List[object]:
 
 @contextmanager
 def write_barrier(store) -> Iterator[None]:
-    """Make the store's totals/counts slabs read-only for the duration.
+    """Make the store's totals/counts/live slabs read-only for the duration.
 
     Only arrays this invocation itself flipped are restored, so nested
     barriers (a pure call inside a pure call) compose: the innermost

@@ -23,9 +23,10 @@ and stages one proposal (raising exactly what ``request`` would, staging
 nothing on refusal), and ``commit_staged()`` lands everything staged in one
 bulk write (the accountant's ``commit_staged``: staging already validated
 each request against the totals ``request_many`` would check it against,
-so nothing is validated twice).  ``abort_staged()`` drops the batch instead and
-``rollback_registrations()`` drops the hour's blocks: together, the
-platform's rollback of an hour that raised.  Every stream can stage: every
+so nothing is validated twice).  ``abort_staged()`` drops the batch instead,
+then ``rollback_registrations()`` drops the hour's blocks (registration
+and its rollback refuse while a batch is open): together, the platform's
+rollback of an hour that raised.  Every stream can stage: every
 filter decides from the totals the overlay carries.
 """
 

@@ -11,7 +11,8 @@ property that lets Sage run forever.
 
 A block whose filter no longer admits the configured minimum charge is
 *retired* (the DP-informed retention policy of §3.2): it stays retired for
-good, since privacy loss never decreases.
+good, since privacy loss never decreases.  Only a charge can retire a
+block, so the write that lands the charge records the retirement too.
 
 Struct-of-arrays ledger store (pluggable totals schema)
 -------------------------------------------------------
@@ -42,11 +43,15 @@ which is what keeps single, batched and staged accounting float-identical
 whatever the schema width.
 
 The store also keeps a per-row charge count and a boolean *live* mask
-(False once a block is retired).  Rows are in registration order and are
-never reclaimed; the arrays grow by doubling.  The store rows plus the
-append-only charge log are the accountant's whole per-block state: a
-block's charge history, when a caller wants one, is the charge log
-filtered by key.
+(False once a block is retired).  Retirement is written where rows are
+written: the one commit body that lands charges clears the live bit of
+every row it leaves unable to admit the retirement budget, so the mask is
+exact after every write and reads never write it.  A new, all-zero row
+admits the retirement budget under every filter, so it starts live.  Rows
+are in registration order and are never reclaimed; the arrays grow by
+doubling.  The store rows plus the append-only charge log are the
+accountant's whole per-block state: a block's charge history, when a
+caller wants one, is the charge log filtered by key.
 
 Filter API: the ``filter_factory`` runs once per accountant, and the one
 filter it builds makes every decision -- charges, ``charge_many`` batches,
@@ -97,10 +102,15 @@ supports this with a :class:`StagedBatch` overlay opened by
   ``can_charge``, ``max_epsilon``, ``admit_rows`` and the keyed
   ``usable_blocks`` over it) sees the effective totals, so later
   proposers contend with earlier staged charges exactly as they would
-  with committed ones.  ``stream_loss_bound``
-  and the charge log keep reporting *committed* state only, and retirement
-  is not persisted until the batch closes (scans still filter staged-retired
-  blocks out).
+  with committed ones.  ``stream_loss_bound``, ``retired_blocks``, the
+  live mask and the charge log keep reporting *committed* state only: a
+  block a staged charge exhausts is retired when the batch lands, and
+  until then scans filter it out.
+* The row set is fixed while a batch is open: ``register_block`` and
+  ``rollback_registrations`` refuse, so the overlay always has exactly
+  the store's rows.  The platform registers an hour's blocks before it
+  opens the hour's batch and aborts the batch before it rolls the hour
+  back.
 * While a batch is open, whole-stream admit scans are memoized per floor
   budget on the batch itself (``StagedBatch.scan_memo``): an admit mask
   over the store rows plus the read-only row array readers get.  The
@@ -113,23 +123,23 @@ supports this with a :class:`StagedBatch` overlay opened by
   decisions all stand keeps its array object: while the batch is open,
   the same array means the same decisions.  This is exact: ``admits_batch``
   decides a row from that row's totals alone, the staged charge moved no
-  other row's effective totals, and ``store.live`` cannot move while a
-  batch is open (retirement is persisted only outside one).  A refused
-  ``stage_charge`` moves nothing and touches no entry; a block registered
-  or registrations rolled back mid-batch (both rare) clear the memo.
-  Decisions are identical to rescanning.
+  other row's effective totals, and neither the row set nor
+  ``store.live`` can move while a batch is open.  A refused
+  ``stage_charge`` moves nothing and touches no entry.  Decisions are
+  identical to rescanning.
 * ``commit_staged()`` closes the overlay and lands it: the touched
   effective rows and their staged charge counts in one bulk row write,
-  then the requests on the charge log.  Staging already validated every
+  the retirement of the touched rows it exhausted, then the requests on
+  the charge log.  Staging already validated every
   request, so the commit does not validate again; WAL replay's
   ``charge_many(requests)`` runs the same bodies.  ``pop_staged()``
   closes the overlay without committing and returns the requests (the
   platform's hour rollback).
 
 Every accountant can stage, since every filter decides from the totals the
-overlay carries.  Mutating the accountant through
-``charge``/``charge_many`` while a batch is open is an error, since the
-overlay could not see those writes.
+overlay carries.  Mutating the accountant through ``charge``,
+``charge_many``, ``register_block`` or ``rollback_registrations`` while a
+batch is open is an error, since the overlay could not see those writes.
 
 The hour reads and stages store rows (``admit_rows``, ``max_epsilon``,
 ``stage_charge``); ``keys_for_rows`` builds a window's keys once, for what
@@ -252,9 +262,8 @@ class LedgerStore:
         self._counts[indices] = counts
 
     def retire(self, indices) -> None:
-        # repro: allow(purity) -- deferred retirement persistence: scans may
-        # lazily mark exhausted blocks; idempotent and observationally
-        # invisible (a retired block refuses every charge either way).
+        """Clear the live bit of ``indices`` (a commit's exhausted rows,
+        or a restored snapshot's retired ones)."""
         self._live[indices] = False
 
     def truncate_to(self, size: int) -> None:
@@ -281,8 +290,9 @@ class StagedBatch:
 
     The hour's open batch, or a private one of ``charge_many``.  Keeps one
     dense *effective-totals* matrix: a copy of the committed store totals
-    that absorbs each staged request's contribution in request order, so
-    staging decisions and the final commit can never disagree, and reads
+    (the row set cannot move while a batch is open) that absorbs each
+    staged request's contribution in request order, so staging decisions
+    and the final commit can never disagree, and reads
     through the overlay are as cheap as reads of the store itself -- plus
     each request's store rows (``rows``, aligned with ``requests``), whose
     per-row tally the commit adds to the store's charge counts.
@@ -295,24 +305,12 @@ class StagedBatch:
         # Whole-stream admit scans by floor budget: (admit mask over the
         # store rows, its read-only np.flatnonzero row array).  Filled by
         # BlockAccountant._live_admit_rows, brought up to date on the
-        # staged rows by every successful stage, cleared when the row set
-        # moves; it dies with the batch.
+        # staged rows by every successful stage; it dies with the batch.
         self.scan_memo: Dict[PrivacyBudget, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def effective_totals(self, size: int) -> np.ndarray:
-        """The (size, width) committed-plus-staged totals view.
-
-        Blocks registered after the batch opened have zero committed totals
-        and no staged charges, so their effective rows are zero too.
-        """
-        if size > self._eff.shape[0]:
-            capacity = max(size, 2 * self._eff.shape[0])
-            grown = np.zeros((capacity, self._eff.shape[1]))
-            grown[: self._eff.shape[0]] = self._eff
-            # repro: allow(purity) -- capacity growth only: new rows are all
-            # zero, so every read returns the same values as before.
-            self._eff = grown
-        return self._eff[:size]
+    def effective_totals(self) -> np.ndarray:
+        """The (n_blocks, width) committed-plus-staged totals."""
+        return self._eff
 
     def charged_rows(self):
         """Rows with staged charges (ascending) and how many each has."""
@@ -371,10 +369,9 @@ class BlockAccountant:
     # ------------------------------------------------------------------
     def register_block(self, key: object) -> None:
         """Add a store row for a freshly ingested block (zero loss so far)."""
+        self._forbid_staging("register a block")
         if key in self._rows:
             raise InvalidBudgetError(f"block {key!r} already registered")
-        # A new row changes every whole-stream scan: memoized scans are stale.
-        self._invalidate_scans()
         self._rows[key] = self._store.append()
         self._keys.append(key)
 
@@ -441,7 +438,7 @@ class BlockAccountant:
         """Totals every admissibility read decides from: the committed store
         rows, overlaid with staged contributions while a batch is open."""
         if self._staged is not None:
-            return self._staged.effective_totals(len(self._store))
+            return self._staged.effective_totals()
         return self._store.totals
 
     # ------------------------------------------------------------------
@@ -480,12 +477,6 @@ class BlockAccountant:
         self._staged = StagedBatch(self)
         return self._staged
 
-    def _invalidate_scans(self) -> None:
-        """Forget the open batch's memoized scans (the row set just
-        moved); a no-op when no batch is open."""
-        if self._staged is not None:
-            self._staged.scan_memo.clear()
-
     def _redecide_staged_rows(self, rows: np.ndarray) -> None:
         """Bring every memoized scan up to date after a charge on ``rows``
         was staged: re-decide those rows, and re-derive the row array of
@@ -497,7 +488,7 @@ class BlockAccountant:
         memo = self._staged.scan_memo
         if not memo:
             return
-        totals = self._staged.effective_totals(len(self._store))[rows]
+        totals = self._staged.effective_totals()[rows]
         alive = self._store.live[rows] & self._batch_filter.admits_batch(
             totals, self.retirement_budget
         )
@@ -519,7 +510,7 @@ class BlockAccountant:
         against exactly the totals a sequential :meth:`charge` loop would
         have produced.  Raises what :meth:`charge` would and stages
         nothing on refusal."""
-        eff = batch.effective_totals(len(self._store))
+        eff = batch.effective_totals()
         before = eff[rows]
         self._refuse_unless_admitted(keys, before, budget)
         eff[rows] = before + self._contribution(budget)
@@ -555,9 +546,7 @@ class BlockAccountant:
         Every request was validated when it was staged, so the touched
         effective rows are the exact post-batch totals and land as they
         are; the requests then join the charge log.  Commits nothing when
-        no batch is open or it is empty.  A staged charge on a block
-        rolled back since raises ``InvalidBudgetError`` and commits
-        nothing.
+        no batch is open or it is empty.
         """
         staged, self._staged = self._staged, None
         if staged is None or not staged.requests:
@@ -570,17 +559,13 @@ class BlockAccountant:
         row write, then the requests on the charge log."""
         with self._tracer.span("charge.batch", requests=len(batch.requests)):
             touched, counts = batch.charged_rows()
-            if touched[-1] >= len(self._store):
-                raise InvalidBudgetError(
-                    "a staged charge names a block rolled back since it was staged"
-                )
             # Crash point between validation (done at staging) and the
             # commit: nothing has been written.
             faults.trip("charge.between_validate_and_commit")
             return self._commit_validated(
                 batch.requests,
                 touched,
-                batch.effective_totals(len(self._store))[touched],
+                batch.effective_totals()[touched],
                 counts,
             )
 
@@ -595,7 +580,7 @@ class BlockAccountant:
         if self._staged is not None:
             raise InvalidBudgetError(
                 f"cannot {what} while a staged batch is open; "
-                "pop_staged() and commit it first"
+                "commit_staged() or pop_staged() it first"
             )
 
     # ------------------------------------------------------------------
@@ -717,9 +702,11 @@ class BlockAccountant:
         work: np.ndarray,
         counts_delta: np.ndarray,
     ) -> List[ChargeRecord]:
-        """Land a validated batch: one bulk store-row write, then the charge
-        log.  ``work`` must hold the touched rows' exact post-batch totals
-        and ``counts_delta`` their numbers of new charges."""
+        """Land a validated batch (the one body that writes store rows):
+        one bulk row write, the retirement of every touched row that no
+        longer admits ``retirement_budget``, then the charge log.  ``work``
+        must hold the touched rows' exact post-batch totals and
+        ``counts_delta`` their numbers of new charges."""
         records = [
             ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
             for keys, budget, label in norm
@@ -727,6 +714,8 @@ class BlockAccountant:
         self._store.write_rows(
             touched, work, self._store.charge_counts[touched] + counts_delta
         )
+        alive = self._batch_filter.admits_batch(work, self.retirement_budget)
+        self._store.retire(touched[~alive])
         self._charges.extend(records)
         return records
 
@@ -738,10 +727,12 @@ class BlockAccountant:
         order) -- the durability layer's hour rollback.
 
         Only same-hour registrations are ever rolled back, and the platform
-        rolls back strictly *before* the hour's staged batch commits, so the
-        removed rows carry no committed charges; dropping them (and their
-        store rows) restores the exact pre-hour accountant.
+        aborts the hour's staged batch first (a rollback refuses while a
+        batch is open), so the removed rows carry no committed charges;
+        dropping them (and their store rows) restores the exact pre-hour
+        accountant.
         """
+        self._forbid_staging("roll registrations back")
         if n_blocks < 0 or n_blocks > len(self._keys):
             raise RecoveryError(
                 f"cannot roll registrations back to {n_blocks}; "
@@ -753,17 +744,10 @@ class BlockAccountant:
         for key in removed:
             del self._rows[key]
         del self._keys[n_blocks:]
-        # Memoized scans may name the removed rows.
-        self._invalidate_scans()
         self._store.truncate_to(n_blocks)
 
     def export_state(self) -> dict:
-        """Snapshot this accountant's full committed state (picklable).
-
-        Pending lazy retirement is persisted first so the exported live
-        mask is the normalized one every scan would converge to.
-        """
-        self.admit_rows()
+        """Snapshot this accountant's full committed state (picklable)."""
         store = self._store
         return {
             "schema_width": store.width,
@@ -852,12 +836,13 @@ class BlockAccountant:
         )
 
     def _live_admit_rows(self, floor: PrivacyBudget) -> np.ndarray:
-        """Rows of live blocks admitting ``floor``, marking newly retired
-        blocks dead along the way -- the shared body of every block scan.
+        """Rows of live blocks admitting ``floor`` -- the shared body of
+        every block scan.
 
-        While a staged batch is open the result is cached per floor budget
-        in the batch's scan memo, with its admit mask, and shared read-only
-        across callers.
+        While a staged batch is open the rows staged charges retired are
+        left out too (they stay live until the batch lands), and the result
+        is cached per floor budget in the batch's scan memo, with its admit
+        mask, and shared read-only across callers.
         """
         memo = None
         if self._staged is not None:
@@ -868,19 +853,14 @@ class BlockAccountant:
         live_rows = np.nonzero(self._store.live)[0]
         if live_rows.size == 0:
             return live_rows
-        alive = self._batch_filter.admits_batch(
-            self._totals_view()[live_rows], self.retirement_budget
-        )
-        if not alive.all():
-            retired_rows = live_rows[~alive]
-            # Retirement is persisted only from *committed* totals: while a
-            # staged batch is open, staged-retired blocks are filtered out
-            # of this scan but stay live until the batch commits.
-            if self._staged is None:
-                # repro: allow(purity) -- deferred retirement: idempotent
-                # persistence of a fact the scan already proved.
-                self._store.retire(retired_rows)
-            live_rows = live_rows[alive]
+        if memo is not None:
+            # The live mask is committed state: drop the rows staged
+            # charges exhausted.
+            live_rows = live_rows[
+                self._batch_filter.admits_batch(
+                    self._totals_view()[live_rows], self.retirement_budget
+                )
+            ]
         if floor != self.retirement_budget:
             admitted = self._batch_filter.admits_batch(
                 self._totals_view()[live_rows], floor
@@ -891,9 +871,9 @@ class BlockAccountant:
             mask[live_rows] = True
             live_rows.setflags(write=False)  # shared across memo readers
             # repro: allow(purity) -- scan-memo cache fill: every stage
-            # re-decides its rows in the memo and a moved row set clears
-            # it, so the cached rows are the value an uncached scan would
-            # recompute identically.
+            # re-decides its rows in the memo and the row set cannot move
+            # while a batch is open, so the cached rows are the value an
+            # uncached scan would recompute identically.
             memo[floor] = (mask, live_rows)
         return live_rows
 
@@ -913,8 +893,8 @@ class BlockAccountant:
         return [self._keys[i] for i in self.admit_rows(min_budget)]
 
     def retired_blocks(self) -> List[object]:
-        """Keys of retired blocks, in registration order."""
-        self._live_admit_rows(self.retirement_budget)  # persist new retirements
+        """Keys of retired blocks (committed state), in registration
+        order."""
         return [self._keys[i] for i in np.flatnonzero(~self._store.live)]
 
     def stream_loss_bound(self) -> PrivacyBudget:

@@ -916,9 +916,9 @@ def state_digest(sage) -> int:
     compact parity form the WAL commit markers and snapshots carry (the
     module docstring lists what it covers, in order).
 
-    Pending lazy retirement is persisted first so both sides of any
-    comparison normalize the live mask the same way.  Scalars and records
-    hash via ``repr`` (exact round-trip text for floats), never
+    It writes nothing but the digest memo: the live mask is exact after
+    every charge, so there is nothing to normalize first.  Scalars and
+    records hash via ``repr`` (exact round-trip text for floats), never
     ``pickle``: pickle memoizes shared references, so two value-equal
     states could pickle differently (recovery rebuilds values, not
     identity graphs).  The charge log and each session's attempts enter
@@ -931,14 +931,11 @@ def state_digest(sage) -> int:
     attempts are folded or the tuple built, so a terminal entry (which
     nothing changes again) is encoded once, at its first digest after the
     transition, and a rollback, a snapshot restore or any direct edit
-    re-encodes.  Pending retirement is persisted through
-    ``admit_rows()``, which builds no key list.  The entries' bytes are
-    joined and folded with one
+    re-encodes.  The entries' bytes are joined and folded with one
     ``zlib.crc32`` call: ``crc32(a + b, c) == crc32(b, crc32(a, c))``,
     so the value is the per-entry chain's.
     """
     accountant = sage.access.accountant
-    accountant.admit_rows()  # persist pending lazy retirement
     store = accountant.store
     table = sage.reservation_table
     memo = sage._digest_memo
@@ -1028,7 +1025,6 @@ def decode_attempts(tuples) -> List[AttemptRecord]:
 def build_snapshot_payload(sage, hours_committed: int) -> dict:
     """Capture a platform's full recoverable state as one picklable dict."""
     accountant = sage.access.accountant
-    accountant.admit_rows()  # snapshot the normalized live mask
     table = sage.reservation_table
     entries = tuple(
         {

@@ -58,7 +58,7 @@ One transactional hour
 Every hour has one shape: capture the pre-hour state, open the hour
 (ingest, register, allocate), begin staging, drive, commit.  An exception
 anywhere before the commit -- ``KeyboardInterrupt`` and ``SystemExit``
-included -- restores the captured state and aborts the staged batch, so a
+included -- aborts the staged batch and restores the captured state, so a
 failed hour leaves no trace -- no charges, reservations, session progress,
 releases, ingest, clock or RNG movement -- and a retried hour re-runs the
 very same stream slice.  The one exception is a simulated process death
@@ -75,7 +75,7 @@ running totals, so inside one staged hour the only thing that can change a
 session's proposal is a charge staged earlier in that hour.  The
 accountant memoizes whole-stream admit scans per floor budget for as long
 as the hour's staged batch is open; a stage re-decides only the rows it
-staged, and only a block registration or rollback drops the memo.  A
+staged, and the row set cannot move while the batch is open.  A
 queue of blocked sessions at one floor shares a single scan, and every
 decision is identical to rescanning.  Sessions are driven serially in
 submission order (they share one RNG stream).
@@ -842,10 +842,12 @@ class Sage:
                 )
                 if not crashed:
                     try:
-                        self._rollback_hour(txn)
-                    finally:
+                        # The batch goes first: the accountant's row set
+                        # cannot move while one is open.
                         if self.access.staging_active:
                             self.access.abort_staged()
+                        self._rollback_hour(txn)
+                    finally:
                         if wal is not None:
                             wal.abort_hour()
                 raise

@@ -12,10 +12,8 @@ text exposition without per-sample storage.
 
 The higher-level ``observe_*`` helpers translate platform state into
 gauge families using only documented pure reads (``store.totals``,
-``stream_loss_bound``); the single deliberate
-exception is ``retired_blocks()``, whose lazy retirement persistence is
-idempotent and value-identical -- the same normalization the durability
-layer's ``state_digest`` performs before digesting.
+``stream_loss_bound``, ``retired_blocks``, which reads the live mask the
+commit keeps exact).
 """
 
 from __future__ import annotations
@@ -131,12 +129,7 @@ class MetricsRegistry:
 
     def observe_privacy(self, accountant) -> None:
         """Stream-level privacy gauges: loss bound vs the global budget,
-        block lifecycle counts, and Renyi order saturation.
-
-        ``retired_blocks()`` may lazily persist already-proven retirement
-        -- idempotent and value-identical, the normalization every parity
-        fingerprint performs anyway.
-        """
+        block lifecycle counts, and Renyi order saturation."""
         loss = accountant.stream_loss_bound()
         self.set_gauge("sage_privacy_epsilon_spent", loss.epsilon)
         self.set_gauge("sage_privacy_delta_spent", loss.delta)

@@ -59,12 +59,16 @@ class TestWriteBarrier:
                 store.write_rows([row], np.zeros((1, store.width)), [1])
         store.write_rows([row], np.zeros((1, store.width)), [1])  # thawed again
 
-    def test_live_mask_stays_writable(self):
-        # Deferred retirement marks blocks from read paths: sanctioned.
+    def test_live_mask_is_frozen_too(self):
+        # Retirement is written by the commit that exhausts a block; a
+        # read that retires faults like any other slab write.
         store = LedgerStore(capacity=4)
         row = store.append()
         with sanitizer.write_barrier(store):
-            store.retire([row])
+            with pytest.raises(ValueError):
+                store.retire([row])
+        assert store.live[row]
+        store.retire([row])  # thawed again
         assert not store.live[row]
 
     def test_nested_barriers_compose(self):

@@ -1,5 +1,7 @@
 """BlockAccountant: atomic charges, retirement, the stream-wide bound."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,11 @@ from per_request_oracle import PerLedgerReference, block_histories, stage_keys
 
 from repro.core.access_control import SageAccessControl
 from repro.core.accountant import TOT_DELTA, TOT_EPS, BlockAccountant
-from repro.core.filters import BasicCompositionFilter, StrongCompositionFilter
+from repro.core.filters import (
+    BasicCompositionFilter,
+    RenyiCompositionFilter,
+    StrongCompositionFilter,
+)
 from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     BlockRetiredError,
@@ -112,6 +118,42 @@ class TestRetirement:
         accountant.charge([0], PrivacyBudget(0.95, 0.0))
         usable = accountant.usable_blocks(PrivacyBudget(0.1, 0.0))
         assert usable == [1, 2, 3]
+
+    def test_the_charge_writes_retirement_and_reads_write_nothing(
+        self, accountant
+    ):
+        accountant.charge([0], PrivacyBudget(1.0, 1e-6))
+        live = accountant.store.live.tobytes()
+        assert not accountant.store.live[0]
+        assert accountant.admit_rows().tolist() == [1, 2, 3]
+        assert accountant.usable_blocks() == [1, 2, 3]
+        assert accountant.retired_blocks() == [0]
+        assert accountant.store.live.tobytes() == live
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            BasicCompositionFilter,
+            StrongCompositionFilter,
+            RenyiCompositionFilter,
+            functools.partial(RenyiCompositionFilter, orders="pruned"),
+        ],
+        ids=["basic", "strong", "renyi-default", "renyi-pruned"],
+    )
+    @pytest.mark.parametrize(
+        "epsilon,delta",
+        [(0.1, 1e-9), (0.5, 1e-6), (1.0, 1e-6), (1.0, 1e-5), (4.0, 1e-7), (10.0, 1e-6)],
+    )
+    def test_a_new_row_admits_the_retirement_budget(self, factory, epsilon, delta):
+        """The precondition that lets only a charge retire a block: an
+        all-zero totals row admits ``retirement_budget`` under every
+        filter, so a registered block starts live and stays live until a
+        charge exhausts it."""
+        acc = BlockAccountant(epsilon, delta, filter_factory=factory)
+        zero = np.zeros((1, acc.store.width))
+        assert acc.batch_filter.admits_batch(zero, acc.retirement_budget).tolist() == [
+            True
+        ]
 
 
 class TestStreamBound:

@@ -10,7 +10,8 @@ opened while it ran.
 """
 
 import functools
-from contextlib import nullcontext
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from per_request_oracle import (
 
 from repro.core import faults
 from repro.core.access_control import SageAccessControl
-from repro.core.accountant import TOT_EPS, BlockAccountant
+from repro.core.accountant import BlockAccountant
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSession
 from repro.core.filters import (
     BasicCompositionFilter,
@@ -49,13 +50,7 @@ from repro.workload.simulator import WorkloadConfig, WorkloadSimulator
 
 
 def _fingerprint(sage: Sage):
-    """Everything the protocol could perturb, in comparable form.
-
-    Retirement persistence is a lazily-updated scan cache (both paths defer
-    it differently within an hour), so refresh it first; the decisions
-    themselves come from the totals, which must match bytewise.
-    """
-    sage.access.accountant.retired_blocks()  # persist pending retirement
+    """Everything the protocol could perturb, in comparable form."""
     entries = sage.pipelines
     return {
         "attempts": [
@@ -291,23 +286,20 @@ class TestStagedBatch:
     )
     def test_commit_staged_lands_what_charge_many_would(self, factory):
         """The staged commit writes the overlay's rows without validating
-        again; the store and the charge log must end byte-identical to a
-        charge_many over the same requests (what WAL replay runs) and to
-        sequential charges."""
+        again; the store, its live mask and the charge log must end
+        byte-identical to a charge_many over the same requests (what WAL
+        replay runs) and to sequential charges."""
         rng = np.random.default_rng(7)
         twins = [BlockAccountant(1.0, 1e-6, filter_factory=factory) for _ in range(3)]
         for acc in twins:
             acc.register_blocks(range(10))
+            acc.register_block(10)
         staged, replayed, sequential = twins
         requests = []
         for acc in (staged, replayed):
             acc.begin_staging()
         for j in range(30):
-            if j == 15:
-                for acc in twins:
-                    acc.register_block(10)  # lands after the overlay opened
-            n_keys = 11 if j >= 15 else 10
-            keys = [int(k) for k in rng.choice(n_keys, size=rng.integers(1, 6), replace=False)]
+            keys = [int(k) for k in rng.choice(11, size=rng.integers(1, 6), replace=False)]
             budget = PrivacyBudget(float(rng.uniform(0.001, 0.08)), 1e-10)
             try:
                 stage_keys(staged, keys, budget, f"r{j}")
@@ -324,30 +316,55 @@ class TestStagedBatch:
         for other in (replayed, sequential):
             assert staged.store.totals.tobytes() == other.store.totals.tobytes()
             assert staged.store.charge_counts.tobytes() == other.store.charge_counts.tobytes()
+            assert staged.store.live.tobytes() == other.store.live.tobytes()
             assert staged.charges == other.charges
         assert not staged.staging_active
 
-    def test_commit_staged_refuses_a_rolled_back_block(self):
+    def test_rollback_registrations_refuses_while_a_batch_is_open(self):
         acc = self._accountant(n_blocks=2)
         acc.begin_staging()
         stage_keys(acc, [0], PrivacyBudget(0.25, 0.0))
-        acc.register_block(99)
-        stage_keys(acc, [99], PrivacyBudget(0.5, 0.0))
-        acc.rollback_registrations(2)
-        with pytest.raises(InvalidBudgetError):
-            acc.commit_staged()
-        assert acc.charges == [] and not acc.staging_active
-        assert not acc.store.totals.any() and not acc.store.charge_counts.any()
+        stage_keys(acc, [1], PrivacyBudget(0.9, 0.0))
+        assert acc.usable_blocks() == [0, 1]  # fills the memo
+        with refused_and_unchanged(acc):
+            acc.rollback_registrations(1)
+        acc.commit_staged()
+        assert_rows_match_the_charge_log(acc)
 
-    def test_staged_commit_with_block_registered_mid_batch(self):
+    def test_register_block_refuses_while_a_batch_is_open(self):
         acc = self._accountant(n_blocks=2)
         acc.begin_staging()
         stage_keys(acc, [0], PrivacyBudget(0.25, 0.0))
-        acc.register_block(99)  # lands mid-hour, after the overlay opened
-        stage_keys(acc, [99, 1], PrivacyBudget(0.5, 0.0))
-        acc.charge_many(acc.pop_staged())
-        assert acc.store.totals[acc.rows_for_keys([99])[0], TOT_EPS] == pytest.approx(0.5)
-        assert len(acc.charges) == 2
+        assert acc.usable_blocks() == [0, 1]  # fills the memo
+        with refused_and_unchanged(acc):
+            acc.register_block(99)
+        with refused_and_unchanged(acc):
+            acc.register_blocks([99, 100])
+        stage_keys(acc, [0, 1], PrivacyBudget(0.5, 0.0))
+        acc.commit_staged()
+        assert acc.block_keys == [0, 1]
+        assert_rows_match_the_charge_log(acc)
+        # Once the batch has landed, both work again.
+        acc.register_block(99)
+        acc.rollback_registrations(2)
+        assert acc.block_keys == [0, 1]
+
+    def test_access_control_refuses_mid_batch_registration(self):
+        """The sequence that once landed a rolled-back block's staged
+        charge on the block registered after it: register, stage, roll
+        back, register again, commit.  Every row change is refused now."""
+        access = SageAccessControl(1.0, 1e-6)
+        access.register_blocks(["a", "b"])
+        access.begin_staging()
+        acc = access.accountant
+        with refused_and_unchanged(acc):
+            access.register_block("c")
+        stage_keys(access, ["b"], PrivacyBudget(0.9, 0.0))
+        with refused_and_unchanged(acc):
+            access.rollback_registrations(1)
+        access.commit_staged()
+        assert [r.block_keys for r in acc.charges] == [("b",)]
+        assert_rows_match_the_charge_log(acc)
 
     def test_commit_staged_on_acl_stream(self):
         """Regression: the hourly commit must honor stream-level ACLs
@@ -365,6 +382,53 @@ class TestStagedBatch:
         # ... and the authorized platform principal commits it intact.
         records = access.commit_staged(principal="alice")
         assert [r.label for r in records] == ["x"]
+
+
+@contextmanager
+def refused_and_unchanged(acc):
+    """The body must raise ``InvalidBudgetError`` and leave the keys, the
+    store bytes and the open batch (requests, overlay, memo) as they
+    were."""
+
+    def state():
+        batch = acc._staged
+        return (
+            acc.block_keys,
+            len(acc.store),
+            acc.store.totals.tobytes(),
+            acc.store.live.tobytes(),
+            acc.store.charge_counts.tobytes(),
+            batch,
+            acc.staged_requests,
+            batch.effective_totals().tobytes(),
+            [
+                (floor, mask.tobytes(), rows.tobytes())
+                for floor, (mask, rows) in batch.scan_memo.items()
+            ],
+        )
+
+    before = state()
+    with pytest.raises(InvalidBudgetError):
+        yield
+    assert state() == before
+
+
+def assert_rows_match_the_charge_log(acc):
+    """Every charged store row is a block the charge log names, as often
+    as the log names it, with the totals those charges add up to."""
+    named = Counter(key for record in acc.charges for key in record.block_keys)
+    counts = acc.store.charge_counts
+    assert {
+        acc.block_keys[row]: int(counts[row]) for row in np.flatnonzero(counts)
+    } == dict(named)
+    twin = BlockAccountant(
+        acc.epsilon_global, acc.delta_global, filter_factory=type(acc.batch_filter)
+    )
+    twin.register_blocks(acc.block_keys)
+    for record in acc.charges:
+        twin.charge(record.block_keys, record.budget, record.label)
+    assert twin.store.totals.tobytes() == acc.store.totals.tobytes()
+    assert twin.store.live.tobytes() == acc.store.live.tobytes()
 
 
 # Every vectorized composition filter scans through the same memo.
@@ -465,21 +529,6 @@ class TestScanMemoLifetime:
         assert acc.admit_rows(below).tobytes() == fresh_scan(acc, below).tobytes()
         acc.pop_staged()
 
-    def test_mid_batch_registration_drops_the_memo(self, filter_name):
-        acc = self._accountant(filter_name, keys=["a"])
-        acc.begin_staging()
-        assert acc.usable_blocks() == ["a"]
-        acc.register_block("b")
-        assert acc.usable_blocks() == ["a", "b"]
-        acc.pop_staged()
-
-    def test_rollback_registrations_drops_the_memo(self, filter_name):
-        acc = self._accountant(filter_name)
-        acc.begin_staging()
-        assert acc.usable_blocks(self.FLOOR) == [0, 1, 2, 3]
-        acc.rollback_registrations(2)
-        assert acc.usable_blocks(self.FLOOR) == [0, 1]
-        acc.pop_staged()
 
 
 MEMO_FILTERS = {
@@ -538,8 +587,8 @@ def assert_memo_is_fresh(acc):
 
 class TestMemoSurvivesStages:
     """The scan memo outlives stages: after any interleaving of granted
-    and refused stages, registrations and registration rollbacks, each
-    memoized entry is what a fresh scan would return."""
+    and refused stages and of refused registrations and registration
+    rollbacks, each memoized entry is what a fresh scan would return."""
 
     @pytest.mark.parametrize("filter_name", sorted(MEMO_FILTERS))
     @given(data=st.data())
@@ -559,7 +608,6 @@ class TestMemoSurvivesStages:
             except REFUSED:
                 pass
         acc.begin_staging()
-        next_key = n_blocks
         actions = st.sampled_from(
             ["read", "read", "stage", "stage", "register", "rollback"]
         )
@@ -578,12 +626,12 @@ class TestMemoSurvivesStages:
                 except REFUSED:
                     pass
             elif action == "register":
-                acc.register_block(next_key)
-                next_key += 1
+                with refused_and_unchanged(acc):
+                    acc.register_block(n_blocks)
             elif action == "rollback":
-                acc.rollback_registrations(
-                    data.draw(st.integers(0, len(keys)), label="keep")
-                )
+                keep = data.draw(st.integers(0, len(keys)), label="keep")
+                with refused_and_unchanged(acc):
+                    acc.rollback_registrations(keep)
             assert_memo_is_fresh(acc)
         acc.pop_staged()
 

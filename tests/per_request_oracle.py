@@ -401,8 +401,10 @@ class PerLedgerReference:
         self.charge_many([(list(keys), budget, label)])
 
     def usable_blocks(self, floor):
-        """Blocks admitting ``floor``; like the accountant's scans, this
-        persists every retirement it finds."""
+        """Blocks admitting ``floor``.  Unlike the accountant, which
+        retires a block in the commit that exhausts it, this reference
+        persists retirement lazily, here: compare live masks after a scan
+        on both sides."""
         for key in self.block_keys:
             if self.live[key] and self.is_retired(key):
                 self.live[key] = False
