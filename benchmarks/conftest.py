@@ -4,14 +4,17 @@ Training-run tables are expensive (they train every Table 1 model over a
 doubling sample schedule), so they are session-scoped and shared between the
 Fig. 5, Fig. 6, and Table 2 benches.  Every bench writes its rendered
 table/series to ``results/`` so EXPERIMENTS.md can be regenerated from a
-single ``pytest benchmarks/ --benchmark-only`` run.
+single ``pytest benchmarks/ --benchmark-only`` run (the collection hooks
+below gather those checks).
 
 Scale: set ``REPRO_BENCH_SCALE=full`` for schedules closer to the paper's
 (longer runtimes); the default "small" regenerates every shape in minutes.
 """
 
+import inspect
 import os
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,45 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+# The paper-figure checks are the ``bench_*`` functions of these modules.
+# The other bench_*.py scripts are command-line gates; pytest runs their
+# ``test_*`` smoke checks when given the script's path, as usual.
+PAPER_FIGURE_FILES = (
+    "bench_fig*.py",
+    "bench_table2_violations.py",
+    "bench_ablation_composition.py",
+)
+
+
+def _is_paper_figure(path: Path) -> bool:
+    return any(fnmatch(path.name, pattern) for pattern in PAPER_FIGURE_FILES)
+
+
+def pytest_collect_file(file_path, parent):
+    """Collect the paper-figure modules when this directory is a path given
+    to pytest (``pytest benchmarks/``), not from a run at the repo root.  A
+    module given by its own path is collected by pytest already."""
+    session = parent.session
+    if (
+        _is_paper_figure(file_path)
+        and session.isinitpath(file_path.parent)
+        and not session.isinitpath(file_path)
+    ):
+        return pytest.Module.from_parent(parent, path=file_path)
+    return None
+
+
+def pytest_pycollect_makeitem(collector, name, obj):
+    """Collect a paper-figure module's ``bench_*`` functions as checks."""
+    if (
+        name.startswith("bench_")
+        and inspect.isfunction(obj)
+        and isinstance(collector, pytest.Module)
+        and _is_paper_figure(collector.path)
+    ):
+        return pytest.Function.from_parent(collector, name=name, callobj=obj)
+    return None
 
 FULL_SCALE = os.environ.get("REPRO_BENCH_SCALE", "small") == "full"
 

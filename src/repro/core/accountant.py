@@ -704,17 +704,19 @@ class BlockAccountant:
     ) -> List[ChargeRecord]:
         """Land a validated batch (the one body that writes store rows):
         one bulk row write, the retirement of every touched row that no
-        longer admits ``retirement_budget``, then the charge log.  ``work``
+        longer admits ``retirement_budget`` (decided before the write, so
+        nothing runs between the write and the retirement), then the
+        charge log.  ``work``
         must hold the touched rows' exact post-batch totals and
         ``counts_delta`` their numbers of new charges."""
         records = [
             ChargeRecord(budget=budget, block_keys=tuple(keys), label=label)
             for keys, budget, label in norm
         ]
+        alive = self._batch_filter.admits_batch(work, self.retirement_budget)
         self._store.write_rows(
             touched, work, self._store.charge_counts[touched] + counts_delta
         )
-        alive = self._batch_filter.admits_batch(work, self.retirement_budget)
         self._store.retire(touched[~alive])
         self._charges.extend(records)
         return records

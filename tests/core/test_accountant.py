@@ -130,6 +130,27 @@ class TestRetirement:
         assert accountant.retired_blocks() == [0]
         assert accountant.store.live.tobytes() == live
 
+    def test_an_interrupted_retirement_pass_writes_nothing(
+        self, accountant, monkeypatch
+    ):
+        """The commit decides retirement before it writes the rows, so an
+        exception from that pass cannot leave an exhausted row live."""
+
+        admits_batch = accountant.batch_filter.admits_batch
+
+        def interrupted(totals, budget):
+            if budget == accountant.retirement_budget:
+                raise KeyboardInterrupt
+            return admits_batch(totals, budget)
+
+        store = accountant.store
+        before = (store.totals.tobytes(), store.live.tobytes())
+        monkeypatch.setattr(accountant.batch_filter, "admits_batch", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            accountant.charge([0], PrivacyBudget(1.0, 1e-6))
+        assert (store.totals.tobytes(), store.live.tobytes()) == before
+        assert accountant.charges == []
+
     @pytest.mark.parametrize(
         "factory",
         [
